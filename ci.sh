@@ -16,8 +16,11 @@
 # Stage contents:
 #   lint   rustfmt --check, clippy -D warnings, rustdoc -D warnings
 #   test   release build of the workspace, the full test suite, one small
-#          end-to-end reproduction through the repro binary, and the
-#          example walkthroughs (quickstart, trace replay)
+#          end-to-end reproduction through the repro binary, the example
+#          walkthroughs (quickstart, trace replay), and the benchmark
+#          harness in quick mode (every workload's output checks; fails
+#          when a change breaks the API surface the harness compiles
+#          against — see benchmark/README.md)
 #   gates  determinism: the same experiment twice with one seed must emit
 #            byte-identical tables
 #          snapshot round trip: the checkpoint-forked fig4 sweep must emit
@@ -113,6 +116,12 @@ stage_test() {
     cargo build --release --examples
     cargo run --release --example quickstart
     cargo run --release --example trace_replay
+
+    echo "== benchmark harness: every workload, quick mode, output checks =="
+    # About a second plus the build, and no timing worth reading: this is
+    # here for the checks and for the harness's compile contract with
+    # mpsoc_server and mpsoc_platform.
+    benchmark/run.sh --quick
 }
 
 gate_determinism() {

@@ -641,7 +641,7 @@ const MAX_WARM_RESTART_RATIO: f64 = 2.0;
 
 /// Minimum speedup the connections = 8 point of the `"server"` section's
 /// `conn_scaling` curve must keep over the single-connection baseline:
-/// the poll-based connection layer must not *lose* throughput as
+/// the connection layer must not *lose* throughput as
 /// closed-loop clients are added (perfect scaling is not expected — the
 /// warm cache makes the workload latency-bound — but a collapse below
 /// 0.9x means connection handling itself is serializing). Core-gated on

@@ -10,8 +10,8 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// Applies `f` to every input, using up to `jobs` worker threads, and
-/// returns the outputs **in input order**.
+/// Applies `f` to every input on up to `jobs` threads — the caller's own
+/// and `jobs - 1` spawned ones — and returns the outputs **in input order**.
 ///
 /// Determinism: each input is claimed by exactly one worker via an atomic
 /// index dispenser and its output is written back to the slot with the same
@@ -49,22 +49,27 @@ where
     let slots: Vec<Mutex<Option<O>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
 
-    std::thread::scope(|scope| {
-        for _ in 0..jobs {
-            scope.spawn(|| loop {
-                let idx = next.fetch_add(1, Ordering::Relaxed);
-                if idx >= n {
-                    break;
-                }
-                let input = tasks[idx]
-                    .lock()
-                    .expect("task mutex poisoned")
-                    .take()
-                    .expect("each index is dispensed once");
-                let output = f(input);
-                *slots[idx].lock().expect("slot mutex poisoned") = Some(output);
-            });
+    let work = || loop {
+        let idx = next.fetch_add(1, Ordering::Relaxed);
+        if idx >= n {
+            break;
         }
+        let input = tasks[idx]
+            .lock()
+            .expect("task mutex poisoned")
+            .take()
+            .expect("each index is dispensed once");
+        let output = f(input);
+        *slots[idx].lock().expect("slot mutex poisoned") = Some(output);
+    };
+    // The caller takes a share instead of sleeping through the scope: one
+    // thread fewer to start per call, and one fewer whose allocator arena
+    // a whole simulation's memory ends up parked in.
+    std::thread::scope(|scope| {
+        for _ in 1..jobs {
+            scope.spawn(work);
+        }
+        work();
     });
 
     slots

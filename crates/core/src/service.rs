@@ -28,12 +28,13 @@
 //! and CI gates it end to end.
 
 use crate::experiments::parallel_map;
-use crate::platforms::{build_platform, MemorySystem, PlatformSpec, Topology, Workload};
+use crate::platforms::{build_platform, MemorySystem, Platform, PlatformSpec, Topology, Workload};
 use mpsoc_kernel::{
     Fidelity, RunOutcome, SimError, SimResult, SnapshotBlob, SnapshotError, StateReader,
     StateWriter, Time,
 };
 use mpsoc_protocol::ProtocolKind;
+use std::sync::Mutex;
 
 /// Wait states of the shared warm-up phase every sweep point starts from.
 pub const BASE_WAIT_STATES: u32 = 1;
@@ -445,7 +446,21 @@ pub fn warm_state(req: &SweepRequest) -> SimResult<WarmState> {
 /// platform (never served from a correct cache), on a corrupt blob, or if
 /// the tail stalls.
 pub fn serve_point(req: &SweepRequest, warm: &WarmState) -> SimResult<u64> {
-    let mut platform = build_platform(&req.base_spec())?;
+    serve_point_on(build_platform(&req.base_spec())?, req, warm)
+}
+
+/// [`serve_point`] on a platform the caller has already built — and not yet
+/// run — from `req.base_spec()`, typically to read the fingerprint a cached
+/// warm state must match.
+///
+/// # Errors
+///
+/// Same as [`serve_point`].
+pub fn serve_point_on(
+    mut platform: Platform,
+    req: &SweepRequest,
+    warm: &WarmState,
+) -> SimResult<u64> {
     let own = platform.structural_fingerprint();
     if own != warm.fingerprint {
         return Err(SimError::Snapshot {
@@ -486,7 +501,27 @@ pub fn serve_point(req: &SweepRequest, warm: &WarmState) -> SimResult<u64> {
 /// Per-point errors stay per-point: one stalling tail does not take down
 /// the rest of the batch.
 pub fn serve_points(reqs: Vec<SweepRequest>, warm: &WarmState, jobs: usize) -> Vec<SimResult<u64>> {
-    parallel_map(reqs, jobs, |req| serve_point(&req, warm))
+    serve_points_with(None, reqs, warm, jobs)
+}
+
+/// [`serve_points`] for a caller that may already hold one freshly built
+/// platform of the requests' shared base spec: whichever point starts first
+/// runs on `spare`, so a one-point request builds nothing more. Every
+/// request must map to the base spec `spare` was built from.
+pub fn serve_points_with(
+    spare: Option<Platform>,
+    reqs: Vec<SweepRequest>,
+    warm: &WarmState,
+    jobs: usize,
+) -> Vec<SimResult<u64>> {
+    let spare = Mutex::new(spare);
+    parallel_map(reqs, jobs, |req| {
+        let built = spare.lock().expect("spare platform").take();
+        match built {
+            Some(platform) => serve_point_on(platform, &req, warm),
+            None => serve_point(&req, warm),
+        }
+    })
 }
 
 /// Serves one sweep point cold: computes the warm state from scratch and
@@ -615,11 +650,21 @@ mod tests {
             .iter()
             .map(|req| serve_point(req, &warm).expect("serves"))
             .collect();
-        let batched: Vec<u64> = serve_points(cells, &warm, 2)
+        let batched: Vec<u64> = serve_points(cells.clone(), &warm, 2)
             .into_iter()
             .map(|r| r.expect("serves"))
             .collect();
         assert_eq!(batched, isolated);
+        // Running one of the points on a platform built beforehand changes
+        // nothing either, serially or fanned out.
+        for jobs in [1, 2] {
+            let spare = build_platform(&quick_request().base_spec()).expect("builds");
+            let with_spare: Vec<u64> = serve_points_with(Some(spare), cells.clone(), &warm, jobs)
+                .into_iter()
+                .map(|r| r.expect("serves"))
+                .collect();
+            assert_eq!(with_spare, isolated);
+        }
     }
 
     #[test]

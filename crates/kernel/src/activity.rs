@@ -13,6 +13,13 @@
 //! several simulations run concurrently on different threads (the deltas
 //! then aggregate all of them).
 //!
+//! A simulation counts its edges in a private block and adds it
+//! to the globals when the public call that ran them (`step`, `run_until`,
+//! `run_to_quiescence`) returns, so a snapshot sees every call that has
+//! returned and nothing of one still running. Bumping the shared atomics on
+//! every edge cost a single run 12 % and, with the cache line bouncing
+//! between two cores, two concurrent runs in one process 50 % each.
+//!
 //! # Examples
 //!
 //! ```
@@ -141,16 +148,50 @@ pub(crate) fn record_parallel_edge(computed: u64, reticked: u64) {
     }
 }
 
-/// Records one fast-gear scheduling batch: `windows` component windows
-/// processed, of which `elided` covered cycles were slept or seeked over
-/// instead of executed.
-#[inline]
-pub(crate) fn record_fast(windows: u64, elided: u64) {
-    if windows != 0 {
-        FF_WINDOWS.fetch_add(windows, Ordering::Relaxed);
+/// The edges one simulation has processed since it last reported to the
+/// process-wide counters.
+#[derive(Debug, Default)]
+pub(crate) struct Pending {
+    edges: u64,
+    ticks: u64,
+    skipped: u64,
+    ff_windows: u64,
+    ff_elided: u64,
+}
+
+impl Pending {
+    /// Counts one processed edge that executed `ticks` component ticks and
+    /// skipped `skipped` sleeping ones.
+    #[inline]
+    pub(crate) fn record_edge(&mut self, ticks: u64, skipped: u64) {
+        self.edges += 1;
+        self.ticks += ticks;
+        self.skipped += skipped;
     }
-    if elided != 0 {
-        FF_ELIDED.fetch_add(elided, Ordering::Relaxed);
+
+    /// Counts one fast-gear scheduling batch: `windows` component windows
+    /// processed, of which `elided` covered cycles were slept or seeked
+    /// over instead of executed.
+    #[inline]
+    pub(crate) fn record_fast(&mut self, windows: u64, elided: u64) {
+        self.ff_windows += windows;
+        self.ff_elided += elided;
+    }
+
+    /// Adds everything counted so far to the process-wide counters.
+    pub(crate) fn flush(&mut self) {
+        let pending = std::mem::take(self);
+        for (counter, count) in [
+            (&EDGES, pending.edges),
+            (&TICKS, pending.ticks),
+            (&SKIPPED, pending.skipped),
+            (&FF_WINDOWS, pending.ff_windows),
+            (&FF_ELIDED, pending.ff_elided),
+        ] {
+            if count != 0 {
+                counter.fetch_add(count, Ordering::Relaxed);
+            }
+        }
     }
 }
 
@@ -178,5 +219,18 @@ mod tests {
         assert!(delta.edges >= 2);
         assert!(delta.ticks >= 5);
         assert!(delta.skipped >= 1);
+    }
+
+    #[test]
+    fn pending_counts_reach_the_globals_on_flush_once() {
+        let before = snapshot();
+        let mut pending = Pending::default();
+        pending.record_edge(3, 1);
+        pending.record_fast(2, 7);
+        pending.flush();
+        pending.flush();
+        let delta = snapshot().since(before);
+        assert!(delta.edges >= 1 && delta.ticks >= 3 && delta.skipped >= 1);
+        assert!(delta.ff_windows >= 2 && delta.ff_elided >= 7);
     }
 }

@@ -289,6 +289,10 @@ pub struct Simulation<T> {
     /// Component ticks executed so far (across all components; not
     /// serialized, resets to 0 on restore).
     total_ticks: u64,
+    /// Edge counts not yet added to the process-wide
+    /// [`activity`](crate::activity) counters; flushed when a public run
+    /// call returns.
+    activity: crate::activity::Pending,
     /// `true` disables sparse ticking for this simulation.
     dense: bool,
     /// Execution gear: cycle-accurate or loosely-timed windows. See
@@ -342,6 +346,7 @@ impl<T> Simulation<T> {
             busy: 0,
             edges: 0,
             total_ticks: 0,
+            activity: crate::activity::Pending::default(),
             dense: dense_default(),
             fidelity: fidelity_default(),
             audit: None,
@@ -595,7 +600,9 @@ impl<T> Simulation<T> {
     ///
     /// Returns the (first) edge time, or `None` when no components exist.
     pub fn step(&mut self) -> Option<Time> {
-        self.step_bounded(None)
+        let edge = self.step_bounded(None);
+        self.activity.flush();
+        edge
     }
 
     /// One scheduling batch, with fast-gear windows clamped so no edge past
@@ -704,7 +711,7 @@ impl<T> Simulation<T> {
         }
         self.edges += 1;
         self.total_ticks += ticked;
-        crate::activity::record_edge(ticked, skipped);
+        self.activity.record_edge(ticked, skipped);
         Some(edge)
     }
 
@@ -755,8 +762,8 @@ impl<T> Simulation<T> {
         self.time = Time::from_ps(last_ps);
         self.edges += batch_edges;
         self.total_ticks += ticked;
-        crate::activity::record_edge(ticked, skipped);
-        crate::activity::record_fast(windows, elided);
+        self.activity.record_edge(ticked, skipped);
+        self.activity.record_fast(windows, elided);
         Some(edge)
     }
 
@@ -980,6 +987,7 @@ impl<T> Simulation<T> {
             }
             self.step_bounded(Some(horizon));
         }
+        self.activity.flush();
     }
 
     /// Whether every component is idle and every link is drained.
@@ -1002,17 +1010,19 @@ impl<T> Simulation<T> {
     /// This method never fails; see [`Simulation::run_to_quiescence_strict`]
     /// for a variant that treats hitting the horizon as an error.
     pub fn run_to_quiescence(&mut self, horizon: Time) -> RunOutcome {
-        loop {
+        let outcome = loop {
             if self.time > Time::ZERO && self.is_quiescent() {
-                return RunOutcome::Quiescent { at: self.time };
+                break RunOutcome::Quiescent { at: self.time };
             }
             match self.next_edge() {
                 Some(next) if next <= horizon => {
                     self.step_bounded(Some(horizon));
                 }
-                _ => return RunOutcome::HorizonReached { at: self.time },
+                _ => break RunOutcome::HorizonReached { at: self.time },
             }
-        }
+        };
+        self.activity.flush();
+        outcome
     }
 
     /// Like [`Simulation::run_to_quiescence`], but hitting the horizon while

@@ -183,8 +183,8 @@ fn measure_batching(base: &RunConfig) -> Result<(f64, f64), String> {
 
 /// The connection-layer scaling curve: the configured mix replayed
 /// closed-loop at 1/2/4/8 connections against the now-warm cache (the
-/// main run populated it), so the ladder measures the poll loop and the
-/// handler pool, not the simulator.
+/// main run populated it), so the ladder measures the connection layer and
+/// the handler pool, not the simulator.
 fn measure_conn_scaling(base: &RunConfig) -> Result<Vec<(u64, f64, f64)>, String> {
     let mut points = Vec::new();
     let mut serial_rps = 0.0;

@@ -266,14 +266,19 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(c) if c < 0x20 => return Err(self.err("raw control character in string")),
-                Some(_) => {
-                    // Copy one UTF-8 scalar (the input is a &str, so the
-                    // encoding is already valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).expect("input was a str");
-                    let ch = s.chars().next().expect("peeked non-empty");
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
+                Some(lead) => {
+                    // Copy one UTF-8 scalar. The input is a &str, so the
+                    // encoding is valid and the lead byte gives the length;
+                    // validating only those bytes keeps a long string linear.
+                    let len = match lead {
+                        0x00..=0x7f => 1,
+                        0x80..=0xdf => 2,
+                        0xe0..=0xef => 3,
+                        0xf0..=0xff => 4,
+                    };
+                    let scalar = &self.bytes[self.pos..self.pos + len];
+                    out.push_str(std::str::from_utf8(scalar).expect("input was a str"));
+                    self.pos += len;
                 }
             }
         }
@@ -395,6 +400,15 @@ mod tests {
         let mut out = String::new();
         push_json_string(&mut out, "a\n\"x\"\\\u{1}");
         assert_eq!(out, r#""a\n\"x\"\\\u0001""#);
+    }
+
+    #[test]
+    fn multi_byte_scalars_are_copied_whole() {
+        let v = parse("{\"s\":\"a\u{e9}\u{20ac}\u{1f600}z\"}").expect("parses");
+        assert_eq!(
+            v.get("s").and_then(Json::as_str),
+            Some("a\u{e9}\u{20ac}\u{1f600}z")
+        );
     }
 
     #[test]

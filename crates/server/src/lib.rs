@@ -28,7 +28,8 @@
 //!   *different* cells of one warm key share one warm-up and one fan-out;
 //! * [`persist`] — the disk spill layer that makes warm checkpoints
 //!   survive a server restart (fail-closed, doubly checksummed);
-//! * [`server`] — the nonblocking poll loop and its bounded handler pool;
+//! * [`server`] — blocking per-connection readers feeding a bounded handler
+//!   pool, and the serving path behind them;
 //! * [`loadgen`] — the deterministic load generator and its run report.
 //!
 //! ## Binaries

@@ -118,6 +118,17 @@ pub fn distinct_warm_keys(mix: &[Cell]) -> usize {
     seen.len()
 }
 
+/// Sends one request line, newline appended, as a **single** write. Two
+/// writes (line, then newline) stall a request for a delayed-ACK period
+/// whenever Nagle's algorithm holds the second back, which is why every
+/// client socket here also sets `TCP_NODELAY`.
+fn send_line(out: &mut impl Write, line: &str) -> io::Result<()> {
+    let mut bytes = Vec::with_capacity(line.len() + 1);
+    bytes.extend_from_slice(line.as_bytes());
+    bytes.push(b'\n');
+    out.write_all(&bytes)
+}
+
 /// A blocking JSON-lines client connection.
 pub struct Client {
     reader: BufReader<TcpStream>,
@@ -132,6 +143,7 @@ impl Client {
     /// Propagates socket errors.
     pub fn connect(addr: &str) -> io::Result<Client> {
         let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
         Ok(Client {
             reader: BufReader::new(stream.try_clone()?),
             writer: stream,
@@ -144,9 +156,7 @@ impl Client {
     ///
     /// Propagates socket errors.
     pub fn send(&mut self, line: &str) -> io::Result<()> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()
+        send_line(&mut self.writer, line)
     }
 
     /// Receives one response line.
@@ -496,6 +506,9 @@ fn run_open(
     }
     let interval = Duration::from_secs_f64(1.0 / requests_per_sec);
     let stream = TcpStream::connect(&config.addr).map_err(|e| format!("connect: {e}"))?;
+    stream
+        .set_nodelay(true)
+        .map_err(|e| format!("nodelay: {e}"))?;
     let mut writer = stream.try_clone().map_err(|e| format!("clone: {e}"))?;
     let mut reader = BufReader::new(stream);
     std::thread::scope(|scope| {
@@ -518,11 +531,7 @@ fn run_open(
                     config.tick_jobs,
                     config.coalesce,
                 );
-                writer
-                    .write_all(line.as_bytes())
-                    .and_then(|()| writer.write_all(b"\n"))
-                    .and_then(|()| writer.flush())
-                    .map_err(|e| format!("io: {e}"))?;
+                send_line(&mut writer, &line).map_err(|e| format!("io: {e}"))?;
                 // Latency is measured from the *intended* send instant, not
                 // the actual write: when the writer itself falls behind the
                 // schedule (server back-pressure), the queueing delay is part
@@ -576,6 +585,32 @@ mod tests {
         assert_eq!(RunReport::percentile(&sorted, 0.0), 10);
         assert_eq!(RunReport::percentile(&sorted, 99.0), 100);
         assert_eq!(RunReport::percentile(&[], 50.0), 0);
+    }
+
+    #[test]
+    fn a_request_is_exactly_one_write() {
+        struct Counting {
+            writes: usize,
+            bytes: Vec<u8>,
+        }
+        impl Write for Counting {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.writes += 1;
+                self.bytes.extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut out = Counting {
+            writes: 0,
+            bytes: Vec::new(),
+        };
+        let line = request_line(1, (Topology::Distributed, 8), 1, 0x0dab, 1, true);
+        send_line(&mut out, &line).expect("writes");
+        assert_eq!(out.writes, 1, "line and newline must leave together");
+        assert_eq!(out.bytes, format!("{line}\n").into_bytes());
     }
 
     #[test]

@@ -2,14 +2,32 @@
 //!
 //! # Connection layer
 //!
-//! A single poll loop owns the listener and every connection, all switched
-//! to nonblocking mode: it accepts new sockets, reads complete request
-//! lines into per-connection queues, and hands one line at a time per
-//! connection to a **bounded handler pool** — so req/s scales with worker
-//! threads (sized to the host's cores), not with connection count, and a
-//! thousand idle connections cost a ready-list scan instead of a thousand
-//! parked threads. Responses per connection stay in request order because a
-//! connection never has more than one line in flight.
+//! Every socket blocks; nothing polls and nothing sleeps. The acceptor
+//! blocks in `accept` and gives each connection one small **reader
+//! thread**, which does blocking line reads and hands one line at a time to
+//! the **bounded handler pool** over its channel. The handler serves the
+//! line, writes the response itself with a single `write_all`, and only
+//! then signals the reader (returning its line buffer), so a connection
+//! never has more than one line in flight and responses stay in request
+//! order. Simulation work is bounded by the pool (sized to the host's
+//! cores), not by connection count; an idle connection costs one parked
+//! thread with a small stack.
+//!
+//! `dispatch` deliberately runs on a pool worker, never on the reader: a
+//! thread woken by its socket peer is placed by the scheduler where the
+//! client runs, and serving a sweep there measurably starves the client
+//! (DESIGN.md records the numbers).
+//!
+//! Limits are constants: a request line longer than [`MAX_LINE_BYTES`] is
+//! answered with one error and the connection closed, a connection idle
+//! for [`IDLE_TIMEOUT`] is closed, and a response the client does not take
+//! within [`WRITE_TIMEOUT`] closes the connection and frees its handler.
+//!
+//! A `shutdown` request is acknowledged, then the handler flips the
+//! running flag and connects to the server's own port to release the
+//! acceptor, which half-closes the read side of every live connection:
+//! parked readers see end-of-file, in-flight lines finish and are answered,
+//! and [`Server::run`] returns once every reader and worker has joined.
 //!
 //! # Serving path
 //!
@@ -38,14 +56,14 @@ use crate::cache::{CacheStats, Lookup, WarmCache};
 use crate::coalesce::{Coalescer, Joined, Lead};
 use crate::persist::DiskCache;
 use crate::protocol::{self, CacheOutcome, Command, PointResult, Simulate};
-use mpsoc_platform::build_platform;
 use mpsoc_platform::service::{self, SweepRequest, WarmState};
-use std::collections::{HashMap, VecDeque};
+use mpsoc_platform::{build_platform, Platform};
+use std::collections::HashMap;
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// Server tuning knobs.
@@ -88,6 +106,33 @@ fn effective_handlers(configured: usize) -> usize {
     (host_cores() * 2).clamp(4, 32)
 }
 
+/// Longest accepted request line, newline excluded.
+pub const MAX_LINE_BYTES: usize = 64 * 1024;
+/// How long a connection may sit without sending a byte before it is closed.
+pub const IDLE_TIMEOUT: Duration = Duration::from_secs(300);
+/// How long a response may wait for the client to take it.
+pub const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
+/// Stack of a connection's reader thread: it parses nothing and simulates
+/// nothing, and an idle connection should cost little beyond it.
+const READER_STACK_BYTES: usize = 64 * 1024;
+
+/// The connection limits in force; always [`Limits::DEFAULT`] outside this
+/// module's tests, which shorten the timeouts.
+#[derive(Debug, Clone, Copy)]
+struct Limits {
+    max_line: usize,
+    idle: Duration,
+    write: Duration,
+}
+
+impl Limits {
+    const DEFAULT: Limits = Limits {
+        max_line: MAX_LINE_BYTES,
+        idle: IDLE_TIMEOUT,
+        write: WRITE_TIMEOUT,
+    };
+}
+
 /// Counters the `stats` command reports (cache counters live in
 /// [`CacheStats`]).
 #[derive(Debug, Clone, Copy, Default)]
@@ -115,6 +160,8 @@ struct Shared {
     cache: WarmCache<WarmState>,
     disk: Option<DiskCache>,
     coalescer: Coalescer<BatchResults>,
+    /// The bound address, which [`Shared::stop`] connects to.
+    addr: SocketAddr,
     running: AtomicBool,
     requests: AtomicU64,
     points: AtomicU64,
@@ -127,6 +174,21 @@ struct Shared {
 }
 
 impl Shared {
+    /// Stops the server: no further line is dispatched, and the acceptor,
+    /// blocked in `accept`, is released by a connection to its own port.
+    fn stop(&self) {
+        self.running.store(false, Ordering::SeqCst);
+        let _ = TcpStream::connect(self.addr);
+    }
+
+    /// Fan-out workers for a request's points. Oversubscribing past the
+    /// host's cores is a measured pathology (see BENCH fig4_scaling
+    /// history), so wire-requested job counts are clamped; results are
+    /// identical for any value by the kernel's determinism guarantee.
+    fn fan_out_jobs(&self, sim: &Simulate) -> usize {
+        sim.jobs.clamp(1, self.host_cores)
+    }
+
     fn stats_line(&self) -> String {
         let c = self.cache.stats();
         let d = self.disk.as_ref().map(DiskCache::stats).unwrap_or_default();
@@ -160,8 +222,8 @@ impl Shared {
 /// A bound sweep server, ready to [`run`](Server::run).
 pub struct Server {
     listener: TcpListener,
-    addr: SocketAddr,
     handlers: usize,
+    limits: Limits,
     shared: Arc<Shared>,
 }
 
@@ -181,12 +243,13 @@ impl Server {
         };
         Ok(Server {
             listener,
-            addr,
             handlers: effective_handlers(config.handlers),
+            limits: Limits::DEFAULT,
             shared: Arc::new(Shared {
                 cache: WarmCache::new(config.cache_capacity),
                 disk,
                 coalescer: Coalescer::new(config.coalesce_window),
+                addr,
                 running: AtomicBool::new(true),
                 requests: AtomicU64::new(0),
                 points: AtomicU64::new(0),
@@ -202,7 +265,7 @@ impl Server {
 
     /// The bound address (the actual port when bound with port 0).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.shared.addr
     }
 
     /// A snapshot of the cache counters.
@@ -210,164 +273,194 @@ impl Server {
         self.shared.cache.stats()
     }
 
-    /// Runs the poll loop until a `shutdown` request arrives, drains the
-    /// in-flight handlers, and returns.
+    /// Accepts connections until a `shutdown` request arrives, lets the
+    /// in-flight handlers finish, and returns.
     ///
     /// # Errors
     ///
-    /// Propagates accept-loop socket errors.
+    /// Propagates accept errors.
     pub fn run(self) -> io::Result<()> {
-        self.listener.set_nonblocking(true)?;
-        let (done_tx, done_rx) = mpsc::channel();
-        let pool = HandlerPool::spawn(self.handlers, Arc::clone(&self.shared), done_tx);
-        let mut conns: HashMap<u64, Conn> = HashMap::new();
-        let mut next_id = 0u64;
-        let mut fatal = None;
-
-        'poll: loop {
-            let running = self.shared.running.load(Ordering::SeqCst);
-            let mut progressed = false;
-
-            if running {
-                loop {
-                    match self.listener.accept() {
-                        Ok((stream, _)) => {
-                            if stream.set_nonblocking(true).is_ok() {
-                                conns.insert(next_id, Conn::new(stream));
-                                next_id += 1;
-                                progressed = true;
-                            }
-                        }
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                        Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                        Err(e) => {
-                            fatal = Some(e);
-                            break 'poll;
-                        }
-                    }
+        let shared = &*self.shared;
+        let limits = self.limits;
+        let pool = HandlerPool::spawn(self.handlers, Arc::clone(&self.shared));
+        // Every live connection, so that shutdown can reach the readers
+        // parked in a read. A reader removes its own entry when it ends.
+        let live: Mutex<HashMap<u64, Arc<Conn>>> = Mutex::new(HashMap::new());
+        let outcome = std::thread::scope(|scope| {
+            let mut next_id = 0u64;
+            let outcome = loop {
+                let stream = match self.listener.accept() {
+                    Ok((stream, _)) => stream,
+                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                    Err(e) => break Err(e),
+                };
+                if !shared.running.load(Ordering::SeqCst) {
+                    break Ok(());
                 }
-            }
-
-            while let Ok(conn_id) = done_rx.try_recv() {
-                if let Some(conn) = conns.get_mut(&conn_id) {
-                    conn.busy = false;
+                if stream.set_nodelay(true).is_err()
+                    || stream.set_read_timeout(Some(limits.idle)).is_err()
+                    || stream.set_write_timeout(Some(limits.write)).is_err()
+                {
+                    continue;
                 }
-                progressed = true;
-            }
-
-            let mut dead = Vec::new();
-            for (&conn_id, conn) in &mut conns {
-                if !conn.closed {
-                    progressed |= conn.fill();
+                let id = next_id;
+                next_id += 1;
+                let conn = Arc::new(Conn {
+                    stream,
+                    returned: Mutex::new(None),
+                    ready: Condvar::new(),
+                });
+                live.lock()
+                    .expect("live connections")
+                    .insert(id, Arc::clone(&conn));
+                let (pool, live) = (&pool, &live);
+                let spawned = std::thread::Builder::new()
+                    .stack_size(READER_STACK_BYTES)
+                    .spawn_scoped(scope, move || {
+                        read_requests(&conn, pool, shared, limits);
+                        live.lock().expect("live connections").remove(&id);
+                    });
+                if spawned.is_err() {
+                    // Out of threads: refuse this connection, keep serving.
+                    live.lock().expect("live connections").remove(&id);
                 }
-                if running && !conn.busy {
-                    if let Some(line) = conn.queued.pop_front() {
-                        match conn.stream.try_clone() {
-                            Ok(stream) => {
-                                conn.busy = true;
-                                progressed = true;
-                                pool.submit(Job {
-                                    conn: conn_id,
-                                    stream,
-                                    line,
-                                });
-                            }
-                            Err(_) => conn.closed = true,
-                        }
-                    }
-                }
-                if conn.closed && !conn.busy && conn.queued.is_empty() {
-                    dead.push(conn_id);
-                }
+            };
+            shared.running.store(false, Ordering::SeqCst);
+            for conn in live.lock().expect("live connections").values() {
+                let _ = conn.stream.shutdown(Shutdown::Read);
             }
-            for conn_id in dead {
-                conns.remove(&conn_id);
-                progressed = true;
-            }
-
-            if !running && conns.values().all(|c| !c.busy) {
-                // Drained: every dispatched response (including the
-                // shutdown acknowledgement) is out. Queued-but-undispatched
-                // lines are dropped with their connections.
-                break;
-            }
-            if !progressed {
-                std::thread::sleep(Duration::from_micros(500));
-            }
-        }
-
-        drop(conns);
+            // Leaving the scope joins every reader, and each of them first
+            // waits for the response to its line in flight.
+            outcome
+        });
         pool.join();
-        match fatal {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+        outcome
     }
 }
 
-/// One nonblocking connection owned by the poll loop.
+/// One accepted connection, shared by its reader and by the handler serving
+/// its line in flight.
 struct Conn {
     stream: TcpStream,
-    /// Bytes read but not yet terminated by a newline.
-    buf: Vec<u8>,
-    /// Complete request lines awaiting dispatch.
-    queued: VecDeque<String>,
-    /// A line from this connection is in the handler pool; its response
-    /// must go out before the next line is dispatched (request order).
-    busy: bool,
-    /// EOF or a read error was seen; the connection is dropped once its
-    /// in-flight work finishes.
-    closed: bool,
+    /// The reader's line buffer, handed back by the handler once the
+    /// response is out: the signal that the next line may be dispatched.
+    returned: Mutex<Option<String>>,
+    ready: Condvar,
 }
 
 impl Conn {
-    fn new(stream: TcpStream) -> Conn {
-        Conn {
-            stream,
-            buf: Vec::new(),
-            queued: VecDeque::new(),
-            busy: false,
-            closed: false,
-        }
-    }
-
-    /// Drains whatever the socket has ready into complete request lines.
-    /// Returns whether anything arrived.
-    fn fill(&mut self) -> bool {
-        let mut progressed = false;
-        let mut chunk = [0u8; 4096];
-        loop {
-            match self.stream.read(&mut chunk) {
-                Ok(0) => {
-                    self.closed = true;
-                    break;
-                }
-                Ok(n) => {
-                    progressed = true;
-                    self.buf.extend_from_slice(&chunk[..n]);
-                    while let Some(at) = self.buf.iter().position(|&b| b == b'\n') {
-                        let line: Vec<u8> = self.buf.drain(..=at).collect();
-                        let text = String::from_utf8_lossy(&line).trim().to_string();
-                        if !text.is_empty() {
-                            self.queued.push_back(text);
-                        }
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(_) => {
-                    self.closed = true;
-                    break;
-                }
-            }
-        }
-        progressed
+    /// Sends one response line as a single blocking write, bounded by the
+    /// connection's write timeout.
+    fn respond(&self, mut line: String) -> io::Result<()> {
+        line.push('\n');
+        (&self.stream).write_all(line.as_bytes())
     }
 }
 
+/// Bytes read from the socket per `read` call.
+const CHUNK: usize = 4096;
+
+/// The blocking line reader of one connection. Bytes past the first
+/// newline stay buffered, so several lines sent in one write are served one
+/// after the other.
+struct LineReader {
+    buf: Vec<u8>,
+    /// Prefix of `buf` already known to hold no newline.
+    scanned: usize,
+}
+
+enum NextLine {
+    /// A non-empty line is in the caller's buffer.
+    Line,
+    /// The peer closed its side; a partial last line is dropped.
+    Eof,
+    /// More than the limit arrived without a newline.
+    TooLong,
+}
+
+impl LineReader {
+    fn new() -> LineReader {
+        LineReader {
+            // Room for a chunk behind a partial line, without growing.
+            buf: Vec::with_capacity(2 * CHUNK),
+            scanned: 0,
+        }
+    }
+
+    /// Reads until `line` holds the next non-empty request line, trimmed.
+    fn next_line(
+        &mut self,
+        mut stream: &TcpStream,
+        max_line: usize,
+        line: &mut String,
+    ) -> io::Result<NextLine> {
+        loop {
+            if let Some(at) = self.buf[self.scanned..].iter().position(|&b| b == b'\n') {
+                let end = self.scanned + at;
+                line.clear();
+                line.push_str(String::from_utf8_lossy(&self.buf[..end]).trim());
+                self.buf.drain(..=end);
+                self.scanned = 0;
+                if line.is_empty() {
+                    continue;
+                }
+                return Ok(NextLine::Line);
+            }
+            self.scanned = self.buf.len();
+            if self.scanned > max_line {
+                return Ok(NextLine::TooLong);
+            }
+            self.buf.resize(self.scanned + CHUNK, 0);
+            let read = stream.read(&mut self.buf[self.scanned..]);
+            self.buf
+                .truncate(self.scanned + read.as_ref().map_or(0, |&n| n));
+            match read {
+                Ok(0) => return Ok(NextLine::Eof),
+                Ok(_) => {}
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+    }
+}
+
+/// A connection's reader thread: feeds the pool one line at a time until
+/// the peer closes, a limit trips, or the server stops.
+fn read_requests(conn: &Arc<Conn>, pool: &HandlerPool, shared: &Shared, limits: Limits) {
+    let mut reader = LineReader::new();
+    let mut line = String::new();
+    while shared.running.load(Ordering::SeqCst) {
+        match reader.next_line(&conn.stream, limits.max_line, &mut line) {
+            Ok(NextLine::Line) => {
+                pool.submit(Job {
+                    conn: Arc::clone(conn),
+                    line,
+                });
+                // The response goes out before the next line is dispatched
+                // (request order); the handler hands the line buffer back.
+                let mut returned = conn.returned.lock().expect("returned line");
+                line = loop {
+                    match returned.take() {
+                        Some(line) => break line,
+                        None => returned = conn.ready.wait(returned).expect("returned line"),
+                    }
+                };
+            }
+            Ok(NextLine::TooLong) => {
+                shared.errors.fetch_add(1, Ordering::Relaxed);
+                let message = format!("request line exceeds {} bytes", limits.max_line);
+                let _ = conn.respond(protocol::error_response(0, &message));
+                break;
+            }
+            // End of file, an idle timeout or a broken socket.
+            Ok(NextLine::Eof) | Err(_) => break,
+        }
+    }
+    let _ = conn.stream.shutdown(Shutdown::Both);
+}
+
 struct Job {
-    conn: u64,
-    stream: TcpStream,
+    conn: Arc<Conn>,
     line: String,
 }
 
@@ -377,24 +470,28 @@ struct HandlerPool {
 }
 
 impl HandlerPool {
-    fn spawn(count: usize, shared: Arc<Shared>, done: mpsc::Sender<u64>) -> HandlerPool {
+    fn spawn(count: usize, shared: Arc<Shared>) -> HandlerPool {
+        // At most one line per connection is ever queued.
         let (jobs, feed) = mpsc::channel::<Job>();
         let feed = Arc::new(Mutex::new(feed));
         let workers = (0..count.max(1))
             .map(|_| {
                 let feed = Arc::clone(&feed);
                 let shared = Arc::clone(&shared);
-                let done = done.clone();
                 std::thread::spawn(move || loop {
                     let job = { feed.lock().expect("job feed").recv() };
-                    let Ok(mut job) = job else { break };
-                    let (response, stop) = dispatch(&job.line, &shared);
-                    // A broken connection only loses its own response.
-                    let _ = write_line(&mut job.stream, &response);
-                    if stop {
-                        shared.running.store(false, Ordering::SeqCst);
+                    let Ok(Job { conn, line }) = job else { break };
+                    let (response, stop) = dispatch(&line, &shared);
+                    if conn.respond(response).is_err() {
+                        // A client that went away or stopped reading loses
+                        // its connection, not a handler.
+                        let _ = conn.stream.shutdown(Shutdown::Both);
                     }
-                    let _ = done.send(job.conn);
+                    if stop {
+                        shared.stop();
+                    }
+                    *conn.returned.lock().expect("returned line") = Some(line);
+                    conn.ready.notify_one();
                 })
             })
             .collect();
@@ -418,28 +515,6 @@ impl HandlerPool {
             let _ = worker.join();
         }
     }
-}
-
-/// Writes one response line to a nonblocking stream, spinning out
-/// `WouldBlock` with short sleeps (responses are small; the socket buffer
-/// almost always takes them whole).
-fn write_line(stream: &mut TcpStream, line: &str) -> io::Result<()> {
-    let mut bytes = Vec::with_capacity(line.len() + 1);
-    bytes.extend_from_slice(line.as_bytes());
-    bytes.push(b'\n');
-    let mut rest = &bytes[..];
-    while !rest.is_empty() {
-        match stream.write(rest) {
-            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
-            Ok(n) => rest = &rest[n..],
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_micros(200));
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    stream.flush()
 }
 
 /// Serves one request line; returns the response line and whether the
@@ -471,11 +546,6 @@ fn dispatch(line: &str, shared: &Shared) -> (String, bool) {
 
 fn serve_simulate(shared: &Shared, sim: &Simulate) -> Result<String, String> {
     let started = Instant::now();
-    // Oversubscribing fan-out workers past the host's cores is a measured
-    // pathology (see BENCH fig4_scaling history), so wire-requested job
-    // counts are clamped; results are identical for any value by the
-    // kernel's determinism guarantee.
-    let jobs = sim.jobs.clamp(1, shared.host_cores);
     let points: Vec<SweepRequest> = sim
         .points()
         .into_iter()
@@ -485,24 +555,35 @@ fn serve_simulate(shared: &Shared, sim: &Simulate) -> Result<String, String> {
         })
         .collect();
     // The fingerprint the cached blob must match: the one of the platform
-    // this request would build. Building is wiring-only (no simulation).
-    let expected = build_platform(&sim.req.base_spec())
-        .map_err(|e| e.to_string())?
-        .structural_fingerprint();
+    // this request builds. Building is wiring-only (no simulation).
+    let platform = build_platform(&sim.req.base_spec()).map_err(|e| e.to_string())?;
+    let expected = platform.structural_fingerprint();
     let key = sim.req.warm_key();
 
-    // Fast path: the warm state is already resident.
+    // Fast path: the warm state is already resident, and the request's
+    // first point runs on the platform just built.
     if let Some(warm) = shared.cache.peek(&key, expected) {
-        return serve_own_points(shared, sim, CacheOutcome::Hit, &warm, points, jobs, started);
+        return serve_own_points(
+            shared,
+            sim,
+            CacheOutcome::Hit,
+            &warm,
+            Some(platform),
+            points,
+            started,
+        );
     }
+    // A miss now waits for a warm-up, its own or a batch leader's; a built
+    // platform held through that would only raise the memory peak.
+    drop(platform);
     if !sim.coalesce {
         let (warm, outcome) = warm_up(shared, &sim.req, &key, expected)?;
-        return serve_own_points(shared, sim, outcome, &warm, points, jobs, started);
+        return serve_own_points(shared, sim, outcome, &warm, None, points, started);
     }
 
     let cells: Vec<u32> = points.iter().map(|p| p.wait_states).collect();
     match shared.coalescer.join_or_lead(&key, &cells) {
-        Joined::Lead(lead) => lead_batch(shared, sim, &key, &points, jobs, lead, expected, started),
+        Joined::Lead(lead) => lead_batch(shared, sim, &key, &points, lead, expected, started),
         Joined::Results(Some(results)) => {
             shared.coalesced.fetch_add(1, Ordering::Relaxed);
             shared.cache.note_hit();
@@ -531,20 +612,18 @@ fn serve_simulate(shared: &Shared, sim: &Simulate) -> Result<String, String> {
             // The batch failed or closed under us; serve solo — by now the
             // warm state is cached (or the solo warm-up reports the error).
             let (warm, outcome) = warm_up(shared, &sim.req, &key, expected)?;
-            serve_own_points(shared, sim, outcome, &warm, points, jobs, started)
+            serve_own_points(shared, sim, outcome, &warm, None, points, started)
         }
     }
 }
 
 /// Leads a coalesced batch: warm up (disk, cache or fresh), hold the
 /// window, then serve every gathered cell in one fan-out and publish.
-#[allow(clippy::too_many_arguments)]
 fn lead_batch(
     shared: &Shared,
     sim: &Simulate,
     key: &str,
     points: &[SweepRequest],
-    jobs: usize,
     lead: Lead<BatchResults>,
     expected: u64,
     started: Instant,
@@ -572,7 +651,7 @@ fn lead_batch(
             ..sim.req.clone()
         })
         .collect();
-    let tails = service::serve_points(reqs, &warm, jobs);
+    let tails = service::serve_points(reqs, &warm, shared.fan_out_jobs(sim));
     let cells: HashMap<u32, Result<u64, String>> = batch_cells
         .iter()
         .zip(tails)
@@ -647,18 +726,19 @@ fn warm_up(
     Ok((warm, outcome))
 }
 
-/// Serves exactly the request's own points from a warm state.
+/// Serves exactly the request's own points from a warm state, the first of
+/// them on `spare` when the caller still holds the platform it built.
 fn serve_own_points(
     shared: &Shared,
     sim: &Simulate,
     outcome: CacheOutcome,
     warm: &WarmState,
+    spare: Option<Platform>,
     points: Vec<SweepRequest>,
-    jobs: usize,
     started: Instant,
 ) -> Result<String, String> {
     let cells: Vec<u32> = points.iter().map(|p| p.wait_states).collect();
-    let tails = service::serve_points(points, warm, jobs);
+    let tails = service::serve_points_with(spare, points, warm, shared.fan_out_jobs(sim));
     let mut out = Vec::with_capacity(tails.len());
     for (ws, tail) in cells.into_iter().zip(tails) {
         out.push(PointResult {
@@ -674,4 +754,96 @@ fn serve_own_points(
         &out,
         started.elapsed().as_micros(),
     ))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::{BufRead, BufReader};
+
+    /// A server on an ephemeral port with the given limits and pool size.
+    fn start(limits: Limits, handlers: usize) -> (SocketAddr, std::thread::JoinHandle<()>) {
+        let config = ServerConfig {
+            handlers,
+            ..ServerConfig::default()
+        };
+        let mut server = Server::bind("127.0.0.1:0", &config).expect("binds");
+        server.limits = limits;
+        let addr = server.local_addr();
+        (
+            addr,
+            std::thread::spawn(move || server.run().expect("serves")),
+        )
+    }
+
+    fn send(mut stream: &TcpStream, request: &str) -> io::Result<()> {
+        stream.write_all(format!("{request}\n").as_bytes())
+    }
+
+    fn roundtrip(addr: SocketAddr, request: &str) -> String {
+        let stream = TcpStream::connect(addr).expect("connects");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .expect("sets the deadline");
+        send(&stream, request).expect("sends");
+        let mut line = String::new();
+        BufReader::new(stream)
+            .read_line(&mut line)
+            .expect("responds");
+        line
+    }
+
+    #[test]
+    fn an_idle_connection_is_closed_after_the_timeout() {
+        let (addr, server) = start(
+            Limits {
+                idle: Duration::from_millis(100),
+                ..Limits::DEFAULT
+            },
+            1,
+        );
+        let mut idle = TcpStream::connect(addr).expect("connects");
+        idle.set_read_timeout(Some(Duration::from_secs(30)))
+            .expect("sets the deadline");
+        let mut byte = [0u8; 1];
+        assert_eq!(
+            idle.read(&mut byte).expect("closed, not timed out"),
+            0,
+            "the server must hang up on a silent connection"
+        );
+        assert!(roundtrip(addr, "{\"cmd\":\"shutdown\"}").contains("\"shutdown\":true"));
+        server.join().expect("server exits cleanly");
+    }
+
+    #[test]
+    fn a_client_that_never_reads_cannot_pin_a_handler() {
+        // One handler: if the stalled response held it, nobody else would
+        // ever be served.
+        let (addr, server) = start(
+            Limits {
+                write: Duration::from_millis(100),
+                ..Limits::DEFAULT
+            },
+            1,
+        );
+        // An unknown command is echoed in the error, so each 60 KB request
+        // earns a 60 KB response; 400 of them overrun any socket buffering.
+        let request = format!("{{\"cmd\":\"{}\"}}", "x".repeat(60_000));
+        let deaf = TcpStream::connect(addr).expect("connects");
+        deaf.set_nodelay(true).expect("sets nodelay");
+        deaf.set_write_timeout(Some(Duration::from_millis(200)))
+            .expect("sets the deadline");
+        let sent = (0..400)
+            .take_while(|_| send(&deaf, &request).is_ok())
+            .count();
+        assert!(
+            sent < 400,
+            "the unread responses must back up to the sender"
+        );
+
+        assert!(roundtrip(addr, "{\"cmd\":\"ping\"}").contains("\"pong\":true"));
+        assert!(roundtrip(addr, "{\"cmd\":\"shutdown\"}").contains("\"shutdown\":true"));
+        server.join().expect("server exits cleanly");
+        drop(deaf);
+    }
 }

@@ -5,9 +5,13 @@
 use mpsoc_platform::service::{self, SweepRequest};
 use mpsoc_platform::Topology;
 use mpsoc_server::loadgen::{self, Client, Pacing, RunConfig};
+use mpsoc_server::server::MAX_LINE_BYTES;
 use mpsoc_server::{Server, ServerConfig};
 use proptest::prelude::*;
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{Shutdown, TcpStream};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// Binds a server on an ephemeral loopback port and runs it on a
 /// background thread. Returns the address and the join handle; tests must
@@ -276,6 +280,146 @@ fn loadgen_open_loop_paces_and_agrees() {
     .expect("run agrees");
     assert_eq!(report.responses, 14);
     assert!(report.hits > 0);
+    shutdown(&addr);
+    handle.join().expect("server exits cleanly");
+}
+
+/// A raw socket with a read deadline, for the tests that must control
+/// exactly which bytes go out in which write.
+fn raw_connection(addr: &str) -> TcpStream {
+    let stream = TcpStream::connect(addr).expect("connects");
+    stream.set_nodelay(true).expect("sets nodelay");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("sets the deadline");
+    stream
+}
+
+#[test]
+fn lines_sent_in_one_write_are_answered_in_order() {
+    let (addr, handle) = start_server(4);
+    let mut stream = raw_connection(&addr);
+    stream
+        .write_all(b"{\"cmd\":\"ping\"}\nnot json\n{\"cmd\":\"stats\"}\n")
+        .expect("sends");
+    let mut lines = BufReader::new(stream).lines();
+    let mut next = || lines.next().expect("a response").expect("readable");
+    let first = next();
+    assert!(first.contains("\"pong\":true"), "{first}");
+    let second = next();
+    assert!(second.contains("\"status\":\"error\""), "{second}");
+    let third = next();
+    assert!(third.contains("\"stats\":"), "{third}");
+    // The stats were taken after the bad line was counted: order held
+    // inside the server too, not only on the wire.
+    assert_eq!(field_u64(&third, "errors"), 1, "{third}");
+    shutdown(&addr);
+    handle.join().expect("server exits cleanly");
+}
+
+#[test]
+fn a_partial_line_before_eof_is_dropped() {
+    let (addr, handle) = start_server(4);
+    let mut stream = raw_connection(&addr);
+    stream.write_all(b"{\"cmd\":\"pi").expect("sends");
+    stream.shutdown(Shutdown::Write).expect("half-closes");
+    let mut answer = Vec::new();
+    stream.read_to_end(&mut answer).expect("server hangs up");
+    assert!(answer.is_empty(), "{:?}", String::from_utf8_lossy(&answer));
+    // Nothing was served, nothing was counted, and the server lives.
+    let mut client = Client::connect(&addr).expect("connects");
+    let stats = client.roundtrip("{\"cmd\":\"stats\"}").expect("responds");
+    assert_eq!(field_u64(&stats, "errors"), 0, "{stats}");
+    shutdown(&addr);
+    handle.join().expect("server exits cleanly");
+}
+
+#[test]
+fn an_oversized_line_gets_one_error_and_a_closed_connection() {
+    let (addr, handle) = start_server(4);
+
+    // A line of exactly the limit is still a request like any other.
+    let mut stream = raw_connection(&addr);
+    let mut longest = b"{\"cmd\":\"ping\"}".to_vec();
+    longest.resize(MAX_LINE_BYTES, b' ');
+    longest.push(b'\n');
+    stream.write_all(&longest).expect("sends");
+    let mut pong = String::new();
+    BufReader::new(&stream)
+        .read_line(&mut pong)
+        .expect("responds");
+    assert!(pong.contains("\"pong\":true"), "{pong}");
+
+    // One byte more, no newline in sight: one error line, then EOF.
+    let mut stream = raw_connection(&addr);
+    stream
+        .write_all(&vec![b'x'; MAX_LINE_BYTES + 1])
+        .expect("sends");
+    let mut answer = String::new();
+    stream.read_to_string(&mut answer).expect("server hangs up");
+    assert_eq!(answer.matches('\n').count(), 1, "{answer}");
+    assert!(answer.contains("\"status\":\"error\""), "{answer}");
+    assert!(answer.contains("exceeds"), "{answer}");
+
+    shutdown(&addr);
+    handle.join().expect("server exits cleanly");
+}
+
+/// Regression test for the PR 7 join deadlock, now that every idle
+/// connection is a reader blocked in `read`: shutdown has to reach them all.
+#[test]
+fn shutdown_returns_with_idle_connections_open() {
+    let server = Server::bind("127.0.0.1:0", &ServerConfig::default()).expect("binds");
+    let addr = server.local_addr().to_string();
+    let (exited, exit) = std::sync::mpsc::channel();
+    let handle = std::thread::spawn(move || {
+        server.run().expect("serves");
+        let _ = exited.send(());
+    });
+    let idle: Vec<TcpStream> = (0..64).map(|_| raw_connection(&addr)).collect();
+    // A served request on the last one proves all 64 were accepted.
+    let mut last = idle.last().expect("64 connections");
+    last.write_all(b"{\"cmd\":\"ping\"}\n").expect("sends");
+    let mut pong = String::new();
+    BufReader::new(last).read_line(&mut pong).expect("responds");
+    assert!(pong.contains("\"pong\":true"), "{pong}");
+
+    shutdown(&addr);
+    exit.recv_timeout(Duration::from_secs(20))
+        .expect("Server::run must return while idle connections are open");
+    handle.join().expect("server exits cleanly");
+    drop(idle);
+}
+
+/// The old poll loop slept 500 us whenever it found nothing to do, so an
+/// idle server answered nothing faster than that. Median only: a noisy host
+/// lengthens the tail, not the typical round trip.
+#[test]
+fn idle_round_trip_beats_the_old_poll_period() {
+    let (addr, handle) = start_server(4);
+    let mut client = Client::connect(&addr).expect("connects");
+    let mut median = Duration::MAX;
+    // The other tests of this binary run beside this one; a round that
+    // shared its cores with a simulation is retried, twice at most.
+    for _ in 0..3 {
+        let mut trips: Vec<Duration> = (0..200)
+            .map(|_| {
+                let sent = Instant::now();
+                let pong = client.roundtrip("{\"cmd\":\"ping\"}").expect("responds");
+                assert!(pong.contains("\"pong\":true"), "{pong}");
+                sent.elapsed()
+            })
+            .collect();
+        trips.sort_unstable();
+        median = median.min(trips[trips.len() / 2]);
+        if median < Duration::from_micros(500) {
+            break;
+        }
+    }
+    assert!(
+        median < Duration::from_micros(500),
+        "median ping round trip {median:?}"
+    );
     shutdown(&addr);
     handle.join().expect("server exits cleanly");
 }
