@@ -139,21 +139,15 @@ gate_determinism() {
 
 gate_snapshot() {
     echo "== snapshot round trip: fig4 cold vs --warm-fork =="
-    # The cold sweep and the checkpoint-forked sweep must print the same
-    # table (restore is exact); only the table lines are compared — headers
-    # and timing lines legitimately differ. The --check-bench pass then
-    # enforces the speedup floor on the speedup measured by *this* run,
-    # recorded in a throwaway ledger.
-    cargo run --release -p mpsoc-bench --bin repro -- \
-        --exp fig4 --no-bench-out > "$run_dir/cold.txt"
+    # One process runs the cold sweep and the checkpoint-forked sweep and
+    # fails on any difference between their tables (restore is exact;
+    # measure_warm_fork's self-check). The --check-bench pass then enforces
+    # the speedup floor on the speedup measured by *this* run, recorded in
+    # a throwaway ledger.
     cargo run --release -p mpsoc-bench --bin repro -- \
         --warm-fork --bench-out "$run_dir/warmfork.json" \
         --check-bench "$run_dir/warmfork.json" > "$run_dir/fork.txt"
     grep '\[check warm-fork' "$run_dir/fork.txt"
-    if ! diff <(table_only "$run_dir/cold.txt") <(table_only "$run_dir/fork.txt"); then
-        echo "snapshot gate FAILED: warm-fork table differs from the cold sweep" >&2
-        exit 1
-    fi
     echo "snapshot round-trip gate passed"
 }
 

@@ -13,8 +13,8 @@
 //! bridge path (distributed).
 
 use super::parallel_map;
-use crate::platforms::{build_platform, MemorySystem, Platform, PlatformSpec, Topology, Workload};
-use crate::service::{self, WarmProfile};
+use crate::platforms::{build_platform, Platform, PlatformSpec, Topology, Workload};
+use crate::service::{self, SweepRequest, WarmProfile};
 use mpsoc_kernel::{Fidelity, SimResult, SnapshotBlob, Time};
 use mpsoc_protocol::ProtocolKind;
 use std::fmt;
@@ -74,20 +74,24 @@ impl fmt::Display for Fig4 {
     }
 }
 
-/// The spec every sweep point starts from: memory at [`BASE_WS`]; the
-/// point's own wait states are applied at the warm boundary.
-fn point_spec(scale: u64, seed: u64, topology: Topology) -> PlatformSpec {
-    PlatformSpec {
+/// The base point of one topology's sweep as a service request: fig4 *is*
+/// the [`service`] sweep for this one platform configuration.
+fn point_request(scale: u64, seed: u64, topology: Topology) -> SweepRequest {
+    SweepRequest {
         protocol: ProtocolKind::StbusT3,
         topology,
-        memory: MemorySystem::OnChip {
-            wait_states: BASE_WS,
-        },
         workload: Workload::BurstyPosted,
         scale,
         seed,
-        ..PlatformSpec::default()
+        base_wait_states: BASE_WS,
+        ..SweepRequest::default()
     }
+}
+
+/// The spec every sweep point starts from: memory at [`BASE_WS`]; the
+/// point's own wait states are applied at the warm boundary.
+fn point_spec(scale: u64, seed: u64, topology: Topology) -> PlatformSpec {
+    point_request(scale, seed, topology).base_spec()
 }
 
 /// The shared prefix of one topology's sweep: the base-run result and the
@@ -184,9 +188,10 @@ pub fn fig4_with_jobs(scale: u64, seed: u64, jobs: usize) -> SimResult<Fig4> {
 }
 
 /// Runs the Figure 4 sweep via checkpoint/fork: each topology's warm phase
-/// is simulated **once**, checkpointed at the warm boundary, and every
-/// sweep point restores the (reference-counted) blob into a fresh platform
-/// instead of re-simulating the prefix.
+/// is simulated **once** — [`service::warm_state`] checkpoints the probe as
+/// it crosses the warm boundary — and every sweep point restores the
+/// (reference-counted) blob into a fresh platform instead of re-simulating
+/// the prefix.
 ///
 /// The result is bit-identical to [`fig4_with_jobs`] — snapshot restore is
 /// exact — only wall-clock time changes.
@@ -195,32 +200,23 @@ pub fn fig4_with_jobs(scale: u64, seed: u64, jobs: usize) -> SimResult<Fig4> {
 ///
 /// Fails if any platform instance stalls (model bug).
 pub fn fig4_warm_fork_with_jobs(scale: u64, seed: u64, jobs: usize) -> SimResult<Fig4> {
-    let warm = [
-        probe(scale, seed, Topology::Collapsed)?,
-        probe(scale, seed, Topology::Distributed)?,
+    let reqs = [Topology::Collapsed, Topology::Distributed].map(|t| point_request(scale, seed, t));
+    let states = [
+        service::warm_state(&reqs[0])?,
+        service::warm_state(&reqs[1])?,
     ];
-    let mut blobs: Vec<SnapshotBlob> = Vec::with_capacity(2);
-    for (i, topology) in [Topology::Collapsed, Topology::Distributed]
-        .into_iter()
-        .enumerate()
-    {
-        let mut platform = build_platform(&point_spec(scale, seed, topology))?;
-        platform.sim_mut().run_until(warm[i].warm_until);
-        blobs.push(platform.checkpoint());
-    }
     let tails = parallel_map(SWEEP[1..].to_vec(), jobs, |ws| -> SimResult<[u64; 2]> {
         let mut cycles = [0u64; 2];
-        for (i, topology) in [Topology::Collapsed, Topology::Distributed]
-            .into_iter()
-            .enumerate()
-        {
-            let mut platform = build_platform(&point_spec(scale, seed, topology))?;
-            platform.restore(&blobs[i])?;
-            cycles[i] = finish_point(platform, ws)?;
+        for (i, (req, state)) in reqs.iter().zip(&states).enumerate() {
+            let point = SweepRequest {
+                wait_states: ws,
+                ..req.clone()
+            };
+            cycles[i] = service::serve_point(&point, state)?;
         }
         Ok(cycles)
     });
-    assemble(&warm, tails)
+    assemble(&[states[0].profile, states[1].profile], tails)
 }
 
 /// The reusable warm phase of the sweep: per-topology base-point results

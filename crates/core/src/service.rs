@@ -4,10 +4,10 @@
 //! The sweep server (`crates/server`) accepts requests of the shape
 //! *platform configuration + workload + seed + sweep-axis value* and serves
 //! each one by forking a **warm checkpoint**: the platform is simulated
-//! once from reset to a traffic-anchored warm boundary at the base memory
-//! speed, checkpointed there, and every request for the same platform
-//! restores that blob and runs only its own tail (its wait states, its
-//! fidelity knobs). This module owns the pieces both sides need:
+//! once at the base memory speed, checkpointed at a traffic-anchored warm
+//! boundary on the way, and every request for the same platform restores
+//! that blob and runs only its own tail (its wait states, its fidelity
+//! knobs). This module owns the pieces both sides need:
 //!
 //! * [`SweepRequest`] — the decoded request and its [`PlatformSpec`]
 //!   mapping, plus the canonical wire names of every enum knob;
@@ -16,6 +16,20 @@
 //!   configuration);
 //! * [`warm_state`] / [`serve_point`] — produce a warm checkpoint and
 //!   serve one sweep point from it.
+//!
+//! # One simulation per warm-up
+//!
+//! The boundary is defined by the base run's *total* injection count, which
+//! only a run to quiescence measures — but the builder knows the total in
+//! advance ([`Platform::expected_transactions`]). A cycle-accurate
+//! [`warm_state`] therefore checkpoints the probe itself at the chunk
+//! boundary where the predicted threshold is crossed and lets the same
+//! platform run on for `base_cycles`, instead of simulating the prefix a
+//! second time. The prediction is verified on every call: the boundary is
+//! still derived from the samples and the drained total, and a capture
+//! taken at any other instant is discarded and the prefix replayed. The
+//! loosely-timed gear keeps its probe-then-replay two passes; see
+//! [`warm_state`] for why.
 //!
 //! # Determinism contract
 //!
@@ -265,6 +279,28 @@ pub fn probe_warm(spec: &PlatformSpec, gear: Option<Fidelity>) -> SimResult<Warm
     if let Some(gear) = gear {
         platform.sim_mut().set_fidelity(gear);
     }
+    Ok(warm_pass(platform, None)?.0)
+}
+
+/// The probe loop behind [`probe_warm`] and [`warm_state`]: runs `platform`
+/// (fresh from the builder) to quiescence in [`CHUNK`] slices and derives
+/// the warm profile from the recorded samples and the drained total.
+///
+/// With `predicted_total` given, the loop also checkpoints the platform at
+/// the first chunk boundary whose injection count reaches
+/// [`WARM_PERMILLE`] of that prediction — where the boundary will be if
+/// the prediction is the run's real total. The blob is returned only when
+/// that instant turns out to be the derived `warm_until`: a prediction is
+/// checked on every call, never trusted, and a wrong one (or a threshold
+/// first met inside the final chunk, where the boundary falls back to the
+/// last sample) yields `None` and costs the caller a replay, not a wrong
+/// checkpoint.
+fn warm_pass(
+    mut platform: Platform,
+    predicted_total: Option<u64>,
+) -> SimResult<(WarmProfile, Option<SnapshotBlob>)> {
+    let capture_from = predicted_total.map(|total| total * WARM_PERMILLE / 1000);
+    let mut captured: Option<(Time, SnapshotBlob)> = None;
     let mut samples: Vec<(Time, u64)> = Vec::new();
     let mut horizon = Time::ZERO;
     let exec = loop {
@@ -278,7 +314,11 @@ pub fn probe_warm(spec: &PlatformSpec, gear: Option<Fidelity>) -> SimResult<Warm
                     .map(|_| unreachable!("probe already hit the horizon"));
             }
             RunOutcome::HorizonReached { .. } => {
-                samples.push((horizon, platform.injected_so_far()));
+                let injected = platform.injected_so_far();
+                samples.push((horizon, injected));
+                if captured.is_none() && capture_from.is_some_and(|from| injected >= from) {
+                    captured = Some((horizon, platform.checkpoint()));
+                }
             }
         }
     };
@@ -289,10 +329,14 @@ pub fn probe_warm(spec: &PlatformSpec, gear: Option<Fidelity>) -> SimResult<Warm
         .find(|(_, injected)| *injected >= threshold)
         .or(samples.last())
         .map_or(Time::ZERO, |(at, _)| *at);
-    Ok(WarmProfile {
+    let profile = WarmProfile {
         base_cycles: exec.map_or(0, |at| platform.report_at(at).exec_cycles),
         warm_until,
-    })
+    };
+    let blob = captured
+        .filter(|(at, _)| *at == warm_until)
+        .map(|(_, blob)| blob);
+    Ok((profile, blob))
 }
 
 /// A reusable warm checkpoint: the probe's profile, the blob taken at the
@@ -386,12 +430,25 @@ impl WarmState {
     }
 }
 
-/// Produces the warm state of a request: probes the warm boundary, runs a
-/// fresh platform to it, and checkpoints there.
+/// Produces the warm state of a request: the probe's profile and the
+/// checkpoint at its warm boundary.
 ///
-/// With a loosely-timed warm gear ([`SweepRequest::fast_gear`]), the probe
-/// and the warm prefix fast-forward through multi-edge windows and the
-/// simulation is shifted back to [`Fidelity::Cycle`] *before* the
+/// A cycle-accurate warm-up is **one simulation**. The run's total
+/// injection count is known before it starts
+/// ([`Platform::expected_transactions`]), so the probe recognises the warm
+/// boundary as it crosses it, checkpoints there and runs on to quiescence
+/// for `base_cycles`. The boundary is still derived afterwards from the
+/// samples and the drained total; the captured blob is used only if it was
+/// taken at exactly that instant, and otherwise a fresh platform is re-run
+/// to the derived boundary and checkpointed — the prediction saves time
+/// when right and changes nothing when wrong.
+///
+/// A loosely-timed warm gear ([`SweepRequest::fast_gear`]) keeps two
+/// passes on purpose: its prefix is a *straight* `run_until(warm_until)`
+/// whose fast-forward windows are not clipped at the probe's chunk
+/// boundaries, so a blob captured inside the chunked probe would be a
+/// different (equally approximate) state and would change served values.
+/// The prefix is shifted back to [`Fidelity::Cycle`] *before* the
 /// checkpoint — exactly like `repro --fast-warm` — so the blob is an
 /// ordinary cycle-gear checkpoint (identical structural fingerprint) and
 /// every served tail is a cycle-accurate continuation.
@@ -402,33 +459,62 @@ impl WarmState {
 ///
 /// Fails if the platform stalls (model bug).
 pub fn warm_state(req: &SweepRequest) -> SimResult<WarmState> {
+    warm_state_predicting(req, |expected| expected).map(|(state, _)| state)
+}
+
+/// [`warm_state`] with the capture's predicted injection total passed
+/// through `predict` (tests mispredict on purpose to drive the verification
+/// branch). Also reports whether the blob came from the one-pass capture.
+fn warm_state_predicting(
+    req: &SweepRequest,
+    predict: fn(u64) -> u64,
+) -> SimResult<(WarmState, bool)> {
     let spec = req.base_spec();
     let gear = req.warm_fidelity();
-    let profile = match gear {
-        Fidelity::Cycle => probe_warm(&spec, None)?,
-        fast => probe_warm(&spec, Some(fast))?,
-    };
     let mut platform = build_platform(&spec)?;
-    match gear {
-        Fidelity::Cycle => {
-            platform.sim_mut().run_until(profile.warm_until);
-        }
-        fast => {
-            // Deterministic gear-shift: land on the boundary in the fast
-            // gear, then settle cycle-accurately so the checkpoint carries
-            // no illegal run-ahead (see fig4_warm_state).
-            platform.sim_mut().set_fidelity(fast);
-            platform.sim_mut().run_until(profile.warm_until);
-            platform.sim_mut().set_fidelity(Fidelity::Cycle);
-            platform.sim_mut().run_until(profile.warm_until);
-        }
-    }
     let fingerprint = platform.structural_fingerprint();
-    Ok(WarmState {
-        profile,
-        blob: platform.checkpoint(),
-        fingerprint,
-    })
+    if gear != Fidelity::Cycle {
+        platform.sim_mut().set_fidelity(gear);
+    }
+    // The gear the probe will really run in: a `Cycle` request still
+    // inherits a process-wide fast default from the builder.
+    let predicted_total = (platform.sim().fidelity() == Fidelity::Cycle)
+        .then(|| predict(platform.expected_transactions()));
+    let (profile, captured) = warm_pass(platform, predicted_total)?;
+    let one_pass = captured.is_some();
+    let blob = match captured {
+        Some(blob) => blob,
+        None => replay_to_boundary(&spec, gear, profile.warm_until)?,
+    };
+    Ok((
+        WarmState {
+            profile,
+            blob,
+            fingerprint,
+        },
+        one_pass,
+    ))
+}
+
+/// Runs a fresh platform of `spec` straight to `warm_until` in `gear` and
+/// checkpoints it there: the second pass of a loosely-timed warm-up, and
+/// the fallback of a cycle-accurate one whose capture missed the boundary.
+fn replay_to_boundary(
+    spec: &PlatformSpec,
+    gear: Fidelity,
+    warm_until: Time,
+) -> SimResult<SnapshotBlob> {
+    let mut platform = build_platform(spec)?;
+    if gear != Fidelity::Cycle {
+        // Deterministic gear-shift: land on the boundary in the fast
+        // gear, then settle cycle-accurately so the checkpoint carries
+        // no illegal run-ahead (see fig4_warm_state).
+        platform.sim_mut().set_fidelity(gear);
+        platform.sim_mut().run_until(warm_until);
+        platform.sim_mut().set_fidelity(Fidelity::Cycle);
+    }
+    platform.sim_mut().run_until(warm_until);
+    Ok(platform.checkpoint())
 }
 
 /// Serves one sweep point from a warm state: builds a fresh platform from
@@ -545,6 +631,114 @@ mod tests {
             scale: 1,
             seed: 0x0dab,
             ..SweepRequest::default()
+        }
+    }
+
+    /// The two-pass construction [`warm_state`] used before the one-pass
+    /// capture — probe, fresh platform, straight run to the boundary,
+    /// fast-gear settle, checkpoint — kept as the reference the capture is
+    /// proven against.
+    fn two_pass_warm_state(req: &SweepRequest) -> WarmState {
+        let spec = req.base_spec();
+        let gear = req.warm_fidelity();
+        let profile = match gear {
+            Fidelity::Cycle => probe_warm(&spec, None),
+            fast => probe_warm(&spec, Some(fast)),
+        }
+        .expect("probe");
+        let mut platform = build_platform(&spec).expect("builds");
+        if gear != Fidelity::Cycle {
+            platform.sim_mut().set_fidelity(gear);
+            platform.sim_mut().run_until(profile.warm_until);
+            platform.sim_mut().set_fidelity(Fidelity::Cycle);
+        }
+        platform.sim_mut().run_until(profile.warm_until);
+        let fingerprint = platform.structural_fingerprint();
+        WarmState {
+            profile,
+            blob: platform.checkpoint(),
+            fingerprint,
+        }
+    }
+
+    fn assert_same_state(got: &WarmState, want: &WarmState, key: &str) {
+        assert_eq!(got.profile, want.profile, "{key}: profile");
+        assert_eq!(got.fingerprint, want.fingerprint, "{key}: fingerprint");
+        assert!(
+            got.blob.as_bytes() == want.blob.as_bytes(),
+            "{key}: checkpoint bytes differ"
+        );
+    }
+
+    #[test]
+    fn one_pass_warm_state_equals_the_two_pass_reference() {
+        let mut reqs = Vec::new();
+        for protocol in [
+            ProtocolKind::StbusT1,
+            ProtocolKind::StbusT3,
+            ProtocolKind::Ahb,
+            ProtocolKind::Axi,
+        ] {
+            for topology in [
+                Topology::SingleLayer,
+                Topology::Collapsed,
+                Topology::Distributed,
+            ] {
+                for workload in [
+                    Workload::Standard,
+                    Workload::TwoPhase,
+                    Workload::BurstyPosted,
+                ] {
+                    for fast_gear in [None, Some(1), Some(4), Some(64)] {
+                        for (scale, seed) in [(1, 0x0dab), (2, 7)] {
+                            reqs.push(SweepRequest {
+                                protocol,
+                                topology,
+                                workload,
+                                scale,
+                                seed,
+                                fast_gear,
+                                ..SweepRequest::default()
+                            });
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(reqs.len(), 288);
+        let jobs = std::thread::available_parallelism().map_or(1, |n| n.get());
+        parallel_map(reqs, jobs, |req| {
+            let key = req.warm_key();
+            let (state, one_pass) =
+                warm_state_predicting(&req, |expected| expected).expect("warm state");
+            assert_eq!(
+                one_pass,
+                req.fast_gear.is_none(),
+                "{key}: the cycle gear must capture in one pass and the fast gear must not"
+            );
+            assert_same_state(&state, &two_pass_warm_state(&req), &key);
+        });
+    }
+
+    #[test]
+    fn a_mispredicted_capture_costs_time_never_correctness() {
+        for topology in [Topology::Collapsed, Topology::Distributed] {
+            let req = SweepRequest {
+                topology,
+                ..quick_request()
+            };
+            let want = two_pass_warm_state(&req);
+            // Twice the real total: the capture threshold is never reached.
+            let (never, one_pass) =
+                warm_state_predicting(&req, |expected| expected * 2).expect("warm state");
+            assert!(!one_pass);
+            assert_same_state(&never, &want, "prediction x2");
+            // Half of it: a blob is captured well before the boundary and
+            // must be thrown away.
+            let (early, one_pass) =
+                warm_state_predicting(&req, |expected| expected / 2).expect("warm state");
+            assert!(!one_pass);
+            assert_same_state(&early, &want, "prediction /2");
         }
     }
 

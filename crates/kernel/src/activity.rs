@@ -13,12 +13,16 @@
 //! several simulations run concurrently on different threads (the deltas
 //! then aggregate all of them).
 //!
-//! A simulation counts its edges in a private block and adds it
-//! to the globals when the public call that ran them (`step`, `run_until`,
-//! `run_to_quiescence`) returns, so a snapshot sees every call that has
-//! returned and nothing of one still running. Bumping the shared atomics on
-//! every edge cost a single run 12 % and, with the cache line bouncing
-//! between two cores, two concurrent runs in one process 50 % each.
+//! A simulation counts its edges — serial, parallel-path and fast-gear
+//! alike — in a private block and adds it to the globals when the public
+//! call that ran them (`step`, `run_until`, `run_to_quiescence`) returns,
+//! so a snapshot sees every call that has returned and nothing of one still
+//! running. Bumping the shared atomics on every edge cost a single run 12 %
+//! and, with the cache line bouncing between two cores, two concurrent runs
+//! in one process 50 % each. The block also keeps the simulation's own
+//! lifetime totals, which is what a test asserting "this simulation did
+//! *not* do X" must read: a zero delta on the globals is only true while no
+//! sibling thread is simulating.
 //!
 //! # Examples
 //!
@@ -56,7 +60,7 @@ pub enum ParFallback {
 }
 
 /// A point-in-time reading of the global activity counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct ActivitySnapshot {
     /// Total edges processed by all simulations in this process so far.
     pub edges: u64,
@@ -136,27 +140,12 @@ pub(crate) fn record_edge(ticks: u64, skipped: u64) {
     }
 }
 
-/// Records one edge that ran the parallel compute/commit split: `computed`
-/// ticks evaluated against the frozen view, of which `reticked` were re-run
-/// serially at commit.
-#[inline]
-pub(crate) fn record_parallel_edge(computed: u64, reticked: u64) {
-    PAR_EDGES.fetch_add(1, Ordering::Relaxed);
-    PAR_COMPUTED.fetch_add(computed, Ordering::Relaxed);
-    if reticked != 0 {
-        PAR_RETICKED.fetch_add(reticked, Ordering::Relaxed);
-    }
-}
-
-/// The edges one simulation has processed since it last reported to the
-/// process-wide counters.
+/// One simulation's activity: everything it has counted since it was
+/// built, and how much of that has reached the process-wide counters.
 #[derive(Debug, Default)]
 pub(crate) struct Pending {
-    edges: u64,
-    ticks: u64,
-    skipped: u64,
-    ff_windows: u64,
-    ff_elided: u64,
+    total: ActivitySnapshot,
+    reported: ActivitySnapshot,
 }
 
 impl Pending {
@@ -164,9 +153,9 @@ impl Pending {
     /// skipped `skipped` sleeping ones.
     #[inline]
     pub(crate) fn record_edge(&mut self, ticks: u64, skipped: u64) {
-        self.edges += 1;
-        self.ticks += ticks;
-        self.skipped += skipped;
+        self.total.edges += 1;
+        self.total.ticks += ticks;
+        self.total.skipped += skipped;
     }
 
     /// Counts one fast-gear scheduling batch: `windows` component windows
@@ -174,17 +163,49 @@ impl Pending {
     /// over instead of executed.
     #[inline]
     pub(crate) fn record_fast(&mut self, windows: u64, elided: u64) {
-        self.ff_windows += windows;
-        self.ff_elided += elided;
+        self.total.ff_windows += windows;
+        self.total.ff_elided += elided;
     }
 
-    /// Adds everything counted so far to the process-wide counters.
+    /// Counts one edge that ran the parallel compute/commit split:
+    /// `computed` ticks evaluated against the frozen view, of which
+    /// `reticked` were re-run serially at commit.
+    #[inline]
+    pub(crate) fn record_parallel_edge(&mut self, computed: u64, reticked: u64) {
+        self.total.par_edges += 1;
+        self.total.par_computed += computed;
+        self.total.par_reticked += reticked;
+    }
+
+    /// Counts a whole-edge serial fallback of a parallel-enabled simulation.
+    #[inline]
+    pub(crate) fn record_par_fallback(&mut self, reason: ParFallback) {
+        match reason {
+            ParFallback::SkipAudit => self.total.par_fallback_audit += 1,
+            ParFallback::TooSmall => self.total.par_fallback_small += 1,
+        }
+    }
+
+    /// This simulation's own counts since it was built, flushed or not.
+    #[cfg(test)]
+    pub(crate) fn total(&self) -> ActivitySnapshot {
+        self.total
+    }
+
+    /// Adds everything counted since the last flush to the process-wide
+    /// counters.
     pub(crate) fn flush(&mut self) {
-        let pending = std::mem::take(self);
+        let pending = self.total.since(self.reported);
+        self.reported = self.total;
         for (counter, count) in [
             (&EDGES, pending.edges),
             (&TICKS, pending.ticks),
             (&SKIPPED, pending.skipped),
+            (&PAR_EDGES, pending.par_edges),
+            (&PAR_COMPUTED, pending.par_computed),
+            (&PAR_RETICKED, pending.par_reticked),
+            (&PAR_FALLBACK_AUDIT, pending.par_fallback_audit),
+            (&PAR_FALLBACK_SMALL, pending.par_fallback_small),
             (&FF_WINDOWS, pending.ff_windows),
             (&FF_ELIDED, pending.ff_elided),
         ] {
@@ -193,16 +214,6 @@ impl Pending {
             }
         }
     }
-}
-
-/// Records a whole-edge serial fallback of a parallel-enabled simulation.
-#[inline]
-pub(crate) fn record_par_fallback(reason: ParFallback) {
-    let counter = match reason {
-        ParFallback::SkipAudit => &PAR_FALLBACK_AUDIT,
-        ParFallback::TooSmall => &PAR_FALLBACK_SMALL,
-    };
-    counter.fetch_add(1, Ordering::Relaxed);
 }
 
 #[cfg(test)]
@@ -227,10 +238,18 @@ mod tests {
         let mut pending = Pending::default();
         pending.record_edge(3, 1);
         pending.record_fast(2, 7);
+        pending.record_parallel_edge(5, 2);
+        pending.record_par_fallback(ParFallback::TooSmall);
         pending.flush();
         pending.flush();
         let delta = snapshot().since(before);
         assert!(delta.edges >= 1 && delta.ticks >= 3 && delta.skipped >= 1);
         assert!(delta.ff_windows >= 2 && delta.ff_elided >= 7);
+        assert!(delta.par_edges >= 1 && delta.par_computed >= 5 && delta.par_reticked >= 2);
+        assert!(delta.par_fallback_small >= 1);
+        // The simulation's own totals survive the flush and are exact.
+        let own = pending.total();
+        assert_eq!((own.edges, own.ticks, own.par_edges), (1, 3, 1));
+        assert_eq!(own.par_fallback_audit, 0);
     }
 }

@@ -1094,12 +1094,12 @@ impl<T: Clone + PartialEq + Send + Sync + 'static> Simulation<T> {
     /// frozen view, then a serial in-order commit phase. Must produce
     /// byte-identical results to [`Simulation::serial_pass`].
     fn parallel_pass(&mut self, order: &[u32], edge: Time) -> (u64, u64) {
-        use crate::activity::{record_par_fallback, record_parallel_edge, ParFallback};
+        use crate::activity::ParFallback;
 
         // Whole-edge serial fallbacks: conditions under which buffered
         // compute cannot reproduce serial semantics. Each is counted.
         if self.audit.is_some() {
-            record_par_fallback(ParFallback::SkipAudit);
+            self.activity.record_par_fallback(ParFallback::SkipAudit);
             return self.serial_pass(order, edge);
         }
 
@@ -1120,7 +1120,7 @@ impl<T: Clone + PartialEq + Send + Sync + 'static> Simulation<T> {
             }
         }
         if eligible.len() < 2 {
-            record_par_fallback(ParFallback::TooSmall);
+            self.activity.record_par_fallback(ParFallback::TooSmall);
             return self.serial_pass(order, edge);
         }
 
@@ -1277,7 +1277,7 @@ impl<T: Clone + PartialEq + Send + Sync + 'static> Simulation<T> {
             }
         }
         self.par_done = par_done;
-        record_parallel_edge(computed, reticked);
+        self.activity.record_parallel_edge(computed, reticked);
         (ticked, skipped)
     }
 
@@ -2420,9 +2420,12 @@ mod tests {
         sim.step();
         sim.step();
         sim.set_tick_jobs(1);
-        let before = crate::activity::snapshot();
+        // This simulation's own counts: a zero delta on the process-wide
+        // counters is false whenever a sibling test runs a parallel sim.
+        let before = sim.activity.total();
         sim.step();
-        let d = crate::activity::snapshot().since(before);
+        let d = sim.activity.total().since(before);
+        assert_eq!(d.edges, 1);
         assert_eq!(d.par_edges, 0);
         assert_eq!(
             d.par_fallback_audit + d.par_fallback_small,
