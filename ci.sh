@@ -5,7 +5,7 @@
 #   ./ci.sh lint       # rustfmt, clippy (warnings are errors), rustdoc
 #   ./ci.sh test       # tier-1 release build + workspace tests + smoke runs
 #   ./ci.sh gates      # the equivalence/determinism gates + the server gate
-#   ./ci.sh dse        # design-space search determinism + resume equality
+#   ./ci.sh dse        # design-space search checkpoint/resume equality
 #   ./ci.sh scaling    # parallel-ticking scaling ladder + identity gates
 #   ./ci.sh bench      # bench guard vs the committed perf ledger
 #
@@ -39,23 +39,20 @@
 #            one-shot `repro --exp fig4` run; a relaunched server on the
 #            same --cache-dir must answer its first request from the disk
 #            spill and serve the same table
-#   dse    determinism: the scale-1 design-space search run twice (and once
-#            with --jobs 4) must emit byte-identical Pareto fronts
-#          resume equality: a search checkpointed and interrupted after one
+#   dse    resume equality: a search checkpointed and interrupted after one
 #            rung, then resumed, must emit the same front as an
-#            uninterrupted run
+#            uninterrupted run (the CLI wiring; byte-identity across
+#            repeats and --jobs is proptest_dse.rs's and the benchmark
+#            harness's, both run by the test stage)
 #   scaling end-to-end: the fault-armed robustness experiment at
 #            --tick-jobs 1, 2 and 4 must emit byte-identical tables
 #          compute-heavy ladder: kernel_hotpath times the compute-heavy
 #            case over jobs {1,2,4,8}, asserting byte-identity to the
-#            serial run at every rung; on hosts with at least 4 cores the
-#            live parallel-speedup floor is also armed
-#   bench  scheduler throughput vs the committed perf ledger, the
-#          warm-fork/sparse/parallel/fast-forward/server/dse ledger
-#          floors, and
-#          a live run of the idle-heavy kernel_hotpath case against the
-#          sparse floor; on hosts with at least 4 cores, also a live run of
-#          the compute-heavy case against the parallel floor
+#            serial run at every rung, and holds what it measured to the
+#            sparse and parallel rows of the ledger floor table
+#   bench  scheduler throughput vs the committed perf ledger and every row
+#          of the floor table (ledger::FLOORS), then a live kernel_hotpath
+#          run against the sparse and parallel rows
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -204,8 +201,8 @@ gate_fast_forward() {
     echo "== fast-forward floor: live --fast-warm speedup and q=1 identity =="
     # Runs the EXT-FAST study live (cycle-gear warm phase vs every quantum),
     # records it in a throwaway ledger and enforces the repro binary's
-    # fast-forward floor on the measurement just taken: q=1 byte-identical
-    # and the default quantum at least MIN_FAST_FORWARD_SPEEDUP faster.
+    # fast-forward floors on the measurement just taken: q=1 byte-identical
+    # and the default quantum clearing its ledger::FLOORS speedup row.
     cargo run --release -p mpsoc-bench --bin repro -- \
         --fast-warm --bench-out "$run_dir/fastwarm.json" \
         --check-bench "$run_dir/fastwarm.json" > "$run_dir/fastwarm.txt"
@@ -287,25 +284,9 @@ stage_gates() {
 }
 
 stage_dse() {
-    echo "== dse determinism: scale-1 search twice (and --jobs 4), identical fronts =="
-    # The Pareto table is a pure function of (scale, seed, workload):
-    # repeated runs and any evaluation fan-out must agree byte for byte.
+    echo "== dse reference: one uninterrupted scale-1 search =="
     cargo run --release -p mpsoc-bench --bin repro -- \
         --exp dse --scale 1 --no-bench-out > "$run_dir/dse_ref.txt"
-    cargo run --release -p mpsoc-bench --bin repro -- \
-        --exp dse --scale 1 --no-bench-out > "$run_dir/dse_again.txt"
-    cargo run --release -p mpsoc-bench --bin repro -- \
-        --exp dse --scale 1 --jobs 4 --no-bench-out > "$run_dir/dse_jobs.txt"
-    if ! diff <(filter_timing "$run_dir/dse_ref.txt") \
-              <(filter_timing "$run_dir/dse_again.txt"); then
-        echo "dse gate FAILED: identical seeds produced different fronts" >&2
-        exit 1
-    fi
-    if ! diff <(filter_timing "$run_dir/dse_ref.txt") \
-              <(filter_timing "$run_dir/dse_jobs.txt"); then
-        echo "dse gate FAILED: --jobs 4 produced a different front" >&2
-        exit 1
-    fi
 
     echo "== dse resume equality: checkpoint, interrupt after rung 1, resume =="
     # Interrupting the ladder mid-search and resuming from the frontier
@@ -351,14 +332,10 @@ stage_scaling() {
     # kernel_hotpath times the compute-heavy case at every rung of the
     # ladder and asserts edge counts, stats reports and state digests
     # byte-identical to the serial run, plus the <1% retick ceiling. The
-    # speedup floor itself only arms where the host has the cores.
-    if [ "$(nproc)" -ge 4 ]; then
-        echo "   (>= 4 cores: enforcing the live parallel-speedup floor at 4 jobs)"
-        cargo bench -p mpsoc-bench --bench kernel_hotpath -- --min-parallel-speedup 1.5
-    else
-        echo "   ($(nproc) core(s): ladder identity + retick ceiling only, floor not armed)"
-        cargo bench -p mpsoc-bench --bench kernel_hotpath
-    fi
+    # bench gates itself against the sparse and parallel floor rows using
+    # the host_cores it records: the 4-job row arms on >= 4 cores, the
+    # 8-job row only on >= 8, which no CI runner has.
+    cargo bench -p mpsoc-bench --bench kernel_hotpath
 }
 
 stage_bench() {
@@ -366,18 +343,10 @@ stage_bench() {
     cargo run --release -p mpsoc-bench --bin repro -- \
         --scale 1 --no-bench-out --check-bench BENCH_kernel.json
 
-    echo "== bench guard: live sparse-ticking floor on the idle-heavy case =="
-    # The compute-heavy serial-vs-parallel byte-identity asserts inside the
-    # bench run unconditionally; the parallel speedup *floor* only applies
-    # on hosts that can actually run the workers side by side.
-    if [ "$(nproc)" -ge 4 ]; then
-        echo "   (>= 4 cores: also enforcing the live parallel-speedup floor)"
-        cargo bench -p mpsoc-bench --bench kernel_hotpath -- \
-            --min-sparse-speedup 1.3 --min-parallel-speedup 1.5
-    else
-        echo "   ($(nproc) core(s): skipping the live parallel-speedup floor)"
-        cargo bench -p mpsoc-bench --bench kernel_hotpath -- --min-sparse-speedup 1.3
-    fi
+    echo "== bench guard: live kernel_hotpath run against its floor rows =="
+    # Sparse always; the parallel rows arm where the recorded host_cores
+    # allow (see the scaling stage).
+    cargo bench -p mpsoc-bench --bench kernel_hotpath
 }
 
 stage="${1:-all}"

@@ -19,7 +19,8 @@
 //! (`O(N)`); the bucketed one touches only the firing domain's members, so
 //! the gap widens with component count and domain count.
 
-use mpsoc_bench::{ledger, SCALING_JOBS};
+use mpsoc_bench::ledger::{self, Ledger};
+use mpsoc_bench::SCALING_JOBS;
 use mpsoc_kernel::reference::NaiveSimulation;
 use mpsoc_kernel::stats::CounterId;
 use mpsoc_kernel::{activity, ClockDomain, Component, LinkId, Simulation, TickContext, Time};
@@ -475,52 +476,7 @@ struct MicrobenchSection {
     speedup: f64,
 }
 
-/// Options parsed from the bench's command line. `cargo bench` forwards
-/// everything after `--`; unknown flags (e.g. the harness's own `--bench`)
-/// are ignored.
-struct Options {
-    /// Fail the run if the idle-heavy sparse speedup lands below this.
-    min_sparse_speedup: Option<f64>,
-    /// Fail the run if the compute-heavy parallel speedup lands below
-    /// this. Only meaningful on hosts with at least [`PAR_TICK_JOBS`]
-    /// cores; `ci.sh` gates the flag on `nproc`.
-    min_parallel_speedup: Option<f64>,
-    /// Also refresh the committed `BENCH_kernel.json` at the repo root.
-    committed: bool,
-}
-
-fn parse_options() -> Options {
-    let mut opts = Options {
-        min_sparse_speedup: None,
-        min_parallel_speedup: None,
-        committed: false,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--min-sparse-speedup" => {
-                let value = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--min-sparse-speedup needs a number");
-                opts.min_sparse_speedup = Some(value);
-            }
-            "--min-parallel-speedup" => {
-                let value = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--min-parallel-speedup needs a number");
-                opts.min_parallel_speedup = Some(value);
-            }
-            "--committed" => opts.committed = true,
-            _ => {}
-        }
-    }
-    opts
-}
-
 fn main() {
-    let opts = parse_options();
     let horizon = Time::from_ns(HORIZON_NS);
     let domains = {
         let clocks = clock_set();
@@ -738,7 +694,10 @@ fn main() {
         Err(e) => eprintln!("failed to write {}: {e}", path.display()),
     }
 
-    if opts.committed {
+    // `--committed` also refreshes the committed `BENCH_kernel.json` at the
+    // repo root. `cargo bench` forwards everything after `--`; other flags
+    // (e.g. the harness's own `--bench`) are ignored.
+    if std::env::args().any(|arg| arg == "--committed") {
         let committed = ledger::committed_path();
         let microbench = ledger::update_section(&committed, "microbench", &section.to_json());
         let sparse_write = ledger::update_section(&committed, "sparse", &sparse_section.to_json());
@@ -750,24 +709,15 @@ fn main() {
         }
     }
 
-    if let Some(floor) = opts.min_sparse_speedup {
-        if sparse_speedup < floor {
-            eprintln!(
-                "sparse-ticking floor FAILED: {sparse_speedup:.2}x below the {floor}x floor \
-                 on the idle-heavy case"
-            );
+    // The bench gates itself: the two sections just written are held to
+    // the same rows `repro --check-bench` holds the committed ledger to,
+    // core-gated on the host_cores recorded a moment ago.
+    match Ledger::read(&path).map(|written| ledger::check(&written, &["sparse", "parallel"])) {
+        Ok(checked) if ledger::report(&checked) => {}
+        Ok(_) => std::process::exit(1),
+        Err(e) => {
+            eprintln!("cannot check {}: {e}", path.display());
             std::process::exit(1);
         }
-        println!("[check sparse speedup {sparse_speedup:.2}x >= {floor}x — ok]");
-    }
-    if let Some(floor) = opts.min_parallel_speedup {
-        if par_speedup < floor {
-            eprintln!(
-                "parallel floor FAILED: {par_speedup:.2}x below the {floor}x floor \
-                 on the compute-heavy case ({host_cores} cores, {PAR_TICK_JOBS} jobs)"
-            );
-            std::process::exit(1);
-        }
-        println!("[check parallel speedup {par_speedup:.2}x >= {floor}x — ok]");
     }
 }

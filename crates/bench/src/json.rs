@@ -1,17 +1,33 @@
-//! A minimal JSON reader for the wire protocol.
+//! The workspace's one JSON reader: the wire protocol of `mpsoc-server`
+//! and the perf ledger ([`crate::ledger`]) are both read through it.
 //!
-//! The workspace's vendored `serde` shim is serialize-only, so the server
-//! carries its own hand-written recursive-descent parser. It accepts the
-//! full JSON grammar with two deliberate simplifications that are fine for
-//! a request protocol of small integers and short names:
+//! The vendored `serde` shim is serialize-only, so the workspace carries
+//! its own hand-written recursive-descent parser. It lives in this crate
+//! (and `mpsoc-server` re-exports it as `mpsoc_server::json`) because the
+//! ledger reader needs it and `mpsoc-server` already depends on
+//! `mpsoc-bench`. It accepts the full JSON grammar with three deliberate
+//! simplifications that are fine for a request protocol of small integers
+//! and short names:
 //!
 //! * numbers are held as `f64`, so integers are exact up to 2^53 (the
 //!   typed accessors reject anything non-integral or out of range);
 //! * `\uXXXX` escapes outside the basic multilingual plane must come as
-//!   surrogate pairs, matching what any JSON encoder emits.
+//!   surrogate pairs, matching what any JSON encoder emits;
+//! * arrays and objects nest at most [`MAX_DEPTH`] deep — the parser
+//!   recurses once per level and request lines come off a socket, so an
+//!   unbounded depth is a remotely triggered stack overflow.
+//!
+//! The writing side is the `serde` shim's; its string escaper is
+//! re-exported here so a caller building a line by hand needs one import.
 
 use std::collections::BTreeMap;
 use std::fmt;
+
+pub use serde::write_json_string;
+
+/// Deepest array/object nesting [`parse`] accepts. The wire protocol
+/// nests 2 deep and the perf ledger 4.
+pub const MAX_DEPTH: usize = 64;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -64,6 +80,14 @@ impl Json {
         }
     }
 
+    /// The number, if this is a finite one.
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            Json::Num(n) if n.is_finite() => Some(*n),
+            _ => None,
+        }
+    }
+
     /// The array items, if this is an array.
     pub fn as_array(&self) -> Option<&[Json]> {
         match self {
@@ -99,6 +123,7 @@ pub fn parse(input: &str) -> Result<Json, ParseError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -112,6 +137,8 @@ pub fn parse(input: &str) -> Result<Json, ParseError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -156,11 +183,25 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// Parses one container, refusing to open more than [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<Json, ParseError>,
+    ) -> Result<Json, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err("nesting too deep"));
+        }
+        self.depth += 1;
+        let value = container(self);
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> Result<Json, ParseError> {
@@ -328,25 +369,6 @@ impl Parser<'_> {
     }
 }
 
-/// Appends `s` to `out` as a JSON string literal (with quotes).
-pub fn push_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -398,8 +420,41 @@ mod tests {
         let v = parse(r#""a\n\t\"\\ \u00e9 \ud83d\ude00""#).expect("parses");
         assert_eq!(v.as_str(), Some("a\n\t\"\\ \u{e9} \u{1f600}"));
         let mut out = String::new();
-        push_json_string(&mut out, "a\n\"x\"\\\u{1}");
+        write_json_string("a\n\"x\"\\\u{1}", &mut out);
         assert_eq!(out, r#""a\n\"x\"\\\u0001""#);
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let arrays = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        let objects = |n: usize| "{\"k\":".repeat(n) + "0" + &"}".repeat(n);
+        let mixed = "[{\"k\":".repeat(MAX_DEPTH / 2) + "0" + &"}]".repeat(MAX_DEPTH / 2);
+        for (at_cap, over_cap) in [
+            (arrays(MAX_DEPTH), arrays(MAX_DEPTH + 1)),
+            (objects(MAX_DEPTH), objects(MAX_DEPTH + 1)),
+            (mixed.clone(), format!("{{\"k\":{mixed}}}")),
+        ] {
+            assert!(parse(&at_cap).is_ok(), "should accept {at_cap}");
+            let err = parse(&over_cap).expect_err("one level too many");
+            assert_eq!(err.message, "nesting too deep");
+            assert!(over_cap[err.at..].starts_with(['[', '{']));
+        }
+        // What used to overflow the stack: never closed, far past the cap.
+        let err = parse(&"[".repeat(60_000)).expect_err("too deep");
+        assert_eq!(
+            (err.message.as_str(), err.at),
+            ("nesting too deep", MAX_DEPTH)
+        );
+        // Siblings do not accumulate depth.
+        assert!(parse(&format!("[{}[]]", "[],".repeat(1000))).is_ok());
+    }
+
+    #[test]
+    fn float_accessor_takes_any_finite_number() {
+        assert_eq!(parse("2.5").unwrap().as_f64(), Some(2.5));
+        assert_eq!(parse("-3").unwrap().as_f64(), Some(-3.0));
+        assert_eq!(parse("1e999").unwrap().as_f64(), None);
+        assert_eq!(parse("true").unwrap().as_f64(), None);
     }
 
     #[test]

@@ -1,29 +1,41 @@
 //! The `BENCH_kernel.json` performance ledger.
 //!
 //! One machine-readable file records the kernel's measured throughput from
-//! two producers:
+//! several producers:
 //!
 //! * the `repro` binary writes the `"experiments"` section (per-experiment
 //!   edges/sec and simulated-cycles/sec),
 //! * `repro --warm-fork` writes the `"warm_fork"` section (cold vs
 //!   checkpoint-forked fig4 sweep wall time and the speedup ratio), and
+//!   `repro --fast-warm` the `"fast_forward"` section,
 //! * the `kernel_hotpath` microbench writes the `"microbench"` section
-//!   (bucketed vs naive scheduler edges/sec and the speedup ratio) and the
-//!   `"sparse"` section (sparse vs dense ticking on the idle-heavy case),
-//!   and
+//!   (bucketed vs naive scheduler edges/sec and the speedup ratio), the
+//!   `"sparse"` section (sparse vs dense ticking on the idle-heavy case)
+//!   and the `"parallel"` section (the compute-heavy jobs ladder),
 //! * the `loadgen` client writes the `"server"` section (sweep-server
 //!   requests/sec, latency percentiles and warm-cache hit rate), and
 //! * `repro --exp dse` writes the `"dse"` section (design-space search
 //!   shape, per-rung sim-cycle accounting, Pareto-front size and the
 //!   evaluation fan-out speedup).
 //!
-//! Each writer regenerates the whole file but preserves the other's section
-//! verbatim. The file layout is deliberately line-oriented — every section
-//! is one compact JSON value on its own line — so preserving a section is a
-//! prefix match, not a JSON parse. Only this module writes the file, so the
-//! invariant holds.
+//! The module has three parts, and a new ledger field costs nothing in
+//! any of them:
+//!
+//! * **Writing** ([`update_section`]) is line-oriented: every section is
+//!   one compact JSON value on its own line, and a writer replaces its
+//!   own line and copies the others as raw text.
+//! * **Reading** ([`Ledger`]) is a strict parse into a [`Json`] tree; any
+//!   field is reached by name, and the three shapes the floors judge — a
+//!   field, a point of a scaling curve, a ratio of two fields — by a
+//!   [`ValuePath`].
+//! * **Judging** ([`FLOORS`], [`check`]) is one table with a row per
+//!   floor, walked by `repro --check-bench`, by `kernel_hotpath` over the
+//!   sections it has just written, and by this module's tests over the
+//!   committed ledger. A new floor costs one row.
 
-use std::io;
+use crate::json::{self, Json};
+use std::fmt;
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
 /// Default ledger file name; see [`default_path`] for where it lands.
@@ -85,12 +97,12 @@ pub fn committed_path() -> PathBuf {
 /// `cold_start_first_micros`, `warm_restart_first_micros` and the
 /// per-connections `conn_scaling` curve) and annotated scaling-curve
 /// points with `effective_jobs`/`oversubscribed` (worker counts are now
-/// clamped to the host's cores unless forced). Readers scan by field
-/// prefix and accept any version.
+/// clamped to the host's cores unless forced). [`Ledger::parse`] accepts
+/// this version only.
 pub const SCHEMA: &str = "mpsoc-bench/kernel-v8";
 
 /// The known top-level sections, in the order they appear in the file.
-const SECTIONS: [&str; 8] = [
+pub const SECTIONS: [&str; 8] = [
     "experiments",
     "warm_fork",
     "microbench",
@@ -104,8 +116,17 @@ const SECTIONS: [&str; 8] = [
 /// Replaces `section` of the ledger at `path` with `value_json`, keeping
 /// every other known section from the existing file (if any).
 ///
-/// `value_json` must be a single-line JSON value; this is asserted because
-/// a multi-line value would break the line-oriented preservation scheme.
+/// The other sections are carried over as raw lines, not parsed and
+/// re-encoded, so a section its recorder did not touch stays
+/// byte-identical in the committed file (a float that went through `f64`
+/// and back could print differently). That is why the writer is
+/// line-oriented while the reader is a tree. `value_json` must be a
+/// single-line JSON value; this is asserted because a multi-line value
+/// would break the scheme.
+///
+/// The new document goes to a sibling temporary file that is then renamed
+/// over `path`, so a writer killed midway leaves the old ledger, never a
+/// torn one.
 ///
 /// # Errors
 ///
@@ -143,7 +164,19 @@ pub fn update_section(path: &Path, section: &str, value_json: &str) -> io::Resul
         }
     }
     doc.push_str("\n}\n");
-    std::fs::write(path, doc)
+
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let tmp = PathBuf::from(tmp);
+    let written = std::fs::File::create(&tmp).and_then(|mut file| {
+        file.write_all(doc.as_bytes())?;
+        file.sync_all()?;
+        std::fs::rename(&tmp, path)
+    });
+    if written.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    written
 }
 
 /// Pulls the raw single-line value of `name` out of an existing ledger.
@@ -157,299 +190,176 @@ pub fn extract_section(doc: &str, name: &str) -> Option<String> {
     None
 }
 
-/// Pulls `(experiment id, edges_per_sec)` pairs out of a ledger document's
-/// `"experiments"` section. Tolerant of absent sections (returns an empty
-/// list); the scan relies only on the field order this crate's own writer
-/// emits, so it needs no general JSON parser.
-pub fn experiment_rates(doc: &str) -> Vec<(String, f64)> {
-    let Some(section) = extract_section(doc, "experiments") else {
-        return Vec::new();
-    };
-    let mut rates = Vec::new();
-    let mut rest = section.as_str();
-    while let Some(pos) = rest.find("\"id\":\"") {
-        rest = &rest[pos + 6..];
-        let Some(end) = rest.find('"') else { break };
-        let id = rest[..end].to_string();
-        rest = &rest[end..];
-        let Some(pos) = rest.find("\"edges_per_sec\":") else {
-            break;
-        };
-        rest = &rest[pos + 16..];
-        let end = rest.find([',', '}']).unwrap_or(rest.len());
-        if let Ok(rate) = rest[..end].trim().parse::<f64>() {
-            rates.push((id, rate));
+/// The recorder commands a failed check tells the user to run. `<path>`
+/// is the ledger being checked.
+const REPRO: &str = "repro --scale 1 --bench-out <path>";
+const REPRO_WARM_FORK: &str = "repro --warm-fork --bench-out <path>";
+const REPRO_FAST_WARM: &str = "repro --fast-warm --bench-out <path>";
+const REPRO_DSE: &str = "repro --exp dse --bench-out <path>";
+const HOTPATH: &str = "cargo bench -p mpsoc-bench --bench kernel_hotpath -- --committed";
+const LOADGEN: &str = "loadgen --bench-out <path>";
+const LOADGEN_RESTART: &str = "loadgen --restart-leg --bench-out <path>";
+
+/// A ledger document read as a tree.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Ledger {
+    root: Json,
+}
+
+/// Where in a section the value a floor judges is found.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ValuePath {
+    /// A field of the section: a number, or a boolean read as 0 / 1.
+    Field(&'static str),
+    /// `Point(curve, key, at)`: the `speedup` of the point of the scaling
+    /// curve `curve` (an array field of the section) whose `key` is `at`.
+    Point(&'static str, &'static str, u64),
+    /// `Ratio(a, b)`: field `a` over field `b` of the section.
+    Ratio(&'static str, &'static str),
+}
+
+impl fmt::Display for ValuePath {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ValuePath::Field(name) => write!(f, "{name}"),
+            ValuePath::Point(curve, key, at) => write!(f, "{curve}[{key}={at}].speedup"),
+            ValuePath::Ratio(a, b) => write!(f, "{a} / {b}"),
         }
-        rest = &rest[end..];
     }
-    rates
 }
 
-/// Pulls the measured cold/fork speedup out of a ledger document's
-/// `"warm_fork"` section. Returns `None` when the section is absent or
-/// malformed.
-pub fn warm_fork_speedup(doc: &str) -> Option<f64> {
-    section_speedup(doc, "warm_fork")
+impl Ledger {
+    /// Parses a ledger document, failing closed: the text must be one
+    /// valid JSON value (no scanning around a truncated or hand-edited
+    /// tail) and carry exactly [`SCHEMA`].
+    ///
+    /// # Errors
+    ///
+    /// Returns what is wrong with the document — the parse error with its
+    /// byte offset, or the schema it carries and how to regenerate it.
+    pub fn parse(doc: &str) -> Result<Ledger, String> {
+        let root = json::parse(doc).map_err(|e| format!("not valid JSON: {e}"))?;
+        match root.get("schema").and_then(Json::as_str) {
+            Some(SCHEMA) => Ok(Ledger { root }),
+            other => Err(format!(
+                "schema is {}, this toolchain reads {SCHEMA:?} — regenerate the ledger with \
+                 `{REPRO}`, `{HOTPATH}` and `{LOADGEN}`",
+                other.map_or_else(|| "missing".to_string(), |s| format!("{s:?}")),
+            )),
+        }
+    }
+
+    /// Reads and [`parse`](Ledger::parse)s the ledger file at `path`.
+    ///
+    /// # Errors
+    ///
+    /// Returns the I/O error or what is wrong with the document.
+    pub fn read(path: &Path) -> Result<Ledger, String> {
+        let doc = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
+        Ledger::parse(&doc)
+    }
+
+    /// The value of the top-level section `name`.
+    pub fn section(&self, name: &str) -> Option<&Json> {
+        self.root.get(name)
+    }
+
+    /// The number at `path` of `section`; `None` when the section, a field
+    /// or the curve point is absent, not a finite number, or the ratio's
+    /// denominator is not positive.
+    pub fn value(&self, section: &str, path: ValuePath) -> Option<f64> {
+        let section = self.section(section)?;
+        let field = |name: &str| match section.get(name)? {
+            Json::Bool(flag) => Some(f64::from(u8::from(*flag))),
+            number => number.as_f64(),
+        };
+        match path {
+            ValuePath::Field(name) => field(name),
+            ValuePath::Point(curve, key, at) => section
+                .get(curve)?
+                .as_array()?
+                .iter()
+                .find(|point| point.get(key).and_then(Json::as_u64) == Some(at))?
+                .get("speedup")?
+                .as_f64(),
+            ValuePath::Ratio(a, b) => {
+                let denominator = field(b).filter(|d| *d > 0.0)?;
+                Some(field(a)? / denominator)
+            }
+        }
+    }
+
+    /// The recorded figures of each run in `experiments.runs[]`, in file
+    /// order. Empty when the section is absent; a counter a run does not
+    /// carry reads as 0.
+    pub fn experiment_activity(&self) -> Vec<ExperimentActivity> {
+        let runs = self
+            .section("experiments")
+            .and_then(|section| section.get("runs"))
+            .and_then(Json::as_array)
+            .unwrap_or_default();
+        runs.iter()
+            .filter_map(|run| {
+                let count = |name: &str| run.get(name).and_then(Json::as_u64).unwrap_or(0);
+                Some(ExperimentActivity {
+                    id: run.get("id")?.as_str()?.to_string(),
+                    edges_per_sec: run.get("edges_per_sec")?.as_f64()?,
+                    ticks: count("ticks"),
+                    skipped: count("skipped"),
+                    ff_elided: count("ff_elided"),
+                    par_computed: count("par_computed"),
+                    par_reticked: count("par_reticked"),
+                    par_fallbacks: count("par_fallback_audit") + count("par_fallback_small"),
+                })
+            })
+            .collect()
+    }
 }
 
-/// Pulls the measured sparse-vs-dense speedup out of a ledger document's
-/// `"sparse"` section (the idle-heavy `kernel_hotpath` case). Returns
-/// `None` when the section is absent or malformed.
-pub fn sparse_speedup(doc: &str) -> Option<f64> {
-    section_speedup(doc, "sparse")
-}
-
-/// Pulls the measured serial-vs-parallel speedup out of a ledger
-/// document's `"parallel"` section (the compute-heavy `kernel_hotpath`
-/// case run with worker threads). Returns `None` when the section is
-/// absent or malformed.
-pub fn parallel_speedup(doc: &str) -> Option<f64> {
-    section_speedup(doc, "parallel")
-}
-
-/// Pulls the host core count recorded alongside the `"parallel"` section's
-/// measurement. A speedup measured on a box with fewer cores than worker
-/// threads is expected to miss the floor; readers use this to warn instead
-/// of failing.
-pub fn parallel_host_cores(doc: &str) -> Option<u64> {
-    section_u64(doc, "parallel", "host_cores")
-}
-
-/// Pulls the worker-thread count the `"parallel"` section was measured at.
-pub fn parallel_tick_jobs(doc: &str) -> Option<u64> {
-    section_u64(doc, "parallel", "tick_jobs")
-}
-
-/// One point of a recorded per-jobs scaling curve.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ScalingPoint {
-    /// Worker-thread count the point was measured at.
-    pub jobs: u64,
-    /// Host-side throughput at that job count (0 when the writer only
-    /// recorded wall times).
+/// One experiment's figures recorded in the `"experiments"` section: the
+/// throughput baseline `repro --check-bench` guards and the activity
+/// counters `repro --list` annotates with.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ExperimentActivity {
+    /// Experiment id.
+    pub id: String,
+    /// Scheduler edges per host second.
     pub edges_per_sec: f64,
-    /// Speedup over the jobs = 1 point of the same curve.
-    pub speedup: f64,
+    /// Component ticks executed.
+    pub ticks: u64,
+    /// Ticks the sparse scheduler skipped.
+    pub skipped: u64,
+    /// Component-cycles elided by fast-forward windows.
+    pub ff_elided: u64,
+    /// Component ticks computed on the parallel path.
+    pub par_computed: u64,
+    /// Parallel-computed ticks re-run serially after a failed commit.
+    pub par_reticked: u64,
+    /// Parallel-enabled edges that fell back to the serial path (skip
+    /// audit on, or too little eligible work).
+    pub par_fallbacks: u64,
 }
 
-/// Pulls the compute-heavy microbench's per-jobs scaling curve out of a
-/// ledger document's `"parallel"` section (`scaling` array, recorded by
-/// `kernel_hotpath` since kernel-v7). Empty for pre-v7 ledgers.
-pub fn parallel_scaling(doc: &str) -> Vec<ScalingPoint> {
-    extract_section(doc, "parallel")
-        .map(|s| scan_scaling(&s, "scaling"))
-        .unwrap_or_default()
-}
-
-/// Pulls the host core count recorded alongside the `"experiments"`
-/// section's measurement. Like [`parallel_host_cores`], readers use this
-/// to core-gate the fig4 scaling floor.
-pub fn experiments_host_cores(doc: &str) -> Option<u64> {
-    section_u64(doc, "experiments", "host_cores")
-}
-
-/// Pulls the end-to-end fig4 sweep's per-jobs scaling curve out of a
-/// ledger document's `"experiments"` section (`fig4_scaling` array,
-/// recorded by `repro --bench-out` since kernel-v7). Empty for pre-v7
-/// ledgers or single-experiment recordings.
-pub fn fig4_scaling(doc: &str) -> Vec<ScalingPoint> {
-    extract_section(doc, "experiments")
-        .map(|s| scan_scaling(&s, "fig4_scaling"))
-        .unwrap_or_default()
-}
-
-/// Scans `fragment` for a `"<field>":[{...},...]` array of scaling points.
-/// Each point needs `jobs` and `speedup`; `edges_per_sec` is optional
-/// (fig4 points record wall seconds instead).
-fn scan_scaling(fragment: &str, field: &str) -> Vec<ScalingPoint> {
-    let tag = format!("\"{field}\":[");
-    let Some(pos) = fragment.find(&tag) else {
-        return Vec::new();
-    };
-    let rest = &fragment[pos + tag.len()..];
-    let end = rest.find(']').unwrap_or(rest.len());
-    let mut points = Vec::new();
-    for object in rest[..end].split('{').skip(1) {
-        let (Some(jobs), Some(speedup)) = (field_u64(object, "jobs"), field_f64(object, "speedup"))
-        else {
-            continue;
-        };
-        points.push(ScalingPoint {
-            jobs,
-            edges_per_sec: field_f64(object, "edges_per_sec").unwrap_or(0.0),
-            speedup,
-        });
+impl ExperimentActivity {
+    /// Fraction of component-edge slots the sparse scheduler skipped.
+    pub fn skip_fraction(&self) -> f64 {
+        let total = self.ticks + self.skipped;
+        if total == 0 {
+            0.0
+        } else {
+            self.skipped as f64 / total as f64
+        }
     }
-    points
-}
 
-/// Pulls the measured cycle-vs-fast warm-phase speedup out of a ledger
-/// document's `"fast_forward"` section (the loosely-timed gear at the
-/// default quantum). Returns `None` when the section is absent or
-/// malformed.
-pub fn fast_forward_speedup(doc: &str) -> Option<f64> {
-    section_speedup(doc, "fast_forward")
-}
-
-/// Pulls the quantum the `"fast_forward"` section was measured at.
-pub fn fast_forward_quantum(doc: &str) -> Option<u64> {
-    section_u64(doc, "fast_forward", "quantum")
-}
-
-/// Pulls the recorded quantum-1 identity verdict of the `"fast_forward"`
-/// section. `Some(false)` means the recording run saw the degenerate gear
-/// diverge from cycle-accurate — a correctness failure, not a perf one.
-pub fn fast_forward_q1_identical(doc: &str) -> Option<bool> {
-    let section = extract_section(doc, "fast_forward")?;
-    let pos = section.find("\"q1_identical\":")?;
-    let rest = section[pos + 15..].trim_start();
-    if rest.starts_with("true") {
-        Some(true)
-    } else if rest.starts_with("false") {
-        Some(false)
-    } else {
-        None
+    /// Fraction of parallel-computed ticks that had to be re-run
+    /// serially (0 when the run never took the parallel path).
+    pub fn retick_fraction(&self) -> f64 {
+        if self.par_computed == 0 {
+            0.0
+        } else {
+            self.par_reticked as f64 / self.par_computed as f64
+        }
     }
-}
-
-/// Pulls the warm-cache hit rate (0..=1) out of a ledger document's
-/// `"server"` section. Returns `None` when the section is absent or
-/// malformed.
-pub fn server_hit_rate(doc: &str) -> Option<f64> {
-    section_f64(doc, "server", "hit_rate")
-}
-
-/// Pulls the served request throughput out of a ledger document's
-/// `"server"` section.
-pub fn server_requests_per_sec(doc: &str) -> Option<f64> {
-    section_f64(doc, "server", "requests_per_sec")
-}
-
-/// Pulls the hit-vs-miss latency ratio (p50 miss / p50 hit) out of a
-/// ledger document's `"server"` section. Above 1 means forking a cached
-/// warm state was faster than running the warm-up.
-pub fn server_hit_speedup(doc: &str) -> Option<f64> {
-    section_f64(doc, "server", "hit_speedup")
-}
-
-/// Pulls the host core count recorded alongside the `"server"` section's
-/// measurement. A latency ratio measured on a single-core box is noisy
-/// under concurrent load; readers use this to warn instead of failing.
-pub fn server_host_cores(doc: &str) -> Option<u64> {
-    section_u64(doc, "server", "host_cores")
-}
-
-/// Pulls the steady-state cache-hit p50 latency out of a ledger document's
-/// `"server"` section — the yardstick the warm-restart first-request
-/// latency is judged against.
-pub fn server_p50_hit_micros(doc: &str) -> Option<u64> {
-    section_u64(doc, "server", "p50_hit_micros")
-}
-
-/// Pulls the number of warm-up simulations the recording run cost out of
-/// a ledger document's `"server"` section. Coalescing makes this at most
-/// [`server_distinct_keys`] even under a duplicate-heavy concurrent mix.
-pub fn server_warm_ups(doc: &str) -> Option<u64> {
-    section_u64(doc, "server", "warm_ups")
-}
-
-/// Pulls the number of distinct warm keys the recording mix touched out
-/// of a ledger document's `"server"` section.
-pub fn server_distinct_keys(doc: &str) -> Option<u64> {
-    section_u64(doc, "server", "distinct_keys")
-}
-
-/// Pulls the batched-vs-unbatched throughput ratio out of a ledger
-/// document's `"server"` section: the same mix replayed with
-/// `"coalesce":false`, fresh server both times. Above 1 means coalescing
-/// paid for its window.
-pub fn server_batch_speedup(doc: &str) -> Option<f64> {
-    section_f64(doc, "server", "batch_speedup")
-}
-
-/// Pulls the first-request latency of a cold-started server (empty cache,
-/// empty spill directory) out of a ledger document's `"server"` section.
-pub fn server_cold_start_first_micros(doc: &str) -> Option<u64> {
-    section_u64(doc, "server", "cold_start_first_micros")
-}
-
-/// Pulls the first-request latency of a *restarted* server (fresh
-/// process, warm spill directory) out of a ledger document's `"server"`
-/// section. The persistence contract is that this sits near the
-/// steady-state hit latency, not near [`server_cold_start_first_micros`].
-pub fn server_warm_restart_first_micros(doc: &str) -> Option<u64> {
-    section_u64(doc, "server", "warm_restart_first_micros")
-}
-
-/// One point of the server's recorded per-connections scaling curve
-/// (closed-loop, warm cache, so it measures the connection layer and not
-/// the simulator).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ConnScalingPoint {
-    /// Concurrent closed-loop connections the point was measured at.
-    pub connections: u64,
-    /// Served throughput at that connection count.
-    pub requests_per_sec: f64,
-    /// Speedup over the connections = 1 point of the same curve.
-    pub speedup: f64,
-}
-
-/// Pulls the per-connections scaling curve out of a ledger document's
-/// `"server"` section (`conn_scaling` array, recorded since kernel-v8).
-/// Empty for pre-v8 ledgers.
-pub fn server_conn_scaling(doc: &str) -> Vec<ConnScalingPoint> {
-    let Some(section) = extract_section(doc, "server") else {
-        return Vec::new();
-    };
-    let Some(pos) = section.find("\"conn_scaling\":[") else {
-        return Vec::new();
-    };
-    let rest = &section[pos + 16..];
-    let end = rest.find(']').unwrap_or(rest.len());
-    let mut points = Vec::new();
-    for object in rest[..end].split('{').skip(1) {
-        let (Some(connections), Some(speedup)) = (
-            field_u64(object, "connections"),
-            field_f64(object, "speedup"),
-        ) else {
-            continue;
-        };
-        points.push(ConnScalingPoint {
-            connections,
-            requests_per_sec: field_f64(object, "requests_per_sec").unwrap_or(0.0),
-            speedup,
-        });
-    }
-    points
-}
-
-/// Pulls the Pareto-front size out of a ledger document's `"dse"`
-/// section. Returns `None` when the section is absent or malformed.
-pub fn dse_front_size(doc: &str) -> Option<u64> {
-    section_u64(doc, "dse", "front_size")
-}
-
-/// Pulls the number of distinct fabric families on the recorded Pareto
-/// front out of a ledger document's `"dse"` section.
-pub fn dse_families(doc: &str) -> Option<u64> {
-    section_u64(doc, "dse", "families")
-}
-
-/// Pulls the fanned-out vs serial search wall-time ratio out of a ledger
-/// document's `"dse"` section (1.0 when the recording run was serial).
-pub fn dse_fanout_speedup(doc: &str) -> Option<f64> {
-    section_f64(doc, "dse", "fanout_speedup")
-}
-
-/// Pulls the evaluation fan-out the `"dse"` section was recorded at.
-pub fn dse_jobs(doc: &str) -> Option<u64> {
-    section_u64(doc, "dse", "jobs")
-}
-
-/// Pulls the host core count recorded alongside the `"dse"` section's
-/// measurement; see [`core_gated_floor`] for how readers use it.
-pub fn dse_host_cores(doc: &str) -> Option<u64> {
-    section_u64(doc, "dse", "host_cores")
 }
 
 /// Verdict of a [`core_gated_floor`] judgement.
@@ -494,134 +404,384 @@ pub fn core_gated_floor(
     }
 }
 
-/// Per-experiment activity counters recorded in the `"experiments"`
-/// section, scanned for `repro --list` annotations.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ExperimentActivity {
-    /// Experiment id.
-    pub id: String,
-    /// Component ticks executed.
-    pub ticks: u64,
-    /// Ticks the sparse scheduler skipped.
-    pub skipped: u64,
-    /// Component-cycles elided by fast-forward windows.
-    pub ff_elided: u64,
-    /// Clock edges that took the intra-edge parallel path.
-    pub par_edges: u64,
-    /// Component ticks computed on the parallel path.
-    pub par_computed: u64,
-    /// Parallel-computed ticks re-run serially after a failed commit.
-    pub par_reticked: u64,
-    /// Parallel-enabled edges that fell back because skip-audit was on.
-    pub par_fallback_audit: u64,
-    /// Parallel-enabled edges that fell back for lack of eligible work.
-    pub par_fallback_small: u64,
+/// What a floor demands of its value.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Comparator {
+    /// The value is at least this.
+    AtLeast(f64),
+    /// The value is at most this.
+    AtMost(f64),
+    /// The value is above zero.
+    Positive,
+    /// The value is a recorded `true`.
+    IsTrue,
+    /// The value is at most this other field of the same section.
+    AtMostField(&'static str),
+    /// The value is recorded; any number passes (provenance, not a floor).
+    Recorded,
 }
 
-impl ExperimentActivity {
-    /// Fraction of component-edge slots the sparse scheduler skipped.
-    pub fn skip_fraction(&self) -> f64 {
-        let total = self.ticks + self.skipped;
-        if total == 0 {
-            0.0
-        } else {
-            self.skipped as f64 / total as f64
-        }
-    }
+/// How many cores the recording host needed for a miss to count; judged
+/// against the `host_cores` field of the floor's own section.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Cores {
+    /// Not a core-count property: a miss always fails.
+    Always,
+    /// A miss fails only when at least this many cores were recorded.
+    Fixed(u64),
+    /// As `Fixed`, with the count read from this field of the section.
+    Field(&'static str),
+}
 
-    /// Fraction of parallel-computed ticks that had to be re-run
-    /// serially (0 when the run never took the parallel path).
-    pub fn retick_fraction(&self) -> f64 {
-        if self.par_computed == 0 {
-            0.0
-        } else {
-            self.par_reticked as f64 / self.par_computed as f64
-        }
+/// One row of [`FLOORS`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Floor {
+    /// What the check is called in the `[check <label> ...]` line.
+    pub label: &'static str,
+    /// The ledger section the row reads.
+    pub section: &'static str,
+    /// The value judged.
+    pub value: ValuePath,
+    /// What is demanded of it.
+    pub comparator: Comparator,
+    /// The cores the recording host needed for a miss to fail.
+    pub cores: Cores,
+    /// `Some((field, n))`: the floor applies only when that field of the
+    /// section is at least `n`; below it the value must still be recorded.
+    pub armed_when: Option<(&'static str, u64)>,
+    /// The command that re-records the section.
+    pub regenerate: &'static str,
+}
+
+/// Every floor the committed ledger is held to, and the only place a
+/// threshold is written. Each row's comment says why the threshold is what
+/// it is.
+pub const FLOORS: &[Floor] = &[
+    // Forking a warm checkpoint has to beat re-simulating the warm-up
+    // prefix by a clear margin, or the snapshot subsystem has regressed.
+    Floor {
+        label: "warm-fork speedup",
+        section: "warm_fork",
+        value: ValuePath::Field("speedup"),
+        comparator: Comparator::AtLeast(1.5),
+        cores: Cores::Always,
+        armed_when: None,
+        regenerate: REPRO_WARM_FORK,
+    },
+    // Idle-heavy kernel_hotpath case: skipping quiescent components has to
+    // beat ticking them where idleness dominates, or sparse scheduling has
+    // regressed into bookkeeping overhead.
+    Floor {
+        label: "sparse speedup",
+        section: "sparse",
+        value: ValuePath::Field("speedup"),
+        comparator: Comparator::AtLeast(1.3),
+        cores: Cores::Always,
+        armed_when: None,
+        regenerate: HOTPATH,
+    },
+    // Compute-heavy kernel_hotpath case at the headline job count. The
+    // floor is a property of the scheduler, not of an oversubscribed host:
+    // it needs as many cores as worker threads.
+    Floor {
+        label: "parallel speedup",
+        section: "parallel",
+        value: ValuePath::Field("speedup"),
+        comparator: Comparator::AtLeast(1.5),
+        cores: Cores::Field("tick_jobs"),
+        armed_when: None,
+        regenerate: HOTPATH,
+    },
+    // The headline number of the sharded-active-set scheduler on the
+    // compute-heavy microbench. Byte-identity across the ladder is
+    // asserted by the recorder itself, so an undersized host still proves
+    // correctness — just not speed.
+    Floor {
+        label: "parallel scaling @8 jobs",
+        section: "parallel",
+        value: ValuePath::Point("scaling", "jobs", 8),
+        comparator: Comparator::AtLeast(3.0),
+        cores: Cores::Fixed(8),
+        armed_when: None,
+        regenerate: HOTPATH,
+    },
+    // The end-to-end paper sweep is lighter per edge than the microbench,
+    // so the bar is only "parallel ticking must not lose to serial".
+    Floor {
+        label: "fig4 scaling @8 jobs",
+        section: "experiments",
+        value: ValuePath::Point("fig4_scaling", "jobs", 8),
+        comparator: Comparator::AtLeast(1.01),
+        cores: Cores::Fixed(8),
+        armed_when: None,
+        regenerate: REPRO,
+    },
+    // The degenerate quantum-1 gear must reproduce the cycle-accurate
+    // sweep byte for byte: a correctness failure, not a perf one.
+    Floor {
+        label: "fast-forward q=1 identical",
+        section: "fast_forward",
+        value: ValuePath::Field("q1_identical"),
+        comparator: Comparator::IsTrue,
+        cores: Cores::Always,
+        armed_when: None,
+        regenerate: REPRO_FAST_WARM,
+    },
+    // At the default quantum the loosely-timed gear has to beat
+    // cycle-accurate simulation of the same warm phase by a clear margin,
+    // or temporal decoupling has regressed into window bookkeeping. The
+    // warm phases are always timed serially, so never core-gated.
+    Floor {
+        label: "fast-forward speedup",
+        section: "fast_forward",
+        value: ValuePath::Field("speedup"),
+        comparator: Comparator::AtLeast(3.0),
+        cores: Cores::Always,
+        armed_when: None,
+        regenerate: REPRO_FAST_WARM,
+    },
+    // A duplicate-heavy mix that never hits means the checkpoint cache is
+    // not being reused. `hit_rate` is hits / requests, so "some hit" is
+    // "above zero": correctness of the cache, not a core-count property.
+    Floor {
+        label: "server hit rate",
+        section: "server",
+        value: ValuePath::Field("hit_rate"),
+        comparator: Comparator::Positive,
+        cores: Cores::Always,
+        armed_when: None,
+        regenerate: LOADGEN,
+    },
+    // p50 miss / p50 hit. A warm-cache hit skips the warm-up simulation,
+    // so it has to be measurably faster than a miss; on one core the
+    // loadgen lanes and the server's warm-up contend for the CPU and the
+    // latency split is noise.
+    Floor {
+        label: "server hit speedup",
+        section: "server",
+        value: ValuePath::Field("hit_speedup"),
+        comparator: Comparator::AtLeast(1.2),
+        cores: Cores::Fixed(2),
+        armed_when: None,
+        regenerate: LOADGEN,
+    },
+    // Coalescing must collapse concurrent duplicate-key misses: the
+    // recording run may not cost more warm-up simulations than its mix
+    // has distinct warm keys.
+    Floor {
+        label: "server warm-ups",
+        section: "server",
+        value: ValuePath::Field("warm_ups"),
+        comparator: Comparator::AtMostField("distinct_keys"),
+        cores: Cores::Always,
+        armed_when: None,
+        regenerate: LOADGEN,
+    },
+    // Batched / unbatched throughput is provenance, not a floor: both runs
+    // are all-miss by construction, so on small hosts the ratio is
+    // dominated by warm-up scheduling noise.
+    Floor {
+        label: "server batch speedup",
+        section: "server",
+        value: ValuePath::Field("batch_speedup"),
+        comparator: Comparator::Recorded,
+        cores: Cores::Always,
+        armed_when: None,
+        regenerate: LOADGEN,
+    },
+    // The disk spill exists so that a fresh process answers its first
+    // request from a warm fork instead of re-warming: the restart figure
+    // must sit near a steady-state hit, not near a cold start. On one core
+    // the restart leg's process churn and the simulator contend.
+    Floor {
+        label: "server warm-restart / p50 hit",
+        section: "server",
+        value: ValuePath::Ratio("warm_restart_first_micros", "p50_hit_micros"),
+        comparator: Comparator::AtMost(2.0),
+        cores: Cores::Fixed(2),
+        armed_when: None,
+        regenerate: LOADGEN_RESTART,
+    },
+    // The connection layer must not lose throughput as closed-loop clients
+    // are added. Perfect scaling is not expected — the warm cache makes the
+    // workload latency-bound — but a collapse means connection handling
+    // itself is serializing.
+    Floor {
+        label: "server conn scaling @8 connections",
+        section: "server",
+        value: ValuePath::Point("conn_scaling", "connections", 8),
+        comparator: Comparator::AtLeast(0.9),
+        cores: Cores::Fixed(8),
+        armed_when: None,
+        regenerate: LOADGEN,
+    },
+    // A front that collapses below this many non-dominated points means
+    // the explorer stopped surfacing real throughput/latency/cost
+    // trade-offs. A correctness property.
+    Floor {
+        label: "dse front size",
+        section: "dse",
+        value: ValuePath::Field("front_size"),
+        comparator: Comparator::AtLeast(3.0),
+        cores: Cores::Always,
+        armed_when: None,
+        regenerate: REPRO_DSE,
+    },
+    // A single-family front means the search degenerated into a parameter
+    // sweep of one topology.
+    Floor {
+        label: "dse families",
+        section: "dse",
+        value: ValuePath::Field("families"),
+        comparator: Comparator::AtLeast(2.0),
+        cores: Cores::Always,
+        armed_when: None,
+        regenerate: REPRO_DSE,
+    },
+    // The candidate evaluations are independent simulations, so fanning
+    // them out has to buy real wall time or `parallel_map` has regressed —
+    // when the recording run fanned out at all, on a host with a second
+    // core to fan out onto.
+    Floor {
+        label: "dse fanout speedup",
+        section: "dse",
+        value: ValuePath::Field("fanout_speedup"),
+        comparator: Comparator::AtLeast(1.2),
+        cores: Cores::Fixed(2),
+        armed_when: Some(("jobs", 2)),
+        regenerate: REPRO_DSE,
+    },
+];
+
+/// The outcome of one [`FLOORS`] row against one ledger.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Checked {
+    /// The row's label.
+    pub label: &'static str,
+    /// Its verdict. A value that is not recorded is [`FloorVerdict::Missed`].
+    pub verdict: FloorVerdict,
+    /// The line to print: `[check <label> ... — ok]`, `... — warning only]`,
+    /// or the failure with the command that re-records the section.
+    pub message: String,
+}
+
+/// Two decimals, or none for a whole number.
+fn shown(value: f64) -> String {
+    if value.fract() == 0.0 {
+        format!("{value:.0}")
+    } else {
+        format!("{value:.2}")
     }
 }
 
-/// Pulls each experiment's recorded activity counters out of a ledger
-/// document's `"experiments"` section. Tolerant of absent sections and of
-/// pre-v4 ledgers without `ff_elided` (reported as 0).
-pub fn experiment_activity(doc: &str) -> Vec<ExperimentActivity> {
-    let Some(section) = extract_section(doc, "experiments") else {
-        return Vec::new();
-    };
-    let mut out = Vec::new();
-    let mut rest = section.as_str();
-    while let Some(pos) = rest.find("\"id\":\"") {
-        rest = &rest[pos + 6..];
-        let Some(end) = rest.find('"') else { break };
-        let id = rest[..end].to_string();
-        rest = &rest[end..];
-        let run_end = rest.find('}').unwrap_or(rest.len());
-        let run = &rest[..run_end];
-        out.push(ExperimentActivity {
-            id,
-            ticks: field_u64(run, "ticks").unwrap_or(0),
-            skipped: field_u64(run, "skipped").unwrap_or(0),
-            ff_elided: field_u64(run, "ff_elided").unwrap_or(0),
-            par_edges: field_u64(run, "par_edges").unwrap_or(0),
-            par_computed: field_u64(run, "par_computed").unwrap_or(0),
-            par_reticked: field_u64(run, "par_reticked").unwrap_or(0),
-            par_fallback_audit: field_u64(run, "par_fallback_audit").unwrap_or(0),
-            par_fallback_small: field_u64(run, "par_fallback_small").unwrap_or(0),
+impl Floor {
+    /// The verdict with its line to print, or what the row needs that the
+    /// ledger does not record.
+    fn judge(&self, ledger: &Ledger) -> Result<(FloorVerdict, String), String> {
+        let Floor { label, section, .. } = *self;
+        if ledger.section(section).is_none() {
+            return Err(format!("the ledger has no \"{section}\" section"));
+        }
+        let number = |path: ValuePath| {
+            ledger
+                .value(section, path)
+                .ok_or_else(|| format!("{section}.{path} is not recorded"))
+        };
+        let field = |name| number(ValuePath::Field(name));
+        let value = number(self.value)?;
+        let mut is = shown(value);
+        // `measured >= floor` is the one comparison `core_gated_floor`
+        // makes, so an upper bound is judged on the negated pair.
+        let (measured, floor, wanted) = match self.comparator {
+            Comparator::AtLeast(floor) => (value, floor, format!(">= {floor}")),
+            Comparator::AtMost(ceiling) => (-value, -ceiling, format!("<= {ceiling}")),
+            Comparator::Positive => (value, f64::MIN_POSITIVE, "> 0".to_string()),
+            Comparator::IsTrue => {
+                is = (value == 1.0).to_string();
+                (value, 1.0, "true".to_string())
+            }
+            Comparator::AtMostField(other) => {
+                let limit = field(other)?;
+                (-value, -limit, format!("<= {other} {}", shown(limit)))
+            }
+            Comparator::Recorded => (0.0, 0.0, "any, provenance only".to_string()),
+        };
+        if let Some((name, at_least)) = self.armed_when {
+            if field(name)? < at_least as f64 {
+                let line = format!("[check {label} {is} (wanted {wanted}; floor not armed) — ok]");
+                return Ok((FloorVerdict::Met, line));
+            }
+        }
+        let cores = |name| field(name).ok().map(|n| n as u64);
+        let host_cores = cores("host_cores");
+        let needed = match self.cores {
+            Cores::Always => None,
+            Cores::Fixed(n) => Some(n),
+            Cores::Field(name) => cores(name),
+        };
+        let gate = needed.map_or_else(String::new, |n| {
+            let recorded = host_cores.map_or_else(|| "unknown".to_string(), |c| c.to_string());
+            format!("; needs {n} cores, recorded host_cores {recorded}")
         });
-        rest = &rest[run_end..];
+        let verdict = core_gated_floor(measured, floor, host_cores, needed);
+        let line = match verdict {
+            FloorVerdict::Met => format!("[check {label} {is} (wanted {wanted}) — ok]"),
+            FloorVerdict::Ungated => {
+                format!("[check {label} {is} (wanted {wanted}{gate}) — warning only]")
+            }
+            FloorVerdict::Missed => format!(
+                "{label} check failed: {section}.{} is {is} (wanted {wanted}{gate})",
+                self.value
+            ),
+        };
+        Ok((verdict, line))
     }
-    out
+
+    fn check(&self, ledger: &Ledger) -> Checked {
+        let (verdict, message) = self.judge(ledger).unwrap_or_else(|absent| {
+            let line = format!(
+                "{} check failed: {absent} — regenerate with `{}`",
+                self.label, self.regenerate
+            );
+            (FloorVerdict::Missed, line)
+        });
+        Checked {
+            label: self.label,
+            verdict,
+            message,
+        }
+    }
 }
 
-/// Scans a flat JSON object fragment for an integer `field`.
-fn field_u64(fragment: &str, field: &str) -> Option<u64> {
-    let tag = format!("\"{field}\":");
-    let pos = fragment.find(&tag)?;
-    let rest = &fragment[pos + tag.len()..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse::<u64>().ok()
+/// Judges `ledger` against every [`FLOORS`] row whose section is in
+/// `sections`, in table order.
+pub fn check(ledger: &Ledger, sections: &[&str]) -> Vec<Checked> {
+    FLOORS
+        .iter()
+        .filter(|floor| sections.contains(&floor.section))
+        .map(|floor| floor.check(ledger))
+        .collect()
 }
 
-/// Scans a flat JSON object fragment for a float `field`.
-fn field_f64(fragment: &str, field: &str) -> Option<f64> {
-    let tag = format!("\"{field}\":");
-    let pos = fragment.find(&tag)?;
-    let rest = &fragment[pos + tag.len()..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse::<f64>().ok()
-}
-
-/// Scans `section` of `doc` for its `"speedup"` field.
-fn section_speedup(doc: &str, name: &str) -> Option<f64> {
-    let section = extract_section(doc, name)?;
-    let pos = section.find("\"speedup\":")?;
-    let rest = &section[pos + 10..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse::<f64>().ok()
-}
-
-/// Scans `section` of `doc` for a float `field`.
-fn section_f64(doc: &str, name: &str, field: &str) -> Option<f64> {
-    let section = extract_section(doc, name)?;
-    let tag = format!("\"{field}\":");
-    let pos = section.find(&tag)?;
-    let rest = &section[pos + tag.len()..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse::<f64>().ok()
-}
-
-/// Scans `section` of `doc` for an integer `field`.
-fn section_u64(doc: &str, name: &str, field: &str) -> Option<u64> {
-    let section = extract_section(doc, name)?;
-    let tag = format!("\"{field}\":");
-    let pos = section.find(&tag)?;
-    let rest = &section[pos + tag.len()..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse::<u64>().ok()
+/// Prints each outcome — failures to stderr, the rest to stdout — and
+/// returns whether no floor was missed.
+pub fn report(checked: &[Checked]) -> bool {
+    for outcome in checked {
+        if outcome.verdict == FloorVerdict::Missed {
+            eprintln!("{}", outcome.message);
+        } else {
+            println!("{}", outcome.message);
+        }
+    }
+    checked
+        .iter()
+        .all(|outcome| outcome.verdict != FloorVerdict::Missed)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use FloorVerdict::{Met, Missed, Ungated};
 
     fn tmp(name: &str) -> std::path::PathBuf {
         let mut p = std::env::temp_dir();
@@ -656,6 +816,27 @@ mod tests {
     }
 
     #[test]
+    fn the_write_is_a_rename_of_a_sibling_temp_file() {
+        let dir = tmp("atomic");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("scratch dir");
+        let path = dir.join(LEDGER_PATH);
+        update_section(&path, "sparse", r#"{"speedup":2}"#).expect("writes");
+        let left: Vec<_> = std::fs::read_dir(&dir)
+            .expect("listable")
+            .map(|entry| entry.expect("entry").file_name())
+            .collect();
+        assert_eq!(left, [LEDGER_PATH], "the temp file must be gone");
+
+        // Block the temp path: the write fails before the target is touched.
+        let before = std::fs::read_to_string(&path).expect("readable");
+        std::fs::create_dir(dir.join(format!("{LEDGER_PATH}.tmp"))).expect("blocker");
+        update_section(&path, "sparse", r#"{"speedup":3}"#).expect_err("cannot write");
+        assert_eq!(std::fs::read_to_string(&path).expect("readable"), before);
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    #[test]
     fn default_path_is_gitignored_committed_path_is_not() {
         let path = default_path();
         assert!(path.ends_with(Path::new("target").join(LEDGER_PATH)));
@@ -676,173 +857,7 @@ mod tests {
     }
 
     #[test]
-    fn warm_fork_speedup_is_scanned() {
-        let doc = concat!(
-            "{\n\"schema\": \"x\",\n",
-            "\"warm_fork\": {\"cold_seconds\":1.5,\"fork_seconds\":0.6,\"speedup\":2.5}\n}\n"
-        );
-        assert_eq!(warm_fork_speedup(doc), Some(2.5));
-        assert_eq!(warm_fork_speedup("{}\n"), None);
-    }
-
-    #[test]
-    fn sparse_speedup_is_scanned() {
-        let doc = concat!(
-            "{\n\"schema\": \"x\",\n",
-            "\"sparse\": {\"skip_fraction\":0.9,\"speedup\":3.25}\n}\n"
-        );
-        assert_eq!(sparse_speedup(doc), Some(3.25));
-        assert_eq!(sparse_speedup("{}\n"), None);
-    }
-
-    #[test]
-    fn parallel_section_is_scanned() {
-        let doc = concat!(
-            "{\n\"schema\": \"x\",\n",
-            "\"parallel\": {\"tick_jobs\":4,\"host_cores\":8,",
-            "\"serial_edges_per_sec\":1.0,\"parallel_edges_per_sec\":2.1,",
-            "\"speedup\":2.1}\n}\n"
-        );
-        assert_eq!(parallel_speedup(doc), Some(2.1));
-        assert_eq!(parallel_host_cores(doc), Some(8));
-        assert_eq!(parallel_tick_jobs(doc), Some(4));
-        assert_eq!(parallel_speedup("{}\n"), None);
-        assert_eq!(parallel_host_cores("{}\n"), None);
-    }
-
-    #[test]
-    fn fast_forward_section_is_scanned() {
-        let doc = concat!(
-            "{\n\"schema\": \"x\",\n",
-            "\"fast_forward\": {\"scale\":1,\"quantum\":64,",
-            "\"warm_cycle_seconds\":0.012,\"warm_fast_seconds\":0.003,",
-            "\"speedup\":4.0,\"max_err_permille\":1399,\"q1_identical\":true}\n}\n"
-        );
-        assert_eq!(fast_forward_speedup(doc), Some(4.0));
-        assert_eq!(fast_forward_quantum(doc), Some(64));
-        assert_eq!(fast_forward_q1_identical(doc), Some(true));
-        assert_eq!(fast_forward_speedup("{}\n"), None);
-        assert_eq!(fast_forward_q1_identical("{}\n"), None);
-    }
-
-    #[test]
-    fn server_section_is_scanned() {
-        let doc = concat!(
-            "{\n\"schema\": \"x\",\n",
-            "\"server\": {\"requests\":48,\"points\":48,\"connections\":4,",
-            "\"requests_per_sec\":120.5,\"p50_micros\":800,\"p99_micros\":9000,",
-            "\"hits\":44,\"misses\":4,\"hit_rate\":0.916667,",
-            "\"p50_hit_micros\":700,\"p50_miss_micros\":8400,",
-            "\"hit_speedup\":12.0,\"host_cores\":8}\n}\n"
-        );
-        assert_eq!(server_p50_hit_micros(doc), Some(700));
-        assert_eq!(server_hit_rate(doc), Some(0.916667));
-        assert_eq!(server_requests_per_sec(doc), Some(120.5));
-        assert_eq!(server_hit_speedup(doc), Some(12.0));
-        assert_eq!(server_host_cores(doc), Some(8));
-        assert_eq!(server_hit_rate("{}\n"), None);
-        assert_eq!(server_hit_speedup("{}\n"), None);
-    }
-
-    #[test]
-    fn server_v8_fields_are_scanned() {
-        let doc = concat!(
-            "{\n\"schema\": \"x\",\n",
-            "\"server\": {\"requests\":48,\"warm_ups\":2,\"distinct_keys\":2,",
-            "\"batched_requests_per_sec\":150.0,\"unbatched_requests_per_sec\":100.0,",
-            "\"batch_speedup\":1.5,\"cold_start_first_micros\":90000,",
-            "\"warm_restart_first_micros\":1200,",
-            "\"conn_scaling\":[{\"connections\":1,\"requests_per_sec\":100.0,\"speedup\":1.0},",
-            "{\"connections\":8,\"requests_per_sec\":260.0,\"speedup\":2.6}],",
-            "\"host_cores\":8}\n}\n"
-        );
-        assert_eq!(server_warm_ups(doc), Some(2));
-        assert_eq!(server_distinct_keys(doc), Some(2));
-        assert_eq!(server_batch_speedup(doc), Some(1.5));
-        assert_eq!(server_cold_start_first_micros(doc), Some(90000));
-        assert_eq!(server_warm_restart_first_micros(doc), Some(1200));
-        let curve = server_conn_scaling(doc);
-        assert_eq!(curve.len(), 2);
-        assert_eq!(curve[0].connections, 1);
-        assert_eq!(curve[1].connections, 8);
-        assert!((curve[1].speedup - 2.6).abs() < 1e-9);
-        assert!((curve[1].requests_per_sec - 260.0).abs() < 1e-9);
-        // Pre-v8 ledgers: everything degrades to None / empty.
-        assert_eq!(server_warm_ups("{}\n"), None);
-        assert_eq!(server_warm_restart_first_micros("{}\n"), None);
-        assert!(server_conn_scaling("{}\n").is_empty());
-    }
-
-    #[test]
-    fn dse_section_is_scanned() {
-        let doc = concat!(
-            "{\n\"schema\": \"x\",\n",
-            "\"dse\": {\"scale\":1,\"seed\":3499,\"jobs\":4,\"host_cores\":8,",
-            "\"candidates\":12,\"front_size\":4,\"families\":3,",
-            "\"sim_ticks\":185768,\"wall_seconds\":0.8,\"fanout_speedup\":2.4,",
-            "\"rungs\":[{\"budget_ps\":4000000,\"population\":12,",
-            "\"survivors\":6,\"sim_ticks\":27980}]}\n}\n"
-        );
-        assert_eq!(dse_front_size(doc), Some(4));
-        assert_eq!(dse_families(doc), Some(3));
-        assert_eq!(dse_fanout_speedup(doc), Some(2.4));
-        assert_eq!(dse_jobs(doc), Some(4));
-        assert_eq!(dse_host_cores(doc), Some(8));
-        assert_eq!(dse_front_size("{}\n"), None);
-        assert_eq!(dse_fanout_speedup("{}\n"), None);
-    }
-
-    #[test]
-    fn scaling_curves_are_scanned_from_both_sections() {
-        let doc = concat!(
-            "{\n\"schema\": \"x\",\n",
-            "\"experiments\": {\"scale\":1,\"runs\":[],",
-            "\"fig4_scaling\":[{\"jobs\":1,\"wall_seconds\":0.4,\"speedup\":1.0},",
-            "{\"jobs\":8,\"wall_seconds\":0.1,\"speedup\":4.0}]},\n",
-            "\"parallel\": {\"tick_jobs\":4,\"host_cores\":8,\"speedup\":2.1,",
-            "\"scaling\":[{\"jobs\":1,\"edges_per_sec\":1000.0,\"speedup\":1.0},",
-            "{\"jobs\":2,\"edges_per_sec\":1900.0,\"speedup\":1.9},",
-            "{\"jobs\":8,\"edges_per_sec\":3400.0,\"speedup\":3.4}]}\n}\n"
-        );
-        let curve = parallel_scaling(doc);
-        assert_eq!(curve.len(), 3);
-        assert_eq!(curve[0].jobs, 1);
-        assert!((curve[2].speedup - 3.4).abs() < 1e-9);
-        assert!((curve[1].edges_per_sec - 1900.0).abs() < 1e-9);
-        let fig4 = fig4_scaling(doc);
-        assert_eq!(fig4.len(), 2);
-        assert_eq!(fig4[1].jobs, 8);
-        assert!((fig4[1].speedup - 4.0).abs() < 1e-9);
-        // fig4 points carry no edges_per_sec; the scanner defaults it.
-        assert_eq!(fig4[0].edges_per_sec, 0.0);
-        assert!(parallel_scaling("{}\n").is_empty());
-        assert!(fig4_scaling("{}\n").is_empty());
-    }
-
-    #[test]
-    fn experiment_activity_scans_parallel_counters() {
-        let doc = concat!(
-            "{\n\"schema\": \"x\",\n",
-            "\"experiments\": {\"scale\":1,\"runs\":[",
-            "{\"id\":\"fig4\",\"wall_seconds\":0.1,\"edges\":4,\"ticks\":8,",
-            "\"par_edges\":3,\"par_computed\":200,\"par_reticked\":1,",
-            "\"par_fallback_audit\":2,\"par_fallback_small\":5,",
-            "\"edges_per_sec\":99,\"sim_cycles_per_sec\":1.0}",
-            "]}\n}\n"
-        );
-        let activity = experiment_activity(doc);
-        assert_eq!(activity.len(), 1);
-        assert_eq!(activity[0].par_edges, 3);
-        assert_eq!(activity[0].par_computed, 200);
-        assert_eq!(activity[0].par_reticked, 1);
-        assert_eq!(activity[0].par_fallback_audit, 2);
-        assert_eq!(activity[0].par_fallback_small, 5);
-        assert!((activity[0].retick_fraction() - 0.005).abs() < 1e-9);
-    }
-
-    #[test]
     fn core_gated_floor_arms_only_with_enough_recorded_cores() {
-        use FloorVerdict::*;
         // Clearing the floor never consults the core counts.
         assert_eq!(core_gated_floor(2.0, 1.5, None, None), Met);
         assert_eq!(core_gated_floor(1.5, 1.5, Some(1), Some(4)), Met);
@@ -856,46 +871,291 @@ mod tests {
         assert_eq!(core_gated_floor(1.0, 1.5, Some(8), None), Missed);
     }
 
+    /// A ledger in the writer's layout carrying the floor-relevant figures
+    /// of the ledger committed when the table replaced the hand-written
+    /// checks; frozen here so re-recording the real one cannot move the
+    /// parity expectations below.
+    const FIXTURE: &str = concat!(
+        "{\n\"schema\": \"mpsoc-bench/kernel-v8\",\n",
+        "\"experiments\": {\"scale\":1,\"host_cores\":1,\"runs\":[",
+        "{\"id\":\"fig3\",\"ticks\":20,\"skipped\":60,\"ff_elided\":7,\"edges_per_sec\":123456.5},",
+        "{\"id\":\"fig4\",\"ticks\":8,\"par_computed\":200,\"par_reticked\":1,",
+        "\"par_fallback_audit\":2,\"par_fallback_small\":5,\"edges_per_sec\":99}],",
+        "\"fig4_scaling\":[{\"jobs\":1,\"speedup\":1},{\"jobs\":8,\"speedup\":1.07}]},\n",
+        "\"warm_fork\": {\"speedup\":2.87},\n",
+        "\"sparse\": {\"speedup\":7.13},\n",
+        "\"parallel\": {\"tick_jobs\":4,\"host_cores\":1,\"speedup\":1.0,",
+        "\"scaling\":[{\"jobs\":1,\"speedup\":1},{\"jobs\":8,\"speedup\":0.99}]},\n",
+        "\"fast_forward\": {\"quantum\":64,\"speedup\":3.46,\"q1_identical\":true},\n",
+        "\"server\": {\"requests_per_sec\":1243.49,\"hit_rate\":0.958333,",
+        "\"p50_hit_micros\":1922,\"hit_speedup\":6.30,\"warm_ups\":2,\"distinct_keys\":2,",
+        "\"batch_speedup\":1.05,\"cold_start_first_micros\":7964,",
+        "\"conn_scaling\":[{\"connections\":1,\"speedup\":1.00},",
+        "{\"connections\":8,\"speedup\":0.99}],\"host_cores\":2,",
+        "\"warm_restart_first_micros\":1154},\n",
+        "\"dse\": {\"jobs\":1,\"host_cores\":1,\"front_size\":6,\"families\":3,",
+        "\"fanout_speedup\":1}\n}\n"
+    );
+
+    /// Every `host_cores` of `doc` set to 8: arms every core-gated floor.
+    fn with_eight_cores(doc: &str) -> String {
+        doc.replace("\"host_cores\":1", "\"host_cores\":8")
+            .replace("\"host_cores\":2", "\"host_cores\":8")
+    }
+
+    /// The rows of `doc` that are not `Met`, as `(label, verdict)`.
+    fn not_met(doc: &str) -> Vec<(&'static str, FloorVerdict)> {
+        let ledger = Ledger::parse(doc).expect("fixture parses");
+        let checked = check(&ledger, &SECTIONS);
+        assert_eq!(checked.len(), FLOORS.len());
+        checked
+            .into_iter()
+            .filter(|c| c.verdict != Met)
+            .map(|c| (c.label, c.verdict))
+            .collect()
+    }
+
+    /// The outcomes below were recorded from the parent commit's
+    /// hand-written checks (`repro --exp fig4 --scale 1 --no-bench-out
+    /// --check-bench <doc>`): "ok" is `Met`, "warning only" `Ungated`,
+    /// "check failed" `Missed`.
     #[test]
-    fn experiment_activity_scans_the_runs_array() {
-        let doc = concat!(
-            "{\n\"schema\": \"x\",\n",
-            "\"experiments\": {\"scale\":1,\"runs\":[",
-            "{\"id\":\"fig3\",\"wall_seconds\":0.5,\"edges\":10,",
-            "\"ticks\":20,\"skipped\":60,\"ff_windows\":5,\"ff_elided\":7,",
-            "\"edges_per_sec\":1.0,\"sim_cycles_per_sec\":2.0},",
-            "{\"id\":\"fig4\",\"wall_seconds\":0.1,\"edges\":4,",
-            "\"ticks\":8,\"edges_per_sec\":99,\"sim_cycles_per_sec\":1.0}",
-            "]}\n}\n"
+    fn verdicts_match_the_hand_written_checks_they_replaced() {
+        let dse_fanned_out =
+            |doc: &str| doc.replace("\"dse\": {\"jobs\":1", "\"dse\": {\"jobs\":2");
+        let recorded_on_one_core = [
+            ("parallel speedup", Ungated),
+            ("parallel scaling @8 jobs", Ungated),
+        ];
+        assert_eq!(not_met(FIXTURE), recorded_on_one_core);
+        // Armed, the 1.00x parallel figures are misses; fig4 1.07x, the
+        // restart ratio and conn scaling 0.99x clear their floors.
+        let armed = [
+            ("parallel speedup", Missed),
+            ("parallel scaling @8 jobs", Missed),
+        ];
+        assert_eq!(not_met(&with_eight_cores(FIXTURE)), armed);
+        // A fan-out of 2 arms the dse floor; fanout_speedup is 1.0.
+        let mut fanned = recorded_on_one_core.to_vec();
+        fanned.push(("dse fanout speedup", Ungated));
+        assert_eq!(not_met(&dse_fanned_out(FIXTURE)), fanned);
+        let mut fanned = armed.to_vec();
+        fanned.push(("dse fanout speedup", Missed));
+        assert_eq!(not_met(&dse_fanned_out(&with_eight_cores(FIXTURE))), fanned);
+        // Hard floors fail on any host.
+        let mut uncoalesced = recorded_on_one_core.to_vec();
+        uncoalesced.push(("server warm-ups", Missed));
+        assert_eq!(
+            not_met(&FIXTURE.replace("\"warm_ups\":2", "\"warm_ups\":3")),
+            uncoalesced
         );
-        let activity = experiment_activity(doc);
-        assert_eq!(activity.len(), 2);
-        assert_eq!(activity[0].id, "fig3");
-        assert_eq!(activity[0].ticks, 20);
-        assert_eq!(activity[0].skipped, 60);
-        assert_eq!(activity[0].ff_elided, 7);
-        assert!((activity[0].skip_fraction() - 0.75).abs() < 1e-9);
-        // Pre-v4 run without ff fields: elided reads as zero.
-        assert_eq!(activity[1].ff_elided, 0);
-        assert!(experiment_activity("{}\n").is_empty());
+        let mut diverged = recorded_on_one_core.to_vec();
+        diverged.push(("fast-forward q=1 identical", Missed));
+        assert_eq!(
+            not_met(&FIXTURE.replace("\"q1_identical\":true", "\"q1_identical\":false")),
+            diverged
+        );
+    }
+
+    /// A one-section ledger holding exactly what `floor` reads: its value
+    /// (`None` leaves the field out), the fields its comparator, arming
+    /// condition and core gate refer to, and `host_cores`.
+    fn ledger_for(floor: &Floor, value: Option<f64>, host_cores: Option<u64>) -> Ledger {
+        let mut fields = Vec::new();
+        if let Some(v) = value {
+            fields.push(match (floor.value, floor.comparator) {
+                (ValuePath::Field(name), Comparator::IsTrue) => format!("\"{name}\":{}", v == 1.0),
+                (ValuePath::Field(name), _) => format!("\"{name}\":{v}"),
+                (ValuePath::Point(curve, key, at), _) => {
+                    format!("\"{curve}\":[{{\"{key}\":1,\"speedup\":1}},{{\"{key}\":{at},\"speedup\":{v}}}]")
+                }
+                (ValuePath::Ratio(a, b), _) => format!("\"{a}\":{},\"{b}\":1000", v * 1000.0),
+            });
+        }
+        if let Comparator::AtMostField(limit) = floor.comparator {
+            fields.push(format!("\"{limit}\":5"));
+        }
+        if let Some((field, at_least)) = floor.armed_when {
+            fields.push(format!("\"{field}\":{at_least}"));
+        }
+        if let Cores::Field(field) = floor.cores {
+            fields.push(format!("\"{field}\":4"));
+        }
+        if let Some(cores) = host_cores {
+            fields.push(format!("\"host_cores\":{cores}"));
+        }
+        let doc = format!(
+            "{{\"schema\":{SCHEMA:?},\"{}\":{{{}}}}}",
+            floor.section,
+            fields.join(",")
+        );
+        Ledger::parse(&doc).unwrap_or_else(|e| panic!("{doc}: {e}"))
+    }
+
+    /// A value that satisfies `comparator` and, where one exists, one that
+    /// does not (`AtMostField` limits are 5 in [`ledger_for`]).
+    fn passing_and_failing(comparator: Comparator) -> (f64, Option<f64>) {
+        match comparator {
+            Comparator::AtLeast(floor) => (floor, Some(floor - 0.01)),
+            Comparator::AtMost(ceiling) => (ceiling, Some(ceiling + 0.01)),
+            Comparator::Positive => (0.01, Some(0.0)),
+            Comparator::IsTrue => (1.0, Some(0.0)),
+            Comparator::AtMostField(_) => (5.0, Some(6.0)),
+            Comparator::Recorded => (0.0, None),
+        }
     }
 
     #[test]
-    fn experiment_rates_scan_the_runs_array() {
-        let doc = concat!(
-            "{\n\"schema\": \"x\",\n",
-            "\"experiments\": {\"scale\":1,\"runs\":[",
-            "{\"id\":\"fig3\",\"wall_seconds\":0.5,\"edges\":10,",
-            "\"ticks\":20,\"edges_per_sec\":123456.5,\"sim_cycles_per_sec\":2.0},",
-            "{\"id\":\"fig4\",\"wall_seconds\":0.1,\"edges\":4,",
-            "\"ticks\":8,\"edges_per_sec\":99,\"sim_cycles_per_sec\":1.0}",
-            "]}\n}\n"
+    fn every_row_yields_every_outcome_it_can() {
+        for floor in FLOORS {
+            let verdict = |value, host_cores| {
+                let checked = floor.check(&ledger_for(floor, value, host_cores));
+                assert_eq!(checked.label, floor.label);
+                let printed_as_ok = checked
+                    .message
+                    .starts_with(&format!("[check {} ", floor.label));
+                assert_eq!(
+                    printed_as_ok,
+                    checked.verdict != Missed,
+                    "{}",
+                    checked.message
+                );
+                checked.verdict
+            };
+            let label = floor.label;
+            let (passing, failing) = passing_and_failing(floor.comparator);
+            assert_eq!(verdict(Some(passing), Some(1)), Met, "{label}: met");
+            assert_eq!(
+                verdict(Some(passing), None),
+                Met,
+                "{label}: met, cores unrecorded"
+            );
+            assert_eq!(verdict(None, Some(64)), Missed, "{label}: field absent");
+            let Some(failing) = failing else { continue };
+            assert_eq!(
+                verdict(Some(failing), Some(64)),
+                Missed,
+                "{label}: enough cores"
+            );
+            // Old ledgers without the provenance still fail.
+            assert_eq!(
+                verdict(Some(failing), None),
+                Missed,
+                "{label}: cores unrecorded"
+            );
+            let too_few = match floor.cores {
+                Cores::Always => Missed,
+                Cores::Fixed(_) | Cores::Field(_) => Ungated,
+            };
+            assert_eq!(
+                verdict(Some(failing), Some(1)),
+                too_few,
+                "{label}: too few cores"
+            );
+        }
+    }
+
+    #[test]
+    fn an_unarmed_row_passes_a_miss_but_still_needs_its_value() {
+        let floor = FLOORS
+            .iter()
+            .find(|floor| floor.armed_when.is_some())
+            .expect("the dse fan-out floor");
+        let serial = |fields: &str| {
+            let doc = format!("{{\"schema\":{SCHEMA:?},\"dse\":{{{fields}}}}}");
+            floor.check(&Ledger::parse(&doc).expect("parses")).verdict
+        };
+        assert_eq!(
+            serial("\"jobs\":1,\"host_cores\":8,\"fanout_speedup\":1"),
+            Met
         );
-        let rates = experiment_rates(doc);
-        assert_eq!(rates.len(), 2);
-        assert_eq!(rates[0].0, "fig3");
-        assert!((rates[0].1 - 123456.5).abs() < 1e-9);
-        assert_eq!(rates[1], ("fig4".to_string(), 99.0));
-        assert!(experiment_rates("{}\n").is_empty());
+        assert_eq!(serial("\"jobs\":1,\"host_cores\":8"), Missed);
+        assert_eq!(serial("\"host_cores\":8,\"fanout_speedup\":1"), Missed);
+    }
+
+    #[test]
+    fn a_broken_ledger_fails_closed() {
+        // Truncated mid-write, or hand-mangled: refused whole, with the
+        // offset, where the scanners used to read numbers out of the rest.
+        let torn = &FIXTURE[..FIXTURE.find("\"server\"").expect("section") + 40];
+        let err = Ledger::parse(torn).expect_err("torn");
+        assert!(
+            err.contains("not valid JSON") && err.contains("at byte"),
+            "{err}"
+        );
+        // A recorder that formatted a NaN itself produced no JSON at all.
+        let nan = FIXTURE.replace("\"speedup\":7.13", "\"speedup\":NaN");
+        let err = Ledger::parse(&nan).expect_err("NaN is not JSON");
+        assert!(err.contains("at byte"), "{err}");
+
+        // Another schema: one failure, naming the recorders.
+        for stale in [
+            FIXTURE.replace("kernel-v8", "kernel-v7"),
+            FIXTURE.replace("\"schema\": \"mpsoc-bench/kernel-v8\",\n", ""),
+        ] {
+            let err = Ledger::parse(&stale).expect_err("stale schema");
+            for needle in ["regenerate", "repro ", "kernel_hotpath", "loadgen"] {
+                assert!(err.contains(needle), "{err}");
+            }
+        }
+
+        // A section or a field gone: the rows that read it fail, naming
+        // themselves and the command that re-records the section.
+        let missed = |doc: &str| -> Vec<String> {
+            check(&Ledger::parse(doc).expect("parses"), &SECTIONS)
+                .into_iter()
+                .filter(|c| c.verdict == Missed)
+                .map(|c| c.message)
+                .collect()
+        };
+        let no_sparse = missed(&FIXTURE.replace("\"sparse\": {\"speedup\":7.13},\n", ""));
+        assert_eq!(no_sparse.len(), 1, "{no_sparse:?}");
+        assert!(no_sparse[0].starts_with("sparse speedup check failed: the ledger has no"));
+        assert!(no_sparse[0].contains("kernel_hotpath -- --committed"));
+        let no_restart = missed(&FIXTURE.replace(",\"warm_restart_first_micros\":1154", ""));
+        assert_eq!(no_restart.len(), 1, "{no_restart:?}");
+        assert!(no_restart[0]
+            .contains("server.warm_restart_first_micros / p50_hit_micros is not recorded"));
+        assert!(no_restart[0].contains("loadgen --restart-leg"));
+        let no_point = missed(&FIXTURE.replace(",{\"connections\":8,\"speedup\":0.99}", ""));
+        assert_eq!(no_point.len(), 1, "{no_point:?}");
+        assert!(no_point[0].contains("conn_scaling[connections=8].speedup is not recorded"));
+        // The serde shim writes a non-finite float as null: not a number.
+        let null = missed(&FIXTURE.replace("\"speedup\":2.87", "\"speedup\":null"));
+        assert_eq!(null.len(), 1, "{null:?}");
+        assert!(null[0].starts_with("warm-fork speedup check failed"));
+    }
+
+    #[test]
+    fn experiment_activity_walks_the_runs_array() {
+        let activity = Ledger::parse(FIXTURE)
+            .expect("parses")
+            .experiment_activity();
+        assert_eq!(activity.len(), 2);
+        assert_eq!(activity[0].id, "fig3");
+        assert_eq!(activity[0].edges_per_sec, 123456.5);
+        assert_eq!(activity[0].ff_elided, 7);
+        assert!((activity[0].skip_fraction() - 0.75).abs() < 1e-9);
+        // Counters a run does not carry read as zero.
+        assert_eq!(activity[1].ff_elided, 0);
+        assert_eq!(activity[1].edges_per_sec, 99.0);
+        assert_eq!(activity[1].par_fallbacks, 7);
+        assert!((activity[1].retick_fraction() - 0.005).abs() < 1e-9);
+        let empty = format!("{{\"schema\":{SCHEMA:?}}}");
+        assert!(Ledger::parse(&empty)
+            .expect("parses")
+            .experiment_activity()
+            .is_empty());
+    }
+
+    /// Ledger/floor drift fails `cargo test`, not only `./ci.sh bench`.
+    #[test]
+    fn the_committed_ledger_misses_no_floor() {
+        let path = committed_path();
+        let ledger = Ledger::read(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        assert!(!ledger.experiment_activity().is_empty());
+        for checked in check(&ledger, &SECTIONS) {
+            assert_ne!(checked.verdict, Missed, "{}", checked.message);
+        }
     }
 }

@@ -19,8 +19,9 @@
 //!
 //! ## Pieces
 //!
-//! * [`json`] — a minimal JSON reader (the workspace's vendored `serde`
-//!   shim is serialize-only, so requests are parsed by hand);
+//! * [`json`] — the workspace's one JSON reader, re-exported from
+//!   `mpsoc-bench` (where the perf-ledger reader also uses it); it caps
+//!   nesting depth, so no request line can overflow a handler's stack;
 //! * [`protocol`] — the request/response line format;
 //! * [`cache`] — the fingerprint-checked, deterministically-LRU warm
 //!   cache with concurrent-miss collapsing;
@@ -46,12 +47,12 @@
 
 pub mod cache;
 pub mod coalesce;
-pub mod json;
 pub mod loadgen;
 pub mod persist;
 pub mod protocol;
 pub mod server;
 
 pub use cache::{CacheStats, Lookup, WarmCache};
+pub use mpsoc_bench::json;
 pub use persist::{DiskCache, DiskStats};
 pub use server::{host_cores, Server, ServerConfig};

@@ -20,7 +20,7 @@
 //!
 //! Every request may carry a numeric `id`, echoed in the response.
 
-use crate::json::{self, push_json_string, Json};
+use crate::json::{self, write_json_string, Json};
 use mpsoc_platform::service::{parse_protocol, parse_topology, parse_workload, SweepRequest};
 
 /// A decoded request line.
@@ -232,7 +232,7 @@ pub fn simulate_response(
 /// Serializes an error response line (without the newline).
 pub fn error_response(id: u64, message: &str) -> String {
     let mut out = format!("{{\"id\":{id},\"status\":\"error\",\"error\":");
-    push_json_string(&mut out, message);
+    write_json_string(message, &mut out);
     out.push('}');
     out
 }

@@ -365,6 +365,30 @@ fn an_oversized_line_gets_one_error_and_a_closed_connection() {
     handle.join().expect("server exits cleanly");
 }
 
+/// The parser recurses once per `[`; before it capped its depth, this one
+/// line overflowed the handler's stack and aborted the whole process.
+#[test]
+fn a_deeply_nested_line_gets_an_error_and_the_server_keeps_serving() {
+    let (addr, handle) = start_server(4);
+    let mut stream = raw_connection(&addr);
+    let mut line = vec![b'['; 60_000];
+    line.push(b'\n');
+    stream.write_all(&line).expect("sends");
+    stream.write_all(b"{\"cmd\":\"ping\"}\n").expect("sends");
+    let mut lines = BufReader::new(stream).lines();
+    let refused = lines.next().expect("a response").expect("readable");
+    assert!(refused.contains("\"status\":\"error\""), "{refused}");
+    assert!(refused.contains("nesting too deep"), "{refused}");
+    // The same connection is still served, and so is a new one.
+    let pong = lines.next().expect("a response").expect("readable");
+    assert!(pong.contains("\"pong\":true"), "{pong}");
+    let mut client = Client::connect(&addr).expect("connects");
+    let pong = client.roundtrip("{\"cmd\":\"ping\"}").expect("responds");
+    assert!(pong.contains("\"pong\":true"), "{pong}");
+    shutdown(&addr);
+    handle.join().expect("server exits cleanly");
+}
+
 /// Regression test for the PR 7 join deadlock, now that every idle
 /// connection is a reader blocked in `read`: shutdown has to reach them all.
 #[test]
