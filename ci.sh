@@ -149,15 +149,26 @@ gate_snapshot() {
 }
 
 gate_sparse() {
-    echo "== sparse equivalence: fig3 sparse vs --dense, identical tables =="
+    echo "== sparse equivalence: fig3 and many-to-one, sparse vs --dense, identical tables =="
     # The dense schedule is the reference semantics; sparse ticking is only
-    # an optimization and must never change a table.
+    # an optimization and must never change a table. fig3 is the experiment
+    # with the most sleeping slots; many-to-one the one with the fewest,
+    # whose charged ticks are mostly elided under back-pressure instead.
     fig3_reference
     cargo run --release -p mpsoc-bench --bin repro -- \
         --exp fig3 --scale 1 --dense --no-bench-out > "$run_dir/dense.txt"
     if ! diff <(filter_timing "$run_dir/fig3_ref.txt") \
               <(filter_timing "$run_dir/dense.txt"); then
         echo "sparse gate FAILED: sparse and dense schedules produced different tables" >&2
+        exit 1
+    fi
+    cargo run --release -p mpsoc-bench --bin repro -- \
+        --exp many-to-one --scale 1 --no-bench-out > "$run_dir/m2o_sparse.txt"
+    cargo run --release -p mpsoc-bench --bin repro -- \
+        --exp many-to-one --scale 1 --dense --no-bench-out > "$run_dir/m2o_dense.txt"
+    if ! diff <(filter_timing "$run_dir/m2o_sparse.txt") \
+              <(filter_timing "$run_dir/m2o_dense.txt"); then
+        echo "sparse gate FAILED: sparse and dense many-to-one tables differ" >&2
         exit 1
     fi
     echo "sparse equivalence gate passed"

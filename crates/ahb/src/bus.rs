@@ -1,7 +1,7 @@
 //! The AHB shared-bus component.
 
 use mpsoc_kernel::stats::CounterId;
-use mpsoc_kernel::{ClockDomain, Component, LinkId, TickContext, Time, TraceKind};
+use mpsoc_kernel::{ClockDomain, Component, Gate, LinkId, StallHint, TickContext, Time, TraceKind};
 use mpsoc_protocol::{
     AddressMap, AddressMapError, AddressRange, ArbitrationPolicy, Contender, DataWidth, Packet,
     TransactionId,
@@ -392,6 +392,44 @@ impl Component<Packet> for AhbBus {
         // as the dense schedule does. An un-held bus is purely reactive
         // (grants need a deliverable request, which wakes it).
         self.active.is_some().then_some(self.busy_until)
+    }
+
+    fn stall_hint(&self, hint: &mut StallHint) {
+        // In `watched_links` order: initiator request wires, then target
+        // response wires. The deadline is never gated: a bus held past its
+        // data phase counts an idle wait on every edge.
+        let ports = self.initiators.len();
+        match &self.active {
+            Some(active) => {
+                // Bus held: no arbitration, and the only response looked at
+                // is the active target's, once the data phase is over and —
+                // if it is forwarded — the master's wire has room.
+                hint.gate_inputs(Gate::CLOSED);
+                let mut completion = Gate::until(self.busy_until);
+                if active.forward_response {
+                    completion =
+                        completion.with_space(self.initiators[active.initiator_port].resp_out);
+                }
+                hint.gate_input(ports + active.target_port, completion);
+            }
+            None => {
+                // Free bus: the next grant comes no earlier than the early
+                // grant point of the draining transaction, and with a single
+                // target it needs room on that target's request wire.
+                let early = self
+                    .busy_until
+                    .saturating_sub(self.clock.period() * EARLY_GRANT_CYCLES);
+                let mut request = Gate::until(early);
+                if let [only] = self.targets.as_slice() {
+                    request = request.with_space(only.req_out);
+                }
+                hint.gate_inputs(request);
+                // No response is expected; one that shows up is looked at.
+                for t in 0..self.targets.len() {
+                    hint.gate_input(ports + t, Gate::OPEN);
+                }
+            }
+        }
     }
 
     fn fast_forward_safe(&self) -> bool {

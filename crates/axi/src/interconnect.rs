@@ -1,7 +1,7 @@
 //! The AXI interconnect component.
 
 use mpsoc_kernel::stats::CounterId;
-use mpsoc_kernel::{ClockDomain, Component, LinkId, TickContext, Time, TraceKind};
+use mpsoc_kernel::{ClockDomain, Component, Gate, LinkId, StallHint, TickContext, Time, TraceKind};
 use mpsoc_protocol::{
     AddressMap, AddressMapError, AddressRange, ArbitrationPolicy, Contender, DataWidth, Opcode,
     Packet, TransactionId,
@@ -102,6 +102,36 @@ pub struct AxiInterconnect {
     /// multiplex several sources.
     expected_by_source: HashMap<mpsoc_protocol::InitiatorId, VecDeque<TransactionId>>,
     counters: Counters,
+    /// Scratch for [`arbitrate_requests`](Self::arbitrate_requests): the
+    /// contenders of the channel being arbitrated. Cleared per use, never
+    /// state.
+    contenders: Vec<Contender>,
+    /// What the last tick left at the head of each initiator's request
+    /// wire, for [`Component::stall_hint`]. A deliverable head stays the
+    /// head until this interconnect pops it (anything pushed later is
+    /// delivered later), so a note holds until the next tick rewrites it.
+    /// Derived, never serialized: a restore forgets the notes, which only
+    /// leaves gates open.
+    req_heads: Vec<Option<RequestNote>>,
+    /// The same for each target's response wire.
+    resp_heads: Vec<Option<ResponseNote>>,
+}
+
+/// The part of a queued request that decides what it waits for.
+#[derive(Debug, Clone, Copy)]
+struct RequestNote {
+    opcode: Opcode,
+    target: usize,
+    /// Response-expecting: needs one of the port's outstanding slots.
+    needs_slot: bool,
+}
+
+/// The part of a queued response that decides what it waits for.
+#[derive(Debug, Clone, Copy)]
+struct ResponseNote {
+    opcode: Opcode,
+    /// The initiator port it returns to.
+    port: usize,
 }
 
 impl AxiInterconnect {
@@ -125,6 +155,9 @@ impl AxiInterconnect {
             in_flight: HashMap::new(),
             expected_by_source: HashMap::new(),
             counters: Counters::default(),
+            contenders: Vec::new(),
+            req_heads: Vec::new(),
+            resp_heads: Vec::new(),
         }
     }
 
@@ -268,10 +301,17 @@ impl AxiInterconnect {
         }
     }
 
-    fn contenders(&self, ctx: &mut TickContext<'_, Packet>, want: Opcode) -> Vec<Contender> {
+    /// Collects the grantable contenders of one address channel into `found`
+    /// (emptied first).
+    fn contenders(
+        &self,
+        ctx: &mut TickContext<'_, Packet>,
+        want: Opcode,
+        found: &mut Vec<Contender>,
+    ) {
         let now = ctx.time;
         let max_outstanding = self.config.max_outstanding.max(1);
-        let mut found = Vec::new();
+        found.clear();
         for (p, port) in self.initiators.iter().enumerate() {
             let Some(Packet::Request(txn)) = ctx.links.peek(port.req_in, now) else {
                 continue;
@@ -296,7 +336,6 @@ impl AxiInterconnect {
                 created_at,
             });
         }
-        found
     }
 
     fn grant(&mut self, ctx: &mut TickContext<'_, Packet>, winner: Contender) {
@@ -369,9 +408,10 @@ impl AxiInterconnect {
 
     fn arbitrate_requests(&mut self, ctx: &mut TickContext<'_, Packet>) {
         let now = ctx.time;
+        let mut contenders = std::mem::take(&mut self.contenders);
         // AR channel.
         if self.ar_busy <= now {
-            let contenders = self.contenders(ctx, Opcode::Read);
+            self.contenders(ctx, Opcode::Read, &mut contenders);
             if let Some(w) = self.config.arbitration.pick(
                 &contenders,
                 self.last_ar_winner,
@@ -382,7 +422,7 @@ impl AxiInterconnect {
         }
         // AW/W channels.
         if self.aw_busy <= now && self.w_busy <= now {
-            let contenders = self.contenders(ctx, Opcode::Write);
+            self.contenders(ctx, Opcode::Write, &mut contenders);
             if let Some(w) = self.config.arbitration.pick(
                 &contenders,
                 self.last_aw_winner,
@@ -390,6 +430,38 @@ impl AxiInterconnect {
             ) {
                 self.grant(ctx, w);
             }
+        }
+        self.contenders = contenders;
+    }
+
+    /// Records what this tick leaves queued at the head of every watched
+    /// wire (see [`req_heads`](Self::req_heads)).
+    fn note_heads(&mut self, ctx: &mut TickContext<'_, Packet>) {
+        let now = ctx.time;
+        self.req_heads.clear();
+        for port in &self.initiators {
+            let note = match ctx.links.peek(port.req_in, now) {
+                Some(Packet::Request(txn)) => self.map.route(txn.addr).map(|target| RequestNote {
+                    opcode: txn.opcode,
+                    target,
+                    needs_slot: !txn.completes_on_acceptance(),
+                }),
+                _ => None,
+            };
+            self.req_heads.push(note);
+        }
+        self.resp_heads.clear();
+        for target in &self.targets {
+            let note = match ctx.links.peek(target.resp_in, now) {
+                Some(Packet::Response(resp)) => {
+                    self.in_flight.get(&resp.txn.id).map(|&port| ResponseNote {
+                        opcode: resp.txn.opcode,
+                        port,
+                    })
+                }
+                _ => None,
+            };
+            self.resp_heads.push(note);
         }
     }
 }
@@ -463,6 +535,8 @@ impl mpsoc_kernel::Snapshot for AxiInterconnect {
                 .collect();
             self.expected_by_source.insert(src, queue);
         }
+        self.req_heads.clear();
+        self.resp_heads.clear();
     }
 }
 
@@ -486,6 +560,7 @@ impl Component<Packet> for AxiInterconnect {
     fn tick(&mut self, ctx: &mut TickContext<'_, Packet>) {
         self.deliver_responses(ctx);
         self.arbitrate_requests(ctx);
+        self.note_heads(ctx);
     }
 
     fn is_idle(&self) -> bool {
@@ -507,9 +582,54 @@ impl Component<Packet> for AxiInterconnect {
     }
     // Purely reactive: every grant and delivery requires a deliverable
     // packet on a watched link. Channel-busy windows need no timer — a
-    // packet waiting out a busy channel stays queued, which keeps the wake
-    // due, so the interconnect keeps ticking exactly as the dense schedule
-    // would. `next_activity` stays `None`.
+    // packet waiting out a busy channel stays queued, which keeps the tick
+    // charged, and the stall hint below names the busy-until instants so it
+    // is not dispatched before a channel frees. `next_activity` stays
+    // `None`.
+
+    fn stall_hint(&self, hint: &mut StallHint) {
+        // In `watched_links` order: initiator request wires, then target
+        // response wires.
+        let write_free = self.aw_busy.max(self.w_busy);
+        let max_outstanding = self.config.max_outstanding.max(1);
+        for (p, port) in self.initiators.iter().enumerate() {
+            let gate = match self.req_heads.get(p).copied().flatten() {
+                // The head this interconnect left queued: granted no earlier
+                // than its address channel frees and its target's wire has
+                // room, and not at all while the port is at its outstanding
+                // cap (a slot frees on a response delivery, which re-reads
+                // this hint).
+                Some(head) if head.needs_slot && port.outstanding >= max_outstanding => {
+                    Gate::CLOSED
+                }
+                Some(head) => Gate::until(match head.opcode {
+                    Opcode::Read => self.ar_busy,
+                    Opcode::Write => write_free,
+                })
+                .with_space(self.targets[head.target].req_out),
+                // A head not seen yet: held until the earlier of AR and
+                // AW/W frees.
+                None => Gate::until(self.ar_busy.min(write_free)),
+            };
+            hint.gate_input(p, gate);
+        }
+        let ports = self.initiators.len();
+        for t in 0..self.targets.len() {
+            let gate = match self.resp_heads.get(t).copied().flatten() {
+                // The head left queued: delivered no earlier than its
+                // channel frees and its master's wire has room.
+                Some(head) => Gate::until(match head.opcode {
+                    Opcode::Read => self.r_busy,
+                    Opcode::Write => self.b_busy,
+                })
+                .with_space(self.initiators[head.port].resp_out),
+                // A head not seen yet: held until the earlier of R and B
+                // frees.
+                None => Gate::until(self.r_busy.min(self.b_busy)),
+            };
+            hint.gate_input(ports + t, gate);
+        }
+    }
 
     fn fast_forward_safe(&self) -> bool {
         true

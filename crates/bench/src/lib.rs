@@ -371,12 +371,17 @@ pub struct ExperimentRun {
     pub wall_seconds: f64,
     /// Clock edges the kernel scheduler processed during the run.
     pub edges: u64,
-    /// Component ticks (simulated component-cycles) executed.
+    /// Component ticks (simulated component-cycles) charged: dispatched
+    /// plus `elided`.
     pub ticks: u64,
     /// Component ticks the sparse scheduler proved skippable (quiescent
     /// slots with no due deadline and no pending input). Zero when running
     /// dense.
     pub skipped: u64,
+    /// The part of `ticks` retired without running the component: charged
+    /// ticks a stall hint proved no-ops (an output wire still full, a
+    /// target mid-service). Zero when running dense.
+    pub elided: u64,
     /// Fast-forward windows handed to components (zero outside the
     /// loosely-timed gear).
     pub ff_windows: u64,
@@ -416,6 +421,16 @@ impl ExperimentRun {
         }
     }
 
+    /// Fraction of the charged ticks that were elided rather than
+    /// dispatched, in `0.0..=1.0`.
+    pub fn elided_fraction(&self) -> f64 {
+        if self.ticks == 0 {
+            0.0
+        } else {
+            self.elided as f64 / self.ticks as f64
+        }
+    }
+
     /// Fraction of parallel-computed ticks that had to be re-run
     /// serially (0 when the run never took the parallel path).
     pub fn retick_fraction(&self) -> f64 {
@@ -438,12 +453,14 @@ impl ExperimentRun {
             String::new()
         };
         format!(
-            "[{} done in {:.2}s — {} edges/s, {} sim cycles/s, {:.0}% ticks skipped{parallel}]",
+            "[{} done in {:.2}s — {} edges/s, {} sim cycles/s, {:.0}% ticks skipped, \
+             {:.0}% of the rest elided{parallel}]",
             self.id,
             self.wall_seconds,
             si(self.edges_per_sec),
             si(self.sim_cycles_per_sec),
             self.skip_fraction() * 100.0,
+            self.elided_fraction() * 100.0,
         )
     }
 }
@@ -484,6 +501,7 @@ pub fn measure_experiment(
         edges: delta.edges,
         ticks: delta.ticks,
         skipped: delta.skipped,
+        elided: delta.elided,
         ff_windows: delta.ff_windows,
         ff_elided: delta.ff_elided,
         par_edges: delta.par_edges,

@@ -1,7 +1,8 @@
 //! The hybrid bridge: target side, initiator side, async FIFOs.
 
 use mpsoc_kernel::{
-    ClockDomain, Component, FaultKind, LinkId, LinkPool, TickContext, Time, TraceKind,
+    ClockDomain, Component, FaultKind, Gate, LinkId, LinkPool, StallHint, TickContext, Time,
+    TraceKind,
 };
 use mpsoc_protocol::{DataWidth, Packet, Response, Transaction, TransactionId};
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -539,6 +540,33 @@ impl Component<Packet> for BridgeTargetSide {
         self.retries.iter().map(|entry| entry.deadline).min()
     }
 
+    fn stall_hint(&self, hint: &mut StallHint) {
+        if !self.retries.is_empty() || !self.dead_letters.is_empty() {
+            // Fault recovery in progress: keep polling as before.
+            return;
+        }
+        // Watched link 0, `req_in`: a request only ever moves on into the
+        // request FIFO, and under the blocking policy nothing is accepted
+        // while a response is owed (the return of that response re-reads
+        // this hint).
+        let blocked =
+            matches!(self.config.read_policy, ReadPolicy::Blocking) && !self.in_flight.is_empty();
+        hint.gate_input(
+            0,
+            if blocked {
+                Gate::CLOSED
+            } else {
+                Gate::space(self.req_fifo)
+            },
+        );
+        // Watched link 1, `resp_fifo`: a response moves on to the source
+        // bus, unless it is an ack the bridge swallows — which head that is
+        // cannot be told from here, so any pending ack leaves the gate open.
+        if self.consume_ack.is_empty() {
+            hint.gate_input(1, Gate::space(self.resp_out));
+        }
+    }
+
     fn fast_forward_safe(&self) -> bool {
         true
     }
@@ -610,9 +638,17 @@ impl Component<Packet> for BridgeInitiatorSide {
     fn watched_links(&self) -> Option<Vec<LinkId>> {
         Some(vec![self.req_fifo, self.resp_in])
     }
-    // Purely reactive FIFO shuttling: a payload blocked by a full
-    // destination stays queued on the watched link, which keeps the wake
-    // due until it crosses. `next_activity` stays `None`.
+    // Purely reactive FIFO shuttling, so `next_activity` stays `None`: a
+    // payload blocked by a full destination stays queued on the watched
+    // link, which keeps the tick charged, and the stall hint below keeps it
+    // from being dispatched until the destination has room.
+
+    fn stall_hint(&self, hint: &mut StallHint) {
+        // In `watched_links` order: each direction's head is only worth a
+        // tick if its own destination can take it.
+        hint.gate_input(0, Gate::space(self.req_out));
+        hint.gate_input(1, Gate::space(self.resp_fifo));
+    }
 
     fn fast_forward_safe(&self) -> bool {
         true

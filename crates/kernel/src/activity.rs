@@ -2,8 +2,9 @@
 //!
 //! Every [`Simulation::step`](crate::Simulation::step) (and its
 //! [`reference`](crate::reference) counterpart) records the edge, the number
-//! of component ticks it executed and the number it skipped (sparse ticking)
-//! into relaxed atomics. Harness code (the `repro` binary, microbenches)
+//! of component ticks it charged (and how many of those it elided, see
+//! [`Component::stall_hint`](crate::Component::stall_hint)) and the number
+//! it skipped (sparse ticking) into relaxed atomics. Harness code (the `repro` binary, microbenches)
 //! snapshots them around a workload to report host-side throughput —
 //! `edges/sec` and simulated ticks/sec — and the ticked/skipped split,
 //! without threading handles through every experiment's plumbing.
@@ -40,6 +41,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 static EDGES: AtomicU64 = AtomicU64::new(0);
 static TICKS: AtomicU64 = AtomicU64::new(0);
 static SKIPPED: AtomicU64 = AtomicU64::new(0);
+static ELIDED: AtomicU64 = AtomicU64::new(0);
 static PAR_EDGES: AtomicU64 = AtomicU64::new(0);
 static PAR_COMPUTED: AtomicU64 = AtomicU64::new(0);
 static PAR_RETICKED: AtomicU64 = AtomicU64::new(0);
@@ -69,6 +71,9 @@ pub struct ActivitySnapshot {
     /// Total component ticks *skipped* by the sparse active-set schedule
     /// (components asleep on an edge their clock domain fired).
     pub skipped: u64,
+    /// The part of `ticks` retired without running the component: charged
+    /// ticks that a stall hint proved no-ops (back-pressure, mid-service).
+    pub elided: u64,
     /// Edges that ran the parallel compute/commit split.
     pub par_edges: u64,
     /// Component ticks computed on the parallel path (worker or main-thread
@@ -98,6 +103,7 @@ impl ActivitySnapshot {
             edges: self.edges.wrapping_sub(earlier.edges),
             ticks: self.ticks.wrapping_sub(earlier.ticks),
             skipped: self.skipped.wrapping_sub(earlier.skipped),
+            elided: self.elided.wrapping_sub(earlier.elided),
             par_edges: self.par_edges.wrapping_sub(earlier.par_edges),
             par_computed: self.par_computed.wrapping_sub(earlier.par_computed),
             par_reticked: self.par_reticked.wrapping_sub(earlier.par_reticked),
@@ -119,6 +125,7 @@ pub fn snapshot() -> ActivitySnapshot {
         edges: EDGES.load(Ordering::Relaxed),
         ticks: TICKS.load(Ordering::Relaxed),
         skipped: SKIPPED.load(Ordering::Relaxed),
+        elided: ELIDED.load(Ordering::Relaxed),
         par_edges: PAR_EDGES.load(Ordering::Relaxed),
         par_computed: PAR_COMPUTED.load(Ordering::Relaxed),
         par_reticked: PAR_RETICKED.load(Ordering::Relaxed),
@@ -149,13 +156,15 @@ pub(crate) struct Pending {
 }
 
 impl Pending {
-    /// Counts one processed edge that executed `ticks` component ticks and
-    /// skipped `skipped` sleeping ones.
+    /// Counts one processed edge that charged `ticks` component ticks — of
+    /// which `elided` were retired without dispatch — and skipped `skipped`
+    /// sleeping ones.
     #[inline]
-    pub(crate) fn record_edge(&mut self, ticks: u64, skipped: u64) {
+    pub(crate) fn record_edge(&mut self, ticks: u64, skipped: u64, elided: u64) {
         self.total.edges += 1;
         self.total.ticks += ticks;
         self.total.skipped += skipped;
+        self.total.elided += elided;
     }
 
     /// Counts one fast-gear scheduling batch: `windows` component windows
@@ -201,6 +210,7 @@ impl Pending {
             (&EDGES, pending.edges),
             (&TICKS, pending.ticks),
             (&SKIPPED, pending.skipped),
+            (&ELIDED, pending.elided),
             (&PAR_EDGES, pending.par_edges),
             (&PAR_COMPUTED, pending.par_computed),
             (&PAR_RETICKED, pending.par_reticked),
@@ -236,7 +246,7 @@ mod tests {
     fn pending_counts_reach_the_globals_on_flush_once() {
         let before = snapshot();
         let mut pending = Pending::default();
-        pending.record_edge(3, 1);
+        pending.record_edge(3, 1, 2);
         pending.record_fast(2, 7);
         pending.record_parallel_edge(5, 2);
         pending.record_par_fallback(ParFallback::TooSmall);
@@ -244,6 +254,7 @@ mod tests {
         pending.flush();
         let delta = snapshot().since(before);
         assert!(delta.edges >= 1 && delta.ticks >= 3 && delta.skipped >= 1);
+        assert!(delta.elided >= 2);
         assert!(delta.ff_windows >= 2 && delta.ff_elided >= 7);
         assert!(delta.par_edges >= 1 && delta.par_computed >= 5 && delta.par_reticked >= 2);
         assert!(delta.par_fallback_small >= 1);

@@ -83,6 +83,151 @@ impl<T> fmt::Debug for TickContext<'_, T> {
     }
 }
 
+/// A condition that must hold before one wake reason of a component is worth
+/// a dispatch — the unit a [`StallHint`] is built from.
+///
+/// A gate is *open* at an edge when the edge is not before its instant and
+/// its output link (if any) can take a push. [`Gate::OPEN`] always is,
+/// [`Gate::CLOSED`] never.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Gate {
+    not_before: Time,
+    needs_space: Option<LinkId>,
+}
+
+impl Gate {
+    /// No condition: the wake reason always counts.
+    pub const OPEN: Gate = Gate {
+        not_before: Time::ZERO,
+        needs_space: None,
+    };
+
+    /// The wake reason never counts while this hint stands (e.g. a
+    /// single-slot target that does not look at its request wire while a
+    /// transaction is in service).
+    pub const CLOSED: Gate = Gate {
+        not_before: Time::MAX,
+        needs_space: None,
+    };
+
+    /// Open once `link` has room for a push: the second half of a blocking
+    /// FIFO, a producer suspended until its consumer reads.
+    pub fn space(link: LinkId) -> Gate {
+        Gate {
+            not_before: Time::ZERO,
+            needs_space: Some(link),
+        }
+    }
+
+    /// Open from `instant` on (a channel's busy-until time).
+    pub fn until(instant: Time) -> Gate {
+        Gate {
+            not_before: instant,
+            needs_space: None,
+        }
+    }
+
+    /// This gate, additionally requiring room on `link`.
+    pub fn with_space(self, link: LinkId) -> Gate {
+        Gate {
+            needs_space: Some(link),
+            ..self
+        }
+    }
+
+    /// The time half of the gate: one compare, no link touched.
+    #[inline]
+    pub(crate) fn is_due(self, now_ps: u64) -> bool {
+        self.not_before.as_ps() <= now_ps
+    }
+
+    /// The space half of the gate.
+    #[inline]
+    pub(crate) fn has_room<T>(self, links: &LinkPool<T>) -> bool {
+        self.needs_space.is_none_or(|l| links.can_push(l))
+    }
+
+    #[inline]
+    pub(crate) fn is_open<T>(self, now_ps: u64, links: &LinkPool<T>) -> bool {
+        self.is_due(now_ps) && self.has_room(links)
+    }
+}
+
+/// A component's statement of which of its wake reasons are currently
+/// *moot* — see [`Component::stall_hint`].
+///
+/// One [`Gate`] guards the [`next_activity`](Component::next_activity)
+/// deadline and one guards each watched link, indexed by the link's position
+/// in [`watched_links`](Component::watched_links). The executor hands the
+/// component a hint with every gate open; the component shuts the ones it
+/// can vouch for.
+#[derive(Debug, Clone)]
+pub struct StallHint {
+    deadline: Gate,
+    /// Gates of the first `inputs.len()` watched links; the others have
+    /// `other_inputs`.
+    inputs: Vec<Gate>,
+    other_inputs: Gate,
+}
+
+impl Default for StallHint {
+    fn default() -> Self {
+        StallHint {
+            deadline: Gate::OPEN,
+            inputs: Vec::new(),
+            other_inputs: Gate::OPEN,
+        }
+    }
+}
+
+impl StallHint {
+    /// Guards the `next_activity` deadline: a due deadline is moot while
+    /// `gate` is shut.
+    pub fn gate_deadline(&mut self, gate: Gate) {
+        self.deadline = gate;
+    }
+
+    /// Guards every watched link with the same `gate` (a bus that is held
+    /// looks at none of its request wires). Call it before any
+    /// [`gate_input`](Self::gate_input), which then overrides it per link.
+    pub fn gate_inputs(&mut self, gate: Gate) {
+        debug_assert!(self.inputs.is_empty(), "gate_inputs comes first");
+        self.other_inputs = gate;
+    }
+
+    /// Guards the `index`-th watched link: a deliverable head queued on it
+    /// is moot while `gate` is shut.
+    pub fn gate_input(&mut self, index: usize, gate: Gate) {
+        if self.inputs.len() <= index {
+            self.inputs.resize(index + 1, self.other_inputs);
+        }
+        self.inputs[index] = gate;
+    }
+
+    /// Back to "every gate open", keeping the allocation.
+    pub(crate) fn reset(&mut self) {
+        self.deadline = Gate::OPEN;
+        self.inputs.clear();
+        self.other_inputs = Gate::OPEN;
+    }
+
+    /// Whether any gate was set (an untouched hint can never stall).
+    #[inline]
+    pub(crate) fn is_set(&self) -> bool {
+        self.deadline != Gate::OPEN || !self.inputs.is_empty() || self.other_inputs != Gate::OPEN
+    }
+
+    #[inline]
+    pub(crate) fn deadline(&self) -> Gate {
+        self.deadline
+    }
+
+    #[inline]
+    pub(crate) fn input(&self, index: usize) -> Gate {
+        self.inputs.get(index).copied().unwrap_or(self.other_inputs)
+    }
+}
+
 /// A synchronous hardware model ticked on every rising edge of its clock.
 ///
 /// Implementations must be *deterministic*: all state lives in `self`, the
@@ -170,6 +315,42 @@ pub trait Component<T>: crate::snapshot::Snapshot + Send {
     /// executed tick (and once after a snapshot restore).
     fn next_activity(&self) -> Option<Time> {
         None
+    }
+
+    /// Which wake reasons are currently *moot*: the back-pressure half of
+    /// the sparse schedule (opt-in; the default shuts no gate).
+    ///
+    /// [`watched_links`](Component::watched_links) and
+    /// [`next_activity`](Component::next_activity) decide whether an edge is
+    /// a *charged* tick of this component — counted by
+    /// [`Simulation::ticks_executed`](crate::Simulation::ticks_executed)
+    /// exactly as before. The hint only decides whether a charged tick is
+    /// *dispatched*: when the deadline is due but its [`Gate`] is shut, and
+    /// every watched link with a deliverable head has its gate shut too, the
+    /// executor retires the tick without calling [`tick`](Component::tick)
+    /// (counted by
+    /// [`Simulation::ticks_elided`](crate::Simulation::ticks_elided)). Link
+    /// gates are evaluated against the live link state when the component's
+    /// turn comes, so a producer registered after the consumer that frees
+    /// its wire sees the room on the same edge, and one registered before
+    /// sees it on the next — the dense schedule's order.
+    ///
+    /// # Contract
+    ///
+    /// Shutting a gate is a promise: while it is shut, the wake reason it
+    /// guards cannot make `tick` do anything observable — an elided tick,
+    /// like a skipped one, must be a no-op (machine-checked by
+    /// [`Simulation::enable_skip_audit`](crate::Simulation::enable_skip_audit),
+    /// which dispatches elided ticks anyway and byte-compares around them).
+    /// Leaving a gate open is always safe: it costs a no-op tick, never
+    /// correctness. Like `next_activity`, the answer may depend only on
+    /// `self` and may only change during the component's own tick; the
+    /// executor re-reads it wherever it re-reads `next_activity` (except at
+    /// the end of a fast-gear window, where it is cleared and re-read after
+    /// the next cycle-gear tick). It is derived state and never part of a
+    /// snapshot.
+    fn stall_hint(&self, hint: &mut StallHint) {
+        let _ = hint;
     }
 
     /// Whether the executor may evaluate this component's ticks on a worker
@@ -292,6 +473,49 @@ mod tests {
     fn default_sparse_hints_keep_dense_behaviour() {
         assert!(Nop.watched_links().is_none());
         assert!(Nop.next_activity().is_none());
+        let mut hint = StallHint::default();
+        Nop.stall_hint(&mut hint);
+        assert!(!hint.is_set());
+    }
+
+    #[test]
+    fn gates_open_on_time_and_space() {
+        let mut links: LinkPool<u8> = LinkPool::new();
+        let wire = links.add_link("wire", 1, Time::from_ns(1));
+        let now = Time::from_ns(5).as_ps();
+        assert!(Gate::OPEN.is_open(now, &links));
+        assert!(!Gate::CLOSED.is_open(now, &links));
+        assert!(Gate::until(Time::from_ns(5)).is_open(now, &links));
+        assert!(!Gate::until(Time::from_ns(6)).is_open(now, &links));
+        assert!(Gate::space(wire).is_open(now, &links));
+        links.push(wire, Time::ZERO, 1).unwrap();
+        assert!(!Gate::space(wire).is_open(now, &links));
+        assert!(!Gate::until(Time::ZERO)
+            .with_space(wire)
+            .is_open(now, &links));
+    }
+
+    #[test]
+    fn unset_hint_gates_are_open() {
+        let mut hint = StallHint::default();
+        hint.gate_input(2, Gate::CLOSED);
+        assert!(hint.is_set());
+        assert_eq!(hint.input(0), Gate::OPEN);
+        assert_eq!(hint.input(2), Gate::CLOSED);
+        assert_eq!(hint.input(7), Gate::OPEN);
+        assert_eq!(hint.deadline(), Gate::OPEN);
+        hint.reset();
+        assert!(!hint.is_set());
+        // One gate for every link, overridden for one.
+        hint.gate_inputs(Gate::CLOSED);
+        hint.gate_input(1, Gate::OPEN);
+        assert!(hint.is_set());
+        assert_eq!(
+            [hint.input(0), hint.input(1), hint.input(9)],
+            [Gate::CLOSED, Gate::OPEN, Gate::CLOSED]
+        );
+        hint.reset();
+        assert_eq!(hint.input(0), Gate::OPEN);
     }
 
     #[test]

@@ -66,7 +66,7 @@ pub mod vcd;
 
 pub use activity::{ActivitySnapshot, ParFallback};
 pub use clock::ClockDomain;
-pub use component::{Component, ComponentId, TickContext};
+pub use component::{Component, ComponentId, Gate, StallHint, TickContext};
 pub use error::{SimError, SimResult};
 pub use fast::FastCtx;
 pub use fault::{FaultAccess, FaultCounts, FaultEngine, FaultKind, FaultSchedule};

@@ -32,9 +32,19 @@
 //! machine-checked by [`Simulation::enable_skip_audit`]). The dense schedule
 //! remains available via [`Simulation::set_dense`] /
 //! [`set_dense_default`](crate::sim::set_dense_default).
+//!
+//! A payload a component cannot act on yet — its output wire is full, it is
+//! mid-service — stays queued and keeps the wake due, and a producer blocked
+//! on a full wire keeps its deadline due: those edges are *charged* ticks.
+//! Whether a charged tick is *dispatched* is decided by the component's
+//! [`Component::stall_hint`]: when every due wake reason sits behind a shut
+//! [`Gate`](crate::Gate), the tick is counted
+//! ([`Simulation::ticks_executed`]) but its body is not called
+//! ([`Simulation::ticks_elided`]) — the wake-on-space half of a blocking
+//! FIFO, held to the same no-op contract and the same audit.
 
 use crate::clock::ClockDomain;
-use crate::component::{Component, ComponentId, TickContext};
+use crate::component::{Component, ComponentId, StallHint, TickContext};
 use crate::error::{SimError, SimResult};
 use crate::fast::FastCtx;
 use crate::fault::{apply_fault_ops, FaultCounts, FaultEngine, FaultSchedule};
@@ -173,6 +183,12 @@ struct Slot<T> {
     /// none), re-read after every executed tick. Starts at 0 so the first
     /// edge always ticks (covers lazy per-component setup).
     timer: u64,
+    /// Cached [`Component::stall_hint`], re-read wherever `timer` is. Starts
+    /// unset (every gate open), so the first tick is always dispatched.
+    /// Boxed to keep `Slot` small: an edge pass scans every member of the
+    /// fired buckets, most of them asleep, and only a charged slot looks at
+    /// its hint (inline, it cost idle-heavy runs 3 %).
+    stall: Box<StallHint>,
     /// The bucket this slot belongs to.
     bucket: u32,
     /// The bucket's `edge_index` at registration; `edge_index - edge_base`
@@ -199,6 +215,34 @@ impl<T> Slot<T> {
             .as_deref_mut()
             .expect("component checked out to a compute worker")
     }
+
+    /// Re-derives the slot's sparse wake conditions after its component's
+    /// state may have changed: the deadline, the stall gates, and the wake
+    /// of its watched links. Nothing to do for a slot outside the sparse
+    /// schedule.
+    fn refresh_wake(&mut self, index: u32, links: &mut LinkPool<T>) {
+        let Some(watched) = &self.watched else { return };
+        let comp = self
+            .component
+            .as_deref()
+            .expect("component checked out to a compute worker");
+        self.timer = comp.next_activity().map_or(u64::MAX, Time::as_ps);
+        self.stall.reset();
+        comp.stall_hint(&mut self.stall);
+        links.recompute_wake(index, watched);
+    }
+}
+
+/// What the sparse schedule does with one slot on one edge of its clock.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Turn {
+    /// Charged and dispatched: [`Component::tick`] runs.
+    Dispatch,
+    /// Charged but provably a no-op ([`Component::stall_hint`]): counted as
+    /// a tick, retired without calling the body.
+    Elide,
+    /// Asleep: no due deadline, no watched delivery.
+    Skip,
 }
 
 /// Where `step` borrowed the edge's tick order from, so it can be returned
@@ -255,8 +299,9 @@ impl RunOutcome {
 }
 
 /// Signature of the installed parallel edge executor: takes the edge's
-/// owned tick order and the edge time, returns `(ticked, skipped)`.
-type ParExec<T> = fn(&mut Simulation<T>, &[u32], Time) -> (u64, u64);
+/// owned tick order and the edge time, returns `(ticked, skipped, elided)`
+/// (`elided` is the part of `ticked` retired without dispatch).
+type ParExec<T> = fn(&mut Simulation<T>, &[u32], Time) -> (u64, u64, u64);
 
 /// A deterministic multi-clock simulation: components, links, metrics and a
 /// seeded RNG.
@@ -289,6 +334,9 @@ pub struct Simulation<T> {
     /// Component ticks executed so far (across all components; not
     /// serialized, resets to 0 on restore).
     total_ticks: u64,
+    /// The part of `total_ticks` retired without calling the component (see
+    /// [`Simulation::ticks_elided`]).
+    total_elided: u64,
     /// Edge counts not yet added to the process-wide
     /// [`activity`](crate::activity) counters; flushed when a public run
     /// call returns.
@@ -346,6 +394,7 @@ impl<T> Simulation<T> {
             busy: 0,
             edges: 0,
             total_ticks: 0,
+            total_elided: 0,
             activity: crate::activity::Pending::default(),
             dense: dense_default(),
             fidelity: fidelity_default(),
@@ -449,6 +498,7 @@ impl<T> Simulation<T> {
             // per-component setup (stat registration, channel sizing) and
             // establishes the initial wake/timer state.
             timer: 0,
+            stall: Box::default(),
             bucket,
             edge_base,
             par_ok,
@@ -479,10 +529,12 @@ impl<T> Simulation<T> {
         self.slots[id.index()].comp().name()
     }
 
-    /// Ticks actually executed by a component since construction (or since
-    /// the last [`restore`](Simulation::restore) — executed-tick counts are
-    /// schedule-dependent and not part of snapshots). Under sparse ticking
-    /// this can be far below the component's cycle count.
+    /// Ticks charged to a component since construction (or since the last
+    /// [`restore`](Simulation::restore) — tick counts are schedule-dependent
+    /// and not part of snapshots): every edge on which its deadline was due
+    /// or a watched delivery was pending, whether the tick was dispatched or
+    /// elided (see [`ticks_elided`](Simulation::ticks_elided)). Under sparse
+    /// ticking this can be far below the component's cycle count.
     pub fn component_ticks(&self, id: ComponentId) -> u64 {
         self.slots[id.index()].ticks
     }
@@ -492,10 +544,22 @@ impl<T> Simulation<T> {
         self.edges
     }
 
-    /// Total component ticks executed across all components since
-    /// construction (or since the last [`restore`](Simulation::restore)).
+    /// Total component ticks charged across all components since
+    /// construction (or since the last [`restore`](Simulation::restore)):
+    /// dispatched ticks plus [elided](Simulation::ticks_elided) ones, so the
+    /// count does not depend on which components publish stall hints.
     pub fn ticks_executed(&self) -> u64 {
         self.total_ticks
+    }
+
+    /// The part of [`ticks_executed`](Simulation::ticks_executed) that was
+    /// retired without calling [`Component::tick`]: charged ticks whose
+    /// [`Component::stall_hint`] proved them no-ops (an output wire still
+    /// full, a target mid-service). `ticks_executed() - ticks_elided()` is
+    /// the number of tick bodies actually run. Always 0 on the dense
+    /// schedule and under the skip audit, which dispatch everything.
+    pub fn ticks_elided(&self) -> u64 {
+        self.total_elided
     }
 
     /// The shared link pool (for wiring before the run and inspection after).
@@ -581,16 +645,65 @@ impl<T> Simulation<T> {
         self.fidelity
     }
 
-    /// Whether `slot` would tick on an edge at `now_ps` under the sparse
-    /// rule: opted-in components sleep unless a watched link has a pending
-    /// delivery at or before the edge, or their declared deadline is due.
+    /// What happens to `slot` on an edge at `now_ps`. The sparse rule
+    /// decides whether the tick is *charged*: opted-in components sleep
+    /// unless a watched link has a pending delivery at or before the edge,
+    /// or their declared deadline is due. The slot's stall hint then decides
+    /// whether a charged tick is *dispatched*: it is elided when every due
+    /// wake reason sits behind a shut gate. Gates are read against the live
+    /// link state, so within an edge a slot sees exactly the room that
+    /// earlier-registered consumers have already made — as in the dense
+    /// schedule.
     #[inline]
-    fn slot_runnable(&self, index: usize, now_ps: u64) -> bool {
+    fn turn_of(&self, index: usize, now_ps: u64) -> Turn {
         let slot = &self.slots[index];
-        if slot.watched.is_none() {
-            return true;
+        if slot.watched.is_none() || self.dense {
+            return Turn::Dispatch;
         }
-        slot.timer <= now_ps || self.links.wake_of(index as u32) <= now_ps
+        let timer_due = slot.timer <= now_ps;
+        let input_due = self.links.wake_of(index as u32) <= now_ps;
+        if !timer_due && !input_due {
+            Turn::Skip
+        } else if slot.stall.is_set() && self.stalled(index, now_ps, timer_due, input_due) {
+            Turn::Elide
+        } else {
+            Turn::Dispatch
+        }
+    }
+
+    /// Whether every due wake reason of a charged slot sits behind a shut
+    /// gate of its (set) stall hint. Kept out of line: `turn_of` runs for
+    /// every member of every fired bucket, most of which sleep.
+    #[inline(never)]
+    fn stalled(&self, index: usize, now_ps: u64, timer_due: bool, input_due: bool) -> bool {
+        let slot = &self.slots[index];
+        if timer_due && slot.stall.deadline().is_open(now_ps, &self.links) {
+            return false;
+        }
+        if input_due {
+            let now = Time::from_ps(now_ps);
+            let watched = slot.watched.as_deref().unwrap_or_default();
+            for (k, &link) in watched.iter().enumerate() {
+                // Cheapest test first: the gate's instant is one compare,
+                // the head one link, the room a second link.
+                let gate = slot.stall.input(k);
+                if gate.is_due(now_ps)
+                    && self.links.has_deliverable(link, now)
+                    && gate.has_room(&self.links)
+                {
+                    return false;
+                }
+            }
+        }
+        true
+    }
+
+    /// Retires an elided tick: charged to the slot like a dispatched one.
+    /// Nothing else moves — the component did not run, so its idle flag,
+    /// deadline, stall hint and wake are what they were.
+    #[inline]
+    fn elide_slot(&mut self, index: usize) {
+        self.slots[index].ticks += 1;
     }
 
     /// Advances to the next edge and ticks every component scheduled there
@@ -697,7 +810,7 @@ impl<T> Simulation<T> {
         let edge = self.pop_fired()?;
         self.time = edge;
         let (order, src) = self.borrow_order();
-        let (ticked, skipped) = match self.par_exec {
+        let (ticked, skipped, elided) = match self.par_exec {
             Some(par) => par(self, &order, edge),
             None => self.serial_pass(&order, edge),
         };
@@ -711,7 +824,8 @@ impl<T> Simulation<T> {
         }
         self.edges += 1;
         self.total_ticks += ticked;
-        self.activity.record_edge(ticked, skipped);
+        self.total_elided += elided;
+        self.activity.record_edge(ticked, skipped, elided);
         Some(edge)
     }
 
@@ -762,7 +876,7 @@ impl<T> Simulation<T> {
         self.time = Time::from_ps(last_ps);
         self.edges += batch_edges;
         self.total_ticks += ticked;
-        self.activity.record_edge(ticked, skipped);
+        self.activity.record_edge(ticked, skipped, 0);
         self.activity.record_fast(windows, elided);
         Some(edge)
     }
@@ -890,6 +1004,12 @@ impl<T> Simulation<T> {
             }
             if let Some(watched) = &slot.watched {
                 slot.timer = comp.next_activity().map_or(u64::MAX, Time::as_ps);
+                // A window runs its component alone, against link state the
+                // rest of the batch has yet to catch up with; a stall hint
+                // read here could vouch for a wire as of the wrong instant.
+                // Left unset, the first cycle-gear tick after a downshift is
+                // dispatched and re-reads it.
+                slot.stall.reset();
                 links.recompute_wake(index as u32, watched);
             }
         }
@@ -899,24 +1019,33 @@ impl<T> Simulation<T> {
     /// Ticks every runnable component of `order`, in order — the serial
     /// schedule (and the commit-order reference the parallel executor must
     /// reproduce bit-for-bit).
-    fn serial_pass(&mut self, order: &[u32], edge: Time) -> (u64, u64) {
+    fn serial_pass(&mut self, order: &[u32], edge: Time) -> (u64, u64, u64) {
         let now_ps = edge.as_ps();
-        let dense = self.dense;
         let mut ticked: u64 = 0;
         let mut skipped: u64 = 0;
+        let mut elided: u64 = 0;
         for &raw in order {
             let i = raw as usize;
-            if dense || self.slot_runnable(i, now_ps) {
-                self.tick_slot(i, edge);
-                ticked += 1;
-            } else if let Some(audit) = self.audit {
-                audit(self, i, edge);
-                ticked += 1;
-            } else {
-                skipped += 1;
+            match (self.turn_of(i, now_ps), self.audit) {
+                (Turn::Dispatch, _) => {
+                    self.tick_slot(i, edge);
+                    ticked += 1;
+                }
+                // Under the audit a tick the schedule would not dispatch —
+                // skipped or elided alike — runs anyway and is byte-compared.
+                (_, Some(audit)) => {
+                    audit(self, i, edge);
+                    ticked += 1;
+                }
+                (Turn::Elide, None) => {
+                    self.elide_slot(i);
+                    ticked += 1;
+                    elided += 1;
+                }
+                (Turn::Skip, None) => skipped += 1,
             }
         }
-        (ticked, skipped)
+        (ticked, skipped, elided)
     }
 
     /// The component's own-domain cycle count: how many edges its bucket
@@ -966,12 +1095,9 @@ impl<T> Simulation<T> {
                 self.busy += 1;
             }
         }
-        // Re-derive the slot's wake conditions: the tick may have consumed
-        // watched input and moved its internal deadlines.
-        if let Some(watched) = &slot.watched {
-            slot.timer = slot.comp().next_activity().map_or(u64::MAX, Time::as_ps);
-            self.links.recompute_wake(index as u32, watched);
-        }
+        // The tick may have consumed watched input, moved its internal
+        // deadlines and opened or shut its stall gates.
+        slot.refresh_wake(index as u32, &mut self.links);
     }
 
     /// Runs all edges up to and including `horizon`.
@@ -1093,7 +1219,7 @@ impl<T: Clone + PartialEq + Send + Sync + 'static> Simulation<T> {
     /// The parallel edge executor: compute phase on `jobs` shards against a
     /// frozen view, then a serial in-order commit phase. Must produce
     /// byte-identical results to [`Simulation::serial_pass`].
-    fn parallel_pass(&mut self, order: &[u32], edge: Time) -> (u64, u64) {
+    fn parallel_pass(&mut self, order: &[u32], edge: Time) -> (u64, u64, u64) {
         use crate::activity::ParFallback;
 
         // Whole-edge serial fallbacks: conditions under which buffered
@@ -1104,18 +1230,23 @@ impl<T: Clone + PartialEq + Send + Sync + 'static> Simulation<T> {
         }
 
         let now_ps = edge.as_ps();
-        let dense = self.dense;
         // Positions (within `order`) eligible for buffered compute: opted-in
         // components past their first tick (the first tick runs lazy setup —
         // metric registration, initial deadlines — that would retick anyway)
-        // that would run this edge. Runnability is monotone within an edge
-        // (pushes only *lower* wake times), so eligible-at-freeze implies
-        // runnable-at-commit.
+        // that would be dispatched this edge. Dispatch is monotone within an
+        // edge: pushes only *lower* wake times, and a stall gate only opens
+        // — by time, or by a consumer popping the gated wire; the one push
+        // that shuts it again is the slot's own — so eligible-at-freeze
+        // implies dispatched-at-commit. (On a wire with a second producer
+        // the buffered tick's recorded `can_push` fails validation and the
+        // tick re-runs serially: a dispatched no-op, which is always safe.)
+        // A slot stalled at the freeze is decided live at its commit
+        // position, where it sees the room earlier commits made.
         let mut eligible: Vec<u32> = Vec::with_capacity(order.len());
         for (k, &raw) in order.iter().enumerate() {
             let i = raw as usize;
             let slot = &self.slots[i];
-            if slot.par_ok && slot.ticks > 0 && (dense || self.slot_runnable(i, now_ps)) {
+            if slot.par_ok && slot.ticks > 0 && self.turn_of(i, now_ps) == Turn::Dispatch {
                 eligible.push(k as u32);
             }
         }
@@ -1217,6 +1348,7 @@ impl<T: Clone + PartialEq + Send + Sync + 'static> Simulation<T> {
         let mut reticked: u64 = 0;
         let mut ticked: u64 = 0;
         let mut skipped: u64 = 0;
+        let mut elided: u64 = 0;
         for (k, &raw) in order.iter().enumerate() {
             let i = raw as usize;
             match par_done[k].take() {
@@ -1266,19 +1398,25 @@ impl<T: Clone + PartialEq + Send + Sync + 'static> Simulation<T> {
                     // Not eligible for compute: full serial semantics at the
                     // commit position (skip-audit is off — it forced a
                     // fallback above).
-                    if dense || self.slot_runnable(i, now_ps) {
-                        self.tick_slot(i, edge);
-                        serial_touched = true;
-                        ticked += 1;
-                    } else {
-                        skipped += 1;
+                    match self.turn_of(i, now_ps) {
+                        Turn::Dispatch => {
+                            self.tick_slot(i, edge);
+                            serial_touched = true;
+                            ticked += 1;
+                        }
+                        Turn::Elide => {
+                            self.elide_slot(i);
+                            ticked += 1;
+                            elided += 1;
+                        }
+                        Turn::Skip => skipped += 1,
                     }
                 }
             }
         }
         self.par_done = par_done;
         self.activity.record_parallel_edge(computed, reticked);
-        (ticked, skipped)
+        (ticked, skipped, elided)
     }
 
     /// Checks the components at `positions` of `order` out of their slots
@@ -1471,24 +1609,23 @@ impl<T: crate::snapshot::SnapshotPayload> Simulation<T> {
         }
         self.busy = self.slots.iter().filter(|s| !s.idle).count();
         self.total_ticks = 0;
-        for i in 0..self.slots.len() {
-            let slot = &mut self.slots[i];
+        self.total_elided = 0;
+        for (i, slot) in self.slots.iter_mut().enumerate() {
             slot.ticks = 0;
-            if let Some(watched) = &slot.watched {
-                slot.timer = slot.comp().next_activity().map_or(u64::MAX, |t| t.as_ps());
-                self.links.recompute_wake(i as u32, watched);
-            }
+            slot.refresh_wake(i as u32, &mut self.links);
         }
         Ok(())
     }
 
-    /// Turns every would-be-skipped tick into an *audited* tick: the tick is
-    /// executed anyway and the component's serialized state, the RNG, the
-    /// stats registry, the fault engine and the link queues are byte-compared
-    /// around it. A difference means the component violated the idle
-    /// contract (a sleeping tick must be an unobservable no-op) and panics
-    /// with the offending component's name — this is the kernel-level
-    /// machinery behind the idle-contract proptest.
+    /// Turns every tick the sparse schedule would not dispatch — skipped
+    /// because the component sleeps, or elided because its
+    /// [`stall_hint`](Component::stall_hint) says so — into an *audited*
+    /// tick: the tick is executed anyway and the component's serialized
+    /// state, the RNG, the stats registry, the fault engine and the link
+    /// queues are byte-compared around it. A difference means the component
+    /// violated the idle contract (such a tick must be an unobservable
+    /// no-op) and panics with the offending component's name — this is the
+    /// kernel-level machinery behind the idle-contract proptest.
     pub fn enable_skip_audit(&mut self) {
         self.audit = Some(Self::audit_skipped_tick);
     }
@@ -1509,27 +1646,27 @@ impl<T: crate::snapshot::SnapshotPayload> Simulation<T> {
         let after_comp = bytes(|w| self.slots[index].comp().save(w));
         assert_eq!(
             before_comp, after_comp,
-            "idle contract violated: `{name}` mutated its own state during a tick sparse scheduling would have skipped (edge {edge})"
+            "idle contract violated: `{name}` mutated its own state during a tick sparse scheduling would not have dispatched (edge {edge})"
         );
         assert_eq!(
             before_rng,
             self.rng.state(),
-            "idle contract violated: `{name}` drew from the RNG during a tick sparse scheduling would have skipped (edge {edge})"
+            "idle contract violated: `{name}` drew from the RNG during a tick sparse scheduling would not have dispatched (edge {edge})"
         );
         assert_eq!(
             before_stats,
             bytes(|w| self.stats.save_state(w)),
-            "idle contract violated: `{name}` wrote stats during a tick sparse scheduling would have skipped (edge {edge})"
+            "idle contract violated: `{name}` wrote stats during a tick sparse scheduling would not have dispatched (edge {edge})"
         );
         assert_eq!(
             before_faults,
             bytes(|w| self.faults.save_state(w)),
-            "idle contract violated: `{name}` advanced the fault engine during a tick sparse scheduling would have skipped (edge {edge})"
+            "idle contract violated: `{name}` advanced the fault engine during a tick sparse scheduling would not have dispatched (edge {edge})"
         );
         assert_eq!(
             before_links,
             bytes(|w| self.links.save_state(w)),
-            "idle contract violated: `{name}` touched link queues during a tick sparse scheduling would have skipped (edge {edge})"
+            "idle contract violated: `{name}` touched link queues during a tick sparse scheduling would not have dispatched (edge {edge})"
         );
     }
 }
@@ -2086,6 +2223,304 @@ mod tests {
         // no-op verification).
         assert_eq!(sim.ticks_executed(), dense.ticks_executed());
         assert_eq!(sim.links().link(link).stats().pops, 8);
+    }
+
+    /// A producer that always has something to send: its deadline is
+    /// permanently due, so without a stall hint it polls a full wire on
+    /// every edge.
+    struct EagerProducer {
+        out: LinkId,
+        budget: u64,
+        sent: u64,
+        hints: bool,
+        /// Tick bodies actually run (observation channel, not state).
+        dispatched: Arc<AtomicU64>,
+    }
+    impl crate::snapshot::Snapshot for EagerProducer {
+        fn save(&self, w: &mut crate::snapshot::StateWriter) {
+            w.write_u64(self.sent);
+        }
+        fn restore(&mut self, r: &mut crate::snapshot::StateReader<'_>) {
+            self.sent = r.read_u64();
+        }
+    }
+    impl Component<u64> for EagerProducer {
+        fn name(&self) -> &str {
+            "eager"
+        }
+        fn tick(&mut self, ctx: &mut TickContext<'_, u64>) {
+            self.dispatched.fetch_add(1, Ordering::Relaxed);
+            if self.sent < self.budget && ctx.links.can_push(self.out) {
+                ctx.links.push(self.out, ctx.time, self.sent).unwrap();
+                self.sent += 1;
+            }
+        }
+        fn is_idle(&self) -> bool {
+            self.sent == self.budget
+        }
+        fn parallel_safe(&self) -> bool {
+            true
+        }
+        fn watched_links(&self) -> Option<Vec<LinkId>> {
+            Some(Vec::new())
+        }
+        fn next_activity(&self) -> Option<Time> {
+            (self.sent < self.budget).then_some(Time::ZERO)
+        }
+        fn stall_hint(&self, hint: &mut StallHint) {
+            if self.hints {
+                hint.gate_deadline(crate::Gate::space(self.out));
+            }
+        }
+    }
+
+    /// A single-slot consumer: takes one payload, then does not look at its
+    /// input for `service`. A head queued meanwhile keeps its wake due.
+    struct SingleSlot {
+        input: LinkId,
+        service: Time,
+        busy_until: Time,
+        served: Vec<(u64, u64)>,
+        hints: bool,
+        dispatched: Arc<AtomicU64>,
+    }
+    impl crate::snapshot::Snapshot for SingleSlot {
+        fn save(&self, w: &mut crate::snapshot::StateWriter) {
+            w.write_time(self.busy_until);
+            w.write_usize(self.served.len());
+            for (t, v) in &self.served {
+                w.write_u64(*t);
+                w.write_u64(*v);
+            }
+        }
+        fn restore(&mut self, r: &mut crate::snapshot::StateReader<'_>) {
+            self.busy_until = r.read_time();
+            self.served = (0..r.read_usize())
+                .map(|_| (r.read_u64(), r.read_u64()))
+                .collect();
+        }
+    }
+    impl Component<u64> for SingleSlot {
+        fn name(&self) -> &str {
+            "slot"
+        }
+        fn tick(&mut self, ctx: &mut TickContext<'_, u64>) {
+            self.dispatched.fetch_add(1, Ordering::Relaxed);
+            if ctx.time >= self.busy_until {
+                if let Some(v) = ctx.links.pop(self.input, ctx.time) {
+                    self.served.push((ctx.time.as_ps(), v));
+                    self.busy_until = ctx.time + self.service;
+                }
+            }
+        }
+        fn parallel_safe(&self) -> bool {
+            true
+        }
+        fn watched_links(&self) -> Option<Vec<LinkId>> {
+            Some(vec![self.input])
+        }
+        fn stall_hint(&self, hint: &mut StallHint) {
+            if self.hints {
+                hint.gate_input(0, crate::Gate::until(self.busy_until));
+            }
+        }
+    }
+
+    /// `pairs` eager producers, each behind a capacity-1 wire into a
+    /// single-slot consumer that serves one payload per 70 ns; the producer
+    /// registers before its consumer unless `consumer_first`.
+    fn stalled_pairs(
+        pairs: usize,
+        hints: bool,
+        consumer_first: bool,
+    ) -> (Simulation<u64>, Arc<AtomicU64>) {
+        let mut sim: Simulation<u64> = Simulation::with_seed(5);
+        let clk = ClockDomain::from_mhz(100);
+        let dispatched = Arc::new(AtomicU64::new(0));
+        for p in 0..pairs {
+            let wire = sim
+                .links_mut()
+                .add_link(format!("wire{p}"), 1, clk.period());
+            let producer = Box::new(EagerProducer {
+                out: wire,
+                budget: 12,
+                sent: 0,
+                hints,
+                dispatched: Arc::clone(&dispatched),
+            });
+            let consumer = Box::new(SingleSlot {
+                input: wire,
+                service: Time::from_ns(70),
+                busy_until: Time::ZERO,
+                served: Vec::new(),
+                hints,
+                dispatched: Arc::clone(&dispatched),
+            });
+            if consumer_first {
+                sim.add_component(consumer, clk);
+                sim.add_component(producer, clk);
+            } else {
+                sim.add_component(producer, clk);
+                sim.add_component(consumer, clk);
+            }
+        }
+        (sim, dispatched)
+    }
+
+    fn component_tick_counts(sim: &Simulation<u64>) -> Vec<u64> {
+        (0..sim.component_count())
+            .map(|i| sim.component_ticks(ComponentId(i as u32)))
+            .collect()
+    }
+
+    #[test]
+    fn elided_ticks_are_charged_but_not_dispatched() {
+        for consumer_first in [false, true] {
+            let (mut polling, polled) = stalled_pairs(1, false, consumer_first);
+            let (mut hinted, dispatched) = stalled_pairs(1, true, consumer_first);
+            let (mut dense, _) = stalled_pairs(1, true, consumer_first);
+            dense.set_dense(true);
+            let horizon = Time::from_us(20);
+            let end = polling.run_to_quiescence_strict(horizon).unwrap();
+            assert_eq!(hinted.run_to_quiescence_strict(horizon).unwrap(), end);
+            assert_eq!(dense.run_to_quiescence_strict(horizon).unwrap(), end);
+            // Same observable run: the hints only retire no-op ticks, and the
+            // same-edge order (a producer after its consumer sees the freed
+            // slot at once, one before it on the next edge) is the dense one.
+            assert_eq!(
+                hinted.checkpoint().as_bytes(),
+                polling.checkpoint().as_bytes()
+            );
+            assert_eq!(
+                hinted.checkpoint().as_bytes(),
+                dense.checkpoint().as_bytes()
+            );
+            // Same accounting: an elided tick is still a charged tick.
+            assert_eq!(hinted.ticks_executed(), polling.ticks_executed());
+            assert_eq!(
+                component_tick_counts(&hinted),
+                component_tick_counts(&polling)
+            );
+            assert_eq!(polling.ticks_elided(), 0);
+            assert_eq!(dense.ticks_elided(), 0);
+            assert_eq!(polled.load(Ordering::Relaxed), polling.ticks_executed());
+            // ... and most of them were not worth a dispatch: 12 payloads
+            // at one per 70 ns against a producer polling every 10 ns.
+            assert_eq!(
+                dispatched.load(Ordering::Relaxed),
+                hinted.ticks_executed() - hinted.ticks_elided()
+            );
+            assert!(
+                hinted.ticks_elided() * 2 > hinted.ticks_executed(),
+                "{} of {} ticks elided",
+                hinted.ticks_elided(),
+                hinted.ticks_executed()
+            );
+        }
+    }
+
+    #[test]
+    fn skip_audit_dispatches_and_checks_elided_ticks() {
+        let (mut audited, dispatched) = stalled_pairs(2, true, false);
+        audited.enable_skip_audit();
+        let (mut plain, _) = stalled_pairs(2, true, false);
+        let horizon = Time::from_us(20);
+        let end = audited.run_to_quiescence_strict(horizon).unwrap();
+        assert_eq!(plain.run_to_quiescence_strict(horizon).unwrap(), end);
+        assert_eq!(
+            audited.checkpoint().as_bytes(),
+            plain.checkpoint().as_bytes()
+        );
+        // Every charged tick ran its body (and passed the byte-comparison).
+        assert_eq!(audited.ticks_elided(), 0);
+        assert_eq!(dispatched.load(Ordering::Relaxed), audited.ticks_executed());
+        assert!(plain.ticks_elided() > 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "idle contract violated")]
+    fn skip_audit_catches_a_gate_shut_on_real_work() {
+        /// Claims its deadline is moot forever, yet counts every tick.
+        struct Liar {
+            n: u64,
+        }
+        impl crate::snapshot::Snapshot for Liar {
+            fn save(&self, w: &mut crate::snapshot::StateWriter) {
+                w.write_u64(self.n);
+            }
+        }
+        impl Component<u64> for Liar {
+            fn name(&self) -> &str {
+                "liar"
+            }
+            fn tick(&mut self, _ctx: &mut TickContext<'_, u64>) {
+                self.n += 1;
+            }
+            fn watched_links(&self) -> Option<Vec<LinkId>> {
+                Some(Vec::new())
+            }
+            fn next_activity(&self) -> Option<Time> {
+                Some(Time::ZERO)
+            }
+            fn stall_hint(&self, hint: &mut StallHint) {
+                hint.gate_deadline(crate::Gate::CLOSED);
+            }
+        }
+        let mut sim: Simulation<u64> = Simulation::new();
+        sim.add_component(Box::new(Liar { n: 0 }), ClockDomain::from_mhz(100));
+        sim.enable_skip_audit();
+        sim.run_until(Time::from_ns(50));
+    }
+
+    #[test]
+    fn parallel_commit_decides_elision_live() {
+        let horizon = Time::from_us(20);
+        for consumer_first in [false, true] {
+            let (mut serial, _) = stalled_pairs(4, true, consumer_first);
+            let end = serial.run_to_quiescence_strict(horizon).unwrap();
+            for jobs in [2, 4] {
+                let (mut par, _) = stalled_pairs(4, true, consumer_first);
+                par.set_tick_jobs(jobs);
+                assert_eq!(par.run_to_quiescence_strict(horizon).unwrap(), end);
+                assert_eq!(par.checkpoint().as_bytes(), serial.checkpoint().as_bytes());
+                assert_eq!(par.ticks_executed(), serial.ticks_executed());
+                assert_eq!(par.ticks_elided(), serial.ticks_elided());
+                assert_eq!(component_tick_counts(&par), component_tick_counts(&serial));
+                assert!(par.activity.total().par_edges > 0, "parallel path must run");
+            }
+        }
+    }
+
+    #[test]
+    fn restore_while_stalled_rederives_the_hints() {
+        let horizon = Time::from_us(20);
+        let (mut straight, _) = stalled_pairs(2, true, false);
+        // 205 ns: both producers sit on a full wire, both consumers are
+        // mid-service with a head queued.
+        straight.run_until(Time::from_ns(205));
+        let mid = straight.checkpoint();
+        let elided_before = straight.ticks_elided();
+        assert!(elided_before > 0);
+        let end = straight.run_to_quiescence_strict(horizon).unwrap();
+
+        let (mut resumed, dispatched) = stalled_pairs(2, true, false);
+        resumed.restore(&mid).expect("restore onto twin");
+        assert_eq!(resumed.checkpoint().as_bytes(), mid.as_bytes());
+        assert_eq!(resumed.run_to_quiescence_strict(horizon).unwrap(), end);
+        assert_eq!(
+            resumed.checkpoint().as_bytes(),
+            straight.checkpoint().as_bytes()
+        );
+        // Counters restart at the restore; the resumed leg is charged and
+        // elides exactly what the straight run did after that instant.
+        assert_eq!(
+            resumed.ticks_elided(),
+            straight.ticks_elided() - elided_before
+        );
+        assert_eq!(
+            dispatched.load(Ordering::Relaxed),
+            resumed.ticks_executed() - resumed.ticks_elided()
+        );
     }
 
     #[test]

@@ -10,7 +10,9 @@
 
 use crate::sdram::{SdramDevice, SdramGeometry, SdramTiming};
 use mpsoc_kernel::stats::ResidencyId;
-use mpsoc_kernel::{ClockDomain, Component, FaultKind, LinkId, TickContext, Time, TraceKind};
+use mpsoc_kernel::{
+    ClockDomain, Component, FaultKind, Gate, LinkId, StallHint, TickContext, Time, TraceKind,
+};
 use mpsoc_protocol::{Packet, Response, Transaction};
 use std::collections::VecDeque;
 
@@ -142,6 +144,19 @@ pub struct LmiController {
     /// the controller stays awake for one more tick to write the rest
     /// state before [`Component::next_activity`] lets it sleep.
     settled: bool,
+    /// What the last tick wrote to the three residencies, for
+    /// [`Component::stall_hint`]: a tick that would write the same again
+    /// changes nothing there. Derived, never serialized — unknown after a
+    /// restore, which only leaves the controller polling until it ticks.
+    shown: Option<Shown>,
+}
+
+/// The residency states a tick asserted.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Shown {
+    iface: LmiInterfaceState,
+    nonempty: bool,
+    degraded: bool,
 }
 
 /// Clean engine starts required to leave degraded mode.
@@ -179,6 +194,7 @@ impl LmiController {
             clean_accesses: 0,
             mode_residency: None,
             settled: false,
+            shown: None,
         }
     }
 
@@ -305,6 +321,7 @@ impl mpsoc_kernel::Snapshot for LmiController {
         self.recent_stalls = r.read_u32();
         self.clean_accesses = r.read_u32();
         self.settled = r.read_bool();
+        self.shown = None;
     }
 }
 
@@ -351,7 +368,8 @@ impl Component<Packet> for LmiController {
             ctx.stats
                 .residency(&format!("{}.mode", self.name), &["normal", "degraded"])
         });
-        ctx.stats.set_state(mode, usize::from(self.degraded), now);
+        let degraded_shown = self.degraded;
+        ctx.stats.set_state(mode, usize::from(degraded_shown), now);
 
         // 1. Drain scheduled responses to the bus interface, oldest-ready
         //    first, as the output FIFO has room.
@@ -396,6 +414,11 @@ impl Component<Packet> for LmiController {
         );
         ctx.stats
             .set_state(empty, usize::from(!self.in_fifo.is_empty()), now);
+        self.shown = Some(Shown {
+            iface: state,
+            nonempty: !self.in_fifo.is_empty(),
+            degraded: degraded_shown,
+        });
         // The interface is at rest once this tick observed no request and
         // nothing queued or in flight; steps 3/4 below cannot disturb that
         // (the engine only starts with a non-empty FIFO).
@@ -551,6 +574,51 @@ impl Component<Packet> for LmiController {
         // that edge the tick is a no-op and the timer stays in the past
         // until the refresh actually fires, matching the dense schedule.
         Some(self.cycle_to_time(self.next_refresh_cycle))
+    }
+
+    fn stall_hint(&self, hint: &mut StallHint) {
+        // A busy controller keeps its deadline at `Time::ZERO`, yet most of
+        // its edges only wait: for SDRAM data, for the engine, for a
+        // refresh slot. Such a tick still re-asserts the three residencies
+        // and re-sorts `pending`, so it is a no-op only if those are at
+        // their fixed point — what a tick finding no request to store would
+        // write is what the last tick wrote.
+        let Some(shown) = self.shown else { return };
+        let full = self.in_fifo.len() >= self.config.input_fifo_depth;
+        let iface = if full {
+            LmiInterfaceState::Full
+        } else {
+            LmiInterfaceState::NoRequest
+        };
+        let at_rest = shown
+            == (Shown {
+                iface,
+                nonempty: !self.in_fifo.is_empty(),
+                degraded: self.degraded,
+            })
+            && self.settled == (!full && self.in_fifo.is_empty() && self.pending.is_empty())
+            && self.pending.is_sorted_by_key(|p| p.ready);
+        if !at_rest {
+            return;
+        }
+        // Nothing moves before the earliest of: a scheduled response coming
+        // due (whether the output FIFO then has room is polled, as before),
+        // the engine freeing with work queued and a response slot to
+        // schedule into, and a due refresh finding the engine free.
+        let mut next = self
+            .cycle_to_time(self.next_refresh_cycle)
+            .max(self.engine_busy_until);
+        if let Some(ready) = self.pending.first().map(|p| p.ready) {
+            next = next.min(ready);
+        }
+        if !self.in_fifo.is_empty() && self.pending.len() < self.config.output_fifo_depth {
+            next = next.min(self.engine_busy_until);
+        }
+        hint.gate_deadline(Gate::until(next));
+        if full {
+            // A full input FIFO does not look at the request wire.
+            hint.gate_input(0, Gate::CLOSED);
+        }
     }
 
     fn fast_forward_safe(&self) -> bool {

@@ -1,7 +1,7 @@
 //! On-chip shared memory with configurable wait states.
 
 use mpsoc_kernel::Time;
-use mpsoc_kernel::{ClockDomain, Component, LinkId, TickContext};
+use mpsoc_kernel::{ClockDomain, Component, Gate, LinkId, StallHint, TickContext};
 use mpsoc_protocol::{Packet, Response};
 
 /// Configuration of an [`OnChipMemory`].
@@ -207,8 +207,8 @@ impl Component<Packet> for OnChipMemory {
         // The in-service transaction advances at exactly two instants: the
         // first beat becoming ready (response emission) and streaming
         // completion (slot free). A response blocked on a full wire keeps
-        // `first_ready` in the past, so the memory retries every edge just
-        // like the dense schedule. Idle memories are woken by `req_in`.
+        // `first_ready` in the past; `stall_hint` holds the retries until
+        // the wire has room. Idle memories are woken by `req_in`.
         self.in_service.as_ref().map(|svc| {
             if svc.response.is_some() {
                 svc.first_ready
@@ -216,6 +216,18 @@ impl Component<Packet> for OnChipMemory {
                 svc.done
             }
         })
+    }
+
+    fn stall_hint(&self, hint: &mut StallHint) {
+        if let Some(svc) = &self.in_service {
+            // Single slot: the request wire is not looked at until the slot
+            // frees, which happens on a deadline (`done`, or the response
+            // finally leaving), never on a delivery.
+            hint.gate_input(0, Gate::CLOSED);
+            if svc.response.is_some() {
+                hint.gate_deadline(Gate::space(self.resp_out));
+            }
+        }
     }
 
     fn fast_forward_safe(&self) -> bool {

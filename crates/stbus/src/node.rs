@@ -1,7 +1,9 @@
 //! The STBus node component.
 
 use mpsoc_kernel::stats::CounterId;
-use mpsoc_kernel::{ClockDomain, Component, FaultKind, LinkId, TickContext, Time, TraceKind};
+use mpsoc_kernel::{
+    ClockDomain, Component, FaultKind, Gate, LinkId, StallHint, TickContext, Time, TraceKind,
+};
 use mpsoc_protocol::{
     AddressMap, AddressMapError, AddressRange, ArbitrationPolicy, Contender, DataWidth, Packet,
     ProtocolKind, Response, Transaction, TransactionId,
@@ -153,6 +155,24 @@ pub struct StbusNode {
     /// Error completions for abandoned transactions, held until every older
     /// same-source response has been delivered (in-order types).
     dead_letters: VecDeque<(usize, Response)>,
+    /// Scratch for [`grant_requests`](Self::grant_requests): the contenders
+    /// of the channel being arbitrated. Cleared per use, never state.
+    contenders: Vec<Contender>,
+    /// What the last tick left at the head of each initiator's request
+    /// wire, for [`Component::stall_hint`]. A deliverable head stays the
+    /// head until this node pops it (anything pushed later is delivered
+    /// later), so a note holds until the next tick rewrites it. Derived,
+    /// never serialized: a restore forgets the notes, which only leaves
+    /// gates open.
+    heads: Vec<Option<HeadNote>>,
+}
+
+/// The part of a queued request that decides what it waits for.
+#[derive(Debug, Clone, Copy)]
+struct HeadNote {
+    target: usize,
+    /// Response-expecting: needs one of the port's outstanding slots.
+    needs_slot: bool,
 }
 
 impl StbusNode {
@@ -184,6 +204,8 @@ impl StbusNode {
             counters: NodeCounters::default(),
             replays: Vec::new(),
             dead_letters: VecDeque::new(),
+            contenders: Vec::new(),
+            heads: Vec::new(),
         }
     }
 
@@ -357,11 +379,17 @@ impl StbusNode {
         }
     }
 
-    /// Collects grantable contenders for one request channel.
-    fn contenders(&self, ctx: &mut TickContext<'_, Packet>, channel: usize) -> Vec<Contender> {
+    /// Collects the grantable contenders of one request channel into
+    /// `found` (emptied first).
+    fn contenders(
+        &self,
+        ctx: &mut TickContext<'_, Packet>,
+        channel: usize,
+        found: &mut Vec<Contender>,
+    ) {
         let now = ctx.time;
         let max_outstanding = self.effective_outstanding();
-        let mut found = Vec::new();
+        found.clear();
         for (p, port) in self.initiators.iter().enumerate() {
             let Some(Packet::Request(txn)) = ctx.links.peek(port.req_in, now) else {
                 continue;
@@ -393,17 +421,17 @@ impl StbusNode {
                 created_at,
             });
         }
-        found
     }
 
     fn grant_requests(&mut self, ctx: &mut TickContext<'_, Packet>) {
         let now = ctx.time;
         let period = self.clock.period();
+        let mut contenders = std::mem::take(&mut self.contenders);
         for chan in 0..self.req_busy.len() {
             if self.req_busy[chan] > now {
                 continue;
             }
-            let contenders = self.contenders(ctx, chan);
+            self.contenders(ctx, chan, &mut contenders);
             if contenders.is_empty() {
                 continue;
             }
@@ -498,6 +526,24 @@ impl StbusNode {
                 .req_busy_ps
                 .get_or_insert_with(|| ctx.stats.counter(&format!("{}.req_busy_ps", self.name)));
             ctx.stats.inc(busy, (period * cycles).as_ps());
+        }
+        self.contenders = contenders;
+    }
+
+    /// Records what this tick leaves queued at the head of every request
+    /// wire (see [`heads`](Self::heads)).
+    fn note_heads(&mut self, ctx: &mut TickContext<'_, Packet>) {
+        let now = ctx.time;
+        self.heads.clear();
+        for port in &self.initiators {
+            let note = match ctx.links.peek(port.req_in, now) {
+                Some(Packet::Request(txn)) => self.map.route(txn.addr).map(|target| HeadNote {
+                    target,
+                    needs_slot: !txn.completes_on_acceptance(),
+                }),
+                _ => None,
+            };
+            self.heads.push(note);
         }
     }
 
@@ -729,6 +775,7 @@ impl mpsoc_kernel::Snapshot for StbusNode {
         self.dead_letters = (0..r.read_usize())
             .map(|_| (r.read_usize(), persist::load_response(r)))
             .collect();
+        self.heads.clear();
     }
 }
 
@@ -761,6 +808,7 @@ impl Component<Packet> for StbusNode {
         self.flush_dead_letters(ctx);
         self.process_replays(ctx);
         self.grant_requests(ctx);
+        self.note_heads(ctx);
     }
 
     fn is_idle(&self) -> bool {
@@ -793,6 +841,45 @@ impl Component<Packet> for StbusNode {
             return Some(Time::ZERO);
         }
         self.replays.iter().map(|e| e.deadline).min()
+    }
+
+    fn stall_hint(&self, hint: &mut StallHint) {
+        let (Some(&req_free), Some(&resp_free)) =
+            (self.req_busy.iter().min(), self.resp_busy.iter().min())
+        else {
+            // Channels are sized on the first tick.
+            return;
+        };
+        if !self.replays.is_empty() || !self.dead_letters.is_empty() {
+            // Fault recovery in progress: keep polling as before.
+            return;
+        }
+        // A queued head no longer wakes the node by itself, so the channel
+        // busy-until instants are named here. In `watched_links` order:
+        // initiator request wires, then target response wires.
+        let max_outstanding = self.effective_outstanding();
+        for (p, port) in self.initiators.iter().enumerate() {
+            let gate = match self.heads.get(p).copied().flatten() {
+                // The head this node left queued: granted no earlier than
+                // its channel frees and its target's wire has room, and not
+                // at all while the port is at its outstanding cap (a slot
+                // frees on a response delivery, which re-reads this hint).
+                Some(head) if head.needs_slot && port.outstanding >= max_outstanding => {
+                    Gate::CLOSED
+                }
+                Some(head) => Gate::until(self.req_busy[self.req_channel(head.target)])
+                    .with_space(self.targets[head.target].req_out),
+                // A head not seen yet: no grant before any channel frees.
+                None => Gate::until(req_free),
+            };
+            hint.gate_input(p, gate);
+        }
+        // Which response channel a head needs depends on the transaction it
+        // answers: no delivery before the earliest one frees.
+        let ports = self.initiators.len();
+        for t in 0..self.targets.len() {
+            hint.gate_input(ports + t, Gate::until(resp_free));
+        }
     }
 
     fn fast_forward_safe(&self) -> bool {

@@ -2,7 +2,7 @@
 
 use crate::trace::IssueRecorder;
 use mpsoc_kernel::stats::{CounterId, HistogramId};
-use mpsoc_kernel::{Component, LinkId, SplitMix64, TickContext, Time};
+use mpsoc_kernel::{Component, Gate, LinkId, SplitMix64, StallHint, TickContext, Time};
 use mpsoc_protocol::{DataWidth, InitiatorId, MessageId, Packet, Transaction};
 use std::collections::HashMap;
 use std::fmt;
@@ -194,6 +194,8 @@ enum AgentState {
 #[derive(Debug)]
 struct Agent {
     config: AgentConfig,
+    /// `config.total_transactions()`, summed once.
+    budget: u64,
     state: AgentState,
     segment: usize,
     issued_in_segment: u64,
@@ -207,17 +209,17 @@ struct Agent {
 }
 
 impl Agent {
-    fn budget(&self) -> u64 {
-        self.config.total_transactions()
-    }
-
     fn done_fraction(&self) -> f64 {
-        let b = self.budget();
-        if b == 0 {
+        if self.budget == 0 {
             1.0
         } else {
-            self.completed as f64 / b as f64
+            self.completed as f64 / self.budget as f64
         }
+    }
+
+    /// Budget exhausted and every response back: nothing left to do.
+    fn finished(&self) -> bool {
+        self.state == AgentState::Done && self.outstanding == 0
     }
 }
 
@@ -256,6 +258,9 @@ pub struct IpTrafficGenerator {
     req_out: LinkId,
     resp_in: LinkId,
     agents: Vec<Agent>,
+    /// Agents not yet [`finished`](Agent::finished). Derived from `agents`
+    /// (recounted on restore), kept so `is_idle` is not a scan per tick.
+    unfinished: usize,
     txn_agent: HashMap<u64, usize>,
     seq: u64,
     msg_seq: u64,
@@ -294,7 +299,7 @@ impl IpTrafficGenerator {
     ) -> Result<Self, InvalidIptgConfig> {
         config.validate().map_err(InvalidIptgConfig)?;
         let mut seed_rng = SplitMix64::new(config.seed);
-        let agents = config
+        let agents: Vec<Agent> = config
             .agents
             .into_iter()
             .map(|a| {
@@ -305,6 +310,7 @@ impl IpTrafficGenerator {
                     AgentState::Thinking(Time::ZERO)
                 };
                 Agent {
+                    budget: a.total_transactions(),
                     config: a,
                     state,
                     segment: 0,
@@ -325,6 +331,7 @@ impl IpTrafficGenerator {
             width: config.width,
             req_out,
             resp_in,
+            unfinished: agents.len(),
             agents,
             txn_agent: HashMap::new(),
             seq: 0,
@@ -364,26 +371,26 @@ impl IpTrafficGenerator {
     /// Advances agent states that depend on time or dependencies; returns
     /// the index of an agent ready to issue this cycle, if any.
     fn pick_issuer(&mut self, now: Time) -> Option<usize> {
-        let fractions: Vec<f64> = self.agents.iter().map(Agent::done_fraction).collect();
         let n = self.agents.len();
         for k in 0..n {
             let i = (self.rr + k) % n;
-            let agent = &mut self.agents[i];
             loop {
-                match agent.state {
+                match self.agents[i].state {
                     AgentState::Done => break,
                     AgentState::Pending => {
-                        let (dep, frac) = agent.config.start_after.expect("pending implies dep");
-                        if fractions[dep] >= frac {
-                            agent.state = AgentState::Thinking(now);
-                            continue;
+                        // Completion counts do not move inside this
+                        // function, so reading the one fraction on demand
+                        // sees what a table built up front would.
+                        if !self.dependency_met(i) {
+                            break;
                         }
-                        break;
+                        self.agents[i].state = AgentState::Thinking(now);
                     }
                     AgentState::Thinking(until) => {
                         if now < until {
                             break;
                         }
+                        let agent = &mut self.agents[i];
                         // A blocking agent models a dependent processing
                         // stage: it will not open a new burst while
                         // responses are still outstanding.
@@ -397,9 +404,9 @@ impl IpTrafficGenerator {
                         let len = agent.rng.range(lo as u64, hi as u64 + 1) as u32;
                         let len = (len as u64).min(remaining) as u32;
                         agent.state = AgentState::Bursting(len.max(1));
-                        continue;
                     }
                     AgentState::Bursting(_) => {
+                        let agent = &self.agents[i];
                         if agent.outstanding >= agent.config.max_outstanding {
                             break;
                         }
@@ -409,6 +416,53 @@ impl IpTrafficGenerator {
             }
         }
         None
+    }
+
+    /// Whether the start dependency of pending agent `i` has completed its
+    /// required fraction.
+    fn dependency_met(&self, i: usize) -> bool {
+        let (dep, frac) = self.agents[i]
+            .config
+            .start_after
+            .expect("pending implies dep");
+        self.agents[dep].done_fraction() >= frac
+    }
+
+    /// Earliest instant at which some agent may act without a new response.
+    /// With `skip_response_blocked`, blocking agents still owed a response
+    /// are left out: their think deadline is moot until it arrives.
+    fn earliest_deadline(&self, skip_response_blocked: bool) -> Option<Time> {
+        let mut earliest: Option<Time> = None;
+        let mut merge = |t: Time| earliest = Some(earliest.map_or(t, |e| e.min(t)));
+        for (i, agent) in self.agents.iter().enumerate() {
+            match agent.state {
+                AgentState::Done => {}
+                AgentState::Pending => {
+                    // Completion fractions only advance when this generator
+                    // ticks (responses are drained here), so an unmet
+                    // dependency needs no deadline — the hint is re-read
+                    // after every executed tick. A met one is due at once:
+                    // the transition itself waits only on request-link
+                    // space, which `stall_hint` gates on.
+                    if self.dependency_met(i) {
+                        merge(Time::ZERO);
+                    }
+                }
+                AgentState::Thinking(until) => {
+                    if !(skip_response_blocked && agent.config.blocking && agent.outstanding > 0) {
+                        merge(until);
+                    }
+                }
+                AgentState::Bursting(_) => {
+                    if agent.outstanding < agent.config.max_outstanding {
+                        merge(Time::ZERO);
+                    }
+                    // At the outstanding cap the agent resumes on a
+                    // response, which arrives on the watched link.
+                }
+            }
+        }
+        earliest
     }
 
     fn after_issue(&mut self, i: usize, now: Time, clock_period: Time) {
@@ -426,6 +480,9 @@ impl IpTrafficGenerator {
         }
         if agent.segment >= agent.config.segments.len() {
             agent.state = AgentState::Done;
+            if agent.finished() {
+                self.unfinished -= 1;
+            }
             return;
         }
         if left <= 1 || segment_done {
@@ -512,6 +569,7 @@ impl mpsoc_kernel::Snapshot for IpTrafficGenerator {
         self.msg_seq = r.read_u64();
         self.rr = r.read_usize();
         self.done_recorded = r.read_bool();
+        self.unfinished = self.agents.iter().filter(|a| !a.finished()).count();
     }
 }
 
@@ -539,6 +597,9 @@ impl Component<Packet> for IpTrafficGenerator {
             let agent = &mut self.agents[agent_idx];
             agent.outstanding -= 1;
             agent.completed += 1;
+            if agent.finished() {
+                self.unfinished -= 1;
+            }
             let completed = *self
                 .completed_ctr
                 .get_or_insert_with(|| ctx.stats.counter(&format!("{}.completed", self.name)));
@@ -557,12 +618,7 @@ impl Component<Packet> for IpTrafficGenerator {
                 .record(hist, (now.saturating_sub(resp.txn.created_at)).as_ns());
         }
 
-        if !self.done_recorded
-            && self
-                .agents
-                .iter()
-                .all(|a| a.state == AgentState::Done && a.outstanding == 0)
-        {
+        if !self.done_recorded && self.is_idle() {
             self.done_recorded = true;
             let done = ctx.stats.counter(&format!("{}.done_at_ns", self.name));
             ctx.stats.inc(done, ctx.time.as_ns());
@@ -633,9 +689,11 @@ impl Component<Packet> for IpTrafficGenerator {
     }
 
     fn is_idle(&self) -> bool {
-        self.agents
-            .iter()
-            .all(|a| a.state == AgentState::Done && a.outstanding == 0)
+        debug_assert_eq!(
+            self.unfinished,
+            self.agents.iter().filter(|a| !a.finished()).count()
+        );
+        self.unfinished == 0
     }
 
     fn parallel_safe(&self) -> bool {
@@ -654,35 +712,21 @@ impl Component<Packet> for IpTrafficGenerator {
             // sleeps for good.
             return (!self.done_recorded).then_some(Time::ZERO);
         }
-        let fractions: Vec<f64> = self.agents.iter().map(Agent::done_fraction).collect();
-        let mut earliest: Option<Time> = None;
-        let mut merge = |t: Time| earliest = Some(earliest.map_or(t, |e| e.min(t)));
-        for agent in &self.agents {
-            match agent.state {
-                AgentState::Done => {}
-                AgentState::Pending => {
-                    // Completion fractions only advance when this generator
-                    // ticks (responses are drained here), so an unmet
-                    // dependency needs no deadline — the hint is re-read
-                    // after every executed tick. A met one must keep the
-                    // generator ticking: the actual transition still waits
-                    // on request-link space, which frees without a wake.
-                    let (dep, frac) = agent.config.start_after.expect("pending implies dep");
-                    if fractions[dep] >= frac {
-                        merge(Time::ZERO);
-                    }
-                }
-                AgentState::Thinking(until) => merge(until),
-                AgentState::Bursting(_) => {
-                    if agent.outstanding < agent.config.max_outstanding {
-                        merge(Time::ZERO);
-                    }
-                    // At the outstanding cap the agent resumes on a
-                    // response, which arrives on the watched link.
-                }
-            }
+        self.earliest_deadline(false)
+    }
+
+    fn stall_hint(&self, hint: &mut StallHint) {
+        if self.is_idle() {
+            // Recording `done_at_ns` needs no request slot.
+            return;
         }
-        earliest
+        // Everything a deadline can start ends in a push onto the request
+        // wire (`tick` returns at `!can_push(req_out)` before looking at any
+        // agent), and a blocking agent whose think time is over still waits
+        // for its last response. Responses are drained whatever the gate
+        // says: they arrive on the watched link, which is not gated.
+        let due = self.earliest_deadline(true).unwrap_or(Time::MAX);
+        hint.gate_deadline(Gate::until(due).with_space(self.req_out));
     }
 
     fn fast_forward_safe(&self) -> bool {

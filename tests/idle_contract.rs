@@ -8,13 +8,23 @@
 //! engine and link queues are byte-compared around it — any difference
 //! panics naming the violating component.
 //!
+//! The same audit covers the back-pressure half of the schedule: a tick
+//! that is charged but *elided* because the component's `stall_hint` says
+//! every due wake reason sits behind a shut gate (a full output wire, a
+//! target mid-service) is dispatched under the audit too, and compared the
+//! same way.
+//!
 //! These tests run the audit over full platform builds (every component
 //! crate: stbus, ahb, axi, bridge, memory, traffic, noc) across protocols,
-//! topologies, memory systems, workloads and random seeds.
+//! topologies, memory systems, workloads and random seeds, and over the
+//! saturated single-layer shapes where elision does most of its work.
 
 use mpsoc_kernel::Time;
 use mpsoc_memory::LmiConfig;
-use mpsoc_platform::{build_platform, MemorySystem, PlatformSpec, Topology, Workload};
+use mpsoc_platform::{
+    build_platform, build_single_layer, MemorySystem, Platform, PlatformSpec, SingleLayerSpec,
+    Topology, Workload,
+};
 use mpsoc_protocol::ProtocolKind;
 use proptest::prelude::*;
 
@@ -37,14 +47,30 @@ fn audit(spec: &PlatformSpec) {
             spec.protocol, spec.topology
         )
     });
-    platform.sim_mut().enable_skip_audit();
-    platform.sim_mut().run_until(AUDIT_WINDOW);
+    audit_window(&mut platform);
     assert!(
         platform.sim_mut().ticks_executed() > 0,
         "audited window must exercise {:?}/{:?}",
         spec.protocol,
         spec.topology
     );
+}
+
+fn audit_window(platform: &mut Platform) {
+    platform.sim_mut().enable_skip_audit();
+    platform.sim_mut().run_until(AUDIT_WINDOW);
+}
+
+/// Audits a back-pressured platform, after checking on an un-audited twin
+/// that the window really contains elided ticks for the audit to dispatch.
+fn audit_stalled(label: &str, build: impl Fn() -> Platform) {
+    let mut plain = build();
+    plain.sim_mut().run_until(AUDIT_WINDOW);
+    assert!(
+        plain.sim().ticks_elided() > 0,
+        "{label}: no tick elided in the window — nothing for the audit to check"
+    );
+    audit_window(&mut build());
 }
 
 fn protocol(idx: usize) -> ProtocolKind {
@@ -112,6 +138,52 @@ fn two_phase_lmi_platform_honours_the_idle_contract() {
         with_dsp: false,
         ..PlatformSpec::default()
     });
+}
+
+/// The benchmark's `cycle_saturated` shapes: generators that think for 0–2
+/// cycles in front of single-slot memories, so request wires are full and
+/// memories mid-service on most edges — the states the stall hints elide.
+#[test]
+fn saturated_single_layers_honour_the_idle_contract() {
+    for (label, protocol, initiators, targets) in [
+        ("stbus_t3_12x1", ProtocolKind::StbusT3, 12, 1),
+        ("ahb_12x1", ProtocolKind::Ahb, 12, 1),
+        ("axi_12x1", ProtocolKind::Axi, 12, 1),
+        ("stbus_t2_8x4", ProtocolKind::StbusT2, 8, 4),
+        ("axi_8x4", ProtocolKind::Axi, 8, 4),
+    ] {
+        audit_stalled(label, || {
+            build_single_layer(&SingleLayerSpec {
+                protocol,
+                initiators,
+                targets,
+                think_cycles: (0, 2),
+                scale: 1,
+                seed: 0x0dab,
+                ..SingleLayerSpec::default()
+            })
+            .expect("single layer must build")
+        });
+    }
+}
+
+/// A 32-wait-state on-chip memory behind the full platform (the slow end of
+/// the FIG-4 sweep): every layer in front of the memory backs up, bridge
+/// FIFOs included.
+#[test]
+fn slow_memory_platforms_honour_the_idle_contract() {
+    for topology in [Topology::Collapsed, Topology::Distributed] {
+        audit_stalled(&format!("{topology:?}/32ws"), || {
+            build_platform(&PlatformSpec {
+                topology,
+                memory: MemorySystem::OnChip { wait_states: 32 },
+                scale: 1,
+                seed: 0x0dab,
+                ..PlatformSpec::default()
+            })
+            .expect("platform must build")
+        });
+    }
 }
 
 proptest! {

@@ -954,3 +954,348 @@ proptest! {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// Back-pressure: the real component models on saturated platforms.
+//
+// The toy components above publish no stall hints. The platforms below are
+// where `Component::stall_hint` does its work — generators blocked on full
+// request wires, single-slot memories mid-service, buses waiting out busy
+// channels — so they are where "an elided tick is an unobservable no-op"
+// has to be shown against the oracles.
+// ---------------------------------------------------------------------------
+
+use mpsoc_platform::{
+    build_platform, build_single_layer, MemorySystem, Platform, PlatformSpec, RunReport,
+    SingleLayerSpec, Topology,
+};
+use mpsoc_protocol::ProtocolKind;
+
+/// The five `cycle_saturated` shapes of the benchmark (think time 0–2
+/// cycles) and a 32-wait-state on-chip memory behind the collapsed and the
+/// distributed full platform.
+fn stalled_platforms() -> Vec<(String, Box<dyn Fn() -> Platform>)> {
+    let mut out: Vec<(String, Box<dyn Fn() -> Platform>)> = Vec::new();
+    for (label, protocol, initiators, targets) in [
+        ("stbus_t3_12x1", ProtocolKind::StbusT3, 12, 1),
+        ("ahb_12x1", ProtocolKind::Ahb, 12, 1),
+        ("axi_12x1", ProtocolKind::Axi, 12, 1),
+        ("stbus_t2_8x4", ProtocolKind::StbusT2, 8, 4),
+        ("axi_8x4", ProtocolKind::Axi, 8, 4),
+    ] {
+        out.push((
+            label.to_owned(),
+            Box::new(move || {
+                build_single_layer(&SingleLayerSpec {
+                    protocol,
+                    initiators,
+                    targets,
+                    think_cycles: (0, 2),
+                    scale: 1,
+                    seed: 0x0dab,
+                    ..SingleLayerSpec::default()
+                })
+                .expect("single layer builds")
+            }),
+        ));
+    }
+    for topology in [Topology::Collapsed, Topology::Distributed] {
+        out.push((
+            format!("{topology:?}/32ws"),
+            Box::new(move || {
+                build_platform(&PlatformSpec {
+                    topology,
+                    memory: MemorySystem::OnChip { wait_states: 32 },
+                    scale: 1,
+                    seed: 0x0dab,
+                    ..PlatformSpec::default()
+                })
+                .expect("platform builds")
+            }),
+        ));
+    }
+    out
+}
+
+/// A `RunReport` as bytes: every field, floats at full precision.
+fn report_bytes(report: &RunReport) -> String {
+    format!("{report:?}")
+}
+
+/// Runs `platform` to completion, or to `window` when one is given, and
+/// returns everything compared below: the report, the checkpoint, and the
+/// charged and elided tick counts.
+fn outcome(platform: &mut Platform, window: Option<Time>) -> (String, Vec<u8>, u64, u64) {
+    let report = match window {
+        None => platform.run().expect("drains"),
+        Some(at) => {
+            platform.sim_mut().run_until(at);
+            platform.report_at(at)
+        }
+    };
+    (
+        report_bytes(&report),
+        platform.checkpoint().as_bytes().to_vec(),
+        platform.sim().ticks_executed(),
+        platform.sim().ticks_elided(),
+    )
+}
+
+/// Sparse (the default, with elision) against `--dense` and against the
+/// parallel executor at 2 and 4 jobs: byte-identical `RunReport`s and
+/// checkpoints, and — sparse serial against sparse parallel — identical
+/// charged and elided tick counts.
+#[test]
+fn stalled_platforms_match_dense_and_every_job_count() {
+    for (label, build) in stalled_platforms() {
+        let (report, blob, charged, elided) = outcome(&mut build(), None);
+        assert!(
+            elided > 0,
+            "{label}: nothing elided — not a stalled platform"
+        );
+
+        let mut dense = build();
+        dense.sim_mut().set_dense(true);
+        let (dense_report, dense_blob, _, dense_elided) = outcome(&mut dense, None);
+        assert_eq!(dense_report, report, "{label}: dense");
+        assert_eq!(dense_blob, blob, "{label}: dense");
+        assert_eq!(dense_elided, 0, "{label}: dense elides nothing");
+
+        // The parallel executor hands every edge to its workers and back; a
+        // slow-memory platform runs for 570 k cycles, which costs tens of
+        // seconds per job count in a debug build. Those two are compared
+        // over their first 20 us.
+        let window = label.ends_with("32ws").then_some(Time::from_us(20));
+        let serial = match window {
+            None => (report, blob, charged, elided),
+            Some(_) => outcome(&mut build(), window),
+        };
+        for jobs in [2usize, 4] {
+            let mut par = build();
+            par.sim_mut().set_tick_jobs(jobs);
+            assert_eq!(outcome(&mut par, window), serial, "{label}: {jobs} jobs");
+        }
+    }
+}
+
+/// A checkpoint taken while generators sit on full wires restores into a
+/// fresh platform that carries on exactly as the straight-through run: same
+/// blob at a later instant, same final report. Stall hints are derived
+/// state — nothing of them is in the blob, the restored platform re-reads
+/// them.
+#[test]
+fn a_checkpoint_taken_while_stalled_resumes_like_the_straight_run() {
+    let (mid, later) = (Time::from_us(3), Time::from_us(6));
+    for (label, build) in stalled_platforms() {
+        let mut straight = build();
+        straight.sim_mut().run_until(mid);
+        assert!(
+            straight.sim().ticks_elided() > 0,
+            "{label}: nothing stalled before the checkpoint"
+        );
+        let blob = straight.checkpoint();
+        straight.sim_mut().run_until(later);
+        let blob_later = straight.checkpoint();
+        let report = report_bytes(&straight.run().expect("drains"));
+
+        let mut resumed = build();
+        resumed.restore(&blob).expect("restores into a twin");
+        assert_eq!(
+            resumed.checkpoint().as_bytes(),
+            blob.as_bytes(),
+            "{label}: restore"
+        );
+        resumed.sim_mut().run_until(later);
+        assert_eq!(
+            resumed.checkpoint().as_bytes(),
+            blob_later.as_bytes(),
+            "{label}: at {later}"
+        );
+        assert_eq!(
+            report_bytes(&resumed.run().expect("drains")),
+            report,
+            "{label}: final report"
+        );
+    }
+}
+
+/// Wires `$initiators` saturating IPTGs through one bus of `$protocol` into
+/// `$targets` single-slot on-chip memories on any executor (`Simulation`
+/// and `NaiveSimulation` share the API shape) — the `build_single_layer`
+/// organisation, by hand, because the platform builder only targets
+/// `Simulation`.
+macro_rules! wire_saturated {
+    ($sim:expr, $protocol:expr, $initiators:expr, $targets:expr) => {{
+        use mpsoc_protocol::{AddressRange, DataWidth, InitiatorId};
+        use mpsoc_traffic::{
+            AddressPattern, AgentConfig, IpTrafficGenerator, IptgConfig, TrafficSegment,
+        };
+        let protocol: ProtocolKind = $protocol;
+        let clk = ClockDomain::from_mhz(250);
+        let width = DataWidth::BITS64;
+        let region: u64 = 16 << 20;
+        let mut wire = |name: String, cap: usize| {
+            let links = $sim.links_mut();
+            (
+                links.add_link(format!("{name}.req"), cap, clk.period()),
+                links.add_link(format!("{name}.resp"), cap, clk.period()),
+            )
+        };
+        let mem_wires: Vec<_> = (0..$targets).map(|t| wire(format!("mem{t}"), 1)).collect();
+        let ip_wires: Vec<_> = (0..$initiators)
+            .map(|i| wire(format!("ip{i}"), 2))
+            .collect();
+
+        // The three buses share the port API but no trait.
+        enum Bus {
+            Stbus(mpsoc_stbus::StbusNode),
+            Ahb(mpsoc_ahb::AhbBus),
+            Axi(mpsoc_axi::AxiInterconnect),
+        }
+        let mut bus = match protocol {
+            ProtocolKind::Ahb => Bus::Ahb(mpsoc_ahb::AhbBus::new(
+                "bus",
+                mpsoc_ahb::AhbBusConfig {
+                    width,
+                    ..Default::default()
+                },
+                clk,
+            )),
+            ProtocolKind::Axi => Bus::Axi(mpsoc_axi::AxiInterconnect::new(
+                "bus",
+                mpsoc_axi::AxiInterconnectConfig::default(),
+                clk,
+            )),
+            stbus => Bus::Stbus(mpsoc_stbus::StbusNode::new(
+                "bus",
+                mpsoc_stbus::StbusNodeConfig {
+                    protocol: stbus,
+                    ..Default::default()
+                },
+                clk,
+            )),
+        };
+        for &(req, resp) in &ip_wires {
+            match &mut bus {
+                Bus::Stbus(b) => b.add_initiator(req, resp),
+                Bus::Ahb(b) => b.add_initiator(req, resp),
+                Bus::Axi(b) => b.add_initiator(req, resp),
+            };
+        }
+        for (t, &(req, resp)) in mem_wires.iter().enumerate() {
+            let base = 0x8000_0000 + t as u64 * region;
+            let range = AddressRange::new(base, base + region);
+            match &mut bus {
+                Bus::Stbus(b) => {
+                    let port = b.add_target(req, resp);
+                    b.add_route(range, port).expect("disjoint routes");
+                }
+                Bus::Ahb(b) => {
+                    let port = b.add_target(req, resp);
+                    b.add_route(range, port).expect("disjoint routes");
+                }
+                Bus::Axi(b) => {
+                    let port = b.add_target(req, resp);
+                    b.add_route(range, port).expect("disjoint routes");
+                }
+            }
+            $sim.add_component(
+                Box::new(mpsoc_memory::OnChipMemory::new(
+                    format!("mem{t}"),
+                    mpsoc_memory::OnChipMemoryConfig { wait_states: 1 },
+                    clk,
+                    req,
+                    resp,
+                )),
+                clk,
+            );
+        }
+        for (i, &(req, resp)) in ip_wires.iter().enumerate() {
+            let base = 0x8000_0000 + (i % $targets) as u64 * region;
+            let config = IptgConfig {
+                initiator: InitiatorId::new(i as u16),
+                width,
+                seed: 0x0dab ^ (0x9e37 + i as u64),
+                agents: vec![AgentConfig {
+                    read_fraction: 0.8,
+                    beats_choices: vec![4, 8],
+                    max_outstanding: protocol.clamp_outstanding(4),
+                    posted_writes: protocol.supports_posted_writes(),
+                    segments: vec![TrafficSegment {
+                        transactions: 40,
+                        burst_len: (2, 6),
+                        think_cycles: (0, 2),
+                    }],
+                    ..AgentConfig::simple("load", AddressPattern::Random { base, len: region }, 0)
+                }],
+            };
+            let gen = IpTrafficGenerator::new(format!("ip{i}"), config, req, resp)
+                .expect("valid IPTG config");
+            $sim.add_component(Box::new(gen), clk);
+        }
+        let bus: Box<dyn Component<mpsoc_protocol::Packet>> = match bus {
+            Bus::Stbus(b) => Box::new(b),
+            Bus::Ahb(b) => Box::new(b),
+            Bus::Axi(b) => Box::new(b),
+        };
+        $sim.add_component(bus, clk);
+    }};
+}
+
+/// The always-tick naive oracle against the sparse schedule (with elision)
+/// and the dense one, on hand-wired saturated platforms of every bus type:
+/// same drain time, same rendered stats table, and — sparse against dense —
+/// the same checkpoint bytes.
+#[test]
+fn stalled_platforms_match_the_naive_oracle() {
+    for (protocol, initiators, targets) in [
+        (ProtocolKind::StbusT3, 12usize, 1usize),
+        (ProtocolKind::Ahb, 12, 1),
+        (ProtocolKind::Axi, 12, 1),
+        (ProtocolKind::StbusT2, 8, 4),
+        (ProtocolKind::Axi, 8, 4),
+    ] {
+        let label = format!("{protocol} {initiators}x{targets}");
+        let horizon = Time::from_ms(10);
+
+        let mut naive: NaiveSimulation<mpsoc_protocol::Packet> = NaiveSimulation::with_seed(7);
+        wire_saturated!(naive, protocol, initiators, targets);
+        let RunOutcome::Quiescent { at } = naive.run_to_quiescence(horizon) else {
+            panic!("{label}: the naive run must drain");
+        };
+        let naive_report = naive.stats().report(at).to_string();
+
+        let mut sparse: Simulation<mpsoc_protocol::Packet> = Simulation::with_seed(7);
+        wire_saturated!(sparse, protocol, initiators, targets);
+        assert_eq!(
+            sparse.run_to_quiescence(horizon),
+            RunOutcome::Quiescent { at },
+            "{label}: sparse drain time"
+        );
+        assert_eq!(
+            sparse.stats().report(at).to_string(),
+            naive_report,
+            "{label}: sparse stats"
+        );
+        assert!(sparse.ticks_elided() > 0, "{label}: nothing elided");
+
+        let mut dense: Simulation<mpsoc_protocol::Packet> = Simulation::with_seed(7);
+        dense.set_dense(true);
+        wire_saturated!(dense, protocol, initiators, targets);
+        assert_eq!(
+            dense.run_to_quiescence(horizon),
+            RunOutcome::Quiescent { at },
+            "{label}: dense drain time"
+        );
+        assert_eq!(
+            dense.stats().report(at).to_string(),
+            naive_report,
+            "{label}: dense stats"
+        );
+        assert_eq!(
+            sparse.checkpoint().as_bytes(),
+            dense.checkpoint().as_bytes(),
+            "{label}: sparse and dense checkpoints"
+        );
+    }
+}
