@@ -51,8 +51,7 @@
 #            serial run at every rung, and holds what it measured to the
 #            sparse and parallel rows of the ledger floor table
 #   bench  scheduler throughput vs the committed perf ledger and every row
-#          of the floor table (ledger::FLOORS), then a live kernel_hotpath
-#          run against the sparse and parallel rows
+#          of the floor table (ledger::FLOORS)
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -353,11 +352,6 @@ stage_bench() {
     echo "== bench guard: throughput + ledger floors vs committed ledger =="
     cargo run --release -p mpsoc-bench --bin repro -- \
         --scale 1 --no-bench-out --check-bench BENCH_kernel.json
-
-    echo "== bench guard: live kernel_hotpath run against its floor rows =="
-    # Sparse always; the parallel rows arm where the recorded host_cores
-    # allow (see the scaling stage).
-    cargo bench -p mpsoc-bench --bench kernel_hotpath
 }
 
 stage="${1:-all}"

@@ -91,14 +91,13 @@ pub fn committed_path() -> PathBuf {
 /// (the end-to-end fig4 sweep over the same job ladder) — plus the
 /// per-experiment parallel activity counters (`par_edges`,
 /// `par_computed`, `par_reticked`, `par_fallback_*`); `v8` extended the
-/// `"server"` section with the coalescing/persistence figures
-/// (`warm_ups`, `distinct_keys`, `batched_requests_per_sec`,
-/// `unbatched_requests_per_sec`, `batch_speedup`,
-/// `cold_start_first_micros`, `warm_restart_first_micros` and the
-/// per-connections `conn_scaling` curve) and annotated scaling-curve
-/// points with `effective_jobs`/`oversubscribed` (worker counts are now
-/// clamped to the host's cores unless forced). [`Ledger::parse`] accepts
-/// this version only.
+/// `"server"` section with the warm-up/persistence figures
+/// (`warm_ups`, `distinct_keys`, `cold_start_first_micros`,
+/// `warm_restart_first_micros` and the per-connections `conn_scaling`
+/// curve) and annotated scaling-curve points with
+/// `effective_jobs`/`oversubscribed` (worker counts are now clamped to the
+/// host's cores unless forced). [`Ledger::parse`] accepts this version
+/// only.
 pub const SCHEMA: &str = "mpsoc-bench/kernel-v8";
 
 /// The known top-level sections, in the order they appear in the file.
@@ -417,8 +416,6 @@ pub enum Comparator {
     IsTrue,
     /// The value is at most this other field of the same section.
     AtMostField(&'static str),
-    /// The value is recorded; any number passes (provenance, not a floor).
-    Recorded,
 }
 
 /// How many cores the recording host needed for a miss to count; judged
@@ -565,26 +562,14 @@ pub const FLOORS: &[Floor] = &[
         armed_when: None,
         regenerate: LOADGEN,
     },
-    // Coalescing must collapse concurrent duplicate-key misses: the
-    // recording run may not cost more warm-up simulations than its mix
-    // has distinct warm keys.
+    // The warm cache must collapse concurrent misses of one key onto one
+    // computation (its in-flight set): the recording run may not cost more
+    // warm-up simulations than its mix has distinct warm keys.
     Floor {
         label: "server warm-ups",
         section: "server",
         value: ValuePath::Field("warm_ups"),
         comparator: Comparator::AtMostField("distinct_keys"),
-        cores: Cores::Always,
-        armed_when: None,
-        regenerate: LOADGEN,
-    },
-    // Batched / unbatched throughput is provenance, not a floor: both runs
-    // are all-miss by construction, so on small hosts the ratio is
-    // dominated by warm-up scheduling noise.
-    Floor {
-        label: "server batch speedup",
-        section: "server",
-        value: ValuePath::Field("batch_speedup"),
-        comparator: Comparator::Recorded,
         cores: Cores::Always,
         armed_when: None,
         regenerate: LOADGEN,
@@ -704,7 +689,6 @@ impl Floor {
                 let limit = field(other)?;
                 (-value, -limit, format!("<= {other} {}", shown(limit)))
             }
-            Comparator::Recorded => (0.0, 0.0, "any, provenance only".to_string()),
         };
         if let Some((name, at_least)) = self.armed_when {
             if field(name)? < at_least as f64 {
@@ -889,7 +873,7 @@ mod tests {
         "\"fast_forward\": {\"quantum\":64,\"speedup\":3.46,\"q1_identical\":true},\n",
         "\"server\": {\"requests_per_sec\":1243.49,\"hit_rate\":0.958333,",
         "\"p50_hit_micros\":1922,\"hit_speedup\":6.30,\"warm_ups\":2,\"distinct_keys\":2,",
-        "\"batch_speedup\":1.05,\"cold_start_first_micros\":7964,",
+        "\"cold_start_first_micros\":7964,",
         "\"conn_scaling\":[{\"connections\":1,\"speedup\":1.00},",
         "{\"connections\":8,\"speedup\":0.99}],\"host_cores\":2,",
         "\"warm_restart_first_micros\":1154},\n",
@@ -943,11 +927,11 @@ mod tests {
         fanned.push(("dse fanout speedup", Missed));
         assert_eq!(not_met(&dse_fanned_out(&with_eight_cores(FIXTURE))), fanned);
         // Hard floors fail on any host.
-        let mut uncoalesced = recorded_on_one_core.to_vec();
-        uncoalesced.push(("server warm-ups", Missed));
+        let mut rewarmed = recorded_on_one_core.to_vec();
+        rewarmed.push(("server warm-ups", Missed));
         assert_eq!(
             not_met(&FIXTURE.replace("\"warm_ups\":2", "\"warm_ups\":3")),
-            uncoalesced
+            rewarmed
         );
         let mut diverged = recorded_on_one_core.to_vec();
         diverged.push(("fast-forward q=1 identical", Missed));
@@ -992,16 +976,15 @@ mod tests {
         Ledger::parse(&doc).unwrap_or_else(|e| panic!("{doc}: {e}"))
     }
 
-    /// A value that satisfies `comparator` and, where one exists, one that
-    /// does not (`AtMostField` limits are 5 in [`ledger_for`]).
-    fn passing_and_failing(comparator: Comparator) -> (f64, Option<f64>) {
+    /// A value that satisfies `comparator` and one that does not
+    /// (`AtMostField` limits are 5 in [`ledger_for`]).
+    fn passing_and_failing(comparator: Comparator) -> (f64, f64) {
         match comparator {
-            Comparator::AtLeast(floor) => (floor, Some(floor - 0.01)),
-            Comparator::AtMost(ceiling) => (ceiling, Some(ceiling + 0.01)),
-            Comparator::Positive => (0.01, Some(0.0)),
-            Comparator::IsTrue => (1.0, Some(0.0)),
-            Comparator::AtMostField(_) => (5.0, Some(6.0)),
-            Comparator::Recorded => (0.0, None),
+            Comparator::AtLeast(floor) => (floor, floor - 0.01),
+            Comparator::AtMost(ceiling) => (ceiling, ceiling + 0.01),
+            Comparator::Positive => (0.01, 0.0),
+            Comparator::IsTrue => (1.0, 0.0),
+            Comparator::AtMostField(_) => (5.0, 6.0),
         }
     }
 
@@ -1031,7 +1014,6 @@ mod tests {
                 "{label}: met, cores unrecorded"
             );
             assert_eq!(verdict(None, Some(64)), Missed, "{label}: field absent");
-            let Some(failing) = failing else { continue };
             assert_eq!(
                 verdict(Some(failing), Some(64)),
                 Missed,

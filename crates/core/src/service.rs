@@ -577,12 +577,11 @@ pub fn serve_point_on(
 /// request forks the same warm blob and the forks run under one
 /// [`parallel_map`] with `jobs` workers.
 ///
-/// This is the multi-cell batch primitive behind the server's request
-/// coalescing: N concurrent requests for *different* cells of the same
-/// platform cost one warm-up plus one sweep, instead of N sweeps. Results
-/// come back in input order and each is byte-identical to the
-/// [`serve_point`] the request would have run in isolation — the fan-out
-/// changes wall-clock time, never values.
+/// This is the multi-cell primitive behind the server's array requests: a
+/// whole `wait_states` axis of one platform costs one warm-up plus one
+/// sweep, instead of N sweeps. Results come back in input order and each
+/// is byte-identical to the [`serve_point`] the request would have run in
+/// isolation — the fan-out changes wall-clock time, never values.
 ///
 /// Per-point errors stay per-point: one stalling tail does not take down
 /// the rest of the batch.

@@ -4,8 +4,7 @@
 //! loadgen --addr HOST:PORT | --addr-file PATH
 //!         [--requests N] [--connections C | --rate R]
 //!         [--scale N] [--seed N] [--rng-seed N] [--tick-jobs N]
-//!         [--no-coalesce] [--table]
-//!         [--require-hits] [--require-first-hit]
+//!         [--table] [--require-hits] [--require-first-hit]
 //!         [--restart-leg] [--shutdown]
 //!         [--no-bench-out] [--bench-out <path>]
 //! ```
@@ -19,13 +18,11 @@
 //!
 //! With the ledger enabled (the default), the run records the full
 //! kernel-v8 `server` section: besides throughput/latency/hit figures it
-//! queries the server's warm-up count (coalescing must keep it within the
-//! mix's distinct warm keys), replays the mix at fresh seeds with and
-//! without `"coalesce":false` to measure the batched-vs-unbatched
-//! throughput split, and walks a warm closed-loop connections ladder
-//! (1/2/4/8) for the connection-layer scaling curve. The ledger lands in
-//! `target/BENCH_kernel.json` by default, an explicit committed path via
-//! `--bench-out`.
+//! queries the server's warm-up count (the cache must keep it within the
+//! mix's distinct warm keys) and walks a warm closed-loop connections
+//! ladder (1/2/4/8) for the connection-layer scaling curve. The ledger
+//! lands in `target/BENCH_kernel.json` by default, an explicit committed
+//! path via `--bench-out`.
 //!
 //! `--restart-leg` is the persistence probe: run it against a *relaunched*
 //! server whose `--cache-dir` already holds the spills of a previous run.
@@ -52,7 +49,6 @@ fn usage() -> ! {
          --seed N             simulation seed of every request (default 0x0dab)\n\
          --rng-seed N         mix-shuffling seed (default 1)\n\
          --tick-jobs N        tick_jobs knob forwarded on every request (default 1)\n\
-         --no-coalesce        opt every request out of cross-request batching\n\
          --table              print the reconstructed FIG-4 table on stdout\n\
          --require-hits       fail unless the run saw at least one warm-cache hit\n\
          --require-first-hit  fail unless the very first response was served warm\n\
@@ -117,7 +113,6 @@ fn parse_args() -> Args {
             "--tick-jobs" => {
                 args.config.tick_jobs = next(&mut it).parse().unwrap_or_else(|_| usage());
             }
-            "--no-coalesce" => args.config.coalesce = false,
             "--table" => args.table = true,
             "--require-hits" => args.require_hits = true,
             "--require-first-hit" => args.require_first_hit = true,
@@ -159,28 +154,6 @@ fn query_warm_ups(addr: &str) -> Result<u64, String> {
         .ok_or_else(|| format!("stats response without warm_ups: {line}"))
 }
 
-/// The batched-vs-unbatched throughput split: the configured mix replayed
-/// at two fresh simulation seeds (fresh warm keys, so both runs are
-/// all-miss and symmetric), once riding the server's coalescing batches
-/// and once with every request carrying `"coalesce":false`. Closed-loop
-/// regardless of the main run's pacing — this measures capacity.
-fn measure_batching(base: &RunConfig) -> Result<(f64, f64), String> {
-    let connections = match base.pacing {
-        Pacing::Closed { connections } => connections,
-        Pacing::Open { .. } => 4,
-    };
-    let probe = |seed_salt: u64, coalesce: bool| -> Result<f64, String> {
-        let mut cfg = base.clone();
-        cfg.seed = base.seed ^ seed_salt;
-        cfg.coalesce = coalesce;
-        cfg.pacing = Pacing::Closed { connections };
-        Ok(run(&cfg)?.requests_per_sec())
-    };
-    let batched = probe(0xb47c_4ed1, true)?;
-    let unbatched = probe(0x1de4_c74b, false)?;
-    Ok((batched, unbatched))
-}
-
 /// The connection-layer scaling curve: the configured mix replayed
 /// closed-loop at 1/2/4/8 connections against the now-warm cache (the
 /// main run populated it), so the ladder measures the connection layer and
@@ -209,8 +182,6 @@ fn measure_conn_scaling(base: &RunConfig) -> Result<Vec<(u64, f64, f64)>, String
 struct V8Probes {
     warm_ups: u64,
     distinct_keys: u64,
-    batched_rps: f64,
-    unbatched_rps: f64,
     conn_scaling: Vec<(u64, f64, f64)>,
 }
 
@@ -220,13 +191,10 @@ fn run_v8_probes(args: &Args) -> Result<V8Probes, String> {
     let warm_ups = query_warm_ups(&args.config.addr)?;
     let distinct_keys =
         distinct_warm_keys(&fig4_mix(args.config.requests, args.config.rng_seed)) as u64;
-    let (batched_rps, unbatched_rps) = measure_batching(&args.config)?;
     let conn_scaling = measure_conn_scaling(&args.config)?;
     Ok(V8Probes {
         warm_ups,
         distinct_keys,
-        batched_rps,
-        unbatched_rps,
         conn_scaling,
     })
 }
@@ -235,11 +203,6 @@ fn section_json(args: &Args, report: &RunReport, probes: &V8Probes) -> String {
     let (mode, connections) = match args.config.pacing {
         Pacing::Closed { connections } => ("closed", connections as u64),
         Pacing::Open { .. } => ("open", 1),
-    };
-    let batch_speedup = if probes.unbatched_rps > 0.0 {
-        probes.batched_rps / probes.unbatched_rps
-    } else {
-        0.0
     };
     let curve = probes
         .conn_scaling
@@ -258,8 +221,6 @@ fn section_json(args: &Args, report: &RunReport, probes: &V8Probes) -> String {
          \"hits\":{},\"misses\":{},\"hit_rate\":{:.6},\
          \"p50_hit_micros\":{},\"p50_miss_micros\":{},\"hit_speedup\":{:.2},\
          \"warm_ups\":{},\"distinct_keys\":{},\
-         \"batched_requests_per_sec\":{:.2},\"unbatched_requests_per_sec\":{:.2},\
-         \"batch_speedup\":{batch_speedup:.2},\
          \"cold_start_first_micros\":{},\
          \"conn_scaling\":[{curve}],\
          \"host_cores\":{}}}",
@@ -276,8 +237,6 @@ fn section_json(args: &Args, report: &RunReport, probes: &V8Probes) -> String {
         report.hit_speedup(),
         probes.warm_ups,
         probes.distinct_keys,
-        probes.batched_rps,
-        probes.unbatched_rps,
         report.first_latency_micros,
         host_cores(),
     )
@@ -392,12 +351,9 @@ fn main() -> ExitCode {
         } else {
             run_v8_probes(&args).and_then(|probes| {
                 eprintln!(
-                    "loadgen: {} warm-up(s) for {} distinct warm key(s), batched \
-                     {:.1} vs unbatched {:.1} req/s, conn ladder {}",
+                    "loadgen: {} warm-up(s) for {} distinct warm key(s), conn ladder {}",
                     probes.warm_ups,
                     probes.distinct_keys,
-                    probes.batched_rps,
-                    probes.unbatched_rps,
                     probes
                         .conn_scaling
                         .iter()

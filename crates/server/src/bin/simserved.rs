@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! simserved [--addr HOST:PORT] [--port-file PATH] [--cache-capacity N]
-//!           [--cache-dir PATH] [--coalesce-window-ms N] [--handlers N]
+//!           [--cache-dir PATH] [--handlers N]
 //! ```
 //!
 //! Binds (port 0 = ephemeral), optionally writes the actual bound address
@@ -16,12 +16,11 @@
 
 use mpsoc_server::{Server, ServerConfig};
 use std::process::ExitCode;
-use std::time::Duration;
 
 fn usage() -> ! {
     eprintln!(
         "usage: simserved [--addr HOST:PORT] [--port-file PATH] [--cache-capacity N]\n\
-         \x20                [--cache-dir PATH] [--coalesce-window-ms N] [--handlers N]\n\
+         \x20                [--cache-dir PATH] [--handlers N]\n\
          \n\
          Serves the JSON-lines sweep protocol until a shutdown request.\n\
          --addr                bind address (default 127.0.0.1:0 = ephemeral port)\n\
@@ -29,8 +28,6 @@ fn usage() -> ! {
          --cache-capacity N    warm checkpoints kept alive (default 8)\n\
          --cache-dir PATH      spill warm checkpoints here and reload them after a\n\
          \x20                    restart (default: $MPSOC_CACHE_DIR; unset = no spill)\n\
-         --coalesce-window-ms  extra time a batch stays open after its warm-up for\n\
-         \x20                    stragglers to join (default 2)\n\
          --handlers N          request handler threads (default: sized from cores)"
     );
     std::process::exit(2);
@@ -56,13 +53,6 @@ fn main() -> ExitCode {
             }
             "--cache-dir" => {
                 config.cache_dir = Some(args.next().unwrap_or_else(|| usage()).into());
-            }
-            "--coalesce-window-ms" => {
-                config.coalesce_window = Duration::from_millis(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| usage()),
-                );
             }
             "--handlers" => {
                 config.handlers = args

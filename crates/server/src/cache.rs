@@ -136,9 +136,9 @@ impl<T> WarmCache<T> {
     /// nothing and leaves the cache untouched.
     ///
     /// This is the serving fast path's probe — a miss here falls through to
-    /// the coalescing/compute path, whose [`WarmCache::get_or_compute`]
-    /// records the authoritative miss (and evicts a stale entry), so the
-    /// counters see each request exactly once.
+    /// [`WarmCache::get_or_compute`], which records the authoritative miss
+    /// (and evicts a stale entry), so the counters see each request exactly
+    /// once.
     pub fn peek(&self, key: &str, fingerprint: u64) -> Option<Arc<T>> {
         let mut inner = self.inner.lock().expect("cache lock");
         inner.tick += 1;
@@ -151,13 +151,6 @@ impl<T> WarmCache<T> {
             }
         }
         None
-    }
-
-    /// Records a hit that happened outside the cache's own lookup path: a
-    /// coalesced request served from a batch fan-out shares the leader's
-    /// warm state without ever touching an entry itself.
-    pub fn note_hit(&self) {
-        self.inner.lock().expect("cache lock").stats.hits += 1;
     }
 
     /// Looks `key` up, requiring the entry to carry `fingerprint`.

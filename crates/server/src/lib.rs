@@ -25,8 +25,6 @@
 //! * [`protocol`] — the request/response line format;
 //! * [`cache`] — the fingerprint-checked, deterministically-LRU warm
 //!   cache with concurrent-miss collapsing;
-//! * [`coalesce`] — cross-request batching: concurrent misses for
-//!   *different* cells of one warm key share one warm-up and one fan-out;
 //! * [`persist`] — the disk spill layer that makes warm checkpoints
 //!   survive a server restart (fail-closed, doubly checksummed);
 //! * [`server`] — blocking per-connection readers feeding a bounded handler
@@ -46,7 +44,6 @@
 #![warn(missing_docs)]
 
 pub mod cache;
-pub mod coalesce;
 pub mod loadgen;
 pub mod persist;
 pub mod protocol;

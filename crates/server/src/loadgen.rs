@@ -87,19 +87,10 @@ pub fn fig4_mix(requests: usize, rng_seed: u64) -> Vec<Cell> {
 }
 
 /// Serializes the request line for one FIG-4 cell at `scale`/`seed`.
-/// `coalesce:false` opts the request out of cross-request batching — the
-/// ledger uses it to measure the unbatched baseline.
-pub fn request_line(
-    id: u64,
-    cell: Cell,
-    scale: u64,
-    seed: u64,
-    tick_jobs: usize,
-    coalesce: bool,
-) -> String {
+pub fn request_line(id: u64, cell: Cell, scale: u64, seed: u64, tick_jobs: usize) -> String {
     format!(
         "{{\"id\":{id},\"cmd\":\"simulate\",\"topology\":\"{}\",\"scale\":{scale},\
-         \"seed\":{seed},\"wait_states\":{},\"tick_jobs\":{tick_jobs},\"coalesce\":{coalesce}}}",
+         \"seed\":{seed},\"wait_states\":{},\"tick_jobs\":{tick_jobs}}}",
         topology_wire_name(cell.0),
         cell.1
     )
@@ -223,9 +214,6 @@ pub struct RunConfig {
     pub rng_seed: u64,
     /// `tick_jobs` knob forwarded on every request.
     pub tick_jobs: usize,
-    /// Whether requests may ride the server's coalescing batches
-    /// (`false` sends `"coalesce":false`, the unbatched baseline).
-    pub coalesce: bool,
 }
 
 impl Default for RunConfig {
@@ -239,7 +227,6 @@ impl Default for RunConfig {
             seed: defaults.seed,
             rng_seed: 1,
             tick_jobs: 1,
-            coalesce: true,
         }
     }
 }
@@ -469,14 +456,8 @@ fn run_closed(
                     Client::connect(&config.addr).map_err(|e| format!("connect: {e}"))?;
                 let mut observations = Vec::with_capacity(slice.len());
                 for (id, cell) in slice {
-                    let line = request_line(
-                        id as u64,
-                        cell,
-                        config.scale,
-                        config.seed,
-                        config.tick_jobs,
-                        config.coalesce,
-                    );
+                    let line =
+                        request_line(id as u64, cell, config.scale, config.seed, config.tick_jobs);
                     let sent = Instant::now();
                     let response = client.roundtrip(&line).map_err(|e| format!("io: {e}"))?;
                     let latency = sent.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
@@ -523,14 +504,8 @@ fn run_open(
                 if due > now {
                     std::thread::sleep(due - now);
                 }
-                let line = request_line(
-                    id as u64,
-                    cell,
-                    config.scale,
-                    config.seed,
-                    config.tick_jobs,
-                    config.coalesce,
-                );
+                let line =
+                    request_line(id as u64, cell, config.scale, config.seed, config.tick_jobs);
                 send_line(&mut writer, &line).map_err(|e| format!("io: {e}"))?;
                 // Latency is measured from the *intended* send instant, not
                 // the actual write: when the writer itself falls behind the
@@ -607,7 +582,7 @@ mod tests {
             writes: 0,
             bytes: Vec::new(),
         };
-        let line = request_line(1, (Topology::Distributed, 8), 1, 0x0dab, 1, true);
+        let line = request_line(1, (Topology::Distributed, 8), 1, 0x0dab, 1);
         send_line(&mut out, &line).expect("writes");
         assert_eq!(out.writes, 1, "line and newline must leave together");
         assert_eq!(out.bytes, format!("{line}\n").into_bytes());
@@ -615,12 +590,12 @@ mod tests {
 
     #[test]
     fn request_lines_parse_back() {
-        let line = request_line(3, (Topology::Collapsed, 16), 2, 0x0dab, 2, false);
+        let line = request_line(3, (Topology::Collapsed, 16), 2, 0x0dab, 2);
         let v = json::parse(&line).expect("valid JSON");
         assert_eq!(v.get("id").and_then(Json::as_u64), Some(3));
         assert_eq!(v.get("topology").and_then(Json::as_str), Some("collapsed"));
         assert_eq!(v.get("wait_states").and_then(Json::as_u64), Some(16));
-        assert_eq!(v.get("coalesce").and_then(Json::as_bool), Some(false));
+        assert_eq!(v.get("coalesce"), None);
     }
 
     #[test]

@@ -11,9 +11,8 @@
 //!   an **array** to fan a whole sweep out across worker threads in one
 //!   request), `jobs` (worker threads for an array sweep), `fast_gear`
 //!   (loosely-timed warm-up quantum, 0/omitted = cycle-accurate),
-//!   `tick_jobs` (intra-edge parallel ticking of the tail), `coalesce`
-//!   (`true` by default; `false` opts this request out of cross-request
-//!   batching so it always warms up or forks on its own).
+//!   `tick_jobs` (intra-edge parallel ticking of the tail). Keys the
+//!   parser does not know are ignored.
 //! * `{"cmd": "stats"}` — server and cache counters.
 //! * `{"cmd": "ping"}` — liveness.
 //! * `{"cmd": "shutdown"}` — stop accepting and exit once drained.
@@ -47,9 +46,6 @@ pub struct Simulate {
     pub extra_wait_states: Vec<u32>,
     /// Worker threads used to fan an array sweep out.
     pub jobs: usize,
-    /// Whether this request may ride (or lead) a coalesced batch with
-    /// other requests of the same warm key.
-    pub coalesce: bool,
 }
 
 impl Simulate {
@@ -69,7 +65,8 @@ fn field_u64(obj: &Json, key: &str, default: u64) -> Result<u64, String> {
         None | Some(Json::Null) => Ok(default),
         Some(v) => v
             .as_u64()
-            .ok_or_else(|| format!("'{key}' must be a non-negative integer")),
+            // Numbers are read as `f64`, which is exact only up to 2^53.
+            .ok_or_else(|| format!("'{key}' must be an integer in 0..=9007199254740992")),
     }
 }
 
@@ -158,12 +155,6 @@ fn parse_simulate(obj: &Json) -> Result<Simulate, String> {
                 .ok_or_else(|| "'wait_states' must be an integer or array".to_string())?;
         }
     }
-    let coalesce = match obj.get("coalesce") {
-        None | Some(Json::Null) => true,
-        Some(v) => v
-            .as_bool()
-            .ok_or_else(|| "'coalesce' must be a boolean".to_string())?,
-    };
     Ok(Simulate {
         id: field_u64(obj, "id", 0)?,
         req,
@@ -171,7 +162,6 @@ fn parse_simulate(obj: &Json) -> Result<Simulate, String> {
         jobs: usize::try_from(field_u64(obj, "jobs", 1)?)
             .map_err(|_| "'jobs' out of range".to_string())?
             .max(1),
-        coalesce,
     })
 }
 
@@ -256,17 +246,15 @@ mod tests {
         assert_eq!(sim.req, SweepRequest::default());
         assert_eq!(sim.id, 0);
         assert!(sim.extra_wait_states.is_empty());
-        assert!(sim.coalesce, "coalescing is opt-out");
     }
 
     #[test]
-    fn coalesce_opt_out_parses() {
-        let Command::Simulate(sim) = parse_command(r#"{"coalesce":false}"#).expect("parses") else {
-            panic!("simulate");
-        };
-        assert!(!sim.coalesce);
-        let err = parse_command(r#"{"coalesce":1}"#).expect_err("rejects non-bool");
-        assert!(err.contains("'coalesce'"), "{err}");
+    fn unknown_fields_are_ignored() {
+        // Clients written against an earlier protocol still send this key.
+        let plain = r#"{"id":4,"topology":"collapsed","wait_states":[2,8]}"#;
+        let decorated = r#"{"id":4,"coalesce":false,"topology":"collapsed","wait_states":[2,8],"colour":"red"}"#;
+        assert_eq!(parse_command(decorated), parse_command(plain));
+        assert!(matches!(parse_command(plain), Ok(Command::Simulate(_))));
     }
 
     #[test]
@@ -321,12 +309,21 @@ mod tests {
             (r#"{"cmd":"reboot"}"#, "unknown cmd"),
             (r#"{"protocol":"pci"}"#, "unknown protocol"),
             (r#"{"scale":-1}"#, "'scale'"),
+            (
+                r#"{"seed":18446744073709551615}"#,
+                "'seed' must be an integer in 0..=9007199254740992",
+            ),
             (r#"{"wait_states":[]}"#, "non-empty"),
             (r#"{"wait_states":"many"}"#, "'wait_states'"),
         ] {
             let err = parse_command(line).expect_err(line);
             assert!(err.contains(needle), "{line}: {err}");
         }
+        // The top of the range the message names is itself accepted.
+        let Ok(Command::Simulate(sim)) = parse_command(r#"{"seed":9007199254740992}"#) else {
+            panic!("2^53 is in range");
+        };
+        assert_eq!(sim.req.seed, 1 << 53);
     }
 
     #[test]

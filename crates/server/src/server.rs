@@ -33,31 +33,26 @@
 //!
 //! A `simulate` request probes the [`WarmCache`] under the structural
 //! fingerprint of the platform it would build. On a hit it forks the blob
-//! and serves its point(s) directly. On a miss it enters the
-//! [`Coalescer`]: the first request for a warm key leads — loading the
-//! spilled checkpoint from the [`DiskCache`] if one survives from an
-//! earlier process, else running the warm-up and spilling it — while
-//! every concurrent request for the same key registers its sweep cells
-//! with the leader's batch and blocks. The batch closes one coalescing
-//! window after the warm-up lands and the leader serves **all** gathered
-//! cells in one [`serve_points`](mpsoc_platform::service::serve_points)
-//! fan-out, so a duplicate-heavy mix of N concurrent misses costs one
-//! warm-up plus one sweep.
+//! and serves its point(s) directly. On a miss it goes through the cache's
+//! [`get_or_compute`](WarmCache::get_or_compute): the first request for a
+//! warm key computes — loading the spilled checkpoint from the
+//! [`DiskCache`] if one survives from an earlier process, else running the
+//! warm-up and spilling it — while every concurrent request for the same
+//! key waits on the cache's condvar and wakes as a hit. Each request then
+//! serves its own points on its own handler, so N concurrent misses of one
+//! key cost one warm-up and their tails run side by side.
 //!
-//! Cache hits, disk loads and coalesced batch results are all
-//! byte-identical to cold runs: the warm state is a pure function of the
-//! request key, restore is bit-exact, spill files are doubly checksummed
-//! and fingerprint-checked (fail closed), and the fan-out runs the exact
-//! tails the requests would run in isolation. CI drives this end to end
-//! with the `loadgen` binary and diffs served tables against `repro`'s —
-//! including across a server restart.
+//! Cache hits and disk loads are byte-identical to cold runs: the warm
+//! state is a pure function of the request key, restore is bit-exact, and
+//! spill files are doubly checksummed and fingerprint-checked (fail
+//! closed). CI drives this end to end with the `loadgen` binary and diffs
+//! served tables against `repro`'s — including across a server restart.
 
 use crate::cache::{CacheStats, Lookup, WarmCache};
-use crate::coalesce::{Coalescer, Joined, Lead};
 use crate::persist::DiskCache;
 use crate::protocol::{self, CacheOutcome, Command, PointResult, Simulate};
+use mpsoc_platform::build_platform;
 use mpsoc_platform::service::{self, SweepRequest, WarmState};
-use mpsoc_platform::{build_platform, Platform};
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -75,10 +70,6 @@ pub struct ServerConfig {
     /// (`None` disables persistence). The `simserved` binary wires
     /// `MPSOC_CACHE_DIR` here.
     pub cache_dir: Option<PathBuf>,
-    /// How long a batch lingers after its warm-up before closing to new
-    /// cells. Zero still coalesces everything that arrives *during* the
-    /// warm-up — the window only buys stragglers in.
-    pub coalesce_window: Duration,
     /// Handler pool size; 0 sizes it from the host's cores.
     pub handlers: usize,
 }
@@ -88,7 +79,6 @@ impl Default for ServerConfig {
         ServerConfig {
             cache_capacity: 8,
             cache_dir: None,
-            coalesce_window: Duration::from_millis(2),
             handlers: 0,
         }
     }
@@ -144,22 +134,14 @@ pub struct ServerStats {
     pub points: u64,
     /// Requests that failed with an error response.
     pub errors: u64,
-    /// Actual warm-up simulations run (cache hits, disk loads and
-    /// coalesced joins all avoid one).
+    /// Actual warm-up simulations run (cache hits, disk loads and waits on
+    /// another request's warm-up all avoid one).
     pub warm_ups: u64,
-}
-
-/// What a batch leader publishes to its riders: the shared warm state's
-/// base run plus one served tail per gathered cell.
-struct BatchResults {
-    base_cycles: u64,
-    cells: HashMap<u32, Result<u64, String>>,
 }
 
 struct Shared {
     cache: WarmCache<WarmState>,
     disk: Option<DiskCache>,
-    coalescer: Coalescer<BatchResults>,
     /// The bound address, which [`Shared::stop`] connects to.
     addr: SocketAddr,
     running: AtomicBool,
@@ -167,9 +149,6 @@ struct Shared {
     points: AtomicU64,
     errors: AtomicU64,
     warm_ups: AtomicU64,
-    disk_hits: AtomicU64,
-    batches: AtomicU64,
-    coalesced: AtomicU64,
     host_cores: usize,
 }
 
@@ -194,17 +173,13 @@ impl Shared {
         let d = self.disk.as_ref().map(DiskCache::stats).unwrap_or_default();
         format!(
             "{{\"id\":0,\"status\":\"ok\",\"stats\":{{\"requests\":{},\"points\":{},\"errors\":{},\
-             \"warm_ups\":{},\"disk_hits\":{},\"batches\":{},\"coalesced\":{},\
-             \"hits\":{},\"misses\":{},\"evictions\":{},\"stale_rejected\":{},\
+             \"warm_ups\":{},\"hits\":{},\"misses\":{},\"evictions\":{},\"stale_rejected\":{},\
              \"hit_rate\":{:.6},\"entries\":{},\"capacity\":{},\
              \"spill_loads\":{},\"spill_stores\":{},\"spill_rejected\":{}}}}}",
             self.requests.load(Ordering::Relaxed),
             self.points.load(Ordering::Relaxed),
             self.errors.load(Ordering::Relaxed),
             self.warm_ups.load(Ordering::Relaxed),
-            self.disk_hits.load(Ordering::Relaxed),
-            self.batches.load(Ordering::Relaxed),
-            self.coalesced.load(Ordering::Relaxed),
             c.hits,
             c.misses,
             c.evictions,
@@ -248,16 +223,12 @@ impl Server {
             shared: Arc::new(Shared {
                 cache: WarmCache::new(config.cache_capacity),
                 disk,
-                coalescer: Coalescer::new(config.coalesce_window),
                 addr,
                 running: AtomicBool::new(true),
                 requests: AtomicU64::new(0),
                 points: AtomicU64::new(0),
                 errors: AtomicU64::new(0),
                 warm_ups: AtomicU64::new(0),
-                disk_hits: AtomicU64::new(0),
-                batches: AtomicU64::new(0),
-                coalesced: AtomicU64::new(0),
                 host_cores: host_cores(),
             }),
         })
@@ -560,120 +531,26 @@ fn serve_simulate(shared: &Shared, sim: &Simulate) -> Result<String, String> {
     let expected = platform.structural_fingerprint();
     let key = sim.req.warm_key();
 
-    // Fast path: the warm state is already resident, and the request's
-    // first point runs on the platform just built.
-    if let Some(warm) = shared.cache.peek(&key, expected) {
-        return serve_own_points(
-            shared,
-            sim,
-            CacheOutcome::Hit,
-            &warm,
-            Some(platform),
-            points,
-            started,
-        );
-    }
-    // A miss now waits for a warm-up, its own or a batch leader's; a built
-    // platform held through that would only raise the memory peak.
-    drop(platform);
-    if !sim.coalesce {
-        let (warm, outcome) = warm_up(shared, &sim.req, &key, expected)?;
-        return serve_own_points(shared, sim, outcome, &warm, None, points, started);
-    }
-
-    let cells: Vec<u32> = points.iter().map(|p| p.wait_states).collect();
-    match shared.coalescer.join_or_lead(&key, &cells) {
-        Joined::Lead(lead) => lead_batch(shared, sim, &key, &points, lead, expected, started),
-        Joined::Results(Some(results)) => {
-            shared.coalesced.fetch_add(1, Ordering::Relaxed);
-            shared.cache.note_hit();
-            let mut out = Vec::with_capacity(points.len());
-            for point in &points {
-                let cycles = results
-                    .cells
-                    .get(&point.wait_states)
-                    .cloned()
-                    .ok_or_else(|| "batch result missing a registered cell".to_string())??;
-                out.push(PointResult {
-                    wait_states: point.wait_states,
-                    exec_cycles: cycles,
-                });
-            }
-            shared.points.fetch_add(out.len() as u64, Ordering::Relaxed);
-            Ok(protocol::simulate_response(
-                sim.id,
-                CacheOutcome::Hit,
-                results.base_cycles,
-                &out,
-                started.elapsed().as_micros(),
-            ))
-        }
-        Joined::Results(None) | Joined::Closed => {
-            // The batch failed or closed under us; serve solo — by now the
-            // warm state is cached (or the solo warm-up reports the error).
+    let (warm, outcome, spare) = match shared.cache.peek(&key, expected) {
+        // Fast path: the warm state is already resident, and the request's
+        // first point runs on the platform just built.
+        Some(warm) => (warm, CacheOutcome::Hit, Some(platform)),
+        None => {
+            // A miss now waits for a warm-up, its own or another request's;
+            // a built platform held through that would only raise the
+            // memory peak.
+            drop(platform);
             let (warm, outcome) = warm_up(shared, &sim.req, &key, expected)?;
-            serve_own_points(shared, sim, outcome, &warm, None, points, started)
-        }
-    }
-}
-
-/// Leads a coalesced batch: warm up (disk, cache or fresh), hold the
-/// window, then serve every gathered cell in one fan-out and publish.
-fn lead_batch(
-    shared: &Shared,
-    sim: &Simulate,
-    key: &str,
-    points: &[SweepRequest],
-    lead: Lead<BatchResults>,
-    expected: u64,
-    started: Instant,
-) -> Result<String, String> {
-    shared.batches.fetch_add(1, Ordering::Relaxed);
-    let (warm, outcome) = match warm_up(shared, &sim.req, key, expected) {
-        Ok(pair) => pair,
-        Err(message) => {
-            shared.coalescer.abandon(lead);
-            return Err(message);
+            (warm, outcome, None)
         }
     };
-    // The warm state is in the cache now, so stragglers that miss the
-    // window peek it instead; lingering is only worth it after a real
-    // warm-up, where joiners piled up behind a long computation.
-    let batch_cells = match outcome {
-        CacheOutcome::Miss => shared.coalescer.close(&lead),
-        CacheOutcome::Hit => shared.coalescer.close_now(&lead),
-    };
-    let reqs: Vec<SweepRequest> = batch_cells
-        .iter()
-        .map(|&ws| SweepRequest {
-            wait_states: ws,
-            tick_jobs: sim.req.tick_jobs.clamp(1, shared.host_cores),
-            ..sim.req.clone()
-        })
-        .collect();
-    let tails = service::serve_points(reqs, &warm, shared.fan_out_jobs(sim));
-    let cells: HashMap<u32, Result<u64, String>> = batch_cells
-        .iter()
-        .zip(tails)
-        .map(|(&ws, tail)| (ws, tail.map_err(|e| e.to_string())))
-        .collect();
-    let results = shared.coalescer.publish(
-        lead,
-        BatchResults {
-            base_cycles: warm.profile.base_cycles,
-            cells,
-        },
-    );
-    let mut out = Vec::with_capacity(points.len());
-    for point in points {
-        let cycles = results
-            .cells
-            .get(&point.wait_states)
-            .cloned()
-            .ok_or_else(|| "batch result missing the leader's cell".to_string())??;
+    let cells: Vec<u32> = points.iter().map(|p| p.wait_states).collect();
+    let tails = service::serve_points_with(spare, points, &warm, shared.fan_out_jobs(sim));
+    let mut out = Vec::with_capacity(tails.len());
+    for (ws, tail) in cells.into_iter().zip(tails) {
         out.push(PointResult {
-            wait_states: point.wait_states,
-            exec_cycles: cycles,
+            wait_states: ws,
+            exec_cycles: tail.map_err(|e| e.to_string())?,
         });
     }
     shared.points.fetch_add(out.len() as u64, Ordering::Relaxed);
@@ -713,9 +590,6 @@ fn warm_up(
             Ok(warm)
         })
         .map_err(|e| e.to_string())?;
-    if from_disk.get() {
-        shared.disk_hits.fetch_add(1, Ordering::Relaxed);
-    }
     // A disk load skips the warm-up, which is what "hit" means to clients
     // (and what the restart CI leg asserts); a fresh warm-up is the miss.
     let outcome = match lookup {
@@ -724,36 +598,6 @@ fn warm_up(
         Lookup::Miss | Lookup::Stale => CacheOutcome::Miss,
     };
     Ok((warm, outcome))
-}
-
-/// Serves exactly the request's own points from a warm state, the first of
-/// them on `spare` when the caller still holds the platform it built.
-fn serve_own_points(
-    shared: &Shared,
-    sim: &Simulate,
-    outcome: CacheOutcome,
-    warm: &WarmState,
-    spare: Option<Platform>,
-    points: Vec<SweepRequest>,
-    started: Instant,
-) -> Result<String, String> {
-    let cells: Vec<u32> = points.iter().map(|p| p.wait_states).collect();
-    let tails = service::serve_points_with(spare, points, warm, shared.fan_out_jobs(sim));
-    let mut out = Vec::with_capacity(tails.len());
-    for (ws, tail) in cells.into_iter().zip(tails) {
-        out.push(PointResult {
-            wait_states: ws,
-            exec_cycles: tail.map_err(|e| e.to_string())?,
-        });
-    }
-    shared.points.fetch_add(out.len() as u64, Ordering::Relaxed);
-    Ok(protocol::simulate_response(
-        sim.id,
-        outcome,
-        warm.profile.base_cycles,
-        &out,
-        started.elapsed().as_micros(),
-    ))
 }
 
 #[cfg(test)]

@@ -27,8 +27,8 @@ fn start_server(cache_capacity: usize) -> (String, std::thread::JoinHandle<()>) 
     (addr, handle)
 }
 
-/// Like [`start_server`], but with an explicit full config (disk spill
-/// directory, coalescing window, …).
+/// Like [`start_server`], but with an explicit full config (a disk spill
+/// directory).
 fn start_server_with(config: ServerConfig) -> (String, std::thread::JoinHandle<()>) {
     let server = Server::bind("127.0.0.1:0", &config).expect("binds");
     let addr = server.local_addr().to_string();
@@ -155,12 +155,8 @@ fn concurrent_duplicates_share_one_warm_up() {
 }
 
 #[test]
-fn concurrent_distinct_cells_coalesce_behind_one_warm_up() {
-    let (addr, handle) = start_server_with(ServerConfig {
-        cache_capacity: 4,
-        coalesce_window: std::time::Duration::from_millis(100),
-        ..ServerConfig::default()
-    });
+fn concurrent_distinct_cells_share_one_warm_up() {
+    let (addr, handle) = start_server(4);
     let addr = Arc::new(addr);
     let cells = [1u32, 2, 4, 8, 16, 32];
     let mut lanes = Vec::new();
@@ -180,17 +176,19 @@ fn concurrent_distinct_cells_coalesce_behind_one_warm_up() {
     let results: Vec<(u32, u64)> = lanes.into_iter().map(|l| l.join().expect("lane")).collect();
 
     // Six concurrent requests for six *distinct* cells of one warm key:
-    // one warm-up total. (A straggler that misses the coalescing window
-    // serves solo from the cache, which still runs no warm-up.)
+    // one warm-up total. Whoever reaches the cache first computes; the
+    // other five wait on it or find the entry, and count as hits either way.
     let mut client = Client::connect(&addr).expect("connects");
     let stats = client.roundtrip("{\"cmd\":\"stats\"}").expect("responds");
     assert_eq!(
         field_u64(&stats, "warm_ups"),
         1,
-        "distinct cells must batch behind one warm-up: {stats}"
+        "distinct cells must share one warm-up: {stats}"
     );
+    assert_eq!(field_u64(&stats, "misses"), 1, "{stats}");
+    assert_eq!(field_u64(&stats, "hits"), 5, "{stats}");
 
-    // And every batched cell is byte-identical to its isolated cold run.
+    // And every cell is byte-identical to its isolated cold run.
     for (ws, cycles) in results {
         let reference = service::cold_point(&SweepRequest {
             topology: Topology::Distributed,
@@ -199,7 +197,7 @@ fn concurrent_distinct_cells_coalesce_behind_one_warm_up() {
             ..SweepRequest::default()
         })
         .expect("cold run");
-        assert_eq!(cycles, reference, "coalesced cell ws={ws} must match cold");
+        assert_eq!(cycles, reference, "cell ws={ws} must match cold");
     }
     shutdown(&addr);
     handle.join().expect("server exits cleanly");
