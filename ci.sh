@@ -20,7 +20,8 @@
 #          walkthroughs (quickstart, trace replay), and the benchmark
 #          harness in quick mode (every workload's output checks; fails
 #          when a change breaks the API surface the harness compiles
-#          against — see benchmark/README.md)
+#          against — see benchmark/README.md) plus the harness's own tests
+#          (the quick workloads against benchmark/expected.json)
 #   gates  determinism: the same experiment twice with one seed must emit
 #            byte-identical tables
 #          snapshot round trip: the checkpoint-forked fig4 sweep must emit
@@ -118,6 +119,12 @@ stage_test() {
     # here for the checks and for the harness's compile contract with
     # mpsoc_server and mpsoc_platform.
     benchmark/run.sh --quick
+
+    echo "== benchmark harness: its own tests (quick workloads vs expected.json) =="
+    # The harness's unit tests run every workload in quick mode against
+    # the digests committed in benchmark/expected.json, so a drift in
+    # modelled behaviour fails here, not in a 15-second benchmark run.
+    (cd benchmark && cargo test --offline)
 }
 
 gate_determinism() {

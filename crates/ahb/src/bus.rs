@@ -111,6 +111,8 @@ pub struct AhbBus {
     charged_until: Time,
     last_winner: usize,
     counters: Counters,
+    /// Scratch for [`arbitrate`](Self::arbitrate), reused across ticks.
+    contenders: Vec<Contender>,
 }
 
 impl AhbBus {
@@ -128,6 +130,7 @@ impl AhbBus {
             charged_until: Time::ZERO,
             last_winner: 0,
             counters: Counters::default(),
+            contenders: Vec::new(),
         }
     }
 
@@ -234,7 +237,8 @@ impl AhbBus {
         if now < early {
             return;
         }
-        let mut contenders = Vec::new();
+        let mut contenders = std::mem::take(&mut self.contenders);
+        contenders.clear();
         for (p, port) in self.initiators.iter().enumerate() {
             let Some(Packet::Request(txn)) = ctx.links.peek(port.req_in, now) else {
                 continue;
@@ -252,11 +256,12 @@ impl AhbBus {
                 created_at,
             });
         }
-        let Some(winner) =
+        let winner =
             self.config
                 .arbitration
-                .pick(&contenders, self.last_winner, self.initiators.len())
-        else {
+                .pick(&contenders, self.last_winner, self.initiators.len());
+        self.contenders = contenders;
+        let Some(winner) = winner else {
             return;
         };
         let pkt = ctx
@@ -299,6 +304,10 @@ impl AhbBus {
             forward_response,
         });
         self.busy_until = self.busy_until.max(arrival);
+        // A held bus names this counter in its stall hint.
+        self.counters
+            .idle_waits
+            .get_or_insert_with(|| ctx.stats.counter(&format!("{}.idle_waits", self.name)));
         ctx.stats.emit_trace(now, &self.name, TraceKind::Grant, || {
             format!("txn {txn_id} port {} -> target {target}", winner.port)
         });
@@ -388,16 +397,16 @@ impl Component<Packet> for AhbBus {
         // While a transaction is held the bus has its own deadline: the
         // data-phase end (`busy_until`), after which every further cycle
         // spent waiting on the target counts as an idle wait — `busy_until`
-        // stays in the past then, keeping the bus ticking each edge exactly
-        // as the dense schedule does. An un-held bus is purely reactive
+        // stays in the past then, so each of those edges is a charged tick
+        // exactly as on the dense schedule (the stall hint says which of
+        // them are worth a dispatch). An un-held bus is purely reactive
         // (grants need a deliverable request, which wakes it).
         self.active.is_some().then_some(self.busy_until)
     }
 
     fn stall_hint(&self, hint: &mut StallHint) {
         // In `watched_links` order: initiator request wires, then target
-        // response wires. The deadline is never gated: a bus held past its
-        // data phase counts an idle wait on every edge.
+        // response wires.
         let ports = self.initiators.len();
         match &self.active {
             Some(active) => {
@@ -411,6 +420,14 @@ impl Component<Packet> for AhbBus {
                         completion.with_space(self.initiators[active.initiator_port].resp_out);
                 }
                 hint.gate_input(ports + active.target_port, completion);
+                // Until then every cycle past the data phase counts one
+                // idle wait and does nothing else. (A bus restored while
+                // held resolves the counter on its next tick and polls
+                // till then.)
+                if let Some(idle) = self.counters.idle_waits {
+                    hint.gate_deadline(Gate::CLOSED);
+                    hint.count_elided(idle, self.busy_until);
+                }
             }
             None => {
                 // Free bus: the next grant comes no earlier than the early

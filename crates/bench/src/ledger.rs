@@ -527,12 +527,19 @@ pub const FLOORS: &[Floor] = &[
     // At the default quantum the loosely-timed gear has to beat
     // cycle-accurate simulation of the same warm phase by a clear margin,
     // or temporal decoupling has regressed into window bookkeeping. The
-    // warm phases are always timed serially, so never core-gated.
+    // margin is a ratio of two gears, and it was 3 while the cycle gear
+    // dispatched the stalled DSP on every edge; since the cycle gear sleeps
+    // through those stalls (its warm phase fell from ~29 to ~17 ms, the
+    // fast one stayed at ~8.4 ms) the gear buys about 2x, and 1.5 is what
+    // the row can hold through host noise. What it cannot see — the fast
+    // side getting slower on its own — is the benchmark's `fast_gear`
+    // workload's to catch (EXPERIMENTS.md "EXT-FAST"). The warm phases are
+    // always timed serially, so never core-gated.
     Floor {
         label: "fast-forward speedup",
         section: "fast_forward",
         value: ValuePath::Field("speedup"),
-        comparator: Comparator::AtLeast(3.0),
+        comparator: Comparator::AtLeast(1.5),
         cores: Cores::Always,
         armed_when: None,
         regenerate: REPRO_FAST_WARM,

@@ -3,7 +3,7 @@
 use crate::fault::{FaultAccess, FaultEngine};
 use crate::link::{LinkAccess, LinkId, LinkPool};
 use crate::rng::{RngAccess, SplitMix64};
-use crate::stats::{StatsAccess, StatsRegistry};
+use crate::stats::{CounterId, StatsAccess, StatsRegistry};
 use crate::time::{Cycles, Time};
 use std::fmt;
 
@@ -135,21 +135,16 @@ impl Gate {
         }
     }
 
-    /// The time half of the gate: one compare, no link touched.
+    /// The time half of the gate, in ps (`u64::MAX` for [`Gate::CLOSED`]).
     #[inline]
-    pub(crate) fn is_due(self, now_ps: u64) -> bool {
-        self.not_before.as_ps() <= now_ps
+    pub(crate) fn not_before_ps(self) -> u64 {
+        self.not_before.as_ps()
     }
 
-    /// The space half of the gate.
+    /// The space half of the gate: the wire that must have room.
     #[inline]
-    pub(crate) fn has_room<T>(self, links: &LinkPool<T>) -> bool {
-        self.needs_space.is_none_or(|l| links.can_push(l))
-    }
-
-    #[inline]
-    pub(crate) fn is_open<T>(self, now_ps: u64, links: &LinkPool<T>) -> bool {
-        self.is_due(now_ps) && self.has_room(links)
+    pub(crate) fn needs_space(self) -> Option<LinkId> {
+        self.needs_space
     }
 }
 
@@ -160,7 +155,8 @@ impl Gate {
 /// deadline and one guards each watched link, indexed by the link's position
 /// in [`watched_links`](Component::watched_links). The executor hands the
 /// component a hint with every gate open; the component shuts the ones it
-/// can vouch for.
+/// can vouch for, and may declare the one effect its undispatched ticks
+/// have ([`count_elided`](StallHint::count_elided)).
 #[derive(Debug, Clone)]
 pub struct StallHint {
     deadline: Gate,
@@ -168,6 +164,9 @@ pub struct StallHint {
     /// `other_inputs`.
     inputs: Vec<Gate>,
     other_inputs: Gate,
+    /// The counter every undispatched tick at or after the instant would
+    /// have bumped by one.
+    counted: Option<(CounterId, Time)>,
 }
 
 impl Default for StallHint {
@@ -176,6 +175,7 @@ impl Default for StallHint {
             deadline: Gate::OPEN,
             inputs: Vec::new(),
             other_inputs: Gate::OPEN,
+            counted: None,
         }
     }
 }
@@ -204,11 +204,28 @@ impl StallHint {
         self.inputs[index] = gate;
     }
 
-    /// Back to "every gate open", keeping the allocation.
+    /// Declares the one effect this component's undispatched ticks have
+    /// while the hint stands: each of them, on an edge at or after `from`,
+    /// would have added exactly one to `counter` — a stall-cycle or
+    /// wait-state count — and done nothing else. The executor adds those
+    /// ones itself, by edge arithmetic (see [`Component::stall_hint`]). One
+    /// counter per hint; a later call replaces an earlier one.
+    pub fn count_elided(&mut self, counter: CounterId, from: Time) {
+        self.counted = Some((counter, from));
+    }
+
+    /// Back to "every gate open, nothing counted", keeping the allocation.
     pub(crate) fn reset(&mut self) {
         self.deadline = Gate::OPEN;
         self.inputs.clear();
         self.other_inputs = Gate::OPEN;
+        self.counted = None;
+    }
+
+    /// The declared counter and the instant it counts from, if any.
+    #[inline]
+    pub(crate) fn counted(&self) -> Option<(CounterId, Time)> {
+        self.counted
     }
 
     /// Whether any gate was set (an untouched hint can never stall).
@@ -329,11 +346,15 @@ pub trait Component<T>: crate::snapshot::Snapshot + Send {
     /// every watched link with a deliverable head has its gate shut too, the
     /// executor retires the tick without calling [`tick`](Component::tick)
     /// (counted by
-    /// [`Simulation::ticks_elided`](crate::Simulation::ticks_elided)). Link
-    /// gates are evaluated against the live link state when the component's
-    /// turn comes, so a producer registered after the consumer that frees
-    /// its wire sees the room on the same edge, and one registered before
-    /// sees it on the next — the dense schedule's order.
+    /// [`Simulation::ticks_elided`](crate::Simulation::ticks_elided)). The
+    /// executor takes that verdict once, keys the slot with the earliest
+    /// instant it could change — a gate's instant, a queued head's delivery —
+    /// and looks again only then, or when a delivery onto a watched link or
+    /// a pop from a wire a gate waits on makes the key due earlier. The
+    /// verdict itself is always taken against the live link state at the
+    /// component's turn, so a producer registered after the consumer that
+    /// frees its wire sees the room on the same edge, and one registered
+    /// before sees it on the next — the dense schedule's order.
     ///
     /// # Contract
     ///
@@ -349,6 +370,30 @@ pub trait Component<T>: crate::snapshot::Snapshot + Send {
     /// the end of a fast-gear window, where it is cleared and re-read after
     /// the next cycle-gear tick). It is derived state and never part of a
     /// snapshot.
+    ///
+    /// # The one-counter exception
+    ///
+    /// A component that is *waiting* usually still counts the wait — a
+    /// core's stall cycles, a held bus's idle wait states — which would make
+    /// it the one component dispatched on every edge. Such a tick may be
+    /// elided all the same if the hint declares its effect with
+    /// [`StallHint::count_elided`]: *while the hint stands, on every edge of
+    /// the component's clock at or after `from` on which its tick is not
+    /// dispatched, the tick — had it run — would have added exactly one to
+    /// `counter` and done nothing else; the executor adds those ones
+    /// itself.* Keep `next_activity` as it is, so those edges stay charged,
+    /// and shut the deadline gate. Clocks are strictly periodic, so the
+    /// credit is edge arithmetic, and it is materialised (i) immediately
+    /// before the component's next dispatched or audited tick, (ii) before
+    /// [`step`](crate::Simulation::step),
+    /// [`run_until`](crate::Simulation::run_until) and
+    /// [`run_to_quiescence`](crate::Simulation::run_to_quiescence) return,
+    /// and (iii) when a fast-gear window takes the component over — so every
+    /// reader of the registry between calls, a checkpoint included, sees
+    /// exact counters and no snapshot ever holds pending credit. The audit
+    /// runs such a tick anyway and accepts exactly `+1` on the declared
+    /// counter on an edge at or after `from` (`+0` before it) and
+    /// byte-identity everywhere else.
     fn stall_hint(&self, hint: &mut StallHint) {
         let _ = hint;
     }
@@ -479,20 +524,18 @@ mod tests {
     }
 
     #[test]
-    fn gates_open_on_time_and_space() {
+    fn gates_have_a_time_half_and_a_space_half() {
         let mut links: LinkPool<u8> = LinkPool::new();
         let wire = links.add_link("wire", 1, Time::from_ns(1));
-        let now = Time::from_ns(5).as_ps();
-        assert!(Gate::OPEN.is_open(now, &links));
-        assert!(!Gate::CLOSED.is_open(now, &links));
-        assert!(Gate::until(Time::from_ns(5)).is_open(now, &links));
-        assert!(!Gate::until(Time::from_ns(6)).is_open(now, &links));
-        assert!(Gate::space(wire).is_open(now, &links));
-        links.push(wire, Time::ZERO, 1).unwrap();
-        assert!(!Gate::space(wire).is_open(now, &links));
-        assert!(!Gate::until(Time::ZERO)
-            .with_space(wire)
-            .is_open(now, &links));
+        let halves = |g: Gate| (g.not_before_ps(), g.needs_space());
+        assert_eq!(halves(Gate::OPEN), (0, None));
+        assert_eq!(halves(Gate::CLOSED), (u64::MAX, None));
+        assert_eq!(halves(Gate::until(Time::from_ns(5))), (5_000, None));
+        assert_eq!(halves(Gate::space(wire)), (0, Some(wire)));
+        assert_eq!(
+            halves(Gate::until(Time::from_ns(5)).with_space(wire)),
+            (5_000, Some(wire))
+        );
     }
 
     #[test]
@@ -516,6 +559,14 @@ mod tests {
         );
         hint.reset();
         assert_eq!(hint.input(0), Gate::OPEN);
+        // The declared counter is per hint, not a gate, and goes on reset.
+        let mut stats = StatsRegistry::new();
+        let waits = stats.counter("waits");
+        hint.count_elided(waits, Time::from_ns(3));
+        assert!(!hint.is_set());
+        assert_eq!(hint.counted(), Some((waits, Time::from_ns(3))));
+        hint.reset();
+        assert_eq!(hint.counted(), None);
     }
 
     #[test]

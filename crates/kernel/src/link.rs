@@ -161,6 +161,50 @@ pub struct LinkPool<T> {
     /// slot's watched links`, `u64::MAX` when nothing is pending. Never
     /// serialized — derived state, recomputed from the queues on restore.
     wakes: Vec<u64>,
+    /// `waiters[link] = stalled slots whose verdict is shut for lack of room
+    /// on it` (wake-on-space): the next `pop` makes their wake keys due and
+    /// empties the list. A stale entry costs one re-evaluation, nothing else.
+    waiters: Vec<Vec<u32>>,
+    /// The executor's wake keys, kept here because pushes and pops are what
+    /// move them.
+    keys: WakeKeys,
+}
+
+/// One wake key per slot: the earliest instant at which the sparse schedule
+/// has to look at the slot again. The executor writes a key when it takes
+/// the slot's verdict; between verdicts only link traffic moves it, and only
+/// down — a delivery onto a watched link, room made on a wire the slot waits
+/// for. Derived state, never serialized.
+#[derive(Debug, Default)]
+struct WakeKeys {
+    /// `due[slot]`, in ps. 0 = look at it on its next edge.
+    due: Vec<u64>,
+    /// `bucket_of[slot]` = the slot's scheduling bucket.
+    bucket_of: Vec<u32>,
+    /// `bucket_due[bucket]` = a lower bound on the keys of the bucket's
+    /// members: an edge earlier than it has nothing to dispatch there.
+    /// Every write to a key folds into it; the executor re-tightens it on
+    /// each pass over the bucket.
+    bucket_due: Vec<u64>,
+}
+
+impl WakeKeys {
+    #[inline]
+    fn fold(&mut self, slot: usize, at: u64) {
+        let bound = &mut self.bucket_due[self.bucket_of[slot] as usize];
+        if at < *bound {
+            *bound = at;
+        }
+    }
+
+    #[inline]
+    fn lower(&mut self, slot: u32, at: u64) {
+        let slot = slot as usize;
+        if at < self.due[slot] {
+            self.due[slot] = at;
+            self.fold(slot, at);
+        }
+    }
 }
 
 impl<T> LinkPool<T> {
@@ -171,6 +215,8 @@ impl<T> LinkPool<T> {
             queued: 0,
             watchers: Vec::new(),
             wakes: Vec::new(),
+            waiters: Vec::new(),
+            keys: WakeKeys::default(),
             slack: 0,
         }
     }
@@ -262,9 +308,10 @@ impl<T> LinkPool<T> {
         link.stats.pushes += 1;
         link.stats.max_occupancy = link.stats.max_occupancy.max(link.queue.len());
         self.queued += 1;
-        // Wake-on-delivery: lower every watcher's wake to this delivery
-        // instant so a sleeping destination is ticked no later than the edge
-        // on which the payload becomes deliverable.
+        // Wake-on-delivery: lower every watcher's wake — and its wake key,
+        // whatever verdict it stands for — to this delivery instant, so a
+        // sleeping or stalled destination is looked at no later than the
+        // edge on which the payload becomes deliverable.
         if let Some(watchers) = self.watchers.get(id.index()) {
             let at = deliver.as_ps();
             for &slot in watchers {
@@ -272,20 +319,36 @@ impl<T> LinkPool<T> {
                 if at < *wake {
                     *wake = at;
                 }
+                self.keys.lower(slot, at);
             }
         }
         Ok(())
     }
 
-    /// Registers `slot` as a wake-on-delivery watcher of `id` (sparse
-    /// ticking). Any payload already queued on the link lowers the slot's
-    /// wake immediately.
+    /// Enrols `slot`, a member of scheduling bucket `bucket`, with a due
+    /// wake key (a component's first tick is always dispatched). The
+    /// executor enrols every slot at registration, in index order.
+    pub(crate) fn enrol(&mut self, slot: u32, bucket: u32) {
+        let (slot, b) = (slot as usize, bucket as usize);
+        if self.keys.due.len() <= slot {
+            self.keys.due.resize(slot + 1, 0);
+            self.keys.bucket_of.resize(slot + 1, 0);
+            self.wakes.resize(slot + 1, u64::MAX);
+        }
+        if self.keys.bucket_due.len() <= b {
+            self.keys.bucket_due.resize(b + 1, 0);
+        }
+        self.keys.due[slot] = 0;
+        self.keys.bucket_of[slot] = bucket;
+        self.keys.bucket_due[b] = 0;
+    }
+
+    /// Registers the enrolled `slot` as a wake-on-delivery watcher of `id`
+    /// (sparse ticking). Any payload already queued on the link lowers the
+    /// slot's wake immediately.
     pub(crate) fn watch(&mut self, id: LinkId, slot: u32) {
         if self.watchers.len() < self.links.len() {
             self.watchers.resize(self.links.len(), Vec::new());
-        }
-        if self.wakes.len() <= slot as usize {
-            self.wakes.resize(slot as usize + 1, u64::MAX);
         }
         let list = &mut self.watchers[id.index()];
         if !list.contains(&slot) {
@@ -304,23 +367,80 @@ impl<T> LinkPool<T> {
     /// raises it.
     #[inline]
     pub(crate) fn wake_of(&self, slot: u32) -> u64 {
-        self.wakes.get(slot as usize).copied().unwrap_or(u64::MAX)
+        self.wakes[slot as usize]
     }
 
     /// Re-derives a slot's wake from the current queue heads of its watched
-    /// links. Called after each executed tick of the slot's component (which
-    /// may have popped payloads) and after a snapshot restore.
-    pub(crate) fn recompute_wake(&mut self, slot: u32, watched: &[LinkId]) {
-        let mut wake = u64::MAX;
-        for id in watched {
-            if let Some((at, _)) = self.links[id.index()].queue.front() {
-                wake = wake.min(at.as_ps());
-            }
-        }
-        if self.wakes.len() <= slot as usize {
-            self.wakes.resize(slot as usize + 1, u64::MAX);
-        }
+    /// links and keys the slot as *asleep*: due at its deadline `timer_ps`
+    /// or that wake, whichever is earlier. Called after each executed tick
+    /// of the slot's component (which may have popped payloads) and after a
+    /// snapshot restore.
+    pub(crate) fn recompute_wake(&mut self, slot: u32, watched: &[LinkId], timer_ps: u64) {
+        let wake = self.earliest_head(watched);
         self.wakes[slot as usize] = wake;
+        self.set_due(slot, timer_ps.min(wake));
+    }
+
+    /// The slot's wake key: on an edge before it the slot's verdict stands
+    /// and the schedule has nothing to do for it.
+    #[inline]
+    pub(crate) fn due_of(&self, slot: u32) -> u64 {
+        self.keys.due[slot as usize]
+    }
+
+    /// Writes the slot's wake key (the executor, on taking its verdict).
+    #[inline]
+    pub(crate) fn set_due(&mut self, slot: u32, at: u64) {
+        self.keys.due[slot as usize] = at;
+        self.keys.fold(slot as usize, at);
+    }
+
+    /// Makes the slot's wake key due no later than `at`.
+    #[inline]
+    pub(crate) fn lower_due(&mut self, slot: u32, at: u64) {
+        self.keys.lower(slot, at);
+    }
+
+    /// Counts an untouched key into its bucket's bound: the pass over a
+    /// bucket resets the bound first and folds every member's key back in.
+    #[inline]
+    pub(crate) fn keep_due(&mut self, slot: u32) {
+        self.keys.fold(slot as usize, self.keys.due[slot as usize]);
+    }
+
+    /// A lower bound on the wake keys of the bucket's members.
+    #[inline]
+    pub(crate) fn bucket_due(&self, bucket: u32) -> u64 {
+        self.keys.bucket_due[bucket as usize]
+    }
+
+    /// Resets the bucket's bound ahead of a pass over all of its members:
+    /// `u64::MAX` to have it re-tightened, 0 to keep it due.
+    #[inline]
+    pub(crate) fn set_bucket_due(&mut self, bucket: u32, bound: u64) {
+        self.keys.bucket_due[bucket as usize] = bound;
+    }
+
+    /// Registers a stalled `slot` as waiting for room on `id`: the next pop
+    /// there makes its wake key due (wake-on-space).
+    pub(crate) fn await_space(&mut self, id: LinkId, slot: u32) {
+        if self.waiters.len() < self.links.len() {
+            self.waiters.resize(self.links.len(), Vec::new());
+        }
+        let list = &mut self.waiters[id.index()];
+        if !list.contains(&slot) {
+            list.push(slot);
+        }
+    }
+
+    /// Delivery instant (ps) of the payload at the head of `id`, or
+    /// `u64::MAX` for an empty queue.
+    #[inline]
+    pub(crate) fn head_at(&self, id: LinkId) -> u64 {
+        self.links[id.index()]
+            .queue
+            .front()
+            .map_or(u64::MAX, |(at, _)| at.as_ps())
     }
 
     /// Earliest queued delivery (ps) across `watched` links, or `u64::MAX`
@@ -330,13 +450,9 @@ impl<T> LinkPool<T> {
     /// transient.
     #[inline]
     pub(crate) fn earliest_head(&self, watched: &[LinkId]) -> u64 {
-        let mut wake = u64::MAX;
-        for id in watched {
-            if let Some((at, _)) = self.links[id.index()].queue.front() {
-                wake = wake.min(at.as_ps());
-            }
-        }
-        wake
+        watched
+            .iter()
+            .fold(u64::MAX, |wake, &id| wake.min(self.head_at(id)))
     }
 
     /// Earliest queued delivery (ps) across `watched` links that lands
@@ -380,6 +496,15 @@ impl<T> LinkPool<T> {
         let (_, payload) = link.queue.pop_front().expect("head checked above");
         link.stats.pops += 1;
         self.queued -= 1;
+        // Wake-on-space: whoever stalled for lack of room here is looked at
+        // again on its next turn — later on this edge if it is registered
+        // after the popping consumer, on its next edge otherwise, which is
+        // when a dense schedule would first show it the room.
+        if let Some(waiting) = self.waiters.get_mut(id.index()) {
+            for slot in waiting.drain(..) {
+                self.keys.lower(slot, 0);
+            }
+        }
         Some(payload)
     }
 
@@ -1006,6 +1131,7 @@ mod tests {
         let mut p = pool();
         let a = p.add_link("a", 4, Time::from_ns(5));
         let b = p.add_link("b", 4, Time::from_ns(1));
+        p.enrol(0, 0);
         p.watch(a, 0);
         p.watch(b, 0);
         assert_eq!(p.wake_of(0), u64::MAX);
@@ -1014,11 +1140,44 @@ mod tests {
         p.push(b, Time::ZERO, 2).unwrap(); // deliverable at 1 ns
         assert_eq!(p.wake_of(0), 1_000);
         p.pop(b, Time::from_ns(1)).unwrap();
-        p.recompute_wake(0, &[a, b]);
-        assert_eq!(p.wake_of(0), 5_000);
+        p.recompute_wake(0, &[a, b], u64::MAX);
+        assert_eq!((p.wake_of(0), p.due_of(0)), (5_000, 5_000));
         p.pop(a, Time::from_ns(5)).unwrap();
-        p.recompute_wake(0, &[a, b]);
-        assert_eq!(p.wake_of(0), u64::MAX);
+        // Asleep: the key is the deadline or the wake, whichever is earlier.
+        p.recompute_wake(0, &[a, b], 9_000);
+        assert_eq!((p.wake_of(0), p.due_of(0)), (u64::MAX, 9_000));
+    }
+
+    #[test]
+    fn wake_keys_move_down_with_traffic_and_fold_into_the_bucket_bound() {
+        let mut p = pool();
+        let input = p.add_link("in", 4, Time::from_ns(5));
+        let wire = p.add_link("out", 1, Time::from_ns(1));
+        p.enrol(0, 0);
+        p.enrol(1, 0);
+        p.enrol(2, 1);
+        p.watch(input, 1);
+        assert_eq!((p.due_of(1), p.bucket_due(0)), (0, 0), "enrolled due");
+        // The executor's pass: forget the bound, then every member's key
+        // folds back in — written (slot 1, stalled for good) or kept (0).
+        p.set_due(0, 7_000);
+        p.set_bucket_due(0, u64::MAX);
+        p.set_due(1, u64::MAX);
+        p.keep_due(0);
+        assert_eq!(p.bucket_due(0), 7_000);
+        // A delivery overtaking whatever the key stood for lowers it.
+        p.push(input, Time::ZERO, 1).unwrap();
+        assert_eq!((p.due_of(1), p.bucket_due(0)), (5_000, 5_000));
+        assert_eq!(p.bucket_due(1), 0, "other buckets are untouched");
+        // Wake-on-space: a pop re-arms the registered slots, once.
+        p.set_due(1, u64::MAX);
+        p.push(wire, Time::ZERO, 2).unwrap();
+        p.await_space(wire, 1);
+        p.await_space(wire, 1);
+        assert_eq!(p.waiters[wire.index()], vec![1], "deduplicated");
+        p.pop(wire, Time::from_ns(1)).unwrap();
+        assert_eq!((p.due_of(1), p.bucket_due(0)), (0, 0));
+        assert!(p.waiters[wire.index()].is_empty());
     }
 
     #[test]
@@ -1026,9 +1185,10 @@ mod tests {
         let mut p = pool();
         let l = p.add_link("l", 4, Time::from_ns(3));
         p.push(l, Time::ZERO, 9).unwrap();
+        p.enrol(2, 0);
         p.watch(l, 2);
         assert_eq!(p.wake_of(2), 3_000);
-        // Slots never registered have no pending wake.
+        // Slots watching nothing have no pending wake.
         assert_eq!(p.wake_of(0), u64::MAX);
     }
 

@@ -3,13 +3,14 @@
 //! # Scheduler
 //!
 //! Components registered under identical [`ClockDomain`]s share a *domain
-//! bucket*; a binary min-heap of per-bucket next-edge times picks the next
-//! instant in `O(log D)` (`D` = number of distinct domains), and only the
-//! buckets firing at that instant are touched. Components of concurrently
-//! firing buckets are merged by registration index, so the observable tick
-//! order — and therefore every cycle-level trace — is bit-identical to a
-//! naive per-component scan (see [`crate::reference::NaiveSimulation`],
-//! kept as the differential-testing oracle).
+//! bucket*; a flat table of per-bucket next-edge times is scanned once per
+//! step (`O(D)`, `D` = number of distinct domains — a handful of contiguous
+//! words) for the next instant and the buckets firing on it, and only those
+//! buckets are touched. Components of concurrently firing buckets are merged
+//! by registration index, so the observable tick order — and therefore every
+//! cycle-level trace — is bit-identical to a naive per-component scan (see
+//! [`crate::reference::NaiveSimulation`], kept as the differential-testing
+//! oracle).
 //!
 //! Quiescence is tracked incrementally: the [`LinkPool`] maintains a live
 //! queued-payload counter and the executor maintains a busy-component
@@ -23,10 +24,8 @@
 //! [`Component::watched_links`] plus internal deadlines via
 //! [`Component::next_activity`] — join the *active-set* schedule: on edges
 //! where a component has no deliverable payload pending on any watched link
-//! and no due deadline, its tick is skipped entirely. Wake-up is
-//! event-driven ([`LinkPool::push_after`] lowers every watcher's wake to the
-//! delivery instant), so a sleeping component never misses a message. Edges
-//! themselves are never skipped, which keeps [`Simulation::next_edge`],
+//! and no due deadline, its tick is skipped entirely. Edges themselves are
+//! never skipped, which keeps [`Simulation::next_edge`],
 //! [`Simulation::time`] and quiescence semantics identical to the dense
 //! schedule; skipped ticks must be unobservable no-ops (the contract is
 //! machine-checked by [`Simulation::enable_skip_audit`]). The dense schedule
@@ -41,7 +40,27 @@
 //! [`Gate`](crate::Gate), the tick is counted
 //! ([`Simulation::ticks_executed`]) but its body is not called
 //! ([`Simulation::ticks_elided`]) — the wake-on-space half of a blocking
-//! FIFO, held to the same no-op contract and the same audit.
+//! FIFO, held to the same no-op contract and the same audit. A tick whose
+//! only effect is `+1` on one counter may be elided too, the executor
+//! crediting the counter by edge arithmetic (the one-counter exception of
+//! [`Component::stall_hint`]).
+//!
+//! # Wake keys
+//!
+//! None of this is polled. Every slot carries one *wake key* in the
+//! [`LinkPool`]: the earliest instant at which its verdict — asleep, stalled
+//! — could change. The executor writes the key when it takes the verdict
+//! (against the live link state, at the slot's turn in tick order, so
+//! same-edge ordering is the dense schedule's); afterwards only link traffic
+//! moves it, and only down: [`LinkPool::push_after`] lowers every watcher's
+//! key to the delivery instant (wake-on-delivery) and [`LinkPool::pop`]
+//! makes the keys of the slots stalled for room on that wire due
+//! (wake-on-space). A member whose key is not due costs one compare per
+//! edge; a per-bucket lower bound on its members' keys retires an instant
+//! on which no fired bucket has anything due without walking the members at
+//! all. Charged, elided and skipped totals come from a per-bucket count of
+//! stalled members and edge-index differences, not from per-slot per-edge
+//! increments.
 
 use crate::clock::ClockDomain;
 use crate::component::{Component, ComponentId, StallHint, TickContext};
@@ -53,8 +72,6 @@ use crate::parallel::{Done, EdgeCtx, Job, Unit, WorkerPool};
 use crate::rng::SplitMix64;
 use crate::stats::{apply_stat_ops, StatsRegistry};
 use crate::time::{Cycles, Time};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -170,25 +187,23 @@ struct Slot<T> {
     /// The component itself. `None` only transiently, while the component is
     /// checked out to a compute worker during a parallel edge.
     component: Option<Box<dyn Component<T>>>,
-    /// Ticks actually executed (not serialized; resets to 0 on restore).
+    /// Ticks charged and settled: the dispatched ones plus the elided edges
+    /// of stalls that are over (not serialized; resets to 0 on restore). The
+    /// edges of a standing stall are added when it ends — see
+    /// [`Simulation::component_ticks`].
     ticks: u64,
+    /// Tick bodies actually run (not serialized; resets to 0 on restore).
+    dispatches: u64,
     /// Cached `is_idle()` as of the component's last tick (or registration).
     /// Valid because idle status may only change during the component's own
     /// tick — see the [`Component::is_idle`] contract.
     idle: bool,
-    /// `Some(links)` enrols the component in the sparse active-set schedule
-    /// (read once from [`Component::watched_links`] at registration).
-    watched: Option<Vec<LinkId>>,
-    /// Cached [`Component::next_activity`] deadline in ps (`u64::MAX` =
-    /// none), re-read after every executed tick. Starts at 0 so the first
-    /// edge always ticks (covers lazy per-component setup).
-    timer: u64,
-    /// Cached [`Component::stall_hint`], re-read wherever `timer` is. Starts
-    /// unset (every gate open), so the first tick is always dispatched.
-    /// Boxed to keep `Slot` small: an edge pass scans every member of the
-    /// fired buckets, most of them asleep, and only a charged slot looks at
-    /// its hint (inline, it cost idle-heavy runs 3 %).
-    stall: Box<StallHint>,
+    /// The slot's side of the sparse active-set schedule; `None` keeps the
+    /// component outside it, ticked on every edge. Behind a box because the
+    /// two are read on different occasions: a tick reads the slot, a turn
+    /// that takes a verdict reads this, and a member whose wake key is not
+    /// due reads neither.
+    sparse: Option<Box<Sparse>>,
     /// The bucket this slot belongs to.
     bucket: u32,
     /// The bucket's `edge_index` at registration; `edge_index - edge_base`
@@ -215,34 +230,39 @@ impl<T> Slot<T> {
             .as_deref_mut()
             .expect("component checked out to a compute worker")
     }
-
-    /// Re-derives the slot's sparse wake conditions after its component's
-    /// state may have changed: the deadline, the stall gates, and the wake
-    /// of its watched links. Nothing to do for a slot outside the sparse
-    /// schedule.
-    fn refresh_wake(&mut self, index: u32, links: &mut LinkPool<T>) {
-        let Some(watched) = &self.watched else { return };
-        let comp = self
-            .component
-            .as_deref()
-            .expect("component checked out to a compute worker");
-        self.timer = comp.next_activity().map_or(u64::MAX, Time::as_ps);
-        self.stall.reset();
-        comp.stall_hint(&mut self.stall);
-        links.recompute_wake(index, watched);
-    }
 }
 
-/// What the sparse schedule does with one slot on one edge of its clock.
+/// What the sparse schedule knows of a component that opted into it.
+struct Sparse {
+    /// The links whose deliveries wake the component (read once from
+    /// [`Component::watched_links`] at registration).
+    watched: Vec<LinkId>,
+    /// Cached [`Component::next_activity`] deadline in ps (`u64::MAX` =
+    /// none), re-read after every executed tick. Starts at 0 so the first
+    /// edge always ticks (covers lazy per-component setup).
+    timer: u64,
+    /// Cached [`Component::stall_hint`], re-read wherever `timer` is. Starts
+    /// unset (every gate open), so the first tick is always dispatched.
+    stall: StallHint,
+    /// `Some(e)` while the slot is *stalled*: charged but not dispatched on
+    /// every edge of its bucket from index `e` on, until its next dispatch.
+    stalled_since: Option<u64>,
+    /// Index of the first edge of its bucket whose
+    /// [`count_elided`](StallHint::count_elided) credit is still owed.
+    credit_from: u64,
+}
+
+/// What the sparse schedule does with a slot whose wake key is due.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Turn {
-    /// Charged and dispatched: [`Component::tick`] runs.
+enum Verdict {
+    /// [`Component::tick`] runs.
     Dispatch,
-    /// Charged but provably a no-op ([`Component::stall_hint`]): counted as
-    /// a tick, retired without calling the body.
-    Elide,
-    /// Asleep: no due deadline, no watched delivery.
-    Skip,
+    /// Nothing to run before `until` (ps) unless link traffic lowers the
+    /// key first. `charged`: the edge is a tick of the component all the
+    /// same — its deadline is due or a watched delivery is pending, but
+    /// every such reason sits behind a shut gate (an *elided* tick); not
+    /// charged, the component is simply asleep (a *skipped* tick).
+    Sleep { until: u64, charged: bool },
 }
 
 /// Where `step` borrowed the edge's tick order from, so it can be returned
@@ -262,10 +282,18 @@ enum OrderSrc {
 /// way).
 struct DomainBucket {
     clock: ClockDomain,
-    next_edge: Time,
     /// Edges this bucket has fired so far (drives `TickContext::cycle`
     /// independently of how many ticks sparse scheduling actually executed).
+    /// Edge `k` fires at `next_edges[bucket] - (edge_index - k) * period`:
+    /// clocks are strictly periodic.
     edge_index: u64,
+    /// Members currently stalled (see `Sparse::stalled_since`): each is one
+    /// charged, elided tick on every edge the bucket fires.
+    stalled: u64,
+    /// Members outside the sparse schedule (no
+    /// [`Component::watched_links`]): dispatched on every edge, they have no
+    /// wake key to keep, and a bucket holding one never has a quiet edge.
+    unkeyed: u32,
     /// Registration indices, ascending (members are appended in
     /// registration order and never reordered).
     members: Vec<u32>,
@@ -299,9 +327,9 @@ impl RunOutcome {
 }
 
 /// Signature of the installed parallel edge executor: takes the edge's
-/// owned tick order and the edge time, returns `(ticked, skipped, elided)`
-/// (`elided` is the part of `ticked` retired without dispatch).
-type ParExec<T> = fn(&mut Simulation<T>, &[u32], Time) -> (u64, u64, u64);
+/// owned tick order and the edge time, returns the number of ticks
+/// dispatched.
+type ParExec<T> = fn(&mut Simulation<T>, &[u32], Time) -> u64;
 
 /// A deterministic multi-clock simulation: components, links, metrics and a
 /// seeded RNG.
@@ -316,14 +344,16 @@ pub struct Simulation<T> {
     time: Time,
     slots: Vec<Slot<T>>,
     buckets: Vec<DomainBucket>,
-    /// Min-heap of `(next_edge, bucket index)`. Every bucket has exactly
-    /// one entry: entries are pushed at bucket creation and re-pushed after
-    /// each fire, and popped only when the bucket fires.
-    heap: BinaryHeap<Reverse<(Time, u32)>>,
-    /// Scratch: bucket indices firing at the current edge.
+    /// `next_edges[bucket]` = the bucket's pending edge: the flat table
+    /// [`select`](Self::select) scans.
+    next_edges: Vec<Time>,
+    /// The earliest pending edge, selected after every step, registration
+    /// and restore.
+    pending: Option<Time>,
+    /// The buckets firing on `pending`, ascending.
     fired: Vec<u32>,
     /// Cache of merged member orders keyed by the fired-bucket set (which is
-    /// deterministic: the heap yields equal-time buckets in index order).
+    /// deterministic: `select` lists equal-time buckets in index order).
     /// Invalidated on component registration. Linear scan — coincident-edge
     /// patterns are few per platform.
     merge_cache: Vec<(Vec<u32>, Vec<u32>)>,
@@ -337,6 +367,10 @@ pub struct Simulation<T> {
     /// The part of `total_ticks` retired without calling the component (see
     /// [`Simulation::ticks_elided`]).
     total_elided: u64,
+    /// Slots whose standing hint declares a counter
+    /// ([`StallHint::count_elided`]): the ones a returning public call has
+    /// to credit. A handful at most.
+    crediting: Vec<u32>,
     /// Edge counts not yet added to the process-wide
     /// [`activity`](crate::activity) counters; flushed when a public run
     /// call returns.
@@ -388,13 +422,15 @@ impl<T> Simulation<T> {
             time: Time::ZERO,
             slots: Vec::new(),
             buckets: Vec::new(),
-            heap: BinaryHeap::new(),
+            next_edges: Vec::new(),
+            pending: None,
             fired: Vec::new(),
             merge_cache: Vec::new(),
             busy: 0,
             edges: 0,
             total_ticks: 0,
             total_elided: 0,
+            crediting: Vec::new(),
             activity: crate::activity::Pending::default(),
             dense: dense_default(),
             fidelity: fidelity_default(),
@@ -457,54 +493,60 @@ impl<T> Simulation<T> {
             self.busy += 1;
         }
         let watched = component.watched_links();
-        if let Some(links) = &watched {
-            for &l in links {
-                self.links.watch(l, index);
-            }
-        }
         let par_ok = component.parallel_safe();
         let ff_ok = component.fast_forward_safe();
         // Join the bucket with the same domain and the same pending edge;
-        // otherwise open a new one (and give it a heap entry).
+        // otherwise open a new one (with its own next-edge entry).
         let bucket;
         let edge_base;
-        if let Some((b, existing)) = self
-            .buckets
-            .iter_mut()
-            .enumerate()
-            .find(|(_, b)| b.clock == clock && b.next_edge == next_tick)
+        if let Some(b) = (0..self.buckets.len())
+            .find(|&b| self.buckets[b].clock == clock && self.next_edges[b] == next_tick)
         {
-            existing.members.push(index);
+            self.buckets[b].members.push(index);
+            self.buckets[b].unkeyed += u32::from(watched.is_none());
             bucket = b as u32;
-            edge_base = existing.edge_index;
+            edge_base = self.buckets[b].edge_index;
         } else {
             bucket = u32::try_from(self.buckets.len()).expect("too many clock domains");
             edge_base = 0;
             self.buckets.push(DomainBucket {
                 clock,
-                next_edge: next_tick,
                 edge_index: 0,
+                stalled: 0,
+                unkeyed: u32::from(watched.is_none()),
                 members: vec![index],
                 fast_win: 0,
             });
-            self.heap.push(Reverse((next_tick, bucket)));
+            self.next_edges.push(next_tick);
+        }
+        self.links.enrol(index, bucket);
+        for &l in watched.iter().flatten() {
+            self.links.watch(l, index);
         }
         self.slots.push(Slot {
             component: Some(component),
             ticks: 0,
+            dispatches: 0,
             idle,
-            watched,
-            // Force the first tick regardless of hints: it covers lazy
-            // per-component setup (stat registration, channel sizing) and
-            // establishes the initial wake/timer state.
-            timer: 0,
-            stall: Box::default(),
+            sparse: watched.map(|watched| {
+                Box::new(Sparse {
+                    watched,
+                    // Force the first tick regardless of hints: it covers
+                    // lazy per-component setup (stat registration, channel
+                    // sizing) and establishes the initial wake/timer state.
+                    timer: 0,
+                    stall: StallHint::default(),
+                    stalled_since: None,
+                    credit_from: 0,
+                })
+            }),
             bucket,
             edge_base,
             par_ok,
             ff_ok,
         });
         self.merge_cache.clear();
+        self.select();
         id
     }
 
@@ -524,6 +566,11 @@ impl<T> Simulation<T> {
         self.buckets.len()
     }
 
+    /// The registered components, in registration (tick) order.
+    pub fn component_ids(&self) -> impl Iterator<Item = ComponentId> {
+        (0..self.slots.len() as u32).map(ComponentId)
+    }
+
     /// Name of a component.
     pub fn component_name(&self, id: ComponentId) -> &str {
         self.slots[id.index()].comp().name()
@@ -536,7 +583,27 @@ impl<T> Simulation<T> {
     /// elided (see [`ticks_elided`](Simulation::ticks_elided)). Under sparse
     /// ticking this can be far below the component's cycle count.
     pub fn component_ticks(&self, id: ComponentId) -> u64 {
-        self.slots[id.index()].ticks
+        let slot = &self.slots[id.index()];
+        // A standing stall has charged one tick per edge since it began.
+        let stalled_since = slot.sparse.as_ref().and_then(|s| s.stalled_since);
+        slot.ticks
+            + stalled_since.map_or(0, |since| {
+                self.buckets[slot.bucket as usize].edge_index - since
+            })
+    }
+
+    /// Tick bodies actually run for a component — the dispatched part of
+    /// [`component_ticks`](Simulation::component_ticks). A component whose
+    /// dispatches stay close to its charged ticks is one no stall hint
+    /// covers: the census `examples/bottleneck_analysis.rs` prints.
+    pub fn component_dispatches(&self, id: ComponentId) -> u64 {
+        self.slots[id.index()].dispatches
+    }
+
+    /// Edges a component's clock domain has fired since it was registered:
+    /// what a dense schedule would have ticked it.
+    pub fn component_cycles(&self, id: ComponentId) -> u64 {
+        self.cycle_of(id.index())
     }
 
     /// Total edges processed so far (each [`Simulation::step`] is one edge).
@@ -584,7 +651,7 @@ impl<T> Simulation<T> {
 
     /// The time of the next pending edge, if any component is registered.
     pub fn next_edge(&self) -> Option<Time> {
-        self.heap.peek().map(|Reverse((t, _))| *t)
+        self.pending
     }
 
     /// Forces the classic dense schedule for this simulation (`true`), or
@@ -592,6 +659,9 @@ impl<T> Simulation<T> {
     /// observationally bit-identical; dense is kept as an escape hatch and
     /// as the baseline for speedup measurements.
     pub fn set_dense(&mut self, dense: bool) {
+        if dense {
+            self.rouse_all();
+        }
         self.dense = dense;
     }
 
@@ -645,65 +715,118 @@ impl<T> Simulation<T> {
         self.fidelity
     }
 
-    /// What happens to `slot` on an edge at `now_ps`. The sparse rule
-    /// decides whether the tick is *charged*: opted-in components sleep
-    /// unless a watched link has a pending delivery at or before the edge,
-    /// or their declared deadline is due. The slot's stall hint then decides
-    /// whether a charged tick is *dispatched*: it is elided when every due
-    /// wake reason sits behind a shut gate. Gates are read against the live
-    /// link state, so within an edge a slot sees exactly the room that
-    /// earlier-registered consumers have already made — as in the dense
-    /// schedule.
-    #[inline]
-    fn turn_of(&self, index: usize, now_ps: u64) -> Turn {
-        let slot = &self.slots[index];
-        if slot.watched.is_none() || self.dense {
-            return Turn::Dispatch;
+    /// Takes the verdict of a slot on an edge at `now_ps`, against the live
+    /// link state — so within an edge a slot sees exactly the room that
+    /// earlier-registered consumers have already made, as in the dense
+    /// schedule. The sparse rule decides whether the tick is *charged*:
+    /// opted-in components sleep unless a watched link has a pending
+    /// delivery at or before the edge, or their declared deadline is due.
+    /// The slot's stall hint then decides whether a charged tick is
+    /// *dispatched*: each wake reason — the deadline, the head of each
+    /// watched link — counts from the later of its own instant and its
+    /// gate's, and only while the gate's wire has room. A reason shut for
+    /// lack of room registers the slot on that wire ([`LinkPool::pop`] makes
+    /// its key due); the others bound how long the verdict can stand.
+    fn decide(&mut self, index: usize, now_ps: u64) -> Verdict {
+        let Simulation { slots, links, .. } = self;
+        let Some(slot) = &slots[index].sparse else {
+            return Verdict::Dispatch;
+        };
+        let wake = links.wake_of(index as u32);
+        if slot.timer > now_ps && wake > now_ps {
+            return Verdict::Sleep {
+                until: slot.timer.min(wake),
+                charged: false,
+            };
         }
-        let timer_due = slot.timer <= now_ps;
-        let input_due = self.links.wake_of(index as u32) <= now_ps;
-        if !timer_due && !input_due {
-            Turn::Skip
-        } else if slot.stall.is_set() && self.stalled(index, now_ps, timer_due, input_due) {
-            Turn::Elide
-        } else {
-            Turn::Dispatch
+        if !slot.stall.is_set() {
+            return Verdict::Dispatch;
         }
-    }
-
-    /// Whether every due wake reason of a charged slot sits behind a shut
-    /// gate of its (set) stall hint. Kept out of line: `turn_of` runs for
-    /// every member of every fired bucket, most of which sleep.
-    #[inline(never)]
-    fn stalled(&self, index: usize, now_ps: u64, timer_due: bool, input_due: bool) -> bool {
-        let slot = &self.slots[index];
-        if timer_due && slot.stall.deadline().is_open(now_ps, &self.links) {
-            return false;
-        }
-        if input_due {
-            let now = Time::from_ps(now_ps);
-            let watched = slot.watched.as_deref().unwrap_or_default();
-            for (k, &link) in watched.iter().enumerate() {
-                // Cheapest test first: the gate's instant is one compare,
-                // the head one link, the room a second link.
-                let gate = slot.stall.input(k);
-                if gate.is_due(now_ps)
-                    && self.links.has_deliverable(link, now)
-                    && gate.has_room(&self.links)
-                {
-                    return false;
-                }
+        let mut until = u64::MAX;
+        for reason in 0..=slot.watched.len() {
+            let (ready, gate) = match reason.checked_sub(1) {
+                None => (slot.timer, slot.stall.deadline()),
+                Some(k) => (links.head_at(slot.watched[k]), slot.stall.input(k)),
+            };
+            let at = ready.max(gate.not_before_ps());
+            if at == u64::MAX {
+                // No deadline, an empty wire or a closed gate: nothing but a
+                // delivery — which lowers the key — brings this one up.
+                continue;
+            }
+            match gate.needs_space() {
+                Some(wire) if !links.can_push(wire) => links.await_space(wire, index as u32),
+                _ if at <= now_ps => return Verdict::Dispatch,
+                _ => until = until.min(at),
             }
         }
-        true
+        Verdict::Sleep {
+            until,
+            charged: true,
+        }
     }
 
-    /// Retires an elided tick: charged to the slot like a dispatched one.
-    /// Nothing else moves — the component did not run, so its idle flag,
-    /// deadline, stall hint and wake are what they were.
-    #[inline]
-    fn elide_slot(&mut self, index: usize) {
-        self.slots[index].ticks += 1;
+    /// Ends whatever the slot's verdict left standing, ahead of a tick (or
+    /// a fast-gear window, or a switch to a schedule that dispatches
+    /// everything): the elided edges of its stall are charged to it, and
+    /// the credit its hint declared is paid up.
+    fn rouse(&mut self, index: usize) {
+        let slot = &mut self.slots[index];
+        let Some(sparse) = &mut slot.sparse else {
+            return;
+        };
+        if let Some(since) = sparse.stalled_since.take() {
+            let bucket = &mut self.buckets[slot.bucket as usize];
+            slot.ticks += bucket.edge_index - since;
+            bucket.stalled -= 1;
+            self.links.lower_due(index as u32, 0);
+        }
+        if sparse.stall.counted().is_some() {
+            self.credit(index);
+        }
+    }
+
+    fn rouse_all(&mut self) {
+        for index in 0..self.slots.len() {
+            self.rouse(index);
+        }
+    }
+
+    /// Pays the slot's [`count_elided`](StallHint::count_elided) credit up
+    /// to the last edge its bucket has decided: one for every edge from
+    /// `credit_from` on that fired at or after the declared instant. None of
+    /// them was dispatched — a dispatch re-reads the hint and moves
+    /// `credit_from` past itself.
+    fn credit(&mut self, index: usize) {
+        let slot = &mut self.slots[index];
+        let Some(sparse) = &mut slot.sparse else {
+            return;
+        };
+        let Some((counter, from)) = sparse.stall.counted() else {
+            return;
+        };
+        let b = slot.bucket as usize;
+        let (decided, period) = (self.buckets[b].edge_index, self.buckets[b].clock.period());
+        // Edge `k` fires at `next_edge - (decided - k) * period`.
+        let first = match self.next_edges[b].as_ps().checked_sub(from.as_ps()) {
+            Some(lead) => decided.saturating_sub(lead / period.as_ps()),
+            None => decided,
+        };
+        let owed = decided.saturating_sub(sparse.credit_from.max(first));
+        sparse.credit_from = decided;
+        if owed > 0 {
+            self.stats.inc(counter, owed);
+        }
+    }
+
+    /// What every public run call does before it returns: pays all standing
+    /// credit, so the registry reads exact between calls, and reports the
+    /// call's edges to the process-wide activity counters.
+    fn finish_call(&mut self) {
+        for k in 0..self.crediting.len() {
+            self.credit(self.crediting[k] as usize);
+        }
+        self.activity.flush();
     }
 
     /// Advances to the next edge and ticks every component scheduled there
@@ -714,7 +837,7 @@ impl<T> Simulation<T> {
     /// Returns the (first) edge time, or `None` when no components exist.
     pub fn step(&mut self) -> Option<Time> {
         let edge = self.step_bounded(None);
-        self.activity.flush();
+        self.finish_call();
         edge
     }
 
@@ -732,20 +855,21 @@ impl<T> Simulation<T> {
         }
     }
 
-    /// Pops the earliest pending edge plus every bucket coincident with it
-    /// into `self.fired`. Returns the edge time.
-    fn pop_fired(&mut self) -> Option<Time> {
-        let Reverse((edge, first)) = self.heap.pop()?;
+    /// Selects the earliest pending edge and the buckets firing on it, in
+    /// index order: one scan of the flat next-edge table.
+    fn select(&mut self) {
+        let mut at = Time::MAX;
         self.fired.clear();
-        self.fired.push(first);
-        while let Some(&Reverse((t, b))) = self.heap.peek() {
-            if t != edge {
-                break;
+        for (b, &next) in self.next_edges.iter().enumerate() {
+            if next < at {
+                at = next;
+                self.fired.clear();
             }
-            self.heap.pop();
-            self.fired.push(b);
+            if next == at {
+                self.fired.push(b as u32);
+            }
         }
-        Some(edge)
+        self.pending = (!self.fired.is_empty()).then_some(at);
     }
 
     /// Borrows the fired edge's tick order by value (returned via
@@ -766,9 +890,7 @@ impl<T> Simulation<T> {
             // Several domains share this instant: merge their (sorted)
             // member lists so ticks happen in global registration order,
             // exactly as the naive full scan would produce. The merged
-            // order is cached per fired-bucket set (`fired` is
-            // deterministic: the heap yields equal-time buckets in index
-            // order).
+            // order is cached per fired-bucket set.
             let pos = match self
                 .merge_cache
                 .iter()
@@ -807,25 +929,66 @@ impl<T> Simulation<T> {
 
     /// The cycle-accurate scheduling step (one edge instant).
     fn step_cycle(&mut self) -> Option<Time> {
-        let edge = self.pop_fired()?;
+        let edge = self.pending?;
         self.time = edge;
-        let (order, src) = self.borrow_order();
-        let (ticked, skipped, elided) = match self.par_exec {
-            Some(par) => par(self, &order, edge),
-            None => self.serial_pass(&order, edge),
+        let now_ps = edge.as_ps();
+        // The wake keys drive the edge unless the schedule dispatches every
+        // member anyway: the dense one, and the audit.
+        let keyed = !self.dense && self.audit.is_none();
+        let dispatched = if keyed
+            && self
+                .fired
+                .iter()
+                .all(|&b| self.links.bucket_due(b) > now_ps)
+        {
+            // No fired bucket has a key due: nothing to dispatch, nothing to
+            // decide, and the members need not be walked. To a parallel
+            // simulation this is an edge without eligible work.
+            if self.par_exec.is_some() {
+                self.activity
+                    .record_par_fallback(crate::activity::ParFallback::TooSmall);
+            }
+            0
+        } else {
+            if keyed {
+                // The pass visits every member of the fired buckets and
+                // folds each key it keeps back into its bucket's bound —
+                // which stays due where a member has no key.
+                for f in 0..self.fired.len() {
+                    let b = self.fired[f];
+                    let bound = match self.buckets[b as usize].unkeyed {
+                        0 => u64::MAX,
+                        _ => 0,
+                    };
+                    self.links.set_bucket_due(b, bound);
+                }
+            }
+            let (order, src) = self.borrow_order();
+            let dispatched = match self.par_exec {
+                Some(par) => par(self, &order, edge),
+                None => self.serial_pass(&order, edge),
+            };
+            self.return_order(order, src);
+            dispatched
         };
-        self.return_order(order, src);
+        // Every member of a fired bucket was dispatched, is stalled (one
+        // charged, elided tick) or slept through the edge.
+        let mut members = 0u64;
+        let mut elided = 0u64;
         for f in 0..self.fired.len() {
             let b = self.fired[f] as usize;
-            let next = edge + self.buckets[b].clock.period();
-            self.buckets[b].next_edge = next;
-            self.buckets[b].edge_index += 1;
-            self.heap.push(Reverse((next, self.fired[f])));
+            let bucket = &mut self.buckets[b];
+            members += bucket.members.len() as u64;
+            elided += bucket.stalled;
+            bucket.edge_index += 1;
+            self.next_edges[b] = edge + bucket.clock.period();
         }
+        let ticked = dispatched + elided;
         self.edges += 1;
         self.total_ticks += ticked;
         self.total_elided += elided;
-        self.activity.record_edge(ticked, skipped, elided);
+        self.activity.record_edge(ticked, members - ticked, elided);
+        self.select();
         Some(edge)
     }
 
@@ -840,7 +1003,7 @@ impl<T> Simulation<T> {
     /// cycle run would hold after the same edges, which is what makes any
     /// bounded-run horizon a deterministic gear-shift point.
     fn step_fast(&mut self, limit: Option<Time>, quantum: u64) -> Option<Time> {
-        let edge = self.pop_fired()?;
+        let edge = self.pending?;
         self.time = edge;
         let mut batch_edges = 0u64;
         let mut last_ps = edge.as_ps();
@@ -863,11 +1026,10 @@ impl<T> Simulation<T> {
         self.return_order(order, src);
         for f in 0..self.fired.len() {
             let b = self.fired[f] as usize;
-            let n = self.buckets[b].fast_win;
-            let next = Time::from_ps(edge.as_ps() + self.buckets[b].clock.period().as_ps() * n);
-            self.buckets[b].next_edge = next;
-            self.buckets[b].edge_index += n;
-            self.heap.push(Reverse((next, self.fired[f])));
+            let bucket = &mut self.buckets[b];
+            let n = bucket.fast_win;
+            self.next_edges[b] = Time::from_ps(edge.as_ps() + bucket.clock.period().as_ps() * n);
+            bucket.edge_index += n;
         }
         // Batches of different buckets may interleave in time (windows of a
         // slower clock outlast the next edge of a faster one) — inherent to
@@ -878,6 +1040,7 @@ impl<T> Simulation<T> {
         self.total_ticks += ticked;
         self.activity.record_edge(ticked, skipped, 0);
         self.activity.record_fast(windows, elided);
+        self.select();
         Some(edge)
     }
 
@@ -886,6 +1049,13 @@ impl<T> Simulation<T> {
     /// window-cycles skipped whole by the sparse wake check, windows
     /// processed, and in-window cycles elided by fast-forward sleeps and the
     /// fallback's runnability seeks.
+    ///
+    /// The fast gear reads deadlines and wakes, not wake keys. A member a
+    /// cycle-gear edge left stalled is charged, so it is never skipped
+    /// whole: its window takes it over ([`rouse`](Self::rouse)) and clears
+    /// its hint. A member skipped whole keeps its hint; credit that hint
+    /// declares is edge arithmetic and covers the window's edges whenever
+    /// it is next paid.
     fn fast_pass(&mut self, order: &[u32], edge: Time) -> (u64, u64, u64, u64) {
         let start_ps = edge.as_ps();
         let dense = self.dense;
@@ -901,10 +1071,9 @@ impl<T> Simulation<T> {
             let slot = &self.slots[i];
             // Whole-window sparse skip: no due deadline and no watched
             // delivery anywhere in the window. At quantum 1 this is exactly
-            // `!slot_runnable`.
+            // the cycle gear's uncharged edge.
             if !dense
-                && slot.watched.is_some()
-                && slot.timer > end_ps
+                && slot.sparse.as_ref().is_some_and(|s| s.timer > end_ps)
                 && self.links.wake_of(raw) > end_ps
             {
                 skipped += n;
@@ -925,6 +1094,7 @@ impl<T> Simulation<T> {
     /// [`Component::tick`] honouring the sparse wake conditions within the
     /// window. Returns the number of ticks executed.
     fn fast_slot(&mut self, index: usize, start: Time, n: u64) -> u64 {
+        self.rouse(index);
         let cycle = self.cycle_of(index);
         let period = self.buckets[self.slots[index].bucket as usize]
             .clock
@@ -936,14 +1106,13 @@ impl<T> Simulation<T> {
             stats,
             rng,
             faults,
-            busy,
             ..
         } = self;
         faults.set_origin(index as u32);
         let slot = &mut slots[index];
-        let initial_timer = slot.timer;
         let ff_ok = slot.ff_ok;
-        let watched = slot.watched.as_deref();
+        let initial_timer = slot.sparse.as_ref().map_or(0, |s| s.timer);
+        let watched = slot.sparse.as_ref().map(|s| s.watched.as_slice());
         let comp = slot
             .component
             .as_deref_mut()
@@ -985,67 +1154,95 @@ impl<T> Simulation<T> {
             }
         }
         let executed = ctx.executed();
-        // `ctx`'s borrows end here; post-window bookkeeping (the
-        // window-granular `post_tick`) follows.
         if executed > 0 {
-            slot.ticks += executed;
-            let comp = slot
-                .component
-                .as_deref()
-                .expect("component checked out to a compute worker");
-            let idle = comp.is_idle();
-            if idle != slot.idle {
-                slot.idle = idle;
-                if idle {
-                    *busy -= 1;
-                } else {
-                    *busy += 1;
-                }
-            }
-            if let Some(watched) = &slot.watched {
-                slot.timer = comp.next_activity().map_or(u64::MAX, Time::as_ps);
-                // A window runs its component alone, against link state the
-                // rest of the batch has yet to catch up with; a stall hint
-                // read here could vouch for a wire as of the wrong instant.
-                // Left unset, the first cycle-gear tick after a downshift is
-                // dispatched and re-reads it.
-                slot.stall.reset();
-                links.recompute_wake(index as u32, watched);
-            }
+            // A window runs its component alone, against link state the
+            // rest of the batch has yet to catch up with; a stall hint read
+            // here could vouch for a wire as of the wrong instant. Left
+            // unset, the first cycle-gear tick after a downshift is
+            // dispatched and re-reads it.
+            self.after_ticks(index, executed, false);
         }
         executed
     }
 
-    /// Ticks every runnable component of `order`, in order — the serial
-    /// schedule (and the commit-order reference the parallel executor must
-    /// reproduce bit-for-bit).
-    fn serial_pass(&mut self, order: &[u32], edge: Time) -> (u64, u64, u64) {
+    /// Ticks every member of `order` the schedule dispatches on this edge,
+    /// in order — the serial schedule (and the commit-order reference the
+    /// parallel executor must reproduce bit-for-bit). Returns the number of
+    /// ticks dispatched.
+    fn serial_pass(&mut self, order: &[u32], edge: Time) -> u64 {
         let now_ps = edge.as_ps();
-        let mut ticked: u64 = 0;
-        let mut skipped: u64 = 0;
-        let mut elided: u64 = 0;
+        // Every member ticks on the dense schedule — and on an edge whose
+        // buckets hold no member of the sparse one, which then costs what
+        // the dense schedule does: no key is read, no verdict taken.
+        let unkeyed: usize = self
+            .fired
+            .iter()
+            .map(|&b| self.buckets[b as usize].unkeyed as usize)
+            .sum();
+        if self.dense || unkeyed == order.len() {
+            for &raw in order {
+                self.tick_slot(raw as usize, edge);
+            }
+            return order.len() as u64;
+        }
+        if let Some(audit) = self.audit {
+            // Under the audit a tick the schedule would not dispatch —
+            // skipped or elided alike — runs anyway and is byte-compared, so
+            // no verdict ever stands: each is taken afresh.
+            for &raw in order {
+                let i = raw as usize;
+                match self.decide(i, now_ps) {
+                    Verdict::Dispatch => self.tick_slot(i, edge),
+                    Verdict::Sleep { .. } => audit(self, i, edge),
+                }
+            }
+            return order.len() as u64;
+        }
+        let mut dispatched = 0u64;
         for &raw in order {
-            let i = raw as usize;
-            match (self.turn_of(i, now_ps), self.audit) {
-                (Turn::Dispatch, _) => {
-                    self.tick_slot(i, edge);
-                    ticked += 1;
+            dispatched += u64::from(self.turn(raw, edge));
+        }
+        dispatched
+    }
+
+    /// One member's turn on a keyed edge. A key that is not due is folded
+    /// back into its bucket's bound and that is all — the member's slot is
+    /// not touched. A due one has its verdict taken: the member is
+    /// dispatched, or keyed with how long the verdict stands (either way
+    /// the key is written, bound included). Returns whether a tick body ran.
+    #[inline]
+    fn turn(&mut self, raw: u32, edge: Time) -> bool {
+        if self.links.due_of(raw) > edge.as_ps() {
+            self.links.keep_due(raw);
+            return false;
+        }
+        let index = raw as usize;
+        if self.slots[index].sparse.is_none() {
+            // Outside the sparse schedule: no verdict to take, no key.
+            self.tick_slot(index, edge);
+            return true;
+        }
+        match self.decide(index, edge.as_ps()) {
+            Verdict::Dispatch => {
+                self.rouse(index);
+                self.tick_slot(index, edge);
+                true
+            }
+            Verdict::Sleep { until, charged } => {
+                self.links.set_due(raw, until);
+                let slot = &mut self.slots[index];
+                let sparse = slot.sparse.as_mut().expect("only a sparse slot sleeps");
+                // Once charged a slot stays charged until it is dispatched:
+                // its deadline does not move and wakes only come down.
+                debug_assert!(charged || sparse.stalled_since.is_none());
+                if charged && sparse.stalled_since.is_none() {
+                    let bucket = &mut self.buckets[slot.bucket as usize];
+                    sparse.stalled_since = Some(bucket.edge_index);
+                    bucket.stalled += 1;
                 }
-                // Under the audit a tick the schedule would not dispatch —
-                // skipped or elided alike — runs anyway and is byte-compared.
-                (_, Some(audit)) => {
-                    audit(self, i, edge);
-                    ticked += 1;
-                }
-                (Turn::Elide, None) => {
-                    self.elide_slot(i);
-                    ticked += 1;
-                    elided += 1;
-                }
-                (Turn::Skip, None) => skipped += 1,
+                false
             }
         }
-        (ticked, skipped, elided)
     }
 
     /// The component's own-domain cycle count: how many edges its bucket
@@ -1058,6 +1255,11 @@ impl<T> Simulation<T> {
         self.buckets[slot.bucket as usize].edge_index - slot.edge_base
     }
 
+    /// Runs one tick body. Whatever verdict the slot's last turn left
+    /// standing is over by now: the sparse turn that dispatches a slot
+    /// [`rouse`](Self::rouse)s it first, and the schedules that dispatch
+    /// everything rouse every slot when they are switched on.
+    #[inline]
     fn tick_slot(&mut self, index: usize, edge: Time) {
         let cycle = self.cycle_of(index);
         // Fault probes draw from the component's own per-origin stream, so
@@ -1081,11 +1283,22 @@ impl<T> Simulation<T> {
     }
 
     /// Bookkeeping after a component's tick took effect (directly or via a
-    /// committed effect log): tick counters, the cached idle flag and the
-    /// busy count, and the slot's sparse wake conditions.
+    /// committed effect log) on the edge its bucket is firing.
+    #[inline]
     fn post_tick(&mut self, index: usize) {
+        self.after_ticks(index, 1, true);
+    }
+
+    /// Bookkeeping after `executed` ticks of a component took effect: tick
+    /// counters, the cached idle flag and the busy count, and the slot's
+    /// sparse wake conditions — the tick may have consumed watched input,
+    /// moved its internal deadlines and opened or shut its stall gates.
+    /// `hinted` re-reads the stall hint; a fast-gear window clears it.
+    #[inline]
+    fn after_ticks(&mut self, index: usize, executed: u64, hinted: bool) {
         let slot = &mut self.slots[index];
-        slot.ticks += 1;
+        slot.ticks += executed;
+        slot.dispatches += executed;
         let idle = slot.comp().is_idle();
         if idle != slot.idle {
             slot.idle = idle;
@@ -1095,9 +1308,50 @@ impl<T> Simulation<T> {
                 self.busy += 1;
             }
         }
-        // The tick may have consumed watched input, moved its internal
-        // deadlines and opened or shut its stall gates.
-        slot.refresh_wake(index as u32, &mut self.links);
+        if slot.sparse.is_some() {
+            // The hint is read on the edge being fired: the first edge it
+            // can owe credit for is the next one.
+            self.refresh_wake(index, hinted, 1);
+        }
+    }
+
+    /// Re-derives the slot's sparse wake conditions after its component's
+    /// state may have changed: the deadline, the stall gates (cleared
+    /// unless `hinted`), the wake of its watched links and — asleep until
+    /// its next turn says otherwise — its wake key. The fresh hint speaks
+    /// for the edges of its bucket from `ahead` past the current edge index
+    /// on. Nothing to do for a slot outside the sparse schedule.
+    fn refresh_wake(&mut self, index: usize, hinted: bool, ahead: u64) {
+        let Simulation {
+            slots,
+            buckets,
+            links,
+            crediting,
+            ..
+        } = self;
+        let slot = &mut slots[index];
+        let Some(sparse) = &mut slot.sparse else {
+            return;
+        };
+        let comp = slot
+            .component
+            .as_deref()
+            .expect("component checked out to a compute worker");
+        sparse.timer = comp.next_activity().map_or(u64::MAX, Time::as_ps);
+        let counted = sparse.stall.counted().is_some();
+        sparse.stall.reset();
+        if hinted {
+            comp.stall_hint(&mut sparse.stall);
+        }
+        sparse.credit_from = buckets[slot.bucket as usize].edge_index + ahead;
+        if sparse.stall.counted().is_some() != counted {
+            if counted {
+                crediting.retain(|&s| s != index as u32);
+            } else {
+                crediting.push(index as u32);
+            }
+        }
+        links.recompute_wake(index as u32, &sparse.watched, sparse.timer);
     }
 
     /// Runs all edges up to and including `horizon`.
@@ -1113,7 +1367,7 @@ impl<T> Simulation<T> {
             }
             self.step_bounded(Some(horizon));
         }
-        self.activity.flush();
+        self.finish_call();
     }
 
     /// Whether every component is idle and every link is drained.
@@ -1147,7 +1401,7 @@ impl<T> Simulation<T> {
                 _ => break RunOutcome::HorizonReached { at: self.time },
             }
         };
-        self.activity.flush();
+        self.finish_call();
         outcome
     }
 
@@ -1219,7 +1473,7 @@ impl<T: Clone + PartialEq + Send + Sync + 'static> Simulation<T> {
     /// The parallel edge executor: compute phase on `jobs` shards against a
     /// frozen view, then a serial in-order commit phase. Must produce
     /// byte-identical results to [`Simulation::serial_pass`].
-    fn parallel_pass(&mut self, order: &[u32], edge: Time) -> (u64, u64, u64) {
+    fn parallel_pass(&mut self, order: &[u32], edge: Time) -> u64 {
         use crate::activity::ParFallback;
 
         // Whole-edge serial fallbacks: conditions under which buffered
@@ -1240,19 +1494,30 @@ impl<T: Clone + PartialEq + Send + Sync + 'static> Simulation<T> {
         // implies dispatched-at-commit. (On a wire with a second producer
         // the buffered tick's recorded `can_push` fails validation and the
         // tick re-runs serially: a dispatched no-op, which is always safe.)
-        // A slot stalled at the freeze is decided live at its commit
-        // position, where it sees the room earlier commits made.
+        // A slot asleep or stalled at the freeze takes its turn live at its
+        // commit position, where it sees the room earlier commits made.
         let mut eligible: Vec<u32> = Vec::with_capacity(order.len());
         for (k, &raw) in order.iter().enumerate() {
             let i = raw as usize;
             let slot = &self.slots[i];
-            if slot.par_ok && slot.ticks > 0 && self.turn_of(i, now_ps) == Turn::Dispatch {
+            if slot.par_ok
+                && slot.ticks > 0
+                && (self.dense
+                    || (self.links.due_of(raw) <= now_ps
+                        && self.decide(i, now_ps) == Verdict::Dispatch))
+            {
                 eligible.push(k as u32);
             }
         }
         if eligible.len() < 2 {
             self.activity.record_par_fallback(ParFallback::TooSmall);
             return self.serial_pass(order, edge);
+        }
+        // Their turn is decided here, on the stepping thread: what their
+        // verdicts left standing is settled before the workers run (credit
+        // and the tick's own increments commute).
+        for &k in &eligible {
+            self.rouse(order[k as usize] as usize);
         }
 
         let jobs = self.tick_jobs.min(eligible.len());
@@ -1346,9 +1611,7 @@ impl<T: Clone + PartialEq + Send + Sync + 'static> Simulation<T> {
         let mut serial_touched = false;
         let computed = eligible.len() as u64;
         let mut reticked: u64 = 0;
-        let mut ticked: u64 = 0;
-        let mut skipped: u64 = 0;
-        let mut elided: u64 = 0;
+        let mut dispatched: u64 = 0;
         for (k, &raw) in order.iter().enumerate() {
             let i = raw as usize;
             match par_done[k].take() {
@@ -1392,31 +1655,25 @@ impl<T: Clone + PartialEq + Send + Sync + 'static> Simulation<T> {
                         self.tick_slot(i, edge);
                         serial_touched = true;
                     }
-                    ticked += 1;
+                    dispatched += 1;
                 }
                 None => {
                     // Not eligible for compute: full serial semantics at the
                     // commit position (skip-audit is off — it forced a
                     // fallback above).
-                    match self.turn_of(i, now_ps) {
-                        Turn::Dispatch => {
-                            self.tick_slot(i, edge);
-                            serial_touched = true;
-                            ticked += 1;
-                        }
-                        Turn::Elide => {
-                            self.elide_slot(i);
-                            ticked += 1;
-                            elided += 1;
-                        }
-                        Turn::Skip => skipped += 1,
+                    if self.dense {
+                        self.tick_slot(i, edge);
+                    } else if !self.turn(raw, edge) {
+                        continue;
                     }
+                    serial_touched = true;
+                    dispatched += 1;
                 }
             }
         }
         self.par_done = par_done;
         self.activity.record_parallel_edge(computed, reticked);
-        (ticked, skipped, elided)
+        dispatched
     }
 
     /// Checks the components at `positions` of `order` out of their slots
@@ -1492,7 +1749,7 @@ impl<T: crate::snapshot::SnapshotPayload> Simulation<T> {
     /// Cloning the returned blob is a reference-count bump, so one warm
     /// checkpoint can be forked across many parallel sweep workers.
     /// The blob deliberately excludes executed-tick counts and every other
-    /// schedule-derived value (wakes, timers, the heap), so sparse and dense
+    /// schedule-derived value (wakes, wake keys, timers), so sparse and dense
     /// runs of the same workload checkpoint to byte-identical blobs.
     pub fn checkpoint(&self) -> crate::snapshot::SnapshotBlob {
         let mut w = crate::snapshot::StateWriter::new();
@@ -1510,8 +1767,8 @@ impl<T: crate::snapshot::SnapshotPayload> Simulation<T> {
         self.links.save_state(&mut w);
         w.section("buckets");
         w.write_usize(self.buckets.len());
-        for bucket in &self.buckets {
-            w.write_time(bucket.next_edge);
+        for (bucket, next_edge) in self.buckets.iter().zip(&self.next_edges) {
+            w.write_time(*next_edge);
             w.write_u64(bucket.edge_index);
         }
         w.section("components");
@@ -1532,7 +1789,7 @@ impl<T: crate::snapshot::SnapshotPayload> Simulation<T> {
     /// the same clocks, same links — i.e. a platform rebuilt from the same
     /// specification. Dynamic state (time, queues, stats, RNG position,
     /// component internals) is overwritten wholesale; derived scheduler
-    /// state (the edge heap, the busy and queued counters) is recomputed.
+    /// state (the pending edge, the wake keys, the busy and queued counters) is recomputed.
     ///
     /// Because the kernel is deterministic, a restored simulation replays
     /// the exact tick sequence the original would have produced.
@@ -1576,9 +1833,10 @@ impl<T: crate::snapshot::SnapshotPayload> Simulation<T> {
             }
             .into());
         }
-        for bucket in self.buckets.iter_mut() {
-            bucket.next_edge = r.read_time();
+        for (bucket, next_edge) in self.buckets.iter_mut().zip(&mut self.next_edges) {
+            *next_edge = r.read_time();
             bucket.edge_index = r.read_u64();
+            bucket.stalled = 0;
         }
         r.expect_section("components");
         let slot_count = r.read_usize();
@@ -1597,22 +1855,24 @@ impl<T: crate::snapshot::SnapshotPayload> Simulation<T> {
             slot.comp_mut().restore(&mut r);
         }
         r.finish()?;
-        // Rebuild derived scheduler state. The heap order among equal-time
-        // buckets is unobservable (multi-bucket edges merge and sort member
-        // lists), so pushing in bucket-index order is equivalent to any
-        // order the original heap may have held. Executed-tick counters are
-        // not part of the blob (they differ between sparse and dense runs);
-        // they restart from zero.
-        self.heap.clear();
-        for (i, bucket) in self.buckets.iter().enumerate() {
-            self.heap.push(Reverse((bucket.next_edge, i as u32)));
-        }
+        // Rebuild derived scheduler state: the pending edge, the busy count
+        // and every slot's wake conditions, all verdicts gone (hints are
+        // re-read like deadlines; the blob holds no pending credit, so they
+        // speak from the next edge on). Executed-tick counters are not part
+        // of the blob (they differ between sparse and dense runs); they
+        // restart from zero.
+        self.select();
         self.busy = self.slots.iter().filter(|s| !s.idle).count();
         self.total_ticks = 0;
         self.total_elided = 0;
-        for (i, slot) in self.slots.iter_mut().enumerate() {
+        for i in 0..self.slots.len() {
+            let slot = &mut self.slots[i];
             slot.ticks = 0;
-            slot.refresh_wake(i as u32, &mut self.links);
+            slot.dispatches = 0;
+            if let Some(sparse) = &mut slot.sparse {
+                sparse.stalled_since = None;
+            }
+            self.refresh_wake(i, true, 0);
         }
         Ok(())
     }
@@ -1627,6 +1887,7 @@ impl<T: crate::snapshot::SnapshotPayload> Simulation<T> {
     /// no-op) and panics with the offending component's name — this is the
     /// kernel-level machinery behind the idle-contract proptest.
     pub fn enable_skip_audit(&mut self) {
+        self.rouse_all();
         self.audit = Some(Self::audit_skipped_tick);
     }
 
@@ -1636,6 +1897,14 @@ impl<T: crate::snapshot::SnapshotPayload> Simulation<T> {
             f(&mut w);
             w.finish().as_bytes().to_vec()
         }
+        // The one effect such a tick may have: exactly one on the counter
+        // its hint declared, from the declared instant on.
+        let counted = self.slots[index]
+            .sparse
+            .as_ref()
+            .and_then(|s| s.stall.counted())
+            .filter(|&(_, from)| edge >= from)
+            .map(|(counter, _)| (counter, self.stats.counter_value(counter)));
         let before_comp = bytes(|w| self.slots[index].comp().save(w));
         let before_rng = self.rng.state();
         let before_stats = bytes(|w| self.stats.save_state(w));
@@ -1653,11 +1922,23 @@ impl<T: crate::snapshot::SnapshotPayload> Simulation<T> {
             self.rng.state(),
             "idle contract violated: `{name}` drew from the RNG during a tick sparse scheduling would not have dispatched (edge {edge})"
         );
+        if let Some((counter, before)) = counted {
+            assert_eq!(
+                self.stats.counter_value(counter),
+                before + 1,
+                "idle contract violated: `{name}` must add exactly one to the counter its stall hint declared during a tick sparse scheduling would not have dispatched (edge {edge})"
+            );
+            // Set the declared one aside to compare the rest.
+            self.stats.retract(counter, 1);
+        }
         assert_eq!(
             before_stats,
             bytes(|w| self.stats.save_state(w)),
             "idle contract violated: `{name}` wrote stats during a tick sparse scheduling would not have dispatched (edge {edge})"
         );
+        if let Some((counter, _)) = counted {
+            self.stats.inc(counter, 1);
+        }
         assert_eq!(
             before_faults,
             bytes(|w| self.faults.save_state(w)),
@@ -1687,6 +1968,9 @@ impl<T> std::fmt::Debug for Simulation<T> {
             .finish()
     }
 }
+
+#[cfg(test)]
+mod wake_tests;
 
 #[cfg(test)]
 mod tests {
@@ -2326,50 +2610,79 @@ mod tests {
         }
     }
 
-    /// `pairs` eager producers, each behind a capacity-1 wire into a
-    /// single-slot consumer that serves one payload per 70 ns; the producer
-    /// registers before its consumer unless `consumer_first`.
-    fn stalled_pairs(
+    /// One eager producer behind a capacity-1 wire into a single-slot
+    /// consumer that serves one payload per 70 ns; the producer registers
+    /// before its consumer unless `consumer_first`.
+    pub(super) fn add_stalled_pair(
+        sim: &mut Simulation<u64>,
+        wire: &str,
+        hints: bool,
+        consumer_first: bool,
+        clocks: (ClockDomain, ClockDomain),
+        dispatched: &Arc<AtomicU64>,
+    ) {
+        let (producer_clk, consumer_clk) = clocks;
+        let wire = sim.links_mut().add_link(wire, 1, producer_clk.period());
+        let producer = Box::new(EagerProducer {
+            out: wire,
+            budget: 12,
+            sent: 0,
+            hints,
+            dispatched: Arc::clone(dispatched),
+        });
+        let consumer = Box::new(SingleSlot {
+            input: wire,
+            service: Time::from_ns(70),
+            busy_until: Time::ZERO,
+            served: Vec::new(),
+            hints,
+            dispatched: Arc::clone(dispatched),
+        });
+        if consumer_first {
+            sim.add_component(consumer, consumer_clk);
+            sim.add_component(producer, producer_clk);
+        } else {
+            sim.add_component(producer, producer_clk);
+            sim.add_component(consumer, consumer_clk);
+        }
+    }
+
+    /// `pairs` stalled pairs, producers and consumers on the given clocks.
+    pub(super) fn stalled_pairs_on(
         pairs: usize,
         hints: bool,
         consumer_first: bool,
+        producer_clk: ClockDomain,
+        consumer_clk: ClockDomain,
     ) -> (Simulation<u64>, Arc<AtomicU64>) {
         let mut sim: Simulation<u64> = Simulation::with_seed(5);
-        let clk = ClockDomain::from_mhz(100);
         let dispatched = Arc::new(AtomicU64::new(0));
         for p in 0..pairs {
-            let wire = sim
-                .links_mut()
-                .add_link(format!("wire{p}"), 1, clk.period());
-            let producer = Box::new(EagerProducer {
-                out: wire,
-                budget: 12,
-                sent: 0,
+            add_stalled_pair(
+                &mut sim,
+                &format!("wire{p}"),
                 hints,
-                dispatched: Arc::clone(&dispatched),
-            });
-            let consumer = Box::new(SingleSlot {
-                input: wire,
-                service: Time::from_ns(70),
-                busy_until: Time::ZERO,
-                served: Vec::new(),
-                hints,
-                dispatched: Arc::clone(&dispatched),
-            });
-            if consumer_first {
-                sim.add_component(consumer, clk);
-                sim.add_component(producer, clk);
-            } else {
-                sim.add_component(producer, clk);
-                sim.add_component(consumer, clk);
-            }
+                consumer_first,
+                (producer_clk, consumer_clk),
+                &dispatched,
+            );
         }
         (sim, dispatched)
     }
 
-    fn component_tick_counts(sim: &Simulation<u64>) -> Vec<u64> {
-        (0..sim.component_count())
-            .map(|i| sim.component_ticks(ComponentId(i as u32)))
+    /// `pairs` stalled pairs on one 100 MHz clock.
+    pub(super) fn stalled_pairs(
+        pairs: usize,
+        hints: bool,
+        consumer_first: bool,
+    ) -> (Simulation<u64>, Arc<AtomicU64>) {
+        let clk = ClockDomain::from_mhz(100);
+        stalled_pairs_on(pairs, hints, consumer_first, clk, clk)
+    }
+
+    pub(super) fn component_tick_counts(sim: &Simulation<u64>) -> Vec<u64> {
+        sim.component_ids()
+            .map(|id| sim.component_ticks(id))
             .collect()
     }
 

@@ -1,0 +1,740 @@
+//! Tests of the two halves that finish the event-driven schedule: accounted
+//! elision ([`StallHint::count_elided`]) and the wake keys that replace
+//! per-edge polling. The reference in every one of them is a twin on a
+//! schedule that dispatches everything — `set_dense`, or the same platform
+//! without hints — which charges and counts the same by construction.
+
+use super::tests::{add_stalled_pair, component_tick_counts, stalled_pairs, stalled_pairs_on};
+use super::*;
+use crate::stats::CounterId;
+
+/// What a [`Waiter`]'s tick does to the counter its hint declares.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Counts {
+    Honestly,
+    Never,
+    Twice,
+    AndASecondCounter,
+}
+
+/// A master blocked on a response, counting the cycles it waits: the shape
+/// of a core stalled on a refill or a bus held through wait states. It
+/// counts one wait per cycle from `count_from` on until the response
+/// arrives; payloads on `nudge` are consumed and change nothing, so a
+/// delivery there only forces a dispatch — and a re-read of the hint —
+/// in the middle of the wait.
+struct Waiter {
+    name: String,
+    resp: LinkId,
+    nudge: LinkId,
+    count_from: Time,
+    counts: Counts,
+    waiting: bool,
+    waits: Option<CounterId>,
+    /// Tick bodies actually run (observation channel, not state).
+    dispatched: Arc<AtomicU64>,
+}
+
+impl crate::snapshot::Snapshot for Waiter {
+    fn save(&self, w: &mut crate::snapshot::StateWriter) {
+        w.write_bool(self.waiting);
+    }
+    fn restore(&mut self, r: &mut crate::snapshot::StateReader<'_>) {
+        self.waiting = r.read_bool();
+    }
+}
+
+impl Component<u64> for Waiter {
+    fn name(&self) -> &str {
+        &self.name
+    }
+    fn register_metrics(&self, stats: &mut StatsRegistry) {
+        stats.counter(&format!("{}.waits", self.name));
+        stats.counter(&format!("{}.other", self.name));
+    }
+    fn tick(&mut self, ctx: &mut TickContext<'_, u64>) {
+        self.dispatched.fetch_add(1, Ordering::Relaxed);
+        let waits = *self
+            .waits
+            .get_or_insert_with(|| ctx.stats.counter(&format!("{}.waits", self.name)));
+        ctx.links.pop(self.nudge, ctx.time);
+        if ctx.links.pop(self.resp, ctx.time).is_some() {
+            self.waiting = false;
+        } else if self.waiting && ctx.time >= self.count_from {
+            match self.counts {
+                Counts::Honestly => ctx.stats.inc(waits, 1),
+                Counts::Never => {}
+                Counts::Twice => ctx.stats.inc(waits, 2),
+                Counts::AndASecondCounter => {
+                    ctx.stats.inc(waits, 1);
+                    let other = ctx.stats.counter(&format!("{}.other", self.name));
+                    ctx.stats.inc(other, 1);
+                }
+            }
+        }
+    }
+    fn is_idle(&self) -> bool {
+        !self.waiting
+    }
+    fn parallel_safe(&self) -> bool {
+        true
+    }
+    fn watched_links(&self) -> Option<Vec<LinkId>> {
+        Some(vec![self.resp, self.nudge])
+    }
+    fn next_activity(&self) -> Option<Time> {
+        self.waiting.then_some(Time::ZERO)
+    }
+    fn stall_hint(&self, hint: &mut StallHint) {
+        if let (true, Some(waits)) = (self.waiting, self.waits) {
+            hint.gate_deadline(crate::Gate::CLOSED);
+            hint.count_elided(waits, self.count_from);
+        }
+    }
+}
+
+/// Pushes payload `k` onto wire `sends[k].0` at `sends[k].1`, with
+/// `sends[k].2` of extra transfer time. `sends` is sorted by instant.
+struct Sender {
+    sends: Vec<(LinkId, Time, Time)>,
+    sent: usize,
+    dispatched: Arc<AtomicU64>,
+}
+
+impl crate::snapshot::Snapshot for Sender {
+    fn save(&self, w: &mut crate::snapshot::StateWriter) {
+        w.write_usize(self.sent);
+    }
+    fn restore(&mut self, r: &mut crate::snapshot::StateReader<'_>) {
+        self.sent = r.read_usize();
+    }
+}
+
+impl Component<u64> for Sender {
+    fn name(&self) -> &str {
+        "sender"
+    }
+    fn tick(&mut self, ctx: &mut TickContext<'_, u64>) {
+        self.dispatched.fetch_add(1, Ordering::Relaxed);
+        while let Some(&(wire, at, extra)) = self.sends.get(self.sent) {
+            if ctx.time < at {
+                break;
+            }
+            ctx.links
+                .push_after(wire, ctx.time, extra, self.sent as u64)
+                .unwrap();
+            self.sent += 1;
+        }
+    }
+    fn is_idle(&self) -> bool {
+        self.sent == self.sends.len()
+    }
+    fn watched_links(&self) -> Option<Vec<LinkId>> {
+        Some(Vec::new())
+    }
+    fn next_activity(&self) -> Option<Time> {
+        self.sends.get(self.sent).map(|&(_, at, _)| at)
+    }
+}
+
+/// `n` waiters on a 100 MHz clock (edges every 10 ns), waiter `k` nudged at
+/// 100 ns and answered at `200 + 30 k` ns (both one 10 ns hop later), each
+/// counting from `count_from`.
+fn waiters(n: usize, count_from: Time, counts: Counts) -> (Simulation<u64>, Arc<AtomicU64>) {
+    let mut sim: Simulation<u64> = Simulation::with_seed(9);
+    let clk = ClockDomain::from_mhz(100);
+    let dispatched = Arc::new(AtomicU64::new(0));
+    let mut sends = Vec::new();
+    for k in 0..n {
+        let resp = sim
+            .links_mut()
+            .add_link(format!("resp{k}"), 1, clk.period());
+        let nudge = sim
+            .links_mut()
+            .add_link(format!("nudge{k}"), 1, clk.period());
+        sends.push((nudge, Time::from_ns(100), Time::ZERO));
+        sends.push((resp, Time::from_ns(200 + 30 * k as u64), Time::ZERO));
+        sim.add_component(
+            Box::new(Waiter {
+                name: format!("w{k}"),
+                resp,
+                nudge,
+                count_from,
+                counts,
+                waiting: true,
+                waits: None,
+                dispatched: Arc::clone(&dispatched),
+            }),
+            clk,
+        );
+    }
+    sends.sort_by_key(|&(_, at, _)| at);
+    let responder = Sender {
+        sends,
+        sent: 0,
+        dispatched: Arc::clone(&dispatched),
+    };
+    sim.add_component(Box::new(responder), clk);
+    (sim, dispatched)
+}
+
+fn waits(sim: &Simulation<u64>, k: usize) -> u64 {
+    sim.stats().counter_by_name(&format!("w{k}.waits"))
+}
+
+/// Every tick is charged to exactly one component, dispatched or not.
+fn assert_accounts_add_up(sim: &Simulation<u64>) {
+    let charged: u64 = component_tick_counts(sim).iter().sum();
+    let dispatched: u64 = sim
+        .component_ids()
+        .map(|id| sim.component_dispatches(id))
+        .sum();
+    assert_eq!(charged, sim.ticks_executed());
+    assert_eq!(dispatched, sim.ticks_executed() - sim.ticks_elided());
+}
+
+/// Byte-identical checkpoints (without printing them when they are not).
+fn assert_same_state(a: &Simulation<u64>, b: &Simulation<u64>) {
+    assert!(
+        a.checkpoint().as_bytes() == b.checkpoint().as_bytes(),
+        "checkpoints differ at {} / {}",
+        a.time(),
+        b.time()
+    );
+}
+
+const HORIZON: Time = Time::from_us(2);
+
+#[test]
+fn credit_counts_from_the_declared_instant() {
+    // The response pushed at 200 ns is popped on the 210 ns edge, so the
+    // waiter waits on the 21 edges 0, 10, .. 200 ns. Its hint is read at
+    // 0 ns and again at 110 ns (the nudge's dispatch), where every `from`
+    // up to 100 ns already lies in the past.
+    for (from_ns, expect) in [
+        (0, 21),   // from the first edge
+        (50, 16),  // an edge exactly at `from`: 50 .. 200
+        (55, 15),  // `from` between edges: 60 .. 200
+        (110, 10), // exactly the edge that re-reads the hint: 110 .. 200
+        (195, 1),  // the last waiting edge only
+        (205, 0),  // the wait is over before `from`
+    ] {
+        let from = Time::from_ns(from_ns);
+        let (mut sparse, dispatched) = waiters(1, from, Counts::Honestly);
+        let (mut dense, _) = waiters(1, from, Counts::Honestly);
+        dense.set_dense(true);
+        let end = dense.run_to_quiescence_strict(HORIZON).unwrap();
+        assert_eq!(sparse.run_to_quiescence_strict(HORIZON).unwrap(), end);
+        assert_eq!(waits(&dense, 0), expect, "dense, from {from_ns} ns");
+        assert_eq!(waits(&sparse, 0), expect, "sparse, from {from_ns} ns");
+        assert_same_state(&sparse, &dense);
+        // The waiter ran three bodies: its first tick, the nudge, the
+        // response; the rest of its wait was elided and credited. The
+        // responder ran its first tick and one per push.
+        assert_eq!(sparse.component_dispatches(ComponentId(0)), 3);
+        assert_eq!(sparse.component_ticks(ComponentId(0)), 22);
+        assert_eq!(dispatched.load(Ordering::Relaxed), 3 + 3);
+        assert_accounts_add_up(&sparse);
+    }
+}
+
+#[test]
+fn the_counter_reads_exact_after_every_public_call() {
+    let from = Time::from_ns(35);
+    let (mut whole, _) = waiters(3, from, Counts::Honestly);
+    whole.run_to_quiescence_strict(HORIZON).unwrap();
+
+    // One edge at a time, against a dense twin in lockstep: the registry —
+    // and the whole checkpoint — is the dense one's after every step.
+    let (mut stepped, _) = waiters(3, from, Counts::Honestly);
+    let (mut dense, _) = waiters(3, from, Counts::Honestly);
+    dense.set_dense(true);
+    while !(stepped.time() > Time::ZERO && stepped.is_quiescent()) {
+        assert!(stepped.time() < HORIZON, "never drained");
+        assert_eq!(stepped.step(), dense.step());
+        for k in 0..3 {
+            assert_eq!(
+                waits(&stepped, k),
+                waits(&dense, k),
+                "at {}",
+                stepped.time()
+            );
+        }
+        assert_same_state(&stepped, &dense);
+        assert_accounts_add_up(&stepped);
+    }
+    assert!(stepped.ticks_elided() > 0);
+    assert_same_state(&stepped, &whole);
+
+    // Bounded runs whose horizons fall between edges.
+    let (mut chunked, _) = waiters(3, from, Counts::Honestly);
+    let (mut dense, _) = waiters(3, from, Counts::Honestly);
+    dense.set_dense(true);
+    let mut horizon = Time::ZERO;
+    while !(chunked.time() > Time::ZERO && chunked.is_quiescent()) {
+        assert!(horizon < HORIZON, "never drained");
+        horizon += Time::from_ns(37);
+        chunked.run_until(horizon);
+        dense.run_until(horizon);
+        for k in 0..3 {
+            assert_eq!(waits(&chunked, k), waits(&dense, k), "at {horizon}");
+        }
+    }
+    let (mut once, _) = waiters(3, from, Counts::Honestly);
+    once.run_until(horizon);
+    assert_same_state(&chunked, &once);
+    assert_same_state(&chunked, &dense);
+    assert_eq!(chunked.ticks_executed(), once.ticks_executed());
+    assert_eq!(chunked.ticks_elided(), once.ticks_elided());
+}
+
+#[test]
+fn credit_is_the_same_at_every_job_count() {
+    let from = Time::from_ns(20);
+    let (mut serial, _) = waiters(6, from, Counts::Honestly);
+    let end = serial.run_to_quiescence_strict(HORIZON).unwrap();
+    for jobs in [2, 4] {
+        let (mut par, dispatched) = waiters(6, from, Counts::Honestly);
+        par.set_tick_jobs(jobs);
+        assert_eq!(par.run_to_quiescence_strict(HORIZON).unwrap(), end);
+        assert_same_state(&par, &serial);
+        assert_eq!(par.ticks_executed(), serial.ticks_executed());
+        assert_eq!(par.ticks_elided(), serial.ticks_elided());
+        assert_eq!(component_tick_counts(&par), component_tick_counts(&serial));
+        assert_eq!(
+            dispatched.load(Ordering::Relaxed),
+            par.ticks_executed() - par.ticks_elided()
+        );
+        assert!(par.activity.total().par_edges > 0, "parallel path must run");
+        assert_accounts_add_up(&par);
+    }
+}
+
+#[test]
+fn restore_mid_stall_resumes_the_count() {
+    let from = Time::from_ns(20);
+    let (mut straight, _) = waiters(2, from, Counts::Honestly);
+    // 155 ns: both waiters stalled, nudges behind them, responses ahead.
+    straight.run_until(Time::from_ns(155));
+    let mid = straight.checkpoint();
+    assert_eq!(waits(&straight, 0), 14, "edges 20 .. 150 ns");
+    let elided_before = straight.ticks_elided();
+    assert!(elided_before > 0);
+    let end = straight.run_to_quiescence_strict(HORIZON).unwrap();
+
+    // Dense cuts the same blob: no credit is pending in either.
+    let (mut dense, _) = waiters(2, from, Counts::Honestly);
+    dense.set_dense(true);
+    dense.run_until(Time::from_ns(155));
+    assert!(dense.checkpoint().as_bytes() == mid.as_bytes());
+
+    let (mut resumed, _) = waiters(2, from, Counts::Honestly);
+    resumed.restore(&mid).expect("restore onto twin");
+    assert_eq!(waits(&resumed, 0), 14);
+    assert!(resumed.checkpoint().as_bytes() == mid.as_bytes());
+    // The twin has never ticked, so its waiters have yet to resolve their
+    // counter: they poll one edge, then sleep and are credited again.
+    resumed.run_until(Time::from_ns(185));
+    assert_eq!(waits(&resumed, 0), 17, "edges 20 .. 180 ns");
+    assert!(resumed.ticks_elided() > 0);
+    assert_eq!(resumed.run_to_quiescence_strict(HORIZON).unwrap(), end);
+    assert_same_state(&resumed, &straight);
+    assert_accounts_add_up(&resumed);
+}
+
+#[test]
+fn the_audit_accepts_exactly_the_declared_one() {
+    // `from` between edges and mid-wait: the audit must see +0 before it
+    // and +1 from it on.
+    let from = Time::from_ns(55);
+    let (mut plain, _) = waiters(2, from, Counts::Honestly);
+    let (mut audited, dispatched) = waiters(2, from, Counts::Honestly);
+    audited.enable_skip_audit();
+    let end = plain.run_to_quiescence_strict(HORIZON).unwrap();
+    assert_eq!(audited.run_to_quiescence_strict(HORIZON).unwrap(), end);
+    assert_same_state(&audited, &plain);
+    assert!(plain.ticks_elided() > 0);
+    assert_eq!(audited.ticks_elided(), 0);
+    assert_eq!(dispatched.load(Ordering::Relaxed), audited.ticks_executed());
+}
+
+fn audit_a_liar(counts: Counts) {
+    let (mut sim, _) = waiters(1, Time::from_ns(30), counts);
+    sim.enable_skip_audit();
+    sim.run_until(Time::from_ns(90));
+}
+
+#[test]
+#[should_panic(expected = "must add exactly one to the counter its stall hint declared")]
+fn the_audit_catches_a_declared_counter_the_tick_does_not_bump() {
+    audit_a_liar(Counts::Never);
+}
+
+#[test]
+#[should_panic(expected = "must add exactly one to the counter its stall hint declared")]
+fn the_audit_catches_a_declared_counter_bumped_by_two() {
+    audit_a_liar(Counts::Twice);
+}
+
+#[test]
+#[should_panic(expected = "wrote stats during a tick sparse scheduling would not have dispatched")]
+fn the_audit_catches_a_second_counter() {
+    audit_a_liar(Counts::AndASecondCounter);
+}
+
+#[test]
+fn a_gear_shift_mid_stall_takes_the_waiters_over() {
+    let from = Time::from_ns(20);
+    let (mut straight, _) = waiters(3, from, Counts::Honestly);
+    let end = straight.run_to_quiescence_strict(HORIZON).unwrap();
+    for quantum in [1, 4] {
+        // Cycle gear until every waiter's verdict stands, then windows.
+        let (mut shifted, _) = waiters(3, from, Counts::Honestly);
+        let (mut dense, _) = waiters(3, from, Counts::Honestly);
+        dense.set_dense(true);
+        for sim in [&mut shifted, &mut dense] {
+            sim.run_until(Time::from_ns(155));
+            sim.set_fidelity(Fidelity::Fast { quantum });
+            sim.run_to_quiescence_strict(HORIZON).unwrap();
+        }
+        assert_same_state(&shifted, &dense);
+        assert_accounts_add_up(&shifted);
+        if quantum == 1 {
+            assert_eq!(shifted.time(), end);
+            assert_same_state(&shifted, &straight);
+        }
+    }
+}
+
+/// Runs `sim` to 205 ns — every producer on a full wire, every consumer
+/// mid-service with a head queued — applies `flip`, and runs it out.
+/// Returns what the second leg charged, elided and dispatched.
+fn second_leg(
+    (mut sim, dispatched): (Simulation<u64>, Arc<AtomicU64>),
+    flip: impl FnOnce(&mut Simulation<u64>),
+) -> (Vec<u8>, [u64; 3], Vec<u64>) {
+    sim.run_until(Time::from_ns(205));
+    let before = [
+        sim.ticks_executed(),
+        sim.ticks_elided(),
+        dispatched.load(Ordering::Relaxed),
+    ];
+    let charged_before = component_tick_counts(&sim);
+    flip(&mut sim);
+    sim.run_to_quiescence_strict(Time::from_us(20)).unwrap();
+    assert_accounts_add_up(&sim);
+    let after = [
+        sim.ticks_executed(),
+        sim.ticks_elided(),
+        dispatched.load(Ordering::Relaxed),
+    ];
+    let charged: Vec<u64> = component_tick_counts(&sim)
+        .iter()
+        .zip(charged_before)
+        .map(|(after, before)| after - before)
+        .collect();
+    (
+        sim.checkpoint().as_bytes().to_vec(),
+        [0, 1, 2].map(|k| after[k] - before[k]),
+        charged,
+    )
+}
+
+#[test]
+fn a_schedule_flipped_mid_run_counts_like_one_that_started_that_way() {
+    type Flip = fn(&mut Simulation<u64>);
+    let flips: [(&str, Flip); 5] = [
+        ("dense", |sim| sim.set_dense(true)),
+        ("audit", |sim| sim.enable_skip_audit()),
+        ("jobs 2", |sim| sim.set_tick_jobs(2)),
+        ("jobs 4", |sim| sim.set_tick_jobs(4)),
+        ("fast gear, quantum 1", |sim| {
+            sim.set_fidelity(Fidelity::Fast { quantum: 1 })
+        }),
+    ];
+    for (label, flip) in flips {
+        // Started that way: the flip comes before the first edge.
+        let mut from_start = stalled_pairs(4, true, false);
+        flip(&mut from_start.0);
+        let from_start = second_leg(from_start, |_| {});
+        // Flipped with verdicts standing.
+        let flipped = second_leg(stalled_pairs(4, true, false), flip);
+        assert_eq!(flipped, from_start, "{label}");
+    }
+    // And back: a dense first leg leaves the sparse second one nothing odd.
+    let sparse = second_leg(stalled_pairs(4, true, false), |_| {});
+    let mut dense_first = stalled_pairs(4, true, false);
+    dense_first.0.set_dense(true);
+    assert_eq!(second_leg(dense_first, |sim| sim.set_dense(false)), sparse);
+}
+
+#[test]
+fn a_component_added_mid_run_is_keyed_like_the_rest() {
+    let clk = ClockDomain::from_mhz(100);
+    let run = |hints: bool| {
+        let (mut sim, dispatched) = stalled_pairs(2, hints, false);
+        sim.run_until(Time::from_ns(205));
+        // One pair joins the stalled ones' bucket, one opens a new bucket.
+        add_stalled_pair(&mut sim, "late", hints, false, (clk, clk), &dispatched);
+        let odd = clk.with_phase(Time::from_ns(3));
+        add_stalled_pair(&mut sim, "odd", hints, true, (odd, odd), &dispatched);
+        sim.run_to_quiescence_strict(Time::from_us(20)).unwrap();
+        assert_accounts_add_up(&sim);
+        sim
+    };
+    let (hinted, polling) = (run(true), run(false));
+    assert_same_state(&hinted, &polling);
+    assert_eq!(hinted.ticks_executed(), polling.ticks_executed());
+    assert_eq!(
+        component_tick_counts(&hinted),
+        component_tick_counts(&polling)
+    );
+    assert!(hinted.ticks_elided() > 0 && polling.ticks_elided() == 0);
+}
+
+#[test]
+fn component_ticks_read_between_steps_are_the_polled_ones() {
+    let (mut hinted, _) = stalled_pairs(3, true, false);
+    let (mut polling, _) = stalled_pairs(3, false, false);
+    while !(hinted.time() > Time::ZERO && hinted.is_quiescent()) {
+        assert!(hinted.time() < Time::from_us(20), "never drained");
+        assert_eq!(hinted.step(), polling.step());
+        assert_eq!(
+            component_tick_counts(&hinted),
+            component_tick_counts(&polling),
+            "at {}",
+            hinted.time()
+        );
+        assert_eq!(hinted.ticks_executed(), polling.ticks_executed());
+        assert_accounts_add_up(&hinted);
+    }
+    assert!(hinted.ticks_elided() > 0);
+}
+
+#[test]
+fn wake_on_space_keeps_the_dense_order_across_clock_domains() {
+    // Producer and consumer in one bucket, in buckets that coincide on
+    // every other producer edge (100 / 50 MHz), and in buckets that never
+    // coincide (the consumer's clock 3 ns out of phase) — each with the
+    // consumer registered before and after its producer.
+    let mhz100 = ClockDomain::from_mhz(100);
+    for consumer_clk in [
+        mhz100,
+        ClockDomain::from_mhz(50),
+        mhz100.with_phase(Time::from_ns(3)),
+    ] {
+        for consumer_first in [false, true] {
+            let build = |hints| stalled_pairs_on(2, hints, consumer_first, mhz100, consumer_clk);
+            let (mut hinted, dispatched) = build(true);
+            let (mut polling, _) = build(false);
+            let (mut dense, _) = build(true);
+            dense.set_dense(true);
+            let horizon = Time::from_us(20);
+            let end = dense.run_to_quiescence_strict(horizon).unwrap();
+            assert_eq!(hinted.run_to_quiescence_strict(horizon).unwrap(), end);
+            assert_eq!(polling.run_to_quiescence_strict(horizon).unwrap(), end);
+            let label = format!("{consumer_clk:?}, consumer first: {consumer_first}");
+            assert_same_state(&hinted, &dense);
+            assert_eq!(hinted.ticks_executed(), polling.ticks_executed(), "{label}");
+            assert_eq!(
+                component_tick_counts(&hinted),
+                component_tick_counts(&polling),
+                "{label}"
+            );
+            assert_eq!(
+                dispatched.load(Ordering::Relaxed),
+                hinted.ticks_executed() - hinted.ticks_elided()
+            );
+            assert!(
+                hinted.ticks_elided() * 2 > hinted.ticks_executed(),
+                "{label}"
+            );
+            assert_accounts_add_up(&hinted);
+        }
+    }
+}
+
+/// Serves whatever heads its input once `not_before` has passed, recording
+/// when; until then a queued head is moot and the hint says so.
+struct LateOpener {
+    input: LinkId,
+    not_before: Time,
+    served: Vec<(u64, u64)>,
+    dispatched: Arc<AtomicU64>,
+}
+
+impl crate::snapshot::Snapshot for LateOpener {
+    fn save(&self, w: &mut crate::snapshot::StateWriter) {
+        w.write_usize(self.served.len());
+        for (t, v) in &self.served {
+            w.write_u64(*t);
+            w.write_u64(*v);
+        }
+    }
+}
+
+impl Component<u64> for LateOpener {
+    fn name(&self) -> &str {
+        "opener"
+    }
+    fn tick(&mut self, ctx: &mut TickContext<'_, u64>) {
+        self.dispatched.fetch_add(1, Ordering::Relaxed);
+        if ctx.time >= self.not_before {
+            if let Some(v) = ctx.links.pop(self.input, ctx.time) {
+                self.served.push((ctx.time.as_ps(), v));
+            }
+        }
+    }
+    fn watched_links(&self) -> Option<Vec<LinkId>> {
+        Some(vec![self.input])
+    }
+    fn stall_hint(&self, hint: &mut StallHint) {
+        hint.gate_input(0, crate::Gate::until(self.not_before));
+    }
+    fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
+        Some(self)
+    }
+}
+
+#[test]
+fn a_push_overtaking_the_queued_head_re_arms_a_stalled_watcher() {
+    let build = |dense: bool| {
+        let mut sim: Simulation<u64> = Simulation::with_seed(2);
+        sim.set_dense(dense);
+        let clk = ClockDomain::from_mhz(100);
+        let wire = sim.links_mut().add_link("wire", 4, clk.period());
+        let dispatched = Arc::new(AtomicU64::new(0));
+        sim.add_component(
+            Box::new(LateOpener {
+                input: wire,
+                not_before: Time::from_ns(100),
+                served: Vec::new(),
+                dispatched: Arc::clone(&dispatched),
+            }),
+            clk,
+        );
+        // Payload 0 crosses slowly (lands at 10 + 390 ns). The opener is
+        // woken by it and stalls keyed to 400 ns; payload 1, pushed at
+        // 200 ns, lands at 210 ns in front of it and must be served then.
+        sim.add_component(
+            Box::new(Sender {
+                sends: vec![
+                    (wire, Time::ZERO, Time::from_ns(390)),
+                    (wire, Time::from_ns(200), Time::ZERO),
+                ],
+                sent: 0,
+                dispatched: Arc::clone(&dispatched),
+            }),
+            clk,
+        );
+        (sim, dispatched)
+    };
+    let served = |sim: &mut Simulation<u64>| {
+        sim.component_any_mut("opener")
+            .unwrap()
+            .downcast_mut::<LateOpener>()
+            .unwrap()
+            .served
+            .clone()
+    };
+    let (mut sparse, dispatched) = build(false);
+    let (mut dense, _) = build(true);
+    let end = dense.run_to_quiescence_strict(HORIZON).unwrap();
+    assert_eq!(sparse.run_to_quiescence_strict(HORIZON).unwrap(), end);
+    assert_eq!(served(&mut sparse), vec![(210_000, 1), (400_000, 0)]);
+    assert_eq!(served(&mut sparse), served(&mut dense));
+    assert_same_state(&sparse, &dense);
+    // The opener ran at registration and for its two payloads; the sender
+    // for its two pushes.
+    assert_eq!(sparse.component_dispatches(ComponentId(0)), 3);
+    assert_eq!(dispatched.load(Ordering::Relaxed), 5);
+    assert_eq!(sparse.ticks_executed() - sparse.ticks_elided(), 5);
+}
+
+/// Looks at `requests` only once a payload has arrived on `release` — a
+/// held bus ignoring its request wires until the response comes.
+struct Held {
+    requests: LinkId,
+    release: LinkId,
+    released: bool,
+    granted: Vec<u64>,
+}
+
+impl crate::snapshot::Snapshot for Held {
+    fn save(&self, w: &mut crate::snapshot::StateWriter) {
+        w.write_bool(self.released);
+        w.write_usize(self.granted.len());
+        for t in &self.granted {
+            w.write_u64(*t);
+        }
+    }
+}
+
+impl Component<u64> for Held {
+    fn name(&self) -> &str {
+        "held"
+    }
+    fn tick(&mut self, ctx: &mut TickContext<'_, u64>) {
+        if ctx.links.pop(self.release, ctx.time).is_some() {
+            self.released = true;
+        }
+        if self.released && ctx.links.pop(self.requests, ctx.time).is_some() {
+            self.granted.push(ctx.time.as_ps());
+        }
+    }
+    fn watched_links(&self) -> Option<Vec<LinkId>> {
+        Some(vec![self.requests, self.release])
+    }
+    fn stall_hint(&self, hint: &mut StallHint) {
+        if !self.released {
+            hint.gate_input(0, crate::Gate::CLOSED);
+        }
+    }
+    fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
+        Some(self)
+    }
+}
+
+#[test]
+fn a_delivery_behind_the_earliest_head_still_lowers_the_key() {
+    // A request queued from 10 ns keeps the held component's wake due and
+    // its key at "never" (the gate is closed). The release lands at 110 ns:
+    // later than the wake, so only the key can bring the component up.
+    let build = |dense: bool| {
+        let mut sim: Simulation<u64> = Simulation::with_seed(2);
+        sim.set_dense(dense);
+        let clk = ClockDomain::from_mhz(100);
+        let requests = sim.links_mut().add_link("requests", 1, clk.period());
+        let release = sim.links_mut().add_link("release", 1, clk.period());
+        sim.add_component(
+            Box::new(Held {
+                requests,
+                release,
+                released: false,
+                granted: Vec::new(),
+            }),
+            clk,
+        );
+        let sends = vec![
+            (requests, Time::ZERO, Time::ZERO),
+            (release, Time::from_ns(100), Time::ZERO),
+        ];
+        sim.add_component(
+            Box::new(Sender {
+                sends,
+                sent: 0,
+                dispatched: Arc::default(),
+            }),
+            clk,
+        );
+        sim
+    };
+    let (mut sparse, mut dense) = (build(false), build(true));
+    let end = dense.run_to_quiescence_strict(HORIZON).unwrap();
+    assert_eq!(sparse.run_to_quiescence_strict(HORIZON).unwrap(), end);
+    assert_eq!(end, Time::from_ns(110));
+    assert_same_state(&sparse, &dense);
+    // First tick, then the release; the ten edges between are elided.
+    assert_eq!(sparse.component_dispatches(ComponentId(0)), 2);
+    assert_eq!(sparse.component_ticks(ComponentId(0)), 12);
+}

@@ -548,6 +548,14 @@ impl StatsRegistry {
         self.counters[id.0].1 += by;
     }
 
+    /// Takes `by` back off a counter. Only the skip audit does this: it sets
+    /// aside the one increment an elided tick may declare
+    /// ([`StallHint::count_elided`](crate::StallHint::count_elided)) so the
+    /// rest of the registry can be byte-compared around the tick.
+    pub(crate) fn retract(&mut self, id: CounterId, by: u64) {
+        self.counters[id.0].1 -= by;
+    }
+
     /// Current value of a counter.
     pub fn counter_value(&self, id: CounterId) -> u64 {
         self.counters[id.0].1

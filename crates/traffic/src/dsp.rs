@@ -1,7 +1,7 @@
 //! The ST220-style DSP core model.
 
 use mpsoc_kernel::stats::CounterId;
-use mpsoc_kernel::{Component, LinkId, SplitMix64, TickContext, Time};
+use mpsoc_kernel::{Component, Gate, LinkId, SplitMix64, StallHint, TickContext, Time};
 use mpsoc_protocol::{DataWidth, InitiatorId, Packet, Transaction};
 use std::collections::HashMap;
 
@@ -343,6 +343,12 @@ impl Component<Packet> for DspCore {
     }
 
     fn tick(&mut self, ctx: &mut TickContext<'_, Packet>) {
+        // The stall hint names the counter, so it is resolved before the
+        // core can stall (pre-registered: a lookup, not a registration).
+        let stalls = *self
+            .stall_ctr
+            .get_or_insert_with(|| ctx.stats.counter(&format!("{}.stall_cycles", self.name)));
+
         // Collect responses.
         if let Some(pkt) = ctx.links.pop(self.resp_in, ctx.time) {
             let resp = pkt.expect_response();
@@ -367,12 +373,7 @@ impl Component<Packet> for DspCore {
 
         match self.state {
             CoreState::Finished => {}
-            CoreState::Stalled(_) => {
-                let stalls = *self.stall_ctr.get_or_insert_with(|| {
-                    ctx.stats.counter(&format!("{}.stall_cycles", self.name))
-                });
-                ctx.stats.inc(stalls, 1);
-            }
+            CoreState::Stalled(_) => ctx.stats.inc(stalls, 1),
             CoreState::Running => {
                 // Instruction fetch.
                 let iaddr = self.config.code_base + (self.pc % self.config.code_len);
@@ -458,6 +459,20 @@ impl Component<Packet> for DspCore {
             None
         } else {
             Some(Time::ZERO)
+        }
+    }
+
+    fn stall_hint(&self, hint: &mut StallHint) {
+        // Stalled on a refill with nothing to flush: until something lands
+        // on `resp_in` — the refill, or the acknowledgement of an earlier
+        // write-back — every cycle counts one stall and does nothing else.
+        // (A blocked write-back flush returns before the count, and a core
+        // restored mid-stall has yet to resolve the counter: both poll.)
+        if let (CoreState::Stalled(_), None, Some(stalls)) =
+            (&self.state, self.pending_writeback, self.stall_ctr)
+        {
+            hint.gate_deadline(Gate::CLOSED);
+            hint.count_elided(stalls, Time::ZERO);
         }
     }
 

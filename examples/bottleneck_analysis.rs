@@ -1,7 +1,11 @@
 //! Bottleneck analysis with the low-level [`PlatformBuilder`] API: wire a
 //! custom two-IP platform around an LMI controller by hand, step the
 //! simulation manually and watch the controller's bus-interface FIFO
-//! states over time — the paper's Section 5 methodology.
+//! states over time — the paper's Section 5 methodology. It ends with the
+//! simulator's own census: per component, the cycles its clock fired, the
+//! ticks the sparse schedule charged it and the tick bodies it actually
+//! ran. A component whose last two columns stay close together is polling —
+//! the next candidate for a `Component::stall_hint`.
 //!
 //! ```bash
 //! cargo run --release --example bottleneck_analysis
@@ -77,6 +81,25 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let end = platform.sim().time();
     let report = platform.report_at(end);
     println!("\nfinal report:\n{report}");
+
+    let sim = platform.sim();
+    println!("component          cycles    charged  dispatched");
+    for id in sim.component_ids() {
+        println!(
+            "{:<16} {:>8} {:>10} {:>11}",
+            sim.component_name(id),
+            sim.component_cycles(id),
+            sim.component_ticks(id),
+            sim.component_dispatches(id)
+        );
+    }
+    println!(
+        "{:<16} {:>8} {:>10} {:>11}\n",
+        "all",
+        sim.edges_processed(),
+        sim.ticks_executed(),
+        sim.ticks_executed() - sim.ticks_elided()
+    );
     println!(
         "Interpretation (paper §5): sustained FIFO-full time with few\n\
          no-request cycles means the memory controller is the bottleneck;\n\

@@ -14,6 +14,13 @@
 //! target mid-service) is dispatched under the audit too, and compared the
 //! same way.
 //!
+//! One kind of elided tick has an effect: a component that is *waiting* —
+//! the DSP stalled on a refill, an AHB bus held through its target's wait
+//! states — declares the counter each waited cycle adds one to
+//! (`StallHint::count_elided`), and the executor credits it by arithmetic.
+//! The audit dispatches those ticks too and accepts exactly that one
+//! increment, from the declared instant on, and nothing else.
+//!
 //! These tests run the audit over full platform builds (every component
 //! crate: stbus, ahb, axi, bridge, memory, traffic, noc) across protocols,
 //! topologies, memory systems, workloads and random seeds, and over the
@@ -70,6 +77,30 @@ fn audit_stalled(label: &str, build: impl Fn() -> Platform) {
         plain.sim().ticks_elided() > 0,
         "{label}: no tick elided in the window — nothing for the audit to check"
     );
+    audit_window(&mut build());
+}
+
+/// Ticks charged to the components `pick` names but never dispatched.
+fn elided_by(platform: &Platform, pick: impl Fn(&str) -> bool) -> u64 {
+    let sim = platform.sim();
+    sim.component_ids()
+        .filter(|&id| pick(sim.component_name(id)))
+        .map(|id| sim.component_ticks(id) - sim.component_dispatches(id))
+        .sum()
+}
+
+/// Audits a platform whose waiting components are elided by counted hints,
+/// after checking on an un-audited twin that the ones each of `picks` names
+/// really are elided inside the window.
+fn audit_waiting(label: &str, picks: &[&dyn Fn(&str) -> bool], build: impl Fn() -> Platform) {
+    let mut plain = build();
+    plain.sim_mut().run_until(AUDIT_WINDOW);
+    for (k, pick) in picks.iter().enumerate() {
+        assert!(
+            elided_by(&plain, pick) > 0,
+            "{label}: pick {k} had no waiting tick elided in the window — nothing for the audit to check"
+        );
+    }
     audit_window(&mut build());
 }
 
@@ -165,6 +196,73 @@ fn saturated_single_layers_honour_the_idle_contract() {
             .expect("single layer must build")
         });
     }
+}
+
+/// The benchmark's `cycle_platform` shapes. All five hold the DSP, stalled
+/// on cache refills most of its cycles; the AHB one also holds four buses
+/// that sit through the memory's wait states — the two components whose
+/// elided ticks count (`dsp.stall_cycles`, `<bus>.idle_waits`).
+#[test]
+fn waiting_components_honour_the_idle_contract() {
+    use ProtocolKind::{Ahb, Axi, StbusT3};
+    use Topology::{Collapsed, Distributed};
+    let dsp = |name: &str| name == "dsp";
+    let ahb_layer = |name: &str| ["n1", "n3", "n6", "n8"].contains(&name);
+    for (label, protocol, topology, memory, workload) in [
+        (
+            "stbus_dist_lmi",
+            StbusT3,
+            Distributed,
+            memory(1),
+            workload(1),
+        ),
+        ("axi_dist_lmi", Axi, Distributed, memory(1), workload(1)),
+        ("ahb_coll_lmi", Ahb, Collapsed, memory(1), workload(0)),
+        (
+            "stbus_coll_onchip",
+            StbusT3,
+            Collapsed,
+            memory(0),
+            workload(2),
+        ),
+        (
+            "stbus_dist_onchip",
+            StbusT3,
+            Distributed,
+            memory(0),
+            workload(2),
+        ),
+    ] {
+        let build = || {
+            build_platform(&PlatformSpec {
+                protocol,
+                topology,
+                memory: memory.clone(),
+                workload,
+                scale: 1,
+                seed: 0x0dab,
+                ..PlatformSpec::default()
+            })
+            .expect("platform must build")
+        };
+        if protocol == Ahb {
+            audit_waiting(label, &[&dsp, &ahb_layer], build);
+        } else {
+            audit_waiting(label, &[&dsp], build);
+        }
+    }
+    audit_waiting("ahb_12x1", &[&|name| name == "bus"], || {
+        build_single_layer(&SingleLayerSpec {
+            protocol: Ahb,
+            initiators: 12,
+            targets: 1,
+            think_cycles: (0, 2),
+            scale: 1,
+            seed: 0x0dab,
+            ..SingleLayerSpec::default()
+        })
+        .expect("single layer must build")
+    });
 }
 
 /// A 32-wait-state on-chip memory behind the full platform (the slow end of

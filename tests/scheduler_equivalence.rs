@@ -1299,3 +1299,188 @@ fn stalled_platforms_match_the_naive_oracle() {
         );
     }
 }
+
+/// Wires the two components whose elided ticks *count* — the DSP (stalled
+/// on refills, `dsp.stall_cycles`) and an AHB bus (held through its
+/// target's wait states, `bus.idle_waits`) — with a competing generator in
+/// front of one slow memory, on any executor.
+macro_rules! wire_waiting {
+    ($sim:expr) => {{
+        use mpsoc_protocol::{AddressRange, DataWidth, InitiatorId};
+        use mpsoc_traffic::{
+            AddressPattern, AgentConfig, DspConfig, DspCore, IpTrafficGenerator, IptgConfig,
+            TrafficSegment,
+        };
+        let clk = ClockDomain::from_mhz(200);
+        let width = DataWidth::BITS32;
+        let mut wire = |name: &str, cap: usize| {
+            let links = $sim.links_mut();
+            (
+                links.add_link(format!("{name}.req"), cap, clk.period()),
+                links.add_link(format!("{name}.resp"), cap, clk.period()),
+            )
+        };
+        let (mem, dsp, ip) = (wire("mem", 1), wire("dsp", 2), wire("ip", 2));
+        let mut bus = mpsoc_ahb::AhbBus::new(
+            "bus",
+            mpsoc_ahb::AhbBusConfig {
+                width,
+                ..Default::default()
+            },
+            clk,
+        );
+        bus.add_initiator(dsp.0, dsp.1);
+        bus.add_initiator(ip.0, ip.1);
+        let port = bus.add_target(mem.0, mem.1);
+        bus.add_route(AddressRange::new(0, 1 << 28), port)
+            .expect("one route");
+        $sim.add_component(
+            Box::new(mpsoc_memory::OnChipMemory::new(
+                "mem",
+                mpsoc_memory::OnChipMemoryConfig { wait_states: 6 },
+                clk,
+                mem.0,
+                mem.1,
+            )),
+            clk,
+        );
+        let core = DspConfig {
+            initiator: InitiatorId::new(0),
+            instructions: 1_500,
+            ..DspConfig::default()
+        };
+        $sim.add_component(
+            Box::new(DspCore::new("dsp", core, dsp.0, dsp.1)),
+            ClockDomain::from_mhz(400),
+        );
+        let config = IptgConfig {
+            initiator: InitiatorId::new(1),
+            width,
+            seed: 0x0dab,
+            agents: vec![AgentConfig {
+                read_fraction: 0.7,
+                beats_choices: vec![4, 8],
+                max_outstanding: 1,
+                posted_writes: false,
+                segments: vec![TrafficSegment {
+                    transactions: 60,
+                    burst_len: (1, 3),
+                    think_cycles: (4, 40),
+                }],
+                ..AgentConfig::simple(
+                    "load",
+                    AddressPattern::Random {
+                        base: 0x0400_0000,
+                        len: 1 << 20,
+                    },
+                    0,
+                )
+            }],
+        };
+        let gen = IpTrafficGenerator::new("ip", config, ip.0, ip.1).expect("valid IPTG config");
+        $sim.add_component(Box::new(gen), clk);
+        $sim.add_component(Box::new(bus), clk);
+    }};
+}
+
+/// A checkpoint cut on an edge the DSP sleeps through stalled *and* the AHB
+/// bus sleeps through held — both owing credit to their counters — is the
+/// same blob on the sparse schedule, on the dense one and at 2 and 4 jobs,
+/// reads the naive oracle's statistics, and resumes to the straight run's.
+#[test]
+fn a_checkpoint_cut_while_the_dsp_is_stalled_and_the_bus_is_held_is_exact() {
+    type Sim = Simulation<mpsoc_protocol::Packet>;
+    let horizon = Time::from_ms(10);
+    let build = || {
+        let mut sim: Sim = Simulation::with_seed(7);
+        wire_waiting!(sim);
+        sim
+    };
+    let waiting = |sim: &Sim| {
+        sim.component_ids()
+            .filter(|&id| ["dsp", "bus"].contains(&sim.component_name(id)))
+            .map(|id| sim.component_ticks(id) - sim.component_dispatches(id))
+            .collect::<Vec<u64>>()
+    };
+
+    // Scout for the cut: the first edge past 2 us that neither of the two
+    // is dispatched on although it is charged to both.
+    let mut scout = build();
+    scout.run_until(Time::from_us(2));
+    let cut = loop {
+        let before = waiting(&scout);
+        let edge = scout.step().expect("components exist");
+        assert!(edge < horizon, "the two never wait on the same edge");
+        if waiting(&scout)
+            .iter()
+            .zip(&before)
+            .all(|(now, then)| now > then)
+        {
+            break edge;
+        }
+    };
+
+    let mut naive: NaiveSimulation<mpsoc_protocol::Packet> = NaiveSimulation::with_seed(7);
+    wire_waiting!(naive);
+    naive.run_until(cut);
+    let naive_cut = naive.stats().report(cut).to_string();
+    let RunOutcome::Quiescent { at: end } = naive.run_to_quiescence(horizon) else {
+        panic!("the naive run must drain");
+    };
+    let naive_end = naive.stats().report(end).to_string();
+    assert!(naive.stats().counter_by_name("dsp.stall_cycles") > 1_000);
+    assert!(naive.stats().counter_by_name("bus.idle_waits") > 1_000);
+
+    let mut sparse = build();
+    sparse.run_until(cut);
+    let blob = sparse.checkpoint();
+    assert_eq!(sparse.stats().report(cut).to_string(), naive_cut);
+    type Setup = fn(&mut Sim);
+    let others: [(&str, Setup); 3] = [
+        ("dense", |sim| sim.set_dense(true)),
+        ("2 jobs", |sim| sim.set_tick_jobs(2)),
+        ("4 jobs", |sim| sim.set_tick_jobs(4)),
+    ];
+    for (label, setup) in others {
+        let mut other = build();
+        setup(&mut other);
+        other.run_until(cut);
+        assert!(
+            other.checkpoint().as_bytes() == blob.as_bytes(),
+            "{label}: checkpoint at the cut"
+        );
+        // ... and any of them carries the sparse blob on to the same end.
+        let mut resumed = build();
+        setup(&mut resumed);
+        resumed.restore(&blob).expect("restores into a twin");
+        assert_eq!(
+            resumed.run_to_quiescence(horizon),
+            RunOutcome::Quiescent { at: end },
+            "{label}: resumed drain time"
+        );
+        assert_eq!(
+            resumed.stats().report(end).to_string(),
+            naive_end,
+            "{label}: resumed"
+        );
+    }
+
+    let mut resumed = build();
+    resumed.restore(&blob).expect("restores into a twin");
+    assert_eq!(resumed.stats().report(cut).to_string(), naive_cut);
+    assert_eq!(
+        sparse.run_to_quiescence(horizon),
+        RunOutcome::Quiescent { at: end }
+    );
+    assert_eq!(
+        resumed.run_to_quiescence(horizon),
+        RunOutcome::Quiescent { at: end }
+    );
+    assert_eq!(sparse.stats().report(end).to_string(), naive_end);
+    assert_eq!(resumed.stats().report(end).to_string(), naive_end);
+    assert!(
+        resumed.checkpoint().as_bytes() == sparse.checkpoint().as_bytes(),
+        "resumed and straight runs end in the same state"
+    );
+    assert!(waiting(&resumed).iter().all(|&elided| elided > 0));
+}

@@ -10,7 +10,11 @@
 //! the commit before stall hints existed; both assertions are exact counts,
 //! so they hold on any host.
 
-use mpsoc_platform::{build_single_layer, SingleLayerSpec};
+use mpsoc_memory::LmiConfig;
+use mpsoc_platform::{
+    build_platform, build_single_layer, MemorySystem, PlatformSpec, SingleLayerSpec, Topology,
+    Workload,
+};
 use mpsoc_protocol::ProtocolKind;
 
 /// The STBus/AXI shapes of the benchmark's `cycle_saturated` workload
@@ -50,6 +54,99 @@ fn saturated_platforms_charge_the_pinned_ticks_and_dispatch_a_fifth() {
             "{label}: {dispatched} of {pinned} charged ticks dispatched, ceiling is 20 %"
         );
     }
+}
+
+/// The shapes of the benchmark's `cycle_platform` workload (multi-clock
+/// platforms with bridges, memory controller and the DSP) at scale 4, seed
+/// 12345, with the ticks the kernel charged before the DSP and the AHB bus
+/// published a counted stall hint — when the stalled DSP and every held AHB
+/// layer were dispatched on each of their cycles (36 / 15 / 83 / 52 / 39 %
+/// of the charged ticks dispatched).
+fn platform_shapes() -> [(&'static str, PlatformSpec, u64); 5] {
+    let lmi = || MemorySystem::Lmi(LmiConfig::default());
+    let on_chip = || MemorySystem::OnChip { wait_states: 1 };
+    use ProtocolKind::{Ahb, Axi, StbusT3};
+    use Topology::{Collapsed, Distributed};
+    [
+        (
+            "stbus_dist_lmi",
+            StbusT3,
+            Distributed,
+            lmi(),
+            Workload::TwoPhase,
+            288_203,
+        ),
+        (
+            "axi_dist_lmi",
+            Axi,
+            Distributed,
+            lmi(),
+            Workload::TwoPhase,
+            909_815,
+        ),
+        (
+            "ahb_coll_lmi",
+            Ahb,
+            Collapsed,
+            lmi(),
+            Workload::Standard,
+            574_450,
+        ),
+        (
+            "stbus_coll_onchip",
+            StbusT3,
+            Collapsed,
+            on_chip(),
+            Workload::BurstyPosted,
+            86_700,
+        ),
+        (
+            "stbus_dist_onchip",
+            StbusT3,
+            Distributed,
+            on_chip(),
+            Workload::BurstyPosted,
+            128_999,
+        ),
+    ]
+    .map(|(label, protocol, topology, memory, workload, pinned)| {
+        let spec = PlatformSpec {
+            protocol,
+            topology,
+            memory,
+            workload,
+            scale: 4,
+            seed: 12345,
+            ..PlatformSpec::default()
+        };
+        (label, spec, pinned)
+    })
+}
+
+#[test]
+fn full_platforms_charge_the_pinned_ticks_and_dispatch_a_quarter() {
+    let mut dispatched_total = 0;
+    for (label, spec, pinned) in platform_shapes() {
+        let mut platform = build_platform(&spec).expect("builds");
+        platform.run().expect("drains");
+        let sim = platform.sim();
+        assert_eq!(
+            sim.ticks_executed(),
+            pinned,
+            "{label}: charged ticks moved — an elided tick must still be charged"
+        );
+        let dispatched = sim.ticks_executed() - sim.ticks_elided();
+        assert!(
+            dispatched * 4 <= pinned,
+            "{label}: {dispatched} of {pinned} charged ticks dispatched, ceiling is 25 %"
+        );
+        dispatched_total += dispatched;
+    }
+    // 812 804 before the two counted hints.
+    assert!(
+        dispatched_total <= 250_000,
+        "{dispatched_total} ticks dispatched over the five shapes"
+    );
 }
 
 /// `DseResult` rung `sim_ticks` are `ticks_executed` deltas; the default
