@@ -32,7 +32,8 @@
 #          parallel equivalence: intra-edge parallel tick execution
 #            (--tick-jobs 4) emits tables byte-identical to the serial run
 #          gear equivalence: the loosely-timed gear at quantum 1
-#            (--fast-gear 1) emits tables byte-identical to cycle-accurate
+#            (--fast-gear 1) emits tables byte-identical to cycle-accurate,
+#            and at quantum 16 tables identical to its own --dense twin
 #          fast-forward floor: a live --fast-warm run must clear the repro
 #            binary's warm-phase speedup floor with an identical q=1 sweep
 #          server: simserved + a duplicate-heavy loadgen mix must see warm-
@@ -211,6 +212,25 @@ gate_gear() {
         echo "gear gate FAILED: --fast-gear 1 produced different tables" >&2
         exit 1
     fi
+
+    echo "== gear equivalence: fig3 and many-to-one at --fast-gear 16, sparse vs --dense =="
+    # Above quantum 1 the fast gear has no exact reference in another gear,
+    # but it has its own dense twin: --dense dispatches every tick a window
+    # charges (FastCtx::stall is a no-op there, the hooks poll edge by edge),
+    # so the twin must print the same approximate tables.
+    local exp
+    for exp in fig3 many-to-one; do
+        cargo run --release -p mpsoc-bench --bin repro -- \
+            --exp "$exp" --scale 1 --fast-gear 16 --no-bench-out > "$run_dir/gear16.txt"
+        cargo run --release -p mpsoc-bench --bin repro -- \
+            --exp "$exp" --scale 1 --fast-gear 16 --dense --no-bench-out \
+            > "$run_dir/gear16_dense.txt"
+        if ! diff <(filter_timing "$run_dir/gear16.txt") \
+                  <(filter_timing "$run_dir/gear16_dense.txt"); then
+            echo "gear gate FAILED: $exp at --fast-gear 16 differs from its --dense twin" >&2
+            exit 1
+        fi
+    done
     echo "gear equivalence gate passed"
 }
 

@@ -461,9 +461,9 @@ impl Component<Packet> for AhbBus {
                 if now < self.busy_until {
                     ctx.sleep_until(Some(self.busy_until));
                 } else {
-                    // Held past the data phase: every further cycle counts
-                    // an idle wait — keep ticking so the stat stays exact.
-                    continue;
+                    // Held past the data phase: every cycle until the
+                    // response completes only counts an idle wait.
+                    ctx.stall(&*self);
                 }
             } else {
                 // Un-held bus: a grant needs a new request (watched) or

@@ -529,12 +529,18 @@ pub const FLOORS: &[Floor] = &[
     // or temporal decoupling has regressed into window bookkeeping. The
     // margin is a ratio of two gears, and it was 3 while the cycle gear
     // dispatched the stalled DSP on every edge; since the cycle gear sleeps
-    // through those stalls (its warm phase fell from ~29 to ~17 ms, the
-    // fast one stayed at ~8.4 ms) the gear buys about 2x, and 1.5 is what
-    // the row can hold through host noise. What it cannot see — the fast
-    // side getting slower on its own — is the benchmark's `fast_gear`
-    // workload's to catch (EXPERIMENTS.md "EXT-FAST"). The warm phases are
-    // always timed serially, so never core-gated.
+    // through those stalls the gear buys about 2x (~21 ms against ~10.4 ms
+    // at quantum 64 on the recording host), and 1.5 is what the row can
+    // hold through host noise — three recordings of these two short phases
+    // within minutes read 1.73, 1.98 and 2.04, in a busier hour 1.84 to
+    // 2.29.
+    // Retiring a window's stalled edges by arithmetic (`FastCtx::stall`)
+    // does not move it: the fig4 platforms are STBus under bursty posted
+    // writes, and none of their window edges is a stall. What the row
+    // cannot see — the fast side getting slower on its own — is the
+    // benchmark's `fast_gear` workload's to catch (EXPERIMENTS.md
+    // "EXT-FAST"). The warm phases are always timed serially, so never
+    // core-gated.
     Floor {
         label: "fast-forward speedup",
         section: "fast_forward",

@@ -380,7 +380,7 @@ pub struct ExperimentRun {
     pub skipped: u64,
     /// The part of `ticks` retired without running the component: charged
     /// ticks a stall hint proved no-ops (an output wire still full, a
-    /// target mid-service). Zero when running dense.
+    /// target mid-service), in either gear. Zero when running dense.
     pub elided: u64,
     /// Fast-forward windows handed to components (zero outside the
     /// loosely-timed gear).

@@ -578,8 +578,8 @@ impl Component<Packet> for BridgeTargetSide {
                 || ctx.has_deliverable(self.req_in)
                 || ctx.has_deliverable(self.resp_fifo)
             {
-                // Dead letters poll for channel space; queued backlog
-                // (accepts, response returns) processes one head per cycle.
+                // Dead letters and backlog: polled unless `stall_hint` bars it.
+                ctx.stall(&*self);
                 continue;
             }
             let wake = self
@@ -658,9 +658,9 @@ impl Component<Packet> for BridgeInitiatorSide {
         while let Some(mut tc) = ctx.next_edge() {
             self.tick(&mut tc);
             if ctx.has_deliverable(self.req_fifo) || ctx.has_deliverable(self.resp_in) {
-                // One payload shuttles per direction per cycle: backlog
-                // (including heads blocked on a full destination) retries
-                // every edge, as the cycle gear does.
+                // One payload shuttles per direction per cycle; a head
+                // whose destination is full waits for the next window.
+                ctx.stall(&*self);
                 continue;
             }
             ctx.sleep_until(None);

@@ -35,7 +35,7 @@ mod pareto;
 mod search;
 mod space;
 
-pub use build::DseWorkload;
+pub use build::{build_candidate, DseWorkload};
 pub use frontier::{Frontier, FrontierEntry, RungStats, FRONTIER_VERSION};
 pub use pareto::{pareto_front, pareto_ranks, Score};
 pub use search::{finalist_count, population_size};

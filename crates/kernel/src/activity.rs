@@ -72,7 +72,9 @@ pub struct ActivitySnapshot {
     /// (components asleep on an edge their clock domain fired).
     pub skipped: u64,
     /// The part of `ticks` retired without running the component: charged
-    /// ticks that a stall hint proved no-ops (back-pressure, mid-service).
+    /// ticks that a stall hint proved no-ops (back-pressure, mid-service),
+    /// on an edge of the cycle gear or — retired by `FastCtx::stall` —
+    /// inside a window of the fast one.
     pub elided: u64,
     /// Edges that ran the parallel compute/commit split.
     pub par_edges: u64,
@@ -90,9 +92,9 @@ pub struct ActivitySnapshot {
     /// Fast-forward windows processed in the loosely-timed gear (one per
     /// component per scheduling batch that was not skipped whole).
     pub ff_windows: u64,
-    /// Component cycles covered by fast-forward windows but *not* executed:
-    /// elided by `FastCtx::sleep_until` or the fallback's runnability seeks.
-    /// The loosely-timed gear's saving, in ticks.
+    /// Component cycles covered by fast-forward windows but *not* charged:
+    /// slept over by `FastCtx::sleep_until` or the fallback's runnability
+    /// seeks. The loosely-timed gear's saving, in ticks.
     pub ff_elided: u64,
 }
 

@@ -235,13 +235,50 @@ impl StallHint {
     }
 
     #[inline]
-    pub(crate) fn deadline(&self) -> Gate {
-        self.deadline
-    }
-
-    #[inline]
     pub(crate) fn input(&self, index: usize) -> Gate {
         self.inputs.get(index).copied().unwrap_or(self.other_inputs)
+    }
+
+    /// The gate arithmetic, shared by the cycle gear's verdict and a
+    /// fast-gear window's charged sleep: the earliest instant (ps) at which
+    /// a wake reason of a component — its deadline `timer`, the head of each
+    /// of its `watched` links — counts. A reason counts from the later of
+    /// its own instant and its gate's, and only while the gate's wire has
+    /// room. Returns the first instant found at or before `now_ps` (a
+    /// reason is due: dispatch), otherwise the earliest later one (how long
+    /// the stall can stand), `u64::MAX` for none. A reason shut for lack of
+    /// room registers `waiter`, if any, on the wire (wake-on-space).
+    pub(crate) fn first_due<T>(
+        &self,
+        timer: u64,
+        watched: &[LinkId],
+        links: &mut LinkPool<T>,
+        now_ps: u64,
+        waiter: Option<u32>,
+    ) -> u64 {
+        let mut until = u64::MAX;
+        for reason in 0..=watched.len() {
+            let (ready, gate) = match reason.checked_sub(1) {
+                None => (timer, self.deadline),
+                Some(k) => (links.head_at(watched[k]), self.input(k)),
+            };
+            let at = ready.max(gate.not_before_ps());
+            if at == u64::MAX {
+                // No deadline, an empty wire or a closed gate: nothing but a
+                // delivery brings this one up.
+                continue;
+            }
+            match gate.needs_space() {
+                Some(wire) if !links.can_push(wire) => {
+                    if let Some(slot) = waiter {
+                        links.await_space(wire, slot);
+                    }
+                }
+                _ if at <= now_ps => return at,
+                _ => until = until.min(at),
+            }
+        }
+        until
     }
 }
 
@@ -368,8 +405,9 @@ pub trait Component<T>: crate::snapshot::Snapshot + Send {
     /// `self` and may only change during the component's own tick; the
     /// executor re-reads it wherever it re-reads `next_activity` (except at
     /// the end of a fast-gear window, where it is cleared and re-read after
-    /// the next cycle-gear tick). It is derived state and never part of a
-    /// snapshot.
+    /// the next cycle-gear tick; inside the window
+    /// [`FastCtx::stall`](crate::FastCtx::stall) reads it into a scratch of
+    /// its own). It is derived state and never part of a snapshot.
     ///
     /// # The one-counter exception
     ///
@@ -435,10 +473,11 @@ pub trait Component<T>: crate::snapshot::Snapshot + Send {
     /// must advance the component through the window such that a one-edge
     /// window (quantum 1) is byte-identical to a single
     /// [`tick`](Component::tick) — the trait's default body and any
-    /// implementation built from [`FastCtx::next_edge`] +
+    /// implementation built from [`FastCtx::next_edge`],
     /// [`FastCtx::sleep_until`] with contractual
     /// ([`next_activity`](Component::next_activity)-grade, never-late)
-    /// deadlines satisfy this automatically. The answer is read once at
+    /// deadlines and [`FastCtx::stall`](crate::FastCtx::stall) satisfy this
+    /// automatically. The answer is read once at
     /// registration and must not change afterwards.
     ///
     /// [`FastCtx::next_edge`]: crate::FastCtx::next_edge
@@ -457,6 +496,25 @@ pub trait Component<T>: crate::snapshot::Snapshot + Send {
     /// [`FastCtx::sleep_until`](crate::FastCtx::sleep_until) (busy-until
     /// instants, think timers, service completion times) — the source of the
     /// loosely-timed speedup.
+    ///
+    /// # Two sleeps
+    ///
+    /// `sleep_until` is *uncharged*: the edges it skips are not ticks of the
+    /// component at all, so where a hook calls it — and with which deadline
+    /// — is part of what the loosely-timed gear computes. Use it for what
+    /// the component decides not to look at within a window. Wherever the
+    /// hook would instead tick on just to look again (`continue`) — a held
+    /// bus counting wait states, a head behind a full FIFO, a deadline that
+    /// is due but moot — call [`FastCtx::stall`](crate::FastCtx::stall)
+    /// right after the tick: it takes the verdict the cycle gear takes from
+    /// [`next_activity`](Component::next_activity) and
+    /// [`stall_hint`](Component::stall_hint) and retires the provably no-op
+    /// edges as charged, undispatched ticks, so tick counts stay what
+    /// polling made them. Never write a second copy of the hint into the
+    /// hook. The charged sleep is what the dense schedule
+    /// ([`Simulation::set_dense`](crate::Simulation::set_dense)) switches
+    /// off: there the hook polls, which makes a dense twin the reference
+    /// for every `stall` call.
     fn fast_forward(&mut self, ctx: &mut crate::FastCtx<'_, T>) {
         while let Some(mut tc) = ctx.next_edge() {
             self.tick(&mut tc);
@@ -546,7 +604,7 @@ mod tests {
         assert_eq!(hint.input(0), Gate::OPEN);
         assert_eq!(hint.input(2), Gate::CLOSED);
         assert_eq!(hint.input(7), Gate::OPEN);
-        assert_eq!(hint.deadline(), Gate::OPEN);
+        assert_eq!(hint.deadline, Gate::OPEN);
         hint.reset();
         assert!(!hint.is_set());
         // One gate for every link, overridden for one.

@@ -6,8 +6,10 @@
 //! temporal decoupling. [`FastCtx`] is the component's cursor over that
 //! window: [`FastCtx::next_edge`] yields an exact per-edge
 //! [`TickContext`] (same time, cycle and resource handles a cycle-accurate
-//! tick would have received), and [`FastCtx::sleep_until`] lets the
-//! component skip ahead over edges it certifies to be no-ops.
+//! tick would have received), [`FastCtx::sleep_until`] lets the component
+//! skip ahead over edges it certifies to be no-ops, and [`FastCtx::stall`]
+//! retires — charged, but without running them — the edges the component's
+//! own [`stall_hint`](crate::Component::stall_hint) proves to be no-ops.
 //!
 //! # Soundness within a window
 //!
@@ -19,7 +21,7 @@
 //! the next window boundary, bounding the per-hop timing error by roughly
 //! one quantum of the producer's clock.
 
-use crate::component::TickContext;
+use crate::component::{Component, StallHint, TickContext};
 use crate::fault::FaultEngine;
 use crate::link::{LinkId, LinkPool};
 use crate::rng::SplitMix64;
@@ -33,8 +35,20 @@ use crate::time::{Cycles, Time};
 /// [`Component::fast_forward`](crate::Component::fast_forward). The window
 /// covers `window_len()` consecutive edges of the component's clock domain;
 /// the cursor starts before the first edge and is advanced by
-/// [`next_edge`](Self::next_edge) (one edge at a time) and
-/// [`sleep_until`](Self::sleep_until) (skipping certified no-op edges).
+/// [`next_edge`](Self::next_edge) (one edge at a time),
+/// [`sleep_until`](Self::sleep_until) (skipping certified no-op edges) and
+/// [`stall`](Self::stall) (charging them).
+///
+/// # Which sleep
+///
+/// A hook that would otherwise `continue` — tick the next edge only to find
+/// the same wire full, the same response missing — calls
+/// [`stall`](Self::stall): the polled edges were executed ticks, and a
+/// stalled edge is counted exactly like one. The uncharged
+/// [`sleep_until`](Self::sleep_until) is for the edges the hook *decides*
+/// not to look at (a busy-until instant, a think timer, a wire that can only
+/// free across windows): those sleeps are the loosely-timed model itself,
+/// and changing one changes what the fast gear computes.
 pub struct FastCtx<'a, T> {
     /// Time of the window's first edge, in ps.
     start_ps: u64,
@@ -46,11 +60,16 @@ pub struct FastCtx<'a, T> {
     len: u64,
     /// Index (0-based, within the window) of the next edge to yield.
     k: u64,
-    /// Edges actually yielded (= ticks the component executed).
+    /// Edges actually yielded (= tick bodies the component ran).
     executed: u64,
+    /// Edges retired by [`stall`](Self::stall): charged, never yielded.
+    stalled: u64,
     /// The component's watched links (sparse-ticking declaration), used as
     /// the new-input wake set by `sleep_until`.
     watched: Option<&'a [LinkId]>,
+    /// Scratch for the hint [`stall`](Self::stall) reads; `None` on the
+    /// dense schedule, where every charged tick is dispatched.
+    hint: Option<&'a mut StallHint>,
     links: &'a mut LinkPool<T>,
     stats: &'a mut StatsRegistry,
     rng: &'a mut SplitMix64,
@@ -65,6 +84,7 @@ impl<'a, T> FastCtx<'a, T> {
         base_cycle: Cycles,
         len: u64,
         watched: Option<&'a [LinkId]>,
+        hint: Option<&'a mut StallHint>,
         links: &'a mut LinkPool<T>,
         stats: &'a mut StatsRegistry,
         rng: &'a mut SplitMix64,
@@ -77,7 +97,9 @@ impl<'a, T> FastCtx<'a, T> {
             len,
             k: 0,
             executed: 0,
+            stalled: 0,
             watched,
+            hint,
             links,
             stats,
             rng,
@@ -188,15 +210,79 @@ impl<'a, T> FastCtx<'a, T> {
         self.k - before
     }
 
+    /// The charged sleep: retires the edges ahead on which `component`'s
+    /// tick is provably a no-op, as ticks of the component that were not
+    /// dispatched. Call it right after a tick, passing the component itself
+    /// (`ctx.stall(&*self)`), wherever the hook would otherwise tick the
+    /// next edge just to look again.
+    ///
+    /// The proof is the component's own: its
+    /// [`next_activity`](Component::next_activity) and
+    /// [`stall_hint`](Component::stall_hint) are read as the executor reads
+    /// them after a cycle-gear tick, and every wake reason is weighed against
+    /// the window's link state with the arithmetic the cycle gear's verdict
+    /// uses. The cursor moves to the first edge at which a reason is due
+    /// behind an open gate, or ends the window; a gate shut for lack of room
+    /// stays shut for the rest of the window, because nobody else runs in
+    /// it. The hint's [`count_elided`](StallHint::count_elided) counter is
+    /// credited for the retired edges at or after its instant.
+    ///
+    /// The retired edges count as the component's ticks
+    /// ([`Simulation::ticks_executed`](crate::Simulation::ticks_executed),
+    /// [`component_ticks`](crate::Simulation::component_ticks)) exactly as
+    /// if the hook had polled them, but not as dispatches
+    /// ([`ticks_elided`](crate::Simulation::ticks_elided),
+    /// [`component_dispatches`](crate::Simulation::component_dispatches)).
+    /// A no-op before the first edge, in a one-edge window (so
+    /// `Fast { quantum: 1 }` stays the identity gear), for a component
+    /// without watched links, and on the dense schedule
+    /// ([`Simulation::set_dense`](crate::Simulation::set_dense)), which
+    /// dispatches every charged tick inside a window as outside one: the
+    /// hook then polls, and the dense twin is the oracle for this call.
+    pub fn stall(&mut self, component: &dyn Component<T>) {
+        let (Some(hint), Some(watched)) = (self.hint.as_deref_mut(), self.watched) else {
+            return;
+        };
+        // Before the first edge no tick has spoken yet; after the last there
+        // is nothing left to retire.
+        if self.k == 0 || self.k >= self.len {
+            return;
+        }
+        let next_ps = self.start_ps + self.k * self.period_ps;
+        let timer = component.next_activity().map_or(u64::MAX, Time::as_ps);
+        hint.reset();
+        component.stall_hint(hint);
+        let due = hint.first_due(timer, watched, self.links, next_ps, None);
+        // Index of the first edge of the window at or after an instant.
+        let edge_at = |ps: u64| ps.saturating_sub(self.start_ps).div_ceil(self.period_ps);
+        let wake = edge_at(due).min(self.len);
+        if wake <= self.k {
+            return;
+        }
+        if let Some((counter, from)) = hint.counted() {
+            let owed = wake.saturating_sub(self.k.max(edge_at(from.as_ps())));
+            if owed > 0 {
+                self.stats.inc(counter, owed);
+            }
+        }
+        self.stalled += wake - self.k;
+        self.k = wake;
+    }
+
     /// Mutable access to the stats registry, for bulk-crediting counters
     /// over edges elided by [`sleep_until`](Self::sleep_until).
     pub fn stats_mut(&mut self) -> &mut StatsRegistry {
         &mut *self.stats
     }
 
-    /// Ticks the component actually executed in this window.
+    /// Tick bodies the component actually ran in this window.
     pub(crate) fn executed(&self) -> u64 {
         self.executed
+    }
+
+    /// Edges of this window retired by [`stall`](Self::stall).
+    pub(crate) fn stalled(&self) -> u64 {
+        self.stalled
     }
 
     /// Earliest queued delivery across the watched links (any instant), or
@@ -232,6 +318,7 @@ impl<T> std::fmt::Debug for FastCtx<'_, T> {
             .field("len", &self.len)
             .field("k", &self.k)
             .field("executed", &self.executed)
+            .field("stalled", &self.stalled)
             .finish_non_exhaustive()
     }
 }
@@ -257,6 +344,7 @@ mod tests {
             Time::from_ns(4),
             Cycles::new(7),
             3,
+            None,
             None,
             &mut links,
             &mut stats,
@@ -284,6 +372,7 @@ mod tests {
             Cycles::new(0),
             8,
             None,
+            None,
             &mut links,
             &mut stats,
             &mut rng,
@@ -304,6 +393,7 @@ mod tests {
             Time::from_ns(10),
             Cycles::new(0),
             8,
+            None,
             None,
             &mut links,
             &mut stats,
@@ -334,6 +424,7 @@ mod tests {
             Cycles::new(0),
             8,
             Some(&watched),
+            None,
             &mut links,
             &mut stats,
             &mut rng,
@@ -347,6 +438,58 @@ mod tests {
         assert_eq!(tc.time, Time::from_ns(50), "first edge at or after 45 ns");
     }
 
+    /// Forever due, forever moot: every tick it is not given counts one.
+    struct Stuck(crate::stats::CounterId);
+    impl crate::snapshot::Snapshot for Stuck {}
+    impl Component<u8> for Stuck {
+        fn name(&self) -> &str {
+            "stuck"
+        }
+        fn tick(&mut self, _ctx: &mut TickContext<'_, u8>) {}
+        fn next_activity(&self) -> Option<Time> {
+            Some(Time::ZERO)
+        }
+        fn stall_hint(&self, hint: &mut StallHint) {
+            hint.gate_deadline(crate::Gate::CLOSED);
+            hint.count_elided(self.0, Time::from_ns(25));
+        }
+    }
+
+    #[test]
+    fn stall_charges_the_rest_of_the_window_once_a_tick_has_spoken() {
+        let (mut links, mut stats, mut rng, mut faults) = harness();
+        let stuck = Stuck(stats.counter("stuck.waits"));
+        for (hinted, edges, stalled, waits) in [(true, 1, 7, 5), (false, 8, 0, 5)] {
+            let mut hint = StallHint::default();
+            let mut ctx = FastCtx::new(
+                Time::ZERO,
+                Time::from_ns(10),
+                Cycles::new(0),
+                8,
+                Some(&[]),
+                hinted.then_some(&mut hint),
+                &mut links,
+                &mut stats,
+                &mut rng,
+                &mut faults,
+            );
+            ctx.stall(&stuck); // before the first edge: ignored
+            let mut seen = 0;
+            while ctx.next_edge().is_some() {
+                seen += 1;
+                ctx.stall(&stuck);
+            }
+            // Hinted: edge 0 runs, edges 1 .. 7 are retired and those from
+            // 30 ns on credited. Without a hint to read (the dense
+            // schedule) every edge runs and nothing more is credited.
+            assert_eq!(
+                (seen, ctx.executed(), ctx.stalled()),
+                (edges, edges, stalled)
+            );
+            assert_eq!(stats.counter_value(stuck.0), waits);
+        }
+    }
+
     #[test]
     fn sleep_in_one_edge_window_is_a_no_op() {
         let (mut links, mut stats, mut rng, mut faults) = harness();
@@ -355,6 +498,7 @@ mod tests {
             Time::from_ns(10),
             Cycles::new(0),
             1,
+            None,
             None,
             &mut links,
             &mut stats,

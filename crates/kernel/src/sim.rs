@@ -43,7 +43,9 @@
 //! FIFO, held to the same no-op contract and the same audit. A tick whose
 //! only effect is `+1` on one counter may be elided too, the executor
 //! crediting the counter by edge arithmetic (the one-counter exception of
-//! [`Component::stall_hint`]).
+//! [`Component::stall_hint`]). Inside a fast-gear window a component's
+//! [`fast_forward`](Component::fast_forward) hook takes the same verdict,
+//! with the same arithmetic, through [`FastCtx::stall`].
 //!
 //! # Wake keys
 //!
@@ -371,6 +373,11 @@ pub struct Simulation<T> {
     /// ([`StallHint::count_elided`]): the ones a returning public call has
     /// to credit. A handful at most.
     crediting: Vec<u32>,
+    /// Scratch for the hints [`FastCtx::stall`] reads inside fast-gear
+    /// windows. A window's hint speaks for that window only — it must not
+    /// vouch for a wire as of an instant the batch has not reached — so it
+    /// never becomes a slot's standing hint.
+    window_hint: StallHint,
     /// Edge counts not yet added to the process-wide
     /// [`activity`](crate::activity) counters; flushed when a public run
     /// call returns.
@@ -431,6 +438,7 @@ impl<T> Simulation<T> {
             total_ticks: 0,
             total_elided: 0,
             crediting: Vec::new(),
+            window_hint: StallHint::default(),
             activity: crate::activity::Pending::default(),
             dense: dense_default(),
             fidelity: fidelity_default(),
@@ -595,7 +603,9 @@ impl<T> Simulation<T> {
     /// Tick bodies actually run for a component — the dispatched part of
     /// [`component_ticks`](Simulation::component_ticks). A component whose
     /// dispatches stay close to its charged ticks is one no stall hint
-    /// covers: the census `examples/bottleneck_analysis.rs` prints.
+    /// covers: the census `examples/bottleneck_analysis.rs` prints. Means
+    /// the same in either gear: inside a fast-gear window the edges
+    /// [`FastCtx::stall`] retires are charged, not dispatched.
     pub fn component_dispatches(&self, id: ComponentId) -> u64 {
         self.slots[id.index()].dispatches
     }
@@ -623,8 +633,9 @@ impl<T> Simulation<T> {
     /// retired without calling [`Component::tick`]: charged ticks whose
     /// [`Component::stall_hint`] proved them no-ops (an output wire still
     /// full, a target mid-service). `ticks_executed() - ticks_elided()` is
-    /// the number of tick bodies actually run. Always 0 on the dense
-    /// schedule and under the skip audit, which dispatch everything.
+    /// the number of tick bodies actually run. Includes the edges a
+    /// fast-gear window retired through [`FastCtx::stall`]. Always 0 on the
+    /// dense schedule and under the skip audit, which dispatch everything.
     pub fn ticks_elided(&self) -> u64 {
         self.total_elided
     }
@@ -683,8 +694,8 @@ impl<T> Simulation<T> {
     /// shifting down to `Cycle` there is deterministic.
     ///
     /// `Fast { quantum: 1 }` is byte-identical to `Cycle` (windows degenerate
-    /// to single edges and [`FastCtx::sleep_until`](crate::FastCtx) becomes
-    /// a no-op). Composition: skip-audit mode forces the cycle-accurate path
+    /// to single edges and both sleeps of [`FastCtx`] become no-ops).
+    /// Composition: skip-audit mode forces the cycle-accurate path
     /// (its byte-comparisons are per-edge by definition), and fast windows
     /// always run serially — a `set_tick_jobs` request stays dormant while
     /// the fast gear is engaged (parallel commit is bit-identical to serial,
@@ -742,27 +753,18 @@ impl<T> Simulation<T> {
         if !slot.stall.is_set() {
             return Verdict::Dispatch;
         }
-        let mut until = u64::MAX;
-        for reason in 0..=slot.watched.len() {
-            let (ready, gate) = match reason.checked_sub(1) {
-                None => (slot.timer, slot.stall.deadline()),
-                Some(k) => (links.head_at(slot.watched[k]), slot.stall.input(k)),
-            };
-            let at = ready.max(gate.not_before_ps());
-            if at == u64::MAX {
-                // No deadline, an empty wire or a closed gate: nothing but a
-                // delivery — which lowers the key — brings this one up.
-                continue;
-            }
-            match gate.needs_space() {
-                Some(wire) if !links.can_push(wire) => links.await_space(wire, index as u32),
-                _ if at <= now_ps => return Verdict::Dispatch,
-                _ => until = until.min(at),
-            }
-        }
-        Verdict::Sleep {
-            until,
-            charged: true,
+        // A delivery lowers the key, so a reason with nothing queued — or
+        // behind a closed gate — needs no instant of its own.
+        let waiter = Some(index as u32);
+        match slot
+            .stall
+            .first_due(slot.timer, &slot.watched, links, now_ps, waiter)
+        {
+            at if at <= now_ps => Verdict::Dispatch,
+            until => Verdict::Sleep {
+                until,
+                charged: true,
+            },
         }
     }
 
@@ -1022,7 +1024,7 @@ impl<T> Simulation<T> {
             last_ps = last_ps.max(edge.as_ps() + bucket.clock.period().as_ps() * (n - 1));
         }
         let (order, src) = self.borrow_order();
-        let (ticked, skipped, windows, elided) = self.fast_pass(&order, edge);
+        self.fast_pass(&order, edge);
         self.return_order(order, src);
         for f in 0..self.fired.len() {
             let b = self.fired[f] as usize;
@@ -1037,18 +1039,16 @@ impl<T> Simulation<T> {
         // quiescence observed mid-batch is stamped where it was drained.
         self.time = Time::from_ps(last_ps);
         self.edges += batch_edges;
-        self.total_ticks += ticked;
-        self.activity.record_edge(ticked, skipped, 0);
-        self.activity.record_fast(windows, elided);
         self.select();
         Some(edge)
     }
 
     /// Advances every component of `order` through its bucket's window, in
-    /// order. Returns `(ticked, skipped, windows, elided)`: executed ticks,
-    /// window-cycles skipped whole by the sparse wake check, windows
-    /// processed, and in-window cycles elided by fast-forward sleeps and the
-    /// fallback's runnability seeks.
+    /// order, and counts the batch: charged ticks and the part of them
+    /// [`FastCtx::stall`] retired without a dispatch, window-cycles skipped
+    /// whole by the sparse wake check, windows processed, and in-window
+    /// cycles slept over uncharged (fast-forward sleeps and the fallback's
+    /// runnability seeks).
     ///
     /// The fast gear reads deadlines and wakes, not wake keys. A member a
     /// cycle-gear edge left stalled is charged, so it is never skipped
@@ -1056,13 +1056,14 @@ impl<T> Simulation<T> {
     /// its hint. A member skipped whole keeps its hint; credit that hint
     /// declares is edge arithmetic and covers the window's edges whenever
     /// it is next paid.
-    fn fast_pass(&mut self, order: &[u32], edge: Time) -> (u64, u64, u64, u64) {
+    fn fast_pass(&mut self, order: &[u32], edge: Time) {
         let start_ps = edge.as_ps();
         let dense = self.dense;
         let mut ticked = 0u64;
         let mut skipped = 0u64;
         let mut windows = 0u64;
-        let mut elided = 0u64;
+        let mut slept = 0u64;
+        let mut stalled = 0u64;
         for &raw in order {
             let i = raw as usize;
             let b = self.slots[i].bucket as usize;
@@ -1079,12 +1080,16 @@ impl<T> Simulation<T> {
                 skipped += n;
                 continue;
             }
-            let executed = self.fast_slot(i, edge, n);
-            ticked += executed;
+            let (dispatched, retired) = self.fast_slot(i, edge, n);
+            ticked += dispatched + retired;
             windows += 1;
-            elided += n - executed;
+            slept += n - dispatched - retired;
+            stalled += retired;
         }
-        (ticked, skipped, windows, elided)
+        self.total_ticks += ticked;
+        self.total_elided += stalled;
+        self.activity.record_edge(ticked, skipped, stalled);
+        self.activity.record_fast(windows, slept);
     }
 
     /// Runs one component's fast-forward window of `n` edges starting at
@@ -1092,8 +1097,9 @@ impl<T> Simulation<T> {
     /// [`Component::fast_forward`] hook; everything else is advanced by the
     /// conservative kernel fallback — an exact per-edge replay of
     /// [`Component::tick`] honouring the sparse wake conditions within the
-    /// window. Returns the number of ticks executed.
-    fn fast_slot(&mut self, index: usize, start: Time, n: u64) -> u64 {
+    /// window. Returns the tick bodies run and the edges a hook's
+    /// [`FastCtx::stall`] charged without running them.
+    fn fast_slot(&mut self, index: usize, start: Time, n: u64) -> (u64, u64) {
         self.rouse(index);
         let cycle = self.cycle_of(index);
         let period = self.buckets[self.slots[index].bucket as usize]
@@ -1106,6 +1112,7 @@ impl<T> Simulation<T> {
             stats,
             rng,
             faults,
+            window_hint,
             ..
         } = self;
         faults.set_origin(index as u32);
@@ -1113,6 +1120,9 @@ impl<T> Simulation<T> {
         let ff_ok = slot.ff_ok;
         let initial_timer = slot.sparse.as_ref().map_or(0, |s| s.timer);
         let watched = slot.sparse.as_ref().map(|s| s.watched.as_slice());
+        // `--dense` means every charged tick is dispatched, in a window as
+        // on an edge: without a hint to read, `FastCtx::stall` is a no-op.
+        let hint = (!dense).then_some(window_hint);
         let comp = slot
             .component
             .as_deref_mut()
@@ -1123,6 +1133,7 @@ impl<T> Simulation<T> {
             Cycles::new(cycle),
             n,
             watched,
+            hint,
             links,
             stats,
             rng,
@@ -1153,16 +1164,16 @@ impl<T> Simulation<T> {
                 timer = comp.next_activity().map_or(u64::MAX, Time::as_ps);
             }
         }
-        let executed = ctx.executed();
+        let (executed, stalled) = (ctx.executed(), ctx.stalled());
         if executed > 0 {
             // A window runs its component alone, against link state the
             // rest of the batch has yet to catch up with; a stall hint read
             // here could vouch for a wire as of the wrong instant. Left
             // unset, the first cycle-gear tick after a downshift is
             // dispatched and re-reads it.
-            self.after_ticks(index, executed, false);
+            self.after_ticks(index, executed, stalled, false);
         }
-        executed
+        (executed, stalled)
     }
 
     /// Ticks every member of `order` the schedule dispatches on this edge,
@@ -1286,19 +1297,21 @@ impl<T> Simulation<T> {
     /// committed effect log) on the edge its bucket is firing.
     #[inline]
     fn post_tick(&mut self, index: usize) {
-        self.after_ticks(index, 1, true);
+        self.after_ticks(index, 1, 0, true);
     }
 
-    /// Bookkeeping after `executed` ticks of a component took effect: tick
-    /// counters, the cached idle flag and the busy count, and the slot's
-    /// sparse wake conditions — the tick may have consumed watched input,
-    /// moved its internal deadlines and opened or shut its stall gates.
-    /// `hinted` re-reads the stall hint; a fast-gear window clears it.
+    /// Bookkeeping after `dispatched` ticks of a component took effect —
+    /// and, in a fast-gear window, `stalled` more were charged to it without
+    /// a dispatch: tick counters, the cached idle flag and the busy count,
+    /// and the slot's sparse wake conditions — the tick may have consumed
+    /// watched input, moved its internal deadlines and opened or shut its
+    /// stall gates. `hinted` re-reads the stall hint; a fast-gear window
+    /// clears it.
     #[inline]
-    fn after_ticks(&mut self, index: usize, executed: u64, hinted: bool) {
+    fn after_ticks(&mut self, index: usize, dispatched: u64, stalled: u64, hinted: bool) {
         let slot = &mut self.slots[index];
-        slot.ticks += executed;
-        slot.dispatches += executed;
+        slot.ticks += dispatched + stalled;
+        slot.dispatches += dispatched;
         let idle = slot.comp().is_idle();
         if idle != slot.idle {
             slot.idle = idle;
@@ -2509,6 +2522,16 @@ mod tests {
         assert_eq!(sim.links().link(link).stats().pops, 8);
     }
 
+    /// The fast-forward hook of the test components: every edge of the
+    /// window is polled, unless [`FastCtx::stall`] retires it. No uncharged
+    /// sleep, so a window charges each of them every one of its edges.
+    pub(super) fn poll_or_stall<C: Component<u64>>(component: &mut C, ctx: &mut FastCtx<'_, u64>) {
+        while let Some(mut tc) = ctx.next_edge() {
+            component.tick(&mut tc);
+            ctx.stall(&*component);
+        }
+    }
+
     /// A producer that always has something to send: its deadline is
     /// permanently due, so without a stall hint it polls a full wire on
     /// every edge.
@@ -2555,6 +2578,12 @@ mod tests {
             if self.hints {
                 hint.gate_deadline(crate::Gate::space(self.out));
             }
+        }
+        fn fast_forward_safe(&self) -> bool {
+            true
+        }
+        fn fast_forward(&mut self, ctx: &mut crate::FastCtx<'_, u64>) {
+            poll_or_stall(self, ctx);
         }
     }
 
@@ -2607,6 +2636,12 @@ mod tests {
             if self.hints {
                 hint.gate_input(0, crate::Gate::until(self.busy_until));
             }
+        }
+        fn fast_forward_safe(&self) -> bool {
+            true
+        }
+        fn fast_forward(&mut self, ctx: &mut crate::FastCtx<'_, u64>) {
+            poll_or_stall(self, ctx);
         }
     }
 

@@ -1,10 +1,14 @@
 //! Tests of the two halves that finish the event-driven schedule: accounted
 //! elision ([`StallHint::count_elided`]) and the wake keys that replace
-//! per-edge polling. The reference in every one of them is a twin on a
-//! schedule that dispatches everything — `set_dense`, or the same platform
-//! without hints — which charges and counts the same by construction.
+//! per-edge polling — and, at the end, of the same verdict taken inside a
+//! fast-gear window ([`FastCtx::stall`]). The reference in every one of them
+//! is a twin on a schedule that dispatches everything — `set_dense`, or the
+//! same platform without hints — which charges and counts the same by
+//! construction.
 
-use super::tests::{add_stalled_pair, component_tick_counts, stalled_pairs, stalled_pairs_on};
+use super::tests::{
+    add_stalled_pair, component_tick_counts, poll_or_stall, stalled_pairs, stalled_pairs_on,
+};
 use super::*;
 use crate::stats::CounterId;
 
@@ -90,6 +94,12 @@ impl Component<u64> for Waiter {
             hint.gate_deadline(crate::Gate::CLOSED);
             hint.count_elided(waits, self.count_from);
         }
+    }
+    fn fast_forward_safe(&self) -> bool {
+        true
+    }
+    fn fast_forward(&mut self, ctx: &mut crate::FastCtx<'_, u64>) {
+        poll_or_stall(self, ctx);
     }
 }
 
@@ -737,4 +747,232 @@ fn a_delivery_behind_the_earliest_head_still_lowers_the_key() {
     // First tick, then the release; the ten edges between are elided.
     assert_eq!(sparse.component_dispatches(ComponentId(0)), 2);
     assert_eq!(sparse.component_ticks(ComponentId(0)), 12);
+}
+
+// ---------------------------------------------------------------------
+// The charged sleep of a fast-gear window, `FastCtx::stall`. The test
+// components' hook polls every edge of a window unless `stall` retires it
+// (`poll_or_stall`), so the dense twin — where `stall` is a no-op — runs
+// the window edge by edge: the oracle.
+// ---------------------------------------------------------------------
+
+/// Windows of eight 10 ns edges: 0–70, 80–150, 160–230, 240–310 ns.
+const OCTETS: Fidelity = Fidelity::Fast { quantum: 8 };
+
+/// A waiter and its responder in `gear`, sparse and dense, run out. The
+/// twins must agree on everything a checkpoint holds.
+fn fast_twins(
+    gear: Fidelity,
+    from: Time,
+    counts: Counts,
+) -> (Simulation<u64>, Simulation<u64>, Arc<AtomicU64>) {
+    let (mut sparse, dispatched) = waiters(1, from, counts);
+    let (mut dense, _) = waiters(1, from, counts);
+    dense.set_dense(true);
+    for sim in [&mut sparse, &mut dense] {
+        sim.set_fidelity(gear);
+        sim.run_to_quiescence_strict(HORIZON).unwrap();
+    }
+    (sparse, dense, dispatched)
+}
+
+#[test]
+fn a_window_credits_from_the_declared_instant() {
+    // The waiter's windows run ahead of the responder's, so it sees the
+    // nudge (pushed at 100 ns) in the window at 160 ns and the response
+    // (200 ns) in the one at 240 ns: it waits on the 24 edges 0 .. 230 ns,
+    // ticking the first edge of each window and stalling through the rest.
+    for (from_ns, expect) in [
+        (0, 24),  // from the first edge
+        (40, 20), // before the second and third windows: all of theirs
+        (50, 19), // a stalled edge exactly at `from`: 50 .. 230
+        (55, 18), // `from` between stalled edges: 60 .. 230
+        (80, 16), // exactly a window's first — dispatched — edge
+        (85, 15), // just past it: 90 .. 230
+        (230, 1), // the last waiting edge only
+        (235, 0), // the wait is over before `from`
+        (900, 0), // past the run
+    ] {
+        let (sparse, dense, dispatched) =
+            fast_twins(OCTETS, Time::from_ns(from_ns), Counts::Honestly);
+        assert_eq!(sparse.time(), dense.time());
+        assert_eq!(sparse.time(), Time::from_ns(310));
+        assert_eq!(waits(&dense, 0), expect, "dense, from {from_ns} ns");
+        assert_eq!(waits(&sparse, 0), expect, "sparse, from {from_ns} ns");
+        assert_same_state(&sparse, &dense);
+        // One body per window for the waiter, every other edge of its four
+        // windows charged to it all the same; the responder ran its first
+        // tick and one per push.
+        assert_eq!(sparse.component_dispatches(ComponentId(0)), 4);
+        assert_eq!(sparse.component_ticks(ComponentId(0)), 32);
+        assert_eq!(
+            sparse.component_ticks(ComponentId(0)),
+            dense.component_ticks(ComponentId(0))
+        );
+        assert_eq!(dispatched.load(Ordering::Relaxed), 4 + 3);
+        assert_eq!(sparse.ticks_elided(), 28);
+        assert_accounts_add_up(&sparse);
+    }
+}
+
+#[test]
+fn a_window_ending_mid_stall_hands_the_count_to_the_next() {
+    // Windows of four edges cut the 240 ns wait six times; whatever the cut,
+    // the registry — and the whole checkpoint — is the dense twin's after
+    // every batch, and no snapshot holds pending credit.
+    let gear = Fidelity::Fast { quantum: 4 };
+    let from = Time::from_ns(25);
+    let (mut sparse, _) = waiters(2, from, Counts::Honestly);
+    let (mut dense, _) = waiters(2, from, Counts::Honestly);
+    dense.set_dense(true);
+    sparse.set_fidelity(gear);
+    dense.set_fidelity(gear);
+    let mut seen = Vec::new();
+    while !(sparse.time() > Time::ZERO && sparse.is_quiescent()) {
+        assert!(sparse.time() < HORIZON, "never drained");
+        assert_eq!(sparse.step(), dense.step());
+        assert_same_state(&sparse, &dense);
+        assert_accounts_add_up(&sparse);
+        seen.push(waits(&sparse, 0));
+    }
+    // Edges 30 (first window), 40 .. 70, 80 .. 110, ...: one, then four a
+    // window while the wait lasts.
+    assert_eq!(seen[..4], [1, 5, 9, 13]);
+    assert!(sparse.ticks_elided() > 0 && dense.ticks_elided() == 0);
+}
+
+#[test]
+fn a_gate_shut_for_room_stays_shut_for_the_window() {
+    // One eager producer into a wire of capacity 1 (+ 7 of fast-gear slack),
+    // one consumer serving a payload per 70 ns, both on `poll_or_stall`.
+    let run = |dense: bool, until: Time| {
+        let (mut sim, dispatched) = stalled_pairs(1, true, false);
+        sim.set_dense(dense);
+        sim.set_fidelity(OCTETS);
+        sim.run_until(until);
+        (sim, dispatched)
+    };
+    let (producer, consumer) = (ComponentId(0), ComponentId(1));
+
+    // First window: the producer fills the wire, one push an edge — its
+    // gate has room until the eighth. The consumer's head lands on its
+    // second edge: a reason already due, so no sleep before it; then it is
+    // mid-service to the end of the window.
+    let (first, _) = run(false, Time::from_ns(75));
+    assert_eq!(first.component_dispatches(producer), 8);
+    assert_eq!(first.component_dispatches(consumer), 2);
+    assert_eq!(first.component_ticks(consumer), 8);
+
+    // Second window: one more push and the wire is full. Nobody else runs
+    // in the window, so the gate stays shut to its end: seven edges charged,
+    // none polled. The consumer serves at 80 and at 150 ns and sleeps the
+    // six edges between.
+    let (second, _) = run(false, Time::from_ns(155));
+    assert_eq!(second.component_dispatches(producer), 9);
+    assert_eq!(second.component_ticks(producer), 16);
+    assert_eq!(second.component_dispatches(consumer), 4);
+    assert_eq!(second.component_ticks(consumer), 16);
+    let (second_dense, polled) = run(true, Time::from_ns(155));
+    assert_same_state(&second, &second_dense);
+    assert_eq!(second.ticks_executed(), second_dense.ticks_executed());
+    assert_eq!(polled.load(Ordering::Relaxed), 32);
+
+    // To the end: same run, most of it not worth a dispatch.
+    let (sparse, dispatched) = run(false, Time::from_us(20));
+    let (dense, _) = run(true, Time::from_us(20));
+    assert!(sparse.is_quiescent());
+    assert_same_state(&sparse, &dense);
+    assert_eq!(
+        dispatched.load(Ordering::Relaxed),
+        sparse.ticks_executed() - sparse.ticks_elided()
+    );
+    assert!(sparse.ticks_elided() * 2 > sparse.ticks_executed());
+    assert_accounts_add_up(&sparse);
+}
+
+#[test]
+fn one_edge_windows_and_the_dense_schedule_never_stall() {
+    let from = Time::from_ns(35);
+    // Quantum 1 is the identity gear: the cycle run, byte for byte and
+    // charge for charge — with every charged tick a dispatch, since no
+    // window has a second edge to retire.
+    let (mut cycle, _) = waiters(2, from, Counts::Honestly);
+    cycle.run_to_quiescence_strict(HORIZON).unwrap();
+    let (mut identity, dispatched) = waiters(2, from, Counts::Honestly);
+    identity.set_fidelity(Fidelity::Fast { quantum: 1 });
+    identity.run_to_quiescence_strict(HORIZON).unwrap();
+    assert_same_state(&identity, &cycle);
+    assert_eq!(identity.ticks_executed(), cycle.ticks_executed());
+    assert_eq!(
+        component_tick_counts(&identity),
+        component_tick_counts(&cycle)
+    );
+    assert_eq!(identity.ticks_elided(), 0);
+    assert_eq!(
+        dispatched.load(Ordering::Relaxed),
+        identity.ticks_executed()
+    );
+
+    // `--dense`: every edge of every window is a body.
+    let (sparse, dense, _) = fast_twins(OCTETS, from, Counts::Honestly);
+    assert!(sparse.ticks_elided() > 0);
+    assert_eq!(dense.ticks_elided(), 0);
+    assert_eq!(dense.component_dispatches(ComponentId(0)), 32);
+    assert_accounts_add_up(&dense);
+}
+
+#[test]
+fn the_dense_twin_catches_a_lying_hint_inside_a_window() {
+    // A declared counter the tick does not bump, bumps by two, or bumps
+    // along with a second one: the stalled edges are credited by the
+    // declaration, the polled ones by the tick.
+    for counts in [Counts::Never, Counts::Twice, Counts::AndASecondCounter] {
+        let (sparse, dense, _) = fast_twins(OCTETS, Time::from_ns(30), counts);
+        assert!(
+            sparse.checkpoint().as_bytes() != dense.checkpoint().as_bytes(),
+            "{counts:?} went unnoticed"
+        );
+    }
+
+    /// Claims its deadline is moot forever, yet counts every tick.
+    struct Liar {
+        n: u64,
+    }
+    impl crate::snapshot::Snapshot for Liar {
+        fn save(&self, w: &mut crate::snapshot::StateWriter) {
+            w.write_u64(self.n);
+        }
+    }
+    impl Component<u64> for Liar {
+        fn name(&self) -> &str {
+            "liar"
+        }
+        fn tick(&mut self, _ctx: &mut TickContext<'_, u64>) {
+            self.n += 1;
+        }
+        fn watched_links(&self) -> Option<Vec<LinkId>> {
+            Some(Vec::new())
+        }
+        fn next_activity(&self) -> Option<Time> {
+            Some(Time::ZERO)
+        }
+        fn stall_hint(&self, hint: &mut StallHint) {
+            hint.gate_deadline(crate::Gate::CLOSED);
+        }
+        fn fast_forward_safe(&self) -> bool {
+            true
+        }
+        fn fast_forward(&mut self, ctx: &mut crate::FastCtx<'_, u64>) {
+            poll_or_stall(self, ctx);
+        }
+    }
+    let run = |dense: bool| {
+        let mut sim: Simulation<u64> = Simulation::new();
+        sim.add_component(Box::new(Liar { n: 0 }), ClockDomain::from_mhz(100));
+        sim.set_dense(dense);
+        sim.set_fidelity(OCTETS);
+        sim.run_until(Time::from_ns(155));
+        sim.checkpoint()
+    };
+    assert!(run(false).as_bytes() != run(true).as_bytes());
 }

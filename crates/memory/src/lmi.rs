@@ -629,9 +629,9 @@ impl Component<Packet> for LmiController {
         while let Some(mut tc) = ctx.next_edge() {
             self.tick(&mut tc);
             if !self.settled || !self.in_fifo.is_empty() || !self.pending.is_empty() {
-                // Busy controller ticks every edge, exactly like the cycle
-                // gear: drain ordering, engine pacing and fault probes all
-                // key off the per-edge cycle count.
+                // A busy controller is due on every edge, but most only
+                // wait: `stall_hint` names the next one that moves.
+                ctx.stall(&*self);
                 continue;
             }
             // Idle: wake for the periodic auto-refresh (conservative-early,

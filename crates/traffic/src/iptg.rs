@@ -743,12 +743,12 @@ impl Component<Packet> for IpTrafficGenerator {
                 // generator ticking.
                 continue;
             }
-            if ctx.can_push(self.req_out) {
-                ctx.sleep_until(self.next_activity());
-            } else {
-                // Blocked on a full request wire: space frees only across
-                // windows; a new response still bounds the sleep.
-                ctx.sleep_until(None);
+            // A full request wire frees only across windows: blocked on one,
+            // only a new response bounds the sleep.
+            let room = ctx.can_push(self.req_out);
+            if ctx.sleep_until(room.then(|| self.next_activity()).flatten()) == 0 {
+                // Due — but maybe a blocking agent's, still owed a response.
+                ctx.stall(&*self);
             }
         }
     }

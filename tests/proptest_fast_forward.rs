@@ -10,10 +10,18 @@
 //! (slack applied at `quantum = 1`, a reordered wake, a bulk-credited
 //! counter created at the wrong instant) shows up as a byte diff in the
 //! final checkpoint, not as a subtle table drift.
+//!
+//! Above quantum 1 the gear has no exact reference in another gear, but it
+//! has one in itself: on the dense schedule a window dispatches every tick
+//! it charges (`FastCtx::stall` is a no-op there and the hooks poll edge by
+//! edge), so a **dense twin** must end at the same instant, in the same
+//! report and the same checkpoint as the sparse run, at any quantum — and a
+//! downshift to `Cycle` mid-run must leave both on the same road.
 
+use mpsoc_dse::{build_candidate, sample_generation, DseWorkload};
 use mpsoc_kernel::{Fidelity, Time};
 use mpsoc_memory::LmiConfig;
-use mpsoc_platform::{build_platform, MemorySystem, PlatformSpec, Topology, Workload};
+use mpsoc_platform::{build_platform, MemorySystem, Platform, PlatformSpec, Topology, Workload};
 use mpsoc_protocol::ProtocolKind;
 use proptest::prelude::*;
 
@@ -49,8 +57,106 @@ fn spec_from(
     }
 }
 
+/// The quanta the dense twin is held to: the benchmark's error ladder.
+const QUANTA: [u64; 3] = [4, 16, 64];
+
+/// Sparse and dense twins of one platform, both in the fast gear.
+fn twins(build: impl Fn() -> Platform, quantum: u64) -> [Platform; 2] {
+    [false, true].map(|dense| {
+        let mut platform = build();
+        platform.sim_mut().set_dense(dense);
+        platform.sim_mut().set_fidelity(Fidelity::Fast { quantum });
+        platform
+    })
+}
+
+/// Both twins to `cut` in the fast gear, then down to `Cycle` and on until
+/// they drain (or to `end`): the same checkpoint at the seam and at the end.
+fn assert_twins_downshift_alike(build: impl Fn() -> Platform, quantum: u64, cut: Time, end: Time) {
+    let [sparse, dense] = twins(build, quantum).map(|mut twin| {
+        twin.sim_mut().run_until(cut);
+        twin.sim_mut().set_fidelity(Fidelity::Cycle);
+        let seam = twin.checkpoint();
+        twin.sim_mut().run_to_quiescence(end);
+        [seam, twin.checkpoint()]
+    });
+    for (sparse, dense) in sparse.iter().zip(&dense) {
+        assert!(
+            sparse.as_bytes() == dense.as_bytes(),
+            "twins differ after a downshift at {cut}, quantum {quantum}"
+        );
+    }
+}
+
+/// One candidate of each `mpsoc_dse` fabric family (shared STBus, partial
+/// crossbar over bridges, NoC mesh) on either memory system: the twins
+/// agree at the end of the search's fast rung and after its downshift.
+#[test]
+fn dense_twins_of_dse_candidates_agree() {
+    let (cut, end) = (Time::from_us(12), Time::from_us(16));
+    for candidate in sample_generation(6, 0x5eed) {
+        let build =
+            || build_candidate(&candidate, &DseWorkload::Saturated, 1, 0x0dab).expect("builds");
+        for quantum in QUANTA {
+            assert_twins_downshift_alike(build, quantum, cut, end);
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
+
+    /// The dense twin is the fast gear's oracle above quantum 1: same end
+    /// instant, same report, same checkpoint.
+    #[test]
+    fn dense_twin_is_byte_identical_at_every_quantum(
+        proto_idx in 0usize..3,
+        topo_idx in 0usize..3,
+        mem_idx in 0usize..3,
+        workload_idx in 0usize..2,
+        seed in 0u64..10_000,
+    ) {
+        let spec = spec_from(proto_idx, topo_idx, mem_idx, workload_idx, seed);
+        for quantum in QUANTA {
+            let [sparse, dense] = twins(|| build_platform(&spec).expect("builds"), quantum).map(
+                |mut twin| {
+                    let end = twin
+                        .sim_mut()
+                        .run_to_quiescence_strict(HORIZON)
+                        .expect("fast run drains");
+                    (end, format!("{:?}", twin.report_at(end)), twin.checkpoint())
+                },
+            );
+            prop_assert!(sparse.0 == dense.0, "end instant, quantum {}", quantum);
+            prop_assert!(sparse.1 == dense.1, "report, quantum {}", quantum);
+            prop_assert!(
+                sparse.2.as_bytes() == dense.2.as_bytes(),
+                "checkpoint, quantum {}",
+                quantum
+            );
+        }
+    }
+
+    /// Shifting down to `Cycle` mid-run from either twin leaves the same
+    /// state at the seam and the same run after it.
+    #[test]
+    fn dense_twins_downshift_alike(
+        proto_idx in 0usize..3,
+        topo_idx in 0usize..3,
+        mem_idx in 0usize..3,
+        workload_idx in 0usize..2,
+        seed in 0u64..10_000,
+        quantum_idx in 0usize..3,
+        cut_us in 1u64..40,
+    ) {
+        let spec = spec_from(proto_idx, topo_idx, mem_idx, workload_idx, seed);
+        assert_twins_downshift_alike(
+            || build_platform(&spec).expect("builds"),
+            QUANTA[quantum_idx],
+            Time::from_us(cut_us),
+            HORIZON,
+        );
+    }
 
     /// `Fast { quantum: 1 }` is the identity gear: same end instant, same
     /// final checkpoint bytes, same rendered report as `Cycle`.

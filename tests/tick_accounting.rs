@@ -6,10 +6,12 @@
 //! rung, the benchmark folds it into the `dse_search` digest, and the perf
 //! ledger's `ticks`/`skipped` columns are compared across revisions. Stall
 //! hints (`Component::stall_hint`) may only move ticks from *dispatched* to
-//! *elided* — never change the total. The figures below were measured at
-//! the commit before stall hints existed; both assertions are exact counts,
-//! so they hold on any host.
+//! *elided* — never change the total — on an edge of the cycle gear and
+//! inside a window of the fast gear (`FastCtx::stall`) alike. The figures
+//! below were measured at the commit before each mechanism existed; all
+//! assertions are exact counts, so they hold on any host.
 
+use mpsoc_kernel::Fidelity;
 use mpsoc_memory::LmiConfig;
 use mpsoc_platform::{
     build_platform, build_single_layer, MemorySystem, PlatformSpec, SingleLayerSpec, Topology,
@@ -157,4 +159,68 @@ fn a_dse_search_charges_the_pinned_ticks() {
     let per_rung: Vec<u64> = result.rungs.iter().map(|r| r.sim_ticks).collect();
     assert_eq!(per_rung, [27_980, 39_762, 118_026]);
     assert_eq!(result.total_sim_ticks(), 185_768);
+}
+
+/// The twelve on-chip shapes of the benchmark's `fast_gear` workload (its
+/// simulation seeds, scale 2, one wait state) with the ticks a straight run
+/// to quiescence at quantum 64 charged while the `fast_forward` hooks still
+/// polled every edge of a stall — when every one of them was a tick body.
+const FAST_GEAR: [(ProtocolKind, Topology, Workload, u64, u64); 12] = {
+    use ProtocolKind::{Ahb, Axi, StbusT3};
+    use Topology::{Collapsed, Distributed};
+    use Workload::{BurstyPosted, Standard};
+    [
+        (StbusT3, Collapsed, BurstyPosted, 0x6c80_6a92, 9_125),
+        (StbusT3, Collapsed, Standard, 0x9cb4_86ff, 47_020),
+        (StbusT3, Distributed, BurstyPosted, 0x834a_426d, 14_351),
+        (StbusT3, Distributed, Standard, 0x572c_42f8, 53_273),
+        (Ahb, Collapsed, BurstyPosted, 0x024b_f59c, 94_894),
+        (Ahb, Collapsed, Standard, 0xa418_d67b, 470_905),
+        (Ahb, Distributed, BurstyPosted, 0xc1aa_d349, 329_420),
+        (Ahb, Distributed, Standard, 0xd927_6ee0, 774_454),
+        (Axi, Collapsed, BurstyPosted, 0xd330_4f13, 20_702),
+        (Axi, Collapsed, Standard, 0x1442_d52c, 174_258),
+        (Axi, Distributed, BurstyPosted, 0x9d0a_09b5, 71_566),
+        (Axi, Distributed, Standard, 0xe5dd_cd90, 299_841),
+    ]
+};
+
+#[test]
+fn fast_gear_windows_charge_the_pinned_ticks_and_run_a_fifth_of_them() {
+    let (mut charged_total, mut bodies_total) = (0, 0);
+    for (protocol, topology, workload, seed, pinned) in FAST_GEAR {
+        let label = format!("{protocol:?}/{topology:?}/{workload:?}");
+        let mut platform = build_platform(&PlatformSpec {
+            protocol,
+            topology,
+            memory: MemorySystem::OnChip { wait_states: 1 },
+            workload,
+            scale: 2,
+            seed,
+            ..PlatformSpec::default()
+        })
+        .expect("builds");
+        platform
+            .sim_mut()
+            .set_fidelity(Fidelity::Fast { quantum: 64 });
+        platform.run().expect("drains");
+        let sim = platform.sim();
+        assert_eq!(
+            sim.ticks_executed(),
+            pinned,
+            "{label}: charged ticks moved — a stalled edge of a window must still be charged"
+        );
+        let bodies: u64 = sim
+            .component_ids()
+            .map(|id| sim.component_dispatches(id))
+            .sum();
+        assert_eq!(bodies, sim.ticks_executed() - sim.ticks_elided(), "{label}");
+        charged_total += pinned;
+        bodies_total += bodies;
+    }
+    // 2 359 809 of 2 359 809 while the hooks polled; 253 492 now.
+    assert!(
+        bodies_total * 5 <= charged_total,
+        "{bodies_total} tick bodies for {charged_total} charged ticks, ceiling is 20 %"
+    );
 }
