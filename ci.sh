@@ -4,36 +4,37 @@
 #   ./ci.sh            # every stage, in order
 #   ./ci.sh lint       # rustfmt, clippy (warnings are errors), rustdoc
 #   ./ci.sh test       # tier-1 release build + workspace tests + smoke runs
-#   ./ci.sh gates      # the equivalence/determinism gates + the server gate
+#   ./ci.sh gates      # snapshot, fast-forward floor and server gates
 #   ./ci.sh dse        # design-space search checkpoint/resume equality
-#   ./ci.sh scaling    # parallel-ticking scaling ladder + identity gates
+#   ./ci.sh scaling    # parallel-ticking scaling ladder (kernel_hotpath)
 #   ./ci.sh bench      # bench guard vs the committed perf ledger
 #
 # The six stages are independent — .github/workflows/ci.yml runs them as
-# parallel jobs — and every gate inside `gates` produces its own reference
-# output, so any single stage can be run standalone on a fresh checkout.
+# parallel jobs — and any single stage can be run standalone on a fresh
+# checkout.
+#
+# What is *not* here: "sparse = dense", "serial = parallel", "quantum 1 =
+# cycle", "quantum 16 = its dense twin" and "twice the same" are not
+# checked by diffing two repro runs any more. An execution mode is a value
+# (mpsoc_kernel::ExecMode), so `cargo test` holds them: tests/
+# mode_equivalence.rs compares the printed tables mode against mode, and
+# crates/bench/tests/mode_reach.rs counts that a mode reaches every
+# simulation of every experiment. Both run in the test stage.
 #
 # Stage contents:
 #   lint   rustfmt --check, clippy -D warnings, rustdoc -D warnings
-#   test   release build of the workspace, the full test suite, one small
-#          end-to-end reproduction through the repro binary, the example
+#   test   release build of the workspace, the full test suite (the mode
+#          tests above among them), one small end-to-end reproduction
+#          through the repro binary, the CLI-wiring smoke (a full
+#          `repro --dense` run must report 0 skipped ticks), the example
 #          walkthroughs (quickstart, trace replay), and the benchmark
 #          harness in quick mode (every workload's output checks; fails
 #          when a change breaks the API surface the harness compiles
 #          against — see benchmark/README.md) plus the harness's own tests
 #          (the quick workloads against benchmark/expected.json)
-#   gates  determinism: the same experiment twice with one seed must emit
-#            byte-identical tables
-#          snapshot round trip: the checkpoint-forked fig4 sweep must emit
+#   gates  snapshot round trip: the checkpoint-forked fig4 sweep must emit
 #            the same table as the cold sweep, and the measured warm-fork
 #            speedup must clear the repro binary's floor
-#          sparse equivalence: the sparse active-set schedule (default) and
-#            the dense schedule (--dense escape hatch) emit identical tables
-#          parallel equivalence: intra-edge parallel tick execution
-#            (--tick-jobs 4) emits tables byte-identical to the serial run
-#          gear equivalence: the loosely-timed gear at quantum 1
-#            (--fast-gear 1) emits tables byte-identical to cycle-accurate,
-#            and at quantum 16 tables identical to its own --dense twin
 #          fast-forward floor: a live --fast-warm run must clear the repro
 #            binary's warm-phase speedup floor with an identical q=1 sweep
 #          server: simserved + a duplicate-heavy loadgen mix must see warm-
@@ -46,9 +47,7 @@
 #            uninterrupted run (the CLI wiring; byte-identity across
 #            repeats and --jobs is proptest_dse.rs's and the benchmark
 #            harness's, both run by the test stage)
-#   scaling end-to-end: the fault-armed robustness experiment at
-#            --tick-jobs 1, 2 and 4 must emit byte-identical tables
-#          compute-heavy ladder: kernel_hotpath times the compute-heavy
+#   scaling compute-heavy ladder: kernel_hotpath times the compute-heavy
 #            case over jobs {1,2,4,8}, asserting byte-identity to the
 #            serial run at every rung, and holds what it measured to the
 #            sparse and parallel rows of the ledger floor table
@@ -68,23 +67,11 @@ cleanup() {
 trap cleanup EXIT
 
 # Strip host-timing lines (the bracketed perf summaries and the totals)
-# before comparing: wall-clock numbers legitimately differ between runs.
-# The "reproducing ..." header is also stripped: it echoes run options
-# (e.g. --tick-jobs) that legitimately differ between equivalent runs.
+# and the "reproducing ..." header before comparing two repro runs.
 filter_timing() { grep -v -e '^\[' -e '^total:' -e '^perf ledger' -e '^reproducing' "$1"; }
 
 # Just the FIG-4 table: the header line and the right-aligned data rows.
 table_only() { grep -E '^(FIG-4| )' "$1"; }
-
-# The serial cycle-accurate fig3 run every equivalence gate compares
-# against. Each gate calls this, so each gate is standalone; when several
-# gates run in one invocation the reference is produced only once.
-fig3_reference() {
-    if [ ! -s "$run_dir/fig3_ref.txt" ]; then
-        cargo run --release -p mpsoc-bench --bin repro -- \
-            --exp fig3 --scale 1 --no-bench-out > "$run_dir/fig3_ref.txt"
-    fi
-}
 
 stage_lint() {
     echo "== rustfmt (--check) =="
@@ -110,6 +97,12 @@ stage_test() {
     cargo run --release -p mpsoc-bench --bin repro -- \
         --exp robustness --scale 1 --no-bench-out
 
+    echo "== CLI wiring: repro --dense reaches every simulation (0 skipped) =="
+    # The one thing the in-process mode tests cannot see: that the flags
+    # land in the ExecMode repro hands every experiment.
+    cargo run --release -p mpsoc-bench --bin repro -- \
+        --scale 1 --dense --no-bench-out | grep -E '^total: .* \(0 skipped\)'
+
     echo "== example smoke: build all, run quickstart + trace_replay =="
     cargo build --release --examples
     cargo run --release --example quickstart
@@ -128,19 +121,6 @@ stage_test() {
     (cd benchmark && cargo test --offline)
 }
 
-gate_determinism() {
-    echo "== determinism: fig3 twice, same seed, identical tables =="
-    fig3_reference
-    cargo run --release -p mpsoc-bench --bin repro -- \
-        --exp fig3 --scale 1 --no-bench-out > "$run_dir/fig3_again.txt"
-    if ! diff <(filter_timing "$run_dir/fig3_ref.txt") \
-              <(filter_timing "$run_dir/fig3_again.txt"); then
-        echo "determinism gate FAILED: identical seeds produced different tables" >&2
-        exit 1
-    fi
-    echo "determinism gate passed"
-}
-
 gate_snapshot() {
     echo "== snapshot round trip: fig4 cold vs --warm-fork =="
     # One process runs the cold sweep and the checkpoint-forked sweep and
@@ -153,85 +133,6 @@ gate_snapshot() {
         --check-bench "$run_dir/warmfork.json" > "$run_dir/fork.txt"
     grep '\[check warm-fork' "$run_dir/fork.txt"
     echo "snapshot round-trip gate passed"
-}
-
-gate_sparse() {
-    echo "== sparse equivalence: fig3 and many-to-one, sparse vs --dense, identical tables =="
-    # The dense schedule is the reference semantics; sparse ticking is only
-    # an optimization and must never change a table. fig3 is the experiment
-    # with the most sleeping slots; many-to-one the one with the fewest,
-    # whose charged ticks are mostly elided under back-pressure instead.
-    fig3_reference
-    cargo run --release -p mpsoc-bench --bin repro -- \
-        --exp fig3 --scale 1 --dense --no-bench-out > "$run_dir/dense.txt"
-    if ! diff <(filter_timing "$run_dir/fig3_ref.txt") \
-              <(filter_timing "$run_dir/dense.txt"); then
-        echo "sparse gate FAILED: sparse and dense schedules produced different tables" >&2
-        exit 1
-    fi
-    cargo run --release -p mpsoc-bench --bin repro -- \
-        --exp many-to-one --scale 1 --no-bench-out > "$run_dir/m2o_sparse.txt"
-    cargo run --release -p mpsoc-bench --bin repro -- \
-        --exp many-to-one --scale 1 --dense --no-bench-out > "$run_dir/m2o_dense.txt"
-    if ! diff <(filter_timing "$run_dir/m2o_sparse.txt") \
-              <(filter_timing "$run_dir/m2o_dense.txt"); then
-        echo "sparse gate FAILED: sparse and dense many-to-one tables differ" >&2
-        exit 1
-    fi
-    echo "sparse equivalence gate passed"
-}
-
-gate_parallel() {
-    echo "== parallel equivalence: fig3 serial vs --tick-jobs 4, identical tables =="
-    # The compute/commit split buffers every side effect of a worker-computed
-    # tick and replays it in registration order, so any --tick-jobs value
-    # must reproduce the serial tables byte for byte.
-    fig3_reference
-    cargo run --release -p mpsoc-bench --bin repro -- \
-        --exp fig3 --scale 1 --tick-jobs 4 --no-bench-out > "$run_dir/tickjobs.txt"
-    if ! diff <(filter_timing "$run_dir/fig3_ref.txt") \
-              <(filter_timing "$run_dir/tickjobs.txt"); then
-        echo "parallel gate FAILED: --tick-jobs 4 produced different tables" >&2
-        exit 1
-    fi
-    echo "parallel equivalence gate passed"
-}
-
-gate_gear() {
-    echo "== gear equivalence: fig3 cycle vs --fast-gear 1, identical tables =="
-    # Quantum 1 is the fast gear's degenerate window — every edge is visited
-    # in order with zero occupancy slack — so it must reproduce the cycle-
-    # accurate tables byte for byte. This is the end-to-end face of the
-    # kernel's quantum-1 identity contract (also proptest-enforced on
-    # checkpoints).
-    fig3_reference
-    cargo run --release -p mpsoc-bench --bin repro -- \
-        --exp fig3 --scale 1 --fast-gear 1 --no-bench-out > "$run_dir/fastgear.txt"
-    if ! diff <(filter_timing "$run_dir/fig3_ref.txt") \
-              <(filter_timing "$run_dir/fastgear.txt"); then
-        echo "gear gate FAILED: --fast-gear 1 produced different tables" >&2
-        exit 1
-    fi
-
-    echo "== gear equivalence: fig3 and many-to-one at --fast-gear 16, sparse vs --dense =="
-    # Above quantum 1 the fast gear has no exact reference in another gear,
-    # but it has its own dense twin: --dense dispatches every tick a window
-    # charges (FastCtx::stall is a no-op there, the hooks poll edge by edge),
-    # so the twin must print the same approximate tables.
-    local exp
-    for exp in fig3 many-to-one; do
-        cargo run --release -p mpsoc-bench --bin repro -- \
-            --exp "$exp" --scale 1 --fast-gear 16 --no-bench-out > "$run_dir/gear16.txt"
-        cargo run --release -p mpsoc-bench --bin repro -- \
-            --exp "$exp" --scale 1 --fast-gear 16 --dense --no-bench-out \
-            > "$run_dir/gear16_dense.txt"
-        if ! diff <(filter_timing "$run_dir/gear16.txt") \
-                  <(filter_timing "$run_dir/gear16_dense.txt"); then
-            echo "gear gate FAILED: $exp at --fast-gear 16 differs from its --dense twin" >&2
-            exit 1
-        fi
-    done
-    echo "gear equivalence gate passed"
 }
 
 gate_fast_forward() {
@@ -311,11 +212,7 @@ gate_server() {
 }
 
 stage_gates() {
-    gate_determinism
     gate_snapshot
-    gate_sparse
-    gate_parallel
-    gate_gear
     gate_fast_forward
     gate_server
 }
@@ -346,25 +243,6 @@ stage_dse() {
 }
 
 stage_scaling() {
-    echo "== scaling: robustness tables byte-identical at --tick-jobs 1/2/4 =="
-    # The fault-armed degradation study is the hardest identity case: every
-    # worker-computed tick buffers fault-probe draws that the commit phase
-    # replays in serial order. Any tick-jobs value must reproduce the
-    # serial tables byte for byte — on any host, core count irrelevant.
-    for j in 1 2 4; do
-        cargo run --release -p mpsoc-bench --bin repro -- \
-            --exp robustness --scale 1 --tick-jobs "$j" --no-bench-out \
-            > "$run_dir/scaling_j$j.txt"
-    done
-    for j in 2 4; do
-        if ! diff <(filter_timing "$run_dir/scaling_j1.txt") \
-                  <(filter_timing "$run_dir/scaling_j$j.txt"); then
-            echo "scaling gate FAILED: --tick-jobs $j produced different tables" >&2
-            exit 1
-        fi
-    done
-    echo "scaling identity gate passed"
-
     echo "== scaling: compute-heavy jobs ladder {1,2,4,8} =="
     # kernel_hotpath times the compute-heavy case at every rung of the
     # ladder and asserts edge counts, stats reports and state digests

@@ -2,8 +2,8 @@
 //!
 //! The benchmark harness of the workspace: a `repro` binary that
 //! regenerates **every table and figure** of the paper's evaluation
-//! section, and a set of Criterion benches (one per experiment) that track
-//! the simulator's wall-clock performance on those workloads.
+//! section and prints each experiment's wall time and kernel throughput,
+//! and the `kernel_hotpath` scheduler microbench.
 //!
 //! Run the full reproduction:
 //!
@@ -22,15 +22,17 @@ pub mod json;
 pub mod ledger;
 pub mod timetravel;
 
-use mpsoc_kernel::{activity, SimError, SimResult};
-use mpsoc_platform::experiments::{self, DEFAULT_SCALE, DEFAULT_SEED};
+use mpsoc_kernel::{activity, ExecMode, SimError, SimResult};
+use mpsoc_platform::experiments;
+pub use mpsoc_platform::experiments::Run;
 use serde::Serialize;
 use std::time::Instant;
 
 /// One entry of the experiment registry: the id the `repro` CLI accepts,
 /// a one-line description for `--list`, the approximate wall-clock time
 /// of a `--scale 1` run on a contemporary desktop host (release build,
-/// `--jobs 1`), and the function that runs it.
+/// `--jobs 1`), whether it keeps its own gear, and the function that runs
+/// it.
 pub struct ExperimentDesc {
     /// CLI identifier (`repro --exp <id>`).
     pub id: &'static str,
@@ -38,8 +40,12 @@ pub struct ExperimentDesc {
     pub description: &'static str,
     /// Approximate `--scale 1` wall time, e.g. `"~0.3 s"`.
     pub runtime: &'static str,
-    /// Runs the experiment at `(scale, seed, jobs)` and renders its table.
-    runner: fn(u64, u64, usize) -> SimResult<String>,
+    /// Whether the runner sets the kernel gear itself (per rung, per row),
+    /// so that `Run::exec.fidelity` — `repro --fast-gear` — does not reach
+    /// it. The schedule and the tick jobs reach every experiment.
+    pub own_gear: bool,
+    /// Runs the experiment and renders its table.
+    runner: fn(Run) -> SimResult<String>,
 }
 
 /// The single source of truth for every experiment the `repro` binary
@@ -51,105 +57,115 @@ pub const EXPERIMENT_REGISTRY: &[ExperimentDesc] = &[
         id: "many-to-many",
         description: "8 initiators x 4 targets offered-load sweep: min-buffer AXI vs STBus vs AHB",
         runtime: "~1.5 s",
-        runner: |scale, seed, jobs| {
-            Ok(experiments::many_to_many_with_jobs(scale, seed, jobs)?.to_string())
-        },
+        own_gear: false,
+        runner: |run| Ok(experiments::many_to_many(run)?.to_string()),
     },
     ExperimentDesc {
         id: "many-to-one",
         description: "12 initiators x 1 on-chip memory: protocol comparison under convergent load",
         runtime: "~0.2 s",
-        runner: |scale, seed, _| Ok(experiments::many_to_one(scale, seed)?.to_string()),
+        own_gear: false,
+        runner: |run| Ok(experiments::many_to_one(run)?.to_string()),
     },
     ExperimentDesc {
         id: "fig3",
         description: "normalized exec time across six platform organisations (paper Fig. 3)",
         runtime: "~0.3 s",
-        runner: |scale, seed, _| Ok(experiments::fig3(scale, seed)?.to_string()),
+        own_gear: false,
+        runner: |run| Ok(experiments::fig3(run)?.to_string()),
     },
     ExperimentDesc {
         id: "fig4",
         description:
             "collapsed vs distributed topology over memory wait states 1..32 (paper Fig. 4)",
         runtime: "~0.1 s",
-        runner: |scale, seed, jobs| Ok(experiments::fig4_with_jobs(scale, seed, jobs)?.to_string()),
+        own_gear: false,
+        runner: |run| Ok(experiments::fig4(run)?.to_string()),
     },
     ExperimentDesc {
         id: "fig5",
         description: "LMI controller + DDR SDRAM across four platform organisations (paper Fig. 5)",
         runtime: "~0.2 s",
-        runner: |scale, seed, _| Ok(experiments::fig5(scale, seed)?.to_string()),
+        own_gear: false,
+        runner: |run| Ok(experiments::fig5(run)?.to_string()),
     },
     ExperimentDesc {
         id: "fig6",
         description: "LMI FIFO state residency under the two-phase workload (paper Fig. 6)",
         runtime: "~0.1 s",
-        runner: |scale, seed, _| Ok(experiments::fig6(scale, seed)?.to_string()),
+        own_gear: false,
+        runner: |run| Ok(experiments::fig6(run)?.to_string()),
     },
     ExperimentDesc {
         id: "buffering",
         description: "STBus target-FIFO depth sweep closing the gap to AXI",
         runtime: "~0.4 s",
-        runner: |scale, seed, _| Ok(experiments::buffering_ablation(scale, seed)?.to_string()),
+        own_gear: false,
+        runner: |run| Ok(experiments::buffering_ablation(run)?.to_string()),
     },
     ExperimentDesc {
         id: "bridges",
         description: "distributed AXI with blocking vs split-capable bridges",
         runtime: "~0.1 s",
-        runner: |scale, seed, _| Ok(experiments::bridge_ablation(scale, seed)?.to_string()),
+        own_gear: false,
+        runner: |run| Ok(experiments::bridge_ablation(run)?.to_string()),
     },
     ExperimentDesc {
         id: "lmi",
         description: "LMI lookahead depth x merging ablation under full-platform traffic",
         runtime: "~0.5 s",
-        runner: |scale, seed, _| Ok(experiments::lmi_ablation(scale, seed)?.to_string()),
+        own_gear: false,
+        runner: |run| Ok(experiments::lmi_ablation(run)?.to_string()),
     },
     ExperimentDesc {
         id: "arbitration",
         description: "round-robin / fixed-priority / oldest-first on the full LMI platform",
         runtime: "~0.2 s",
-        runner: |scale, seed, _| Ok(experiments::arbitration_study(scale, seed)?.to_string()),
+        own_gear: false,
+        runner: |run| Ok(experiments::arbitration_study(run)?.to_string()),
     },
     ExperimentDesc {
         id: "noc",
         description: "shared STBus vs crossbar vs 3x4 mesh NoC under saturated traffic",
         runtime: "~0.3 s",
-        runner: |scale, seed, _| Ok(experiments::noc_outlook(scale, seed)?.to_string()),
+        own_gear: false,
+        runner: |run| Ok(experiments::noc_outlook(run)?.to_string()),
     },
     ExperimentDesc {
         id: "tlm",
         description: "cycle-accurate vs transaction-level fidelity: timing error and speedup",
         runtime: "~0.1 s",
-        runner: |scale, seed, _| Ok(experiments::fidelity_study(scale, seed)?.to_string()),
+        own_gear: false,
+        runner: |run| Ok(experiments::fidelity_study(run)?.to_string()),
     },
     ExperimentDesc {
         id: "fidelity",
         description:
             "loosely-timed fast-forward gear: fig4 warm-phase speedup vs error per quantum",
         runtime: "~0.3 s",
-        runner: |scale, seed, jobs| {
-            Ok(experiments::fast_forward_study(scale, seed, jobs)?.to_string())
-        },
+        own_gear: true,
+        runner: |run| Ok(experiments::fast_forward_study(run)?.to_string()),
     },
     ExperimentDesc {
         id: "dual-channel",
         description: "unified memory split across two LMI channels: exec time and FIFO pressure",
         runtime: "~0.2 s",
-        runner: |scale, seed, _| Ok(experiments::dual_channel_study(scale, seed)?.to_string()),
+        own_gear: false,
+        runner: |run| Ok(experiments::dual_channel_study(run)?.to_string()),
     },
     ExperimentDesc {
         id: "robustness",
         description: "fault rate x retry budget degradation table on the distributed LMI platform",
         runtime: "~1 s",
-        runner: |scale, seed, jobs| {
-            Ok(experiments::robustness_with_jobs(scale, seed, jobs)?.to_string())
-        },
+        own_gear: false,
+        runner: |run| Ok(experiments::robustness(run)?.to_string()),
     },
     ExperimentDesc {
         id: "dse",
         description:
             "successive-halving design-space exploration: Pareto front over fabric/memory knobs",
         runtime: "~1 s",
+        own_gear: true,
         runner: run_dse,
     },
 ];
@@ -166,28 +182,18 @@ pub fn find_experiment(id: &str) -> Option<&'static ExperimentDesc> {
 
 /// Runs one experiment by id and returns its printable report.
 ///
+/// Only the fan-out-shaped experiments (`fig4`, `many-to-many`,
+/// `robustness`, `dse`, ...) spread their independent simulation
+/// instances over `run.jobs` threads; the rest run on the calling thread.
+/// The produced table is identical for any `jobs` value.
+///
 /// # Errors
 ///
 /// Returns an error for unknown ids (listing the valid ones) or if the
 /// underlying platform stalls.
-pub fn run_experiment(id: &str, scale: u64, seed: u64) -> SimResult<String> {
-    run_experiment_with_jobs(id, scale, seed, 1)
-}
-
-/// Runs one experiment by id with up to `jobs` worker threads.
-///
-/// Only the fan-out-shaped experiments (`fig4`, `many-to-many`,
-/// `robustness`, `dse`, ...) spread their independent simulation
-/// instances over threads; the rest run on the calling thread regardless
-/// of `jobs`. The produced table is identical to [`run_experiment`] for
-/// any `jobs` value.
-///
-/// # Errors
-///
-/// Same as [`run_experiment`].
-pub fn run_experiment_with_jobs(id: &str, scale: u64, seed: u64, jobs: usize) -> SimResult<String> {
+pub fn run_experiment(id: &str, run: Run) -> SimResult<String> {
     match find_experiment(id) {
-        Some(desc) => (desc.runner)(scale, seed, jobs),
+        Some(desc) => (desc.runner)(run),
         None => Err(mpsoc_kernel::SimError::InvalidConfig {
             reason: format!(
                 "unknown experiment '{id}'; expected one of {}",
@@ -198,7 +204,7 @@ pub fn run_experiment_with_jobs(id: &str, scale: u64, seed: u64, jobs: usize) ->
 }
 
 /// CLI-level options of the `dse` experiment that do not fit the uniform
-/// `(scale, seed, jobs)` runner signature: checkpointing and resume.
+/// runner signature: checkpointing and resume.
 /// The `repro` binary stashes them with [`set_dse_options`] before the
 /// run; a plain [`run_experiment`] call gets the defaults (no
 /// checkpointing).
@@ -279,8 +285,11 @@ pub fn take_dse_run() -> Option<DseRun> {
 /// ledger measurement, and returns the rendered Pareto table. When the
 /// run fans out (`jobs` >= 2) the search is repeated serially to measure
 /// the fan-out speedup — and the two tables are proven byte-identical,
-/// the same self-check discipline as `--warm-fork`.
-fn run_dse(scale: u64, seed: u64, jobs: usize) -> SimResult<String> {
+/// the same self-check discipline as `--warm-fork`. The search shifts the
+/// gear itself, rung by rung: of `run.exec` the schedule and the tick jobs
+/// reach the candidates, the gear does not.
+fn run_dse(run: Run) -> SimResult<String> {
+    let Run { scale, seed, .. } = run;
     let options = DSE_OPTIONS
         .lock()
         .expect("dse options lock")
@@ -289,7 +298,8 @@ fn run_dse(scale: u64, seed: u64, jobs: usize) -> SimResult<String> {
     let config = mpsoc_dse::DseConfig {
         scale,
         seed,
-        jobs: jobs.max(1),
+        jobs: run.jobs.max(1),
+        exec: run.exec,
         workload: mpsoc_dse::DseWorkload::Saturated,
         checkpoint_path: options.checkpoint_path,
         checkpoint_every: options.checkpoint_every,
@@ -483,15 +493,10 @@ fn si(rate: f64) -> String {
 /// # Errors
 ///
 /// Same as [`run_experiment`].
-pub fn measure_experiment(
-    id: &str,
-    scale: u64,
-    seed: u64,
-    jobs: usize,
-) -> SimResult<ExperimentRun> {
+pub fn measure_experiment(id: &str, run: Run) -> SimResult<ExperimentRun> {
     let before = activity::snapshot();
     let started = Instant::now();
-    let table = run_experiment_with_jobs(id, scale, seed, jobs)?;
+    let table = run_experiment(id, run)?;
     let wall_seconds = started.elapsed().as_secs_f64().max(1e-9);
     let delta = activity::snapshot().since(before);
     Ok(ExperimentRun {
@@ -550,66 +555,63 @@ pub struct Fig4ScalingRun {
 pub const SCALING_JOBS: [usize; 4] = [1, 2, 4, 8];
 
 /// Times the fig4 sweep at every point of [`SCALING_JOBS`] intra-edge
-/// worker threads and proves each table byte-identical to the serial one.
-///
-/// The tick-jobs default is process-global (experiments pick it up at
-/// platform construction), so the caller's value is restored via
-/// `restore_tick_jobs` afterwards — including on the error path.
+/// worker threads (`run.exec.tick_jobs` is the ladder's to set; the sweep
+/// itself runs its points serially) and proves each table byte-identical
+/// to the serial one.
 ///
 /// # Errors
 ///
 /// Fails if a sweep stalls, or — the self-check — if any job count's
 /// table differs from the serial one in any byte.
-pub fn measure_fig4_scaling(
-    scale: u64,
-    seed: u64,
-    restore_tick_jobs: usize,
-) -> SimResult<Fig4ScalingRun> {
+pub fn measure_fig4_scaling(run: Run) -> SimResult<Fig4ScalingRun> {
     let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let result = (|| {
-        let mut points = Vec::with_capacity(SCALING_JOBS.len());
-        let mut serial: Option<(String, f64)> = None;
-        for &jobs in &SCALING_JOBS {
-            // Clamp oversubscribed rungs: asking a one-core host for eight
-            // workers records scheduler thrash as a 0.02x "speedup".
-            let effective_jobs = jobs.min(host_cores);
-            mpsoc_kernel::set_tick_jobs_default(effective_jobs);
-            let started = Instant::now();
-            let table = experiments::fig4_with_jobs(scale, seed, 1)?.to_string();
-            let wall_seconds = started.elapsed().as_secs_f64().max(1e-9);
-            let serial_seconds = match &serial {
-                None => {
-                    serial = Some((table.clone(), wall_seconds));
-                    wall_seconds
+    let mut points = Vec::with_capacity(SCALING_JOBS.len());
+    let mut serial: Option<(String, f64)> = None;
+    for &jobs in &SCALING_JOBS {
+        // Clamp oversubscribed rungs: asking a one-core host for eight
+        // workers records scheduler thrash as a 0.02x "speedup".
+        let effective_jobs = jobs.min(host_cores);
+        let rung = Run {
+            jobs: 1,
+            exec: ExecMode {
+                tick_jobs: effective_jobs,
+                ..run.exec
+            },
+            ..run
+        };
+        let started = Instant::now();
+        let table = experiments::fig4(rung)?.to_string();
+        let wall_seconds = started.elapsed().as_secs_f64().max(1e-9);
+        let serial_seconds = match &serial {
+            None => {
+                serial = Some((table.clone(), wall_seconds));
+                wall_seconds
+            }
+            Some((serial_table, serial_seconds)) => {
+                if *serial_table != table {
+                    return Err(SimError::InvalidConfig {
+                        reason: format!(
+                            "fig4 scaling self-check failed: the tick-jobs={jobs} table \
+                             differs from the serial one\n--- serial ---\n{serial_table}\n\
+                             --- tick-jobs={jobs} ---\n{table}"
+                        ),
+                    });
                 }
-                Some((serial_table, serial_seconds)) => {
-                    if *serial_table != table {
-                        return Err(SimError::InvalidConfig {
-                            reason: format!(
-                                "fig4 scaling self-check failed: the tick-jobs={jobs} table \
-                                 differs from the serial one\n--- serial ---\n{serial_table}\n\
-                                 --- tick-jobs={jobs} ---\n{table}"
-                            ),
-                        });
-                    }
-                    *serial_seconds
-                }
-            };
-            points.push(Fig4ScalingPoint {
-                jobs: jobs as u64,
-                effective_jobs: effective_jobs as u64,
-                oversubscribed: effective_jobs < jobs,
-                wall_seconds,
-                speedup: serial_seconds / wall_seconds,
-            });
-        }
-        Ok(Fig4ScalingRun {
-            host_cores: host_cores as u64,
-            points,
-        })
-    })();
-    mpsoc_kernel::set_tick_jobs_default(restore_tick_jobs);
-    result
+                *serial_seconds
+            }
+        };
+        points.push(Fig4ScalingPoint {
+            jobs: jobs as u64,
+            effective_jobs: effective_jobs as u64,
+            oversubscribed: effective_jobs < jobs,
+            wall_seconds,
+            speedup: serial_seconds / wall_seconds,
+        });
+    }
+    Ok(Fig4ScalingRun {
+        host_cores: host_cores as u64,
+        points,
+    })
 }
 
 /// The `repro --warm-fork` measurement: the fig4 sweep run twice, once
@@ -649,19 +651,22 @@ impl WarmForkRun {
 }
 
 /// Runs the fig4 sweep cold and checkpoint-forked, verifies the two tables
-/// are byte-identical, and returns both timings.
+/// are byte-identical, and returns both timings. The forked leg is the
+/// [`service`](mpsoc_platform::service)'s: of `run.exec` only the tick jobs
+/// reach it (see [`experiments::fig4_warm_fork`]), so `repro` refuses
+/// `--dense` and `--fast-gear` beside `--warm-fork`.
 ///
 /// # Errors
 ///
 /// Fails if either sweep stalls, or — the self-check — if the forked table
 /// differs from the cold one in any byte, which would mean snapshot
 /// restore is not exact.
-pub fn measure_warm_fork(scale: u64, seed: u64, jobs: usize) -> SimResult<WarmForkRun> {
+pub fn measure_warm_fork(run: Run) -> SimResult<WarmForkRun> {
     let started = Instant::now();
-    let cold = experiments::fig4_with_jobs(scale, seed, jobs)?.to_string();
+    let cold = experiments::fig4(run)?.to_string();
     let cold_seconds = started.elapsed().as_secs_f64().max(1e-9);
     let started = Instant::now();
-    let fork = experiments::fig4_warm_fork_with_jobs(scale, seed, jobs)?.to_string();
+    let fork = experiments::fig4_warm_fork(run)?.to_string();
     let fork_seconds = started.elapsed().as_secs_f64().max(1e-9);
     if cold != fork {
         return Err(SimError::Snapshot {
@@ -674,9 +679,9 @@ pub fn measure_warm_fork(scale: u64, seed: u64, jobs: usize) -> SimResult<WarmFo
         });
     }
     Ok(WarmForkRun {
-        scale,
-        seed,
-        jobs: jobs as u64,
+        scale: run.scale,
+        seed: run.seed,
+        jobs: run.jobs as u64,
         table: fork,
         cold_seconds,
         fork_seconds,
@@ -743,16 +748,19 @@ impl FastForwardRun {
 }
 
 /// Runs the loosely-timed fast-forward study, verifies the `quantum = 1`
-/// identity, and returns the default-quantum headline numbers.
+/// identity, and returns the default-quantum headline numbers. The study
+/// sets the gear of every row itself ([`experiments::fast_forward_study`]),
+/// and the headline it records is the sparse schedule's: `repro` refuses
+/// `--fast-gear` and `--dense` beside `--fast-warm`.
 ///
 /// # Errors
 ///
 /// Fails if a sweep stalls, or — the self-check — if the `quantum = 1`
 /// table differs from the cycle-gear one in any byte, which would mean the
 /// degenerate gear is not an identity.
-pub fn measure_fast_forward(scale: u64, seed: u64, jobs: usize) -> SimResult<FastForwardRun> {
+pub fn measure_fast_forward(run: Run) -> SimResult<FastForwardRun> {
     let before = activity::snapshot();
-    let study = experiments::fast_forward_study(scale, seed, jobs)?;
+    let study = experiments::fast_forward_study(run)?;
     let delta = activity::snapshot().since(before);
     let q1 = study.q1_row();
     if !q1.identical {
@@ -766,9 +774,9 @@ pub fn measure_fast_forward(scale: u64, seed: u64, jobs: usize) -> SimResult<Fas
     }
     let headline = study.default_quantum_row();
     Ok(FastForwardRun {
-        scale,
-        seed,
-        jobs: jobs as u64,
+        scale: run.scale,
+        seed: run.seed,
+        jobs: run.jobs as u64,
         quantum: headline.quantum,
         warm_cycle_seconds: study.cycle_warm_seconds,
         warm_fast_seconds: headline.warm_seconds,
@@ -781,30 +789,20 @@ pub fn measure_fast_forward(scale: u64, seed: u64, jobs: usize) -> SimResult<Fas
     })
 }
 
-/// Default scale re-exported for the benches.
-pub const fn default_scale() -> u64 {
-    DEFAULT_SCALE
-}
-
-/// Default seed re-exported for the benches.
-pub const fn default_seed() -> u64 {
-    DEFAULT_SEED
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn unknown_experiment_is_reported() {
-        let err = run_experiment("nope", 1, 1).unwrap_err();
+        let err = run_experiment("nope", Run::new(1, 1)).unwrap_err();
         assert!(err.to_string().contains("unknown experiment"));
         assert!(err.to_string().contains("fig3"));
     }
 
     #[test]
     fn smallest_scale_smoke() {
-        let out = run_experiment("many-to-one", 1, 1).expect("runs");
+        let out = run_experiment("many-to-one", Run::new(1, 1)).expect("runs");
         assert!(out.contains("STBus"));
     }
 
@@ -823,7 +821,7 @@ mod tests {
 
     #[test]
     fn dse_runner_records_a_measurement() {
-        let table = run_experiment_with_jobs("dse", 1, 0x0dab, 1).expect("dse runs");
+        let table = run_experiment("dse", Run::new(1, 0x0dab)).expect("dse runs");
         assert!(table.contains("pareto front"));
         let run = take_dse_run().expect("a completed run is stashed");
         assert!(run.front_size >= 3, "front too small: {}", run.front_size);
@@ -840,14 +838,14 @@ mod tests {
 
     #[test]
     fn warm_fork_smoke_is_identical() {
-        let run = measure_warm_fork(1, 0x0dab, 1).expect("warm fork runs");
+        let run = measure_warm_fork(Run::new(1, 0x0dab)).expect("warm fork runs");
         assert!(run.table.contains("FIG-4"));
         assert!(run.cold_seconds > 0.0 && run.fork_seconds > 0.0);
     }
 
     #[test]
     fn fig4_scaling_covers_the_job_ladder() {
-        let run = measure_fig4_scaling(1, 0x0dab, 1).expect("scaling runs");
+        let run = measure_fig4_scaling(Run::new(1, 0x0dab)).expect("scaling runs");
         assert_eq!(run.points.len(), SCALING_JOBS.len());
         assert_eq!(run.points[0].jobs, 1);
         assert!((run.points[0].speedup - 1.0).abs() < 1e-9);

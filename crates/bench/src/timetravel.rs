@@ -12,6 +12,7 @@
 //! against one from the reference pass. Trace buffers are deliberately
 //! outside the snapshot, so arming tracing cannot perturb the comparison.
 
+use crate::Run;
 use mpsoc_kernel::{SimError, SimResult, SnapshotBlob, SnapshotError, Time};
 use mpsoc_memory::LmiConfig;
 use mpsoc_platform::{build_platform, Fidelity, MemorySystem, PlatformSpec, Topology, Workload};
@@ -31,12 +32,8 @@ const TRACE_TAIL: usize = 20;
 /// needs exactly one, so each id maps to a single representative point
 /// (the `noc` mesh study gets the distributed STBus platform as its
 /// platform-shaped proxy). Returns `None` for unknown ids.
-pub fn representative_spec(id: &str, scale: u64, seed: u64) -> Option<PlatformSpec> {
-    let base = PlatformSpec {
-        scale,
-        seed,
-        ..PlatformSpec::default()
-    };
+pub fn representative_spec(id: &str, run: Run) -> Option<PlatformSpec> {
+    let base = run.platform_spec();
     let spec = match id {
         "many-to-many" | "buffering" => PlatformSpec {
             topology: Topology::SingleLayer,
@@ -153,12 +150,11 @@ impl fmt::Display for TimeTravelReport {
 /// from the reference pass in any byte.
 pub fn time_travel(
     id: &str,
-    scale: u64,
-    seed: u64,
+    run: Run,
     every_ns: u64,
     rewind_ns: u64,
 ) -> SimResult<TimeTravelReport> {
-    let spec = representative_spec(id, scale, seed).ok_or_else(|| SimError::InvalidConfig {
+    let spec = representative_spec(id, run).ok_or_else(|| SimError::InvalidConfig {
         reason: format!(
             "unknown experiment '{id}'; expected one of {}",
             crate::experiment_ids().join(", ")
@@ -243,16 +239,17 @@ mod tests {
     fn every_experiment_has_a_representative_spec() {
         for id in crate::experiment_ids() {
             assert!(
-                representative_spec(id, 1, 1).is_some(),
+                representative_spec(id, Run::new(1, 1)).is_some(),
                 "no representative platform for '{id}'"
             );
         }
-        assert!(representative_spec("nope", 1, 1).is_none());
+        assert!(representative_spec("nope", Run::new(1, 1)).is_none());
     }
 
     #[test]
     fn rewind_verifies_against_the_reference_pass() {
-        let report = time_travel("fig4", 1, 0x0dab, 500, 2_000).expect("time travel runs");
+        let report =
+            time_travel("fig4", Run::new(1, 0x0dab), 500, 2_000).expect("time travel runs");
         assert!(report.checkpoints >= 2, "periodic checkpoints retained");
         assert_eq!(report.target, Time::from_ns(2_000));
         assert!(report.origin < report.target);
@@ -263,7 +260,7 @@ mod tests {
 
     #[test]
     fn unknown_id_is_rejected() {
-        let err = time_travel("nope", 1, 1, 100, 1_000).unwrap_err();
+        let err = time_travel("nope", Run::new(1, 1), 100, 1_000).unwrap_err();
         assert!(err.to_string().contains("unknown experiment"));
     }
 }

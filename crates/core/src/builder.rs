@@ -3,7 +3,7 @@
 use mpsoc_ahb::{AhbBus, AhbBusConfig};
 use mpsoc_axi::{AxiInterconnect, AxiInterconnectConfig};
 use mpsoc_bridge::{Bridge, BridgeConfig};
-use mpsoc_kernel::{ClockDomain, Component, LinkId, SimError, SimResult, Simulation};
+use mpsoc_kernel::{ClockDomain, Component, ExecMode, LinkId, SimError, SimResult, Simulation};
 use mpsoc_memory::{LmiConfig, LmiController, OnChipMemory, OnChipMemoryConfig};
 use mpsoc_protocol::{
     AddressRange, DataWidth, InitiatorId, Packet, ProtocolKind, TlmBus, TlmBusConfig,
@@ -141,14 +141,12 @@ pub struct PlatformBuilder {
 }
 
 impl PlatformBuilder {
-    /// Creates a builder whose simulation RNG is seeded with `seed`.
-    ///
-    /// The simulation honours the process-wide execution defaults: the
-    /// dense/sparse schedule and the tick-job count (see
-    /// [`set_tick_jobs_default`](mpsoc_kernel::set_tick_jobs_default)).
-    pub fn new(seed: u64) -> Self {
+    /// Creates a builder whose simulation RNG is seeded with `seed` and
+    /// which executes in `exec` — the one place a platform's [`ExecMode`]
+    /// is applied ([`Simulation::set_exec`]).
+    pub fn new(seed: u64, exec: ExecMode) -> Self {
         let mut sim = Simulation::with_seed(seed);
-        sim.set_tick_jobs(mpsoc_kernel::tick_jobs_default());
+        sim.set_exec(exec);
         PlatformBuilder {
             sim,
             buses: Vec::new(),
@@ -518,7 +516,7 @@ mod tests {
 
     #[test]
     fn initiator_ids_are_unique() {
-        let mut b = PlatformBuilder::new(0);
+        let mut b = PlatformBuilder::new(0, ExecMode::default());
         let a = b.alloc_initiator();
         let c = b.alloc_initiator();
         assert_ne!(a, c);
@@ -538,7 +536,7 @@ mod tests {
     #[test]
     fn overlapping_memory_ranges_are_rejected() {
         let clk = ClockDomain::from_mhz(250);
-        let mut b = PlatformBuilder::new(0);
+        let mut b = PlatformBuilder::new(0, ExecMode::default());
         let bus = b.add_bus("n", stbus_spec(), clk);
         b.add_on_chip_memory(
             bus,
@@ -561,7 +559,7 @@ mod tests {
     #[test]
     fn invalid_iptg_config_is_rejected() {
         let clk = ClockDomain::from_mhz(250);
-        let mut b = PlatformBuilder::new(0);
+        let mut b = PlatformBuilder::new(0, ExecMode::default());
         let bus = b.add_bus("n", stbus_spec(), clk);
         let initiator = b.alloc_initiator();
         let mut agent =
@@ -580,7 +578,7 @@ mod tests {
     #[test]
     fn minimal_hand_built_platform_runs() {
         let clk = ClockDomain::from_mhz(250);
-        let mut b = PlatformBuilder::new(3);
+        let mut b = PlatformBuilder::new(3, ExecMode::default());
         let bus = b.add_bus("n", stbus_spec(), clk);
         assert_eq!(b.bus_clock(bus), clk);
         b.add_on_chip_memory(

@@ -1,5 +1,6 @@
 //! Ablation experiments for the design choices the paper calls out.
 
+use super::Run;
 use crate::platforms::{
     build_platform, build_single_layer, MemorySystem, PlatformSpec, SingleLayerSpec, Topology,
 };
@@ -46,16 +47,14 @@ impl fmt::Display for BufferingAblation {
 /// # Errors
 ///
 /// Fails if a platform instance stalls.
-pub fn buffering_ablation(scale: u64, seed: u64) -> SimResult<BufferingAblation> {
+pub fn buffering_ablation(run: Run) -> SimResult<BufferingAblation> {
     // Saturating, write-heavy traffic: write data shares the STBus request
     // channel with read requests, which is where target-side buffering can
     // claw performance back.
     let base = SingleLayerSpec {
         think_cycles: (0, 4),
         read_fraction: 0.45,
-        scale,
-        seed,
-        ..SingleLayerSpec::default()
+        ..run.single_layer_spec()
     };
     let mut stbus = Vec::new();
     for depth in [1usize, 2, 4, 8] {
@@ -108,14 +107,12 @@ impl fmt::Display for BridgeAblation {
 /// # Errors
 ///
 /// Fails if a platform instance stalls.
-pub fn bridge_ablation(scale: u64, seed: u64) -> SimResult<BridgeAblation> {
+pub fn bridge_ablation(run: Run) -> SimResult<BridgeAblation> {
     let base = PlatformSpec {
         protocol: ProtocolKind::Axi,
         topology: Topology::Distributed,
         memory: MemorySystem::OnChip { wait_states: 1 },
-        scale,
-        seed,
-        ..PlatformSpec::default()
+        ..run.platform_spec()
     };
     let blocking_cycles = {
         let mut p = build_platform(&base)?;
@@ -201,7 +198,7 @@ impl fmt::Display for LmiAblation {
 /// # Errors
 ///
 /// Fails if a platform instance stalls.
-pub fn lmi_ablation(scale: u64, seed: u64) -> SimResult<LmiAblation> {
+pub fn lmi_ablation(run: Run) -> SimResult<LmiAblation> {
     let mut rows = Vec::new();
     for lookahead in [0usize, 2, 4, 8] {
         for merging in [false, true] {
@@ -214,9 +211,7 @@ pub fn lmi_ablation(scale: u64, seed: u64) -> SimResult<LmiAblation> {
                 protocol: ProtocolKind::StbusT3,
                 topology: Topology::Distributed,
                 memory: MemorySystem::Lmi(cfg),
-                scale,
-                seed,
-                ..PlatformSpec::default()
+                ..run.platform_spec()
             };
             let mut p = build_platform(&spec)?;
             let report = p.run()?;
@@ -240,7 +235,7 @@ mod tests {
 
     #[test]
     fn buffering_depth_monotonically_helps() {
-        let abl = buffering_ablation(2, 3).expect("runs");
+        let abl = buffering_ablation(Run::new(2, 3)).expect("runs");
         let first = abl.stbus.first().expect("rows").1;
         let last = abl.stbus.last().expect("rows").1;
         assert!(
@@ -251,7 +246,7 @@ mod tests {
 
     #[test]
     fn split_bridges_recover_axi_performance() {
-        let abl = bridge_ablation(2, 3).expect("runs");
+        let abl = bridge_ablation(Run::new(2, 3)).expect("runs");
         assert!(
             abl.split_cycles < abl.blocking_cycles,
             "split {} vs blocking {}",
@@ -262,7 +257,7 @@ mod tests {
 
     #[test]
     fn arbitration_policies_all_complete() {
-        let study = arbitration_study(1, 3).expect("runs");
+        let study = arbitration_study(Run::new(1, 3)).expect("runs");
         assert_eq!(study.rows.len(), 3);
         for row in &study.rows {
             assert!(row.exec_cycles > 0);
@@ -272,7 +267,7 @@ mod tests {
 
     #[test]
     fn lmi_optimizations_pay_off() {
-        let abl = lmi_ablation(2, 3).expect("runs");
+        let abl = lmi_ablation(Run::new(2, 3)).expect("runs");
         let worst = abl
             .rows
             .iter()
@@ -344,7 +339,7 @@ impl fmt::Display for ArbitrationStudy {
 /// # Errors
 ///
 /// Fails if a platform instance stalls.
-pub fn arbitration_study(scale: u64, seed: u64) -> SimResult<ArbitrationStudy> {
+pub fn arbitration_study(run: Run) -> SimResult<ArbitrationStudy> {
     let mut rows = Vec::new();
     for policy in [
         ArbitrationPolicy::RoundRobin,
@@ -356,9 +351,7 @@ pub fn arbitration_study(scale: u64, seed: u64) -> SimResult<ArbitrationStudy> {
             topology: Topology::Distributed,
             memory: MemorySystem::Lmi(LmiConfig::default()),
             arbitration: policy,
-            scale,
-            seed,
-            ..PlatformSpec::default()
+            ..run.platform_spec()
         };
         let mut p = build_platform(&spec)?;
         let report = p.run()?;

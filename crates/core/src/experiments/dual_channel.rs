@@ -8,6 +8,7 @@
 //! the single-channel execution time comes back, with the IP footprints
 //! spread evenly across the two channels.
 
+use super::Run;
 use crate::platforms::{
     build_platform_with_ips, CustomIp, MemorySystem, PlatformSpec, Topology, MEM_BASE, MEM_LEN,
 };
@@ -109,24 +110,22 @@ fn roster(scale: u64) -> Vec<CustomIp> {
 /// # Errors
 ///
 /// Fails if a platform instance stalls.
-pub fn dual_channel_study(scale: u64, seed: u64) -> SimResult<DualChannelStudy> {
-    let run = |memory: MemorySystem| -> SimResult<(u64, f64)> {
+pub fn dual_channel_study(run: Run) -> SimResult<DualChannelStudy> {
+    let measure = |memory: MemorySystem| -> SimResult<(u64, f64)> {
         let spec = PlatformSpec {
             protocol: ProtocolKind::StbusT3,
             topology: Topology::Distributed,
             memory,
             with_dsp: false,
-            scale,
-            seed,
-            ..PlatformSpec::default()
+            ..run.platform_spec()
         };
-        let mut p = build_platform_with_ips(&spec, &roster(scale))?;
+        let mut p = build_platform_with_ips(&spec, &roster(run.scale))?;
         let report = p.run()?;
         let worst_full = report.lmi.iter().map(|l| l.full).fold(0.0f64, f64::max);
         Ok((report.exec_cycles, worst_full))
     };
-    let (single_cycles, single_full) = run(MemorySystem::Lmi(LmiConfig::default()))?;
-    let (dual_cycles, dual_full) = run(MemorySystem::DualLmi(LmiConfig::default()))?;
+    let (single_cycles, single_full) = measure(MemorySystem::Lmi(LmiConfig::default()))?;
+    let (dual_cycles, dual_full) = measure(MemorySystem::DualLmi(LmiConfig::default()))?;
     Ok(DualChannelStudy {
         single_cycles,
         dual_cycles,
@@ -142,7 +141,7 @@ mod tests {
 
     #[test]
     fn second_channel_removes_the_bottleneck() {
-        let study = dual_channel_study(2, 0x0dab).expect("runs");
+        let study = dual_channel_study(Run::new(2, 0x0dab)).expect("runs");
         assert!(
             study.speed_ratio < 0.92,
             "a second channel must pay off, ratio {}",

@@ -12,6 +12,7 @@
 //! interconnect detail contributes little. The divergence grows exactly
 //! where guideline 1 says it should: under many-to-many contention.
 
+use super::Run;
 use crate::platforms::{build_platform, Fidelity, PlatformSpec};
 use mpsoc_kernel::SimResult;
 use std::fmt;
@@ -64,7 +65,7 @@ impl fmt::Display for FidelityStudy {
 /// # Errors
 ///
 /// Fails if a platform instance stalls.
-pub fn fidelity_study(scale: u64, seed: u64) -> SimResult<FidelityStudy> {
+pub fn fidelity_study(run: Run) -> SimResult<FidelityStudy> {
     let mut rows = Vec::new();
     let mut cycles = [0u64; 2];
     let mut wall = [0u128; 2];
@@ -77,9 +78,7 @@ pub fn fidelity_study(scale: u64, seed: u64) -> SimResult<FidelityStudy> {
     {
         let spec = PlatformSpec {
             fidelity,
-            scale,
-            seed,
-            ..PlatformSpec::default()
+            ..run.platform_spec()
         };
         let mut platform = build_platform(&spec)?;
         let started = std::time::Instant::now();
@@ -107,7 +106,7 @@ mod tests {
 
     #[test]
     fn tlm_tracks_cycle_accurate_timing_when_memory_bound() {
-        let study = fidelity_study(2, 0x0dab).expect("runs");
+        let study = fidelity_study(Run::new(2, 0x0dab)).expect("runs");
         assert_eq!(study.rows.len(), 2);
         // Under the reference workload the single memory is the bottleneck,
         // so the contention-free transport should land close to the

@@ -9,6 +9,7 @@
 //! every transaction; and the distributed AXI platform with lightweight
 //! blocking bridges loses most of AXI's advantage.
 
+use super::Run;
 use crate::platforms::{build_platform, MemorySystem, PlatformSpec, Topology};
 use mpsoc_kernel::SimResult;
 use mpsoc_protocol::ProtocolKind;
@@ -67,7 +68,7 @@ impl fmt::Display for Fig3 {
 /// # Errors
 ///
 /// Fails if any platform instance stalls (model bug).
-pub fn fig3(scale: u64, seed: u64) -> SimResult<Fig3> {
+pub fn fig3(run: Run) -> SimResult<Fig3> {
     let variants: [(&str, ProtocolKind, Topology); 6] = [
         ("collapsed AXI", ProtocolKind::Axi, Topology::SingleLayer),
         (
@@ -94,9 +95,7 @@ pub fn fig3(scale: u64, seed: u64) -> SimResult<Fig3> {
             protocol,
             topology,
             memory: MemorySystem::OnChip { wait_states: 1 },
-            scale,
-            seed,
-            ..PlatformSpec::default()
+            ..run.platform_spec()
         };
         let mut platform = build_platform(&spec)?;
         let report = platform.run()?;
@@ -124,7 +123,7 @@ mod tests {
 
     #[test]
     fn fig3_shape_matches_paper() {
-        let fig = fig3(2, 0x0dab).expect("runs");
+        let fig = fig3(Run::new(2, 0x0dab)).expect("runs");
         let collapsed_axi = fig.normalized("collapsed AXI").unwrap();
         let collapsed_stbus = fig.normalized("collapsed STBus").unwrap();
         let full_stbus = fig.normalized("full STBus").unwrap();

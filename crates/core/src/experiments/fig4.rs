@@ -12,7 +12,7 @@
 //! cluster either attached locally (collapsed) or behind the two-hop
 //! bridge path (distributed).
 
-use super::parallel_map;
+use super::{parallel_map, Run};
 use crate::platforms::{build_platform, Platform, PlatformSpec, Topology, Workload};
 use crate::service::{self, SweepRequest, WarmProfile};
 use mpsoc_kernel::{Fidelity, SimResult, SnapshotBlob, Time};
@@ -75,23 +75,29 @@ impl fmt::Display for Fig4 {
 }
 
 /// The base point of one topology's sweep as a service request: fig4 *is*
-/// the [`service`] sweep for this one platform configuration.
-fn point_request(scale: u64, seed: u64, topology: Topology) -> SweepRequest {
+/// the [`service`] sweep for this one platform configuration. A request has
+/// room for one field of the run's mode — the tick jobs of its served tail.
+fn point_request(run: Run, topology: Topology) -> SweepRequest {
     SweepRequest {
         protocol: ProtocolKind::StbusT3,
         topology,
         workload: Workload::BurstyPosted,
-        scale,
-        seed,
+        scale: run.scale,
+        seed: run.seed,
         base_wait_states: BASE_WS,
+        tick_jobs: run.exec.tick_jobs,
         ..SweepRequest::default()
     }
 }
 
-/// The spec every sweep point starts from: memory at [`BASE_WS`]; the
-/// point's own wait states are applied at the warm boundary.
-fn point_spec(scale: u64, seed: u64, topology: Topology) -> PlatformSpec {
-    point_request(scale, seed, topology).base_spec()
+/// The spec every sweep point starts from, executing in the run's mode:
+/// memory at [`BASE_WS`]; the point's own wait states are applied at the
+/// warm boundary.
+fn point_spec(run: Run, topology: Topology) -> PlatformSpec {
+    PlatformSpec {
+        exec: run.exec,
+        ..point_request(run, topology).base_spec()
+    }
 }
 
 /// The shared prefix of one topology's sweep: the base-run result and the
@@ -99,21 +105,14 @@ fn point_spec(scale: u64, seed: u64, topology: Topology) -> PlatformSpec {
 /// [`service::probe_warm`], which owns the sampling machinery).
 type WarmPhase = WarmProfile;
 
-/// Runs the probe (the `ws = BASE_WS` point) and derives the warm boundary.
-fn probe(scale: u64, seed: u64, topology: Topology) -> SimResult<WarmPhase> {
-    probe_with(scale, seed, topology, None)
-}
-
-/// [`probe`], with the kernel gear forced to `gear` when given (instead of
-/// the process-wide default the platform builder applies). See
-/// [`service::probe_warm`] for the gear caveats.
-fn probe_with(
-    scale: u64,
-    seed: u64,
-    topology: Topology,
-    gear: Option<Fidelity>,
-) -> SimResult<WarmPhase> {
-    service::probe_warm(&point_spec(scale, seed, topology), gear)
+/// Runs the probe (the `ws = BASE_WS` point) of both topologies in `gear`
+/// and derives their warm boundaries. See [`service::probe_warm`] for the
+/// gear caveats.
+fn probe_both(run: Run, gear: Fidelity) -> SimResult<[WarmPhase; 2]> {
+    Ok([
+        service::probe_warm(&point_spec(run, Topology::Collapsed), gear)?,
+        service::probe_warm(&point_spec(run, Topology::Distributed), gear)?,
+    ])
 }
 
 /// Switches `platform` (already advanced to the warm boundary) to the
@@ -146,39 +145,27 @@ fn assemble(warm: &[WarmPhase; 2], tails: Vec<SimResult<[u64; 2]>>) -> SimResult
     Ok(Fig4 { points })
 }
 
-/// Runs the Figure 4 sweep sequentially.
-///
-/// # Errors
-///
-/// Fails if any platform instance stalls (model bug).
-pub fn fig4(scale: u64, seed: u64) -> SimResult<Fig4> {
-    fig4_with_jobs(scale, seed, 1)
-}
-
-/// Runs the Figure 4 sweep with up to `jobs` worker threads.
+/// Runs the Figure 4 sweep with up to `run.jobs` worker threads.
 ///
 /// Every point shares the same warm-up phase — the platform runs at
 /// `BASE_WS` (1 ws) until the warm boundary, then switches to the point's wait
 /// states — so the sweep isolates the memory-speed effect on an identical
 /// in-flight state. Points are independent simulations built from the same
-/// spec and seed, so the result is identical to [`fig4`] for any `jobs`;
-/// only wall-clock time changes.
+/// spec and seed, so the result is identical for any `jobs`; only wall-clock
+/// time changes.
 ///
 /// # Errors
 ///
 /// Fails if any platform instance stalls (model bug).
-pub fn fig4_with_jobs(scale: u64, seed: u64, jobs: usize) -> SimResult<Fig4> {
-    let warm = [
-        probe(scale, seed, Topology::Collapsed)?,
-        probe(scale, seed, Topology::Distributed)?,
-    ];
-    let tails = parallel_map(SWEEP[1..].to_vec(), jobs, |ws| -> SimResult<[u64; 2]> {
+pub fn fig4(run: Run) -> SimResult<Fig4> {
+    let warm = probe_both(run, run.exec.fidelity)?;
+    let tails = parallel_map(SWEEP[1..].to_vec(), run.jobs, |ws| -> SimResult<[u64; 2]> {
         let mut cycles = [0u64; 2];
         for (i, topology) in [Topology::Collapsed, Topology::Distributed]
             .into_iter()
             .enumerate()
         {
-            let mut platform = build_platform(&point_spec(scale, seed, topology))?;
+            let mut platform = build_platform(&point_spec(run, topology))?;
             platform.sim_mut().run_until(warm[i].warm_until);
             cycles[i] = finish_point(platform, ws)?;
         }
@@ -193,19 +180,23 @@ pub fn fig4_with_jobs(scale: u64, seed: u64, jobs: usize) -> SimResult<Fig4> {
 /// (reference-counted) blob into a fresh platform instead of re-simulating
 /// the prefix.
 ///
-/// The result is bit-identical to [`fig4_with_jobs`] — snapshot restore is
-/// exact — only wall-clock time changes.
+/// The result is bit-identical to [`fig4`] in an exact gear — snapshot
+/// restore is exact — only wall-clock time changes.
+///
+/// The platforms are the [`service`]'s, built from a [`SweepRequest`]: of
+/// `run.exec` only the tick jobs travel (to the served tails); the warm-up
+/// is always sparse, serial and cycle-accurate.
 ///
 /// # Errors
 ///
 /// Fails if any platform instance stalls (model bug).
-pub fn fig4_warm_fork_with_jobs(scale: u64, seed: u64, jobs: usize) -> SimResult<Fig4> {
-    let reqs = [Topology::Collapsed, Topology::Distributed].map(|t| point_request(scale, seed, t));
+pub fn fig4_warm_fork(run: Run) -> SimResult<Fig4> {
+    let reqs = [Topology::Collapsed, Topology::Distributed].map(|t| point_request(run, t));
     let states = [
         service::warm_state(&reqs[0])?,
         service::warm_state(&reqs[1])?,
     ];
-    let tails = parallel_map(SWEEP[1..].to_vec(), jobs, |ws| -> SimResult<[u64; 2]> {
+    let tails = parallel_map(SWEEP[1..].to_vec(), run.jobs, |ws| -> SimResult<[u64; 2]> {
         let mut cycles = [0u64; 2];
         for (i, (req, state)) in reqs.iter().zip(&states).enumerate() {
             let point = SweepRequest {
@@ -235,7 +226,8 @@ impl Fig4WarmState {
 }
 
 /// Runs fig4's warm phase — the base-point probe plus the shared warm
-/// prefix up to its checkpoint — with the kernel in `gear`.
+/// prefix up to its checkpoint — with the kernel in `gear`, whatever gear
+/// `run.exec` names (its schedule and tick jobs apply).
 ///
 /// The warm boundary is a quiescence-sampled chunk boundary, so in
 /// `Fast { quantum }` gear it lands on the deterministic gear-shift
@@ -251,17 +243,14 @@ impl Fig4WarmState {
 /// # Errors
 ///
 /// Fails if a platform instance stalls (model bug).
-pub fn fig4_warm_state(scale: u64, seed: u64, gear: Fidelity) -> SimResult<Fig4WarmState> {
-    let warm = [
-        probe_with(scale, seed, Topology::Collapsed, Some(gear))?,
-        probe_with(scale, seed, Topology::Distributed, Some(gear))?,
-    ];
+pub fn fig4_warm_state(run: Run, gear: Fidelity) -> SimResult<Fig4WarmState> {
+    let warm = probe_both(run, gear)?;
     let mut blobs = Vec::with_capacity(2);
     for (i, topology) in [Topology::Collapsed, Topology::Distributed]
         .into_iter()
         .enumerate()
     {
-        let mut platform = build_platform(&point_spec(scale, seed, topology))?;
+        let mut platform = build_platform(&point_spec(run, topology))?;
         platform.sim_mut().set_fidelity(gear);
         platform.sim_mut().run_until(warm[i].warm_until);
         // Deterministic gear-shift: land cycle-accurate on the boundary,
@@ -283,7 +272,8 @@ pub fn fig4_warm_state(scale: u64, seed: u64, gear: Fidelity) -> SimResult<Fig4W
 /// Completes the sweep cycle-accurately from a warm state: every point —
 /// including the `ws = BASE_WS` base point — restores the boundary
 /// checkpoint into a fresh platform and runs its own wait states to
-/// quiescence, exactly like [`fig4_warm_fork_with_jobs`]'s tails.
+/// quiescence, exactly like [`fig4_warm_fork`]'s tails (and, like them,
+/// in the cycle gear whatever `run.exec` names).
 ///
 /// Deriving the base cell from a cycle-accurate tail (rather than from the
 /// probe's own quiescence instant) keeps a loosely-timed warm phase's
@@ -294,14 +284,14 @@ pub fn fig4_warm_state(scale: u64, seed: u64, gear: Fidelity) -> SimResult<Fig4W
 /// # Errors
 ///
 /// Fails if a platform instance stalls (model bug).
-pub fn fig4_finish(state: &Fig4WarmState, scale: u64, seed: u64, jobs: usize) -> SimResult<Fig4> {
-    let tails = parallel_map(SWEEP.to_vec(), jobs, |ws| -> SimResult<[u64; 2]> {
+pub fn fig4_finish(state: &Fig4WarmState, run: Run) -> SimResult<Fig4> {
+    let tails = parallel_map(SWEEP.to_vec(), run.jobs, |ws| -> SimResult<[u64; 2]> {
         let mut cycles = [0u64; 2];
         for (i, topology) in [Topology::Collapsed, Topology::Distributed]
             .into_iter()
             .enumerate()
         {
-            let mut platform = build_platform(&point_spec(scale, seed, topology))?;
+            let mut platform = build_platform(&point_spec(run, topology))?;
             platform.sim_mut().set_fidelity(Fidelity::Cycle);
             platform.restore(&state.blobs[i])?;
             cycles[i] = finish_point(platform, ws)?;
@@ -327,29 +317,23 @@ pub fn fig4_finish(state: &Fig4WarmState, scale: u64, seed: u64, jobs: usize) ->
 /// at the warm boundary, and every sweep point continues cycle-accurately
 /// from the boundary checkpoint.
 ///
-/// At `quantum = 1` the result is byte-identical to
-/// [`fig4_warm_fork_with_jobs`]; at larger quanta the warm phase is
-/// approximate (per-hop error bounded by roughly one quantum), which
-/// perturbs the table cells by a bounded amount — the `fidelity`
-/// experiment publishes the measured speedup-vs-error curve.
+/// At `quantum = 1` the result is byte-identical to [`fig4_warm_fork`]; at
+/// larger quanta the warm phase is approximate (per-hop error bounded by
+/// roughly one quantum), which perturbs the table cells by a bounded amount
+/// — the `fidelity` experiment publishes the measured speedup-vs-error
+/// curve.
 ///
 /// # Errors
 ///
 /// Fails if a platform instance stalls (model bug).
-pub fn fig4_fast_warm_with_jobs(
-    scale: u64,
-    seed: u64,
-    jobs: usize,
-    quantum: u64,
-) -> SimResult<Fig4> {
+pub fn fig4_fast_warm(run: Run, quantum: u64) -> SimResult<Fig4> {
     let state = fig4_warm_state(
-        scale,
-        seed,
+        run,
         Fidelity::Fast {
             quantum: quantum.max(1),
         },
     )?;
-    fig4_finish(&state, scale, seed, jobs)
+    fig4_finish(&state, run)
 }
 
 #[cfg(test)]
@@ -358,7 +342,7 @@ mod tests {
 
     #[test]
     fn distributed_gains_as_memory_slows() {
-        let fig = fig4(2, 0x0dab).expect("runs");
+        let fig = fig4(Run::new(2, 0x0dab)).expect("runs");
         let first = &fig.points[0];
         let last = fig.points.last().expect("non-empty");
         // Fast memory: the two organisations are on par (the multi-hop
@@ -385,8 +369,8 @@ mod tests {
 
     #[test]
     fn fast_warm_quantum_one_matches_the_cold_sweep() {
-        let cold = fig4(1, 0x0dab).expect("runs").to_string();
-        let fast = fig4_fast_warm_with_jobs(1, 0x0dab, 1, 1)
+        let cold = fig4(Run::new(1, 0x0dab)).expect("runs").to_string();
+        let fast = fig4_fast_warm(Run::new(1, 0x0dab), 1)
             .expect("runs")
             .to_string();
         assert_eq!(cold, fast, "Fast {{ quantum: 1 }} warm phase must be exact");
@@ -403,8 +387,8 @@ mod tests {
         // slowest-memory cell; 2.0 is the regression tripwire. The sweep's
         // qualitative shape must survive: distributed still wins at the
         // slow-memory end.
-        let cold = fig4(1, 0x0dab).expect("runs");
-        let fast = fig4_fast_warm_with_jobs(1, 0x0dab, 1, Fidelity::DEFAULT_QUANTUM).expect("runs");
+        let cold = fig4(Run::new(1, 0x0dab)).expect("runs");
+        let fast = fig4_fast_warm(Run::new(1, 0x0dab), Fidelity::DEFAULT_QUANTUM).expect("runs");
         for (c, f) in cold.points.iter().zip(&fast.points) {
             assert_eq!(c.wait_states, f.wait_states);
             for (a, b) in [
@@ -429,7 +413,7 @@ mod tests {
 
     #[test]
     fn execution_time_scales_with_wait_states() {
-        let fig = fig4(2, 0x0dab).expect("runs");
+        let fig = fig4(Run::new(2, 0x0dab)).expect("runs");
         for w in fig.points.windows(2) {
             assert!(
                 w[1].distributed_cycles > w[0].distributed_cycles,

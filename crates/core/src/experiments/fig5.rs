@@ -14,6 +14,7 @@
 //! * the distributed AHB platform is the worst, its non-split blocking
 //!   bridges compounding with the higher memory latency.
 
+use super::Run;
 use crate::platforms::{build_platform, MemorySystem, PlatformSpec, Topology};
 use mpsoc_kernel::SimResult;
 use mpsoc_memory::LmiConfig;
@@ -89,7 +90,7 @@ impl fmt::Display for Fig5 {
 /// # Errors
 ///
 /// Fails if any platform instance stalls (model bug).
-pub fn fig5(scale: u64, seed: u64) -> SimResult<Fig5> {
+pub fn fig5(run: Run) -> SimResult<Fig5> {
     let variants: [(&str, ProtocolKind, Topology); 4] = [
         (
             "collapsed STBus",
@@ -106,9 +107,7 @@ pub fn fig5(scale: u64, seed: u64) -> SimResult<Fig5> {
             protocol,
             topology,
             memory: MemorySystem::Lmi(LmiConfig::default()),
-            scale,
-            seed,
-            ..PlatformSpec::default()
+            ..run.platform_spec()
         };
         let mut platform = build_platform(&spec)?;
         let report = platform.run()?;
@@ -144,7 +143,7 @@ mod tests {
 
     #[test]
     fn fig5_shape_matches_paper() {
-        let fig = fig5(2, 0x0dab).expect("runs");
+        let fig = fig5(Run::new(2, 0x0dab)).expect("runs");
         let col_stbus = fig.normalized("collapsed STBus").unwrap();
         let col_axi = fig.normalized("collapsed AXI").unwrap();
         let full_ahb = fig.normalized("full AHB").unwrap();
@@ -165,7 +164,7 @@ mod tests {
 
     #[test]
     fn collapsed_axi_loses_controller_optimizations() {
-        let fig = fig5(2, 0x0dab).expect("runs");
+        let fig = fig5(Run::new(2, 0x0dab)).expect("runs");
         let stbus = fig.bar("collapsed STBus").unwrap();
         let axi = fig.bar("collapsed AXI").unwrap();
         // The blocking converter starves the input FIFO: fewer merges.

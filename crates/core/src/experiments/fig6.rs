@@ -9,6 +9,7 @@
 //! ~98 % of the time — proof that the interconnect, not the controller, is
 //! the bottleneck there.
 
+use super::Run;
 use crate::platforms::{build_platform, MemorySystem, PlatformSpec, Topology, Workload};
 use mpsoc_kernel::{SimError, SimResult, Time};
 use mpsoc_memory::LmiConfig;
@@ -94,21 +95,19 @@ fn frac(deltas: &[Time], idx: usize) -> f64 {
     }
 }
 
-fn measure(protocol: ProtocolKind, scale: u64, seed: u64) -> SimResult<Fig6Platform> {
+fn measure(protocol: ProtocolKind, run: Run) -> SimResult<Fig6Platform> {
     let spec = PlatformSpec {
         protocol,
         topology: Topology::Distributed,
         memory: MemorySystem::Lmi(LmiConfig::default()),
         workload: Workload::TwoPhase,
-        scale,
-        seed,
         with_dsp: false,
-        ..PlatformSpec::default()
+        ..run.platform_spec()
     };
     let mut platform = build_platform(&spec)?;
     // Phase 1 of the two-phase profile has 90·scale transactions per
     // generator, phase 2 has 20·scale; six generators total.
-    let phase1_budget = 6 * 90 * scale;
+    let phase1_budget = 6 * 90 * run.scale;
     let gen_names: Vec<String> = (0..6).map(|i| format!("stream{i}")).collect();
 
     // Step until the aggregate injection count crosses the phase boundary.
@@ -184,11 +183,11 @@ fn measure(protocol: ProtocolKind, scale: u64, seed: u64) -> SimResult<Fig6Platf
 /// # Errors
 ///
 /// Fails if a platform stalls or the phase boundary is never reached.
-pub fn fig6(scale: u64, seed: u64) -> SimResult<Fig6> {
+pub fn fig6(run: Run) -> SimResult<Fig6> {
     Ok(Fig6 {
         platforms: vec![
-            measure(ProtocolKind::StbusT3, scale, seed)?,
-            measure(ProtocolKind::Ahb, scale, seed)?,
+            measure(ProtocolKind::StbusT3, run)?,
+            measure(ProtocolKind::Ahb, run)?,
         ],
     })
 }
@@ -199,7 +198,7 @@ mod tests {
 
     #[test]
     fn stbus_phases_show_the_papers_signature() {
-        let fig = fig6(2, 0x0dab).expect("runs");
+        let fig = fig6(Run::new(2, 0x0dab)).expect("runs");
         let stbus = fig.platform("full STBus").expect("measured");
         let intense = &stbus.phases[0];
         let bursty = &stbus.phases[1];
@@ -220,7 +219,7 @@ mod tests {
 
     #[test]
     fn ahb_interconnect_is_the_bottleneck() {
-        let fig = fig6(2, 0x0dab).expect("runs");
+        let fig = fig6(Run::new(2, 0x0dab)).expect("runs");
         let ahb = fig.platform("full AHB").expect("measured");
         for phase in &ahb.phases {
             assert!(

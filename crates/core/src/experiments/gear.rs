@@ -16,6 +16,7 @@
 //! kernel's degenerate-gear identity — and is flagged as such.
 
 use super::fig4::{fig4_finish, fig4_warm_state, Fig4};
+use super::Run;
 use mpsoc_kernel::{Fidelity, SimResult};
 use std::fmt;
 
@@ -119,27 +120,29 @@ fn max_err_permille(reference: &Fig4, fast: &Fig4) -> u64 {
 }
 
 /// Runs EXT-FAST: the fig4 warm phase once per gear, each finished by
-/// cycle-accurate tails (`jobs` worker threads).
+/// cycle-accurate tails (`run.jobs` worker threads).
 ///
 /// Only the warm phases are timed — the tails are identical work in every
-/// row, and the gear only ever runs the warm region.
+/// row, and the gear only ever runs the warm region. The study sets the
+/// gear of every row itself: of `run.exec` the schedule and the tick jobs
+/// apply, the gear does not.
 ///
 /// # Errors
 ///
 /// Fails if a platform instance stalls.
-pub fn fast_forward_study(scale: u64, seed: u64, jobs: usize) -> SimResult<FastForwardStudy> {
+pub fn fast_forward_study(run: Run) -> SimResult<FastForwardStudy> {
     let started = std::time::Instant::now();
-    let cycle_state = fig4_warm_state(scale, seed, Fidelity::Cycle)?;
+    let cycle_state = fig4_warm_state(run, Fidelity::Cycle)?;
     let cycle_warm_seconds = started.elapsed().as_secs_f64().max(1e-9);
-    let reference = fig4_finish(&cycle_state, scale, seed, jobs)?;
+    let reference = fig4_finish(&cycle_state, run)?;
     let reference_table = reference.to_string();
 
     let mut rows = Vec::with_capacity(FAST_FORWARD_QUANTA.len());
     for quantum in FAST_FORWARD_QUANTA {
         let started = std::time::Instant::now();
-        let state = fig4_warm_state(scale, seed, Fidelity::Fast { quantum })?;
+        let state = fig4_warm_state(run, Fidelity::Fast { quantum })?;
         let warm_seconds = started.elapsed().as_secs_f64().max(1e-9);
-        let fast = fig4_finish(&state, scale, seed, jobs)?;
+        let fast = fig4_finish(&state, run)?;
         rows.push(FastForwardRow {
             quantum,
             warm_seconds,
@@ -160,7 +163,7 @@ mod tests {
 
     #[test]
     fn quantum_one_is_identical_and_error_grows_with_quantum() {
-        let study = fast_forward_study(1, 0x0dab, 1).expect("runs");
+        let study = fast_forward_study(Run::new(1, 0x0dab)).expect("runs");
         assert_eq!(study.rows.len(), FAST_FORWARD_QUANTA.len());
         let q1 = study.q1_row();
         assert!(q1.identical, "quantum 1 must reproduce the cycle table");

@@ -7,7 +7,7 @@
 //! above which AXI's five physical channels and cycle-granular arbitration
 //! win — unless STBus is given deeper target FIFOs.
 
-use super::parallel_map;
+use super::{parallel_map, Run};
 use crate::platforms::{build_single_layer, SingleLayerSpec};
 use mpsoc_kernel::SimResult;
 use mpsoc_protocol::ProtocolKind;
@@ -76,24 +76,15 @@ impl fmt::Display for ManyToMany {
     }
 }
 
-/// Runs the many-to-many sweep sequentially.
-///
-/// # Errors
-///
-/// Fails if any platform instance stalls (model bug).
-pub fn many_to_many(scale: u64, seed: u64) -> SimResult<ManyToMany> {
-    many_to_many_with_jobs(scale, seed, 1)
-}
-
-/// Runs the many-to-many sweep with up to `jobs` worker threads.
+/// Runs the many-to-many sweep with up to `run.jobs` worker threads.
 ///
 /// Every grid cell is an independent single-layer simulation, so the result
-/// table is identical to [`many_to_many`] for any `jobs`.
+/// table is identical for any `jobs`.
 ///
 /// # Errors
 ///
 /// Fails if any platform instance stalls (model bug).
-pub fn many_to_many_with_jobs(scale: u64, seed: u64, jobs: usize) -> SimResult<ManyToMany> {
+pub fn many_to_many(run: Run) -> SimResult<ManyToMany> {
     // Offered load: high think = relaxed, zero think = saturating.
     let loads: [(u64, u64); 3] = [(600, 1000), (12, 36), (0, 4)];
     let mut grid = Vec::new();
@@ -109,14 +100,12 @@ pub fn many_to_many_with_jobs(scale: u64, seed: u64, jobs: usize) -> SimResult<M
             }
         }
     }
-    let rows = parallel_map(grid, jobs, |(protocol, lo, hi, fifo)| {
+    let rows = parallel_map(grid, run.jobs, |(protocol, lo, hi, fifo)| {
         let mut platform = build_single_layer(&SingleLayerSpec {
             protocol,
             prefetch_fifo: fifo,
             think_cycles: (lo, hi),
-            scale,
-            seed,
-            ..SingleLayerSpec::default()
+            ..run.single_layer_spec()
         })?;
         let report = platform.run()?;
         let bus = &report.buses[0];
@@ -140,7 +129,7 @@ mod tests {
 
     #[test]
     fn advanced_protocols_beat_ahb_under_saturation() {
-        let result = many_to_many(2, 7).expect("runs");
+        let result = many_to_many(Run::new(2, 7)).expect("runs");
         let ahb = result.exec_cycles("AMBA AHB", 2, 1).expect("measured");
         let stbus = result.exec_cycles("STBus Type 2", 2, 1).expect("measured");
         let axi = result.exec_cycles("AMBA AXI", 2, 1).expect("measured");
@@ -154,7 +143,7 @@ mod tests {
 
     #[test]
     fn deeper_stbus_fifos_help_under_saturation() {
-        let result = many_to_many(2, 7).expect("runs");
+        let result = many_to_many(Run::new(2, 7)).expect("runs");
         let shallow = result.exec_cycles("STBus Type 2", 2, 1).expect("measured");
         let deep = result.exec_cycles("STBus Type 2", 2, 4).expect("measured");
         assert!(deep <= shallow, "deep {deep} vs shallow {shallow}");
@@ -162,7 +151,7 @@ mod tests {
 
     #[test]
     fn relaxed_load_equalizes_protocols() {
-        let result = many_to_many(2, 7).expect("runs");
+        let result = many_to_many(Run::new(2, 7)).expect("runs");
         let ahb = result.exec_cycles("AMBA AHB", 800, 1).expect("measured");
         let axi = result.exec_cycles("AMBA AXI", 800, 1).expect("measured");
         let ratio = ahb as f64 / axi as f64;

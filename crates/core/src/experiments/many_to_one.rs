@@ -7,6 +7,7 @@
 //! propagation, burst overlapping), so the paper reports **no significant
 //! performance differences** in this scenario.
 
+use super::Run;
 use crate::platforms::{build_single_layer, SingleLayerSpec};
 use mpsoc_kernel::SimResult;
 use mpsoc_protocol::ProtocolKind;
@@ -66,16 +67,14 @@ impl fmt::Display for ManyToOne {
 /// # Errors
 ///
 /// Fails if any platform instance stalls (model bug).
-pub fn many_to_one(scale: u64, seed: u64) -> SimResult<ManyToOne> {
+pub fn many_to_one(run: Run) -> SimResult<ManyToOne> {
     let mut rows = Vec::new();
     for protocol in [ProtocolKind::Ahb, ProtocolKind::StbusT2, ProtocolKind::Axi] {
         let mut platform = build_single_layer(&SingleLayerSpec {
             protocol,
             initiators: 12,
             targets: 1,
-            scale,
-            seed,
-            ..SingleLayerSpec::default()
+            ..run.single_layer_spec()
         })?;
         let report = platform.run()?;
         let bus = &report.buses[0];
@@ -99,7 +98,7 @@ mod tests {
 
     #[test]
     fn protocols_perform_within_a_small_band() {
-        let result = many_to_one(2, 11).expect("runs");
+        let result = many_to_one(Run::new(2, 11)).expect("runs");
         let worst = result
             .rows
             .iter()
@@ -113,7 +112,7 @@ mod tests {
 
     #[test]
     fn response_efficiency_is_near_half() {
-        let result = many_to_one(2, 11).expect("runs");
+        let result = many_to_one(Run::new(2, 11)).expect("runs");
         let stbus = result
             .rows
             .iter()

@@ -6,10 +6,14 @@
 //! bench target) lives in `DESIGN.md`; measured-versus-paper values are
 //! recorded in `EXPERIMENTS.md`.
 //!
-//! All experiments accept a `scale` (workload multiplier) and a `seed`.
-//! The default scale used by the `repro` binary and the Criterion benches
-//! is [`DEFAULT_SCALE`]; results are qualitatively stable from scale 2
-//! upwards.
+//! Every experiment takes one [`Run`]: the workload multiplier, the seed,
+//! the fan-out of its independent points and the [`ExecMode`] every
+//! simulation it builds executes in. The default scale used by the `repro`
+//! binary is [`DEFAULT_SCALE`]; results are qualitatively stable from scale
+//! 2 upwards.
+
+use crate::platforms::{PlatformSpec, SingleLayerSpec};
+use mpsoc_kernel::ExecMode;
 
 mod ablations;
 mod dual_channel;
@@ -33,20 +37,82 @@ pub use dual_channel::{dual_channel_study, DualChannelStudy};
 pub use fidelity::{fidelity_study, FidelityRow, FidelityStudy};
 pub use fig3::{fig3, Fig3, Fig3Bar};
 pub use fig4::{
-    fig4, fig4_fast_warm_with_jobs, fig4_finish, fig4_warm_fork_with_jobs, fig4_warm_state,
-    fig4_with_jobs, Fig4, Fig4Point, Fig4WarmState,
+    fig4, fig4_fast_warm, fig4_finish, fig4_warm_fork, fig4_warm_state, Fig4, Fig4Point,
+    Fig4WarmState,
 };
 pub use fig5::{fig5, Fig5, Fig5Bar};
 pub use fig6::{fig6, Fig6, Fig6Phase};
 pub use gear::{fast_forward_study, FastForwardRow, FastForwardStudy, FAST_FORWARD_QUANTA};
-pub use many_to_many::{many_to_many, many_to_many_with_jobs, ManyToMany, ManyToManyRow};
+pub use many_to_many::{many_to_many, ManyToMany, ManyToManyRow};
 pub use many_to_one::{many_to_one, ManyToOne, ManyToOneRow};
 pub use noc_outlook::{noc_outlook, NocOutlook, NocOutlookRow};
 pub use parallel::parallel_map;
-pub use robustness::{robustness, robustness_with_jobs, Robustness, RobustnessRow};
+pub use robustness::{robustness, Robustness, RobustnessRow};
 
 /// Default workload multiplier for experiment runs.
 pub const DEFAULT_SCALE: u64 = 4;
 
 /// Default seed for experiment runs.
 pub const DEFAULT_SEED: u64 = 0x0dab;
+
+/// How an experiment is run: what every entry point of this module takes.
+///
+/// `exec` reaches every simulation the experiment builds, through the
+/// `exec` field of the spec it is built from. Tables are identical for any
+/// `jobs`, any `exec.tick_jobs` and either schedule; only `exec.fidelity`
+/// above quantum 1 makes them approximate. The entry points that are
+/// *about* the gear — [`fast_forward_study`], [`fig4_warm_state`] /
+/// [`fig4_finish`] — set it themselves and take only the other two fields
+/// from `exec`; [`fig4_warm_fork`], whose platforms the
+/// [`service`](crate::service) builds, takes only the tick jobs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Run {
+    /// Workload multiplier.
+    pub scale: u64,
+    /// Simulation seed.
+    pub seed: u64,
+    /// Worker threads for the independent points of sweep-shaped
+    /// experiments (the rest run on the calling thread).
+    pub jobs: usize,
+    /// Execution mode of every simulation built.
+    pub exec: ExecMode,
+}
+
+impl Run {
+    /// A serial run in the default mode.
+    pub fn new(scale: u64, seed: u64) -> Self {
+        Run {
+            scale,
+            seed,
+            jobs: 1,
+            exec: ExecMode::default(),
+        }
+    }
+
+    /// The full-platform spec this run starts every variant from: scale,
+    /// seed and mode set, everything else the reference platform.
+    pub fn platform_spec(&self) -> PlatformSpec {
+        PlatformSpec {
+            scale: self.scale,
+            seed: self.seed,
+            exec: self.exec,
+            ..PlatformSpec::default()
+        }
+    }
+
+    /// [`Run::platform_spec`] for the single-layer platform.
+    pub fn single_layer_spec(&self) -> SingleLayerSpec {
+        SingleLayerSpec {
+            scale: self.scale,
+            seed: self.seed,
+            exec: self.exec,
+            ..SingleLayerSpec::default()
+        }
+    }
+}
+
+impl Default for Run {
+    fn default() -> Self {
+        Run::new(DEFAULT_SCALE, DEFAULT_SEED)
+    }
+}

@@ -8,6 +8,7 @@
 //! workload of §4.1.1 on three transport fabrics of growing parallelism:
 //! a shared STBus node, an STBus full crossbar, and a 3×3 mesh NoC.
 
+use super::Run;
 use crate::platforms::MEM_BASE;
 use mpsoc_kernel::{ClockDomain, SimResult, Simulation, Time};
 use mpsoc_memory::{OnChipMemory, OnChipMemoryConfig};
@@ -68,13 +69,13 @@ const INITIATORS: usize = 8;
 const TARGETS: usize = 4;
 const REGION: u64 = 16 << 20;
 
-fn workload(i: usize, scale: u64, seed: u64, width: DataWidth) -> IptgConfig {
+fn workload(i: usize, run: Run, width: DataWidth) -> IptgConfig {
     let t = i % TARGETS;
     let base = MEM_BASE + t as u64 * REGION;
     IptgConfig {
         initiator: mpsoc_protocol::InitiatorId::new(i as u16),
         width,
-        seed: seed ^ (0x77 + i as u64),
+        seed: run.seed ^ (0x77 + i as u64),
         agents: vec![AgentConfig {
             name: "load".into(),
             pattern: AddressPattern::Random { base, len: REGION },
@@ -86,7 +87,7 @@ fn workload(i: usize, scale: u64, seed: u64, width: DataWidth) -> IptgConfig {
             blocking: false,
             priority: 0,
             segments: vec![TrafficSegment {
-                transactions: 60 * scale,
+                transactions: 60 * run.scale,
                 burst_len: (2, 6),
                 think_cycles: (0, 4),
             }],
@@ -95,10 +96,18 @@ fn workload(i: usize, scale: u64, seed: u64, width: DataWidth) -> IptgConfig {
     }
 }
 
-fn run_stbus(topology: ChannelTopology, scale: u64, seed: u64) -> SimResult<u64> {
+/// An empty simulation for one fabric, executing in the run's mode: this
+/// experiment wires its fabrics by hand, so it applies the mode itself.
+fn fabric_sim(run: Run) -> Simulation<Packet> {
+    let mut sim = Simulation::with_seed(run.seed);
+    sim.set_exec(run.exec);
+    sim
+}
+
+fn run_stbus(topology: ChannelTopology, run: Run) -> SimResult<u64> {
     let clk = ClockDomain::from_mhz(250);
     let width = DataWidth::BITS64;
-    let mut sim: Simulation<Packet> = Simulation::with_seed(seed);
+    let mut sim = fabric_sim(run);
     let mut node = StbusNode::new(
         "fabric",
         StbusNodeConfig {
@@ -140,11 +149,10 @@ fn run_stbus(topology: ChannelTopology, scale: u64, seed: u64) -> SimResult<u64>
             .links_mut()
             .add_link(format!("i{i}.resp"), 2, clk.period());
         node.add_initiator(req, resp);
-        let gen =
-            IpTrafficGenerator::new(format!("i{i}"), workload(i, scale, seed, width), req, resp)
-                .map_err(|e| mpsoc_kernel::SimError::InvalidConfig {
-                    reason: e.to_string(),
-                })?;
+        let gen = IpTrafficGenerator::new(format!("i{i}"), workload(i, run, width), req, resp)
+            .map_err(|e| mpsoc_kernel::SimError::InvalidConfig {
+                reason: e.to_string(),
+            })?;
         sim.add_component(Box::new(gen), clk);
     }
     sim.add_component(Box::new(node), clk);
@@ -152,10 +160,10 @@ fn run_stbus(topology: ChannelTopology, scale: u64, seed: u64) -> SimResult<u64>
     Ok(end.as_ps() / clk.period().as_ps())
 }
 
-fn run_mesh(scale: u64, seed: u64) -> SimResult<u64> {
+fn run_mesh(run: Run) -> SimResult<u64> {
     let clk = ClockDomain::from_mhz(250);
     let width = DataWidth::BITS64;
-    let mut sim: Simulation<Packet> = Simulation::with_seed(seed);
+    let mut sim = fabric_sim(run);
     let mut mesh = Mesh::new(
         "noc",
         NocConfig {
@@ -207,11 +215,10 @@ fn run_mesh(scale: u64, seed: u64) -> SimResult<u64> {
             .map_err(|e| mpsoc_kernel::SimError::InvalidConfig {
                 reason: e.to_string(),
             })?;
-        let gen =
-            IpTrafficGenerator::new(format!("i{i}"), workload(i, scale, seed, width), req, resp)
-                .map_err(|e| mpsoc_kernel::SimError::InvalidConfig {
-                    reason: e.to_string(),
-                })?;
+        let gen = IpTrafficGenerator::new(format!("i{i}"), workload(i, run, width), req, resp)
+            .map_err(|e| mpsoc_kernel::SimError::InvalidConfig {
+                reason: e.to_string(),
+            })?;
         sim.add_component(Box::new(gen), clk);
     }
     for router in mesh.build(sim.links_mut()) {
@@ -226,10 +233,10 @@ fn run_mesh(scale: u64, seed: u64) -> SimResult<u64> {
 /// # Errors
 ///
 /// Fails if any fabric instance stalls.
-pub fn noc_outlook(scale: u64, seed: u64) -> SimResult<NocOutlook> {
-    let shared = run_stbus(ChannelTopology::SharedBus, scale, seed)?;
-    let crossbar = run_stbus(ChannelTopology::FullCrossbar, scale, seed)?;
-    let mesh = run_mesh(scale, seed)?;
+pub fn noc_outlook(run: Run) -> SimResult<NocOutlook> {
+    let shared = run_stbus(ChannelTopology::SharedBus, run)?;
+    let crossbar = run_stbus(ChannelTopology::FullCrossbar, run)?;
+    let mesh = run_mesh(run)?;
     let rows = vec![
         NocOutlookRow {
             fabric: "STBus shared".into(),
@@ -256,7 +263,7 @@ mod tests {
 
     #[test]
     fn parallel_fabrics_beat_the_shared_bus() {
-        let outlook = noc_outlook(2, 0x0dab).expect("runs");
+        let outlook = noc_outlook(Run::new(2, 0x0dab)).expect("runs");
         let crossbar = outlook.normalized("STBus crossbar").expect("row");
         let mesh = outlook.normalized("3x4 mesh NoC").expect("row");
         assert!(crossbar < 1.0, "crossbar must win: {crossbar}");

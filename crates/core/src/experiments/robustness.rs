@@ -11,7 +11,7 @@
 //! baseline bit-for-bit, which is what makes the degradation numbers
 //! trustworthy.
 
-use super::parallel_map;
+use super::{parallel_map, Run};
 use crate::platforms::{build_platform, MemorySystem, PlatformSpec, Topology};
 use mpsoc_kernel::{FaultSchedule, SimResult};
 use mpsoc_memory::LmiConfig;
@@ -111,25 +111,16 @@ impl fmt::Display for Robustness {
     }
 }
 
-/// Runs the robustness sweep sequentially.
+/// Runs the robustness sweep with up to `run.jobs` worker threads.
+///
+/// Every grid cell builds its own platform with its own fault engine, so
+/// the result table is identical for any `jobs`.
 ///
 /// # Errors
 ///
 /// Fails if any platform instance stalls or a fault goes unaccounted
 /// (conservation violation — a model bug).
-pub fn robustness(scale: u64, seed: u64) -> SimResult<Robustness> {
-    robustness_with_jobs(scale, seed, 1)
-}
-
-/// Runs the robustness sweep with up to `jobs` worker threads.
-///
-/// Every grid cell builds its own platform with its own fault engine, so
-/// the result table is identical to [`robustness`] for any `jobs`.
-///
-/// # Errors
-///
-/// Same as [`robustness`].
-pub fn robustness_with_jobs(scale: u64, seed: u64, jobs: usize) -> SimResult<Robustness> {
+pub fn robustness(run: Run) -> SimResult<Robustness> {
     // Fault intensity sweep: 0 (baseline) to 5 % of probes faulting. The
     // baseline is measured once — with no faults the retry budget is dead
     // configuration and would only duplicate the row.
@@ -144,16 +135,14 @@ pub fn robustness_with_jobs(scale: u64, seed: u64, jobs: usize) -> SimResult<Rob
             grid.push((rate, budget));
         }
     }
-    let mut rows = parallel_map(grid, jobs, |(rate, budget)| {
+    let mut rows = parallel_map(grid, run.jobs, |(rate, budget)| {
         let mut platform = build_platform(&PlatformSpec {
             topology: Topology::Distributed,
             protocol: ProtocolKind::StbusT3,
             memory: MemorySystem::Lmi(LmiConfig::default()),
-            scale,
-            seed,
-            ..PlatformSpec::default()
+            ..run.platform_spec()
         })?;
-        platform.arm_faults(FaultSchedule::uniform(rate, seed).with_retry_budget(budget));
+        platform.arm_faults(FaultSchedule::uniform(rate, run.seed).with_retry_budget(budget));
         let report = platform.run()?;
         let counts = platform.fault_counts();
         if counts.unresolved() != 0 {
@@ -220,7 +209,7 @@ mod tests {
     fn zero_rate_reproduces_the_fault_free_baseline() {
         // An armed all-zero schedule must be behaviourally invisible: the
         // baseline row has to match an entirely un-armed run bit-for-bit.
-        let result = robustness(1, 11).expect("runs");
+        let result = robustness(Run::new(1, 11)).expect("runs");
         let baseline = result.baseline().expect("baseline measured");
         assert_eq!(baseline.faults_injected, 0);
         assert_eq!(baseline.lost, 0);
@@ -241,7 +230,7 @@ mod tests {
 
     #[test]
     fn faults_degrade_throughput_but_conserve_transactions() {
-        let result = robustness(1, 11).expect("runs");
+        let result = robustness(Run::new(1, 11)).expect("runs");
         let stressed = result.row(50_000, 3).expect("measured");
         assert!(stressed.faults_injected > 0, "faults must fire at 5 %");
         assert_eq!(
@@ -258,14 +247,18 @@ mod tests {
 
     #[test]
     fn jobs_do_not_change_the_table() {
-        let seq = robustness_with_jobs(1, 11, 1).expect("runs");
-        let par = robustness_with_jobs(1, 11, 4).expect("runs");
+        let seq = robustness(Run::new(1, 11)).expect("runs");
+        let par = robustness(Run {
+            jobs: 4,
+            ..Run::new(1, 11)
+        })
+        .expect("runs");
         assert_eq!(seq.to_string(), par.to_string());
     }
 
     #[test]
     fn bigger_retry_budget_loses_no_more_transactions() {
-        let result = robustness(1, 11).expect("runs");
+        let result = robustness(Run::new(1, 11)).expect("runs");
         let tight = result.row(10_000, 1).expect("measured");
         let roomy = result.row(10_000, 3).expect("measured");
         assert!(

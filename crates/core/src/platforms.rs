@@ -25,7 +25,7 @@ use mpsoc_ahb::AhbBusConfig;
 use mpsoc_axi::AxiInterconnectConfig;
 use mpsoc_bridge::BridgeConfig;
 use mpsoc_kernel::vcd::VcdWriter;
-use mpsoc_kernel::{ClockDomain, SimResult, Simulation, Time};
+use mpsoc_kernel::{ClockDomain, ExecMode, SimResult, Simulation, Time};
 use mpsoc_memory::{LmiConfig, OnChipMemoryConfig};
 use mpsoc_protocol::{
     AddressRange, ArbitrationPolicy, DataWidth, Packet, ProtocolKind, TlmBusConfig,
@@ -134,6 +134,10 @@ pub struct PlatformSpec {
     pub arbitration: ArbitrationPolicy,
     /// Interconnect modelling fidelity.
     pub fidelity: Fidelity,
+    /// How the built simulation executes (schedule, tick jobs, kernel
+    /// gear). Strategy, not structure: it never changes the platform's
+    /// [`structural_fingerprint`](Platform::structural_fingerprint).
+    pub exec: ExecMode,
 }
 
 impl Default for PlatformSpec {
@@ -151,6 +155,7 @@ impl Default for PlatformSpec {
             max_outstanding: 4,
             arbitration: ArbitrationPolicy::RoundRobin,
             fidelity: Fidelity::CycleAccurate,
+            exec: ExecMode::default(),
         }
     }
 }
@@ -592,7 +597,7 @@ fn build_platform_inner(spec: &PlatformSpec, custom: Option<&[CustomIp]>) -> Sim
         len: MEM_LEN,
     };
 
-    let mut b = PlatformBuilder::new(spec.seed);
+    let mut b = PlatformBuilder::new(spec.seed, spec.exec);
     let central = b.add_bus("n8", bus_spec(spec, width), central_clk);
 
     // Memory subsystem.
@@ -766,6 +771,8 @@ pub struct SingleLayerSpec {
     pub scale: u64,
     /// Simulation seed.
     pub seed: u64,
+    /// How the built simulation executes (see [`PlatformSpec::exec`]).
+    pub exec: ExecMode,
 }
 
 impl Default for SingleLayerSpec {
@@ -780,6 +787,7 @@ impl Default for SingleLayerSpec {
             read_fraction: 0.8,
             scale: 1,
             seed: 0x51,
+            exec: ExecMode::default(),
         }
     }
 }
@@ -801,7 +809,7 @@ pub fn build_single_layer(spec: &SingleLayerSpec) -> SimResult<Platform> {
         max_outstanding: 4,
         ..PlatformSpec::default()
     };
-    let mut b = PlatformBuilder::new(spec.seed);
+    let mut b = PlatformBuilder::new(spec.seed, spec.exec);
     let bus = b.add_bus("bus", bus_spec(&pspec, width), clk);
 
     let region = 16 << 20;

@@ -263,22 +263,20 @@ pub struct WarmProfile {
 /// total injections have happened — a deterministic instant every sweep
 /// point can replay before diverging.
 ///
-/// With `gear` given, the kernel gear is forced for the probe (instead of
-/// the process-wide default the platform builder applies). In a
-/// loosely-timed gear the probe's injection timeline (and with it the
-/// sampled warm boundary and the quiescence instant) is approximate; a
-/// loosely-timed caller must therefore never use the probe's `base_cycles`
-/// and instead derive every cell from a cycle-accurate tail. At
-/// `Fast { quantum: 1 }` the trace is byte-identical to the cycle-gear one.
+/// The probe runs in `gear`, whatever gear `spec.exec` names (the schedule
+/// and tick jobs of `spec.exec` apply). In a loosely-timed gear the probe's
+/// injection timeline (and with it the sampled warm boundary and the
+/// quiescence instant) is approximate; a loosely-timed caller must
+/// therefore never use the probe's `base_cycles` and instead derive every
+/// cell from a cycle-accurate tail. At `Fast { quantum: 1 }` the trace is
+/// byte-identical to the cycle-gear one.
 ///
 /// # Errors
 ///
 /// Fails if the platform stalls before the horizon (model bug).
-pub fn probe_warm(spec: &PlatformSpec, gear: Option<Fidelity>) -> SimResult<WarmProfile> {
+pub fn probe_warm(spec: &PlatformSpec, gear: Fidelity) -> SimResult<WarmProfile> {
     let mut platform = build_platform(spec)?;
-    if let Some(gear) = gear {
-        platform.sim_mut().set_fidelity(gear);
-    }
+    platform.sim_mut().set_fidelity(gear);
     Ok(warm_pass(platform, None)?.0)
 }
 
@@ -473,13 +471,9 @@ fn warm_state_predicting(
     let gear = req.warm_fidelity();
     let mut platform = build_platform(&spec)?;
     let fingerprint = platform.structural_fingerprint();
-    if gear != Fidelity::Cycle {
-        platform.sim_mut().set_fidelity(gear);
-    }
-    // The gear the probe will really run in: a `Cycle` request still
-    // inherits a process-wide fast default from the builder.
-    let predicted_total = (platform.sim().fidelity() == Fidelity::Cycle)
-        .then(|| predict(platform.expected_transactions()));
+    platform.sim_mut().set_fidelity(gear);
+    let predicted_total =
+        (gear == Fidelity::Cycle).then(|| predict(platform.expected_transactions()));
     let (profile, captured) = warm_pass(platform, predicted_total)?;
     let one_pass = captured.is_some();
     let blob = match captured {
@@ -640,11 +634,7 @@ mod tests {
     fn two_pass_warm_state(req: &SweepRequest) -> WarmState {
         let spec = req.base_spec();
         let gear = req.warm_fidelity();
-        let profile = match gear {
-            Fidelity::Cycle => probe_warm(&spec, None),
-            fast => probe_warm(&spec, Some(fast)),
-        }
-        .expect("probe");
+        let profile = probe_warm(&spec, gear).expect("probe");
         let mut platform = build_platform(&spec).expect("builds");
         if gear != Fidelity::Cycle {
             platform.sim_mut().set_fidelity(gear);

@@ -10,7 +10,7 @@
 
 use crate::space::{Candidate, FabricFamily, INITIATORS, TARGETS};
 use mpsoc_bridge::BridgeConfig;
-use mpsoc_kernel::{ClockDomain, SimResult, Simulation};
+use mpsoc_kernel::{ClockDomain, ExecMode, SimResult, Simulation};
 use mpsoc_memory::{LmiConfig, OnChipMemory, OnChipMemoryConfig};
 use mpsoc_noc::{Mesh, NocConfig};
 use mpsoc_platform::{BusHandle, BusSpec, Platform, PlatformBuilder};
@@ -187,9 +187,10 @@ fn build_shared(
     workload: &DseWorkload,
     scale: u64,
     seed: u64,
+    exec: ExecMode,
 ) -> SimResult<Platform> {
     let clk = ClockDomain::from_mhz(BUS_MHZ);
-    let mut b = PlatformBuilder::new(seed);
+    let mut b = PlatformBuilder::new(seed, exec);
     let bus = b.add_bus("fabric", stbus_spec(ChannelTopology::SharedBus), clk);
     add_memories(&mut b, bus, c)?;
     for i in 0..INITIATORS {
@@ -203,9 +204,10 @@ fn build_partial_xbar(
     workload: &DseWorkload,
     scale: u64,
     seed: u64,
+    exec: ExecMode,
 ) -> SimResult<Platform> {
     let clk = ClockDomain::from_mhz(BUS_MHZ);
-    let mut b = PlatformBuilder::new(seed);
+    let mut b = PlatformBuilder::new(seed, exec);
     let xbar = b.add_bus("xbar", stbus_spec(ChannelTopology::FullCrossbar), clk);
     add_memories(&mut b, xbar, c)?;
     let whole = AddressRange::new(MEM_BASE, MEM_BASE + TARGETS as u64 * REGION);
@@ -229,9 +231,15 @@ fn build_partial_xbar(
     Ok(b.finish(clk))
 }
 
-fn build_mesh(c: &Candidate, workload: &DseWorkload, scale: u64, seed: u64) -> SimResult<Platform> {
+fn build_mesh(
+    c: &Candidate,
+    workload: &DseWorkload,
+    scale: u64,
+    seed: u64,
+    exec: ExecMode,
+) -> SimResult<Platform> {
     let clk = ClockDomain::from_mhz(BUS_MHZ);
-    let mut b = PlatformBuilder::new(seed);
+    let mut b = PlatformBuilder::new(seed, exec);
     let sim: &mut Simulation<Packet> = b.sim_mut();
     let mut mesh = Mesh::new(
         "noc",
@@ -338,6 +346,8 @@ fn build_mesh(c: &Candidate, workload: &DseWorkload, scale: u64, seed: u64) -> S
 /// the same tuple are byte-identical (checked by the platform's
 /// structural fingerprint during search).
 ///
+/// `exec` is how the built simulation executes; it changes no structure.
+///
 /// # Errors
 ///
 /// Fails if the candidate wires an invalid configuration — which the
@@ -348,12 +358,14 @@ pub fn build_candidate(
     workload: &DseWorkload,
     scale: u64,
     seed: u64,
+    exec: ExecMode,
 ) -> SimResult<Platform> {
-    match candidate.family {
-        FabricFamily::SharedStbus => build_shared(candidate, workload, scale, seed),
-        FabricFamily::PartialCrossbar => build_partial_xbar(candidate, workload, scale, seed),
-        FabricFamily::NocMesh => build_mesh(candidate, workload, scale, seed),
-    }
+    let build = match candidate.family {
+        FabricFamily::SharedStbus => build_shared,
+        FabricFamily::PartialCrossbar => build_partial_xbar,
+        FabricFamily::NocMesh => build_mesh,
+    };
+    build(candidate, workload, scale, seed, exec)
 }
 
 #[cfg(test)]
@@ -366,8 +378,9 @@ mod tests {
     #[test]
     fn every_sampled_candidate_builds_and_runs() {
         for c in sample_generation(24, 0x5eed) {
-            let mut p = build_candidate(&c, &DseWorkload::Saturated, 1, 0x0dab)
-                .unwrap_or_else(|e| panic!("{c} failed to build: {e}"));
+            let mut p =
+                build_candidate(&c, &DseWorkload::Saturated, 1, 0x0dab, ExecMode::default())
+                    .unwrap_or_else(|e| panic!("{c} failed to build: {e}"));
             p.sim_mut().run_until(Time::from_us(2));
             assert!(p.sim().ticks_executed() > 0, "{c} never ticked");
         }
@@ -376,8 +389,10 @@ mod tests {
     #[test]
     fn builds_are_structurally_reproducible() {
         for c in sample_generation(6, 9) {
-            let a = build_candidate(&c, &DseWorkload::Saturated, 1, 1).expect("builds");
-            let b = build_candidate(&c, &DseWorkload::Saturated, 1, 1).expect("builds");
+            let a = build_candidate(&c, &DseWorkload::Saturated, 1, 1, ExecMode::default())
+                .expect("builds");
+            let b = build_candidate(&c, &DseWorkload::Saturated, 1, 1, ExecMode::default())
+                .expect("builds");
             assert_eq!(
                 a.structural_fingerprint(),
                 b.structural_fingerprint(),
@@ -403,7 +418,7 @@ mod tests {
             .collect();
         let workload = DseWorkload::Trace(vec![trace]);
         for c in sample_generation(6, 2) {
-            let mut p = build_candidate(&c, &workload, 1, 3)
+            let mut p = build_candidate(&c, &workload, 1, 3, ExecMode::default())
                 .unwrap_or_else(|e| panic!("{c} failed to build: {e}"));
             p.sim_mut().run_until(Time::from_us(2));
             let injected: u64 = (0..INITIATORS)

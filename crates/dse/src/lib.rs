@@ -41,7 +41,7 @@ pub use pareto::{pareto_front, pareto_ranks, Score};
 pub use search::{finalist_count, population_size};
 pub use space::{sample_generation, Candidate, FabricFamily};
 
-use mpsoc_kernel::{SimError, SimResult, Time};
+use mpsoc_kernel::{ExecMode, SimError, SimResult, Time};
 use std::fmt;
 use std::path::PathBuf;
 
@@ -55,6 +55,10 @@ pub struct DseConfig {
     pub seed: u64,
     /// Evaluation fan-out for `parallel_map` (1 = inline).
     pub jobs: usize,
+    /// Schedule and tick jobs of every candidate simulation. The search
+    /// shifts the gear itself, per rung (fast from reset, cycle-accurate
+    /// after a promotion), so `exec.fidelity` is not consulted.
+    pub exec: ExecMode,
     /// The traffic every candidate is scored against.
     pub workload: DseWorkload,
     /// Where to write frontier checkpoints (and where `resume` reads
@@ -76,6 +80,7 @@ impl Default for DseConfig {
             scale: 1,
             seed: 0x0dab,
             jobs: 1,
+            exec: ExecMode::default(),
             workload: DseWorkload::Saturated,
             checkpoint_path: None,
             checkpoint_every: None,
@@ -271,6 +276,7 @@ pub fn explore(config: &DseConfig) -> SimResult<DseResult> {
         scale: config.scale,
         seed: config.seed,
         jobs: config.jobs.max(1),
+        exec: config.exec,
         workload: &config.workload,
         checkpoint_path: config.checkpoint_path.as_deref(),
         checkpoint_every: config.checkpoint_every,

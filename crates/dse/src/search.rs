@@ -19,7 +19,7 @@ use crate::build::{build_candidate, DseWorkload};
 use crate::frontier::{Frontier, FrontierEntry, RungStats};
 use crate::pareto::{promotion_order, Score};
 use crate::space::{sample_generation, Candidate, INITIATORS};
-use mpsoc_kernel::{Fidelity, RunOutcome, SimResult, Simulation, SnapshotBlob, Time};
+use mpsoc_kernel::{ExecMode, Fidelity, RunOutcome, SimResult, Simulation, SnapshotBlob, Time};
 use mpsoc_platform::experiments::parallel_map;
 use mpsoc_protocol::Packet;
 use std::path::Path;
@@ -52,6 +52,7 @@ pub(crate) struct SearchParams<'a> {
     pub scale: u64,
     pub seed: u64,
     pub jobs: usize,
+    pub exec: ExecMode,
     pub workload: &'a DseWorkload,
     /// Save the frontier to this path every `checkpoint_every` rungs.
     pub checkpoint_path: Option<&'a Path>,
@@ -121,9 +122,10 @@ fn eval_one(
     workload: &DseWorkload,
     scale: u64,
     seed: u64,
+    exec: ExecMode,
     budget: Option<Time>,
 ) -> SimResult<EvalOutput> {
-    let mut platform = build_candidate(candidate, workload, scale, seed)?;
+    let mut platform = build_candidate(candidate, workload, scale, seed, exec)?;
     let sim = platform.sim_mut();
     match warm {
         Some(blob) => {
@@ -218,6 +220,7 @@ pub(crate) fn run_search(frontier: &mut Frontier, params: &SearchParams<'_>) -> 
                 params.workload,
                 params.scale,
                 params.seed,
+                params.exec,
                 budget,
             )?;
             Ok::<_, mpsoc_kernel::SimError>((slot, out))
@@ -318,6 +321,7 @@ mod tests {
             scale: 1,
             seed: 0x0dab,
             jobs: 1,
+            exec: ExecMode::default(),
             workload: &workload,
             checkpoint_path: None,
             checkpoint_every: None,

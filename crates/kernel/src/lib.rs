@@ -72,10 +72,7 @@ pub use fast::FastCtx;
 pub use fault::{FaultAccess, FaultCounts, FaultEngine, FaultKind, FaultSchedule};
 pub use link::{Link, LinkAccess, LinkId, LinkPool};
 pub use rng::{RngAccess, SplitMix64};
-pub use sim::{
-    dense_default, fidelity_default, set_dense_default, set_fidelity_default,
-    set_tick_jobs_default, tick_jobs_default, Fidelity, RunOutcome, Simulation,
-};
+pub use sim::{ExecMode, Fidelity, RunOutcome, Simulation};
 pub use snapshot::{
     fnv1a_64, load_blob, spill_blob, Snapshot, SnapshotBlob, SnapshotError, SnapshotPayload,
     StateReader, StateWriter,

@@ -29,8 +29,8 @@
 //! [`Simulation::time`] and quiescence semantics identical to the dense
 //! schedule; skipped ticks must be unobservable no-ops (the contract is
 //! machine-checked by [`Simulation::enable_skip_audit`]). The dense schedule
-//! remains available via [`Simulation::set_dense`] /
-//! [`set_dense_default`](crate::sim::set_dense_default).
+//! remains available via [`Simulation::set_dense`] (or an [`ExecMode`] with
+//! `dense` set).
 //!
 //! A payload a component cannot act on yet — its output wire is full, it is
 //! mid-service — stays queued and keeps the wake due, and a producer blocked
@@ -74,40 +74,7 @@ use crate::parallel::{Done, EdgeCtx, Job, Unit, WorkerPool};
 use crate::rng::SplitMix64;
 use crate::stats::{apply_stat_ops, StatsRegistry};
 use crate::time::{Cycles, Time};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-
-/// Process-wide default for newly constructed simulations: `true` forces the
-/// classic dense schedule (every member of a fired domain ticks every edge).
-static DENSE_DEFAULT: AtomicBool = AtomicBool::new(false);
-
-/// Sets the process-wide scheduling default for simulations constructed
-/// afterwards: `true` disables sparse ticking (the `--dense` escape hatch).
-/// Existing simulations are unaffected; see [`Simulation::set_dense`].
-pub fn set_dense_default(dense: bool) {
-    DENSE_DEFAULT.store(dense, Ordering::Relaxed);
-}
-
-/// Reads the process-wide scheduling default.
-pub fn dense_default() -> bool {
-    DENSE_DEFAULT.load(Ordering::Relaxed)
-}
-
-/// Process-wide default tick-job count for simulations constructed through
-/// harnesses that honour it (the platform builders call
-/// [`Simulation::set_tick_jobs`] with this value). `1` = serial.
-static TICK_JOBS_DEFAULT: AtomicUsize = AtomicUsize::new(1);
-
-/// Sets the process-wide default tick-job count (the `--tick-jobs N` knob).
-/// Existing simulations are unaffected; see [`Simulation::set_tick_jobs`].
-pub fn set_tick_jobs_default(jobs: usize) {
-    TICK_JOBS_DEFAULT.store(jobs.max(1), Ordering::Relaxed);
-}
-
-/// Reads the process-wide default tick-job count.
-pub fn tick_jobs_default() -> usize {
-    TICK_JOBS_DEFAULT.load(Ordering::Relaxed)
-}
 
 /// Execution fidelity of a [`Simulation`]: the gear it runs in.
 ///
@@ -122,8 +89,9 @@ pub fn tick_jobs_default() -> usize {
 /// restored or resumed.
 ///
 /// The gear is an execution *strategy*, not simulation state: it is not part
-/// of snapshots (like the dense/sparse choice and the tick-job count), and
-/// `Fast { quantum: 1 }` is byte-identical to `Cycle`.
+/// of snapshots (like the dense/sparse choice and the tick-job count, the
+/// other two fields of an [`ExecMode`]), and `Fast { quantum: 1 }` is
+/// byte-identical to `Cycle`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Fidelity {
     /// Cycle-accurate: one edge per scheduling step, per-edge arbitration.
@@ -160,28 +128,33 @@ impl Fidelity {
     }
 }
 
-/// Process-wide default fidelity for simulations constructed afterwards,
-/// encoded as a quantum (0 = `Cycle`). Mirrors `DENSE_DEFAULT`: harness
-/// flags (`repro --fast-gear N`) set it once and every platform built later
-/// picks it up in [`Simulation::with_seed`].
-static FIDELITY_DEFAULT_QUANTUM: AtomicU64 = AtomicU64::new(0);
-
-/// Sets the process-wide default execution fidelity (the `--fast-gear N`
-/// knob). Existing simulations are unaffected; see
-/// [`Simulation::set_fidelity`].
-pub fn set_fidelity_default(fidelity: Fidelity) {
-    let quantum = match fidelity {
-        Fidelity::Cycle => 0,
-        Fidelity::Fast { quantum } => quantum.max(1),
-    };
-    FIDELITY_DEFAULT_QUANTUM.store(quantum, Ordering::Relaxed);
+/// How a [`Simulation`] executes: the schedule, the intra-edge parallelism
+/// and the gear, as one value a caller hands to whatever builds the
+/// simulation ([`Simulation::set_exec`]).
+///
+/// A mode is *strategy*, not state: any two modes whose gear is exact
+/// (`Cycle` or `Fast { quantum: 1 }`) produce bit-identical results, and none
+/// of the three fields enters a snapshot, the
+/// [`structural_fingerprint`](Simulation::structural_fingerprint) or anything
+/// derived from them. The default is the sparse schedule, serial ticking and
+/// the cycle-accurate gear.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ExecMode {
+    /// `true` forces the dense schedule ([`Simulation::set_dense`]).
+    pub dense: bool,
+    /// Compute shards per edge, `1` = serial ([`Simulation::set_tick_jobs`]).
+    pub tick_jobs: usize,
+    /// The gear ([`Simulation::set_fidelity`]).
+    pub fidelity: Fidelity,
 }
 
-/// Reads the process-wide default execution fidelity.
-pub fn fidelity_default() -> Fidelity {
-    match FIDELITY_DEFAULT_QUANTUM.load(Ordering::Relaxed) {
-        0 => Fidelity::Cycle,
-        quantum => Fidelity::Fast { quantum },
+impl Default for ExecMode {
+    fn default() -> Self {
+        ExecMode {
+            dense: false,
+            tick_jobs: 1,
+            fidelity: Fidelity::Cycle,
+        }
     }
 }
 
@@ -425,7 +398,7 @@ impl<T> Simulation<T> {
 
     /// Creates an empty simulation whose RNG is seeded with `seed`.
     pub fn with_seed(seed: u64) -> Self {
-        let mut sim = Simulation {
+        Simulation {
             time: Time::ZERO,
             slots: Vec::new(),
             buckets: Vec::new(),
@@ -440,8 +413,8 @@ impl<T> Simulation<T> {
             crediting: Vec::new(),
             window_hint: StallHint::default(),
             activity: crate::activity::Pending::default(),
-            dense: dense_default(),
-            fidelity: fidelity_default(),
+            dense: false,
+            fidelity: Fidelity::Cycle,
             audit: None,
             tick_jobs: 1,
             par_exec: None,
@@ -453,12 +426,7 @@ impl<T> Simulation<T> {
             stats: StatsRegistry::new(),
             rng: SplitMix64::new(seed),
             faults: FaultEngine::new(),
-        };
-        // Re-apply the gear so the link pool's admission slack matches a
-        // process-wide fast default (`set_fidelity_default`).
-        let fidelity = sim.fidelity;
-        sim.set_fidelity(fidelity);
-        sim
+        }
     }
 
     /// Arms the fault engine with `schedule` for this simulation's run.
@@ -668,7 +636,8 @@ impl<T> Simulation<T> {
     /// Forces the classic dense schedule for this simulation (`true`), or
     /// re-enables sparse ticking (`false`). Both schedules are
     /// observationally bit-identical; dense is kept as an escape hatch and
-    /// as the baseline for speedup measurements.
+    /// as the baseline for speedup measurements. The `dense` field of an
+    /// [`ExecMode`].
     pub fn set_dense(&mut self, dense: bool) {
         if dense {
             self.rouse_all();
@@ -682,7 +651,8 @@ impl<T> Simulation<T> {
     }
 
     /// Selects the execution gear: [`Fidelity::Cycle`] (the default) or the
-    /// loosely-timed [`Fidelity::Fast`] windows.
+    /// loosely-timed [`Fidelity::Fast`] windows. The `fidelity` field of an
+    /// [`ExecMode`].
     ///
     /// The gear may be shifted at any scheduling boundary — in particular,
     /// after a bounded run ([`run_until`](Simulation::run_until) /
@@ -1445,7 +1415,8 @@ impl<T: Clone + PartialEq + Send + Sync + 'static> Simulation<T> {
     /// Requests intra-edge parallelism: edges tick with `jobs` compute
     /// shards (`jobs - 1` persistent worker threads plus the main thread),
     /// each buffering its side effects for a serial, deterministic commit
-    /// phase. `1` (the default) restores plain serial execution.
+    /// phase. `1` (the default) restores plain serial execution. The
+    /// `tick_jobs` field of an [`ExecMode`].
     ///
     /// Parallel execution is **observationally identical** to serial: the
     /// commit phase applies effect logs in exact tick order, validates every
@@ -1481,6 +1452,17 @@ impl<T: Clone + PartialEq + Send + Sync + 'static> Simulation<T> {
     /// The requested intra-edge parallelism (1 = serial).
     pub fn tick_jobs(&self) -> usize {
         self.tick_jobs
+    }
+
+    /// Applies an [`ExecMode`]: [`set_dense`](Simulation::set_dense),
+    /// [`set_tick_jobs`](Simulation::set_tick_jobs) and
+    /// [`set_fidelity`](Simulation::set_fidelity) in one call — what a
+    /// builder does with the mode it was handed, once, on the simulation it
+    /// has just constructed.
+    pub fn set_exec(&mut self, mode: ExecMode) {
+        self.set_dense(mode.dense);
+        self.set_tick_jobs(mode.tick_jobs);
+        self.set_fidelity(mode.fidelity);
     }
 
     /// The parallel edge executor: compute phase on `jobs` shards against a
@@ -1989,6 +1971,7 @@ mod wake_tests;
 mod tests {
     use super::*;
     use crate::link::LinkId;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     /// Emits `budget` numbered payloads, one per tick.
     struct Producer {

@@ -11,6 +11,7 @@ use super::tests::{
 };
 use super::*;
 use crate::stats::CounterId;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// What a [`Waiter`]'s tick does to the counter its hint declares.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

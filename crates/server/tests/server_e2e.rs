@@ -2,6 +2,7 @@
 //! through real sockets, plus the cache-vs-cold determinism property on
 //! randomly drawn sweep requests.
 
+use mpsoc_platform::experiments::Run;
 use mpsoc_platform::service::{self, SweepRequest};
 use mpsoc_platform::Topology;
 use mpsoc_server::loadgen::{self, Client, Pacing, RunConfig};
@@ -251,7 +252,7 @@ fn loadgen_closed_loop_reconstructs_the_table_with_hits() {
     assert!(report.hits > 0, "duplicate-heavy mix must hit the cache");
     assert_eq!(report.hits + report.misses, report.responses);
     let table = report.fig4_table().expect("full coverage");
-    let reference = mpsoc_platform::experiments::fig4(1, SweepRequest::default().seed)
+    let reference = mpsoc_platform::experiments::fig4(Run::new(1, SweepRequest::default().seed))
         .expect("cold sweep")
         .to_string();
     assert_eq!(

@@ -11,7 +11,7 @@
 //! cargo run --release --example bottleneck_analysis
 //! ```
 
-use mpsoc_kernel::{ClockDomain, Time};
+use mpsoc_kernel::{ClockDomain, ExecMode, Time};
 use mpsoc_memory::LmiConfig;
 use mpsoc_platform::{BusSpec, PlatformBuilder};
 use mpsoc_protocol::{AddressRange, DataWidth, ProtocolKind};
@@ -28,7 +28,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
 
     // One STBus node, one LMI controller, two IPTGs.
-    let mut b = PlatformBuilder::new(7);
+    let mut b = PlatformBuilder::new(7, ExecMode::default());
     let node = b.add_bus(
         "node",
         BusSpec::Stbus(StbusNodeConfig {

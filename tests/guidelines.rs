@@ -3,7 +3,7 @@
 //! it checks and exercises the measurable claim behind it.
 
 use mpsoc_memory::LmiConfig;
-use mpsoc_platform::experiments;
+use mpsoc_platform::experiments::{self, Run};
 use mpsoc_platform::{
     build_platform, build_single_layer, MemorySystem, PlatformSpec, SingleLayerSpec, Topology,
 };
@@ -51,7 +51,7 @@ fn g1_protocol_differentiation_needs_many_to_many() {
 /// performance that communication protocols can achieve."
 #[test]
 fn g2_centralized_slave_bounds_everyone() {
-    let result = experiments::many_to_one(SCALE, SEED).expect("runs");
+    let result = experiments::many_to_one(Run::new(SCALE, SEED)).expect("runs");
     // The split protocols sit on the memory bound (within 1 %), and even
     // the simplest interconnect is within ~25 % — "simple interconnect
     // fabrics may provide the same performance" once the required
@@ -84,7 +84,7 @@ fn g2_centralized_slave_bounds_everyone() {
 fn g3_distribution_needs_split_bridges_and_latency() {
     // (ii): with blocking bridges the distributed AXI platform degrades;
     // split bridges recover it (bridge ablation).
-    let abl = experiments::bridge_ablation(SCALE, SEED).expect("runs");
+    let abl = experiments::bridge_ablation(Run::new(SCALE, SEED)).expect("runs");
     assert!(
         abl.blocking_cycles as f64 > abl.split_cycles as f64 * 1.1,
         "blocking bridges must cost >10 %: {} vs {}",
@@ -93,7 +93,7 @@ fn g3_distribution_needs_split_bridges_and_latency() {
     );
     // (iii): with a fast memory the distributed organisation holds no
     // advantage over the collapsed one (Fig. 4 left end).
-    let fig4 = experiments::fig4(SCALE, SEED).expect("runs");
+    let fig4 = experiments::fig4(Run::new(SCALE, SEED)).expect("runs");
     let first = &fig4.points[0];
     assert!(
         (first.ratio - 1.0).abs() < 0.05,
@@ -143,7 +143,7 @@ fn g4_competent_protocols_converge_on_the_bottleneck() {
 /// with basic functionality."
 #[test]
 fn g5_lightweight_bridges_vanish_protocol_features() {
-    let fig3 = experiments::fig3(SCALE, SEED).expect("runs");
+    let fig3 = experiments::fig3(Run::new(SCALE, SEED)).expect("runs");
     let collapsed_axi = fig3.normalized("collapsed AXI").expect("bar");
     let distributed_axi = fig3.normalized("distributed AXI").expect("bar");
     // The same protocol loses a clear margin purely through bridging.
@@ -158,7 +158,7 @@ fn g5_lightweight_bridges_vanish_protocol_features() {
 /// bus-interface statistics alone.
 #[test]
 fn g6_fifo_statistics_identify_the_bottleneck() {
-    let fig6 = experiments::fig6(SCALE, SEED).expect("runs");
+    let fig6 = experiments::fig6(Run::new(SCALE, SEED)).expect("runs");
     let stbus = fig6.platform("full STBus").expect("measured");
     let ahb = fig6.platform("full AHB").expect("measured");
     // STBus: the controller is the bottleneck (FIFO meaningfully full).
