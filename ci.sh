@@ -4,12 +4,11 @@
 #   ./ci.sh            # every stage, in order
 #   ./ci.sh lint       # rustfmt, clippy (warnings are errors), rustdoc
 #   ./ci.sh test       # tier-1 release build + workspace tests + smoke runs
-#   ./ci.sh gates      # snapshot, fast-forward floor and server gates
-#   ./ci.sh dse        # design-space search checkpoint/resume equality
+#   ./ci.sh gates      # fast-forward floor and server gates
 #   ./ci.sh scaling    # parallel-ticking scaling ladder (kernel_hotpath)
 #   ./ci.sh bench      # bench guard vs the committed perf ledger
 #
-# The six stages are independent — .github/workflows/ci.yml runs them as
+# The five stages are independent — .github/workflows/ci.yml runs them as
 # parallel jobs — and any single stage can be run standalone on a fresh
 # checkout.
 #
@@ -19,7 +18,12 @@
 # (mpsoc_kernel::ExecMode), so `cargo test` holds them: tests/
 # mode_equivalence.rs compares the printed tables mode against mode, and
 # crates/bench/tests/mode_reach.rs counts that a mode reaches every
-# simulation of every experiment. Both run in the test stage.
+# simulation of every experiment. Both run in the test stage. Likewise
+# "the checkpoint-forked fig4 sweep = the prefix-replaying one" (fig4.rs
+# holds the forked sweep, the only driver, to a cold reference) and "a dse
+# search interrupted and resumed = an uninterrupted one"
+# (crates/dse/tests/proptest_dse.rs; the --dse-* flag wiring is a parse_args
+# unit test in repro.rs).
 #
 # Stage contents:
 #   lint   rustfmt --check, clippy -D warnings, rustdoc -D warnings
@@ -32,21 +36,13 @@
 #          when a change breaks the API surface the harness compiles
 #          against — see benchmark/README.md) plus the harness's own tests
 #          (the quick workloads against benchmark/expected.json)
-#   gates  snapshot round trip: the checkpoint-forked fig4 sweep must emit
-#            the same table as the cold sweep, and the measured warm-fork
-#            speedup must clear the repro binary's floor
-#          fast-forward floor: a live --fast-warm run must clear the repro
+#   gates  fast-forward floor: a live --fast-warm run must clear the repro
 #            binary's warm-phase speedup floor with an identical q=1 sweep
 #          server: simserved + a duplicate-heavy loadgen mix must see warm-
 #            cache hits and serve a FIG-4 table byte-identical to the
 #            one-shot `repro --exp fig4` run; a relaunched server on the
 #            same --cache-dir must answer its first request from the disk
 #            spill and serve the same table
-#   dse    resume equality: a search checkpointed and interrupted after one
-#            rung, then resumed, must emit the same front as an
-#            uninterrupted run (the CLI wiring; byte-identity across
-#            repeats and --jobs is proptest_dse.rs's and the benchmark
-#            harness's, both run by the test stage)
 #   scaling compute-heavy ladder: kernel_hotpath times the compute-heavy
 #            case over jobs {1,2,4,8}, asserting byte-identity to the
 #            serial run at every rung, and holds what it measured to the
@@ -65,10 +61,6 @@ cleanup() {
     rm -rf "$run_dir"
 }
 trap cleanup EXIT
-
-# Strip host-timing lines (the bracketed perf summaries and the totals)
-# and the "reproducing ..." header before comparing two repro runs.
-filter_timing() { grep -v -e '^\[' -e '^total:' -e '^perf ledger' -e '^reproducing' "$1"; }
 
 # Just the FIG-4 table: the header line and the right-aligned data rows.
 table_only() { grep -E '^(FIG-4| )' "$1"; }
@@ -119,20 +111,6 @@ stage_test() {
     # the digests committed in benchmark/expected.json, so a drift in
     # modelled behaviour fails here, not in a 15-second benchmark run.
     (cd benchmark && cargo test --offline)
-}
-
-gate_snapshot() {
-    echo "== snapshot round trip: fig4 cold vs --warm-fork =="
-    # One process runs the cold sweep and the checkpoint-forked sweep and
-    # fails on any difference between their tables (restore is exact;
-    # measure_warm_fork's self-check). The --check-bench pass then enforces
-    # the speedup floor on the speedup measured by *this* run, recorded in
-    # a throwaway ledger.
-    cargo run --release -p mpsoc-bench --bin repro -- \
-        --warm-fork --bench-out "$run_dir/warmfork.json" \
-        --check-bench "$run_dir/warmfork.json" > "$run_dir/fork.txt"
-    grep '\[check warm-fork' "$run_dir/fork.txt"
-    echo "snapshot round-trip gate passed"
 }
 
 gate_fast_forward() {
@@ -212,34 +190,8 @@ gate_server() {
 }
 
 stage_gates() {
-    gate_snapshot
     gate_fast_forward
     gate_server
-}
-
-stage_dse() {
-    echo "== dse reference: one uninterrupted scale-1 search =="
-    cargo run --release -p mpsoc-bench --bin repro -- \
-        --exp dse --scale 1 --no-bench-out > "$run_dir/dse_ref.txt"
-
-    echo "== dse resume equality: checkpoint, interrupt after rung 1, resume =="
-    # Interrupting the ladder mid-search and resuming from the frontier
-    # checkpoint must reproduce the uninterrupted front exactly.
-    cargo run --release -p mpsoc-bench --bin repro -- \
-        --exp dse --scale 1 --no-bench-out \
-        --dse-checkpoint "$run_dir/dse_frontier.bin" --dse-checkpoint-every 1 \
-        --dse-stop-after 1 > "$run_dir/dse_stop.txt"
-    grep -q 'search interrupted mid-ladder' "$run_dir/dse_stop.txt"
-    cargo run --release -p mpsoc-bench --bin repro -- \
-        --exp dse --scale 1 --no-bench-out \
-        --dse-checkpoint "$run_dir/dse_frontier.bin" --dse-resume \
-        > "$run_dir/dse_resume.txt"
-    if ! diff <(filter_timing "$run_dir/dse_ref.txt") \
-              <(filter_timing "$run_dir/dse_resume.txt"); then
-        echo "dse gate FAILED: resumed search differs from the uninterrupted run" >&2
-        exit 1
-    fi
-    echo "dse gate passed"
 }
 
 stage_scaling() {
@@ -264,19 +216,17 @@ case "$stage" in
     lint) stage_lint ;;
     test) stage_test ;;
     gates) stage_gates ;;
-    dse) stage_dse ;;
     scaling) stage_scaling ;;
     bench) stage_bench ;;
     all)
         stage_test
         stage_lint
         stage_gates
-        stage_dse
         stage_scaling
         stage_bench
         ;;
     *)
-        echo "usage: ./ci.sh [lint|test|gates|dse|scaling|bench]" >&2
+        echo "usage: ./ci.sh [lint|test|gates|scaling|bench]" >&2
         exit 2
         ;;
 esac

@@ -9,7 +9,6 @@
 //! repro --jobs 4             # parallel sweep points inside fig4 / many-to-many
 //! repro --tick-jobs 4        # intra-edge parallel tick execution (identical tables)
 //! repro --list               # list experiment ids with descriptions
-//! repro --exp fig4 --warm-fork          # checkpoint-forked sweep + speedup
 //! repro --fast-warm                     # loosely-timed warm phase: speedup vs error
 //! repro --exp fig3 --fast-gear 1        # run in the fast gear (q=1: identical tables)
 //! repro --exp fig4 --checkpoint-every 500 --rewind-to 2000   # time travel
@@ -35,20 +34,18 @@
 //! gitignored `target/BENCH_kernel.json`; the committed copy at the repo
 //! root is only touched when `--bench-out` names it explicitly.
 //!
-//! `--warm-fork` runs the fig4 sweep twice — cold and via checkpoint/fork —
-//! proves the tables byte-identical, and records the wall-clock speedup in
-//! the ledger's `"warm_fork"` section. `--fast-warm` runs the EXT-FAST
-//! study instead: the fig4 warm phase once per fast-forward quantum, each
-//! finished by cycle-accurate tails, reporting warm-phase speedup and
-//! worst per-cell error per quantum and recording the default-quantum
+//! `--fast-warm` runs the EXT-FAST study instead of the experiments: the
+//! fig4 warm phase once per fast-forward quantum, each finished by
+//! cycle-accurate tails, reporting warm-phase speedup and worst per-cell
+//! error per quantum and recording the default-quantum
 //! headline in the ledger's `"fast_forward"` section (`--check-bench`
 //! then enforces the speedup floor and the quantum-1 byte identity).
 //! `--fast-gear QUANTUM` runs the experiments with every simulation in the
 //! loosely-timed gear — tables are approximate for quantum > 1 and
 //! byte-identical to cycle-accurate at quantum 1. The runners that set
-//! their own gear (`dse` per rung, `fidelity` / `--fast-warm` per row,
-//! `--warm-fork`) are not reached by it: asking for one of them alone with
-//! `--fast-gear` is refused, and a full-suite run names them in its header.
+//! their own gear (`dse` per rung, `fidelity` / `--fast-warm` per row) are
+//! not reached by it: asking for one of them alone with `--fast-gear` is
+//! refused, and a full-suite run names them in its header.
 //! `--dense`, `--tick-jobs` and `--fast-gear` together are the run's
 //! [`mpsoc_kernel::ExecMode`], carried as a value to every platform built.
 //! `--checkpoint-every`/`--rewind-to` run the time-travel debug harness on
@@ -68,9 +65,9 @@
 
 use mpsoc_bench::ledger::{FloorVerdict, Ledger};
 use mpsoc_bench::{
-    experiment_ids, find_experiment, ledger, measure_experiment, measure_fast_forward,
-    measure_fig4_scaling, measure_warm_fork, set_dse_options, take_dse_run, timetravel, DseOptions,
-    ExperimentRun, Fig4ScalingPoint, Run, EXPERIMENT_REGISTRY,
+    experiment_ids, find_experiment, ledger, measure, measure_experiment, measure_fast_forward,
+    measure_fig4_scaling, run_dse, timetravel, DseOptions, ExperimentRun, Fig4ScalingPoint, Run,
+    EXPERIMENT_REGISTRY,
 };
 use mpsoc_kernel::Fidelity;
 use serde::Serialize;
@@ -82,17 +79,14 @@ struct Args {
     /// `--fast-gear` as the run's `ExecMode`.
     run: Run,
     list: bool,
-    warm_fork: bool,
     fast_warm: bool,
     checkpoint_every_ns: Option<u64>,
     rewind_to_ns: Option<u64>,
     bench_out: bool,
     bench_out_path: Option<std::path::PathBuf>,
     check_bench: Option<std::path::PathBuf>,
-    dse_checkpoint: Option<std::path::PathBuf>,
-    dse_checkpoint_every: Option<u32>,
-    dse_stop_after: Option<u32>,
-    dse_resume: bool,
+    /// The four `--dse-*` flags.
+    dse: DseOptions,
 }
 
 fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
@@ -100,17 +94,13 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
         exp: None,
         run: Run::default(),
         list: false,
-        warm_fork: false,
         fast_warm: false,
         checkpoint_every_ns: None,
         rewind_to_ns: None,
         bench_out: true,
         bench_out_path: None,
         check_bench: None,
-        dse_checkpoint: None,
-        dse_checkpoint_every: None,
-        dse_stop_after: None,
-        dse_resume: false,
+        dse: DseOptions::default(),
     };
     let mut it = argv.into_iter();
     while let Some(arg) = it.next() {
@@ -153,7 +143,6 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
                 }
             }
             "--list" => args.list = true,
-            "--warm-fork" => args.warm_fork = true,
             "--fast-warm" => args.fast_warm = true,
             "--fast-gear" => {
                 let quantum: u64 = it
@@ -183,7 +172,7 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
                 );
             }
             "--dse-checkpoint" => {
-                args.dse_checkpoint =
+                args.dse.checkpoint_path =
                     Some(it.next().ok_or("--dse-checkpoint needs a path")?.into());
             }
             "--dse-checkpoint-every" => {
@@ -195,17 +184,17 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
                 if every == 0 {
                     return Err("--dse-checkpoint-every must be at least 1".into());
                 }
-                args.dse_checkpoint_every = Some(every);
+                args.dse.checkpoint_every = Some(every);
             }
             "--dse-stop-after" => {
-                args.dse_stop_after = Some(
+                args.dse.stop_after = Some(
                     it.next()
                         .ok_or("--dse-stop-after needs a value (rungs)")?
                         .parse()
                         .map_err(|e| format!("bad rung count: {e}"))?,
                 );
             }
-            "--dse-resume" => args.dse_resume = true,
+            "--dse-resume" => args.dse.resume = true,
             "--dense" => args.run.exec.dense = true,
             "--no-bench-out" => args.bench_out = false,
             "--bench-out" => {
@@ -217,7 +206,7 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
             "--help" | "-h" => {
                 println!(
                     "repro [--exp <id>] [--scale N] [--seed N] [--jobs N] [--tick-jobs N] [--list] \
-                     [--warm-fork] [--fast-warm] [--fast-gear QUANTUM] \
+                     [--fast-warm] [--fast-gear QUANTUM] \
                      [--checkpoint-every NS --rewind-to NS] [--dense] \
                      [--dse-checkpoint <path>] [--dse-checkpoint-every RUNGS] \
                      [--dse-stop-after RUNGS] [--dse-resume] \
@@ -233,15 +222,11 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
     if args.checkpoint_every_ns.is_some() != args.rewind_to_ns.is_some() {
         return Err("--checkpoint-every and --rewind-to must be given together".into());
     }
-    let any_dse_flag = args.dse_checkpoint.is_some()
-        || args.dse_checkpoint_every.is_some()
-        || args.dse_stop_after.is_some()
-        || args.dse_resume;
-    if any_dse_flag && args.exp.as_deref() != Some("dse") {
+    if args.dse != DseOptions::default() && args.exp.as_deref() != Some("dse") {
         return Err("--dse-* flags only apply to `--exp dse`".into());
     }
-    if (args.dse_checkpoint_every.is_some() || args.dse_stop_after.is_some() || args.dse_resume)
-        && args.dse_checkpoint.is_none()
+    if (args.dse.checkpoint_every.is_some() || args.dse.stop_after.is_some() || args.dse.resume)
+        && args.dse.checkpoint_path.is_none()
     {
         return Err(
             "--dse-checkpoint-every/--dse-stop-after/--dse-resume need --dse-checkpoint".into(),
@@ -250,37 +235,33 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
     if args.rewind_to_ns.is_some() && args.exp.is_none() {
         return Err("time travel needs --exp <id> to pick the platform".into());
     }
-    if args.warm_fork && args.fast_warm {
-        return Err("--warm-fork and --fast-warm are separate measurements".into());
-    }
-    let measurement = match (args.warm_fork, args.fast_warm) {
-        (true, _) => Some("--warm-fork"),
-        (_, true) => Some("--fast-warm"),
-        _ => None,
-    };
-    if let Some(flag) = measurement {
+    if args.fast_warm {
         match args.exp.as_deref() {
             None => args.exp = Some("fig4".into()),
             Some("fig4") => {}
             Some(other) => {
                 return Err(format!(
-                    "{flag} only applies to the fig4 sweep, not '{other}'"
+                    "--fast-warm only applies to the fig4 sweep, not '{other}'"
                 ))
             }
         }
         if args.run.exec.dense {
-            return Err(format!(
-                "--dense does not apply to {flag}: the figure it records in the ledger is \
-                 the sparse schedule's"
-            ));
+            return Err(
+                "--dense does not apply to --fast-warm: the figure it records in the ledger \
+                 is the sparse schedule's"
+                    .into(),
+            );
         }
     }
     // A flag that would do nothing says so: these runners set the kernel
     // gear themselves (time travel replays a platform, not the runner).
-    let own_gear = measurement.map(str::to_owned).or_else(|| {
-        let desc = find_experiment(args.exp.as_deref()?)?;
-        (desc.own_gear && args.rewind_to_ns.is_none()).then(|| format!("--exp {}", desc.id))
-    });
+    let own_gear = args
+        .fast_warm
+        .then(|| "--fast-warm".to_owned())
+        .or_else(|| {
+            let desc = find_experiment(args.exp.as_deref()?)?;
+            (desc.own_gear && args.rewind_to_ns.is_none()).then(|| format!("--exp {}", desc.id))
+        });
     if let (Some(target), Fidelity::Fast { .. }) = (own_gear, args.run.exec.fidelity) {
         return Err(format!(
             "--fast-gear does not reach {target}, which sets the kernel gear itself"
@@ -368,19 +349,8 @@ fn main() -> ExitCode {
     if let (Some(every), Some(target)) = (args.checkpoint_every_ns, args.rewind_to_ns) {
         return time_travel(&args, every, target);
     }
-    if args.warm_fork {
-        return warm_fork(&args);
-    }
     if args.fast_warm {
         return fast_warm(&args);
-    }
-    if args.exp.as_deref() == Some("dse") {
-        set_dse_options(DseOptions {
-            checkpoint_path: args.dse_checkpoint.clone(),
-            checkpoint_every: args.dse_checkpoint_every,
-            stop_after: args.dse_stop_after,
-            resume: args.dse_resume,
-        });
     }
     let ids: Vec<&str> = match &args.exp {
         Some(one) => vec![one.as_str()],
@@ -413,8 +383,20 @@ fn main() -> ExitCode {
         }
     );
     let mut runs: Vec<ExperimentRun> = Vec::with_capacity(ids.len());
+    // A completed dse run carries its own ledger section (an interrupted
+    // --dse-stop-after run records nothing).
+    let mut dse_run = None;
     for id in ids {
-        match measure_experiment(id, args.run) {
+        let measured = if id == "dse" {
+            measure(id, || {
+                let (table, record) = run_dse(args.run, &args.dse)?;
+                dse_run = record;
+                Ok(table)
+            })
+        } else {
+            measure_experiment(id, args.run)
+        };
+        match measured {
             Ok(run) => {
                 println!("{}", run.table);
                 println!("{}\n", run.perf_line());
@@ -471,7 +453,6 @@ fn main() -> ExitCode {
         "total: {} edges, {} sim cycles ({} skipped) in {:.2}s host time",
         section.total_edges, section.total_ticks, section.total_skipped, section.total_wall_seconds
     );
-    let dse_run = take_dse_run();
     if args.bench_out {
         let path = args
             .bench_out_path
@@ -484,8 +465,6 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         }
-        // A completed dse run carries its own ledger section (an
-        // interrupted --dse-stop-after run records nothing).
         if let Some(run) = &dse_run {
             if let Err(e) = ledger::update_section(&path, "dse", &run.to_json()) {
                 eprintln!("failed to write {}: {e}", path.display());
@@ -497,37 +476,6 @@ fn main() -> ExitCode {
         return check_bench(baseline, &section.runs, &args);
     }
     ExitCode::SUCCESS
-}
-
-/// Runs the `--warm-fork` measurement and records its ledger section.
-fn warm_fork(args: &Args) -> ExitCode {
-    println!(
-        "fig4 warm-fork, scale {}, seed {:#x}, jobs {}\n",
-        args.run.scale, args.run.seed, args.run.jobs
-    );
-    let run = match measure_warm_fork(args.run) {
-        Ok(run) => run,
-        Err(e) => {
-            eprintln!("warm-fork failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    println!("{}", run.table);
-    println!("{}", run.perf_line());
-    if args.bench_out {
-        let path = args
-            .bench_out_path
-            .clone()
-            .unwrap_or_else(ledger::default_path);
-        match ledger::update_section(&path, "warm_fork", &run.to_json()) {
-            Ok(()) => println!("perf ledger updated: {}", path.display()),
-            Err(e) => {
-                eprintln!("failed to write {}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    check_section_floors(args, "warm_fork")
 }
 
 /// Runs the `--fast-warm` measurement and records its ledger section.
@@ -624,8 +572,8 @@ fn read_baseline(baseline: &std::path::Path) -> Option<Ledger> {
         .ok()
 }
 
-/// The `--check-bench` leg of `--warm-fork` / `--fast-warm`: only the
-/// floors of the section that run records.
+/// The `--check-bench` leg of `--fast-warm`: only the floors of the
+/// section that run records.
 fn check_section_floors(args: &Args, section: &str) -> ExitCode {
     let Some(baseline) = &args.check_bench else {
         return ExitCode::SUCCESS;
@@ -817,13 +765,38 @@ mod tests {
     }
 
     #[test]
+    fn the_four_dse_flags_are_the_options_handed_to_the_search() {
+        let args = parse(
+            "--exp dse --dse-checkpoint f.bin --dse-checkpoint-every 2 --dse-stop-after 1 \
+             --dse-resume",
+        )
+        .expect("valid");
+        assert_eq!(
+            args.dse,
+            DseOptions {
+                checkpoint_path: Some("f.bin".into()),
+                checkpoint_every: Some(2),
+                stop_after: Some(1),
+                resume: true,
+            }
+        );
+        assert_eq!(
+            parse("--exp dse").expect("valid").dse,
+            DseOptions::default()
+        );
+        for line in ["--dse-resume", "--exp fig4 --dse-checkpoint f.bin"] {
+            let why = parse(line).err().expect("refused");
+            assert!(why.starts_with("--dse-* flags only apply"), "{line}: {why}");
+        }
+    }
+
+    #[test]
     fn a_flag_that_would_do_nothing_is_refused() {
         for line in [
             "--exp dse --fast-gear 16",
             "--exp fidelity --fast-gear 16",
             "--fast-warm --fast-gear 16",
-            "--warm-fork --fast-gear 16",
-            "--exp fig4 --warm-fork --fast-gear 1",
+            "--exp fig4 --fast-warm --fast-gear 1",
         ] {
             let why = parse(line)
                 .err()
@@ -834,16 +807,9 @@ mod tests {
             );
             assert!(!why.contains('\n'), "{line}: one line, got {why:?}");
         }
-        for line in ["--fast-warm --dense", "--warm-fork --dense"] {
-            let why = parse(line)
-                .err()
-                .unwrap_or_else(|| panic!("`{line}` accepted"));
-            assert!(
-                why.starts_with("--dense does not apply to"),
-                "{line}: {why}"
-            );
-            assert!(!why.contains('\n'), "{line}: one line, got {why:?}");
-        }
+        let why = parse("--fast-warm --dense").err().expect("refused");
+        assert!(why.starts_with("--dense does not apply to"), "{why}");
+        assert!(!why.contains('\n'), "one line, got {why:?}");
     }
 
     #[test]
@@ -857,7 +823,6 @@ mod tests {
             "--exp dse --dense",
             "--exp fidelity --dense --tick-jobs 2",
             "--fast-warm --tick-jobs 2",
-            "--warm-fork --tick-jobs 2",
             // Time travel replays a platform, not the runner.
             "--exp dse --fast-gear 16 --checkpoint-every 500 --rewind-to 2000",
         ] {

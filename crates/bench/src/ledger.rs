@@ -5,9 +5,8 @@
 //!
 //! * the `repro` binary writes the `"experiments"` section (per-experiment
 //!   edges/sec and simulated-cycles/sec),
-//! * `repro --warm-fork` writes the `"warm_fork"` section (cold vs
-//!   checkpoint-forked fig4 sweep wall time and the speedup ratio), and
-//!   `repro --fast-warm` the `"fast_forward"` section,
+//! * `repro --fast-warm` writes the `"fast_forward"` section (the
+//!   loosely-timed gear's warm-phase speedup, error and quantum-1 identity),
 //! * the `kernel_hotpath` microbench writes the `"microbench"` section
 //!   (bucketed vs naive scheduler edges/sec and the speedup ratio), the
 //!   `"sparse"` section (sparse vs dense ticking on the idle-heavy case)
@@ -96,14 +95,15 @@ pub fn committed_path() -> PathBuf {
 /// `warm_restart_first_micros` and the per-connections `conn_scaling`
 /// curve) and annotated scaling-curve points with
 /// `effective_jobs`/`oversubscribed` (worker counts are now clamped to the
-/// host's cores unless forced). [`Ledger::parse`] accepts this version
-/// only.
-pub const SCHEMA: &str = "mpsoc-bench/kernel-v8";
+/// host's cores unless forced); `v9` dropped the `"warm_fork"` section (the
+/// checkpoint-forked fig4 sweep is `repro --exp fig4` itself, so there is
+/// no second driver to compare it with). [`Ledger::parse`] accepts this
+/// version only.
+pub const SCHEMA: &str = "mpsoc-bench/kernel-v9";
 
 /// The known top-level sections, in the order they appear in the file.
-pub const SECTIONS: [&str; 8] = [
+pub const SECTIONS: [&str; 7] = [
     "experiments",
-    "warm_fork",
     "microbench",
     "sparse",
     "parallel",
@@ -192,7 +192,6 @@ pub fn extract_section(doc: &str, name: &str) -> Option<String> {
 /// The recorder commands a failed check tells the user to run. `<path>`
 /// is the ledger being checked.
 const REPRO: &str = "repro --scale 1 --bench-out <path>";
-const REPRO_WARM_FORK: &str = "repro --warm-fork --bench-out <path>";
 const REPRO_FAST_WARM: &str = "repro --fast-warm --bench-out <path>";
 const REPRO_DSE: &str = "repro --exp dse --bench-out <path>";
 const HOTPATH: &str = "cargo bench -p mpsoc-bench --bench kernel_hotpath -- --committed";
@@ -454,17 +453,6 @@ pub struct Floor {
 /// threshold is written. Each row's comment says why the threshold is what
 /// it is.
 pub const FLOORS: &[Floor] = &[
-    // Forking a warm checkpoint has to beat re-simulating the warm-up
-    // prefix by a clear margin, or the snapshot subsystem has regressed.
-    Floor {
-        label: "warm-fork speedup",
-        section: "warm_fork",
-        value: ValuePath::Field("speedup"),
-        comparator: Comparator::AtLeast(1.5),
-        cores: Cores::Always,
-        armed_when: None,
-        regenerate: REPRO_WARM_FORK,
-    },
     // Idle-heavy kernel_hotpath case: skipping quiescent components has to
     // beat ticking them where idleness dominates, or sparse scheduling has
     // regressed into bookkeeping overhead.
@@ -792,7 +780,7 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         update_section(&path, "experiments", r#"{"runs":[]}"#).expect("writes");
         let doc = std::fs::read_to_string(&path).expect("readable");
-        assert!(doc.contains(r#""schema": "mpsoc-bench/kernel-v8""#));
+        assert!(doc.contains(r#""schema": "mpsoc-bench/kernel-v9""#));
         assert!(doc.contains(r#""experiments": {"runs":[]}"#));
         assert!(!doc.contains("microbench"));
         std::fs::remove_file(&path).expect("cleanup");
@@ -873,13 +861,12 @@ mod tests {
     /// checks; frozen here so re-recording the real one cannot move the
     /// parity expectations below.
     const FIXTURE: &str = concat!(
-        "{\n\"schema\": \"mpsoc-bench/kernel-v8\",\n",
+        "{\n\"schema\": \"mpsoc-bench/kernel-v9\",\n",
         "\"experiments\": {\"scale\":1,\"host_cores\":1,\"runs\":[",
         "{\"id\":\"fig3\",\"ticks\":20,\"skipped\":60,\"ff_elided\":7,\"edges_per_sec\":123456.5},",
         "{\"id\":\"fig4\",\"ticks\":8,\"par_computed\":200,\"par_reticked\":1,",
         "\"par_fallback_audit\":2,\"par_fallback_small\":5,\"edges_per_sec\":99}],",
         "\"fig4_scaling\":[{\"jobs\":1,\"speedup\":1},{\"jobs\":8,\"speedup\":1.07}]},\n",
-        "\"warm_fork\": {\"speedup\":2.87},\n",
         "\"sparse\": {\"speedup\":7.13},\n",
         "\"parallel\": {\"tick_jobs\":4,\"host_cores\":1,\"speedup\":1.0,",
         "\"scaling\":[{\"jobs\":1,\"speedup\":1},{\"jobs\":8,\"speedup\":0.99}]},\n",
@@ -1085,8 +1072,8 @@ mod tests {
 
         // Another schema: one failure, naming the recorders.
         for stale in [
-            FIXTURE.replace("kernel-v8", "kernel-v7"),
-            FIXTURE.replace("\"schema\": \"mpsoc-bench/kernel-v8\",\n", ""),
+            FIXTURE.replace("kernel-v9", "kernel-v8"),
+            FIXTURE.replace("\"schema\": \"mpsoc-bench/kernel-v9\",\n", ""),
         ] {
             let err = Ledger::parse(&stale).expect_err("stale schema");
             for needle in ["regenerate", "repro ", "kernel_hotpath", "loadgen"] {
@@ -1116,9 +1103,9 @@ mod tests {
         assert_eq!(no_point.len(), 1, "{no_point:?}");
         assert!(no_point[0].contains("conn_scaling[connections=8].speedup is not recorded"));
         // The serde shim writes a non-finite float as null: not a number.
-        let null = missed(&FIXTURE.replace("\"speedup\":2.87", "\"speedup\":null"));
+        let null = missed(&FIXTURE.replace("\"speedup\":7.13", "\"speedup\":null"));
         assert_eq!(null.len(), 1, "{null:?}");
-        assert!(null[0].starts_with("warm-fork speedup check failed"));
+        assert!(null[0].starts_with("sparse speedup check failed"));
     }
 
     #[test]

@@ -78,7 +78,7 @@ pub const EXPERIMENT_REGISTRY: &[ExperimentDesc] = &[
         id: "fig4",
         description:
             "collapsed vs distributed topology over memory wait states 1..32 (paper Fig. 4)",
-        runtime: "~0.1 s",
+        runtime: "~0.01 s",
         own_gear: false,
         runner: |run| Ok(experiments::fig4(run)?.to_string()),
     },
@@ -166,7 +166,7 @@ pub const EXPERIMENT_REGISTRY: &[ExperimentDesc] = &[
             "successive-halving design-space exploration: Pareto front over fabric/memory knobs",
         runtime: "~1 s",
         own_gear: true,
-        runner: run_dse,
+        runner: |run| Ok(run_dse(run, &DseOptions::default())?.0),
     },
 ];
 
@@ -204,11 +204,10 @@ pub fn run_experiment(id: &str, run: Run) -> SimResult<String> {
 }
 
 /// CLI-level options of the `dse` experiment that do not fit the uniform
-/// runner signature: checkpointing and resume.
-/// The `repro` binary stashes them with [`set_dse_options`] before the
-/// run; a plain [`run_experiment`] call gets the defaults (no
-/// checkpointing).
-#[derive(Debug, Clone, Default)]
+/// runner signature: checkpointing and resume. The `repro` binary hands
+/// them to [`run_dse`]; a plain [`run_experiment`] call gets the defaults
+/// (no checkpointing).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DseOptions {
     /// Frontier checkpoint file (written every `checkpoint_every` rungs,
     /// read back by `resume`).
@@ -236,8 +235,7 @@ pub struct DseRungRecord {
 
 /// The `repro --exp dse` measurement recorded in the ledger's `"dse"`
 /// section: search shape, front quality and the evaluation fan-out
-/// speedup. Produced by the `dse` registry runner, collected by
-/// [`take_dse_run`].
+/// speedup. Produced by [`run_dse`].
 #[derive(Debug, Clone, Serialize)]
 pub struct DseRun {
     /// Workload scale the search ran at.
@@ -266,42 +264,28 @@ pub struct DseRun {
     pub rungs: Vec<DseRungRecord>,
 }
 
-static DSE_OPTIONS: std::sync::Mutex<Option<DseOptions>> = std::sync::Mutex::new(None);
-static DSE_LAST_RUN: std::sync::Mutex<Option<DseRun>> = std::sync::Mutex::new(None);
-
-/// Stashes checkpoint/resume options for the next `dse` experiment run
-/// (consumed by it; later runs revert to the defaults).
-pub fn set_dse_options(options: DseOptions) {
-    *DSE_OPTIONS.lock().expect("dse options lock") = Some(options);
-}
-
-/// Takes the measurement of the most recent `dse` experiment run, if one
-/// completed (an interrupted `stop_after` run records nothing).
-pub fn take_dse_run() -> Option<DseRun> {
-    DSE_LAST_RUN.lock().expect("dse run lock").take()
-}
-
-/// The `dse` registry runner: explores the design space, stashes the
-/// ledger measurement, and returns the rendered Pareto table. When the
-/// run fans out (`jobs` >= 2) the search is repeated serially to measure
-/// the fan-out speedup — and the two tables are proven byte-identical,
-/// the same self-check discipline as `--warm-fork`. The search shifts the
-/// gear itself, rung by rung: of `run.exec` the schedule and the tick jobs
-/// reach the candidates, the gear does not.
-fn run_dse(run: Run) -> SimResult<String> {
+/// Runs the `dse` experiment: explores the design space and returns the
+/// rendered Pareto table with the ledger measurement (`None` for a search
+/// `options.stop_after` interrupted mid-ladder: there is no front to
+/// record). When the run fans out (`jobs` >= 2) the search is repeated
+/// serially to measure the fan-out speedup — and the two tables are proven
+/// byte-identical. The search shifts the gear itself, rung by rung: of
+/// `run.exec` the schedule and the tick jobs reach the candidates, the gear
+/// does not.
+///
+/// # Errors
+///
+/// Fails if a candidate platform stalls, the frontier checkpoint cannot be
+/// read or written, or the fanned-out table differs from the serial one.
+pub fn run_dse(run: Run, options: &DseOptions) -> SimResult<(String, Option<DseRun>)> {
     let Run { scale, seed, .. } = run;
-    let options = DSE_OPTIONS
-        .lock()
-        .expect("dse options lock")
-        .take()
-        .unwrap_or_default();
     let config = mpsoc_dse::DseConfig {
         scale,
         seed,
         jobs: run.jobs.max(1),
         exec: run.exec,
         workload: mpsoc_dse::DseWorkload::Saturated,
-        checkpoint_path: options.checkpoint_path,
+        checkpoint_path: options.checkpoint_path.clone(),
         checkpoint_every: options.checkpoint_every,
         stop_after: options.stop_after,
         resume: options.resume,
@@ -311,8 +295,7 @@ fn run_dse(run: Run) -> SimResult<String> {
     let wall_seconds = started.elapsed().as_secs_f64().max(1e-9);
     let table = result.to_string();
     if result.stopped {
-        // Interrupted mid-ladder: there is no front to record.
-        return Ok(table);
+        return Ok((table, None));
     }
     let fanout_speedup = if config.jobs >= 2 && config.stop_after.is_none() && !config.resume {
         let started = Instant::now();
@@ -359,8 +342,7 @@ fn run_dse(run: Run) -> SimResult<String> {
             })
             .collect(),
     };
-    *DSE_LAST_RUN.lock().expect("dse run lock") = Some(run);
-    Ok(table)
+    Ok((table, Some(run)))
 }
 
 /// One experiment execution with its host-side throughput measurements.
@@ -494,9 +476,19 @@ fn si(rate: f64) -> String {
 ///
 /// Same as [`run_experiment`].
 pub fn measure_experiment(id: &str, run: Run) -> SimResult<ExperimentRun> {
+    measure(id, || run_experiment(id, run))
+}
+
+/// [`measure_experiment`] around any function that renders experiment
+/// `id`'s table — how `repro` measures [`run_dse`] called with its flags.
+///
+/// # Errors
+///
+/// Whatever `runner` fails with.
+pub fn measure(id: &str, runner: impl FnOnce() -> SimResult<String>) -> SimResult<ExperimentRun> {
     let before = activity::snapshot();
     let started = Instant::now();
-    let table = run_experiment(id, run)?;
+    let table = runner()?;
     let wall_seconds = started.elapsed().as_secs_f64().max(1e-9);
     let delta = activity::snapshot().since(before);
     Ok(ExperimentRun {
@@ -611,81 +603,6 @@ pub fn measure_fig4_scaling(run: Run) -> SimResult<Fig4ScalingRun> {
     Ok(Fig4ScalingRun {
         host_cores: host_cores as u64,
         points,
-    })
-}
-
-/// The `repro --warm-fork` measurement: the fig4 sweep run twice, once
-/// cold (every point re-simulates the shared warm-up prefix) and once via
-/// checkpoint/fork (the prefix is simulated once per topology and every
-/// point restores the snapshot blob).
-///
-/// Produced by [`measure_warm_fork`], which also *proves* the two tables
-/// byte-identical before reporting any timing.
-#[derive(Debug, Clone, Serialize)]
-pub struct WarmForkRun {
-    /// Workload multiplier the sweep ran at.
-    pub scale: u64,
-    /// Simulation seed.
-    pub seed: u64,
-    /// Worker threads used inside each sweep.
-    pub jobs: u64,
-    /// The rendered fig4 table (identical for both paths).
-    #[serde(skip)]
-    pub table: String,
-    /// Wall-clock seconds of the cold sweep.
-    pub cold_seconds: f64,
-    /// Wall-clock seconds of the checkpoint-forked sweep.
-    pub fork_seconds: f64,
-    /// `cold_seconds / fork_seconds`.
-    pub speedup: f64,
-}
-
-impl WarmForkRun {
-    /// One-line human-readable summary.
-    pub fn perf_line(&self) -> String {
-        format!(
-            "[warm-fork identical: yes — cold {:.2}s, fork {:.2}s, speedup {:.2}x]",
-            self.cold_seconds, self.fork_seconds, self.speedup
-        )
-    }
-}
-
-/// Runs the fig4 sweep cold and checkpoint-forked, verifies the two tables
-/// are byte-identical, and returns both timings. The forked leg is the
-/// [`service`](mpsoc_platform::service)'s: of `run.exec` only the tick jobs
-/// reach it (see [`experiments::fig4_warm_fork`]), so `repro` refuses
-/// `--dense` and `--fast-gear` beside `--warm-fork`.
-///
-/// # Errors
-///
-/// Fails if either sweep stalls, or — the self-check — if the forked table
-/// differs from the cold one in any byte, which would mean snapshot
-/// restore is not exact.
-pub fn measure_warm_fork(run: Run) -> SimResult<WarmForkRun> {
-    let started = Instant::now();
-    let cold = experiments::fig4(run)?.to_string();
-    let cold_seconds = started.elapsed().as_secs_f64().max(1e-9);
-    let started = Instant::now();
-    let fork = experiments::fig4_warm_fork(run)?.to_string();
-    let fork_seconds = started.elapsed().as_secs_f64().max(1e-9);
-    if cold != fork {
-        return Err(SimError::Snapshot {
-            source: mpsoc_kernel::SnapshotError::StructureMismatch {
-                detail: format!(
-                    "warm-fork self-check failed: the forked fig4 table differs from the \
-                     cold one\n--- cold ---\n{cold}\n--- fork ---\n{fork}"
-                ),
-            },
-        });
-    }
-    Ok(WarmForkRun {
-        scale: run.scale,
-        seed: run.seed,
-        jobs: run.jobs as u64,
-        table: fork,
-        cold_seconds,
-        fork_seconds,
-        speedup: cold_seconds / fork_seconds,
     })
 }
 
@@ -821,9 +738,9 @@ mod tests {
 
     #[test]
     fn dse_runner_records_a_measurement() {
-        let table = run_experiment("dse", Run::new(1, 0x0dab)).expect("dse runs");
+        let (table, run) = run_dse(Run::new(1, 0x0dab), &DseOptions::default()).expect("dse runs");
         assert!(table.contains("pareto front"));
-        let run = take_dse_run().expect("a completed run is stashed");
+        let run = run.expect("a completed run is recorded");
         assert!(run.front_size >= 3, "front too small: {}", run.front_size);
         assert!(run.families >= 2);
         assert_eq!(run.jobs, 1);
@@ -833,14 +750,6 @@ mod tests {
             run.rungs.iter().map(|r| r.sim_ticks).sum::<u64>(),
             run.sim_ticks
         );
-        assert!(take_dse_run().is_none(), "the stash is take-once");
-    }
-
-    #[test]
-    fn warm_fork_smoke_is_identical() {
-        let run = measure_warm_fork(Run::new(1, 0x0dab)).expect("warm fork runs");
-        assert!(run.table.contains("FIG-4"));
-        assert!(run.cold_seconds > 0.0 && run.fork_seconds > 0.0);
     }
 
     #[test]

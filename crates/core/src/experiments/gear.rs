@@ -8,16 +8,19 @@
 //! before diverging.
 //!
 //! For each quantum the fig4 warm phase (probe + prefix + checkpoint) runs
-//! once in `Fast { quantum }` and the sweep is finished by cycle-accurate
-//! tails forked from the warm checkpoint; the row reports the warm-phase
-//! wall-clock speedup over the `Cycle` gear and the worst per-cell error
-//! of the resulting table against the cycle-accurate reference. The
-//! `quantum = 1` row must be byte-identical to the reference — the
-//! kernel's degenerate-gear identity — and is flagged as such.
+//! once in `Fast { quantum }` and the sweep is served by cycle-accurate
+//! tails forked from the warm checkpoint — the two building blocks of
+//! [`fig4`](super::fig4) itself, with an explicit warm gear; the row
+//! reports the warm-phase wall-clock speedup over the `Cycle` gear and the
+//! worst per-cell error of the resulting table against the cycle-accurate
+//! reference. The `quantum = 1` row must be byte-identical to the
+//! reference — the kernel's degenerate-gear identity — and is flagged as
+//! such.
 
-use super::fig4::{fig4_finish, fig4_warm_state, Fig4};
+use super::fig4::{point_spec, serve_sweep, Fig4, TOPOLOGIES};
 use super::Run;
-use mpsoc_kernel::{Fidelity, SimResult};
+use crate::service::warm_state_two_pass;
+use mpsoc_kernel::{ExecMode, Fidelity, SimResult};
 use std::fmt;
 
 /// The quanta swept by [`fast_forward_study`]: the identity gear, two
@@ -123,26 +126,40 @@ fn max_err_permille(reference: &Fig4, fast: &Fig4) -> u64 {
 /// cycle-accurate tails (`run.jobs` worker threads).
 ///
 /// Only the warm phases are timed — the tails are identical work in every
-/// row, and the gear only ever runs the warm region. The study sets the
-/// gear of every row itself: of `run.exec` the schedule and the tick jobs
-/// apply, the gear does not.
+/// row, and the gear only ever runs the warm region. Every gear, the cycle
+/// gear included, is timed under the same two-pass procedure (probe, then
+/// the prefix replayed to the boundary and checkpointed), so a row's
+/// speedup compares gears and nothing else. The study sets the gear of
+/// every row itself: of `run.exec` the schedule and the tick jobs apply,
+/// the gear does not.
 ///
 /// # Errors
 ///
 /// Fails if a platform instance stalls.
 pub fn fast_forward_study(run: Run) -> SimResult<FastForwardStudy> {
-    let started = std::time::Instant::now();
-    let cycle_state = fig4_warm_state(run, Fidelity::Cycle)?;
-    let cycle_warm_seconds = started.elapsed().as_secs_f64().max(1e-9);
-    let reference = fig4_finish(&cycle_state, run)?;
+    let run = Run {
+        exec: ExecMode {
+            fidelity: Fidelity::Cycle,
+            ..run.exec
+        },
+        ..run
+    };
+    let specs = TOPOLOGIES.map(|t| point_spec(run, t));
+    let warmed_in = |gear| -> SimResult<(f64, Fig4)> {
+        let started = std::time::Instant::now();
+        let warm = [
+            warm_state_two_pass(&specs[0], gear)?,
+            warm_state_two_pass(&specs[1], gear)?,
+        ];
+        let warm_seconds = started.elapsed().as_secs_f64().max(1e-9);
+        Ok((warm_seconds, serve_sweep(run, &warm)?))
+    };
+    let (cycle_warm_seconds, reference) = warmed_in(Fidelity::Cycle)?;
     let reference_table = reference.to_string();
 
     let mut rows = Vec::with_capacity(FAST_FORWARD_QUANTA.len());
     for quantum in FAST_FORWARD_QUANTA {
-        let started = std::time::Instant::now();
-        let state = fig4_warm_state(run, Fidelity::Fast { quantum })?;
-        let warm_seconds = started.elapsed().as_secs_f64().max(1e-9);
-        let fast = fig4_finish(&state, run)?;
+        let (warm_seconds, fast) = warmed_in(Fidelity::Fast { quantum })?;
         rows.push(FastForwardRow {
             quantum,
             warm_seconds,

@@ -36,10 +36,7 @@ pub use ablations::{
 pub use dual_channel::{dual_channel_study, DualChannelStudy};
 pub use fidelity::{fidelity_study, FidelityRow, FidelityStudy};
 pub use fig3::{fig3, Fig3, Fig3Bar};
-pub use fig4::{
-    fig4, fig4_fast_warm, fig4_finish, fig4_warm_fork, fig4_warm_state, Fig4, Fig4Point,
-    Fig4WarmState,
-};
+pub use fig4::{fig4, Fig4, Fig4Point};
 pub use fig5::{fig5, Fig5, Fig5Bar};
 pub use fig6::{fig6, Fig6, Fig6Phase};
 pub use gear::{fast_forward_study, FastForwardRow, FastForwardStudy, FAST_FORWARD_QUANTA};
@@ -60,11 +57,9 @@ pub const DEFAULT_SEED: u64 = 0x0dab;
 /// `exec` reaches every simulation the experiment builds, through the
 /// `exec` field of the spec it is built from. Tables are identical for any
 /// `jobs`, any `exec.tick_jobs` and either schedule; only `exec.fidelity`
-/// above quantum 1 makes them approximate. The entry points that are
-/// *about* the gear — [`fast_forward_study`], [`fig4_warm_state`] /
-/// [`fig4_finish`] — set it themselves and take only the other two fields
-/// from `exec`; [`fig4_warm_fork`], whose platforms the
-/// [`service`](crate::service) builds, takes only the tick jobs.
+/// above quantum 1 makes them approximate. The one entry point that is
+/// *about* the gear — [`fast_forward_study`] — sets it itself and takes
+/// only the other two fields from `exec`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Run {
     /// Workload multiplier.

@@ -11,11 +11,12 @@
 //!
 //! * [`SweepRequest`] — the decoded request and its [`PlatformSpec`]
 //!   mapping, plus the canonical wire names of every enum knob;
-//! * [`probe_warm`] — the deterministic warm-boundary probe (shared with
-//!   the fig4 experiment, which is exactly this sweep for one fixed
-//!   configuration);
 //! * [`warm_state`] / [`serve_point`] — produce a warm checkpoint and
-//!   serve one sweep point from it.
+//!   serve one sweep point from it. The fig4 experiment
+//!   ([`crate::experiments::fig4`]) is exactly this sweep for one fixed
+//!   configuration: every cell of its table is [`serve_point_on`] from a
+//!   warm state made by [`warm_state`]'s body, on platforms built from a
+//!   spec that also carries the run's execution mode.
 //!
 //! # One simulation per warm-up
 //!
@@ -253,8 +254,8 @@ pub struct WarmProfile {
     pub warm_until: Time,
 }
 
-/// Runs the probe (the base-wait-states point) and derives the warm
-/// boundary.
+/// The probe: runs `platform` (fresh from the builder, in the gear it was
+/// set to) to quiescence and derives the warm profile.
 ///
 /// The base run is stepped in [`CHUNK`]-sized slices, sampling the injected
 /// transaction count at every boundary; stepping a run this way is
@@ -263,26 +264,11 @@ pub struct WarmProfile {
 /// total injections have happened — a deterministic instant every sweep
 /// point can replay before diverging.
 ///
-/// The probe runs in `gear`, whatever gear `spec.exec` names (the schedule
-/// and tick jobs of `spec.exec` apply). In a loosely-timed gear the probe's
-/// injection timeline (and with it the sampled warm boundary and the
-/// quiescence instant) is approximate; a loosely-timed caller must
-/// therefore never use the probe's `base_cycles` and instead derive every
-/// cell from a cycle-accurate tail. At `Fast { quantum: 1 }` the trace is
-/// byte-identical to the cycle-gear one.
-///
-/// # Errors
-///
-/// Fails if the platform stalls before the horizon (model bug).
-pub fn probe_warm(spec: &PlatformSpec, gear: Fidelity) -> SimResult<WarmProfile> {
-    let mut platform = build_platform(spec)?;
-    platform.sim_mut().set_fidelity(gear);
-    Ok(warm_pass(platform, None)?.0)
-}
-
-/// The probe loop behind [`probe_warm`] and [`warm_state`]: runs `platform`
-/// (fresh from the builder) to quiescence in [`CHUNK`] slices and derives
-/// the warm profile from the recorded samples and the drained total.
+/// In a loosely-timed gear the probe's injection timeline (and with it the
+/// sampled warm boundary and the quiescence instant) is approximate: its
+/// `base_cycles` is the chunk-clipped fast run's, not a cell of any table —
+/// every cell, the base one included, is a tail served from the blob. At
+/// `Fast { quantum: 1 }` the trace is byte-identical to the cycle-gear one.
 ///
 /// With `predicted_total` given, the loop also checkpoints the platform at
 /// the first chunk boundary whose injection count reaches
@@ -293,6 +279,10 @@ pub fn probe_warm(spec: &PlatformSpec, gear: Fidelity) -> SimResult<WarmProfile>
 /// first met inside the final chunk, where the boundary falls back to the
 /// last sample) yields `None` and costs the caller a replay, not a wrong
 /// checkpoint.
+///
+/// # Errors
+///
+/// Fails if the platform stalls before the horizon (model bug).
 fn warm_pass(
     mut platform: Platform,
     predicted_total: Option<u64>,
@@ -447,9 +437,9 @@ impl WarmState {
 /// boundaries, so a blob captured inside the chunked probe would be a
 /// different (equally approximate) state and would change served values.
 /// The prefix is shifted back to [`Fidelity::Cycle`] *before* the
-/// checkpoint — exactly like `repro --fast-warm` — so the blob is an
-/// ordinary cycle-gear checkpoint (identical structural fingerprint) and
-/// every served tail is a cycle-accurate continuation.
+/// checkpoint, so the blob is an ordinary cycle-gear checkpoint (identical
+/// structural fingerprint) and every served tail continues from a state
+/// cycle-accurate arbitration could have produced.
 ///
 /// Deterministic: the same request always produces a byte-identical blob.
 ///
@@ -457,28 +447,45 @@ impl WarmState {
 ///
 /// Fails if the platform stalls (model bug).
 pub fn warm_state(req: &SweepRequest) -> SimResult<WarmState> {
-    warm_state_predicting(req, |expected| expected).map(|(state, _)| state)
+    warm_state_of(&req.base_spec(), req.warm_fidelity())
 }
 
-/// [`warm_state`] with the capture's predicted injection total passed
-/// through `predict` (tests mispredict on purpose to drive the verification
-/// branch). Also reports whether the blob came from the one-pass capture.
+/// [`warm_state`] for any platform spec: the warm phase runs in `gear`,
+/// under the schedule and tick jobs of `spec.exec`. What the fig4 experiment
+/// calls, with the run's execution mode in the spec.
+pub(crate) fn warm_state_of(spec: &PlatformSpec, gear: Fidelity) -> SimResult<WarmState> {
+    warm_state_predicting(spec, gear, Some(|expected| expected)).map(|(state, _)| state)
+}
+
+/// [`warm_state_of`] without the one-pass capture: probe, then a fresh
+/// platform replayed to the boundary, in every gear. The same state, byte
+/// for byte; the EXT-FAST study times this so that its cycle-gear row pays
+/// the same two passes as its fast-gear rows.
+pub(crate) fn warm_state_two_pass(spec: &PlatformSpec, gear: Fidelity) -> SimResult<WarmState> {
+    warm_state_predicting(spec, gear, None).map(|(state, _)| state)
+}
+
+/// The body of [`warm_state_of`] and [`warm_state_two_pass`]. A
+/// cycle-accurate probe given a `predict` captures at the boundary it
+/// predicts from the builder's injection total (tests mispredict on purpose
+/// to drive the verification branch); without one, or in a fast gear, the
+/// prefix is replayed. Also reports whether the blob came from the capture.
 fn warm_state_predicting(
-    req: &SweepRequest,
-    predict: fn(u64) -> u64,
+    spec: &PlatformSpec,
+    gear: Fidelity,
+    predict: Option<fn(u64) -> u64>,
 ) -> SimResult<(WarmState, bool)> {
-    let spec = req.base_spec();
-    let gear = req.warm_fidelity();
-    let mut platform = build_platform(&spec)?;
+    let mut platform = build_platform(spec)?;
     let fingerprint = platform.structural_fingerprint();
     platform.sim_mut().set_fidelity(gear);
-    let predicted_total =
-        (gear == Fidelity::Cycle).then(|| predict(platform.expected_transactions()));
+    let predicted_total = predict
+        .filter(|_| gear == Fidelity::Cycle)
+        .map(|predict| predict(platform.expected_transactions()));
     let (profile, captured) = warm_pass(platform, predicted_total)?;
     let one_pass = captured.is_some();
     let blob = match captured {
         Some(blob) => blob,
-        None => replay_to_boundary(&spec, gear, profile.warm_until)?,
+        None => replay_to_boundary(spec, gear, profile.warm_until)?,
     };
     Ok((
         WarmState {
@@ -500,9 +507,13 @@ fn replay_to_boundary(
 ) -> SimResult<SnapshotBlob> {
     let mut platform = build_platform(spec)?;
     if gear != Fidelity::Cycle {
-        // Deterministic gear-shift: land on the boundary in the fast
-        // gear, then settle cycle-accurately so the checkpoint carries
-        // no illegal run-ahead (see fig4_warm_state).
+        // Deterministic gear-shift: the boundary is a chunk boundary, so
+        // after the fast run every clock domain's next edge is strictly
+        // past it in either gear. Land on it in the fast gear, then settle
+        // cycle-accurately: the run-ahead the fast gear's occupancy slack
+        // leaves behind (wires filled beyond strict capacity) drains back
+        // to a state cycle-accurate arbitration could have produced, so
+        // the tails forked from the checkpoint inherit no illegal backlog.
         platform.sim_mut().set_fidelity(gear);
         platform.sim_mut().run_until(warm_until);
         platform.sim_mut().set_fidelity(Fidelity::Cycle);
@@ -634,7 +645,9 @@ mod tests {
     fn two_pass_warm_state(req: &SweepRequest) -> WarmState {
         let spec = req.base_spec();
         let gear = req.warm_fidelity();
-        let profile = probe_warm(&spec, gear).expect("probe");
+        let mut probe = build_platform(&spec).expect("builds");
+        probe.sim_mut().set_fidelity(gear);
+        let (profile, _) = warm_pass(probe, None).expect("probe");
         let mut platform = build_platform(&spec).expect("builds");
         if gear != Fidelity::Cycle {
             platform.sim_mut().set_fidelity(gear);
@@ -648,6 +661,11 @@ mod tests {
             blob: platform.checkpoint(),
             fingerprint,
         }
+    }
+
+    fn predicting(req: &SweepRequest, predict: fn(u64) -> u64) -> (WarmState, bool) {
+        warm_state_predicting(&req.base_spec(), req.warm_fidelity(), Some(predict))
+            .expect("warm state")
     }
 
     fn assert_same_state(got: &WarmState, want: &WarmState, key: &str) {
@@ -698,8 +716,7 @@ mod tests {
         let jobs = std::thread::available_parallelism().map_or(1, |n| n.get());
         parallel_map(reqs, jobs, |req| {
             let key = req.warm_key();
-            let (state, one_pass) =
-                warm_state_predicting(&req, |expected| expected).expect("warm state");
+            let (state, one_pass) = predicting(&req, |expected| expected);
             assert_eq!(
                 one_pass,
                 req.fast_gear.is_none(),
@@ -718,16 +735,18 @@ mod tests {
             };
             let want = two_pass_warm_state(&req);
             // Twice the real total: the capture threshold is never reached.
-            let (never, one_pass) =
-                warm_state_predicting(&req, |expected| expected * 2).expect("warm state");
+            let (never, one_pass) = predicting(&req, |expected| expected * 2);
             assert!(!one_pass);
             assert_same_state(&never, &want, "prediction x2");
             // Half of it: a blob is captured well before the boundary and
             // must be thrown away.
-            let (early, one_pass) =
-                warm_state_predicting(&req, |expected| expected / 2).expect("warm state");
+            let (early, one_pass) = predicting(&req, |expected| expected / 2);
             assert!(!one_pass);
             assert_same_state(&early, &want, "prediction /2");
+            // No prediction at all is the two-pass route by name.
+            let two_pass =
+                warm_state_two_pass(&req.base_spec(), Fidelity::Cycle).expect("warm state");
+            assert_same_state(&two_pass, &want, "two passes");
         }
     }
 

@@ -2,9 +2,10 @@
 //!
 //! One differential test over the printed tables of `fig3` (the most
 //! sleeping slots), `many-to-one` (the fewest: its charged ticks are mostly
-//! elided under back-pressure) and `robustness` (fault-armed: every
+//! elided under back-pressure), `robustness` (fault-armed: every
 //! worker-computed tick buffers fault-probe draws the commit phase replays)
-//! at scale 1. It replaces the `ci.sh` gates that ran `repro` twice and
+//! and `fig4` (a checkpoint restore in the middle of every cell: the mode
+//! must survive it) at scale 1. It replaces the `ci.sh` gates that ran `repro` twice and
 //! diffed the output — an [`ExecMode`] is a value now, so a test thread can
 //! hold one:
 //!
@@ -82,8 +83,8 @@ const ROWS: [(&str, ExecMode, ExecMode); 6] = [
     ),
 ];
 
-/// The three tables as `repro --scale 1` prints them, under `exec`.
-fn tables(exec: ExecMode) -> [(&'static str, String); 3] {
+/// The four tables as `repro --scale 1` prints them, under `exec`.
+fn tables(exec: ExecMode) -> [(&'static str, String); 4] {
     let run = Run {
         exec,
         ..Run::new(1, experiments::DEFAULT_SEED)
@@ -98,6 +99,7 @@ fn tables(exec: ExecMode) -> [(&'static str, String); 3] {
             "robustness",
             experiments::robustness(run).expect("runs").to_string(),
         ),
+        ("fig4", experiments::fig4(run).expect("runs").to_string()),
     ]
 }
 
