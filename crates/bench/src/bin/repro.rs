@@ -15,9 +15,7 @@
 //! repro --exp dse                       # design-space exploration (Pareto front)
 //! repro --exp dse --dse-checkpoint f.bin --dse-checkpoint-every 1   # resumable
 //! repro --exp dse --dse-checkpoint f.bin --dse-resume               # resume it
-//! repro --no-bench-out       # skip writing the perf ledger
-//! repro --bench-out <path>   # refresh a committed ledger explicitly
-//! repro --check-bench <path> # fail if throughput regressed >30% vs <path>
+//! repro --bench-out <path>   # record the measurements in a perf ledger
 //! ```
 //!
 //! Experiments always run one at a time and print in a fixed order, so the
@@ -29,17 +27,18 @@
 //! registration order — and the kernel guarantees the output stays
 //! byte-identical to serial for any value. Each experiment is followed by a host-side
 //! throughput line (scheduler edges/sec and simulated component-cycles/sec,
-//! from the kernel's activity counters), and the measurements are recorded
-//! in a machine-readable ledger. By default that ledger lands in the
-//! gitignored `target/BENCH_kernel.json`; the committed copy at the repo
-//! root is only touched when `--bench-out` names it explicitly.
+//! from the kernel's activity counters). `--bench-out` records the
+//! measurements in a machine-readable ledger (the committed one is
+//! `BENCH_kernel.json` at the repo root); without it a run writes no file.
 //!
 //! `--fast-warm` runs the EXT-FAST study instead of the experiments: the
 //! fig4 warm phase once per fast-forward quantum, each finished by
 //! cycle-accurate tails, reporting warm-phase speedup and worst per-cell
-//! error per quantum and recording the default-quantum
-//! headline in the ledger's `"fast_forward"` section (`--check-bench`
-//! then enforces the speedup floor and the quantum-1 byte identity).
+//! error per quantum. Every run judges its default-quantum headline
+//! against the ledger's `"fast_forward"` floor rows — the quantum-1 byte
+//! identity and the speedup floor — re-measuring a miss up to twice and
+//! exiting 1 if it persists; `--bench-out`
+//! also records it as the ledger's `"fast_forward"` section.
 //! `--fast-gear QUANTUM` runs the experiments with every simulation in the
 //! loosely-timed gear — tables are approximate for quantum > 1 and
 //! byte-identical to cycle-accurate at quantum 1. The runners that set
@@ -59,15 +58,14 @@
 //! byte-identical for any `--jobs` and for a checkpoint-interrupted,
 //! resumed search (`--dse-checkpoint` + `--dse-checkpoint-every` to save
 //! the frontier, `--dse-stop-after` to interrupt, `--dse-resume` to
-//! continue). A completed run records the ledger's `"dse"` section;
-//! `--check-bench` then enforces the front-quality floors and — when the
-//! recording run fanned out on a multi-core host — the fan-out speedup.
+//! continue). A completed run given `--bench-out` records the ledger's
+//! `"dse"` section, whose front-quality and fan-out floors the committed
+//! ledger is held to by `cargo test`.
 
 use mpsoc_bench::ledger::{FloorVerdict, Ledger};
 use mpsoc_bench::{
     experiment_ids, find_experiment, ledger, measure, measure_experiment, measure_fast_forward,
-    measure_fig4_scaling, run_dse, timetravel, DseOptions, ExperimentRun, Fig4ScalingPoint, Run,
-    EXPERIMENT_REGISTRY,
+    run_dse, timetravel, DseOptions, ExperimentRun, Run, EXPERIMENT_REGISTRY,
 };
 use mpsoc_kernel::Fidelity;
 use serde::Serialize;
@@ -82,9 +80,8 @@ struct Args {
     fast_warm: bool,
     checkpoint_every_ns: Option<u64>,
     rewind_to_ns: Option<u64>,
-    bench_out: bool,
-    bench_out_path: Option<std::path::PathBuf>,
-    check_bench: Option<std::path::PathBuf>,
+    /// The ledger `--bench-out` names; nothing is written without it.
+    bench_out: Option<std::path::PathBuf>,
     /// The four `--dse-*` flags.
     dse: DseOptions,
 }
@@ -97,9 +94,7 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
         fast_warm: false,
         checkpoint_every_ns: None,
         rewind_to_ns: None,
-        bench_out: true,
-        bench_out_path: None,
-        check_bench: None,
+        bench_out: None,
         dse: DseOptions::default(),
     };
     let mut it = argv.into_iter();
@@ -196,12 +191,8 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
             }
             "--dse-resume" => args.dse.resume = true,
             "--dense" => args.run.exec.dense = true,
-            "--no-bench-out" => args.bench_out = false,
             "--bench-out" => {
-                args.bench_out_path = Some(it.next().ok_or("--bench-out needs a path")?.into());
-            }
-            "--check-bench" => {
-                args.check_bench = Some(it.next().ok_or("--check-bench needs a path")?.into());
+                args.bench_out = Some(it.next().ok_or("--bench-out needs a path")?.into());
             }
             "--help" | "-h" => {
                 println!(
@@ -209,8 +200,7 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
                      [--fast-warm] [--fast-gear QUANTUM] \
                      [--checkpoint-every NS --rewind-to NS] [--dense] \
                      [--dse-checkpoint <path>] [--dse-checkpoint-every RUNGS] \
-                     [--dse-stop-after RUNGS] [--dse-resume] \
-                     [--no-bench-out] [--bench-out <path>] [--check-bench <path>]\n\
+                     [--dse-stop-after RUNGS] [--dse-resume] [--bench-out <path>]\n\
                      experiments: {}",
                     experiment_ids().join(", ")
                 );
@@ -270,8 +260,7 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
     Ok(args)
 }
 
-/// The `"experiments"` section of `BENCH_kernel.json`. `fig4_scaling` is
-/// the fig4 sweep timed over the tick-jobs ladder (kernel-v7).
+/// The `"experiments"` section of `BENCH_kernel.json`.
 #[derive(Serialize)]
 struct ExperimentsSection {
     scale: u64,
@@ -285,7 +274,6 @@ struct ExperimentsSection {
     total_ticks: u64,
     total_skipped: u64,
     runs: Vec<ExperimentRun>,
-    fig4_scaling: Vec<Fig4ScalingPoint>,
 }
 
 fn main() -> ExitCode {
@@ -409,32 +397,6 @@ fn main() -> ExitCode {
         }
     }
 
-    // A full-suite ledger refresh also times the fig4 sweep over the
-    // tick-jobs ladder (the end-to-end face of the per-jobs scaling
-    // curve); single-experiment runs skip it to stay fast.
-    let fig4_scaling = if args.bench_out && args.exp.is_none() {
-        match measure_fig4_scaling(args.run) {
-            Ok(run) => {
-                let points: Vec<String> = run
-                    .points
-                    .iter()
-                    .map(|p| format!("{}j {:.2}x", p.jobs, p.speedup))
-                    .collect();
-                println!(
-                    "fig4 tick-jobs scaling (tables byte-identical): {}",
-                    points.join(", ")
-                );
-                run.points
-            }
-            Err(e) => {
-                eprintln!("fig4 scaling measurement failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    } else {
-        Vec::new()
-    };
-
     let section = ExperimentsSection {
         scale: args.run.scale,
         seed: args.run.seed,
@@ -447,66 +409,78 @@ fn main() -> ExitCode {
         total_ticks: runs.iter().map(|r| r.ticks).sum(),
         total_skipped: runs.iter().map(|r| r.skipped).sum(),
         runs,
-        fig4_scaling,
     };
     println!(
         "total: {} edges, {} sim cycles ({} skipped) in {:.2}s host time",
         section.total_edges, section.total_ticks, section.total_skipped, section.total_wall_seconds
     );
-    if args.bench_out {
-        let path = args
-            .bench_out_path
-            .clone()
-            .unwrap_or_else(ledger::default_path);
-        match ledger::update_section(&path, "experiments", &section.to_json()) {
-            Ok(()) => println!("perf ledger updated: {}", path.display()),
-            Err(e) => {
-                eprintln!("failed to write {}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
-        }
-        if let Some(run) = &dse_run {
-            if let Err(e) = ledger::update_section(&path, "dse", &run.to_json()) {
-                eprintln!("failed to write {}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
-        }
+    let Some(path) = &args.bench_out else {
+        return ExitCode::SUCCESS;
+    };
+    let mut sections = vec![("experiments", section.to_json())];
+    sections.extend(dse_run.map(|run| ("dse", run.to_json())));
+    if record(path, &sections) {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
     }
-    if let Some(baseline) = &args.check_bench {
-        return check_bench(baseline, &section.runs, &args);
-    }
-    ExitCode::SUCCESS
 }
 
-/// Runs the `--fast-warm` measurement and records its ledger section.
+/// Writes `sections` into the ledger at `path` and says where they went,
+/// or why they could not be written. Returns whether they were.
+fn record(path: &std::path::Path, sections: &[(&str, String)]) -> bool {
+    let written = sections
+        .iter()
+        .try_for_each(|(name, json)| ledger::update_section(path, name, json));
+    match &written {
+        Ok(()) => println!("perf ledger updated: {}", path.display()),
+        Err(e) => eprintln!("failed to write {}: {e}", path.display()),
+    }
+    written.is_ok()
+}
+
+/// Runs the `--fast-warm` measurement, judges it against the
+/// `"fast_forward"` floor rows (re-measuring a miss up to
+/// [`CHECK_RETRIES`] times) and records it when `--bench-out` names a
+/// ledger.
 fn fast_warm(args: &Args) -> ExitCode {
     println!(
         "fig4 fast-warm (loosely-timed warm phase), scale {}, seed {:#x}, jobs {}\n",
         args.run.scale, args.run.seed, args.run.jobs
     );
-    let run = match measure_fast_forward(args.run) {
-        Ok(run) => run,
-        Err(e) => {
-            eprintln!("fast-warm failed: {e}");
-            return ExitCode::FAILURE;
+    let mut retries = 0;
+    let (run, checked) = loop {
+        let run = match measure_fast_forward(args.run) {
+            Ok(run) => run,
+            Err(e) => {
+                eprintln!("fast-warm failed: {e}");
+                return ExitCode::FAILURE;
+            }
+        };
+        let checked = ledger::check_section("fast_forward", &run.to_json())
+            .expect("the section repro records is one JSON value");
+        let missed = checked.iter().any(|c| c.verdict == FloorVerdict::Missed);
+        if !missed || retries == CHECK_RETRIES {
+            break (run, checked);
         }
+        retries += 1;
+        eprintln!(
+            "fast-forward speedup {:.2}x missed its floor; re-measuring ({retries} of \
+             {CHECK_RETRIES})",
+            run.speedup
+        );
     };
     println!("{}", run.table);
     println!("{}", run.perf_line());
-    if args.bench_out {
-        let path = args
-            .bench_out_path
-            .clone()
-            .unwrap_or_else(ledger::default_path);
-        match ledger::update_section(&path, "fast_forward", &run.to_json()) {
-            Ok(()) => println!("perf ledger updated: {}", path.display()),
-            Err(e) => {
-                eprintln!("failed to write {}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
-        }
+    let recorded = args
+        .bench_out
+        .as_ref()
+        .is_none_or(|path| record(path, &[("fast_forward", run.to_json())]));
+    if ledger::report(&checked) && recorded {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
     }
-    check_section_floors(args, "fast_forward")
 }
 
 /// Runs the time-travel debug harness for one experiment.
@@ -523,22 +497,6 @@ fn time_travel(args: &Args, every_ns: u64, rewind_ns: u64) -> ExitCode {
         }
     }
 }
-
-/// Maximum tolerated throughput drop against the baseline ledger before
-/// [`check_bench`] fails the run: 30 %, generous enough to absorb host
-/// noise while still catching real scheduler regressions.
-const MAX_REGRESSION: f64 = 0.30;
-
-/// Maximum fraction of parallel-computed edge-ticks that may be thrown
-/// away and re-run serially (stats-registration or RNG-divergence
-/// aborts) before [`check_bench`] fails the live run: reticks are pure
-/// waste, and pre-registered metrics plus speculative RNG substreams have
-/// eliminated them on the paper experiments. What is left is same-edge
-/// contention on saturated wires (many-to-many 5.2 %, buffering 5.7 %,
-/// noc 4.3 % of their own ticks): 1.10 % of the suite's at any job count,
-/// so the ceiling sits at 2 %; an abort of the kind it guards against
-/// reticks every tick of its component.
-const MAX_RETICK_FRACTION: f64 = 0.02;
 
 /// Formats a count with an SI suffix for the `--list` table.
 fn si_u64(n: u64) -> String {
@@ -558,185 +516,13 @@ fn host_cores() -> u64 {
     std::thread::available_parallelism().map_or(1, |n| n.get() as u64)
 }
 
-/// Re-measurements granted to a live sample that lands below its floor
-/// before it is declared regressed. The smallest experiments finish in
-/// single-digit milliseconds, where one scheduler hiccup on the host halves
-/// the measured rate; a real regression fails every sample, noise does not.
+/// Re-measurements granted to a live fast-forward speedup that lands below
+/// its floor before it is declared regressed. The speedup is the ratio of
+/// two millisecond-scale warm phases, where one scheduler hiccup on the
+/// host moves it by a third (five runs on one 2-core host read 1.60 to
+/// 3.03 against the 1.5 floor); a real regression fails every sample, noise
+/// does not.
 const CHECK_RETRIES: usize = 2;
-
-/// Reads the ledger at `baseline`; says why and returns `None` when it is
-/// unreadable, not valid JSON or not of this toolchain's schema.
-fn read_baseline(baseline: &std::path::Path) -> Option<Ledger> {
-    Ledger::read(baseline)
-        .inspect_err(|e| eprintln!("cannot use bench baseline {}: {e}", baseline.display()))
-        .ok()
-}
-
-/// The `--check-bench` leg of `--fast-warm`: only the floors of the
-/// section that run records.
-fn check_section_floors(args: &Args, section: &str) -> ExitCode {
-    let Some(baseline) = &args.check_bench else {
-        return ExitCode::SUCCESS;
-    };
-    match read_baseline(baseline) {
-        Some(ledger) if ledger::report(&ledger::check(&ledger, &[section])) => ExitCode::SUCCESS,
-        _ => ExitCode::FAILURE,
-    }
-}
-
-/// Compares the measured edges/sec of `runs` against the ledger at
-/// `baseline`, then holds that ledger to every row of [`ledger::FLOORS`].
-/// Experiments missing from the baseline (newly added ones) are reported
-/// but never fail the check.
-fn check_bench(baseline: &std::path::Path, runs: &[ExperimentRun], args: &Args) -> ExitCode {
-    let Some(ledger) = read_baseline(baseline) else {
-        return ExitCode::FAILURE;
-    };
-    let recorded = ledger.experiment_activity();
-    if recorded.is_empty() {
-        eprintln!(
-            "bench baseline {} has no experiments section",
-            baseline.display()
-        );
-        return ExitCode::FAILURE;
-    }
-    let mut regressed = false;
-    for run in runs {
-        let Some(base) = recorded.iter().find(|r| r.id == run.id) else {
-            println!("[check {:<14} no baseline — skipped]", run.id);
-            continue;
-        };
-        let base = base.edges_per_sec;
-        let floor = base.max(1e-9) * (1.0 - MAX_REGRESSION);
-        let mut rate = run.edges_per_sec;
-        let mut retried = 0;
-        while rate < floor && retried < CHECK_RETRIES {
-            retried += 1;
-            match measure_experiment(&run.id, args.run) {
-                Ok(again) => rate = rate.max(again.edges_per_sec),
-                Err(e) => {
-                    eprintln!("re-measuring {} failed: {e}", run.id);
-                    break;
-                }
-            }
-        }
-        let ok = rate >= floor;
-        println!(
-            "[check {:<14} {:>10.0} vs baseline {:>10.0} edges/s — {}{}]",
-            run.id,
-            rate,
-            base,
-            if ok { "ok" } else { "REGRESSED" },
-            if retried > 0 {
-                format!(" ({retried} retry)")
-            } else {
-                String::new()
-            }
-        );
-        if !ok {
-            regressed = true;
-        }
-    }
-    if !check_retick_fraction(runs) {
-        regressed = true;
-    }
-    let mut checked = ledger::check(&ledger, &ledger::SECTIONS);
-    remeasure_fast_forward(&ledger, &mut checked, args);
-    if !ledger::report(&checked) {
-        regressed = true;
-    }
-    if regressed {
-        eprintln!(
-            "bench check failed: throughput dropped more than {:.0}% vs {} \
-             or a ledger floor was missed",
-            MAX_REGRESSION * 100.0,
-            baseline.display()
-        );
-        return ExitCode::FAILURE;
-    }
-    println!(
-        "bench check passed (threshold {:.0}%)",
-        MAX_REGRESSION * 100.0
-    );
-    ExitCode::SUCCESS
-}
-
-/// The noise policy of the per-experiment throughput guard, applied to the
-/// one floor that is a single-threaded timing ratio of millisecond runs: a
-/// *recorded* fast-forward speedup below its floor is granted
-/// [`CHECK_RETRIES`] live re-measurements, each judged by the same row as
-/// a one-section ledger of its own.
-fn remeasure_fast_forward(ledger: &Ledger, checked: &mut [ledger::Checked], args: &Args) {
-    const LABEL: &str = "fast-forward speedup";
-    let Some(outcome) = checked
-        .iter_mut()
-        .find(|c| c.label == LABEL && c.verdict == FloorVerdict::Missed)
-    else {
-        return;
-    };
-    let speedup = ledger::ValuePath::Field("speedup");
-    if ledger.value("fast_forward", speedup).is_none() {
-        // Not recorded at all: a stale ledger, not a noisy sample.
-        return;
-    }
-    for retry in 1..=CHECK_RETRIES {
-        let live = match measure_fast_forward(args.run) {
-            Ok(run) => format!(
-                "{{\"schema\":{:?},\"fast_forward\":{}}}",
-                ledger::SCHEMA,
-                run.to_json()
-            ),
-            Err(e) => {
-                eprintln!("re-measuring fast-forward failed: {e}");
-                return;
-            }
-        };
-        let again = Ledger::parse(&live)
-            .map(|live| ledger::check(&live, &["fast_forward"]))
-            .unwrap_or_default();
-        if let Some(met) = again
-            .into_iter()
-            .find(|c| c.label == LABEL && c.verdict == FloorVerdict::Met)
-        {
-            *outcome = met;
-            outcome.message.pop();
-            outcome.message.push_str(&format!(" ({retry} retry)]"));
-            return;
-        }
-    }
-}
-
-/// Enforces [`MAX_RETICK_FRACTION`] on the *live* runs just measured: when
-/// the suite took the parallel path at all, the fraction of computed
-/// edge-ticks that had to be thrown away and re-run serially must stay
-/// under 1 %. A serial run (`par_computed == 0` everywhere) passes
-/// trivially. Returns whether the check passes.
-fn check_retick_fraction(runs: &[ExperimentRun]) -> bool {
-    let computed: u64 = runs.iter().map(|r| r.par_computed).sum();
-    let reticked: u64 = runs.iter().map(|r| r.par_reticked).sum();
-    if computed == 0 {
-        return true;
-    }
-    let fraction = reticked as f64 / computed as f64;
-    if fraction < MAX_RETICK_FRACTION {
-        println!(
-            "[check parallel reticks {reticked} / {computed} computed ({:.3}%) < \
-             {:.0}% — ok]",
-            fraction * 100.0,
-            MAX_RETICK_FRACTION * 100.0
-        );
-        true
-    } else {
-        eprintln!(
-            "retick check failed: {reticked} of {computed} parallel-computed edge-ticks \
-             ({:.2}%) were thrown away and re-run serially (floor {:.0}%) — a component \
-             is minting stats ids or drawing unannounced RNG inside parallel ticks",
-            fraction * 100.0,
-            MAX_RETICK_FRACTION * 100.0
-        );
-        false
-    }
-}
 
 #[cfg(test)]
 mod tests {

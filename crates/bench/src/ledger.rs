@@ -17,6 +17,9 @@
 //!   shape, per-rung sim-cycle accounting, Pareto-front size and the
 //!   evaluation fan-out speedup).
 //!
+//! Every recorder writes only when given a path (`--bench-out`, or
+//! `kernel_hotpath -- --committed`); a routine run leaves no file behind.
+//!
 //! The module has three parts, and a new ledger field costs nothing in
 //! any of them:
 //!
@@ -24,20 +27,19 @@
 //!   one compact JSON value on its own line, and a writer replaces its
 //!   own line and copies the others as raw text.
 //! * **Reading** ([`Ledger`]) is a strict parse into a [`Json`] tree; any
-//!   field is reached by name, and the three shapes the floors judge — a
-//!   field, a point of a scaling curve, a ratio of two fields — by a
-//!   [`ValuePath`].
-//! * **Judging** ([`FLOORS`], [`check`]) is one table with a row per
-//!   floor, walked by `repro --check-bench`, by `kernel_hotpath` over the
-//!   sections it has just written, and by this module's tests over the
-//!   committed ledger. A new floor costs one row.
+//!   field is reached by name, and the two shapes the floors judge — a
+//!   field, a ratio of two fields — by a [`ValuePath`].
+//! * **Judging** ([`FLOORS`], [`check_section`]) is one table with a row
+//!   per floor. A live recorder judges the rows of the section it has just
+//!   measured (`repro --fast-warm`, `kernel_hotpath`); this module's tests
+//!   judge the committed ledger. A new floor costs one row.
 
 use crate::json::{self, Json};
 use std::fmt;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
-/// Default ledger file name; see [`default_path`] for where it lands.
+/// Ledger file name; see [`committed_path`] for where it lands.
 pub const LEDGER_PATH: &str = "BENCH_kernel.json";
 
 /// The workspace root: the nearest ancestor of the current directory that
@@ -56,14 +58,6 @@ fn workspace_root() -> PathBuf {
             None => return cwd,
         }
     }
-}
-
-/// Default ledger location: `target/BENCH_kernel.json` under the workspace
-/// root. `target/` is gitignored, so routine runs never dirty the working
-/// tree; refreshing the *committed* ledger takes an explicit
-/// `--bench-out` (see [`committed_path`]).
-pub fn default_path() -> PathBuf {
-    workspace_root().join("target").join(LEDGER_PATH)
 }
 
 /// The committed ledger checked into the repository root. Only written
@@ -92,13 +86,14 @@ pub fn committed_path() -> PathBuf {
 /// `par_computed`, `par_reticked`, `par_fallback_*`); `v8` extended the
 /// `"server"` section with the warm-up/persistence figures
 /// (`warm_ups`, `distinct_keys`, `cold_start_first_micros`,
-/// `warm_restart_first_micros` and the per-connections `conn_scaling`
-/// curve) and annotated scaling-curve points with
+/// `warm_restart_first_micros` and a per-connections scaling curve) and
+/// annotated scaling-curve points with
 /// `effective_jobs`/`oversubscribed` (worker counts are now clamped to the
 /// host's cores unless forced); `v9` dropped the `"warm_fork"` section (the
 /// checkpoint-forked fig4 sweep is `repro --exp fig4` itself, so there is
-/// no second driver to compare it with). [`Ledger::parse`] accepts this
-/// version only.
+/// no second driver to compare it with). Still at `v9`, the fig4 and
+/// connections scaling curves went with the 8-core floors that were their
+/// only readers. [`Ledger::parse`] accepts this version only.
 pub const SCHEMA: &str = "mpsoc-bench/kernel-v9";
 
 /// The known top-level sections, in the order they appear in the file.
@@ -209,9 +204,6 @@ pub struct Ledger {
 pub enum ValuePath {
     /// A field of the section: a number, or a boolean read as 0 / 1.
     Field(&'static str),
-    /// `Point(curve, key, at)`: the `speedup` of the point of the scaling
-    /// curve `curve` (an array field of the section) whose `key` is `at`.
-    Point(&'static str, &'static str, u64),
     /// `Ratio(a, b)`: field `a` over field `b` of the section.
     Ratio(&'static str, &'static str),
 }
@@ -220,7 +212,6 @@ impl fmt::Display for ValuePath {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ValuePath::Field(name) => write!(f, "{name}"),
-            ValuePath::Point(curve, key, at) => write!(f, "{curve}[{key}={at}].speedup"),
             ValuePath::Ratio(a, b) => write!(f, "{a} / {b}"),
         }
     }
@@ -262,9 +253,9 @@ impl Ledger {
         self.root.get(name)
     }
 
-    /// The number at `path` of `section`; `None` when the section, a field
-    /// or the curve point is absent, not a finite number, or the ratio's
-    /// denominator is not positive.
+    /// The number at `path` of `section`; `None` when the section or a
+    /// field is absent, not a finite number, or the ratio's denominator is
+    /// not positive.
     pub fn value(&self, section: &str, path: ValuePath) -> Option<f64> {
         let section = self.section(section)?;
         let field = |name: &str| match section.get(name)? {
@@ -273,13 +264,6 @@ impl Ledger {
         };
         match path {
             ValuePath::Field(name) => field(name),
-            ValuePath::Point(curve, key, at) => section
-                .get(curve)?
-                .as_array()?
-                .iter()
-                .find(|point| point.get(key).and_then(Json::as_u64) == Some(at))?
-                .get("speedup")?
-                .as_f64(),
             ValuePath::Ratio(a, b) => {
                 let denominator = field(b).filter(|d| *d > 0.0)?;
                 Some(field(a)? / denominator)
@@ -301,7 +285,6 @@ impl Ledger {
                 let count = |name: &str| run.get(name).and_then(Json::as_u64).unwrap_or(0);
                 Some(ExperimentActivity {
                     id: run.get("id")?.as_str()?.to_string(),
-                    edges_per_sec: run.get("edges_per_sec")?.as_f64()?,
                     ticks: count("ticks"),
                     skipped: count("skipped"),
                     ff_elided: count("ff_elided"),
@@ -314,15 +297,12 @@ impl Ledger {
     }
 }
 
-/// One experiment's figures recorded in the `"experiments"` section: the
-/// throughput baseline `repro --check-bench` guards and the activity
-/// counters `repro --list` annotates with.
+/// One experiment's activity counters recorded in the `"experiments"`
+/// section, which `repro --list` annotates with.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentActivity {
     /// Experiment id.
     pub id: String,
-    /// Scheduler edges per host second.
-    pub edges_per_sec: f64,
     /// Component ticks executed.
     pub ticks: u64,
     /// Ticks the sparse scheduler skipped.
@@ -477,30 +457,6 @@ pub const FLOORS: &[Floor] = &[
         armed_when: None,
         regenerate: HOTPATH,
     },
-    // The headline number of the sharded-active-set scheduler on the
-    // compute-heavy microbench. Byte-identity across the ladder is
-    // asserted by the recorder itself, so an undersized host still proves
-    // correctness — just not speed.
-    Floor {
-        label: "parallel scaling @8 jobs",
-        section: "parallel",
-        value: ValuePath::Point("scaling", "jobs", 8),
-        comparator: Comparator::AtLeast(3.0),
-        cores: Cores::Fixed(8),
-        armed_when: None,
-        regenerate: HOTPATH,
-    },
-    // The end-to-end paper sweep is lighter per edge than the microbench,
-    // so the bar is only "parallel ticking must not lose to serial".
-    Floor {
-        label: "fig4 scaling @8 jobs",
-        section: "experiments",
-        value: ValuePath::Point("fig4_scaling", "jobs", 8),
-        comparator: Comparator::AtLeast(1.01),
-        cores: Cores::Fixed(8),
-        armed_when: None,
-        regenerate: REPRO,
-    },
     // The degenerate quantum-1 gear must reproduce the cycle-accurate
     // sweep byte for byte: a correctness failure, not a perf one.
     Floor {
@@ -587,19 +543,6 @@ pub const FLOORS: &[Floor] = &[
         cores: Cores::Fixed(2),
         armed_when: None,
         regenerate: LOADGEN_RESTART,
-    },
-    // The connection layer must not lose throughput as closed-loop clients
-    // are added. Perfect scaling is not expected — the warm cache makes the
-    // workload latency-bound — but a collapse means connection handling
-    // itself is serializing.
-    Floor {
-        label: "server conn scaling @8 connections",
-        section: "server",
-        value: ValuePath::Point("conn_scaling", "connections", 8),
-        comparator: Comparator::AtLeast(0.9),
-        cores: Cores::Fixed(8),
-        armed_when: None,
-        regenerate: LOADGEN,
     },
     // A front that collapses below this many non-dominated points means
     // the explorer stopped surfacing real throughput/latency/cost
@@ -740,12 +683,24 @@ impl Floor {
 
 /// Judges `ledger` against every [`FLOORS`] row whose section is in
 /// `sections`, in table order.
-pub fn check(ledger: &Ledger, sections: &[&str]) -> Vec<Checked> {
+fn check(ledger: &Ledger, sections: &[&str]) -> Vec<Checked> {
     FLOORS
         .iter()
         .filter(|floor| sections.contains(&floor.section))
         .map(|floor| floor.check(ledger))
         .collect()
+}
+
+/// Judges a section a recorder has just measured — `value_json`, the line
+/// it writes under `section` — against that section's [`FLOORS`] rows, as
+/// a one-section ledger of its own.
+///
+/// # Errors
+///
+/// Returns the parse error when `value_json` is not one JSON value.
+pub fn check_section(section: &str, value_json: &str) -> Result<Vec<Checked>, String> {
+    let doc = format!("{{\"schema\":{SCHEMA:?},\"{section}\":{value_json}}}");
+    Ok(check(&Ledger::parse(&doc)?, &[section]))
 }
 
 /// Prints each outcome — failures to stderr, the rest to stdout — and
@@ -822,9 +777,7 @@ mod tests {
     }
 
     #[test]
-    fn default_path_is_gitignored_committed_path_is_not() {
-        let path = default_path();
-        assert!(path.ends_with(Path::new("target").join(LEDGER_PATH)));
+    fn committed_path_is_not_under_target() {
         let committed = committed_path();
         assert!(committed.ends_with(LEDGER_PATH));
         assert!(!committed.to_string_lossy().contains("target"));
@@ -863,19 +816,15 @@ mod tests {
     const FIXTURE: &str = concat!(
         "{\n\"schema\": \"mpsoc-bench/kernel-v9\",\n",
         "\"experiments\": {\"scale\":1,\"host_cores\":1,\"runs\":[",
-        "{\"id\":\"fig3\",\"ticks\":20,\"skipped\":60,\"ff_elided\":7,\"edges_per_sec\":123456.5},",
+        "{\"id\":\"fig3\",\"ticks\":20,\"skipped\":60,\"ff_elided\":7},",
         "{\"id\":\"fig4\",\"ticks\":8,\"par_computed\":200,\"par_reticked\":1,",
-        "\"par_fallback_audit\":2,\"par_fallback_small\":5,\"edges_per_sec\":99}],",
-        "\"fig4_scaling\":[{\"jobs\":1,\"speedup\":1},{\"jobs\":8,\"speedup\":1.07}]},\n",
+        "\"par_fallback_audit\":2,\"par_fallback_small\":5}]},\n",
         "\"sparse\": {\"speedup\":7.13},\n",
-        "\"parallel\": {\"tick_jobs\":4,\"host_cores\":1,\"speedup\":1.0,",
-        "\"scaling\":[{\"jobs\":1,\"speedup\":1},{\"jobs\":8,\"speedup\":0.99}]},\n",
+        "\"parallel\": {\"tick_jobs\":4,\"host_cores\":1,\"speedup\":1.0},\n",
         "\"fast_forward\": {\"quantum\":64,\"speedup\":3.46,\"q1_identical\":true},\n",
         "\"server\": {\"requests_per_sec\":1243.49,\"hit_rate\":0.958333,",
         "\"p50_hit_micros\":1922,\"hit_speedup\":6.30,\"warm_ups\":2,\"distinct_keys\":2,",
-        "\"cold_start_first_micros\":7964,",
-        "\"conn_scaling\":[{\"connections\":1,\"speedup\":1.00},",
-        "{\"connections\":8,\"speedup\":0.99}],\"host_cores\":2,",
+        "\"cold_start_first_micros\":7964,\"host_cores\":2,",
         "\"warm_restart_first_micros\":1154},\n",
         "\"dse\": {\"jobs\":1,\"host_cores\":1,\"front_size\":6,\"families\":3,",
         "\"fanout_speedup\":1}\n}\n"
@@ -899,25 +848,18 @@ mod tests {
             .collect()
     }
 
-    /// The outcomes below were recorded from the parent commit's
-    /// hand-written checks (`repro --exp fig4 --scale 1 --no-bench-out
-    /// --check-bench <doc>`): "ok" is `Met`, "warning only" `Ungated`,
-    /// "check failed" `Missed`.
+    /// The outcomes below were recorded from the hand-written checks the
+    /// table replaced, run over `<doc>`: "ok" is `Met`, "warning only"
+    /// `Ungated`, "check failed" `Missed`.
     #[test]
     fn verdicts_match_the_hand_written_checks_they_replaced() {
         let dse_fanned_out =
             |doc: &str| doc.replace("\"dse\": {\"jobs\":1", "\"dse\": {\"jobs\":2");
-        let recorded_on_one_core = [
-            ("parallel speedup", Ungated),
-            ("parallel scaling @8 jobs", Ungated),
-        ];
+        let recorded_on_one_core = [("parallel speedup", Ungated)];
         assert_eq!(not_met(FIXTURE), recorded_on_one_core);
-        // Armed, the 1.00x parallel figures are misses; fig4 1.07x, the
-        // restart ratio and conn scaling 0.99x clear their floors.
-        let armed = [
-            ("parallel speedup", Missed),
-            ("parallel scaling @8 jobs", Missed),
-        ];
+        // Armed, the 1.00x parallel figure is a miss; the restart ratio
+        // clears its floor.
+        let armed = [("parallel speedup", Missed)];
         assert_eq!(not_met(&with_eight_cores(FIXTURE)), armed);
         // A fan-out of 2 arms the dse floor; fanout_speedup is 1.0.
         let mut fanned = recorded_on_one_core.to_vec();
@@ -950,9 +892,6 @@ mod tests {
             fields.push(match (floor.value, floor.comparator) {
                 (ValuePath::Field(name), Comparator::IsTrue) => format!("\"{name}\":{}", v == 1.0),
                 (ValuePath::Field(name), _) => format!("\"{name}\":{v}"),
-                (ValuePath::Point(curve, key, at), _) => {
-                    format!("\"{curve}\":[{{\"{key}\":1,\"speedup\":1}},{{\"{key}\":{at},\"speedup\":{v}}}]")
-                }
                 (ValuePath::Ratio(a, b), _) => format!("\"{a}\":{},\"{b}\":1000", v * 1000.0),
             });
         }
@@ -1056,6 +995,22 @@ mod tests {
     }
 
     #[test]
+    fn a_live_section_is_judged_by_its_own_rows_only() {
+        let live = check_section("fast_forward", r#"{"speedup":1.2,"q1_identical":true}"#)
+            .expect("one JSON value");
+        let verdicts: Vec<_> = live.iter().map(|c| (c.label, c.verdict)).collect();
+        assert_eq!(
+            verdicts,
+            [
+                ("fast-forward q=1 identical", Met),
+                ("fast-forward speedup", Missed)
+            ]
+        );
+        let err = check_section("sparse", r#"{"speedup":"#).expect_err("torn");
+        assert!(err.contains("not valid JSON"), "{err}");
+    }
+
+    #[test]
     fn a_broken_ledger_fails_closed() {
         // Truncated mid-write, or hand-mangled: refused whole, with the
         // offset, where the scanners used to read numbers out of the rest.
@@ -1099,9 +1054,6 @@ mod tests {
         assert!(no_restart[0]
             .contains("server.warm_restart_first_micros / p50_hit_micros is not recorded"));
         assert!(no_restart[0].contains("loadgen --restart-leg"));
-        let no_point = missed(&FIXTURE.replace(",{\"connections\":8,\"speedup\":0.99}", ""));
-        assert_eq!(no_point.len(), 1, "{no_point:?}");
-        assert!(no_point[0].contains("conn_scaling[connections=8].speedup is not recorded"));
         // The serde shim writes a non-finite float as null: not a number.
         let null = missed(&FIXTURE.replace("\"speedup\":7.13", "\"speedup\":null"));
         assert_eq!(null.len(), 1, "{null:?}");
@@ -1115,12 +1067,10 @@ mod tests {
             .experiment_activity();
         assert_eq!(activity.len(), 2);
         assert_eq!(activity[0].id, "fig3");
-        assert_eq!(activity[0].edges_per_sec, 123456.5);
         assert_eq!(activity[0].ff_elided, 7);
         assert!((activity[0].skip_fraction() - 0.75).abs() < 1e-9);
         // Counters a run does not carry read as zero.
         assert_eq!(activity[1].ff_elided, 0);
-        assert_eq!(activity[1].edges_per_sec, 99.0);
         assert_eq!(activity[1].par_fallbacks, 7);
         assert!((activity[1].retick_fraction() - 0.005).abs() < 1e-9);
         let empty = format!("{{\"schema\":{SCHEMA:?}}}");
@@ -1130,7 +1080,8 @@ mod tests {
             .is_empty());
     }
 
-    /// Ledger/floor drift fails `cargo test`, not only `./ci.sh bench`.
+    /// The committed ledger is judged here, against every row: ledger/floor
+    /// drift fails `cargo test`.
     #[test]
     fn the_committed_ledger_misses_no_floor() {
         let path = committed_path();

@@ -14,6 +14,12 @@
 //!
 //! The experiment implementations live in
 //! [`mpsoc_platform::experiments`]; this crate only drives them.
+//!
+//! A run records its measurements in the [`ledger`] only when given a
+//! path (`repro --bench-out`). The live recorders judge what they have
+//! just measured against the ledger's floor rows: `repro --fast-warm` its
+//! `"fast_forward"` section, `kernel_hotpath` its `"sparse"` and
+//! `"parallel"` sections.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -22,7 +28,7 @@ pub mod json;
 pub mod ledger;
 pub mod timetravel;
 
-use mpsoc_kernel::{activity, ExecMode, SimError, SimResult};
+use mpsoc_kernel::{activity, SimError, SimResult};
 use mpsoc_platform::experiments;
 pub use mpsoc_platform::experiments::Run;
 use serde::Serialize;
@@ -511,101 +517,6 @@ pub fn measure(id: &str, runner: impl FnOnce() -> SimResult<String>) -> SimResul
     })
 }
 
-/// One point of the fig4 per-jobs scaling curve recorded by
-/// [`measure_fig4_scaling`].
-#[derive(Debug, Clone, Serialize)]
-pub struct Fig4ScalingPoint {
-    /// The ladder rung: intra-edge worker threads the sweep asked for.
-    pub jobs: u64,
-    /// Worker threads the sweep actually ran with after clamping the rung
-    /// to the host's cores. Oversubscribing a rung measures scheduler
-    /// thrash, not scaling (a one-core host "scales" to 0.02x), so the
-    /// recorder clamps and annotates instead of running it.
-    pub effective_jobs: u64,
-    /// Whether this rung was clamped (`effective_jobs < jobs`).
-    pub oversubscribed: bool,
-    /// Wall-clock seconds of the sweep at that job count.
-    pub wall_seconds: f64,
-    /// Speedup over the jobs = 1 sweep of the same curve.
-    pub speedup: f64,
-}
-
-/// The fig4 sweep timed over the jobs ∈ {1, 2, 4, 8} ladder of intra-edge
-/// tick parallelism, with every table proven byte-identical to the serial
-/// one. Produced by [`measure_fig4_scaling`]; recorded as the
-/// `fig4_scaling` array of the ledger's `"experiments"` section.
-#[derive(Debug, Clone)]
-pub struct Fig4ScalingRun {
-    /// Hardware threads of the recording host (the scaling floors only
-    /// arm when the host could actually run the workers).
-    pub host_cores: u64,
-    /// One point per job count, in ladder order.
-    pub points: Vec<Fig4ScalingPoint>,
-}
-
-/// The job ladder every per-jobs scaling curve is measured over.
-pub const SCALING_JOBS: [usize; 4] = [1, 2, 4, 8];
-
-/// Times the fig4 sweep at every point of [`SCALING_JOBS`] intra-edge
-/// worker threads (`run.exec.tick_jobs` is the ladder's to set; the sweep
-/// itself runs its points serially) and proves each table byte-identical
-/// to the serial one.
-///
-/// # Errors
-///
-/// Fails if a sweep stalls, or — the self-check — if any job count's
-/// table differs from the serial one in any byte.
-pub fn measure_fig4_scaling(run: Run) -> SimResult<Fig4ScalingRun> {
-    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut points = Vec::with_capacity(SCALING_JOBS.len());
-    let mut serial: Option<(String, f64)> = None;
-    for &jobs in &SCALING_JOBS {
-        // Clamp oversubscribed rungs: asking a one-core host for eight
-        // workers records scheduler thrash as a 0.02x "speedup".
-        let effective_jobs = jobs.min(host_cores);
-        let rung = Run {
-            jobs: 1,
-            exec: ExecMode {
-                tick_jobs: effective_jobs,
-                ..run.exec
-            },
-            ..run
-        };
-        let started = Instant::now();
-        let table = experiments::fig4(rung)?.to_string();
-        let wall_seconds = started.elapsed().as_secs_f64().max(1e-9);
-        let serial_seconds = match &serial {
-            None => {
-                serial = Some((table.clone(), wall_seconds));
-                wall_seconds
-            }
-            Some((serial_table, serial_seconds)) => {
-                if *serial_table != table {
-                    return Err(SimError::InvalidConfig {
-                        reason: format!(
-                            "fig4 scaling self-check failed: the tick-jobs={jobs} table \
-                             differs from the serial one\n--- serial ---\n{serial_table}\n\
-                             --- tick-jobs={jobs} ---\n{table}"
-                        ),
-                    });
-                }
-                *serial_seconds
-            }
-        };
-        points.push(Fig4ScalingPoint {
-            jobs: jobs as u64,
-            effective_jobs: effective_jobs as u64,
-            oversubscribed: effective_jobs < jobs,
-            wall_seconds,
-            speedup: serial_seconds / wall_seconds,
-        });
-    }
-    Ok(Fig4ScalingRun {
-        host_cores: host_cores as u64,
-        points,
-    })
-}
-
 /// The `repro --fast-warm` measurement: the fig4 warm phase run in the
 /// `Cycle` gear and in `Fast` gear at every quantum of the
 /// [`experiments::FAST_FORWARD_QUANTA`] sweep, each finished by
@@ -750,20 +661,5 @@ mod tests {
             run.rungs.iter().map(|r| r.sim_ticks).sum::<u64>(),
             run.sim_ticks
         );
-    }
-
-    #[test]
-    fn fig4_scaling_covers_the_job_ladder() {
-        let run = measure_fig4_scaling(Run::new(1, 0x0dab)).expect("scaling runs");
-        assert_eq!(run.points.len(), SCALING_JOBS.len());
-        assert_eq!(run.points[0].jobs, 1);
-        assert!((run.points[0].speedup - 1.0).abs() < 1e-9);
-        assert!(run.points.iter().all(|p| p.wall_seconds > 0.0));
-        assert!(run.host_cores >= 1);
-        for p in &run.points {
-            assert!(p.effective_jobs >= 1 && p.effective_jobs <= p.jobs);
-            assert_eq!(p.effective_jobs, p.jobs.min(run.host_cores));
-            assert_eq!(p.oversubscribed, p.effective_jobs < p.jobs);
-        }
     }
 }

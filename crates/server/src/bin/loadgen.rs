@@ -5,24 +5,20 @@
 //!         [--requests N] [--connections C | --rate R]
 //!         [--scale N] [--seed N] [--rng-seed N] [--tick-jobs N]
 //!         [--table] [--require-hits] [--require-first-hit]
-//!         [--restart-leg] [--shutdown]
-//!         [--no-bench-out] [--bench-out <path>]
+//!         [--restart-leg] [--shutdown] [--bench-out <path>]
 //! ```
 //!
 //! Issues a seeded, duplicate-heavy FIG-4 request mix (every cell once,
 //! then random duplicates), asserts that all responses for the same cell
 //! agree byte-for-byte (the warm-cache determinism contract), and prints a
 //! throughput/latency summary. `--table` additionally reconstructs the
-//! FIG-4 table from the served cells on stdout — CI diffs it against the
+//! FIG-4 table from the served cells on stdout, byte-comparable to the
 //! one-shot `repro --exp fig4` output.
 //!
-//! With the ledger enabled (the default), the run records the full
-//! kernel-v8 `server` section: besides throughput/latency/hit figures it
-//! queries the server's warm-up count (the cache must keep it within the
-//! mix's distinct warm keys) and walks a warm closed-loop connections
-//! ladder (1/2/4/8) for the connection-layer scaling curve. The ledger
-//! lands in `target/BENCH_kernel.json` by default, an explicit committed
-//! path via `--bench-out`.
+//! `--bench-out <path>` records the ledger's `server` section there:
+//! besides throughput/latency/hit figures it queries the server's warm-up
+//! count (the cache must keep it within the mix's distinct warm keys).
+//! Without it the run writes no file.
 //!
 //! `--restart-leg` is the persistence probe: run it against a *relaunched*
 //! server whose `--cache-dir` already holds the spills of a previous run.
@@ -52,12 +48,11 @@ fn usage() -> ! {
          --table              print the reconstructed FIG-4 table on stdout\n\
          --require-hits       fail unless the run saw at least one warm-cache hit\n\
          --require-first-hit  fail unless the very first response was served warm\n\
-         --restart-leg        record the first-request latency as the ledger's\n\
-         \x20                    warm_restart_first_micros (run against a relaunched\n\
-         \x20                    server with a populated --cache-dir)\n\
+         --restart-leg        with --bench-out, record the first-request latency as\n\
+         \x20                    the ledger's warm_restart_first_micros (run against a\n\
+         \x20                    relaunched server with a populated --cache-dir)\n\
          --shutdown           send a shutdown request when done\n\
-         --no-bench-out       skip the perf ledger\n\
-         --bench-out PATH     write the ledger to PATH (e.g. the committed copy)"
+         --bench-out PATH     record the ledger's server section in PATH"
     );
     std::process::exit(2);
 }
@@ -70,8 +65,7 @@ struct Args {
     require_first_hit: bool,
     restart_leg: bool,
     shutdown: bool,
-    bench_out: bool,
-    bench_out_path: Option<std::path::PathBuf>,
+    bench_out: Option<std::path::PathBuf>,
 }
 
 fn parse_args() -> Args {
@@ -83,8 +77,7 @@ fn parse_args() -> Args {
         require_first_hit: false,
         restart_leg: false,
         shutdown: false,
-        bench_out: true,
-        bench_out_path: None,
+        bench_out: None,
     };
     let mut it = std::env::args().skip(1);
     let next = |it: &mut dyn Iterator<Item = String>| it.next().unwrap_or_else(|| usage());
@@ -118,8 +111,7 @@ fn parse_args() -> Args {
             "--require-first-hit" => args.require_first_hit = true,
             "--restart-leg" => args.restart_leg = true,
             "--shutdown" => args.shutdown = true,
-            "--no-bench-out" => args.bench_out = false,
-            "--bench-out" => args.bench_out_path = Some(next(&mut it).into()),
+            "--bench-out" => args.bench_out = Some(next(&mut it).into()),
             "--help" | "-h" => usage(),
             _ => usage(),
         }
@@ -154,66 +146,14 @@ fn query_warm_ups(addr: &str) -> Result<u64, String> {
         .ok_or_else(|| format!("stats response without warm_ups: {line}"))
 }
 
-/// The connection-layer scaling curve: the configured mix replayed
-/// closed-loop at 1/2/4/8 connections against the now-warm cache (the
-/// main run populated it), so the ladder measures the connection layer and
-/// the handler pool, not the simulator.
-fn measure_conn_scaling(base: &RunConfig) -> Result<Vec<(u64, f64, f64)>, String> {
-    let mut points = Vec::new();
-    let mut serial_rps = 0.0;
-    for connections in [1usize, 2, 4, 8] {
-        let mut cfg = base.clone();
-        cfg.pacing = Pacing::Closed { connections };
-        let rps = run(&cfg)?.requests_per_sec();
-        if connections == 1 {
-            serial_rps = rps;
-        }
-        let speedup = if serial_rps > 0.0 {
-            rps / serial_rps
-        } else {
-            0.0
-        };
-        points.push((connections as u64, rps, speedup));
-    }
-    Ok(points)
-}
-
-/// Everything the v8 ledger section carries beyond the main run's report.
-struct V8Probes {
-    warm_ups: u64,
-    distinct_keys: u64,
-    conn_scaling: Vec<(u64, f64, f64)>,
-}
-
-fn run_v8_probes(args: &Args) -> Result<V8Probes, String> {
-    // The warm-up count must be read *before* the probe runs add their own
-    // fresh-key warm-ups, so it reflects exactly the main mix.
-    let warm_ups = query_warm_ups(&args.config.addr)?;
-    let distinct_keys =
-        distinct_warm_keys(&fig4_mix(args.config.requests, args.config.rng_seed)) as u64;
-    let conn_scaling = measure_conn_scaling(&args.config)?;
-    Ok(V8Probes {
-        warm_ups,
-        distinct_keys,
-        conn_scaling,
-    })
-}
-
-fn section_json(args: &Args, report: &RunReport, probes: &V8Probes) -> String {
+/// The `server` section of the main leg: `warm_ups` is the server's
+/// lifetime count, read after the mix, and `distinct_keys` the number of
+/// warm keys the mix asks for.
+fn section_json(args: &Args, report: &RunReport, warm_ups: u64, distinct_keys: usize) -> String {
     let (mode, connections) = match args.config.pacing {
         Pacing::Closed { connections } => ("closed", connections as u64),
         Pacing::Open { .. } => ("open", 1),
     };
-    let curve = probes
-        .conn_scaling
-        .iter()
-        .map(|(c, rps, speedup)| {
-            format!(
-                "{{\"connections\":{c},\"requests_per_sec\":{rps:.2},\"speedup\":{speedup:.2}}}"
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",");
     format!(
         "{{\"mode\":\"{mode}\",\"connections\":{connections},\"scale\":{},\
          \"requests\":{},\"requests_per_sec\":{:.2},\
@@ -222,7 +162,6 @@ fn section_json(args: &Args, report: &RunReport, probes: &V8Probes) -> String {
          \"p50_hit_micros\":{},\"p50_miss_micros\":{},\"hit_speedup\":{:.2},\
          \"warm_ups\":{},\"distinct_keys\":{},\
          \"cold_start_first_micros\":{},\
-         \"conn_scaling\":[{curve}],\
          \"host_cores\":{}}}",
         args.config.scale,
         report.responses,
@@ -235,8 +174,8 @@ fn section_json(args: &Args, report: &RunReport, probes: &V8Probes) -> String {
         RunReport::percentile(&report.hit_latencies_micros, 50.0),
         RunReport::percentile(&report.miss_latencies_micros, 50.0),
         report.hit_speedup(),
-        probes.warm_ups,
-        probes.distinct_keys,
+        warm_ups,
+        distinct_keys,
         report.first_latency_micros,
         host_cores(),
     )
@@ -341,28 +280,18 @@ fn main() -> ExitCode {
         );
         return ExitCode::FAILURE;
     }
-    if args.bench_out {
-        let path = args
-            .bench_out_path
-            .clone()
-            .unwrap_or_else(ledger::default_path);
+    if let Some(path) = &args.bench_out {
         let written = if args.restart_leg {
-            record_restart_leg(&path, &report)
+            record_restart_leg(path, &report)
         } else {
-            run_v8_probes(&args).and_then(|probes| {
+            query_warm_ups(&args.config.addr).and_then(|warm_ups| {
+                let mix = fig4_mix(args.config.requests, args.config.rng_seed);
+                let distinct_keys = distinct_warm_keys(&mix);
                 eprintln!(
-                    "loadgen: {} warm-up(s) for {} distinct warm key(s), conn ladder {}",
-                    probes.warm_ups,
-                    probes.distinct_keys,
-                    probes
-                        .conn_scaling
-                        .iter()
-                        .map(|(c, _, s)| format!("{c}:{s:.2}x"))
-                        .collect::<Vec<_>>()
-                        .join(" "),
+                    "loadgen: {warm_ups} warm-up(s) for {distinct_keys} distinct warm key(s)"
                 );
-                let section = section_json(&args, &report, &probes);
-                ledger::update_section(&path, "server", &section)
+                let section = section_json(&args, &report, warm_ups, distinct_keys);
+                ledger::update_section(path, "server", &section)
                     .map_err(|e| format!("cannot write perf ledger: {e}"))
             })
         };

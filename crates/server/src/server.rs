@@ -123,22 +123,6 @@ impl Limits {
     };
 }
 
-/// Counters the `stats` command reports (cache counters live in
-/// [`CacheStats`]).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ServerStats {
-    /// Simulate requests served (one per request line, however many points
-    /// it fanned out).
-    pub requests: u64,
-    /// Individual sweep points served.
-    pub points: u64,
-    /// Requests that failed with an error response.
-    pub errors: u64,
-    /// Actual warm-up simulations run (cache hits, disk loads and waits on
-    /// another request's warm-up all avoid one).
-    pub warm_ups: u64,
-}
-
 struct Shared {
     cache: WarmCache<WarmState>,
     disk: Option<DiskCache>,

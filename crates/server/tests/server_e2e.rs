@@ -264,6 +264,52 @@ fn loadgen_closed_loop_reconstructs_the_table_with_hits() {
     handle.join().expect("server exits cleanly");
 }
 
+/// The persistence contract at the scale of a whole mix: a server
+/// relaunched on the spill directory of a finished run answers the same
+/// duplicate-heavy mix without a single warm-up — its very first response
+/// already from the disk fork — and serves the same table byte for byte.
+#[test]
+fn a_relaunched_server_replays_a_whole_mix_from_the_disk_spill() {
+    let dir = std::env::temp_dir().join(format!("mpsn-restart-mix-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let config = ServerConfig {
+        cache_capacity: 4,
+        cache_dir: Some(dir.clone()),
+        ..ServerConfig::default()
+    };
+    let mix = |addr: &str| {
+        let report = loadgen::run(&RunConfig {
+            addr: addr.to_string(),
+            requests: 24,
+            pacing: Pacing::Closed { connections: 2 },
+            scale: 1,
+            ..RunConfig::default()
+        })
+        .expect("run agrees");
+        let table = report.fig4_table().expect("full coverage").to_string();
+        (report, table)
+    };
+
+    let (addr, handle) = start_server_with(config.clone());
+    let (_, first_table) = mix(&addr);
+    shutdown(&addr);
+    handle.join().expect("server exits cleanly");
+
+    let (addr, handle) = start_server_with(config);
+    let (report, table) = mix(&addr);
+    assert!(report.first_hit, "the first request must be served warm");
+    let mut client = Client::connect(&addr).expect("connects");
+    let stats = client.roundtrip("{\"cmd\":\"stats\"}").expect("responds");
+    assert_eq!(field_u64(&stats, "warm_ups"), 0, "{stats}");
+    assert_eq!(
+        table, first_table,
+        "the relaunched server served another table"
+    );
+    shutdown(&addr);
+    handle.join().expect("server exits cleanly");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn loadgen_open_loop_paces_and_agrees() {
     let (addr, handle) = start_server(4);
