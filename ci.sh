@@ -15,12 +15,11 @@
 # measured; the committed BENCH_kernel.json is judged against every row by
 # `cargo test` (ledger.rs, the_committed_ledger_misses_no_floor). Nothing
 # here diffs two runs or compares a timing against the committed ledger:
-#   - modes that must not change a table (dense, tick jobs, fast q1 / q16,
-#     twice the same): tests/mode_equivalence.rs, and that each mode reaches
-#     every simulation: crates/bench/tests/mode_reach.rs, which also holds
-#     the suite's retick share under its 2 % ceiling;
-#   - the forked fig4 sweep = its cold reference, at any tick jobs: fig4.rs
-#     and tests/mode_equivalence.rs; a resumed dse search = an uninterrupted
+#   - modes that must not change a table (dense, fast q1 / q16, twice the
+#     same): tests/mode_equivalence.rs, and that each mode reaches every
+#     simulation: crates/bench/tests/mode_reach.rs;
+#   - the forked fig4 sweep = its cold reference: fig4.rs and
+#     tests/mode_equivalence.rs; a resumed dse search = an uninterrupted
 #     one: crates/dse/tests/proptest_dse.rs;
 #   - the served FIG-4 table = the one-shot sweep, with warm-cache hits, and
 #     a relaunched server replaying the mix from its spill directory:
@@ -42,8 +41,8 @@
 #          benchmark/expected.json)
 #   bench  repro --fast-warm: the q=1 identity and the warm-phase speedup
 #            floor, a miss re-measured twice before it fails;
-#          kernel_hotpath: the sparse and parallel floors, with byte-identity
-#            to the serial run asserted at every rung of the jobs ladder
+#          kernel_hotpath: the sparse floor, with sparse and dense asserted to
+#            process the same edges and deliver the same payloads
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -98,9 +97,7 @@ stage_bench() {
     echo "== fast-forward floor: live --fast-warm speedup and q=1 identity =="
     cargo run --release -p mpsoc-bench --bin repro -- --fast-warm
 
-    echo "== kernel_hotpath: sparse and parallel floors, jobs ladder {1,2,4,8} =="
-    # The parallel row is core-gated on the host_cores the bench records:
-    # it arms on >= 4 cores and warns below.
+    echo "== kernel_hotpath: bucketed vs naive, sparse floor =="
     cargo bench -p mpsoc-bench --bench kernel_hotpath
 }
 

@@ -379,10 +379,6 @@ impl Component<Packet> for AhbBus {
         self.active.is_none()
     }
 
-    fn parallel_safe(&self) -> bool {
-        true
-    }
-
     fn watched_links(&self) -> Option<Vec<LinkId>> {
         Some(
             self.initiators

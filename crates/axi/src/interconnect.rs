@@ -567,10 +567,6 @@ impl Component<Packet> for AxiInterconnect {
         self.in_flight.is_empty()
     }
 
-    fn parallel_safe(&self) -> bool {
-        true
-    }
-
     fn watched_links(&self) -> Option<Vec<LinkId>> {
         Some(
             self.initiators

@@ -10,11 +10,9 @@
 //! (`O(N)`); the bucketed one touches only the firing domain's members, so
 //! the gap widens with component count and domain count.
 //!
-//! Two more cases follow — sparse vs dense ticking on an idle-heavy
-//! platform, and a compute-heavy jobs ladder of intra-edge parallel
-//! ticking — and the bench judges what it has just measured against the
-//! `sparse` and `parallel` rows of the ledger's floor table, exiting 1 on
-//! a miss.
+//! A second case follows — sparse vs dense ticking on an idle-heavy
+//! platform — and the bench judges what it has just measured against the
+//! `sparse` row of the ledger's floor table, exiting 1 on a miss.
 //!
 //! Run with:
 //!
@@ -23,13 +21,11 @@
 //! cargo bench -p mpsoc-bench --bench kernel_hotpath -- --committed   # also record
 //! ```
 //!
-//! `--committed` writes the `"microbench"`, `"sparse"` and `"parallel"`
-//! sections of the committed `BENCH_kernel.json`; without it the bench
-//! writes no file.
+//! `--committed` writes the `"microbench"` and `"sparse"` sections of the
+//! committed `BENCH_kernel.json`; without it the bench writes no file.
 
 use mpsoc_bench::ledger;
 use mpsoc_kernel::reference::NaiveSimulation;
-use mpsoc_kernel::stats::CounterId;
 use mpsoc_kernel::{activity, ClockDomain, Component, LinkId, Simulation, TickContext, Time};
 use serde::Serialize;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -257,203 +253,6 @@ fn bench_idle_heavy(dense: bool) -> IdleRun {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Compute-heavy case: serial vs intra-edge parallel tick execution.
-//
-// Many initiators each doing real per-tick work on one shared clock edge is
-// the regime the compute/commit split targets: the workers tick the
-// parallel-safe initiators against a frozen view while the main thread only
-// replays their buffered effects in registration order. The output is
-// guaranteed byte-identical to serial — asserted here on the rendered stats
-// table and the checkpoint bytes — so the only thing allowed to change is
-// wall time.
-// ---------------------------------------------------------------------------
-
-/// Parallel-safe initiators in the compute-heavy case.
-const CRUNCHERS: usize = 128;
-/// Mixing rounds each cruncher burns per tick — the work knob.
-const CRUNCH_ROUNDS: u64 = 800;
-/// Simulated horizon for the compute-heavy case.
-const PAR_HORIZON_NS: u64 = 10_000;
-/// Worker threads the parallel sample runs with.
-const PAR_TICK_JOBS: usize = 4;
-/// The jobs ladder the compute-heavy case is timed over.
-const SCALING_JOBS: [usize; 4] = [1, 2, 4, 8];
-
-/// A compute-heavy initiator: burns [`CRUNCH_ROUNDS`] of integer mixing on
-/// its own state every tick, pushes the digest onto its output link and
-/// counts the tick. All cross-component effects go through the context, so
-/// the kernel may tick it from a worker thread.
-struct Cruncher {
-    name: String,
-    out: LinkId,
-    state: u64,
-    counter: Option<CounterId>,
-}
-
-impl mpsoc_kernel::Snapshot for Cruncher {
-    fn save(&self, w: &mut mpsoc_kernel::StateWriter) {
-        w.write_u64(self.state);
-    }
-    fn restore(&mut self, r: &mut mpsoc_kernel::StateReader<'_>) {
-        self.state = r.read_u64();
-    }
-}
-
-impl Component<u64> for Cruncher {
-    fn name(&self) -> &str {
-        &self.name
-    }
-    fn register_metrics(&self, stats: &mut mpsoc_kernel::StatsRegistry) {
-        // Pre-registering at build time is what keeps the buffered ticks
-        // commit-clean: a lazily created counter would miss in the frozen
-        // stats view and force a serial retick of the first parallel tick.
-        stats.counter(&format!("{}.ticks", self.name));
-    }
-    fn tick(&mut self, ctx: &mut TickContext<'_, u64>) {
-        let counter = match self.counter {
-            Some(c) => c,
-            None => {
-                let c = ctx.stats.counter(&format!("{}.ticks", self.name));
-                self.counter = Some(c);
-                c
-            }
-        };
-        let mut x = self.state;
-        for _ in 0..CRUNCH_ROUNDS {
-            // SplitMix64 finalizer — cheap, serially dependent, unhoistable.
-            x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = x;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            x ^= z ^ (z >> 31);
-        }
-        self.state = x;
-        if ctx.links.can_push(self.out) {
-            ctx.links.push(self.out, ctx.time, x).unwrap();
-        }
-        ctx.stats.inc(counter, 1);
-    }
-    fn parallel_safe(&self) -> bool {
-        true
-    }
-}
-
-/// Drains every cruncher's output link; deliberately *not* parallel-safe,
-/// so each edge mixes worker-computed and serially-committed slots exactly
-/// like a real platform with a legacy component in it.
-struct Drain {
-    inputs: Vec<LinkId>,
-    drained: u64,
-}
-
-impl mpsoc_kernel::Snapshot for Drain {
-    fn save(&self, w: &mut mpsoc_kernel::StateWriter) {
-        w.write_u64(self.drained);
-    }
-    fn restore(&mut self, r: &mut mpsoc_kernel::StateReader<'_>) {
-        self.drained = r.read_u64();
-    }
-}
-
-impl Component<u64> for Drain {
-    fn name(&self) -> &str {
-        "drain"
-    }
-    fn tick(&mut self, ctx: &mut TickContext<'_, u64>) {
-        for &input in &self.inputs {
-            if ctx.links.pop(input, ctx.time).is_some() {
-                self.drained += 1;
-            }
-        }
-    }
-}
-
-/// Observables of one compute-heavy run.
-struct ParRun {
-    edges: u64,
-    wall: f64,
-    report: String,
-    blob: Vec<u8>,
-    par_computed: u64,
-    par_reticked: u64,
-}
-
-/// One compute-heavy run at `jobs` worker threads: returns edges, wall
-/// seconds and the run's observable fingerprint (stats table + checkpoint).
-fn bench_parallel(jobs: usize) -> ParRun {
-    let clk = ClockDomain::from_mhz(400);
-    let mut sim: Simulation<u64> = Simulation::new();
-    sim.set_tick_jobs(jobs);
-    let mut inputs = Vec::with_capacity(CRUNCHERS);
-    let mut crunchers = Vec::with_capacity(CRUNCHERS);
-    for i in 0..CRUNCHERS {
-        let link = sim
-            .links_mut()
-            .add_link(format!("digest{i}"), 4, clk.period());
-        inputs.push(link);
-        crunchers.push(Cruncher {
-            name: format!("crunch{i}"),
-            out: link,
-            state: 0x9e37_79b9_7f4a_7c15 ^ i as u64,
-            counter: None,
-        });
-    }
-    for c in crunchers {
-        sim.add_component(Box::new(c), clk);
-    }
-    sim.add_component(Box::new(Drain { inputs, drained: 0 }), clk);
-    let before = activity::snapshot();
-    let started = Instant::now();
-    sim.run_until(Time::from_ns(PAR_HORIZON_NS));
-    let wall = started.elapsed().as_secs_f64().max(1e-9);
-    let delta = activity::snapshot().since(before);
-    let report = sim.stats().report(sim.time()).to_string();
-    ParRun {
-        edges: delta.edges,
-        wall,
-        report,
-        blob: sim.checkpoint().as_bytes().to_vec(),
-        par_computed: delta.par_computed,
-        par_reticked: delta.par_reticked,
-    }
-}
-
-/// One point of the recorded per-jobs scaling curve. `jobs` is the
-/// ladder rung; `effective_jobs` is what actually ran after clamping to
-/// the host's cores — an oversubscribed rung (more workers than cores)
-/// measures scheduler thrash, not scaling, so the recorder never runs
-/// one and annotates the clamp instead.
-#[derive(Serialize)]
-struct ScalingJson {
-    jobs: u64,
-    effective_jobs: u64,
-    oversubscribed: bool,
-    edges_per_sec: f64,
-    speedup: f64,
-}
-
-/// The `"parallel"` section of `BENCH_kernel.json`: the compute-heavy
-/// case's per-jobs scaling curve, stamped with the measuring host's core
-/// count so readers can judge a sub-floor speedup. The headline
-/// `speedup` is the curve's [`PAR_TICK_JOBS`] point; `scaling` must stay
-/// the last field so the section's top-level `speedup` is the first one
-/// a prefix scan finds.
-#[derive(Serialize)]
-struct ParallelSection {
-    components: u64,
-    rounds_per_tick: u64,
-    horizon_ns: u64,
-    samples: u64,
-    tick_jobs: u64,
-    host_cores: u64,
-    edges_per_run: u64,
-    serial_edges_per_sec: f64,
-    parallel_edges_per_sec: f64,
-    speedup: f64,
-    scaling: Vec<ScalingJson>,
-}
-
 /// The `"sparse"` section of `BENCH_kernel.json`: the idle-heavy case's
 /// sparse-vs-dense comparison.
 #[derive(Serialize)]
@@ -595,100 +394,7 @@ fn main() {
         sparse_edges_per_sec: sparse_rate,
         speedup: sparse_speedup,
     };
-    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get() as u64);
-    println!(
-        "\ncompute-heavy: {CRUNCHERS} crunchers x {CRUNCH_ROUNDS} rounds/tick, \
-         horizon {PAR_HORIZON_NS} ns, jobs ladder {SCALING_JOBS:?} on {host_cores} \
-         core(s), best of {SAMPLES}"
-    );
-
-    // The scaling ladder: jobs = 1 is the serial baseline; every higher
-    // job count must reproduce its observables byte for byte — the whole
-    // point of the compute/commit split — and with pre-registered metrics
-    // and buffered fault/RNG draws the retick rate must stay marginal.
-    // Rungs beyond the host's cores are clamped: oversubscribing measures
-    // scheduler thrash (0.02x "speedups" on a one-core box), not the code.
-    let mut best: Vec<Option<ParRun>> = SCALING_JOBS.iter().map(|_| None).collect();
-    for _ in 0..SAMPLES {
-        let serial = bench_parallel(SCALING_JOBS[0]);
-        for (slot, &jobs) in best.iter_mut().zip(&SCALING_JOBS).skip(1) {
-            let run = bench_parallel(jobs.min(host_cores as usize));
-            assert_eq!(serial.edges, run.edges, "jobs={jobs} edge count differs");
-            assert_eq!(
-                serial.report, run.report,
-                "jobs={jobs} rendered a different stats table"
-            );
-            assert_eq!(
-                serial.blob, run.blob,
-                "jobs={jobs} checkpointed to different bytes"
-            );
-            assert!(
-                run.par_reticked * 100 <= run.par_computed,
-                "jobs={jobs}: {} of {} parallel ticks re-ran serially (>1%)",
-                run.par_reticked,
-                run.par_computed,
-            );
-            if slot.as_ref().is_none_or(|b| run.wall < b.wall) {
-                *slot = Some(run);
-            }
-        }
-        if best[0].as_ref().is_none_or(|b| serial.wall < b.wall) {
-            best[0] = Some(serial);
-        }
-    }
-    let runs: Vec<ParRun> = best.into_iter().map(|b| b.expect("sampled")).collect();
-    let par_edges = runs[0].edges;
-    let serial_rate = par_edges as f64 / runs[0].wall;
-    let mut scaling = Vec::with_capacity(runs.len());
-    for (&jobs, run) in SCALING_JOBS.iter().zip(&runs) {
-        let effective_jobs = jobs.min(host_cores as usize);
-        let oversubscribed = effective_jobs < jobs;
-        let rate = run.edges as f64 / run.wall;
-        let speedup = rate / serial_rate;
-        println!(
-            "  jobs {jobs:<4}: {:.3}M edges/s, {speedup:.2}x, {} par ticks, {} reticked{}",
-            rate / 1e6,
-            run.par_computed,
-            run.par_reticked,
-            if oversubscribed {
-                format!(" (clamped to {effective_jobs} on this host)")
-            } else {
-                String::new()
-            },
-        );
-        scaling.push(ScalingJson {
-            jobs: jobs as u64,
-            effective_jobs: effective_jobs as u64,
-            oversubscribed,
-            edges_per_sec: rate,
-            speedup,
-        });
-    }
-    let headline = scaling
-        .iter()
-        .find(|p| p.jobs == PAR_TICK_JOBS as u64)
-        .expect("the ladder includes the headline job count");
-    let par_rate = headline.edges_per_sec;
-    let par_speedup = headline.speedup;
-    println!(
-        "  headline : {par_speedup:.2}x at {PAR_TICK_JOBS} jobs \
-         (tables and checkpoints byte-identical at every job count)"
-    );
-
-    let parallel_section = ParallelSection {
-        components: CRUNCHERS as u64,
-        rounds_per_tick: CRUNCH_ROUNDS,
-        horizon_ns: PAR_HORIZON_NS,
-        samples: SAMPLES as u64,
-        tick_jobs: PAR_TICK_JOBS as u64,
-        host_cores,
-        edges_per_run: par_edges,
-        serial_edges_per_sec: serial_rate,
-        parallel_edges_per_sec: par_rate,
-        speedup: par_speedup,
-        scaling,
-    };
-    // `--committed` records the three sections in the committed
+    // `--committed` records the two sections in the committed
     // `BENCH_kernel.json` at the repo root. `cargo bench` forwards
     // everything after `--`; other flags (e.g. the harness's own `--bench`)
     // are ignored.
@@ -696,26 +402,17 @@ fn main() {
         let committed = ledger::committed_path();
         let microbench = ledger::update_section(&committed, "microbench", &section.to_json());
         let sparse_write = ledger::update_section(&committed, "sparse", &sparse_section.to_json());
-        let parallel_write =
-            ledger::update_section(&committed, "parallel", &parallel_section.to_json());
-        match microbench.and(sparse_write).and(parallel_write) {
+        match microbench.and(sparse_write) {
             Ok(()) => println!("committed ledger updated: {}", committed.display()),
             Err(e) => eprintln!("failed to write {}: {e}", committed.display()),
         }
     }
 
-    // The bench gates itself: the two sections just measured are held to
-    // their rows of the floor table, core-gated on the host_cores they
-    // carry.
-    let mut passed = true;
-    for (name, json) in [
-        ("sparse", sparse_section.to_json()),
-        ("parallel", parallel_section.to_json()),
-    ] {
-        let checked = ledger::check_section(name, &json).expect("a section is one JSON value");
-        passed &= ledger::report(&checked);
-    }
-    if !passed {
+    // The bench gates itself: the sparse section just measured is held to
+    // its row of the floor table.
+    let checked = ledger::check_section("sparse", &sparse_section.to_json())
+        .expect("a section is one JSON value");
+    if !ledger::report(&checked) {
         std::process::exit(1);
     }
 }

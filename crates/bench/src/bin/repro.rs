@@ -7,7 +7,6 @@
 //! repro --exp fig5           # one experiment
 //! repro --scale 8 --seed 42  # bigger workload, different seed
 //! repro --jobs 4             # parallel sweep points inside fig4 / many-to-many
-//! repro --tick-jobs 4        # intra-edge parallel tick execution (identical tables)
 //! repro --list               # list experiment ids with descriptions
 //! repro --fast-warm                     # loosely-timed warm phase: speedup vs error
 //! repro --exp fig3 --fast-gear 1        # run in the fast gear (q=1: identical tables)
@@ -21,12 +20,8 @@
 //! Experiments always run one at a time and print in a fixed order, so the
 //! tables are byte-identical for any `--jobs` value; `--jobs` only fans the
 //! independent simulation instances *inside* the sweep-shaped experiments
-//! out to worker threads. `--tick-jobs` instead parallelizes *within* each
-//! simulation — parallel-safe components are computed on worker threads
-//! against a frozen view and their buffered effects replayed in
-//! registration order — and the kernel guarantees the output stays
-//! byte-identical to serial for any value. Each experiment is followed by a host-side
-//! throughput line (scheduler edges/sec and simulated component-cycles/sec,
+//! out to worker threads; every simulation ticks its edges serially. Each
+//! experiment is followed by a host-side throughput line (scheduler edges/sec and simulated component-cycles/sec,
 //! from the kernel's activity counters). `--bench-out` records the
 //! measurements in a machine-readable ledger (the committed one is
 //! `BENCH_kernel.json` at the repo root); without it a run writes no file.
@@ -45,7 +40,7 @@
 //! their own gear (`dse` per rung, `fidelity` / `--fast-warm` per row) are
 //! not reached by it: asking for one of them alone with `--fast-gear` is
 //! refused, and a full-suite run names them in its header.
-//! `--dense`, `--tick-jobs` and `--fast-gear` together are the run's
+//! `--dense` and `--fast-gear` together are the run's
 //! [`mpsoc_kernel::ExecMode`], carried as a value to every platform built.
 //! `--checkpoint-every`/`--rewind-to` run the time-travel debug harness on
 //! a representative platform of the selected experiment instead of the
@@ -73,8 +68,8 @@ use std::process::ExitCode;
 
 struct Args {
     exp: Option<String>,
-    /// `--scale`, `--seed`, `--jobs`, and `--dense` / `--tick-jobs` /
-    /// `--fast-gear` as the run's `ExecMode`.
+    /// `--scale`, `--seed`, `--jobs`, and `--dense` / `--fast-gear` as the
+    /// run's `ExecMode`.
     run: Run,
     list: bool,
     fast_warm: bool,
@@ -125,16 +120,6 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
                     .map_err(|e| format!("bad jobs: {e}"))?;
                 if args.run.jobs == 0 {
                     return Err("--jobs must be at least 1".into());
-                }
-            }
-            "--tick-jobs" => {
-                args.run.exec.tick_jobs = it
-                    .next()
-                    .ok_or("--tick-jobs needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad tick jobs: {e}"))?;
-                if args.run.exec.tick_jobs == 0 {
-                    return Err("--tick-jobs must be at least 1".into());
                 }
             }
             "--list" => args.list = true,
@@ -196,7 +181,7 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
             }
             "--help" | "-h" => {
                 println!(
-                    "repro [--exp <id>] [--scale N] [--seed N] [--jobs N] [--tick-jobs N] [--list] \
+                    "repro [--exp <id>] [--scale N] [--seed N] [--jobs N] [--list] \
                      [--fast-warm] [--fast-gear QUANTUM] \
                      [--checkpoint-every NS --rewind-to NS] [--dense] \
                      [--dse-checkpoint <path>] [--dse-checkpoint-every RUNGS] \
@@ -266,7 +251,6 @@ struct ExperimentsSection {
     scale: u64,
     seed: u64,
     jobs: u64,
-    tick_jobs: u64,
     host_cores: u64,
     dense: bool,
     total_wall_seconds: f64,
@@ -285,32 +269,28 @@ fn main() -> ExitCode {
         }
     };
     if args.list {
-        // Annotate each experiment with the committed ledger's recorded
-        // sparse-skip fraction, fast-forwarded (elided) cycles, and the
-        // parallel-path counters (computed edge-ticks, retick fraction,
-        // serial fallbacks), when a usable committed ledger exists.
+        // Annotate each experiment with the committed (scale-1) ledger's
+        // recorded wall time, sparse-skip fraction and fast-forwarded
+        // (elided) cycles, when a usable committed ledger exists.
         let activity = Ledger::read(&ledger::committed_path())
             .map(|ledger| ledger.experiment_activity())
             .unwrap_or_default();
         println!(
-            "{:<14} {:>9} {:>6} {:>10} {:>9} {:>7} {:>8}  description",
-            "experiment", "~scale-1", "skip%", "ff-cycles", "par-ticks", "retick%", "fallback"
+            "{:<14} {:>9} {:>6} {:>10}  description",
+            "experiment", "scale-1 s", "skip%", "ff-cycles"
         );
         for desc in EXPERIMENT_REGISTRY {
-            let (skip, ff, par, retick, fallback) = match activity.iter().find(|a| a.id == desc.id)
-            {
+            let (wall, skip, ff) = match activity.iter().find(|a| a.id == desc.id) {
                 Some(a) => (
+                    format!("{:.3}", a.wall_seconds),
                     format!("{:.0}%", a.skip_fraction() * 100.0),
                     si_u64(a.ff_elided),
-                    si_u64(a.par_computed),
-                    format!("{:.2}%", a.retick_fraction() * 100.0),
-                    si_u64(a.par_fallbacks),
                 ),
-                None => ("-".into(), "-".into(), "-".into(), "-".into(), "-".into()),
+                None => ("-".into(), "-".into(), "-".into()),
             };
             println!(
-                "{:<14} {:>9} {skip:>6} {ff:>10} {par:>9} {retick:>7} {fallback:>8}  {}",
-                desc.id, desc.runtime, desc.description
+                "{:<14} {wall:>9} {skip:>6} {ff:>10}  {}",
+                desc.id, desc.description
             );
         }
         return ExitCode::SUCCESS;
@@ -327,13 +307,6 @@ fn main() -> ExitCode {
              measure oversubscription, not scaling"
         );
     }
-    if (exec.tick_jobs as u64) > cores {
-        eprintln!(
-            "warning: --tick-jobs {} exceeds this host's {cores} core(s); timings will \
-             measure oversubscription, not scaling (tables stay byte-identical)",
-            exec.tick_jobs
-        );
-    }
     if let (Some(every), Some(target)) = (args.checkpoint_every_ns, args.rewind_to_ns) {
         return time_travel(&args, every, target);
     }
@@ -345,11 +318,10 @@ fn main() -> ExitCode {
         None => experiment_ids(),
     };
     println!(
-        "reproducing {} experiment(s), scale {}, seed {:#x}, jobs {jobs}, tick-jobs {}{}\n",
+        "reproducing {} experiment(s), scale {}, seed {:#x}, jobs {jobs}{}\n",
         ids.len(),
         args.run.scale,
         args.run.seed,
-        exec.tick_jobs,
         match exec.fidelity {
             Fidelity::Fast { quantum } => {
                 // Only a full-suite run gets here with an own-gear runner.
@@ -401,7 +373,6 @@ fn main() -> ExitCode {
         scale: args.run.scale,
         seed: args.run.seed,
         jobs: jobs as u64,
-        tick_jobs: exec.tick_jobs as u64,
         host_cores: host_cores(),
         dense: exec.dense,
         total_wall_seconds: runs.iter().map(|r| r.wall_seconds).sum(),
@@ -533,21 +504,26 @@ mod tests {
     }
 
     #[test]
-    fn the_three_mode_flags_are_one_value() {
-        let args = parse("--scale 2 --jobs 3 --dense --tick-jobs 4 --fast-gear 16").expect("valid");
+    fn the_mode_flags_are_one_value() {
+        let args = parse("--scale 2 --jobs 3 --dense --fast-gear 16").expect("valid");
         assert_eq!(
             args.run,
             Run {
                 jobs: 3,
                 exec: mpsoc_kernel::ExecMode {
                     dense: true,
-                    tick_jobs: 4,
                     fidelity: Fidelity::Fast { quantum: 16 },
                 },
                 ..Run::new(2, Run::default().seed)
             }
         );
         assert_eq!(parse("").expect("valid").run, Run::default());
+    }
+
+    #[test]
+    fn tick_jobs_is_an_unknown_flag() {
+        let why = parse("--tick-jobs 2").err().expect("refused");
+        assert_eq!(why, "unknown argument '--tick-jobs'");
     }
 
     #[test]
@@ -605,10 +581,10 @@ mod tests {
             "--fast-gear 16",
             "--dense --fast-gear 16",
             "--exp fig4 --fast-gear 16",
-            // Schedule and tick jobs reach the own-gear runners.
+            // The schedule and the fan-out reach the own-gear runners.
             "--exp dse --dense",
-            "--exp fidelity --dense --tick-jobs 2",
-            "--fast-warm --tick-jobs 2",
+            "--exp fidelity --dense --jobs 2",
+            "--fast-warm --jobs 2",
             // Time travel replays a platform, not the runner.
             "--exp dse --fast-gear 16 --checkpoint-every 500 --rewind-to 2000",
         ] {

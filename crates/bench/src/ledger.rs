@@ -8,9 +8,8 @@
 //! * `repro --fast-warm` writes the `"fast_forward"` section (the
 //!   loosely-timed gear's warm-phase speedup, error and quantum-1 identity),
 //! * the `kernel_hotpath` microbench writes the `"microbench"` section
-//!   (bucketed vs naive scheduler edges/sec and the speedup ratio), the
-//!   `"sparse"` section (sparse vs dense ticking on the idle-heavy case)
-//!   and the `"parallel"` section (the compute-heavy jobs ladder),
+//!   (bucketed vs naive scheduler edges/sec and the speedup ratio) and the
+//!   `"sparse"` section (sparse vs dense ticking on the idle-heavy case),
 //! * the `loadgen` client writes the `"server"` section (sweep-server
 //!   requests/sec, latency percentiles and warm-cache hit rate), and
 //! * `repro --exp dse` writes the `"dse"` section (design-space search
@@ -68,8 +67,8 @@ pub fn committed_path() -> PathBuf {
 
 /// Schema tag stamped into the ledger. `v2` added the sparse-ticking
 /// fields (`skipped` per experiment, the idle-heavy microbench case);
-/// `v3` added the `"parallel"` section plus the `host_cores` and
-/// `tick_jobs` fields that make a recorded parallel speedup judgeable on
+/// `v3` added the `"parallel"` section plus the `host_cores` and job-count
+/// fields that make a recorded parallel speedup judgeable on
 /// a different machine; `v4` added the `"fast_forward"` section (the
 /// loosely-timed gear's warm-phase speedup, error and quantum-1 identity)
 /// and the per-experiment `ff_windows`/`ff_elided` counters; `v5` added
@@ -82,8 +81,7 @@ pub fn committed_path() -> PathBuf {
 /// `"parallel"` section's `scaling` array (compute-heavy microbench at
 /// jobs 1/2/4/8) and the `"experiments"` section's `fig4_scaling` array
 /// (the end-to-end fig4 sweep over the same job ladder) — plus the
-/// per-experiment parallel activity counters (`par_edges`,
-/// `par_computed`, `par_reticked`, `par_fallback_*`); `v8` extended the
+/// per-experiment parallel activity counters; `v8` extended the
 /// `"server"` section with the warm-up/persistence figures
 /// (`warm_ups`, `distinct_keys`, `cold_start_first_micros`,
 /// `warm_restart_first_micros` and a per-connections scaling curve) and
@@ -93,15 +91,17 @@ pub fn committed_path() -> PathBuf {
 /// checkpoint-forked fig4 sweep is `repro --exp fig4` itself, so there is
 /// no second driver to compare it with). Still at `v9`, the fig4 and
 /// connections scaling curves went with the 8-core floors that were their
-/// only readers. [`Ledger::parse`] accepts this version only.
-pub const SCHEMA: &str = "mpsoc-bench/kernel-v9";
+/// only readers. `v10` dropped the `"parallel"` section, the
+/// `"experiments"` section's job-count field and the per-experiment
+/// parallel activity counters, with the intra-edge parallel executor they
+/// measured. [`Ledger::parse`] accepts this version only.
+pub const SCHEMA: &str = "mpsoc-bench/kernel-v10";
 
 /// The known top-level sections, in the order they appear in the file.
-pub const SECTIONS: [&str; 7] = [
+pub const SECTIONS: [&str; 6] = [
     "experiments",
     "microbench",
     "sparse",
-    "parallel",
     "fast_forward",
     "server",
     "dse",
@@ -272,7 +272,7 @@ impl Ledger {
     }
 
     /// The recorded figures of each run in `experiments.runs[]`, in file
-    /// order. Empty when the section is absent; a counter a run does not
+    /// order. Empty when the section is absent; a figure a run does not
     /// carry reads as 0.
     pub fn experiment_activity(&self) -> Vec<ExperimentActivity> {
         let runs = self
@@ -285,37 +285,33 @@ impl Ledger {
                 let count = |name: &str| run.get(name).and_then(Json::as_u64).unwrap_or(0);
                 Some(ExperimentActivity {
                     id: run.get("id")?.as_str()?.to_string(),
+                    wall_seconds: run
+                        .get("wall_seconds")
+                        .and_then(Json::as_f64)
+                        .unwrap_or(0.0),
                     ticks: count("ticks"),
                     skipped: count("skipped"),
                     ff_elided: count("ff_elided"),
-                    par_computed: count("par_computed"),
-                    par_reticked: count("par_reticked"),
-                    par_fallbacks: count("par_fallback_audit") + count("par_fallback_small"),
                 })
             })
             .collect()
     }
 }
 
-/// One experiment's activity counters recorded in the `"experiments"`
-/// section, which `repro --list` annotates with.
+/// One experiment's figures recorded in the `"experiments"` section, which
+/// `repro --list` annotates with.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentActivity {
     /// Experiment id.
     pub id: String,
+    /// Host wall-clock seconds of the recorded run.
+    pub wall_seconds: f64,
     /// Component ticks executed.
     pub ticks: u64,
     /// Ticks the sparse scheduler skipped.
     pub skipped: u64,
     /// Component-cycles elided by fast-forward windows.
     pub ff_elided: u64,
-    /// Component ticks computed on the parallel path.
-    pub par_computed: u64,
-    /// Parallel-computed ticks re-run serially after a failed commit.
-    pub par_reticked: u64,
-    /// Parallel-enabled edges that fell back to the serial path (skip
-    /// audit on, or too little eligible work).
-    pub par_fallbacks: u64,
 }
 
 impl ExperimentActivity {
@@ -326,16 +322,6 @@ impl ExperimentActivity {
             0.0
         } else {
             self.skipped as f64 / total as f64
-        }
-    }
-
-    /// Fraction of parallel-computed ticks that had to be re-run
-    /// serially (0 when the run never took the parallel path).
-    pub fn retick_fraction(&self) -> f64 {
-        if self.par_computed == 0 {
-            0.0
-        } else {
-            self.par_reticked as f64 / self.par_computed as f64
         }
     }
 }
@@ -354,7 +340,7 @@ pub enum FloorVerdict {
 }
 
 /// Judges a speedup floor that is only meaningful when the recording
-/// host had enough hardware: a parallel speedup measured on a box with
+/// host had enough hardware: a fan-out speedup measured on a box with
 /// fewer cores than worker threads, or a latency split measured while
 /// client and server contend for one CPU, says nothing about the code.
 ///
@@ -405,8 +391,6 @@ pub enum Cores {
     Always,
     /// A miss fails only when at least this many cores were recorded.
     Fixed(u64),
-    /// As `Fixed`, with the count read from this field of the section.
-    Field(&'static str),
 }
 
 /// One row of [`FLOORS`].
@@ -442,18 +426,6 @@ pub const FLOORS: &[Floor] = &[
         value: ValuePath::Field("speedup"),
         comparator: Comparator::AtLeast(1.3),
         cores: Cores::Always,
-        armed_when: None,
-        regenerate: HOTPATH,
-    },
-    // Compute-heavy kernel_hotpath case at the headline job count. The
-    // floor is a property of the scheduler, not of an oversubscribed host:
-    // it needs as many cores as worker threads.
-    Floor {
-        label: "parallel speedup",
-        section: "parallel",
-        value: ValuePath::Field("speedup"),
-        comparator: Comparator::AtLeast(1.5),
-        cores: Cores::Field("tick_jobs"),
         armed_when: None,
         regenerate: HOTPATH,
     },
@@ -640,12 +612,10 @@ impl Floor {
                 return Ok((FloorVerdict::Met, line));
             }
         }
-        let cores = |name| field(name).ok().map(|n| n as u64);
-        let host_cores = cores("host_cores");
+        let host_cores = field("host_cores").ok().map(|n| n as u64);
         let needed = match self.cores {
             Cores::Always => None,
             Cores::Fixed(n) => Some(n),
-            Cores::Field(name) => cores(name),
         };
         let gate = needed.map_or_else(String::new, |n| {
             let recorded = host_cores.map_or_else(|| "unknown".to_string(), |c| c.to_string());
@@ -735,7 +705,7 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         update_section(&path, "experiments", r#"{"runs":[]}"#).expect("writes");
         let doc = std::fs::read_to_string(&path).expect("readable");
-        assert!(doc.contains(r#""schema": "mpsoc-bench/kernel-v9""#));
+        assert!(doc.contains(r#""schema": "mpsoc-bench/kernel-v10""#));
         assert!(doc.contains(r#""experiments": {"runs":[]}"#));
         assert!(!doc.contains("microbench"));
         std::fs::remove_file(&path).expect("cleanup");
@@ -814,13 +784,11 @@ mod tests {
     /// checks; frozen here so re-recording the real one cannot move the
     /// parity expectations below.
     const FIXTURE: &str = concat!(
-        "{\n\"schema\": \"mpsoc-bench/kernel-v9\",\n",
+        "{\n\"schema\": \"mpsoc-bench/kernel-v10\",\n",
         "\"experiments\": {\"scale\":1,\"host_cores\":1,\"runs\":[",
-        "{\"id\":\"fig3\",\"ticks\":20,\"skipped\":60,\"ff_elided\":7},",
-        "{\"id\":\"fig4\",\"ticks\":8,\"par_computed\":200,\"par_reticked\":1,",
-        "\"par_fallback_audit\":2,\"par_fallback_small\":5}]},\n",
+        "{\"id\":\"fig3\",\"wall_seconds\":0.02,\"ticks\":20,\"skipped\":60,\"ff_elided\":7},",
+        "{\"id\":\"fig4\",\"ticks\":8}]},\n",
         "\"sparse\": {\"speedup\":7.13},\n",
-        "\"parallel\": {\"tick_jobs\":4,\"host_cores\":1,\"speedup\":1.0},\n",
         "\"fast_forward\": {\"quantum\":64,\"speedup\":3.46,\"q1_identical\":true},\n",
         "\"server\": {\"requests_per_sec\":1243.49,\"hit_rate\":0.958333,",
         "\"p50_hit_micros\":1922,\"hit_speedup\":6.30,\"warm_ups\":2,\"distinct_keys\":2,",
@@ -855,31 +823,26 @@ mod tests {
     fn verdicts_match_the_hand_written_checks_they_replaced() {
         let dse_fanned_out =
             |doc: &str| doc.replace("\"dse\": {\"jobs\":1", "\"dse\": {\"jobs\":2");
-        let recorded_on_one_core = [("parallel speedup", Ungated)];
-        assert_eq!(not_met(FIXTURE), recorded_on_one_core);
-        // Armed, the 1.00x parallel figure is a miss; the restart ratio
-        // clears its floor.
-        let armed = [("parallel speedup", Missed)];
-        assert_eq!(not_met(&with_eight_cores(FIXTURE)), armed);
+        assert_eq!(not_met(FIXTURE), Vec::new());
+        // Armed, the restart ratio clears its floor.
+        assert_eq!(not_met(&with_eight_cores(FIXTURE)), Vec::new());
         // A fan-out of 2 arms the dse floor; fanout_speedup is 1.0.
-        let mut fanned = recorded_on_one_core.to_vec();
-        fanned.push(("dse fanout speedup", Ungated));
-        assert_eq!(not_met(&dse_fanned_out(FIXTURE)), fanned);
-        let mut fanned = armed.to_vec();
-        fanned.push(("dse fanout speedup", Missed));
-        assert_eq!(not_met(&dse_fanned_out(&with_eight_cores(FIXTURE))), fanned);
+        assert_eq!(
+            not_met(&dse_fanned_out(FIXTURE)),
+            [("dse fanout speedup", Ungated)]
+        );
+        assert_eq!(
+            not_met(&dse_fanned_out(&with_eight_cores(FIXTURE))),
+            [("dse fanout speedup", Missed)]
+        );
         // Hard floors fail on any host.
-        let mut rewarmed = recorded_on_one_core.to_vec();
-        rewarmed.push(("server warm-ups", Missed));
         assert_eq!(
             not_met(&FIXTURE.replace("\"warm_ups\":2", "\"warm_ups\":3")),
-            rewarmed
+            [("server warm-ups", Missed)]
         );
-        let mut diverged = recorded_on_one_core.to_vec();
-        diverged.push(("fast-forward q=1 identical", Missed));
         assert_eq!(
             not_met(&FIXTURE.replace("\"q1_identical\":true", "\"q1_identical\":false")),
-            diverged
+            [("fast-forward q=1 identical", Missed)]
         );
     }
 
@@ -900,9 +863,6 @@ mod tests {
         }
         if let Some((field, at_least)) = floor.armed_when {
             fields.push(format!("\"{field}\":{at_least}"));
-        }
-        if let Cores::Field(field) = floor.cores {
-            fields.push(format!("\"{field}\":4"));
         }
         if let Some(cores) = host_cores {
             fields.push(format!("\"host_cores\":{cores}"));
@@ -966,7 +926,7 @@ mod tests {
             );
             let too_few = match floor.cores {
                 Cores::Always => Missed,
-                Cores::Fixed(_) | Cores::Field(_) => Ungated,
+                Cores::Fixed(_) => Ungated,
             };
             assert_eq!(
                 verdict(Some(failing), Some(1)),
@@ -1027,8 +987,8 @@ mod tests {
 
         // Another schema: one failure, naming the recorders.
         for stale in [
-            FIXTURE.replace("kernel-v9", "kernel-v8"),
-            FIXTURE.replace("\"schema\": \"mpsoc-bench/kernel-v9\",\n", ""),
+            FIXTURE.replace("kernel-v10", "kernel-v9"),
+            FIXTURE.replace("\"schema\": \"mpsoc-bench/kernel-v10\",\n", ""),
         ] {
             let err = Ledger::parse(&stale).expect_err("stale schema");
             for needle in ["regenerate", "repro ", "kernel_hotpath", "loadgen"] {
@@ -1068,11 +1028,11 @@ mod tests {
         assert_eq!(activity.len(), 2);
         assert_eq!(activity[0].id, "fig3");
         assert_eq!(activity[0].ff_elided, 7);
+        assert!((activity[0].wall_seconds - 0.02).abs() < 1e-12);
         assert!((activity[0].skip_fraction() - 0.75).abs() < 1e-9);
-        // Counters a run does not carry read as zero.
+        // Figures a run does not carry read as zero.
         assert_eq!(activity[1].ff_elided, 0);
-        assert_eq!(activity[1].par_fallbacks, 7);
-        assert!((activity[1].retick_fraction() - 0.005).abs() < 1e-9);
+        assert_eq!(activity[1].wall_seconds, 0.0);
         let empty = format!("{{\"schema\":{SCHEMA:?}}}");
         assert!(Ledger::parse(&empty)
             .expect("parses")

@@ -18,8 +18,7 @@
 //! A run records its measurements in the [`ledger`] only when given a
 //! path (`repro --bench-out`). The live recorders judge what they have
 //! just measured against the ledger's floor rows: `repro --fast-warm` its
-//! `"fast_forward"` section, `kernel_hotpath` its `"sparse"` and
-//! `"parallel"` sections.
+//! `"fast_forward"` section, `kernel_hotpath` its `"sparse"` section.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -35,20 +34,16 @@ use serde::Serialize;
 use std::time::Instant;
 
 /// One entry of the experiment registry: the id the `repro` CLI accepts,
-/// a one-line description for `--list`, the approximate wall-clock time
-/// of a `--scale 1` run on a contemporary desktop host (release build,
-/// `--jobs 1`), whether it keeps its own gear, and the function that runs
-/// it.
+/// a one-line description for `--list`, whether it keeps its own gear, and
+/// the function that runs it.
 pub struct ExperimentDesc {
     /// CLI identifier (`repro --exp <id>`).
     pub id: &'static str,
     /// One-line description printed by `repro --list`.
     pub description: &'static str,
-    /// Approximate `--scale 1` wall time, e.g. `"~0.3 s"`.
-    pub runtime: &'static str,
     /// Whether the runner sets the kernel gear itself (per rung, per row),
     /// so that `Run::exec.fidelity` — `repro --fast-gear` — does not reach
-    /// it. The schedule and the tick jobs reach every experiment.
+    /// it. The schedule reaches every experiment.
     pub own_gear: bool,
     /// Runs the experiment and renders its table.
     runner: fn(Run) -> SimResult<String>,
@@ -62,21 +57,18 @@ pub const EXPERIMENT_REGISTRY: &[ExperimentDesc] = &[
     ExperimentDesc {
         id: "many-to-many",
         description: "8 initiators x 4 targets offered-load sweep: min-buffer AXI vs STBus vs AHB",
-        runtime: "~1.5 s",
         own_gear: false,
         runner: |run| Ok(experiments::many_to_many(run)?.to_string()),
     },
     ExperimentDesc {
         id: "many-to-one",
         description: "12 initiators x 1 on-chip memory: protocol comparison under convergent load",
-        runtime: "~0.2 s",
         own_gear: false,
         runner: |run| Ok(experiments::many_to_one(run)?.to_string()),
     },
     ExperimentDesc {
         id: "fig3",
         description: "normalized exec time across six platform organisations (paper Fig. 3)",
-        runtime: "~0.3 s",
         own_gear: false,
         runner: |run| Ok(experiments::fig3(run)?.to_string()),
     },
@@ -84,63 +76,54 @@ pub const EXPERIMENT_REGISTRY: &[ExperimentDesc] = &[
         id: "fig4",
         description:
             "collapsed vs distributed topology over memory wait states 1..32 (paper Fig. 4)",
-        runtime: "~0.01 s",
         own_gear: false,
         runner: |run| Ok(experiments::fig4(run)?.to_string()),
     },
     ExperimentDesc {
         id: "fig5",
         description: "LMI controller + DDR SDRAM across four platform organisations (paper Fig. 5)",
-        runtime: "~0.2 s",
         own_gear: false,
         runner: |run| Ok(experiments::fig5(run)?.to_string()),
     },
     ExperimentDesc {
         id: "fig6",
         description: "LMI FIFO state residency under the two-phase workload (paper Fig. 6)",
-        runtime: "~0.1 s",
         own_gear: false,
         runner: |run| Ok(experiments::fig6(run)?.to_string()),
     },
     ExperimentDesc {
         id: "buffering",
         description: "STBus target-FIFO depth sweep closing the gap to AXI",
-        runtime: "~0.4 s",
         own_gear: false,
         runner: |run| Ok(experiments::buffering_ablation(run)?.to_string()),
     },
     ExperimentDesc {
         id: "bridges",
         description: "distributed AXI with blocking vs split-capable bridges",
-        runtime: "~0.1 s",
         own_gear: false,
         runner: |run| Ok(experiments::bridge_ablation(run)?.to_string()),
     },
     ExperimentDesc {
         id: "lmi",
         description: "LMI lookahead depth x merging ablation under full-platform traffic",
-        runtime: "~0.5 s",
         own_gear: false,
         runner: |run| Ok(experiments::lmi_ablation(run)?.to_string()),
     },
     ExperimentDesc {
         id: "arbitration",
         description: "round-robin / fixed-priority / oldest-first on the full LMI platform",
-        runtime: "~0.2 s",
         own_gear: false,
         runner: |run| Ok(experiments::arbitration_study(run)?.to_string()),
     },
     ExperimentDesc {
         id: "noc",
         description: "shared STBus vs crossbar vs 3x4 mesh NoC under saturated traffic",
-        runtime: "~0.3 s",
         own_gear: false,
         runner: |run| Ok(experiments::noc_outlook(run)?.to_string()),
     },
     ExperimentDesc {
         id: "tlm",
         description: "cycle-accurate vs transaction-level fidelity: timing error and speedup",
-        runtime: "~0.1 s",
         own_gear: false,
         runner: |run| Ok(experiments::fidelity_study(run)?.to_string()),
     },
@@ -148,21 +131,18 @@ pub const EXPERIMENT_REGISTRY: &[ExperimentDesc] = &[
         id: "fidelity",
         description:
             "loosely-timed fast-forward gear: fig4 warm-phase speedup vs error per quantum",
-        runtime: "~0.3 s",
         own_gear: true,
         runner: |run| Ok(experiments::fast_forward_study(run)?.to_string()),
     },
     ExperimentDesc {
         id: "dual-channel",
         description: "unified memory split across two LMI channels: exec time and FIFO pressure",
-        runtime: "~0.2 s",
         own_gear: false,
         runner: |run| Ok(experiments::dual_channel_study(run)?.to_string()),
     },
     ExperimentDesc {
         id: "robustness",
         description: "fault rate x retry budget degradation table on the distributed LMI platform",
-        runtime: "~1 s",
         own_gear: false,
         runner: |run| Ok(experiments::robustness(run)?.to_string()),
     },
@@ -170,7 +150,6 @@ pub const EXPERIMENT_REGISTRY: &[ExperimentDesc] = &[
         id: "dse",
         description:
             "successive-halving design-space exploration: Pareto front over fabric/memory knobs",
-        runtime: "~1 s",
         own_gear: true,
         runner: |run| Ok(run_dse(run, &DseOptions::default())?.0),
     },
@@ -276,8 +255,7 @@ pub struct DseRun {
 /// record). When the run fans out (`jobs` >= 2) the search is repeated
 /// serially to measure the fan-out speedup — and the two tables are proven
 /// byte-identical. The search shifts the gear itself, rung by rung: of
-/// `run.exec` the schedule and the tick jobs reach the candidates, the gear
-/// does not.
+/// `run.exec` the schedule reaches the candidates, the gear does not.
 ///
 /// # Errors
 ///
@@ -386,21 +364,6 @@ pub struct ExperimentRun {
     /// Component-cycles elided inside fast-forward windows (slept over by
     /// the components' own `sleep_until` declarations).
     pub ff_elided: u64,
-    /// Clock edges that took the intra-edge parallel path (zero for a
-    /// serial run).
-    pub par_edges: u64,
-    /// Component ticks computed on the parallel path (worker or
-    /// main-thread shard).
-    pub par_computed: u64,
-    /// Parallel-computed ticks whose buffered effects failed commit-time
-    /// validation and were re-run serially.
-    pub par_reticked: u64,
-    /// Parallel-enabled edges that fell back to serial because skip-audit
-    /// was on.
-    pub par_fallback_audit: u64,
-    /// Parallel-enabled edges that fell back to serial for lack of
-    /// eligible work.
-    pub par_fallback_small: u64,
     /// Host-side scheduler throughput: `edges / wall_seconds`.
     pub edges_per_sec: f64,
     /// Simulated component-cycles per host second: `ticks / wall_seconds`.
@@ -429,30 +392,11 @@ impl ExperimentRun {
         }
     }
 
-    /// Fraction of parallel-computed ticks that had to be re-run
-    /// serially (0 when the run never took the parallel path).
-    pub fn retick_fraction(&self) -> f64 {
-        if self.par_computed == 0 {
-            0.0
-        } else {
-            self.par_reticked as f64 / self.par_computed as f64
-        }
-    }
-
     /// One-line human-readable performance summary.
     pub fn perf_line(&self) -> String {
-        let parallel = if self.par_computed > 0 {
-            format!(
-                ", {} par ticks ({:.2}% reticked)",
-                si(self.par_computed as f64),
-                self.retick_fraction() * 100.0,
-            )
-        } else {
-            String::new()
-        };
         format!(
             "[{} done in {:.2}s — {} edges/s, {} sim cycles/s, {:.0}% ticks skipped, \
-             {:.0}% of the rest elided{parallel}]",
+             {:.0}% of the rest elided]",
             self.id,
             self.wall_seconds,
             si(self.edges_per_sec),
@@ -507,11 +451,6 @@ pub fn measure(id: &str, runner: impl FnOnce() -> SimResult<String>) -> SimResul
         elided: delta.elided,
         ff_windows: delta.ff_windows,
         ff_elided: delta.ff_elided,
-        par_edges: delta.par_edges,
-        par_computed: delta.par_computed,
-        par_reticked: delta.par_reticked,
-        par_fallback_audit: delta.par_fallback_audit,
-        par_fallback_small: delta.par_fallback_small,
         edges_per_sec: delta.edges as f64 / wall_seconds,
         sim_cycles_per_sec: delta.ticks as f64 / wall_seconds,
     })
@@ -641,7 +580,6 @@ mod tests {
         assert_eq!(distinct.len(), ids.len(), "duplicate experiment id");
         for desc in EXPERIMENT_REGISTRY {
             assert!(!desc.description.is_empty());
-            assert!(desc.runtime.starts_with('~'), "runtime is an approximation");
             assert_eq!(find_experiment(desc.id).map(|d| d.id), Some(desc.id));
         }
         assert!(ids.contains(&"dse"), "the dse driver must be registered");

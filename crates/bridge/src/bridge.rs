@@ -521,10 +521,6 @@ impl Component<Packet> for BridgeTargetSide {
             && self.dead_letters.is_empty()
     }
 
-    fn parallel_safe(&self) -> bool {
-        true
-    }
-
     fn watched_links(&self) -> Option<Vec<LinkId>> {
         Some(vec![self.req_in, self.resp_fifo])
     }
@@ -629,10 +625,6 @@ impl Component<Packet> for BridgeInitiatorSide {
                 .push(self.req_out, now, pkt)
                 .expect("can_push checked");
         }
-    }
-
-    fn parallel_safe(&self) -> bool {
-        true
     }
 
     fn watched_links(&self) -> Option<Vec<LinkId>> {

@@ -76,10 +76,6 @@ impl Component<Packet> for PipelineStage {
         }
     }
 
-    fn parallel_safe(&self) -> bool {
-        true
-    }
-
     fn fast_forward_safe(&self) -> bool {
         true
     }

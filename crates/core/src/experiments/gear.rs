@@ -130,8 +130,8 @@ fn max_err_permille(reference: &Fig4, fast: &Fig4) -> u64 {
 /// gear included, is timed under the same two-pass procedure (probe, then
 /// the prefix replayed to the boundary and checkpointed), so a row's
 /// speedup compares gears and nothing else. The study sets the gear of
-/// every row itself: of `run.exec` the schedule and the tick jobs apply,
-/// the gear does not.
+/// every row itself: of `run.exec` the schedule applies, the gear does
+/// not.
 ///
 /// # Errors
 ///

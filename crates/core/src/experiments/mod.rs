@@ -56,10 +56,10 @@ pub const DEFAULT_SEED: u64 = 0x0dab;
 ///
 /// `exec` reaches every simulation the experiment builds, through the
 /// `exec` field of the spec it is built from. Tables are identical for any
-/// `jobs`, any `exec.tick_jobs` and either schedule; only `exec.fidelity`
-/// above quantum 1 makes them approximate. The one entry point that is
-/// *about* the gear — [`fast_forward_study`] — sets it itself and takes
-/// only the other two fields from `exec`.
+/// `jobs` and either schedule; only `exec.fidelity` above quantum 1 makes
+/// them approximate. The one entry point that is *about* the gear —
+/// [`fast_forward_study`] — sets it itself and takes only the schedule
+/// from `exec`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Run {
     /// Workload multiplier.

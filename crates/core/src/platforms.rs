@@ -134,8 +134,8 @@ pub struct PlatformSpec {
     pub arbitration: ArbitrationPolicy,
     /// Interconnect modelling fidelity.
     pub fidelity: Fidelity,
-    /// How the built simulation executes (schedule, tick jobs, kernel
-    /// gear). Strategy, not structure: it never changes the platform's
+    /// How the built simulation executes (schedule and kernel gear).
+    /// Strategy, not structure: it never changes the platform's
     /// [`structural_fingerprint`](Platform::structural_fingerprint).
     pub exec: ExecMode,
 }

@@ -72,7 +72,7 @@ pub const CHUNK: Time = Time::from_us(1);
 pub const SERVICE_HORIZON: Time = Time::from_ms(60);
 
 /// One decoded sweep request: the platform the warm phase is built for
-/// plus the point's own knobs (wait states, warm-phase gear, tick jobs).
+/// plus the point's own knobs (wait states, warm-phase gear).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SweepRequest {
     /// Interconnect protocol of every bus layer.
@@ -94,9 +94,10 @@ pub struct SweepRequest {
     /// `repro --fast-warm`; the tail past the boundary is always
     /// cycle-accurate.
     pub fast_gear: Option<u64>,
-    /// Worker threads for intra-edge parallel ticking of the served tail
-    /// (byte-identical to serial for any value, by the kernel's
-    /// compute/commit determinism guarantee).
+    /// Ignored: every tail ticks serially. Intra-edge parallel ticking
+    /// was removed; the field stays so that code which still sets it — the
+    /// benchmark harness does — keeps compiling. Independent points fan
+    /// out over threads instead (the server's `jobs`).
     pub tick_jobs: usize,
 }
 
@@ -217,8 +218,8 @@ impl SweepRequest {
 
     /// The canonical warm-identity key: every request field that changes
     /// the warm checkpoint, in a stable textual form. Requests with equal
-    /// keys share a warm blob; the sweep-axis value and the tail knobs
-    /// (`wait_states`, `tick_jobs`) are deliberately excluded.
+    /// keys share a warm blob; the sweep-axis value and the tail knob
+    /// `wait_states` are deliberately excluded.
     pub fn warm_key(&self) -> String {
         format!(
             "{}/{}/{}/s{}/x{:#x}/b{}/g{}",
@@ -451,7 +452,7 @@ pub fn warm_state(req: &SweepRequest) -> SimResult<WarmState> {
 }
 
 /// [`warm_state`] for any platform spec: the warm phase runs in `gear`,
-/// under the schedule and tick jobs of `spec.exec`. What the fig4 experiment
+/// under the schedule of `spec.exec`. What the fig4 experiment
 /// calls, with the run's execution mode in the spec.
 pub(crate) fn warm_state_of(spec: &PlatformSpec, gear: Fidelity) -> SimResult<WarmState> {
     warm_state_predicting(spec, gear, Some(|expected| expected)).map(|(state, _)| state)
@@ -524,7 +525,7 @@ fn replay_to_boundary(
 
 /// Serves one sweep point from a warm state: builds a fresh platform from
 /// the request's base spec, forks the blob into it, applies the point's
-/// wait states and tick jobs, and runs the tail to quiescence.
+/// wait states, and runs the tail to quiescence.
 ///
 /// Returns the tail's execution time in reference-clock cycles — for the
 /// base point (`wait_states == base_wait_states`) this equals the probe's
@@ -562,9 +563,6 @@ pub fn serve_point_on(
                 ),
             },
         });
-    }
-    if req.tick_jobs > 1 {
-        platform.sim_mut().set_tick_jobs(req.tick_jobs);
     }
     platform.restore(&warm.blob)?;
     if !platform.set_memory_wait_states(req.wait_states) {
@@ -785,7 +783,6 @@ mod tests {
         let a = quick_request();
         let b = SweepRequest {
             wait_states: 16,
-            tick_jobs: 4,
             ..quick_request()
         };
         assert_eq!(a.warm_key(), b.warm_key());
@@ -921,25 +918,16 @@ mod tests {
     }
 
     #[test]
-    fn tick_jobs_do_not_change_the_result() {
+    fn tick_jobs_are_ignored() {
         let warm = warm_state(&quick_request()).expect("warm state");
-        let serial = serve_point(
-            &SweepRequest {
+        let serve = |tick_jobs| {
+            let req = SweepRequest {
                 wait_states: 8,
+                tick_jobs,
                 ..quick_request()
-            },
-            &warm,
-        )
-        .expect("serves");
-        let parallel = serve_point(
-            &SweepRequest {
-                wait_states: 8,
-                tick_jobs: 4,
-                ..quick_request()
-            },
-            &warm,
-        )
-        .expect("serves");
-        assert_eq!(serial, parallel);
+            };
+            serve_point(&req, &warm).expect("serves")
+        };
+        assert_eq!(serve(4), serve(1));
     }
 }

@@ -55,7 +55,7 @@ pub struct DseConfig {
     pub seed: u64,
     /// Evaluation fan-out for `parallel_map` (1 = inline).
     pub jobs: usize,
-    /// Schedule and tick jobs of every candidate simulation. The search
+    /// Schedule of every candidate simulation. The search
     /// shifts the gear itself, per rung (fast from reset, cycle-accurate
     /// after a promotion), so `exec.fidelity` is not consulted.
     pub exec: ExecMode,

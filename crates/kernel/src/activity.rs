@@ -14,8 +14,8 @@
 //! several simulations run concurrently on different threads (the deltas
 //! then aggregate all of them).
 //!
-//! A simulation counts its edges — serial, parallel-path and fast-gear
-//! alike — in a private block and adds it to the globals when the public
+//! A simulation counts its edges — cycle-gear and fast-gear alike — in a
+//! private block and adds it to the globals when the public
 //! call that ran them (`step`, `run_until`, `run_to_quiescence`) returns,
 //! so a snapshot sees every call that has returned and nothing of one still
 //! running. Bumping the shared atomics on every edge cost a single run 12 %
@@ -42,24 +42,8 @@ static EDGES: AtomicU64 = AtomicU64::new(0);
 static TICKS: AtomicU64 = AtomicU64::new(0);
 static SKIPPED: AtomicU64 = AtomicU64::new(0);
 static ELIDED: AtomicU64 = AtomicU64::new(0);
-static PAR_EDGES: AtomicU64 = AtomicU64::new(0);
-static PAR_COMPUTED: AtomicU64 = AtomicU64::new(0);
-static PAR_RETICKED: AtomicU64 = AtomicU64::new(0);
-static PAR_FALLBACK_AUDIT: AtomicU64 = AtomicU64::new(0);
-static PAR_FALLBACK_SMALL: AtomicU64 = AtomicU64::new(0);
 static FF_WINDOWS: AtomicU64 = AtomicU64::new(0);
 static FF_ELIDED: AtomicU64 = AtomicU64::new(0);
-
-/// Why a parallel-enabled edge ran the serial path instead. Fallbacks are
-/// never silent: each increments its own counter, visible in snapshots.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ParFallback {
-    /// Skip-audit mode was enabled (it byte-compares shared state around
-    /// every would-be-skipped tick).
-    SkipAudit,
-    /// Fewer than two components were eligible for compute on this edge.
-    TooSmall,
-}
 
 /// A point-in-time reading of the global activity counters.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -76,19 +60,6 @@ pub struct ActivitySnapshot {
     /// on an edge of the cycle gear or — retired by `FastCtx::stall` —
     /// inside a window of the fast one.
     pub elided: u64,
-    /// Edges that ran the parallel compute/commit split.
-    pub par_edges: u64,
-    /// Component ticks computed on the parallel path (worker or main-thread
-    /// shard; includes ticks later re-run serially).
-    pub par_computed: u64,
-    /// Computed ticks whose observations failed commit-time validation (or
-    /// that touched state a frozen view cannot answer) and were re-run
-    /// serially after rollback.
-    pub par_reticked: u64,
-    /// Parallel-enabled edges that fell back because skip-audit was on.
-    pub par_fallback_audit: u64,
-    /// Parallel-enabled edges that fell back for lack of eligible work.
-    pub par_fallback_small: u64,
     /// Fast-forward windows processed in the loosely-timed gear (one per
     /// component per scheduling batch that was not skipped whole).
     pub ff_windows: u64,
@@ -106,15 +77,6 @@ impl ActivitySnapshot {
             ticks: self.ticks.wrapping_sub(earlier.ticks),
             skipped: self.skipped.wrapping_sub(earlier.skipped),
             elided: self.elided.wrapping_sub(earlier.elided),
-            par_edges: self.par_edges.wrapping_sub(earlier.par_edges),
-            par_computed: self.par_computed.wrapping_sub(earlier.par_computed),
-            par_reticked: self.par_reticked.wrapping_sub(earlier.par_reticked),
-            par_fallback_audit: self
-                .par_fallback_audit
-                .wrapping_sub(earlier.par_fallback_audit),
-            par_fallback_small: self
-                .par_fallback_small
-                .wrapping_sub(earlier.par_fallback_small),
             ff_windows: self.ff_windows.wrapping_sub(earlier.ff_windows),
             ff_elided: self.ff_elided.wrapping_sub(earlier.ff_elided),
         }
@@ -128,11 +90,6 @@ pub fn snapshot() -> ActivitySnapshot {
         ticks: TICKS.load(Ordering::Relaxed),
         skipped: SKIPPED.load(Ordering::Relaxed),
         elided: ELIDED.load(Ordering::Relaxed),
-        par_edges: PAR_EDGES.load(Ordering::Relaxed),
-        par_computed: PAR_COMPUTED.load(Ordering::Relaxed),
-        par_reticked: PAR_RETICKED.load(Ordering::Relaxed),
-        par_fallback_audit: PAR_FALLBACK_AUDIT.load(Ordering::Relaxed),
-        par_fallback_small: PAR_FALLBACK_SMALL.load(Ordering::Relaxed),
         ff_windows: FF_WINDOWS.load(Ordering::Relaxed),
         ff_elided: FF_ELIDED.load(Ordering::Relaxed),
     }
@@ -178,25 +135,6 @@ impl Pending {
         self.total.ff_elided += elided;
     }
 
-    /// Counts one edge that ran the parallel compute/commit split:
-    /// `computed` ticks evaluated against the frozen view, of which
-    /// `reticked` were re-run serially at commit.
-    #[inline]
-    pub(crate) fn record_parallel_edge(&mut self, computed: u64, reticked: u64) {
-        self.total.par_edges += 1;
-        self.total.par_computed += computed;
-        self.total.par_reticked += reticked;
-    }
-
-    /// Counts a whole-edge serial fallback of a parallel-enabled simulation.
-    #[inline]
-    pub(crate) fn record_par_fallback(&mut self, reason: ParFallback) {
-        match reason {
-            ParFallback::SkipAudit => self.total.par_fallback_audit += 1,
-            ParFallback::TooSmall => self.total.par_fallback_small += 1,
-        }
-    }
-
     /// This simulation's own counts since it was built, flushed or not.
     #[cfg(test)]
     pub(crate) fn total(&self) -> ActivitySnapshot {
@@ -213,11 +151,6 @@ impl Pending {
             (&TICKS, pending.ticks),
             (&SKIPPED, pending.skipped),
             (&ELIDED, pending.elided),
-            (&PAR_EDGES, pending.par_edges),
-            (&PAR_COMPUTED, pending.par_computed),
-            (&PAR_RETICKED, pending.par_reticked),
-            (&PAR_FALLBACK_AUDIT, pending.par_fallback_audit),
-            (&PAR_FALLBACK_SMALL, pending.par_fallback_small),
             (&FF_WINDOWS, pending.ff_windows),
             (&FF_ELIDED, pending.ff_elided),
         ] {
@@ -250,19 +183,14 @@ mod tests {
         let mut pending = Pending::default();
         pending.record_edge(3, 1, 2);
         pending.record_fast(2, 7);
-        pending.record_parallel_edge(5, 2);
-        pending.record_par_fallback(ParFallback::TooSmall);
         pending.flush();
         pending.flush();
         let delta = snapshot().since(before);
         assert!(delta.edges >= 1 && delta.ticks >= 3 && delta.skipped >= 1);
         assert!(delta.elided >= 2);
         assert!(delta.ff_windows >= 2 && delta.ff_elided >= 7);
-        assert!(delta.par_edges >= 1 && delta.par_computed >= 5 && delta.par_reticked >= 2);
-        assert!(delta.par_fallback_small >= 1);
         // The simulation's own totals survive the flush and are exact.
         let own = pending.total();
-        assert_eq!((own.edges, own.ticks, own.par_edges), (1, 3, 1));
-        assert_eq!(own.par_fallback_audit, 0);
+        assert_eq!((own.edges, own.ticks, own.ff_windows), (1, 3, 2));
     }
 }

@@ -2,7 +2,7 @@
 
 use crate::fault::{FaultAccess, FaultEngine};
 use crate::link::{LinkAccess, LinkId, LinkPool};
-use crate::rng::{RngAccess, SplitMix64};
+use crate::rng::SplitMix64;
 use crate::stats::{CounterId, StatsAccess, StatsRegistry};
 use crate::time::{Cycles, Time};
 use std::fmt;
@@ -28,15 +28,11 @@ impl fmt::Display for ComponentId {
 /// Everything a component may touch during one clock tick.
 ///
 /// The context borrows the shared [`LinkPool`] (for communication), the
-/// [`StatsRegistry`] (for metrics) and a deterministic per-simulation RNG.
-///
-/// Each resource is wrapped in an access handle ([`LinkAccess`],
-/// [`StatsAccess`], [`RngAccess`], [`FaultAccess`]) that either forwards
-/// straight to the shared state (the classic serial schedule) or — during a
-/// parallel compute phase — answers from a frozen pre-edge view while
-/// buffering every side effect into a per-component effect log that the
-/// executor later applies in exact serial tick order. Components cannot tell
-/// the difference: the handles expose the same methods either way.
+/// [`StatsRegistry`] (for metrics), the fault engine and the deterministic
+/// per-simulation RNG. The first three come wrapped in handles
+/// ([`LinkAccess`], [`StatsAccess`], [`FaultAccess`]) that forward to the
+/// shared state but offer a tick only what a tick may do: no new links, no
+/// tracing switches, no arming.
 pub struct TickContext<'a, T> {
     /// Current simulation time (the instant of this rising edge).
     pub time: Time,
@@ -47,15 +43,14 @@ pub struct TickContext<'a, T> {
     /// Shared metric registry.
     pub stats: StatsAccess<'a>,
     /// Deterministic pseudo-random source (seeded once per simulation).
-    pub rng: RngAccess<'a>,
+    pub rng: &'a mut SplitMix64,
     /// Fault-injection engine (disarmed — and free to probe — by default).
     pub faults: FaultAccess<'a>,
 }
 
 impl<'a, T> TickContext<'a, T> {
-    /// Builds a direct (pass-through) context over the shared simulation
-    /// state — the serial execution mode.
-    pub fn direct(
+    /// Builds the context of one tick over the shared simulation state.
+    pub fn new(
         time: Time,
         cycle: Cycles,
         links: &'a mut LinkPool<T>,
@@ -66,10 +61,10 @@ impl<'a, T> TickContext<'a, T> {
         TickContext {
             time,
             cycle,
-            links: LinkAccess::direct(links),
-            stats: StatsAccess::direct(stats),
-            rng: RngAccess::direct(rng),
-            faults: FaultAccess::direct(faults),
+            links: LinkAccess::new(links),
+            stats: StatsAccess::new(stats),
+            rng,
+            faults: FaultAccess::new(faults),
         }
     }
 }
@@ -296,9 +291,10 @@ impl StallHint {
 /// components can rely on the trait's no-op defaults
 /// (`impl Snapshot for MyComponent {}`).
 ///
-/// Components are `Send` so the executor may evaluate independent ticks of
-/// one edge on worker threads (see [`Component::parallel_safe`]); the serial
-/// commit phase keeps results bit-identical to serial execution either way.
+/// Components are `Send` so a whole simulation can move to a worker thread:
+/// independent simulations — sweep points, design candidates, served
+/// requests — run side by side, one per thread, and a platform built on one
+/// thread may be run on another.
 pub trait Component<T>: crate::snapshot::Snapshot + Send {
     /// Diagnostic name (unique within a simulation by convention).
     fn name(&self) -> &str;
@@ -436,27 +432,6 @@ pub trait Component<T>: crate::snapshot::Snapshot + Send {
         let _ = hint;
     }
 
-    /// Whether the executor may evaluate this component's ticks on a worker
-    /// thread during a parallel compute phase (see
-    /// [`Simulation::set_tick_jobs`](crate::Simulation::set_tick_jobs)).
-    ///
-    /// The default is `false`: components are committed serially unless they
-    /// opt in, so parallel execution is always sound by construction.
-    ///
-    /// # Contract
-    ///
-    /// A parallel-safe component must confine every tick side effect to
-    /// `self` and the [`TickContext`] handles. In particular it must not
-    /// write through shared interior mutability (`Arc<Mutex<_>>` diagnostics
-    /// logs, waveform writers, files): such writes bypass the effect log, so
-    /// they would happen in compute order instead of serial tick order.
-    /// Components whose observable state lives entirely in `self`, the links
-    /// and the stats registry satisfy this automatically. The answer is read
-    /// once at registration and must not change afterwards.
-    fn parallel_safe(&self) -> bool {
-        false
-    }
-
     /// Whether the executor may hand this component whole fast-forward
     /// windows in `Fast { quantum }` gear (see
     /// [`Simulation::set_fidelity`](crate::Simulation::set_fidelity)).
@@ -524,21 +499,20 @@ pub trait Component<T>: crate::snapshot::Snapshot + Send {
     /// Pre-registers every metric name the component may create during
     /// ticking. Called once at registration, before the first edge.
     ///
-    /// The default is a no-op — lazy registration on first use stays
-    /// correct, because a buffered tick that meets an unknown name is
-    /// rolled back and re-run serially. But each such miss costs a retick,
-    /// so parallel-safe components should pre-register here: with every
-    /// name already in the frozen directory, their ticks commit from the
-    /// buffered compute phase and `par_reticked` stays near zero.
+    /// The order in which metrics are created is observable: metric ids
+    /// index report rows and checkpoint bytes. Registering here fixes that
+    /// order at build time, in component registration order, instead of
+    /// leaving it to whichever tick first meets a name. The default is a
+    /// no-op — lazy registration on first use is deterministic too, but the
+    /// platforms' report rows and checkpoints are built on the registered
+    /// order, so a component that registers today must keep doing so.
     ///
     /// # Contract
     ///
-    /// Registration order is observable (metric ids index report rows and
-    /// checkpoint bytes), so implementations must register names in a
-    /// fixed deterministic order, and the executor calls this hook in
-    /// component registration order. Pre-registered metrics appear in
-    /// reports even when never incremented (as zero rows), so register
-    /// exactly the names [`tick`](Component::tick) can create.
+    /// Implementations must register names in a fixed deterministic order.
+    /// Pre-registered metrics appear in reports even when never incremented
+    /// (as zero rows), so register exactly the names
+    /// [`tick`](Component::tick) can create.
     fn register_metrics(&self, stats: &mut StatsRegistry) {
         let _ = stats;
     }
@@ -625,11 +599,6 @@ mod tests {
         assert_eq!(hint.counted(), Some((waits, Time::from_ns(3))));
         hint.reset();
         assert_eq!(hint.counted(), None);
-    }
-
-    #[test]
-    fn default_parallel_safe_is_false() {
-        assert!(!Nop.parallel_safe());
     }
 
     #[test]

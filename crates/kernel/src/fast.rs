@@ -157,7 +157,7 @@ impl<'a, T> FastCtx<'a, T> {
         let k = self.k;
         self.k += 1;
         self.executed += 1;
-        Some(TickContext::direct(
+        Some(TickContext::new(
             Time::from_ps(self.start_ps + k * self.period_ps),
             Cycles::new(self.base_cycle + k),
             &mut *self.links,

@@ -7,11 +7,9 @@
 //! *probes* from component models ("does a fault hit this transfer?")
 //! from private per-component hash streams, so arming a schedule never
 //! perturbs the kernel RNG that drives traffic generation — a schedule with
-//! all rates at zero reproduces the fault-free run exactly. Because each
-//! component's stream position advances only during its own ticks, armed
-//! probes can also be answered exactly against a frozen pre-edge view,
-//! which is what lets fault-injection runs use the parallel compute/commit
-//! executor (see [`crate::Simulation::set_tick_jobs`]).
+//! all rates at zero reproduces the fault-free run exactly. Each component's
+//! stream position advances only during its own ticks, so whether a fault
+//! hits one component does not depend on how many probes the others drew.
 //!
 //! Mirroring how [`trace`](crate::trace) gates emission, probing is a
 //! single branch when no schedule is armed: [`FaultEngine::probe`] is
@@ -195,214 +193,62 @@ impl FaultCounts {
     }
 }
 
-/// The per-simulation fault engine: disarmed (and free) by default, armed
-/// with a [`FaultSchedule`] for robustness runs.
-///
-/// Components reach it through
-/// [`TickContext::faults`](crate::TickContext::faults) and call
-/// [`probe`](FaultEngine::probe) at the points where a fault of a given
-/// kind is physically meaningful (a link crossing, an engine start, ...).
-/// One buffered fault side effect, recorded during a parallel compute phase
-/// and applied to the real [`FaultEngine`] in exact serial tick order at
-/// commit time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum FaultOp {
-    /// An armed `probe(kind)`. Replayed against the real engine at commit,
-    /// which advances the origin's stream position and re-derives the same
-    /// answer the buffered view computed (the stream is a pure function of
-    /// schedule, origin and position).
-    Probe(FaultKind),
-    /// `record_recovered(n)`.
-    Recovered(u64),
-    /// `record_lost(n)`.
-    Lost(u64),
-    /// `record_retry(n)`.
-    Retry(u64),
-}
-
-/// Applies the fault ops one component's buffered tick recorded, replaying
-/// probes under that component's `origin` (commit phase).
-pub(crate) fn apply_fault_ops(engine: &mut FaultEngine, ops: &[FaultOp], origin: u32) {
-    if ops.is_empty() {
-        return;
-    }
-    engine.set_origin(origin);
-    for op in ops {
-        match *op {
-            FaultOp::Probe(kind) => {
-                engine.probe(kind);
-            }
-            FaultOp::Recovered(n) => engine.record_recovered(n),
-            FaultOp::Lost(n) => engine.record_lost(n),
-            FaultOp::Retry(n) => engine.record_retry(n),
-        }
-    }
-}
-
 /// Per-tick handle to the fault engine (the `faults` field of
-/// [`TickContext`](crate::TickContext)).
-///
-/// In the serial schedule every call forwards to the shared engine. During a
-/// parallel compute phase the handle answers probes *exactly* from the
-/// frozen `(schedule, origin, stream position)` triple: each component owns
-/// a private per-origin probe stream whose position only its own ticks
-/// advance, so the answer a worker computes is the answer the serial
-/// schedule would have produced. Probes and accounting calls are buffered as
-/// fault ops and replayed against the real engine in exact serial tick
-/// order at commit time.
+/// [`TickContext`](crate::TickContext)): probes and recovery accounting,
+/// without the harness's arming and the executor's origin selection.
 #[derive(Debug)]
 pub struct FaultAccess<'a> {
-    inner: FaultInner<'a>,
-}
-
-#[derive(Debug)]
-enum FaultInner<'a> {
-    Direct(&'a mut FaultEngine),
-    Buffered {
-        /// The engine's armed flag, frozen at the start of the edge (it
-        /// cannot change during an edge: only harness code arms/disarms).
-        armed: bool,
-        /// The engine's schedule, frozen likewise.
-        schedule: &'a FaultSchedule,
-        /// The ticking component's registration index — its probe-stream
-        /// origin.
-        origin: u32,
-        /// The origin's stream position at the edge freeze.
-        base: u64,
-        /// Probes drawn by this tick so far (positions `base+1..`).
-        drawn: u64,
-        ops: &'a mut Vec<FaultOp>,
-        /// Set when the tick reads accounting a buffered view cannot answer
-        /// exactly; the executor then re-runs the tick serially.
-        retick: &'a mut bool,
-    },
+    engine: &'a mut FaultEngine,
 }
 
 impl<'a> FaultAccess<'a> {
-    /// Pass-through handle over the shared engine (serial execution).
-    pub(crate) fn direct(engine: &'a mut FaultEngine) -> Self {
-        FaultAccess {
-            inner: FaultInner::Direct(engine),
-        }
+    pub(crate) fn new(engine: &'a mut FaultEngine) -> Self {
+        FaultAccess { engine }
     }
 
-    /// Buffered handle for a parallel compute phase: answers probes from the
-    /// frozen schedule and the component's own stream position.
-    pub(crate) fn buffered(
-        armed: bool,
-        schedule: &'a FaultSchedule,
-        origin: u32,
-        base: u64,
-        ops: &'a mut Vec<FaultOp>,
-        retick: &'a mut bool,
-    ) -> Self {
-        FaultAccess {
-            inner: FaultInner::Buffered {
-                armed,
-                schedule,
-                origin,
-                base,
-                drawn: 0,
-                ops,
-                retick,
-            },
-        }
-    }
-
-    /// See [`FaultEngine::probe`]. Buffered probes are computed exactly:
-    /// the stream is a pure function of `(schedule, origin, position)` and
-    /// only the component's own ticks advance its origin's position, so the
-    /// frozen base plus the local draw count is the true position.
+    /// See [`FaultEngine::probe`].
     #[inline]
     pub fn probe(&mut self, kind: FaultKind) -> bool {
-        match &mut self.inner {
-            FaultInner::Direct(engine) => engine.probe(kind),
-            FaultInner::Buffered {
-                armed,
-                schedule,
-                origin,
-                base,
-                drawn,
-                ops,
-                ..
-            } => {
-                if !*armed {
-                    return false;
-                }
-                ops.push(FaultOp::Probe(kind));
-                *drawn += 1;
-                let rate = schedule.rate(kind);
-                if rate == 0 {
-                    return false;
-                }
-                let z = probe_hash(schedule.seed, *origin, *base + *drawn);
-                z % 1_000_000 < u64::from(rate)
-            }
-        }
+        self.engine.probe(kind)
     }
 
     /// See [`FaultEngine::is_armed`].
     #[inline]
     pub fn is_armed(&self) -> bool {
-        match &self.inner {
-            FaultInner::Direct(engine) => engine.is_armed(),
-            FaultInner::Buffered { armed, .. } => *armed,
-        }
+        self.engine.is_armed()
     }
 
     /// See [`FaultEngine::schedule`].
     pub fn schedule(&self) -> &FaultSchedule {
-        match &self.inner {
-            FaultInner::Direct(engine) => engine.schedule(),
-            FaultInner::Buffered { schedule, .. } => schedule,
-        }
+        self.engine.schedule()
     }
 
     /// See [`FaultEngine::record_recovered`].
     pub fn record_recovered(&mut self, n: u64) {
-        match &mut self.inner {
-            FaultInner::Direct(engine) => engine.record_recovered(n),
-            FaultInner::Buffered { ops, .. } => ops.push(FaultOp::Recovered(n)),
-        }
+        self.engine.record_recovered(n)
     }
 
     /// See [`FaultEngine::record_lost`].
     pub fn record_lost(&mut self, n: u64) {
-        match &mut self.inner {
-            FaultInner::Direct(engine) => engine.record_lost(n),
-            FaultInner::Buffered { ops, .. } => ops.push(FaultOp::Lost(n)),
-        }
+        self.engine.record_lost(n)
     }
 
     /// See [`FaultEngine::record_retry`].
     pub fn record_retry(&mut self, n: u64) {
-        match &mut self.inner {
-            FaultInner::Direct(engine) => engine.record_retry(n),
-            FaultInner::Buffered { ops, .. } => ops.push(FaultOp::Retry(n)),
-        }
+        self.engine.record_retry(n)
     }
 
-    /// See [`FaultEngine::counts`]. Reading accounting during a parallel
-    /// compute phase cannot be answered exactly (earlier ticks of the same
-    /// edge may have buffered updates), so it marks the tick for a serial
-    /// re-run.
-    pub fn counts(&mut self) -> FaultCounts {
-        match &mut self.inner {
-            FaultInner::Direct(engine) => engine.counts(),
-            FaultInner::Buffered { retick, .. } => {
-                **retick = true;
-                FaultCounts::default()
-            }
-        }
+    /// See [`FaultEngine::counts`].
+    pub fn counts(&self) -> FaultCounts {
+        self.engine.counts()
     }
 }
 
 /// The probe stream: a SplitMix64 finalizer over `(seed, origin, position)`.
 /// A pure function independent of the kernel RNG, and independent *between
-/// origins* — each component draws from its own substream, which is what
-/// lets a parallel compute phase answer probes against a frozen view (no
-/// other component can move a component's position mid-edge). Origin 0
-/// reproduces the historical single-stream engine bit-for-bit.
+/// origins* — each component draws from its own substream, so no other
+/// component can move a component's position. Origin 0 reproduces the
+/// historical single-stream engine bit-for-bit.
 #[inline]
 fn probe_hash(seed: u64, origin: u32, position: u64) -> u64 {
     let mut z = (seed ^ u64::from(origin).wrapping_mul(0xd1b5_4a32_d192_ed03))
@@ -418,12 +264,15 @@ fn probe_hash(seed: u64, origin: u32, position: u64) -> u64 {
 /// tracks recovery accounting. Disarmed by default (probes always answer
 /// "no fault").
 ///
+/// Components reach it through
+/// [`TickContext::faults`](crate::TickContext::faults) and call
+/// [`probe`](FaultEngine::probe) at the points where a fault of a given
+/// kind is physically meaningful (a link crossing, an engine start, ...).
+///
 /// An *origin* is the probing component's registration index; the executor
 /// sets it (via [`set_origin`](FaultEngine::set_origin)) before every tick.
-/// Giving every component its own stream position makes the armed engine
-/// safe for parallel compute phases: a frozen `(schedule, origin, position)`
-/// triple answers probes exactly, because only the component's own ticks —
-/// which run at most once per edge — advance its position.
+/// Every component has its own stream position, which only its own ticks
+/// advance, so which faults hit it does not depend on the others' probes.
 #[derive(Debug, Clone, Default)]
 pub struct FaultEngine {
     armed: bool,
@@ -471,9 +320,8 @@ impl FaultEngine {
     }
 
     /// Selects the probe origin — the registration index of the component
-    /// about to tick. Called by the executor before every tick (and before
-    /// every buffered-log replay); harness code driving the engine directly
-    /// can leave it at the default origin 0.
+    /// about to tick. Called by the executor before every tick; harness code
+    /// driving the engine directly can leave it at the default origin 0.
     #[inline]
     pub fn set_origin(&mut self, origin: u32) {
         self.origin = origin;
@@ -536,11 +384,9 @@ impl FaultEngine {
         self.probes.iter().sum()
     }
 
-    /// The stream position of one origin (0 if it never probed). The
-    /// parallel executor freezes this per eligible component when building
-    /// a compute phase's buffered contexts.
-    #[inline]
-    pub(crate) fn probes_of(&self, origin: u32) -> u64 {
+    /// The stream position of one origin (0 if it never probed).
+    #[cfg(test)]
+    fn probes_of(&self, origin: u32) -> u64 {
         self.probes.get(origin as usize).copied().unwrap_or(0)
     }
 
@@ -734,64 +580,6 @@ mod tests {
         assert_eq!(engine.probes_of(0), 0);
         assert_eq!(engine.probes_of(7), 0);
         assert_eq!(engine.probes(), 10);
-    }
-
-    #[test]
-    fn buffered_probes_match_direct_replay() {
-        let schedule = FaultSchedule::uniform(300_000, 99);
-        // Direct: advance origin 4 by three probes, then probe five more.
-        let mut direct = FaultEngine::new();
-        direct.arm(schedule);
-        direct.set_origin(4);
-        let mut warmup = Vec::new();
-        for _ in 0..3 {
-            warmup.push(direct.probe(FaultKind::LinkCorrupt));
-        }
-        let direct_answers: Vec<bool> = (0..5)
-            .map(|_| direct.probe(FaultKind::LinkCorrupt))
-            .collect();
-
-        // Buffered from the same frozen base, then replayed onto a second
-        // engine warmed identically: answers and final state must agree.
-        let mut replay = FaultEngine::new();
-        replay.arm(schedule);
-        replay.set_origin(4);
-        for (i, &w) in warmup.iter().enumerate() {
-            assert_eq!(replay.probe(FaultKind::LinkCorrupt), w, "warmup {i}");
-        }
-        let mut ops = Vec::new();
-        let mut retick = false;
-        let buffered_answers: Vec<bool> = {
-            let mut access = FaultAccess::buffered(
-                true,
-                &schedule,
-                4,
-                replay.probes_of(4),
-                &mut ops,
-                &mut retick,
-            );
-            (0..5)
-                .map(|_| access.probe(FaultKind::LinkCorrupt))
-                .collect()
-        };
-        assert_eq!(buffered_answers, direct_answers);
-        assert!(!retick, "buffered probes never force a retick");
-        apply_fault_ops(&mut replay, &ops, 4);
-        assert_eq!(replay.probes_of(4), direct.probes_of(4));
-        assert_eq!(replay.counts(), direct.counts());
-    }
-
-    #[test]
-    fn buffered_disarmed_probe_records_nothing() {
-        let schedule = FaultSchedule::uniform(1_000_000, 1);
-        let mut ops = Vec::new();
-        let mut retick = false;
-        {
-            let mut access = FaultAccess::buffered(false, &schedule, 0, 0, &mut ops, &mut retick);
-            assert!(!access.probe(FaultKind::LinkDrop));
-            assert!(!access.is_armed());
-        }
-        assert!(ops.is_empty(), "disarmed probes leave no ops to replay");
     }
 
     #[test]

@@ -54,7 +54,6 @@ mod error;
 mod fast;
 pub mod fault;
 mod link;
-mod parallel;
 pub mod reference;
 mod rng;
 mod sim;
@@ -64,14 +63,14 @@ mod time;
 pub mod trace;
 pub mod vcd;
 
-pub use activity::{ActivitySnapshot, ParFallback};
+pub use activity::ActivitySnapshot;
 pub use clock::ClockDomain;
 pub use component::{Component, ComponentId, Gate, StallHint, TickContext};
 pub use error::{SimError, SimResult};
 pub use fast::FastCtx;
 pub use fault::{FaultAccess, FaultCounts, FaultEngine, FaultKind, FaultSchedule};
 pub use link::{Link, LinkAccess, LinkId, LinkPool};
-pub use rng::{RngAccess, SplitMix64};
+pub use rng::SplitMix64;
 pub use sim::{ExecMode, Fidelity, RunOutcome, Simulation};
 pub use snapshot::{
     fnv1a_64, load_blob, spill_blob, Snapshot, SnapshotBlob, SnapshotError, SnapshotPayload,

@@ -110,11 +110,6 @@ impl<T> Link<T> {
     fn head_ready(&self, now: Time) -> bool {
         self.queue.front().is_some_and(|(at, _)| *at <= now)
     }
-
-    /// The raw delivery queue (for the parallel executor's frozen views).
-    pub(crate) fn queue(&self) -> &VecDeque<(Time, T)> {
-        &self.queue
-    }
 }
 
 /// Owner of every link in a simulation.
@@ -585,389 +580,27 @@ impl<T> Default for LinkPool<T> {
     }
 }
 
-/// One recorded link operation of a buffered (parallel compute phase) tick,
-/// together with the answer the component observed against the frozen
-/// pre-edge view. The commit phase replays the sequence against the live pool
-/// in serial tick order: if every answer reproduces, applying the mutating
-/// ops yields exactly the serial outcome; any mismatch triggers a serial
-/// re-run of the tick instead.
-#[derive(Debug)]
-pub(crate) enum LinkOp<T> {
-    /// `can_push` query and its answer.
-    CanPush { link: LinkId, ans: bool },
-    /// `push`/`push_after` attempt; `ok` is whether a slot was free.
-    Push {
-        link: LinkId,
-        extra: Time,
-        payload: T,
-        ok: bool,
-    },
-    /// `pop` and the payload it returned (None = nothing deliverable).
-    Pop { link: LinkId, ans: Option<T> },
-    /// `peek` and the payload it observed.
-    Peek { link: LinkId, ans: Option<T> },
-    /// `has_deliverable` query and its answer.
-    HasDeliverable { link: LinkId, ans: bool },
-    /// Direct `link()` metadata access; occupancy and stats are snapshotted
-    /// so commit-time validation notices if an earlier tick changed them.
-    Snap {
-        link: LinkId,
-        len: usize,
-        stats: LinkStats,
-    },
-}
-
-impl<T> LinkOp<T> {
-    /// The link this operation touched (for dirty-link commit gating).
-    pub(crate) fn link(&self) -> LinkId {
-        match self {
-            LinkOp::CanPush { link, .. }
-            | LinkOp::Push { link, .. }
-            | LinkOp::Pop { link, .. }
-            | LinkOp::Peek { link, .. }
-            | LinkOp::HasDeliverable { link, .. }
-            | LinkOp::Snap { link, .. } => *link,
-        }
-    }
-
-    /// Whether replaying this operation mutates the live pool.
-    #[cfg(test)]
-    pub(crate) fn is_mutating(&self) -> bool {
-        matches!(
-            self,
-            LinkOp::Push { ok: true, .. } | LinkOp::Pop { ans: Some(_), .. }
-        )
-    }
-}
-
-/// A copy-on-write overlay of one link's queue, materialized the first time a
-/// buffered tick mutates the link. Reads of untouched links answer straight
-/// from the frozen base pool, so an uncontended tick allocates nothing here.
-#[derive(Debug)]
-struct LocalLink<T> {
-    queue: VecDeque<(Time, T)>,
-    capacity: usize,
-    latency: Time,
-}
-
-/// Per-component effect log of link operations during a parallel compute
-/// phase: the op sequence (with observed answers) plus lazy local overlays
-/// giving the component a consistent view of its own earlier mutations
-/// within the same tick.
-#[derive(Debug)]
-pub(crate) struct LinkLog<T> {
-    local: Vec<(LinkId, LocalLink<T>)>,
-    ops: Vec<LinkOp<T>>,
-}
-
-impl<T> LinkLog<T> {
-    pub(crate) fn new() -> Self {
-        LinkLog {
-            local: Vec::new(),
-            ops: Vec::new(),
-        }
-    }
-
-    /// Recorded operations, in execution order.
-    #[cfg(test)]
-    pub(crate) fn ops(&self) -> &[LinkOp<T>] {
-        &self.ops
-    }
-
-    /// Consumes the log, yielding the recorded operations.
-    pub(crate) fn into_ops(self) -> Vec<LinkOp<T>> {
-        self.ops
-    }
-
-    fn find(&self, id: LinkId) -> Option<&LocalLink<T>> {
-        self.local.iter().find(|(l, _)| *l == id).map(|(_, l)| l)
-    }
-
-    fn ensure_local(&mut self, base: &LinkPool<T>, id: LinkId) -> &mut LocalLink<T>
-    where
-        T: Clone,
-    {
-        if let Some(pos) = self.local.iter().position(|(l, _)| *l == id) {
-            return &mut self.local[pos].1;
-        }
-        let link = base.link(id);
-        self.local.push((
-            id,
-            LocalLink {
-                queue: link.queue().clone(),
-                capacity: link.capacity(),
-                latency: link.latency(),
-            },
-        ));
-        &mut self.local.last_mut().expect("just pushed").1
-    }
-
-    fn view_can_push(&self, base: &LinkPool<T>, id: LinkId) -> bool {
-        match self.find(id) {
-            Some(l) => l.queue.len() < l.capacity,
-            None => base.can_push(id),
-        }
-    }
-
-    fn view_has_deliverable(&self, base: &LinkPool<T>, id: LinkId, now: Time) -> bool {
-        match self.find(id) {
-            Some(l) => l.queue.front().is_some_and(|(at, _)| *at <= now),
-            None => base.has_deliverable(id, now),
-        }
-    }
-
-    fn view_peek(&self, base: &LinkPool<T>, id: LinkId, now: Time) -> Option<T>
-    where
-        T: Clone,
-    {
-        match self.find(id) {
-            Some(l) => l
-                .queue
-                .front()
-                .and_then(|(at, p)| (*at <= now).then(|| p.clone())),
-            None => base.peek(id, now).cloned(),
-        }
-    }
-
-    fn view_push_after(
-        &mut self,
-        base: &LinkPool<T>,
-        id: LinkId,
-        now: Time,
-        extra: Time,
-        payload: &T,
-    ) -> bool
-    where
-        T: Clone,
-    {
-        if !self.view_can_push(base, id) {
-            return false;
-        }
-        let local = self.ensure_local(base, id);
-        let deliver = now + local.latency + extra;
-        // Mirrors `LinkPool::push_after`: in-order insert, stable for equal
-        // delivery instants.
-        let pos = local.queue.partition_point(|(t, _)| *t <= deliver);
-        local.queue.insert(pos, (deliver, payload.clone()));
-        true
-    }
-
-    fn view_pop(&mut self, base: &LinkPool<T>, id: LinkId, now: Time) -> Option<T>
-    where
-        T: Clone,
-    {
-        if !self.view_has_deliverable(base, id, now) {
-            return None;
-        }
-        let local = self.ensure_local(base, id);
-        let (_, payload) = local.queue.pop_front().expect("head checked above");
-        Some(payload)
-    }
-
-    fn can_push(&mut self, base: &LinkPool<T>, id: LinkId) -> bool {
-        let ans = self.view_can_push(base, id);
-        self.ops.push(LinkOp::CanPush { link: id, ans });
-        ans
-    }
-
-    fn has_deliverable(&mut self, base: &LinkPool<T>, id: LinkId, now: Time) -> bool {
-        let ans = self.view_has_deliverable(base, id, now);
-        self.ops.push(LinkOp::HasDeliverable { link: id, ans });
-        ans
-    }
-
-    fn peek(&mut self, base: &LinkPool<T>, id: LinkId, now: Time) -> Option<&T>
-    where
-        T: Clone,
-    {
-        let ans = self.view_peek(base, id, now);
-        self.ops.push(LinkOp::Peek { link: id, ans });
-        match self.ops.last().expect("just pushed") {
-            LinkOp::Peek { ans, .. } => ans.as_ref(),
-            _ => unreachable!("last op is the peek pushed above"),
-        }
-    }
-
-    fn push_after(
-        &mut self,
-        base: &LinkPool<T>,
-        id: LinkId,
-        now: Time,
-        extra: Time,
-        payload: T,
-    ) -> SimResult<()>
-    where
-        T: Clone,
-    {
-        let ok = self.view_push_after(base, id, now, extra, &payload);
-        self.ops.push(LinkOp::Push {
-            link: id,
-            extra,
-            payload,
-            ok,
-        });
-        if ok {
-            Ok(())
-        } else {
-            Err(SimError::LinkFull { link: id })
-        }
-    }
-
-    fn pop(&mut self, base: &LinkPool<T>, id: LinkId, now: Time) -> Option<T>
-    where
-        T: Clone,
-    {
-        let ans = self.view_pop(base, id, now);
-        self.ops.push(LinkOp::Pop {
-            link: id,
-            ans: ans.clone(),
-        });
-        ans
-    }
-
-    fn snap(&mut self, base: &LinkPool<T>, id: LinkId) {
-        let link = base.link(id);
-        self.ops.push(LinkOp::Snap {
-            link: id,
-            len: link.len(),
-            stats: link.stats(),
-        });
-    }
-}
-
-/// Replays a buffered tick's recorded link operations against the live pool
-/// (in serial tick order, earlier ticks of the edge already committed) and
-/// checks that every observed answer reproduces. `true` means applying the
-/// mutating ops yields exactly what a serial tick would have done; `false`
-/// means the frozen view diverged and the tick must be re-run serially.
-pub(crate) fn validate_link_ops<T: Clone + PartialEq>(
-    ops: &[LinkOp<T>],
-    base: &LinkPool<T>,
-    now: Time,
-) -> bool {
-    let mut replay: LinkLog<T> = LinkLog::new();
-    ops.iter().all(|op| match op {
-        LinkOp::CanPush { link, ans } => replay.view_can_push(base, *link) == *ans,
-        LinkOp::Push {
-            link,
-            extra,
-            payload,
-            ok,
-        } => replay.view_push_after(base, *link, now, *extra, payload) == *ok,
-        LinkOp::Pop { link, ans } => replay.view_pop(base, *link, now) == *ans,
-        LinkOp::Peek { link, ans } => replay.view_peek(base, *link, now) == *ans,
-        LinkOp::HasDeliverable { link, ans } => {
-            replay.view_has_deliverable(base, *link, now) == *ans
-        }
-        LinkOp::Snap { link, len, stats } => {
-            let l = base.link(*link);
-            l.len() == *len && l.stats() == *stats
-        }
-    })
-}
-
-/// Applies the mutating operations of a validated (or provably uncontended)
-/// buffered tick to the live pool, reporting each touched link through
-/// `touched` so the executor can mark it dirty for later ticks of the same
-/// edge. Queries and failed attempts have no live side effects and are
-/// skipped.
-pub(crate) fn apply_link_ops<T: PartialEq>(
-    ops: Vec<LinkOp<T>>,
-    pool: &mut LinkPool<T>,
-    now: Time,
-    mut touched: impl FnMut(LinkId),
-) {
-    for op in ops {
-        match op {
-            LinkOp::Push {
-                link,
-                extra,
-                payload,
-                ok: true,
-            } => {
-                pool.push_after(link, now, extra, payload)
-                    .expect("validated parallel push cannot fail at commit");
-                touched(link);
-            }
-            LinkOp::Pop {
-                link,
-                ans: Some(expect),
-            } => {
-                let got = pool.pop(link, now);
-                debug_assert!(
-                    got == Some(expect),
-                    "validated parallel pop diverged at commit"
-                );
-                touched(link);
-            }
-            _ => {}
-        }
-    }
-}
-
 /// Per-tick handle to the link pool (the `links` field of
-/// [`TickContext`](crate::TickContext)).
-///
-/// In the serial schedule every call forwards to the shared [`LinkPool`].
-/// During a parallel compute phase the handle answers from a frozen pre-edge
-/// view (with a copy-on-write overlay for the tick's own mutations) and
-/// records every operation into an effect log that the executor validates and
-/// applies in exact serial tick order, so results are bit-identical either
-/// way. The methods mirror the pool's API; components are written against
-/// this handle and cannot tell the modes apart.
+/// [`TickContext`](crate::TickContext)): the pool's traffic methods, without
+/// its wiring ones — a tick moves payloads, it does not add links.
 #[derive(Debug)]
 pub struct LinkAccess<'a, T> {
-    inner: LinkInner<'a, T>,
-}
-
-#[derive(Debug)]
-enum LinkInner<'a, T> {
-    Direct(&'a mut LinkPool<T>),
-    Buffered {
-        base: &'a LinkPool<T>,
-        log: &'a mut LinkLog<T>,
-    },
+    pool: &'a mut LinkPool<T>,
 }
 
 impl<'a, T> LinkAccess<'a, T> {
-    /// Pass-through handle over the shared pool (serial execution).
-    pub(crate) fn direct(pool: &'a mut LinkPool<T>) -> Self {
-        LinkAccess {
-            inner: LinkInner::Direct(pool),
-        }
+    pub(crate) fn new(pool: &'a mut LinkPool<T>) -> Self {
+        LinkAccess { pool }
     }
 
-    /// Buffered handle over a frozen pre-edge view, recording into `log`.
-    pub(crate) fn buffered(base: &'a LinkPool<T>, log: &'a mut LinkLog<T>) -> Self {
-        LinkAccess {
-            inner: LinkInner::Buffered { base, log },
-        }
-    }
-
-    /// Immutable access to a link — see [`LinkPool::link`].
-    ///
-    /// Intended for structural metadata (name, capacity, latency). Occupancy
-    /// and statistics read through this handle during a parallel compute
-    /// phase reflect the frozen pre-edge state and are snapshotted for
-    /// commit-time validation; a parallel-safe component must not depend on
-    /// seeing its *own* same-tick pushes/pops through this accessor (use the
-    /// query methods, which do).
-    pub fn link(&mut self, id: LinkId) -> &Link<T> {
-        match &mut self.inner {
-            LinkInner::Direct(pool) => pool.link(id),
-            LinkInner::Buffered { base, log } => {
-                log.snap(base, id);
-                base.link(id)
-            }
-        }
+    /// See [`LinkPool::link`].
+    pub fn link(&self, id: LinkId) -> &Link<T> {
+        self.pool.link(id)
     }
 
     /// See [`LinkPool::can_push`].
-    pub fn can_push(&mut self, id: LinkId) -> bool {
-        match &mut self.inner {
-            LinkInner::Direct(pool) => pool.can_push(id),
-            LinkInner::Buffered { base, log } => log.can_push(base, id),
-        }
+    pub fn can_push(&self, id: LinkId) -> bool {
+        self.pool.can_push(id)
     }
 
     /// See [`LinkPool::push`].
@@ -975,11 +608,8 @@ impl<'a, T> LinkAccess<'a, T> {
     /// # Errors
     ///
     /// Returns [`SimError::LinkFull`] if no slot is free.
-    pub fn push(&mut self, id: LinkId, now: Time, payload: T) -> SimResult<()>
-    where
-        T: Clone,
-    {
-        self.push_after(id, now, Time::ZERO, payload)
+    pub fn push(&mut self, id: LinkId, now: Time, payload: T) -> SimResult<()> {
+        self.pool.push(id, now, payload)
     }
 
     /// See [`LinkPool::push_after`].
@@ -987,44 +617,23 @@ impl<'a, T> LinkAccess<'a, T> {
     /// # Errors
     ///
     /// Returns [`SimError::LinkFull`] if no slot is free.
-    pub fn push_after(&mut self, id: LinkId, now: Time, extra: Time, payload: T) -> SimResult<()>
-    where
-        T: Clone,
-    {
-        match &mut self.inner {
-            LinkInner::Direct(pool) => pool.push_after(id, now, extra, payload),
-            LinkInner::Buffered { base, log } => log.push_after(base, id, now, extra, payload),
-        }
+    pub fn push_after(&mut self, id: LinkId, now: Time, extra: Time, payload: T) -> SimResult<()> {
+        self.pool.push_after(id, now, extra, payload)
     }
 
     /// See [`LinkPool::peek`].
-    pub fn peek(&mut self, id: LinkId, now: Time) -> Option<&T>
-    where
-        T: Clone,
-    {
-        match &mut self.inner {
-            LinkInner::Direct(pool) => pool.peek(id, now),
-            LinkInner::Buffered { base, log } => log.peek(base, id, now),
-        }
+    pub fn peek(&self, id: LinkId, now: Time) -> Option<&T> {
+        self.pool.peek(id, now)
     }
 
     /// See [`LinkPool::has_deliverable`].
-    pub fn has_deliverable(&mut self, id: LinkId, now: Time) -> bool {
-        match &mut self.inner {
-            LinkInner::Direct(pool) => pool.has_deliverable(id, now),
-            LinkInner::Buffered { base, log } => log.has_deliverable(base, id, now),
-        }
+    pub fn has_deliverable(&self, id: LinkId, now: Time) -> bool {
+        self.pool.has_deliverable(id, now)
     }
 
     /// See [`LinkPool::pop`].
-    pub fn pop(&mut self, id: LinkId, now: Time) -> Option<T>
-    where
-        T: Clone,
-    {
-        match &mut self.inner {
-            LinkInner::Direct(pool) => pool.pop(id, now),
-            LinkInner::Buffered { base, log } => log.pop(base, id, now),
-        }
+    pub fn pop(&mut self, id: LinkId, now: Time) -> Option<T> {
+        self.pool.pop(id, now)
     }
 }
 
@@ -1197,125 +806,5 @@ mod tests {
     fn zero_capacity_rejected() {
         let mut p = pool();
         let _ = p.add_link("bad", 0, Time::ZERO);
-    }
-
-    #[test]
-    fn buffered_tick_sees_its_own_mutations() {
-        let mut p = pool();
-        let l = p.add_link("l", 2, Time::ZERO);
-        p.push(l, Time::ZERO, 7).unwrap();
-        let now = Time::from_ns(1);
-        let mut log = LinkLog::new();
-        let mut access = LinkAccess::buffered(&p, &mut log);
-        // Pop the queued payload, then push two of our own: the overlay must
-        // show the freed slot and our first push, while the base pool stays
-        // untouched.
-        assert_eq!(access.pop(l, now), Some(7));
-        access.push(l, now, 8).unwrap();
-        assert_eq!(access.peek(l, now), Some(&8));
-        access.push(l, now, 9).unwrap();
-        assert!(!access.can_push(l));
-        assert_eq!(access.push(l, now, 10), Err(SimError::LinkFull { link: l }));
-        assert_eq!(p.link(l).len(), 1, "base pool must be untouched");
-        assert_eq!(p.link(l).stats().pops, 0);
-    }
-
-    #[test]
-    fn buffered_ops_replay_to_the_serial_outcome() {
-        let build = || {
-            let mut p = pool();
-            let l = p.add_link("l", 4, Time::ZERO);
-            p.push(l, Time::ZERO, 1).unwrap();
-            (p, l)
-        };
-        let now = Time::from_ns(2);
-
-        // Serial reference run.
-        let (mut serial, l) = build();
-        assert_eq!(serial.pop(l, now), Some(1));
-        serial.push(l, now, 5).unwrap();
-
-        // Buffered run of the same tick, validated and applied.
-        let (mut live, l2) = build();
-        let mut log = LinkLog::new();
-        let mut access = LinkAccess::buffered(&live, &mut log);
-        assert_eq!(access.pop(l2, now), Some(1));
-        access.push(l2, now, 5).unwrap();
-        let ops = log.into_ops();
-        assert!(validate_link_ops(&ops, &live, now));
-        let mut touched = Vec::new();
-        apply_link_ops(ops, &mut live, now, |id| touched.push(id));
-        assert_eq!(touched, vec![l2, l2]);
-
-        assert_eq!(live.link(l2).len(), serial.link(l).len());
-        assert_eq!(live.link(l2).stats(), serial.link(l).stats());
-        assert_eq!(live.total_queued(), serial.total_queued());
-        assert_eq!(live.pop(l2, now), serial.pop(l, now));
-    }
-
-    #[test]
-    fn validation_catches_a_stolen_payload() {
-        let mut p = pool();
-        let l = p.add_link("l", 4, Time::ZERO);
-        p.push(l, Time::ZERO, 1).unwrap();
-        let now = Time::from_ns(1);
-        let mut log = LinkLog::new();
-        let mut access = LinkAccess::buffered(&p, &mut log);
-        assert_eq!(access.pop(l, now), Some(1));
-        // An earlier tick of the commit order pops the payload first.
-        assert_eq!(p.pop(l, now), Some(1));
-        assert!(
-            !validate_link_ops(log.ops(), &p, now),
-            "replay must notice the observed pop no longer reproduces"
-        );
-    }
-
-    #[test]
-    fn validation_catches_a_filled_slot() {
-        let mut p = pool();
-        let l = p.add_link("l", 1, Time::ZERO);
-        let now = Time::from_ns(1);
-        let mut log = LinkLog::new();
-        let mut access = LinkAccess::buffered(&p, &mut log);
-        access.push(l, now, 3).unwrap();
-        // An earlier tick takes the only slot before commit.
-        p.push(l, now, 9).unwrap();
-        assert!(!validate_link_ops(log.ops(), &p, now));
-    }
-
-    #[test]
-    fn metadata_snap_validates_occupancy() {
-        let mut p = pool();
-        let l = p.add_link("l", 4, Time::ZERO);
-        let now = Time::from_ns(1);
-        let mut log = LinkLog::new();
-        let mut access = LinkAccess::buffered(&p, &mut log);
-        assert_eq!(access.link(l).latency(), Time::ZERO);
-        assert!(validate_link_ops(log.ops(), &p, now));
-        p.push(l, now, 1).unwrap();
-        assert!(
-            !validate_link_ops(log.ops(), &p, now),
-            "a changed occupancy must invalidate the metadata snapshot"
-        );
-    }
-
-    #[test]
-    fn failed_buffered_ops_have_no_live_effect() {
-        let mut p = pool();
-        let l = p.add_link("l", 1, Time::from_ns(10));
-        p.push(l, Time::ZERO, 1).unwrap();
-        let now = Time::from_ns(1);
-        let mut log = LinkLog::new();
-        let mut access = LinkAccess::buffered(&p, &mut log);
-        // Nothing deliverable yet and the only slot is taken.
-        assert_eq!(access.pop(l, now), None);
-        assert_eq!(access.push(l, now, 2), Err(SimError::LinkFull { link: l }));
-        let ops = log.into_ops();
-        assert!(ops.iter().all(|op| !op.is_mutating()));
-        assert!(validate_link_ops(&ops, &p, now));
-        let before = p.link(l).stats();
-        apply_link_ops(ops, &mut p, now, |_| panic!("no link may be touched"));
-        assert_eq!(p.link(l).stats(), before);
-        assert_eq!(p.link(l).len(), 1);
     }
 }

@@ -133,7 +133,7 @@ impl<T> NaiveSimulation<T> {
             if slot.next_tick == edge {
                 let cycle = Cycles::new(slot.ticks);
                 self.faults.set_origin(index as u32);
-                let mut ctx = TickContext::direct(
+                let mut ctx = TickContext::new(
                     edge,
                     cycle,
                     &mut self.links,

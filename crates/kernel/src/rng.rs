@@ -104,118 +104,6 @@ impl SplitMix64 {
     }
 }
 
-/// Per-tick handle to the simulation RNG (the `rng` field of
-/// [`TickContext`](crate::TickContext)).
-///
-/// In the serial schedule every call forwards to the shared generator.
-/// During a parallel compute phase the handle draws *speculatively* from a
-/// private copy of the generator frozen at the start of the edge, recording
-/// the `(start, end)` state pair of its substream. At commit time the
-/// executor validates the speculation against the live generator: if the
-/// shared state still equals the recorded start — i.e. no earlier tick of
-/// the edge drew — the speculative draws are exactly what serial execution
-/// would have produced, and the live state jumps to the recorded end.
-/// Otherwise the tick is rolled back and re-run serially (first mover wins),
-/// so results stay bit-identical to serial either way.
-#[derive(Debug)]
-pub struct RngAccess<'a> {
-    inner: RngInner<'a>,
-}
-
-#[derive(Debug)]
-enum RngInner<'a> {
-    Direct(&'a mut SplitMix64),
-    Buffered {
-        /// Shared generator state at the edge freeze.
-        start: u64,
-        local: SplitMix64,
-        /// `(start, end)` of the speculative substream, recorded on every
-        /// access for the executor's commit-time validation. `None` while
-        /// the tick has not touched the RNG (no validation needed).
-        speculation: &'a mut Option<(u64, u64)>,
-    },
-}
-
-impl<'a> RngAccess<'a> {
-    /// Pass-through handle over the shared generator (serial execution).
-    pub(crate) fn direct(rng: &'a mut SplitMix64) -> Self {
-        RngAccess {
-            inner: RngInner::Direct(rng),
-        }
-    }
-
-    /// Buffered handle over a private copy of the generator state frozen at
-    /// the edge start; every access records the speculative `(start, end)`
-    /// state pair for commit-time validation.
-    pub(crate) fn buffered(state: u64, speculation: &'a mut Option<(u64, u64)>) -> Self {
-        RngAccess {
-            inner: RngInner::Buffered {
-                start: state,
-                local: SplitMix64::new(state),
-                speculation,
-            },
-        }
-    }
-
-    fn with_rng<R>(&mut self, f: impl FnOnce(&mut SplitMix64) -> R) -> R {
-        match &mut self.inner {
-            RngInner::Direct(rng) => f(rng),
-            RngInner::Buffered {
-                start,
-                local,
-                speculation,
-            } => {
-                let r = f(local);
-                **speculation = Some((*start, local.state()));
-                r
-            }
-        }
-    }
-
-    /// See [`SplitMix64::fork`].
-    pub fn fork(&mut self) -> SplitMix64 {
-        self.with_rng(|rng| rng.fork())
-    }
-
-    /// See [`SplitMix64::state`]. Reading the stream position still counts
-    /// as an RNG access in a parallel compute phase: the observed position
-    /// is only correct if no earlier tick of the edge drew, which is exactly
-    /// what commit-time validation checks.
-    pub fn state(&mut self) -> u64 {
-        self.with_rng(|rng| rng.state())
-    }
-
-    /// See [`SplitMix64::next_u64`].
-    pub fn next_u64(&mut self) -> u64 {
-        self.with_rng(|rng| rng.next_u64())
-    }
-
-    /// See [`SplitMix64::range`].
-    pub fn range(&mut self, lo: u64, hi: u64) -> u64 {
-        self.with_rng(|rng| rng.range(lo, hi))
-    }
-
-    /// See [`SplitMix64::unit`].
-    pub fn unit(&mut self) -> f64 {
-        self.with_rng(|rng| rng.unit())
-    }
-
-    /// See [`SplitMix64::chance`].
-    pub fn chance(&mut self, p: f64) -> bool {
-        self.with_rng(|rng| rng.chance(p))
-    }
-
-    /// See [`SplitMix64::geometric`].
-    pub fn geometric(&mut self, p: f64, max: u64) -> u64 {
-        self.with_rng(|rng| rng.geometric(p, max))
-    }
-
-    /// See [`SplitMix64::weighted_index`].
-    pub fn weighted_index(&mut self, weights: &[u64]) -> usize {
-        self.with_rng(|rng| rng.weighted_index(weights))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -294,55 +182,6 @@ mod tests {
     #[should_panic(expected = "empty range")]
     fn empty_range_panics() {
         SplitMix64::new(0).range(4, 4);
-    }
-
-    #[test]
-    fn direct_access_forwards_to_shared_stream() {
-        let mut shared = SplitMix64::new(0);
-        let expect = SplitMix64::new(0).next_u64();
-        let mut access = RngAccess::direct(&mut shared);
-        assert_eq!(access.next_u64(), expect);
-        assert_ne!(shared.state(), 0, "shared stream must have advanced");
-    }
-
-    #[test]
-    fn buffered_draws_speculate_the_serial_substream() {
-        let mut speculation = None;
-        let mut serial = SplitMix64::new(0);
-        {
-            let mut access = RngAccess::buffered(0, &mut speculation);
-            for _ in 0..5 {
-                assert_eq!(access.next_u64(), serial.next_u64());
-            }
-        }
-        assert_eq!(
-            speculation,
-            Some((0, serial.state())),
-            "speculation records the substream's start and end states"
-        );
-    }
-
-    #[test]
-    fn buffered_untouched_rng_records_no_speculation() {
-        let mut speculation = None;
-        {
-            let _access = RngAccess::buffered(77, &mut speculation);
-        }
-        assert_eq!(speculation, None, "no draws, nothing to validate");
-    }
-
-    #[test]
-    fn buffered_state_read_counts_as_speculation() {
-        let mut speculation = None;
-        {
-            let mut access = RngAccess::buffered(77, &mut speculation);
-            assert_eq!(access.state(), 77);
-        }
-        assert_eq!(
-            speculation,
-            Some((77, 77)),
-            "a position read is valid only if no earlier tick drew"
-        );
     }
 
     #[test]

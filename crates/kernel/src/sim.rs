@@ -68,13 +68,11 @@ use crate::clock::ClockDomain;
 use crate::component::{Component, ComponentId, StallHint, TickContext};
 use crate::error::{SimError, SimResult};
 use crate::fast::FastCtx;
-use crate::fault::{apply_fault_ops, FaultCounts, FaultEngine, FaultSchedule};
-use crate::link::{apply_link_ops, validate_link_ops, LinkId, LinkPool};
-use crate::parallel::{Done, EdgeCtx, Job, Unit, WorkerPool};
+use crate::fault::{FaultCounts, FaultEngine, FaultSchedule};
+use crate::link::{LinkId, LinkPool};
 use crate::rng::SplitMix64;
-use crate::stats::{apply_stat_ops, StatsRegistry};
+use crate::stats::StatsRegistry;
 use crate::time::{Cycles, Time};
-use std::sync::Arc;
 
 /// Execution fidelity of a [`Simulation`]: the gear it runs in.
 ///
@@ -89,9 +87,8 @@ use std::sync::Arc;
 /// restored or resumed.
 ///
 /// The gear is an execution *strategy*, not simulation state: it is not part
-/// of snapshots (like the dense/sparse choice and the tick-job count, the
-/// other two fields of an [`ExecMode`]), and `Fast { quantum: 1 }` is
-/// byte-identical to `Cycle`.
+/// of snapshots (like the dense/sparse choice, the other field of an
+/// [`ExecMode`]), and `Fast { quantum: 1 }` is byte-identical to `Cycle`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Fidelity {
     /// Cycle-accurate: one edge per scheduling step, per-edge arbitration.
@@ -128,40 +125,26 @@ impl Fidelity {
     }
 }
 
-/// How a [`Simulation`] executes: the schedule, the intra-edge parallelism
-/// and the gear, as one value a caller hands to whatever builds the
-/// simulation ([`Simulation::set_exec`]).
+/// How a [`Simulation`] executes: the schedule and the gear, as one value a
+/// caller hands to whatever builds the simulation ([`Simulation::set_exec`]).
 ///
 /// A mode is *strategy*, not state: any two modes whose gear is exact
-/// (`Cycle` or `Fast { quantum: 1 }`) produce bit-identical results, and none
-/// of the three fields enters a snapshot, the
+/// (`Cycle` or `Fast { quantum: 1 }`) produce bit-identical results, and
+/// neither field enters a snapshot, the
 /// [`structural_fingerprint`](Simulation::structural_fingerprint) or anything
-/// derived from them. The default is the sparse schedule, serial ticking and
-/// the cycle-accurate gear.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// derived from them. The default is the sparse schedule and the
+/// cycle-accurate gear.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ExecMode {
     /// `true` forces the dense schedule ([`Simulation::set_dense`]).
     pub dense: bool,
-    /// Compute shards per edge, `1` = serial ([`Simulation::set_tick_jobs`]).
-    pub tick_jobs: usize,
     /// The gear ([`Simulation::set_fidelity`]).
     pub fidelity: Fidelity,
 }
 
-impl Default for ExecMode {
-    fn default() -> Self {
-        ExecMode {
-            dense: false,
-            tick_jobs: 1,
-            fidelity: Fidelity::Cycle,
-        }
-    }
-}
-
 struct Slot<T> {
-    /// The component itself. `None` only transiently, while the component is
-    /// checked out to a compute worker during a parallel edge.
-    component: Option<Box<dyn Component<T>>>,
+    /// The component itself.
+    component: Box<dyn Component<T>>,
     /// Ticks charged and settled: the dispatched ones plus the elided edges
     /// of stalls that are over (not serialized; resets to 0 on restore). The
     /// edges of a standing stall are added when it ends — see
@@ -185,26 +168,8 @@ struct Slot<T> {
     /// is the component's own-domain cycle count (what a dense schedule's
     /// executed-tick count would be).
     edge_base: u64,
-    /// Cached [`Component::parallel_safe`] (read once at registration).
-    par_ok: bool,
     /// Cached [`Component::fast_forward_safe`] (read once at registration).
     ff_ok: bool,
-}
-
-impl<T> Slot<T> {
-    #[inline]
-    fn comp(&self) -> &dyn Component<T> {
-        self.component
-            .as_deref()
-            .expect("component checked out to a compute worker")
-    }
-
-    #[inline]
-    fn comp_mut(&mut self) -> &mut dyn Component<T> {
-        self.component
-            .as_deref_mut()
-            .expect("component checked out to a compute worker")
-    }
 }
 
 /// What the sparse schedule knows of a component that opted into it.
@@ -253,7 +218,7 @@ enum OrderSrc {
 ///
 /// Almost always one bucket per distinct `ClockDomain`; a component added
 /// mid-run whose first edge differs from its domain's current next edge
-/// gets a parallel bucket (the merged tick order keeps determinism either
+/// gets a bucket of its own (the merged tick order keeps determinism either
 /// way).
 struct DomainBucket {
     clock: ClockDomain,
@@ -300,11 +265,6 @@ impl RunOutcome {
         }
     }
 }
-
-/// Signature of the installed parallel edge executor: takes the edge's
-/// owned tick order and the edge time, returns the number of ticks
-/// dispatched.
-type ParExec<T> = fn(&mut Simulation<T>, &[u32], Time) -> u64;
 
 /// A deterministic multi-clock simulation: components, links, metrics and a
 /// seeded RNG.
@@ -365,25 +325,6 @@ pub struct Simulation<T> {
     /// contract. Stored as a function pointer so the `SnapshotPayload`
     /// bound it needs is captured at enable time.
     audit: Option<fn(&mut Simulation<T>, usize, Time)>,
-    /// Requested intra-edge parallelism (1 = serial). See
-    /// [`Simulation::set_tick_jobs`].
-    tick_jobs: usize,
-    /// The parallel edge executor, installed by `set_tick_jobs` as a
-    /// function pointer so the `Clone + PartialEq + Send + Sync` bounds it
-    /// needs are captured at enable time (mirrors `audit`).
-    par_exec: Option<ParExec<T>>,
-    /// Persistent compute workers, spawned lazily on the first parallel
-    /// edge (`tick_jobs - 1` threads; the main thread runs shard 0).
-    pool: Option<WorkerPool<T>>,
-    /// `link_dirty[link] == par_stamp` marks links already mutated by an
-    /// earlier commit of the current parallel edge; a buffered tick whose
-    /// ops only touch clean links can skip replay validation entirely.
-    link_dirty: Vec<u64>,
-    /// Stamp for `link_dirty`, bumped once per parallel edge (monotonic,
-    /// never reset — restore-proof).
-    par_stamp: u64,
-    /// Scratch: per-position compute results of the current parallel edge.
-    par_done: Vec<Option<Done<T>>>,
     links: LinkPool<T>,
     stats: StatsRegistry,
     rng: SplitMix64,
@@ -416,12 +357,6 @@ impl<T> Simulation<T> {
             dense: false,
             fidelity: Fidelity::Cycle,
             audit: None,
-            tick_jobs: 1,
-            par_exec: None,
-            pool: None,
-            link_dirty: Vec::new(),
-            par_stamp: 0,
-            par_done: Vec::new(),
             links: LinkPool::new(),
             stats: StatsRegistry::new(),
             rng: SplitMix64::new(seed),
@@ -460,8 +395,8 @@ impl<T> Simulation<T> {
     ) -> ComponentId {
         let index = u32::try_from(self.slots.len()).expect("too many components");
         let id = ComponentId(index);
-        // Pre-register metric names before the first edge so buffered
-        // parallel ticks find them in the frozen directory (no retick).
+        // Metrics are created in component registration order, before the
+        // first edge: report rows and checkpoint bytes follow that order.
         component.register_metrics(&mut self.stats);
         let next_tick = clock.next_edge_at_or_after(self.time);
         let idle = component.is_idle();
@@ -469,7 +404,6 @@ impl<T> Simulation<T> {
             self.busy += 1;
         }
         let watched = component.watched_links();
-        let par_ok = component.parallel_safe();
         let ff_ok = component.fast_forward_safe();
         // Join the bucket with the same domain and the same pending edge;
         // otherwise open a new one (with its own next-edge entry).
@@ -500,7 +434,7 @@ impl<T> Simulation<T> {
             self.links.watch(l, index);
         }
         self.slots.push(Slot {
-            component: Some(component),
+            component,
             ticks: 0,
             dispatches: 0,
             idle,
@@ -518,7 +452,6 @@ impl<T> Simulation<T> {
             }),
             bucket,
             edge_base,
-            par_ok,
             ff_ok,
         });
         self.merge_cache.clear();
@@ -549,7 +482,7 @@ impl<T> Simulation<T> {
 
     /// Name of a component.
     pub fn component_name(&self, id: ComponentId) -> &str {
-        self.slots[id.index()].comp().name()
+        self.slots[id.index()].component.name()
     }
 
     /// Ticks charged to a component since construction (or since the last
@@ -666,10 +599,7 @@ impl<T> Simulation<T> {
     /// `Fast { quantum: 1 }` is byte-identical to `Cycle` (windows degenerate
     /// to single edges and both sleeps of [`FastCtx`] become no-ops).
     /// Composition: skip-audit mode forces the cycle-accurate path
-    /// (its byte-comparisons are per-edge by definition), and fast windows
-    /// always run serially — a `set_tick_jobs` request stays dormant while
-    /// the fast gear is engaged (parallel commit is bit-identical to serial,
-    /// so results are unaffected).
+    /// (its byte-comparisons are per-edge by definition).
     pub fn set_fidelity(&mut self, fidelity: Fidelity) {
         self.fidelity = match fidelity {
             Fidelity::Fast { quantum } => Fidelity::Fast {
@@ -694,6 +624,15 @@ impl<T> Simulation<T> {
     /// The current execution gear.
     pub fn fidelity(&self) -> Fidelity {
         self.fidelity
+    }
+
+    /// Applies an [`ExecMode`]: [`set_dense`](Simulation::set_dense) and
+    /// [`set_fidelity`](Simulation::set_fidelity) in one call — what a
+    /// builder does with the mode it was handed, once, on the simulation it
+    /// has just constructed.
+    pub fn set_exec(&mut self, mode: ExecMode) {
+        self.set_dense(mode.dense);
+        self.set_fidelity(mode.fidelity);
     }
 
     /// Takes the verdict of a slot on an edge at `now_ps`, against the live
@@ -845,8 +784,8 @@ impl<T> Simulation<T> {
     }
 
     /// Borrows the fired edge's tick order by value (returned via
-    /// [`return_order`](Self::return_order)) so the tick pass — serial,
-    /// parallel or fast — can take `&mut self` freely. No copies: a
+    /// [`return_order`](Self::return_order)) so the tick pass — cycle or
+    /// fast — can take `&mut self` freely. No copies: a
     /// single-bucket edge lends its member list, a coincident edge lends the
     /// cached merged order.
     fn borrow_order(&mut self) -> (Vec<u32>, OrderSrc) {
@@ -914,12 +853,7 @@ impl<T> Simulation<T> {
                 .all(|&b| self.links.bucket_due(b) > now_ps)
         {
             // No fired bucket has a key due: nothing to dispatch, nothing to
-            // decide, and the members need not be walked. To a parallel
-            // simulation this is an edge without eligible work.
-            if self.par_exec.is_some() {
-                self.activity
-                    .record_par_fallback(crate::activity::ParFallback::TooSmall);
-            }
+            // decide, and the members need not be walked.
             0
         } else {
             if keyed {
@@ -936,10 +870,7 @@ impl<T> Simulation<T> {
                 }
             }
             let (order, src) = self.borrow_order();
-            let dispatched = match self.par_exec {
-                Some(par) => par(self, &order, edge),
-                None => self.serial_pass(&order, edge),
-            };
+            let dispatched = self.serial_pass(&order, edge);
             self.return_order(order, src);
             dispatched
         };
@@ -1093,10 +1024,7 @@ impl<T> Simulation<T> {
         // `--dense` means every charged tick is dispatched, in a window as
         // on an edge: without a hint to read, `FastCtx::stall` is a no-op.
         let hint = (!dense).then_some(window_hint);
-        let comp = slot
-            .component
-            .as_deref_mut()
-            .expect("component checked out to a compute worker");
+        let comp = &mut slot.component;
         let mut ctx = FastCtx::new(
             start,
             period,
@@ -1147,9 +1075,7 @@ impl<T> Simulation<T> {
     }
 
     /// Ticks every member of `order` the schedule dispatches on this edge,
-    /// in order — the serial schedule (and the commit-order reference the
-    /// parallel executor must reproduce bit-for-bit). Returns the number of
-    /// ticks dispatched.
+    /// in order. Returns the number of ticks dispatched.
     fn serial_pass(&mut self, order: &[u32], edge: Time) -> u64 {
         let now_ps = edge.as_ps();
         // Every member ticks on the dense schedule — and on an edge whose
@@ -1245,10 +1171,10 @@ impl<T> Simulation<T> {
         let cycle = self.cycle_of(index);
         // Fault probes draw from the component's own per-origin stream, so
         // a tick's draws are independent of how the edge interleaves other
-        // components' probes (the property buffered parallel ticks rely on).
+        // components' probes.
         self.faults.set_origin(index as u32);
         let slot = &mut self.slots[index];
-        let mut ctx = TickContext::direct(
+        let mut ctx = TickContext::new(
             edge,
             Cycles::new(cycle),
             &mut self.links,
@@ -1256,17 +1182,7 @@ impl<T> Simulation<T> {
             &mut self.rng,
             &mut self.faults,
         );
-        slot.component
-            .as_deref_mut()
-            .expect("component checked out to a compute worker")
-            .tick(&mut ctx);
-        self.post_tick(index);
-    }
-
-    /// Bookkeeping after a component's tick took effect (directly or via a
-    /// committed effect log) on the edge its bucket is firing.
-    #[inline]
-    fn post_tick(&mut self, index: usize) {
+        slot.component.tick(&mut ctx);
         self.after_ticks(index, 1, 0, true);
     }
 
@@ -1282,7 +1198,7 @@ impl<T> Simulation<T> {
         let slot = &mut self.slots[index];
         slot.ticks += dispatched + stalled;
         slot.dispatches += dispatched;
-        let idle = slot.comp().is_idle();
+        let idle = slot.component.is_idle();
         if idle != slot.idle {
             slot.idle = idle;
             if idle {
@@ -1316,10 +1232,7 @@ impl<T> Simulation<T> {
         let Some(sparse) = &mut slot.sparse else {
             return;
         };
-        let comp = slot
-            .component
-            .as_deref()
-            .expect("component checked out to a compute worker");
+        let comp = &slot.component;
         sparse.timer = comp.next_activity().map_or(u64::MAX, Time::as_ps);
         let counted = sparse.stall.counted().is_some();
         sparse.stall.reset();
@@ -1403,297 +1316,13 @@ impl<T> Simulation<T> {
                 busy: self
                     .slots
                     .iter()
-                    .filter(|s| !s.comp().is_idle())
-                    .map(|s| s.comp().name().to_owned())
+                    .filter(|s| !s.component.is_idle())
+                    .map(|s| s.component.name().to_owned())
                     .collect(),
             }),
         }
     }
-}
 
-impl<T: Clone + PartialEq + Send + Sync + 'static> Simulation<T> {
-    /// Requests intra-edge parallelism: edges tick with `jobs` compute
-    /// shards (`jobs - 1` persistent worker threads plus the main thread),
-    /// each buffering its side effects for a serial, deterministic commit
-    /// phase. `1` (the default) restores plain serial execution. The
-    /// `tick_jobs` field of an [`ExecMode`].
-    ///
-    /// Parallel execution is **observationally identical** to serial: the
-    /// commit phase applies effect logs in exact tick order, validates every
-    /// log's recorded observations against the live state, and re-runs any
-    /// invalidated tick serially after rolling the component back to its
-    /// pre-tick snapshot. Edges where the contract cannot hold (skip-audit
-    /// mode, fewer than two eligible components) fall back to the serial
-    /// path wholesale, with the reason recorded in the
-    /// [`activity`](crate::activity) counters — never silently. Armed fault
-    /// schedules need no fallback: probes draw from per-component origin
-    /// streams, so buffered ticks answer them exactly and the serial commit
-    /// replay reproduces the counts.
-    ///
-    /// Only components that opt in via [`Component::parallel_safe`] are
-    /// computed on workers; everything else ticks serially at its exact
-    /// commit position.
-    pub fn set_tick_jobs(&mut self, jobs: usize) {
-        let jobs = jobs.max(1);
-        if let Some(pool) = &self.pool {
-            if pool.threads() != jobs - 1 {
-                self.pool = None;
-            }
-        }
-        self.tick_jobs = jobs;
-        self.par_exec = if jobs > 1 {
-            Some(Self::parallel_pass)
-        } else {
-            self.pool = None;
-            None
-        };
-    }
-
-    /// The requested intra-edge parallelism (1 = serial).
-    pub fn tick_jobs(&self) -> usize {
-        self.tick_jobs
-    }
-
-    /// Applies an [`ExecMode`]: [`set_dense`](Simulation::set_dense),
-    /// [`set_tick_jobs`](Simulation::set_tick_jobs) and
-    /// [`set_fidelity`](Simulation::set_fidelity) in one call — what a
-    /// builder does with the mode it was handed, once, on the simulation it
-    /// has just constructed.
-    pub fn set_exec(&mut self, mode: ExecMode) {
-        self.set_dense(mode.dense);
-        self.set_tick_jobs(mode.tick_jobs);
-        self.set_fidelity(mode.fidelity);
-    }
-
-    /// The parallel edge executor: compute phase on `jobs` shards against a
-    /// frozen view, then a serial in-order commit phase. Must produce
-    /// byte-identical results to [`Simulation::serial_pass`].
-    fn parallel_pass(&mut self, order: &[u32], edge: Time) -> u64 {
-        use crate::activity::ParFallback;
-
-        // Whole-edge serial fallbacks: conditions under which buffered
-        // compute cannot reproduce serial semantics. Each is counted.
-        if self.audit.is_some() {
-            self.activity.record_par_fallback(ParFallback::SkipAudit);
-            return self.serial_pass(order, edge);
-        }
-
-        let now_ps = edge.as_ps();
-        // Positions (within `order`) eligible for buffered compute: opted-in
-        // components past their first tick (the first tick runs lazy setup —
-        // metric registration, initial deadlines — that would retick anyway)
-        // that would be dispatched this edge. Dispatch is monotone within an
-        // edge: pushes only *lower* wake times, and a stall gate only opens
-        // — by time, or by a consumer popping the gated wire; the one push
-        // that shuts it again is the slot's own — so eligible-at-freeze
-        // implies dispatched-at-commit. (On a wire with a second producer
-        // the buffered tick's recorded `can_push` fails validation and the
-        // tick re-runs serially: a dispatched no-op, which is always safe.)
-        // A slot asleep or stalled at the freeze takes its turn live at its
-        // commit position, where it sees the room earlier commits made.
-        let mut eligible: Vec<u32> = Vec::with_capacity(order.len());
-        for (k, &raw) in order.iter().enumerate() {
-            let i = raw as usize;
-            let slot = &self.slots[i];
-            if slot.par_ok
-                && slot.ticks > 0
-                && (self.dense
-                    || (self.links.due_of(raw) <= now_ps
-                        && self.decide(i, now_ps) == Verdict::Dispatch))
-            {
-                eligible.push(k as u32);
-            }
-        }
-        if eligible.len() < 2 {
-            self.activity.record_par_fallback(ParFallback::TooSmall);
-            return self.serial_pass(order, edge);
-        }
-        // Their turn is decided here, on the stepping thread: what their
-        // verdicts left standing is settled before the workers run (credit
-        // and the tick's own increments commute).
-        for &k in &eligible {
-            self.rouse(order[k as usize] as usize);
-        }
-
-        let jobs = self.tick_jobs.min(eligible.len());
-        if self.pool.is_none() && self.tick_jobs > 1 {
-            self.pool = Some(WorkerPool::new(self.tick_jobs - 1));
-        }
-
-        // Freeze the pre-edge view. The link pool moves (no copy) into the
-        // shared context and is reclaimed below once every worker has
-        // dropped its reference.
-        let ctx = Arc::new(EdgeCtx {
-            time: edge,
-            pool: std::mem::take(&mut self.links),
-            dir: self.stats.dir(),
-            trace_enabled: self.stats.trace().is_enabled(),
-            schedule: *self.faults.schedule(),
-            faults_armed: self.faults.is_armed(),
-            rng_state: self.rng.state(),
-        });
-
-        // Shard the eligible positions contiguously: shard 0 runs on the
-        // main thread, shards 1.. on the workers.
-        let per = eligible.len().div_ceil(jobs);
-        let mut worker_shards = 0usize;
-        for s in 1..jobs {
-            let lo = s * per;
-            let hi = ((s + 1) * per).min(eligible.len());
-            if lo >= hi {
-                break;
-            }
-            let units = self.take_units(&eligible[lo..hi], order);
-            self.pool.as_ref().expect("pool spawned above").submit(
-                s - 1,
-                Job {
-                    shard: s,
-                    ctx: Arc::clone(&ctx),
-                    units,
-                },
-            );
-            worker_shards += 1;
-        }
-        let units0 = self.take_units(&eligible[..per.min(eligible.len())], order);
-        let done0 = crate::parallel::run_shard(&ctx, units0);
-
-        // Collect: place every result at its serial tick position.
-        let mut par_done = std::mem::take(&mut self.par_done);
-        par_done.clear();
-        par_done.resize_with(order.len(), || None);
-        for (j, done) in done0.into_iter().enumerate() {
-            par_done[eligible[j] as usize] = Some(done);
-        }
-        let mut panic_payload: Option<Box<dyn std::any::Any + Send>> = None;
-        for _ in 0..worker_shards {
-            let (shard, result) = self.pool.as_ref().expect("pool spawned above").recv();
-            match result {
-                Ok(dones) => {
-                    let base = shard * per;
-                    for (j, done) in dones.into_iter().enumerate() {
-                        par_done[eligible[base + j] as usize] = Some(done);
-                    }
-                }
-                Err(payload) => panic_payload = Some(payload),
-            }
-        }
-
-        // Reclaim the link pool. Workers drop their Arc before reporting, so
-        // after all receipts ours is the only reference.
-        let EdgeCtx { pool, .. } = Arc::try_unwrap(ctx)
-            .ok()
-            .expect("workers must release the frozen view before reporting");
-        self.links = pool;
-        if let Some(payload) = panic_payload {
-            // Restore invariants (scratch, link pool) before resuming so the
-            // panic unwinds like a serial tick panic. Components of the
-            // panicked shard stay checked out: the simulation is poisoned.
-            self.par_done = par_done;
-            std::panic::resume_unwind(payload);
-        }
-
-        // Commit phase: walk the serial tick order, applying effect logs and
-        // interleaving serial ticks of non-eligible components at their
-        // exact positions.
-        self.par_stamp += 1;
-        let stamp = self.par_stamp;
-        if self.link_dirty.len() < self.links.len() {
-            self.link_dirty.resize(self.links.len(), 0);
-        }
-        // Set once any tick of this edge has run serially at commit: serial
-        // ticks mutate links without dirty-marking, so every later buffered
-        // log must be validated by replay.
-        let mut serial_touched = false;
-        let computed = eligible.len() as u64;
-        let mut reticked: u64 = 0;
-        let mut dispatched: u64 = 0;
-        for (k, &raw) in order.iter().enumerate() {
-            let i = raw as usize;
-            match par_done[k].take() {
-                Some(done) => {
-                    debug_assert_eq!(done.index, raw);
-                    self.slots[i].component = Some(done.component);
-                    let contended = serial_touched
-                        || done
-                            .links
-                            .iter()
-                            .any(|op| self.link_dirty[op.link().index()] == stamp);
-                    // Speculative RNG draws are valid only if no earlier
-                    // commit advanced the shared generator past the state
-                    // the tick observed (first mover wins).
-                    let rng_valid = done.rng.is_none_or(|(start, _)| self.rng.state() == start);
-                    if !done.retick
-                        && rng_valid
-                        && (!contended || validate_link_ops(&done.links, &self.links, edge))
-                    {
-                        let links = &mut self.links;
-                        let dirty = &mut self.link_dirty;
-                        apply_link_ops(done.links, links, edge, |id| dirty[id.index()] = stamp);
-                        apply_stat_ops(&mut self.stats, done.stats);
-                        apply_fault_ops(&mut self.faults, &done.faults, raw);
-                        if let Some((_, end)) = done.rng {
-                            // Install the speculative substream's end state:
-                            // exactly where serial execution would have left
-                            // the generator.
-                            self.rng = SplitMix64::new(end);
-                        }
-                        self.post_tick(i);
-                    } else {
-                        // The tick observed state an earlier commit changed
-                        // (or touched state the frozen view cannot answer):
-                        // roll back to the pre-tick snapshot and re-run
-                        // serially against the live state.
-                        reticked += 1;
-                        let mut r = crate::snapshot::StateReader::new(&done.pre)
-                            .expect("pre-tick snapshot must parse");
-                        self.slots[i].comp_mut().restore(&mut r);
-                        self.tick_slot(i, edge);
-                        serial_touched = true;
-                    }
-                    dispatched += 1;
-                }
-                None => {
-                    // Not eligible for compute: full serial semantics at the
-                    // commit position (skip-audit is off — it forced a
-                    // fallback above).
-                    if self.dense {
-                        self.tick_slot(i, edge);
-                    } else if !self.turn(raw, edge) {
-                        continue;
-                    }
-                    serial_touched = true;
-                    dispatched += 1;
-                }
-            }
-        }
-        self.par_done = par_done;
-        self.activity.record_parallel_edge(computed, reticked);
-        dispatched
-    }
-
-    /// Checks the components at `positions` of `order` out of their slots
-    /// as compute units (returned at commit).
-    fn take_units(&mut self, positions: &[u32], order: &[u32]) -> Vec<Unit<T>> {
-        positions
-            .iter()
-            .map(|&k| {
-                let index = order[k as usize];
-                let i = index as usize;
-                Unit {
-                    index,
-                    cycle: Cycles::new(self.cycle_of(i)),
-                    fault_base: self.faults.probes_of(index),
-                    component: self.slots[i]
-                        .component
-                        .take()
-                        .expect("component already checked out to a compute worker"),
-                }
-            })
-            .collect()
-    }
-}
-
-impl<T> Simulation<T> {
     /// Looks up a component by name and returns its
     /// [`as_any_mut`](Component::as_any_mut) hook, for post-build
     /// reconfiguration of runtime-tunable knobs.
@@ -1703,8 +1332,8 @@ impl<T> Simulation<T> {
     pub fn component_any_mut(&mut self, name: &str) -> Option<&mut dyn std::any::Any> {
         self.slots
             .iter_mut()
-            .find(|s| s.comp().name() == name)
-            .and_then(|s| s.comp_mut().as_any_mut())
+            .find(|s| s.component.name() == name)
+            .and_then(|s| s.component.as_any_mut())
     }
 }
 
@@ -1717,7 +1346,7 @@ impl<T: crate::snapshot::SnapshotPayload> Simulation<T> {
         let mut h = crate::snapshot::Fnv64::new();
         h.write_u64(self.slots.len() as u64);
         for slot in &self.slots {
-            h.write_str(slot.comp().name());
+            h.write_str(slot.component.name());
         }
         h.write_u64(self.buckets.len() as u64);
         for bucket in &self.buckets {
@@ -1771,7 +1400,7 @@ impl<T: crate::snapshot::SnapshotPayload> Simulation<T> {
         for slot in &self.slots {
             w.write_u64(slot.edge_base);
             w.write_bool(slot.idle);
-            slot.comp().save(&mut w);
+            slot.component.save(&mut w);
         }
         w.finish()
     }
@@ -1847,7 +1476,7 @@ impl<T: crate::snapshot::SnapshotPayload> Simulation<T> {
         for slot in self.slots.iter_mut() {
             slot.edge_base = r.read_u64();
             slot.idle = r.read_bool();
-            slot.comp_mut().restore(&mut r);
+            slot.component.restore(&mut r);
         }
         r.finish()?;
         // Rebuild derived scheduler state: the pending edge, the busy count
@@ -1900,14 +1529,14 @@ impl<T: crate::snapshot::SnapshotPayload> Simulation<T> {
             .and_then(|s| s.stall.counted())
             .filter(|&(_, from)| edge >= from)
             .map(|(counter, _)| (counter, self.stats.counter_value(counter)));
-        let before_comp = bytes(|w| self.slots[index].comp().save(w));
+        let before_comp = bytes(|w| self.slots[index].component.save(w));
         let before_rng = self.rng.state();
         let before_stats = bytes(|w| self.stats.save_state(w));
         let before_faults = bytes(|w| self.faults.save_state(w));
         let before_links = bytes(|w| self.links.save_state(w));
         self.tick_slot(index, edge);
-        let name = self.slots[index].comp().name().to_owned();
-        let after_comp = bytes(|w| self.slots[index].comp().save(w));
+        let name = self.slots[index].component.name().to_owned();
+        let after_comp = bytes(|w| self.slots[index].component.save(w));
         assert_eq!(
             before_comp, after_comp,
             "idle contract violated: `{name}` mutated its own state during a tick sparse scheduling would not have dispatched (edge {edge})"
@@ -1972,6 +1601,7 @@ mod tests {
     use super::*;
     use crate::link::LinkId;
     use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
 
     /// Emits `budget` numbered payloads, one per tick.
     struct Producer {
@@ -2548,9 +2178,6 @@ mod tests {
         fn is_idle(&self) -> bool {
             self.sent == self.budget
         }
-        fn parallel_safe(&self) -> bool {
-            true
-        }
         fn watched_links(&self) -> Option<Vec<LinkId>> {
             Some(Vec::new())
         }
@@ -2608,9 +2235,6 @@ mod tests {
                     self.busy_until = ctx.time + self.service;
                 }
             }
-        }
-        fn parallel_safe(&self) -> bool {
-            true
         }
         fn watched_links(&self) -> Option<Vec<LinkId>> {
             Some(vec![self.input])
@@ -2804,25 +2428,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_commit_decides_elision_live() {
-        let horizon = Time::from_us(20);
-        for consumer_first in [false, true] {
-            let (mut serial, _) = stalled_pairs(4, true, consumer_first);
-            let end = serial.run_to_quiescence_strict(horizon).unwrap();
-            for jobs in [2, 4] {
-                let (mut par, _) = stalled_pairs(4, true, consumer_first);
-                par.set_tick_jobs(jobs);
-                assert_eq!(par.run_to_quiescence_strict(horizon).unwrap(), end);
-                assert_eq!(par.checkpoint().as_bytes(), serial.checkpoint().as_bytes());
-                assert_eq!(par.ticks_executed(), serial.ticks_executed());
-                assert_eq!(par.ticks_elided(), serial.ticks_elided());
-                assert_eq!(component_tick_counts(&par), component_tick_counts(&serial));
-                assert!(par.activity.total().par_edges > 0, "parallel path must run");
-            }
-        }
-    }
-
-    #[test]
     fn restore_while_stalled_rederives_the_hints() {
         let horizon = Time::from_us(20);
         let (mut straight, _) = stalled_pairs(2, true, false);
@@ -2928,355 +2533,6 @@ mod tests {
         // first tick is a re-visit of that instant (then 20, 30, 40 ns).
         sim.run_until(Time::from_ns(40));
         assert_eq!(sim.component_ticks(id), 4);
-    }
-
-    /// A parallel-safe hop of a store-and-forward chain: pops its input,
-    /// pushes the incremented value to its output, counts traffic in a
-    /// metric, and traces every forward.
-    struct ParHop {
-        tag: &'static str,
-        rx: LinkId,
-        tx: LinkId,
-        forwarded: u64,
-        counter: Option<crate::stats::CounterId>,
-    }
-    impl crate::snapshot::Snapshot for ParHop {
-        fn save(&self, w: &mut crate::snapshot::StateWriter) {
-            w.write_u64(self.forwarded);
-        }
-        fn restore(&mut self, r: &mut crate::snapshot::StateReader<'_>) {
-            self.forwarded = r.read_u64();
-        }
-    }
-    impl Component<u64> for ParHop {
-        fn name(&self) -> &str {
-            self.tag
-        }
-        fn tick(&mut self, ctx: &mut TickContext<'_, u64>) {
-            let counter = match self.counter {
-                Some(c) => c,
-                None => {
-                    let c = ctx.stats.counter(&format!("{}.forwarded", self.tag));
-                    self.counter = Some(c);
-                    c
-                }
-            };
-            if ctx.links.can_push(self.tx) {
-                if let Some(v) = ctx.links.pop(self.rx, ctx.time) {
-                    ctx.links.push(self.tx, ctx.time, v + 1).unwrap();
-                    ctx.stats.inc(counter, 1);
-                    ctx.stats.emit_trace(
-                        ctx.time,
-                        self.tag,
-                        crate::trace::TraceKind::Forward,
-                        || format!("fwd {v}"),
-                    );
-                    self.forwarded += 1;
-                }
-            }
-        }
-        fn is_idle(&self) -> bool {
-            true // drains on demand; quiescence comes from empty links
-        }
-        fn parallel_safe(&self) -> bool {
-            true
-        }
-    }
-
-    /// Builds a platform of `chains` independent producer→hop→hop→sink
-    /// chains sharing one clock, with every hop parallel-safe.
-    fn chained_platform(chains: usize) -> Simulation<u64> {
-        let mut sim: Simulation<u64> = Simulation::new();
-        let clk = ClockDomain::from_mhz(100);
-        for c in 0..chains {
-            let a = sim.links_mut().add_link(format!("c{c}.a"), 2, clk.period());
-            let b = sim.links_mut().add_link(format!("c{c}.b"), 2, clk.period());
-            let d = sim.links_mut().add_link(format!("c{c}.d"), 4, clk.period());
-            sim.add_component(
-                Box::new(Producer {
-                    out: a,
-                    budget: 20,
-                    sent: 0,
-                }),
-                clk,
-            );
-            sim.add_component(
-                Box::new(ParHop {
-                    tag: ["hop0", "hop1", "hop2", "hop3"][c % 4],
-                    rx: a,
-                    tx: b,
-                    forwarded: 0,
-                    counter: None,
-                }),
-                clk,
-            );
-            sim.add_component(
-                Box::new(ParHop {
-                    tag: ["relay0", "relay1", "relay2", "relay3"][c % 4],
-                    rx: b,
-                    tx: d,
-                    forwarded: 0,
-                    counter: None,
-                }),
-                clk,
-            );
-            sim.add_component(
-                Box::new(Consumer {
-                    input: d,
-                    received: Vec::new(),
-                }),
-                clk,
-            );
-        }
-        sim
-    }
-
-    fn run_and_fingerprint(mut sim: Simulation<u64>) -> (Time, Vec<u8>, String) {
-        sim.stats_mut().trace_mut().enable(256);
-        let at = sim
-            .run_to_quiescence_strict(Time::from_us(100))
-            .expect("must drain");
-        let blob = sim.checkpoint();
-        let report = format!("{}\n{}", sim.stats().report(at), sim.stats().trace().dump());
-        (at, blob.as_bytes().to_vec(), report)
-    }
-
-    #[test]
-    fn parallel_run_is_byte_identical_to_serial() {
-        let (t1, bytes1, report1) = run_and_fingerprint(chained_platform(4));
-        for jobs in [2, 4, 8] {
-            let mut sim = chained_platform(4);
-            sim.set_tick_jobs(jobs);
-            assert_eq!(sim.tick_jobs(), jobs);
-            let (t, bytes, report) = run_and_fingerprint(sim);
-            assert_eq!(t, t1, "quiescence time differs at {jobs} jobs");
-            assert_eq!(bytes, bytes1, "checkpoint differs at {jobs} jobs");
-            assert_eq!(report, report1, "stats/trace differ at {jobs} jobs");
-        }
-    }
-
-    #[test]
-    fn parallel_edges_actually_run_and_contention_reticks_resolve() {
-        // All four chains pour into ONE shared sink link: every relay
-        // contends for its capacity, so commit-time validation must catch
-        // and re-run invalidated ticks — and the outcome must still match
-        // serial exactly.
-        fn contended() -> Simulation<u64> {
-            let mut sim: Simulation<u64> = Simulation::new();
-            let clk = ClockDomain::from_mhz(100);
-            let shared = sim.links_mut().add_link("shared", 3, clk.period());
-            for c in 0..4 {
-                let a = sim.links_mut().add_link(format!("c{c}.a"), 2, clk.period());
-                sim.add_component(
-                    Box::new(Producer {
-                        out: a,
-                        budget: 10,
-                        sent: 0,
-                    }),
-                    clk,
-                );
-                sim.add_component(
-                    Box::new(ParHop {
-                        tag: ["hop0", "hop1", "hop2", "hop3"][c],
-                        rx: a,
-                        tx: shared,
-                        forwarded: 0,
-                        counter: None,
-                    }),
-                    clk,
-                );
-            }
-            sim.add_component(
-                Box::new(Consumer {
-                    input: shared,
-                    received: Vec::new(),
-                }),
-                clk,
-            );
-            sim
-        }
-        let (t1, bytes1, report1) = run_and_fingerprint(contended());
-        let before = crate::activity::snapshot();
-        let mut sim = contended();
-        sim.set_tick_jobs(4);
-        let (t, bytes, report) = run_and_fingerprint(sim);
-        let delta = crate::activity::snapshot().since(before);
-        assert_eq!((t, &bytes, &report), (t1, &bytes1, &report1));
-        assert!(delta.par_edges > 0, "no edge took the parallel path");
-        assert!(delta.par_computed > 0);
-        assert!(
-            delta.par_reticked > 0,
-            "shared-link contention must force at least one retick"
-        );
-    }
-
-    #[test]
-    fn armed_faults_run_the_parallel_path() {
-        let mut sim = chained_platform(2);
-        sim.set_tick_jobs(4);
-        sim.faults_mut().arm(crate::fault::FaultSchedule {
-            seed: 7,
-            ..Default::default()
-        });
-        sim.step(); // first ticks are always serial (lazy setup)
-        let before = crate::activity::snapshot();
-        sim.step();
-        let d = crate::activity::snapshot().since(before);
-        assert!(
-            d.par_edges > 0,
-            "an armed fault schedule must not force a serial fallback"
-        );
-    }
-
-    #[test]
-    fn skip_audit_and_first_edges_force_counted_serial_fallbacks() {
-        let mut sim = chained_platform(2);
-        sim.set_tick_jobs(4);
-        sim.enable_skip_audit();
-        let before = crate::activity::snapshot();
-        sim.step();
-        let d = crate::activity::snapshot().since(before);
-        assert!(d.par_fallback_audit > 0);
-
-        // First edge: every component has ticks == 0, so nothing is
-        // eligible yet and the edge falls back as "too small".
-        let mut sim = chained_platform(2);
-        sim.set_tick_jobs(4);
-        let before = crate::activity::snapshot();
-        sim.step();
-        let d = crate::activity::snapshot().since(before);
-        assert!(d.par_fallback_small > 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "late boom")]
-    fn worker_panic_resumes_on_the_stepping_thread() {
-        struct LateBomb {
-            armed: bool,
-        }
-        impl crate::snapshot::Snapshot for LateBomb {}
-        impl Component<u64> for LateBomb {
-            fn name(&self) -> &str {
-                "late-bomb"
-            }
-            fn tick(&mut self, _ctx: &mut TickContext<'_, u64>) {
-                if self.armed {
-                    panic!("late boom");
-                }
-                self.armed = true;
-            }
-            fn parallel_safe(&self) -> bool {
-                true
-            }
-        }
-        let mut sim: Simulation<u64> = Simulation::new();
-        let clk = ClockDomain::from_mhz(100);
-        for _ in 0..4 {
-            sim.add_component(Box::new(LateBomb { armed: false }), clk);
-        }
-        sim.set_tick_jobs(4);
-        sim.step(); // arms (first tick is never parallel)
-        sim.step(); // boom, inside a compute shard
-    }
-
-    #[test]
-    fn set_tick_jobs_back_to_one_restores_plain_serial() {
-        let mut sim = chained_platform(1);
-        sim.set_tick_jobs(4);
-        sim.step();
-        sim.step();
-        sim.set_tick_jobs(1);
-        // This simulation's own counts: a zero delta on the process-wide
-        // counters is false whenever a sibling test runs a parallel sim.
-        let before = sim.activity.total();
-        sim.step();
-        let d = sim.activity.total().since(before);
-        assert_eq!(d.edges, 1);
-        assert_eq!(d.par_edges, 0);
-        assert_eq!(
-            d.par_fallback_audit + d.par_fallback_small,
-            0,
-            "serial mode must not even consult the parallel path"
-        );
-    }
-
-    /// Registers its counter only on its fourth tick, mimicking components
-    /// that lazily register a metric on the first *event* rather than the
-    /// first tick. The id cache is deliberately a plain (non-snapshot)
-    /// field: a registration miss during a buffered tick must unwind, not
-    /// hand back a dummy id this cache would keep across the rollback.
-    struct LateRegistrar {
-        tag: &'static str,
-        ticks: u64,
-        counter: Option<crate::stats::CounterId>,
-    }
-    impl crate::snapshot::Snapshot for LateRegistrar {
-        fn save(&self, w: &mut crate::snapshot::StateWriter) {
-            w.write_u64(self.ticks);
-        }
-        fn restore(&mut self, r: &mut crate::snapshot::StateReader<'_>) {
-            self.ticks = r.read_u64();
-        }
-    }
-    impl Component<u64> for LateRegistrar {
-        fn name(&self) -> &str {
-            self.tag
-        }
-        fn tick(&mut self, ctx: &mut TickContext<'_, u64>) {
-            self.ticks += 1;
-            if self.ticks >= 4 {
-                let counter = match self.counter {
-                    Some(c) => c,
-                    None => {
-                        let c = ctx.stats.counter(&format!("{}.events", self.tag));
-                        self.counter = Some(c);
-                        c
-                    }
-                };
-                ctx.stats.inc(counter, 1);
-            }
-        }
-        fn parallel_safe(&self) -> bool {
-            true
-        }
-    }
-
-    #[test]
-    fn mid_run_metric_registration_reticks_without_poisoning_caches() {
-        let clk = ClockDomain::from_mhz(100);
-        let build = || {
-            let mut sim: Simulation<u64> = Simulation::new();
-            for tag in ["late.a", "late.b", "late.c"] {
-                sim.add_component(
-                    Box::new(LateRegistrar {
-                        tag,
-                        ticks: 0,
-                        counter: None,
-                    }),
-                    clk,
-                );
-            }
-            sim
-        };
-        let horizon = Time::from_ns(200);
-
-        let mut serial = build();
-        serial.run_until(horizon);
-        let serial_report = serial.stats().report(serial.time()).to_string();
-        let serial_blob = serial.checkpoint();
-
-        let before = crate::activity::snapshot();
-        let mut par = build();
-        par.set_tick_jobs(4);
-        par.run_until(horizon);
-        let delta = crate::activity::snapshot().since(before);
-
-        assert_eq!(par.stats().report(par.time()).to_string(), serial_report);
-        assert_eq!(par.checkpoint().as_bytes(), serial_blob.as_bytes());
-        assert!(
-            delta.par_reticked >= 1,
-            "the registration edge must re-run serially"
-        );
     }
 
     /// Fast-forward opt-in echo: pops one payload per cycle and answers on

@@ -12,6 +12,7 @@ use super::tests::{
 use super::*;
 use crate::stats::CounterId;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// What a [`Waiter`]'s tick does to the counter its hint declares.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -80,9 +81,6 @@ impl Component<u64> for Waiter {
     }
     fn is_idle(&self) -> bool {
         !self.waiting
-    }
-    fn parallel_safe(&self) -> bool {
-        true
     }
     fn watched_links(&self) -> Option<Vec<LinkId>> {
         Some(vec![self.resp, self.nudge])
@@ -300,28 +298,6 @@ fn the_counter_reads_exact_after_every_public_call() {
 }
 
 #[test]
-fn credit_is_the_same_at_every_job_count() {
-    let from = Time::from_ns(20);
-    let (mut serial, _) = waiters(6, from, Counts::Honestly);
-    let end = serial.run_to_quiescence_strict(HORIZON).unwrap();
-    for jobs in [2, 4] {
-        let (mut par, dispatched) = waiters(6, from, Counts::Honestly);
-        par.set_tick_jobs(jobs);
-        assert_eq!(par.run_to_quiescence_strict(HORIZON).unwrap(), end);
-        assert_same_state(&par, &serial);
-        assert_eq!(par.ticks_executed(), serial.ticks_executed());
-        assert_eq!(par.ticks_elided(), serial.ticks_elided());
-        assert_eq!(component_tick_counts(&par), component_tick_counts(&serial));
-        assert_eq!(
-            dispatched.load(Ordering::Relaxed),
-            par.ticks_executed() - par.ticks_elided()
-        );
-        assert!(par.activity.total().par_edges > 0, "parallel path must run");
-        assert_accounts_add_up(&par);
-    }
-}
-
-#[test]
 fn restore_mid_stall_resumes_the_count() {
     let from = Time::from_ns(20);
     let (mut straight, _) = waiters(2, from, Counts::Honestly);
@@ -454,11 +430,9 @@ fn second_leg(
 #[test]
 fn a_schedule_flipped_mid_run_counts_like_one_that_started_that_way() {
     type Flip = fn(&mut Simulation<u64>);
-    let flips: [(&str, Flip); 5] = [
+    let flips: [(&str, Flip); 3] = [
         ("dense", |sim| sim.set_dense(true)),
         ("audit", |sim| sim.enable_skip_audit()),
-        ("jobs 2", |sim| sim.set_tick_jobs(2)),
-        ("jobs 4", |sim| sim.set_tick_jobs(4)),
         ("fast gear, quantum 1", |sim| {
             sim.set_fidelity(Fidelity::Fast { quantum: 1 })
         }),

@@ -11,7 +11,6 @@ use crate::time::Time;
 use crate::trace::{TraceBuffer, TraceKind};
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
 
 /// Handle to a monotonically increasing counter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -251,248 +250,63 @@ pub struct StatsRegistry {
     residency_names: HashMap<String, ResidencyId>,
     residencies: Vec<(String, StateResidency)>,
     trace: TraceBuffer,
-    /// Read-only shadow of the name→id maps, shared with parallel compute
-    /// workers via a cheap `Arc` clone. Maintained incrementally on every
-    /// registration (rare) so a parallel edge never rebuilds it.
-    dir: Arc<StatDir>,
-}
-
-/// Panic payload thrown by a buffered [`StatsAccess`] when a tick asks for
-/// a metric name the frozen directory does not know. The parallel worker
-/// catches exactly this payload, marks the tick for a serial re-run, and
-/// discards its effect log; anything else keeps unwinding as a real panic.
-///
-/// Unwinding (instead of returning a dummy id) is load-bearing: components
-/// cache metric ids in plain non-snapshot fields, so a dummy id handed
-/// back here could be cached, survive the pre-image rollback, and poison
-/// the serial re-run. A miss must leave the component exactly as if the
-/// call never happened.
-pub(crate) struct StatsMissAbort;
-
-impl StatsMissAbort {
-    /// Aborts the current buffered tick. Uses `resume_unwind` rather than
-    /// `panic_any` so the process panic hook never runs: registration
-    /// misses are routine control flow on parallel edges — one per
-    /// lazily-registered metric — and must not spam stderr with "thread
-    /// panicked" noise or require a process-global hook swap (which would
-    /// be racy under concurrent tests and could hide unrelated panics).
-    fn abort() -> ! {
-        std::panic::resume_unwind(Box::new(StatsMissAbort))
-    }
-}
-
-/// Read-only directory of registered metric names, shared with parallel
-/// compute workers so buffered ticks can resolve `counter("name")`-style
-/// lazy lookups without touching the mutable registry. Metrics are
-/// append-only, so an entry present in the directory is valid forever; a
-/// *missing* entry means the tick would register something new and must be
-/// re-run serially.
-#[derive(Debug, Default, Clone)]
-pub(crate) struct StatDir {
-    counters: HashMap<String, CounterId>,
-    histograms: HashMap<String, HistogramId>,
-    /// Name → (id, number of states) — the state count lets a buffered
-    /// re-registration validate like [`StatsRegistry::residency`] does.
-    residencies: HashMap<String, (ResidencyId, usize)>,
-}
-
-/// One buffered metric side effect, recorded during a parallel compute phase
-/// and applied to the real [`StatsRegistry`] in exact serial tick order at
-/// commit time.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum StatOp {
-    /// `inc(id, by)`.
-    Inc(CounterId, u64),
-    /// `record(id, value)`.
-    Record(HistogramId, u64),
-    /// `set_state(id, state, now)`.
-    SetState(ResidencyId, usize, Time),
-    /// `emit_trace(time, source, kind, detail)`, with the detail string
-    /// built eagerly (tracing was enabled when the op was recorded, and the
-    /// enable flag cannot change mid-edge).
-    Trace {
-        /// Event time.
-        time: Time,
-        /// Emitting component name.
-        source: String,
-        /// Event category.
-        kind: TraceKind,
-        /// Pre-rendered detail string.
-        detail: String,
-    },
-}
-
-/// Applies buffered stat ops to the real registry (commit phase).
-pub(crate) fn apply_stat_ops(registry: &mut StatsRegistry, ops: Vec<StatOp>) {
-    for op in ops {
-        match op {
-            StatOp::Inc(id, by) => registry.inc(id, by),
-            StatOp::Record(id, value) => registry.record(id, value),
-            StatOp::SetState(id, state, now) => registry.set_state(id, state, now),
-            StatOp::Trace {
-                time,
-                source,
-                kind,
-                detail,
-            } => registry.emit_trace(time, &source, kind, || detail),
-        }
-    }
 }
 
 /// Per-tick handle to the metric registry (the `stats` field of
-/// [`TickContext`](crate::TickContext)).
-///
-/// In the serial schedule every call forwards to the shared registry. During
-/// a parallel compute phase, name lookups are answered from the shared
-/// `StatDir` snapshot, writes are buffered as `StatOp`s for the serial
-/// commit phase, and anything a frozen view cannot answer exactly (a missing
-/// name, a counter-value read) marks the tick for a serial re-run.
+/// [`TickContext`](crate::TickContext)): registration, updates and counter
+/// reads, without the harness's side of the registry (reports, tracing
+/// switches).
 #[derive(Debug)]
 pub struct StatsAccess<'a> {
-    inner: StatsInner<'a>,
-}
-
-#[derive(Debug)]
-enum StatsInner<'a> {
-    Direct(&'a mut StatsRegistry),
-    Buffered {
-        dir: &'a StatDir,
-        ops: &'a mut Vec<StatOp>,
-        trace_enabled: bool,
-        retick: &'a mut bool,
-    },
+    registry: &'a mut StatsRegistry,
 }
 
 impl<'a> StatsAccess<'a> {
-    /// Pass-through handle over the shared registry (serial execution).
-    pub(crate) fn direct(registry: &'a mut StatsRegistry) -> Self {
-        StatsAccess {
-            inner: StatsInner::Direct(registry),
-        }
+    pub(crate) fn new(registry: &'a mut StatsRegistry) -> Self {
+        StatsAccess { registry }
     }
 
-    /// Buffered handle for a parallel compute phase.
-    pub(crate) fn buffered(
-        dir: &'a StatDir,
-        ops: &'a mut Vec<StatOp>,
-        trace_enabled: bool,
-        retick: &'a mut bool,
-    ) -> Self {
-        StatsAccess {
-            inner: StatsInner::Buffered {
-                dir,
-                ops,
-                trace_enabled,
-                retick,
-            },
-        }
-    }
-
-    /// See [`StatsRegistry::counter`]. A name not yet registered forces a
-    /// serial re-run (first use registers it for real). The miss *unwinds*
-    /// out of the tick rather than returning a dummy id: components cache
-    /// counter ids in plain (non-snapshot) fields, so a returned dummy
-    /// could survive the pre-image rollback and poison the serial re-run.
-    /// By never returning, the component's `None` cache state is preserved
-    /// and the re-run registers the counter for real.
+    /// See [`StatsRegistry::counter`].
     pub fn counter(&mut self, name: &str) -> CounterId {
-        match &mut self.inner {
-            StatsInner::Direct(registry) => registry.counter(name),
-            StatsInner::Buffered { dir, retick, .. } => match dir.counters.get(name) {
-                Some(&id) => id,
-                None => {
-                    **retick = true;
-                    StatsMissAbort::abort();
-                }
-            },
-        }
+        self.registry.counter(name)
     }
 
     /// See [`StatsRegistry::inc`].
     pub fn inc(&mut self, id: CounterId, by: u64) {
-        match &mut self.inner {
-            StatsInner::Direct(registry) => registry.inc(id, by),
-            StatsInner::Buffered { ops, .. } => ops.push(StatOp::Inc(id, by)),
-        }
+        self.registry.inc(id, by)
     }
 
-    /// See [`StatsRegistry::counter_value`]. Counter values reflect earlier
-    /// ticks of the same edge, which a frozen view cannot see, so reading
-    /// one during a parallel compute phase forces a serial re-run.
-    pub fn counter_value(&mut self, id: CounterId) -> u64 {
-        match &mut self.inner {
-            StatsInner::Direct(registry) => registry.counter_value(id),
-            StatsInner::Buffered { retick, .. } => {
-                **retick = true;
-                0
-            }
-        }
+    /// See [`StatsRegistry::counter_value`].
+    pub fn counter_value(&self, id: CounterId) -> u64 {
+        self.registry.counter_value(id)
     }
 
-    /// See [`StatsRegistry::counter_by_name`]. Forces a serial re-run in a
-    /// parallel compute phase, like [`counter_value`](Self::counter_value).
-    pub fn counter_by_name(&mut self, name: &str) -> u64 {
-        match &mut self.inner {
-            StatsInner::Direct(registry) => registry.counter_by_name(name),
-            StatsInner::Buffered { retick, .. } => {
-                **retick = true;
-                0
-            }
-        }
+    /// See [`StatsRegistry::counter_by_name`].
+    pub fn counter_by_name(&self, name: &str) -> u64 {
+        self.registry.counter_by_name(name)
     }
 
-    /// See [`StatsRegistry::histogram`]. Missing names force a serial
-    /// re-run, like [`counter`](Self::counter).
+    /// See [`StatsRegistry::histogram`].
     pub fn histogram(&mut self, name: &str) -> HistogramId {
-        match &mut self.inner {
-            StatsInner::Direct(registry) => registry.histogram(name),
-            StatsInner::Buffered { dir, retick, .. } => match dir.histograms.get(name) {
-                Some(&id) => id,
-                None => {
-                    **retick = true;
-                    StatsMissAbort::abort();
-                }
-            },
-        }
+        self.registry.histogram(name)
     }
 
     /// See [`StatsRegistry::record`].
     pub fn record(&mut self, id: HistogramId, value: u64) {
-        match &mut self.inner {
-            StatsInner::Direct(registry) => registry.record(id, value),
-            StatsInner::Buffered { ops, .. } => ops.push(StatOp::Record(id, value)),
-        }
+        self.registry.record(id, value)
     }
 
-    /// See [`StatsRegistry::residency`]. A missing name — or a state list
-    /// whose length differs from the registered one — forces a serial
-    /// re-run (the serial path registers or panics, respectively).
+    /// See [`StatsRegistry::residency`].
     pub fn residency(&mut self, name: &str, states: &[&str]) -> ResidencyId {
-        match &mut self.inner {
-            StatsInner::Direct(registry) => registry.residency(name, states),
-            StatsInner::Buffered { dir, retick, .. } => match dir.residencies.get(name) {
-                Some(&(id, len)) if len == states.len() => id,
-                _ => {
-                    **retick = true;
-                    StatsMissAbort::abort();
-                }
-            },
-        }
+        self.registry.residency(name, states)
     }
 
     /// See [`StatsRegistry::set_state`].
     pub fn set_state(&mut self, id: ResidencyId, state: usize, now: Time) {
-        match &mut self.inner {
-            StatsInner::Direct(registry) => registry.set_state(id, state, now),
-            StatsInner::Buffered { ops, .. } => ops.push(StatOp::SetState(id, state, now)),
-        }
+        self.registry.set_state(id, state, now)
     }
 
-    /// See [`StatsRegistry::emit_trace`]. When buffered, the detail closure
-    /// runs eagerly if tracing is enabled (the flag is frozen per edge —
-    /// only harness code flips it, between runs) and the record is applied
-    /// in serial tick order at commit, so the trace ring ends up
-    /// byte-identical to a serial run.
+    /// See [`StatsRegistry::emit_trace`].
     pub fn emit_trace<F: FnOnce() -> String>(
         &mut self,
         time: Time,
@@ -500,21 +314,7 @@ impl<'a> StatsAccess<'a> {
         kind: TraceKind,
         detail: F,
     ) {
-        match &mut self.inner {
-            StatsInner::Direct(registry) => registry.emit_trace(time, source, kind, detail),
-            StatsInner::Buffered {
-                ops, trace_enabled, ..
-            } => {
-                if *trace_enabled {
-                    ops.push(StatOp::Trace {
-                        time,
-                        source: source.to_owned(),
-                        kind,
-                        detail: detail(),
-                    });
-                }
-            }
-        }
+        self.registry.emit_trace(time, source, kind, detail)
     }
 }
 
@@ -522,11 +322,6 @@ impl StatsRegistry {
     /// Creates an empty registry.
     pub fn new() -> Self {
         StatsRegistry::default()
-    }
-
-    /// The shared read-only name directory (for parallel compute workers).
-    pub(crate) fn dir(&self) -> Arc<StatDir> {
-        Arc::clone(&self.dir)
     }
 
     /// Returns (creating on first use) the counter with this name.
@@ -537,9 +332,6 @@ impl StatsRegistry {
         let id = CounterId(self.counters.len());
         self.counters.push((name.to_owned(), 0));
         self.counter_names.insert(name.to_owned(), id);
-        Arc::make_mut(&mut self.dir)
-            .counters
-            .insert(name.to_owned(), id);
         id
     }
 
@@ -576,9 +368,6 @@ impl StatsRegistry {
         let id = HistogramId(self.histograms.len());
         self.histograms.push((name.to_owned(), Histogram::new()));
         self.histogram_names.insert(name.to_owned(), id);
-        Arc::make_mut(&mut self.dir)
-            .histograms
-            .insert(name.to_owned(), id);
         id
     }
 
@@ -622,9 +411,6 @@ impl StatsRegistry {
             StateResidency::new(states.iter().map(|s| (*s).to_owned()).collect()),
         ));
         self.residency_names.insert(name.to_owned(), id);
-        Arc::make_mut(&mut self.dir)
-            .residencies
-            .insert(name.to_owned(), (id, states.len()));
         id
     }
 
@@ -783,16 +569,6 @@ impl StatsRegistry {
             self.residency_names.insert(name.clone(), ResidencyId(i));
             self.residencies.push((name, res));
         }
-        // Rebuild the shared directory to match the restored name maps.
-        self.dir = Arc::new(StatDir {
-            counters: self.counter_names.clone(),
-            histograms: self.histogram_names.clone(),
-            residencies: self
-                .residency_names
-                .iter()
-                .map(|(name, &id)| (name.clone(), (id, self.residencies[id.0].1.states.len())))
-                .collect(),
-        });
     }
 }
 

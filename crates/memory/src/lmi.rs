@@ -553,10 +553,6 @@ impl Component<Packet> for LmiController {
         self.in_fifo.is_empty() && self.pending.is_empty()
     }
 
-    fn parallel_safe(&self) -> bool {
-        true
-    }
-
     fn watched_links(&self) -> Option<Vec<LinkId>> {
         Some(vec![self.req_in])
     }

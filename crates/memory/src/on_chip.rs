@@ -195,10 +195,6 @@ impl Component<Packet> for OnChipMemory {
         self.in_service.is_none()
     }
 
-    fn parallel_safe(&self) -> bool {
-        true
-    }
-
     fn watched_links(&self) -> Option<Vec<LinkId>> {
         Some(vec![self.req_in])
     }

@@ -232,10 +232,6 @@ impl Component<Packet> for Router {
         self.breadcrumbs.is_empty()
     }
 
-    fn parallel_safe(&self) -> bool {
-        true
-    }
-
     fn watched_links(&self) -> Option<Vec<LinkId>> {
         Some(self.inputs.iter().flatten().copied().collect())
     }

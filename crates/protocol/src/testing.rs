@@ -148,12 +148,6 @@ impl Component<Packet> for ScriptedInitiator {
     fn is_idle(&self) -> bool {
         self.script.is_empty() && self.outstanding == 0
     }
-
-    fn parallel_safe(&self) -> bool {
-        // The shared log observes completions in global tick order; a
-        // buffered compute phase would interleave pushes arbitrarily.
-        self.shared_log.is_none()
-    }
 }
 
 /// A single-slot target that answers every request after a fixed latency.
@@ -252,10 +246,6 @@ impl Component<Packet> for FixedLatencyTarget {
 
     fn is_idle(&self) -> bool {
         self.pending.is_none()
-    }
-
-    fn parallel_safe(&self) -> bool {
-        true
     }
 }
 

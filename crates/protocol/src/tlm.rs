@@ -221,10 +221,6 @@ impl Component<Packet> for TlmBus {
     fn is_idle(&self) -> bool {
         self.in_flight.is_empty()
     }
-
-    fn parallel_safe(&self) -> bool {
-        true
-    }
 }
 
 #[cfg(test)]

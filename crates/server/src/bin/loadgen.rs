@@ -3,7 +3,7 @@
 //! ```text
 //! loadgen --addr HOST:PORT | --addr-file PATH
 //!         [--requests N] [--connections C | --rate R]
-//!         [--scale N] [--seed N] [--rng-seed N] [--tick-jobs N]
+//!         [--scale N] [--seed N] [--rng-seed N]
 //!         [--table] [--require-hits] [--require-first-hit]
 //!         [--restart-leg] [--shutdown] [--bench-out <path>]
 //! ```
@@ -44,7 +44,6 @@ fn usage() -> ! {
          --scale N            workload scale of every request (default 4)\n\
          --seed N             simulation seed of every request (default 0x0dab)\n\
          --rng-seed N         mix-shuffling seed (default 1)\n\
-         --tick-jobs N        tick_jobs knob forwarded on every request (default 1)\n\
          --table              print the reconstructed FIG-4 table on stdout\n\
          --require-hits       fail unless the run saw at least one warm-cache hit\n\
          --require-first-hit  fail unless the very first response was served warm\n\
@@ -102,9 +101,6 @@ fn parse_args() -> Args {
             "--seed" => args.config.seed = parse_u64(&next(&mut it)).unwrap_or_else(|| usage()),
             "--rng-seed" => {
                 args.config.rng_seed = parse_u64(&next(&mut it)).unwrap_or_else(|| usage());
-            }
-            "--tick-jobs" => {
-                args.config.tick_jobs = next(&mut it).parse().unwrap_or_else(|_| usage());
             }
             "--table" => args.table = true,
             "--require-hits" => args.require_hits = true,

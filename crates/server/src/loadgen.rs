@@ -87,10 +87,10 @@ pub fn fig4_mix(requests: usize, rng_seed: u64) -> Vec<Cell> {
 }
 
 /// Serializes the request line for one FIG-4 cell at `scale`/`seed`.
-pub fn request_line(id: u64, cell: Cell, scale: u64, seed: u64, tick_jobs: usize) -> String {
+pub fn request_line(id: u64, cell: Cell, scale: u64, seed: u64) -> String {
     format!(
         "{{\"id\":{id},\"cmd\":\"simulate\",\"topology\":\"{}\",\"scale\":{scale},\
-         \"seed\":{seed},\"wait_states\":{},\"tick_jobs\":{tick_jobs}}}",
+         \"seed\":{seed},\"wait_states\":{}}}",
         topology_wire_name(cell.0),
         cell.1
     )
@@ -212,8 +212,6 @@ pub struct RunConfig {
     pub seed: u64,
     /// Mix-shuffling RNG seed.
     pub rng_seed: u64,
-    /// `tick_jobs` knob forwarded on every request.
-    pub tick_jobs: usize,
 }
 
 impl Default for RunConfig {
@@ -226,7 +224,6 @@ impl Default for RunConfig {
             scale: defaults.scale,
             seed: defaults.seed,
             rng_seed: 1,
-            tick_jobs: 1,
         }
     }
 }
@@ -456,8 +453,7 @@ fn run_closed(
                     Client::connect(&config.addr).map_err(|e| format!("connect: {e}"))?;
                 let mut observations = Vec::with_capacity(slice.len());
                 for (id, cell) in slice {
-                    let line =
-                        request_line(id as u64, cell, config.scale, config.seed, config.tick_jobs);
+                    let line = request_line(id as u64, cell, config.scale, config.seed);
                     let sent = Instant::now();
                     let response = client.roundtrip(&line).map_err(|e| format!("io: {e}"))?;
                     let latency = sent.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
@@ -504,8 +500,7 @@ fn run_open(
                 if due > now {
                     std::thread::sleep(due - now);
                 }
-                let line =
-                    request_line(id as u64, cell, config.scale, config.seed, config.tick_jobs);
+                let line = request_line(id as u64, cell, config.scale, config.seed);
                 send_line(&mut writer, &line).map_err(|e| format!("io: {e}"))?;
                 // Latency is measured from the *intended* send instant, not
                 // the actual write: when the writer itself falls behind the
@@ -582,7 +577,7 @@ mod tests {
             writes: 0,
             bytes: Vec::new(),
         };
-        let line = request_line(1, (Topology::Distributed, 8), 1, 0x0dab, 1);
+        let line = request_line(1, (Topology::Distributed, 8), 1, 0x0dab);
         send_line(&mut out, &line).expect("writes");
         assert_eq!(out.writes, 1, "line and newline must leave together");
         assert_eq!(out.bytes, format!("{line}\n").into_bytes());
@@ -590,12 +585,13 @@ mod tests {
 
     #[test]
     fn request_lines_parse_back() {
-        let line = request_line(3, (Topology::Collapsed, 16), 2, 0x0dab, 2);
+        let line = request_line(3, (Topology::Collapsed, 16), 2, 0x0dab);
         let v = json::parse(&line).expect("valid JSON");
         assert_eq!(v.get("id").and_then(Json::as_u64), Some(3));
         assert_eq!(v.get("topology").and_then(Json::as_str), Some("collapsed"));
         assert_eq!(v.get("wait_states").and_then(Json::as_u64), Some(16));
         assert_eq!(v.get("coalesce"), None);
+        assert_eq!(v.get("tick_jobs"), None);
     }
 
     #[test]

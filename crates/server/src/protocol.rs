@@ -10,8 +10,7 @@
 //!   `base_wait_states` (1), `wait_states` (the sweep axis; a number, or
 //!   an **array** to fan a whole sweep out across worker threads in one
 //!   request), `jobs` (worker threads for an array sweep), `fast_gear`
-//!   (loosely-timed warm-up quantum, 0/omitted = cycle-accurate),
-//!   `tick_jobs` (intra-edge parallel ticking of the tail). Keys the
+//!   (loosely-timed warm-up quantum, 0/omitted = cycle-accurate). Keys the
 //!   parser does not know are ignored.
 //! * `{"cmd": "stats"}` — server and cache counters.
 //! * `{"cmd": "ping"}` — liveness.
@@ -113,8 +112,6 @@ fn parse_simulate(obj: &Json) -> Result<Simulate, String> {
         scale: field_u64(obj, "scale", defaults.scale)?,
         seed: field_u64(obj, "seed", defaults.seed)?,
         base_wait_states: field_u32(obj, "base_wait_states", defaults.base_wait_states)?,
-        tick_jobs: usize::try_from(field_u64(obj, "tick_jobs", 1)?)
-            .map_err(|_| "'tick_jobs' out of range".to_string())?,
         ..defaults
     };
     if let Some(name) = field_str(obj, "protocol")? {
@@ -250,9 +247,9 @@ mod tests {
 
     #[test]
     fn unknown_fields_are_ignored() {
-        // Clients written against an earlier protocol still send this key.
+        // Clients written against an earlier protocol still send these keys.
         let plain = r#"{"id":4,"topology":"collapsed","wait_states":[2,8]}"#;
-        let decorated = r#"{"id":4,"coalesce":false,"topology":"collapsed","wait_states":[2,8],"colour":"red"}"#;
+        let decorated = r#"{"id":4,"coalesce":false,"topology":"collapsed","wait_states":[2,8],"tick_jobs":2,"colour":"red"}"#;
         assert_eq!(parse_command(decorated), parse_command(plain));
         assert!(matches!(parse_command(plain), Ok(Command::Simulate(_))));
     }
@@ -261,7 +258,7 @@ mod tests {
     fn full_request_round_trips() {
         let line = r#"{"id": 9, "cmd": "simulate", "protocol": "ahb", "topology": "collapsed",
                        "workload": "standard", "scale": 2, "seed": 5, "wait_states": 16,
-                       "fast_gear": 8, "tick_jobs": 2}"#;
+                       "fast_gear": 8}"#;
         let Command::Simulate(sim) = parse_command(line).expect("parses") else {
             panic!("simulate");
         };
@@ -271,7 +268,6 @@ mod tests {
         assert_eq!(sim.req.seed, 5);
         assert_eq!(sim.req.wait_states, 16);
         assert_eq!(sim.req.fast_gear, Some(8));
-        assert_eq!(sim.req.tick_jobs, 2);
     }
 
     #[test]

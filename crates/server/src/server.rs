@@ -501,14 +501,7 @@ fn dispatch(line: &str, shared: &Shared) -> (String, bool) {
 
 fn serve_simulate(shared: &Shared, sim: &Simulate) -> Result<String, String> {
     let started = Instant::now();
-    let points: Vec<SweepRequest> = sim
-        .points()
-        .into_iter()
-        .map(|mut p| {
-            p.tick_jobs = p.tick_jobs.clamp(1, shared.host_cores);
-            p
-        })
-        .collect();
+    let points = sim.points();
     // The fingerprint the cached blob must match: the one of the platform
     // this request builds. Building is wiring-only (no simulation).
     let platform = build_platform(&sim.req.base_spec()).map_err(|e| e.to_string())?;

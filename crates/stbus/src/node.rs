@@ -815,10 +815,6 @@ impl Component<Packet> for StbusNode {
         self.in_flight.is_empty() && self.replays.is_empty() && self.dead_letters.is_empty()
     }
 
-    fn parallel_safe(&self) -> bool {
-        true
-    }
-
     fn watched_links(&self) -> Option<Vec<LinkId>> {
         Some(
             self.initiators

@@ -441,10 +441,6 @@ impl Component<Packet> for DspCore {
             && self.outstanding_posted.is_empty()
     }
 
-    fn parallel_safe(&self) -> bool {
-        true
-    }
-
     fn watched_links(&self) -> Option<Vec<LinkId>> {
         Some(vec![self.resp_in])
     }

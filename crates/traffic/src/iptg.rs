@@ -696,12 +696,6 @@ impl Component<Packet> for IpTrafficGenerator {
         self.unfinished == 0
     }
 
-    fn parallel_safe(&self) -> bool {
-        // The issue recorder observes issues in global tick order; a
-        // buffered compute phase would interleave recordings arbitrarily.
-        self.issue_recorder.is_none()
-    }
-
     fn watched_links(&self) -> Option<Vec<LinkId>> {
         Some(vec![self.resp_in])
     }
@@ -730,8 +724,8 @@ impl Component<Packet> for IpTrafficGenerator {
     }
 
     fn fast_forward_safe(&self) -> bool {
-        // Same constraint as `parallel_safe`: a capture recorder must see
-        // issues in global tick order, which window batching reorders.
+        // A capture recorder must see issues in global tick order, which
+        // window batching reorders.
         self.issue_recorder.is_none()
     }
 

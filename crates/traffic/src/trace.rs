@@ -359,10 +359,6 @@ impl Component<Packet> for TraceDrivenGenerator {
         self.trace.is_empty() && self.outstanding == 0
     }
 
-    fn parallel_safe(&self) -> bool {
-        true
-    }
-
     fn watched_links(&self) -> Option<Vec<LinkId>> {
         Some(vec![self.resp_in])
     }

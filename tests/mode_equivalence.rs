@@ -2,9 +2,8 @@
 //!
 //! One differential test over the printed tables of `fig3` (the most
 //! sleeping slots), `many-to-one` (the fewest: its charged ticks are mostly
-//! elided under back-pressure), `robustness` (fault-armed: every
-//! worker-computed tick buffers fault-probe draws the commit phase replays)
-//! and `fig4` (a checkpoint restore in the middle of every cell: the mode
+//! elided under back-pressure), `robustness` (fault-armed: every component
+//! draws from its own probe stream) and `fig4` (a checkpoint restore in the middle of every cell: the mode
 //! must survive it) at scale 1. It replaces the `ci.sh` gates that ran `repro` twice and
 //! diffed the output — an [`ExecMode`] is a value now, so a test thread can
 //! hold one:
@@ -13,8 +12,6 @@
 //! |-----------------|--------------------------------------------------------|
 //! | `again`         | `gate_determinism` (fig3 twice, one seed)               |
 //! | `dense`         | `gate_sparse` (fig3, many-to-one: sparse vs `--dense`)  |
-//! | `tick-jobs 2/4` | `gate_parallel` (fig3 at `--tick-jobs 4`) and the       |
-//! |                 | robustness identity loop of `stage_scaling` (1 / 2 / 4) |
 //! | `fast q1`       | `gate_gear`, first half (`--fast-gear 1` = cycle)       |
 //! | `fast q16`      | `gate_gear`, second half (quantum 16 = its dense twin)  |
 //!
@@ -29,7 +26,6 @@ use mpsoc_platform::experiments::{self, Run};
 
 const CYCLE: ExecMode = ExecMode {
     dense: false,
-    tick_jobs: 1,
     fidelity: Fidelity::Cycle,
 };
 const FAST_16: ExecMode = ExecMode {
@@ -39,28 +35,12 @@ const FAST_16: ExecMode = ExecMode {
 
 /// `(label, mode, reference)`: the tables printed under `mode` must equal
 /// the tables printed under `reference`, byte for byte.
-const ROWS: [(&str, ExecMode, ExecMode); 6] = [
+const ROWS: [(&str, ExecMode, ExecMode); 4] = [
     ("again", CYCLE, CYCLE),
     (
         "dense",
         ExecMode {
             dense: true,
-            ..CYCLE
-        },
-        CYCLE,
-    ),
-    (
-        "tick-jobs 2",
-        ExecMode {
-            tick_jobs: 2,
-            ..CYCLE
-        },
-        CYCLE,
-    ),
-    (
-        "tick-jobs 4",
-        ExecMode {
-            tick_jobs: 4,
             ..CYCLE
         },
         CYCLE,

@@ -514,22 +514,21 @@ fn sparse_skips_most_ticks_on_long_gaps() {
 }
 
 // ---------------------------------------------------------------------------
-// Parallel compute/commit differentials
+// Counting, tracing and fault-probing chains
 // ---------------------------------------------------------------------------
 //
-// With `set_tick_jobs(n > 1)` the kernel ticks parallel-safe components on
-// worker threads against a frozen view and replays their buffered effects in
-// registration order at commit time. The contract is *byte identity*: for any
-// platform and any job count, the run must be indistinguishable from serial —
-// same final time, same stats tables, same trace, same checkpoint bytes.
+// Forwarding chains whose hops register metrics, emit trace records and
+// probe the fault injector: the bucketed executor must read the naive
+// oracle's statistics and fault counts, and the sparse schedule composed
+// with faults and a mid-run gear shift must be byte-identical to the dense
+// one — same final time, same stats tables, same trace, same checkpoint
+// bytes.
 
 use mpsoc_kernel::stats::CounterId;
 use mpsoc_kernel::{FaultKind, FaultSchedule, Fidelity, StatsRegistry, TraceKind};
 
-/// A parallel-safe forwarder: pops its input, pushes `payload + 1`, counts
-/// forwards and emits a trace record. Every cross-component effect goes
-/// through the `TickContext`, so the kernel may compute its tick on a worker
-/// thread and commit the buffered effect log afterwards.
+/// A forwarder: pops its input, pushes `payload + 1`, counts forwards and
+/// emits a trace record.
 struct Hop {
     name: String,
     rx: LinkId,
@@ -555,8 +554,7 @@ impl Component<u64> for Hop {
         let counter = match self.counter {
             Some(c) => c,
             None => {
-                // First tick runs serially by design, so registration keeps
-                // its deterministic order even under parallel execution.
+                // Registered lazily, on the hop's first tick.
                 let c = ctx.stats.counter(&format!("{}.forwarded", self.name));
                 self.counter = Some(c);
                 c
@@ -576,16 +574,11 @@ impl Component<u64> for Hop {
     fn is_idle(&self) -> bool {
         true // drains on demand; quiescence comes from empty links
     }
-    fn parallel_safe(&self) -> bool {
-        true
-    }
 }
 
-/// A fault-probing, parallel-safe hop: probes the injector for every popped
-/// payload, dropping hits (recorded lost) and forwarding the rest. Its
-/// metrics are pre-registered through [`Component::register_metrics`], so
-/// even under an armed schedule its buffered ticks commit without a retick —
-/// the per-origin probe streams make the buffered draws exact.
+/// A fault-probing hop: probes the injector for every popped payload,
+/// dropping hits (recorded lost) and forwarding the rest. Its metrics are
+/// pre-registered through [`Component::register_metrics`].
 struct FaultyHop {
     name: String,
     rx: LinkId,
@@ -631,9 +624,6 @@ impl Component<u64> for FaultyHop {
         }
     }
     fn is_idle(&self) -> bool {
-        true
-    }
-    fn parallel_safe(&self) -> bool {
         true
     }
 }
@@ -694,9 +684,7 @@ macro_rules! build_faulty_chains {
     }};
 }
 
-/// Builds producer → hop → hop → consumer chains on one executor. The hops
-/// are parallel-safe; the producers and consumers are not, so every edge
-/// mixes worker-computed and serially-committed slots.
+/// Builds producer → hop → hop → consumer chains on one executor.
 macro_rules! build_hop_chains {
     ($sim:expr, $chains:expr) => {{
         let pool = clock_pool();
@@ -751,26 +739,13 @@ macro_rules! build_hop_chains {
     }};
 }
 
-/// Runs one bucketed executor to `horizon` and fingerprints everything the
-/// paper pipeline consumes: final time, checkpoint bytes, rendered stats
-/// table and trace dump.
-fn parallel_fingerprint(
-    sim: &mut Simulation<u64>,
-    horizon: Time,
-) -> (Time, Vec<u8>, String, String) {
-    sim.stats_mut().trace_mut().enable(512);
-    sim.run_until(horizon);
-    let at = sim.time();
-    let report = sim.stats().report(at).to_string();
-    let trace = sim.stats().trace().dump();
-    (at, sim.checkpoint().as_bytes().to_vec(), report, trace)
-}
-
-/// Like [`parallel_fingerprint`], but with an optional mid-run gear shift:
-/// run the first third cycle-accurate, fast-forward the middle third at the
-/// given quantum, then drop back to cycle accuracy for the rest. All
-/// executors in one comparison get the same gear schedule, so the fingerprint
-/// must match regardless of job count or sparse/dense scheduling.
+/// Runs one bucketed executor and fingerprints everything the paper
+/// pipeline consumes: final time, checkpoint bytes, rendered stats table and
+/// trace dump. With a quantum the gear shifts mid-run: the first third
+/// cycle-accurate, the middle third fast-forwarded at that quantum, then
+/// cycle accuracy again for the rest. All executors in one comparison get
+/// the same gear schedule, so the fingerprint must match regardless of
+/// sparse/dense scheduling.
 fn compound_fingerprint(
     sim: &mut Simulation<u64>,
     horizon_ns: u64,
@@ -798,8 +773,7 @@ fn compound_fingerprint(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// For random mixed-safety platforms, every job count in {2, 4, 8}
-    /// reproduces the serial run byte-for-byte, and the serial run agrees
+    /// For random counting, tracing chains, the bucketed executor agrees
     /// with the naive full-scan oracle.
     #[test]
     fn parallel_matches_serial_and_naive_at_all_job_counts(
@@ -814,30 +788,16 @@ proptest! {
         let naive_report = naive.stats().report(naive.time()).to_string();
 
         let mut serial: Simulation<u64> = Simulation::new();
-        serial.set_tick_jobs(1);
         build_hop_chains!(serial, chains);
-        let (serial_at, serial_blob, serial_report, serial_trace) =
-            parallel_fingerprint(&mut serial, horizon);
+        serial.run_until(horizon);
 
-        prop_assert_eq!(naive.time(), serial_at);
-        prop_assert_eq!(&naive_report, &serial_report);
-
-        for jobs in [2usize, 4, 8] {
-            let mut par: Simulation<u64> = Simulation::new();
-            par.set_tick_jobs(jobs);
-            build_hop_chains!(par, chains);
-            let (at, blob, report, trace) = parallel_fingerprint(&mut par, horizon);
-            prop_assert_eq!(serial_at, at);
-            prop_assert_eq!(&serial_report, &report);
-            prop_assert_eq!(&serial_trace, &trace);
-            prop_assert_eq!(&serial_blob, &blob);
-        }
+        prop_assert_eq!(naive.time(), serial.time());
+        prop_assert_eq!(naive_report, serial.stats().report(serial.time()).to_string());
     }
 
-    /// Armed fault injection now rides the parallel path: buffered per-origin
-    /// probe draws are replayed in serial commit order, so every job count
-    /// stays byte-identical to serial (and serial to the naive oracle) while
-    /// the edge keeps computing on workers.
+    /// Under armed fault injection — every component drawing from its own
+    /// probe stream — the bucketed executor reads the naive oracle's
+    /// statistics and fault counts.
     #[test]
     fn armed_fault_runs_match_serial_and_naive_at_any_job_count(
         chains in prop::collection::vec((0usize..8, 0usize..8, 1u64..20, 1usize..4), 1..4),
@@ -856,40 +816,19 @@ proptest! {
         let naive_counts = naive.faults_mut().counts();
 
         let mut serial: Simulation<u64> = Simulation::new();
-        serial.set_tick_jobs(1);
         build_faulty_chains!(serial, chains);
         serial.faults_mut().arm(schedule);
-        let (serial_at, serial_blob, serial_report, serial_trace) =
-            parallel_fingerprint(&mut serial, horizon);
+        serial.run_until(horizon);
 
-        prop_assert_eq!(naive.time(), serial_at);
-        prop_assert_eq!(&naive_report, &serial_report);
+        prop_assert_eq!(naive.time(), serial.time());
+        prop_assert_eq!(naive_report, serial.stats().report(serial.time()).to_string());
         prop_assert_eq!(naive_counts, serial.faults().counts());
-
-        for jobs in [2usize, 4, 8] {
-            let before = mpsoc_kernel::activity::snapshot();
-            let mut par: Simulation<u64> = Simulation::new();
-            par.set_tick_jobs(jobs);
-            build_faulty_chains!(par, chains);
-            par.faults_mut().arm(schedule);
-            let (at, blob, report, trace) = parallel_fingerprint(&mut par, horizon);
-            prop_assert_eq!(serial_at, at);
-            prop_assert_eq!(&serial_report, &report);
-            prop_assert_eq!(&serial_trace, &trace);
-            prop_assert_eq!(&serial_blob, &blob);
-            prop_assert_eq!(naive_counts, par.faults().counts());
-            let delta = mpsoc_kernel::activity::snapshot().since(before);
-            prop_assert!(
-                delta.par_computed > 0,
-                "armed faults must not keep the edge off the parallel path"
-            );
-        }
     }
 
-    /// Compound differential: sparse scheduling, parallel ticking, armed
-    /// faults and an optional mid-run gear shift all composed at once must
-    /// stay byte-identical to the dense serial run at every job count, and
-    /// (when no gear shift is involved) agree with the naive oracle.
+    /// Compound differential: sparse scheduling, armed faults and an
+    /// optional mid-run gear shift all composed at once must stay
+    /// byte-identical to the dense run, and (when no gear shift is
+    /// involved) agree with the naive oracle.
     #[test]
     fn sparse_parallel_composition_matches_dense_serial(
         pairs in prop::collection::vec(
@@ -907,7 +846,6 @@ proptest! {
         let dense_log: ObsLog = Arc::new(Mutex::new(Vec::new()));
         let mut dense: Simulation<u64> = Simulation::new();
         dense.set_dense(true);
-        dense.set_tick_jobs(1);
         build_paced!(dense, pairs, dense_log);
         build_faulty_chains!(dense, chains);
         dense.faults_mut().arm(schedule);
@@ -934,24 +872,20 @@ proptest! {
             );
         }
 
-        for jobs in [2usize, 4, 8] {
-            let log: ObsLog = Arc::new(Mutex::new(Vec::new()));
-            let mut sim: Simulation<u64> = Simulation::new();
-            sim.set_dense(false);
-            sim.set_tick_jobs(jobs);
-            build_paced!(sim, pairs, log);
-            build_faulty_chains!(sim, chains);
-            sim.faults_mut().arm(schedule);
-            let (at, blob, report, trace) = compound_fingerprint(&mut sim, horizon_ns, quantum);
-            prop_assert_eq!(dense_at, at);
-            prop_assert_eq!(&dense_report, &report);
-            prop_assert_eq!(&dense_trace, &trace);
-            prop_assert_eq!(&dense_blob, &blob);
-            prop_assert_eq!(
-                dense_log.lock().unwrap().clone(),
-                log.lock().unwrap().clone()
-            );
-        }
+        let log: ObsLog = Arc::new(Mutex::new(Vec::new()));
+        let mut sparse: Simulation<u64> = Simulation::new();
+        build_paced!(sparse, pairs, log);
+        build_faulty_chains!(sparse, chains);
+        sparse.faults_mut().arm(schedule);
+        let (at, blob, report, trace) = compound_fingerprint(&mut sparse, horizon_ns, quantum);
+        prop_assert_eq!(dense_at, at);
+        prop_assert_eq!(&dense_report, &report);
+        prop_assert_eq!(&dense_trace, &trace);
+        prop_assert_eq!(&dense_blob, &blob);
+        prop_assert_eq!(
+            dense_log.lock().unwrap().clone(),
+            log.lock().unwrap().clone()
+        );
     }
 }
 
@@ -1022,33 +956,23 @@ fn report_bytes(report: &RunReport) -> String {
     format!("{report:?}")
 }
 
-/// Runs `platform` to completion, or to `window` when one is given, and
-/// returns everything compared below: the report, the checkpoint, and the
-/// charged and elided tick counts.
-fn outcome(platform: &mut Platform, window: Option<Time>) -> (String, Vec<u8>, u64, u64) {
-    let report = match window {
-        None => platform.run().expect("drains"),
-        Some(at) => {
-            platform.sim_mut().run_until(at);
-            platform.report_at(at)
-        }
-    };
+/// Runs `platform` to completion and returns everything compared below:
+/// the report, the checkpoint and the elided tick count.
+fn outcome(platform: &mut Platform) -> (String, Vec<u8>, u64) {
+    let report = platform.run().expect("drains");
     (
         report_bytes(&report),
         platform.checkpoint().as_bytes().to_vec(),
-        platform.sim().ticks_executed(),
         platform.sim().ticks_elided(),
     )
 }
 
-/// Sparse (the default, with elision) against `--dense` and against the
-/// parallel executor at 2 and 4 jobs: byte-identical `RunReport`s and
-/// checkpoints, and — sparse serial against sparse parallel — identical
-/// charged and elided tick counts.
+/// Sparse (the default, with elision) against `--dense`: byte-identical
+/// `RunReport`s and checkpoints.
 #[test]
 fn stalled_platforms_match_dense_and_every_job_count() {
     for (label, build) in stalled_platforms() {
-        let (report, blob, charged, elided) = outcome(&mut build(), None);
+        let (report, blob, elided) = outcome(&mut build());
         assert!(
             elided > 0,
             "{label}: nothing elided — not a stalled platform"
@@ -1056,25 +980,10 @@ fn stalled_platforms_match_dense_and_every_job_count() {
 
         let mut dense = build();
         dense.sim_mut().set_dense(true);
-        let (dense_report, dense_blob, _, dense_elided) = outcome(&mut dense, None);
+        let (dense_report, dense_blob, dense_elided) = outcome(&mut dense);
         assert_eq!(dense_report, report, "{label}: dense");
         assert_eq!(dense_blob, blob, "{label}: dense");
         assert_eq!(dense_elided, 0, "{label}: dense elides nothing");
-
-        // The parallel executor hands every edge to its workers and back; a
-        // slow-memory platform runs for 570 k cycles, which costs tens of
-        // seconds per job count in a debug build. Those two are compared
-        // over their first 20 us.
-        let window = label.ends_with("32ws").then_some(Time::from_us(20));
-        let serial = match window {
-            None => (report, blob, charged, elided),
-            Some(_) => outcome(&mut build(), window),
-        };
-        for jobs in [2usize, 4] {
-            let mut par = build();
-            par.sim_mut().set_tick_jobs(jobs);
-            assert_eq!(outcome(&mut par, window), serial, "{label}: {jobs} jobs");
-        }
     }
 }
 
@@ -1385,8 +1294,8 @@ macro_rules! wire_waiting {
 
 /// A checkpoint cut on an edge the DSP sleeps through stalled *and* the AHB
 /// bus sleeps through held — both owing credit to their counters — is the
-/// same blob on the sparse schedule, on the dense one and at 2 and 4 jobs,
-/// reads the naive oracle's statistics, and resumes to the straight run's.
+/// same blob on the sparse schedule and on the dense one, reads the naive
+/// oracle's statistics, and resumes to the straight run's.
 #[test]
 fn a_checkpoint_cut_while_the_dsp_is_stalled_and_the_bus_is_held_is_exact() {
     type Sim = Simulation<mpsoc_protocol::Packet>;
@@ -1435,35 +1344,27 @@ fn a_checkpoint_cut_while_the_dsp_is_stalled_and_the_bus_is_held_is_exact() {
     sparse.run_until(cut);
     let blob = sparse.checkpoint();
     assert_eq!(sparse.stats().report(cut).to_string(), naive_cut);
-    type Setup = fn(&mut Sim);
-    let others: [(&str, Setup); 3] = [
-        ("dense", |sim| sim.set_dense(true)),
-        ("2 jobs", |sim| sim.set_tick_jobs(2)),
-        ("4 jobs", |sim| sim.set_tick_jobs(4)),
-    ];
-    for (label, setup) in others {
-        let mut other = build();
-        setup(&mut other);
-        other.run_until(cut);
-        assert!(
-            other.checkpoint().as_bytes() == blob.as_bytes(),
-            "{label}: checkpoint at the cut"
-        );
-        // ... and any of them carries the sparse blob on to the same end.
-        let mut resumed = build();
-        setup(&mut resumed);
-        resumed.restore(&blob).expect("restores into a twin");
-        assert_eq!(
-            resumed.run_to_quiescence(horizon),
-            RunOutcome::Quiescent { at: end },
-            "{label}: resumed drain time"
-        );
-        assert_eq!(
-            resumed.stats().report(end).to_string(),
-            naive_end,
-            "{label}: resumed"
-        );
-    }
+    let mut dense = build();
+    dense.set_dense(true);
+    dense.run_until(cut);
+    assert!(
+        dense.checkpoint().as_bytes() == blob.as_bytes(),
+        "dense: checkpoint at the cut"
+    );
+    // ... and the dense schedule carries the sparse blob on to the same end.
+    let mut resumed_dense = build();
+    resumed_dense.set_dense(true);
+    resumed_dense.restore(&blob).expect("restores into a twin");
+    assert_eq!(
+        resumed_dense.run_to_quiescence(horizon),
+        RunOutcome::Quiescent { at: end },
+        "dense: resumed drain time"
+    );
+    assert_eq!(
+        resumed_dense.stats().report(end).to_string(),
+        naive_end,
+        "dense: resumed"
+    );
 
     let mut resumed = build();
     resumed.restore(&blob).expect("restores into a twin");
