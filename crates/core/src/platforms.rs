@@ -421,6 +421,13 @@ impl Platform {
         Ok(self.report_at(exec))
     }
 
+    /// The [`exec_cycles`](RunReport::exec_cycles) of
+    /// [`report_at(exec)`](Platform::report_at), without building the rest
+    /// of the report: what a served sweep point returns.
+    pub fn exec_cycles_at(&self, exec: Time) -> u64 {
+        crate::report::exec_cycles(exec, self.reference_clock.period())
+    }
+
     /// Builds a report for the current simulation state (used by stepping
     /// experiments).
     pub fn report_at(&self, exec: Time) -> RunReport {

@@ -88,6 +88,12 @@ pub struct RunReport {
     pub counters: BTreeMap<String, u64>,
 }
 
+/// An execution time in cycles of a reference clock of period `ref_period`:
+/// [`RunReport::exec_cycles`].
+pub(crate) fn exec_cycles(exec_time: Time, ref_period: Time) -> u64 {
+    exec_time.as_ps() / ref_period.as_ps().max(1)
+}
+
 impl RunReport {
     /// Execution time as kernel [`Time`].
     pub fn exec_time(&self) -> Time {
@@ -187,7 +193,7 @@ impl RunReport {
 
         RunReport {
             exec_time_ps: exec_time.as_ps(),
-            exec_cycles: exec_time.as_ps() / ref_period.as_ps().max(1),
+            exec_cycles: exec_cycles(exec_time, ref_period),
             injected,
             buses,
             lmi,

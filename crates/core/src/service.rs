@@ -319,7 +319,7 @@ fn warm_pass(
         .or(samples.last())
         .map_or(Time::ZERO, |(at, _)| *at);
     let profile = WarmProfile {
-        base_cycles: exec.map_or(0, |at| platform.report_at(at).exec_cycles),
+        base_cycles: exec.map_or(0, |at| platform.exec_cycles_at(at)),
         warm_until,
     };
     let blob = captured
@@ -573,7 +573,7 @@ pub fn serve_point_on(
     let exec = platform
         .sim_mut()
         .run_to_quiescence_strict(SERVICE_HORIZON)?;
-    Ok(platform.report_at(exec).exec_cycles)
+    Ok(platform.exec_cycles_at(exec))
 }
 
 /// Serves many sweep points of one warm key as a single fan-out: every
@@ -818,6 +818,25 @@ mod tests {
             served, warm.profile.base_cycles,
             "forking the base point must continue the probe's exact run"
         );
+    }
+
+    #[test]
+    fn a_served_point_reads_the_reports_exec_cycles() {
+        let req = SweepRequest {
+            wait_states: 8,
+            ..quick_request()
+        };
+        let warm = warm_state(&req).expect("warm state");
+        let mut platform = build_platform(&req.base_spec()).expect("builds");
+        platform.restore(&warm.blob).expect("restores");
+        assert!(platform.set_memory_wait_states(req.wait_states));
+        let exec = platform
+            .sim_mut()
+            .run_to_quiescence_strict(SERVICE_HORIZON)
+            .expect("drains");
+        let cycles = platform.exec_cycles_at(exec);
+        assert_eq!(cycles, platform.report_at(exec).exec_cycles);
+        assert_eq!(serve_point(&req, &warm).expect("serves"), cycles);
     }
 
     #[test]

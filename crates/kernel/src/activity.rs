@@ -115,12 +115,12 @@ pub(crate) struct Pending {
 }
 
 impl Pending {
-    /// Counts one processed edge that charged `ticks` component ticks — of
-    /// which `elided` were retired without dispatch — and skipped `skipped`
-    /// sleeping ones.
+    /// Counts `edges` processed edge instants that together charged `ticks`
+    /// component ticks — of which `elided` were retired without dispatch —
+    /// and skipped `skipped` sleeping ones.
     #[inline]
-    pub(crate) fn record_edge(&mut self, ticks: u64, skipped: u64, elided: u64) {
-        self.total.edges += 1;
+    pub(crate) fn record_edge(&mut self, edges: u64, ticks: u64, skipped: u64, elided: u64) {
+        self.total.edges += edges;
         self.total.ticks += ticks;
         self.total.skipped += skipped;
         self.total.elided += elided;
@@ -181,7 +181,7 @@ mod tests {
     fn pending_counts_reach_the_globals_on_flush_once() {
         let before = snapshot();
         let mut pending = Pending::default();
-        pending.record_edge(3, 1, 2);
+        pending.record_edge(1, 3, 1, 2);
         pending.record_fast(2, 7);
         pending.flush();
         pending.flush();

@@ -63,6 +63,21 @@
 //! all. Charged, elided and skipped totals come from a per-bucket count of
 //! stalled members and edge-index differences, not from per-slot per-edge
 //! increments.
+//!
+//! # Quiet stretches
+//!
+//! An instant on which no fired bucket has anything due — a *quiet* one —
+//! is rarely alone: a master waiting on slow memory leaves every bucket's
+//! bound ahead for many edges. A bounded run ([`Simulation::run_until`],
+//! [`Simulation::run_to_quiescence`]) that reaches a quiet instant
+//! therefore retires it and the whole stretch behind it in one step: every
+//! instant before the earliest of the horizon and each bucket's first edge
+//! at or after its bound. Nothing in the stretch can lower a bound, since
+//! only a dispatched tick makes link traffic. Edge indices, next edges and
+//! the charged, elided and skipped totals advance by arithmetic; the edge
+//! count gains the distinct instants of the stretch (coincident edges of
+//! different buckets are one instant). [`Simulation::step`] never does
+//! this: it retires exactly one instant.
 
 use crate::clock::ClockDomain;
 use crate::component::{Component, ComponentId, StallHint, TickContext};
@@ -292,6 +307,9 @@ pub struct Simulation<T> {
     /// Invalidated on component registration. Linear scan — coincident-edge
     /// patterns are few per platform.
     merge_cache: Vec<(Vec<u32>, Vec<u32>)>,
+    /// Scratch for [`retire_quiet_stretch`](Self::retire_quiet_stretch):
+    /// the edges of every bucket firing in the stretch.
+    stretch: Vec<StretchEdges>,
     /// Number of components whose cached idle flag is `false`.
     busy: usize,
     /// Edges processed so far.
@@ -347,6 +365,7 @@ impl<T> Simulation<T> {
             pending: None,
             fired: Vec::new(),
             merge_cache: Vec::new(),
+            stretch: Vec::new(),
             busy: 0,
             edges: 0,
             total_ticks: 0,
@@ -742,27 +761,31 @@ impl<T> Simulation<T> {
 
     /// Advances to the next edge and ticks every component scheduled there
     /// (every *runnable* component under sparse ticking; edges themselves
-    /// are never skipped). In [`Fidelity::Fast`] gear one step processes a
-    /// whole quantum-aligned *window* of edges per fired clock domain.
+    /// are never skipped). In the cycle gear that is exactly one edge
+    /// instant, quiet or not. In [`Fidelity::Fast`] gear one step processes
+    /// a whole quantum-aligned *window* of edges per fired clock domain.
     ///
     /// Returns the (first) edge time, or `None` when no components exist.
     pub fn step(&mut self) -> Option<Time> {
-        let edge = self.step_bounded(None);
+        let edge = self.step_bounded(None, None);
         self.finish_call();
         edge
     }
 
     /// One scheduling batch, with fast-gear windows clamped so no edge past
     /// `limit` is processed (the bounded-run entry point; `None` leaves
-    /// windows at their quantum alignment). Skip-audit mode forces the
-    /// cycle-accurate path — its byte-comparisons are per-edge by
-    /// definition.
-    fn step_bounded(&mut self, limit: Option<Time>) -> Option<Time> {
+    /// windows at their quantum alignment). In the cycle gear a quiet
+    /// instant is retired with the quiet stretch it begins, up to
+    /// `quiet_until` at most (see
+    /// [`retire_quiet_stretch`](Self::retire_quiet_stretch); `None` retires
+    /// exactly one instant). Skip-audit mode forces the cycle-accurate path
+    /// — its byte-comparisons are per-edge by definition.
+    fn step_bounded(&mut self, limit: Option<Time>, quiet_until: Option<Time>) -> Option<Time> {
         match self.fidelity {
             Fidelity::Fast { quantum } if self.audit.is_none() => {
                 self.step_fast(limit, quantum.max(1))
             }
-            _ => self.step_cycle(),
+            _ => self.step_cycle(quiet_until),
         }
     }
 
@@ -838,20 +861,26 @@ impl<T> Simulation<T> {
         }
     }
 
-    /// The cycle-accurate scheduling step (one edge instant).
-    fn step_cycle(&mut self) -> Option<Time> {
+    /// The cycle-accurate scheduling step: one edge instant, or — when that
+    /// instant is quiet and `quiet_until` is given — the quiet stretch it
+    /// begins.
+    fn step_cycle(&mut self, quiet_until: Option<Time>) -> Option<Time> {
         let edge = self.pending?;
-        self.time = edge;
         let now_ps = edge.as_ps();
         // The wake keys drive the edge unless the schedule dispatches every
         // member anyway: the dense one, and the audit.
         let keyed = !self.dense && self.audit.is_none();
-        let dispatched = if keyed
+        let quiet = keyed
             && self
                 .fired
                 .iter()
-                .all(|&b| self.links.bucket_due(b) > now_ps)
-        {
+                .all(|&b| self.links.bucket_due(b) > now_ps);
+        if let Some(horizon) = quiet_until.filter(|_| quiet) {
+            self.retire_quiet_stretch(horizon);
+            return Some(edge);
+        }
+        self.time = edge;
+        let dispatched = if quiet {
             // No fired bucket has a key due: nothing to dispatch, nothing to
             // decide, and the members need not be walked.
             0
@@ -890,9 +919,68 @@ impl<T> Simulation<T> {
         self.edges += 1;
         self.total_ticks += ticked;
         self.total_elided += elided;
-        self.activity.record_edge(ticked, members - ticked, elided);
+        self.activity
+            .record_edge(1, ticked, members - ticked, elided);
         self.select();
         Some(edge)
+    }
+
+    /// Retires the pending instant, which is quiet, and every instant after
+    /// it up to the stretch end `T` in one step: `T` is the earliest of
+    /// `horizon + 1 ps` and, for every bucket, its first edge at or after
+    /// its bound ([`LinkPool::bucket_due`]). No instant before `T` can
+    /// dispatch: each bucket firing there has its bound above the instant,
+    /// and only a dispatched tick lowers a bound. Such an instant is what
+    /// [`step_cycle`](Self::step_cycle) would make of it — every stalled
+    /// member charged one elided tick, every other member skipped — so the
+    /// stretch is counted by arithmetic: a merge over the `stretch` scratch
+    /// counts each bucket's edges and the distinct instants among them
+    /// (coincident edges of different buckets are one instant).
+    // Out of line: inlined into `step_cycle` it cost the every-edge path of
+    // dense components 7 % (`kernel_hotpath`'s `bucketed` case).
+    #[inline(never)]
+    fn retire_quiet_stretch(&mut self, horizon: Time) {
+        // Past the pending instant: a fired bucket's bound is above it, and
+        // every other bucket's next edge is.
+        let mut end = horizon.as_ps().saturating_add(1);
+        for (b, next) in self.next_edges.iter().enumerate() {
+            let (next, due) = (next.as_ps(), self.links.bucket_due(b as u32));
+            if due < end {
+                let first = if due <= next {
+                    next
+                } else {
+                    let period = self.buckets[b].clock.period().as_ps();
+                    next + (due - next).div_ceil(period) * period
+                };
+                end = end.min(first);
+            }
+        }
+        self.stretch.clear();
+        for (b, next) in self.next_edges.iter().enumerate() {
+            if next.as_ps() < end {
+                self.stretch.push(StretchEdges {
+                    bucket: b,
+                    next: next.as_ps(),
+                    period: self.buckets[b].clock.period().as_ps(),
+                    edges: 0,
+                });
+            }
+        }
+        let (instants, last) = distinct_instants(&mut self.stretch, end);
+        let (mut elided, mut skipped) = (0u64, 0u64);
+        for s in &self.stretch {
+            let bucket = &mut self.buckets[s.bucket];
+            bucket.edge_index += s.edges;
+            self.next_edges[s.bucket] = Time::from_ps(s.next);
+            elided += bucket.stalled * s.edges;
+            skipped += (bucket.members.len() as u64 - bucket.stalled) * s.edges;
+        }
+        self.time = Time::from_ps(last);
+        self.edges += instants;
+        self.total_ticks += elided;
+        self.total_elided += elided;
+        self.activity.record_edge(instants, elided, skipped, elided);
+        self.select();
     }
 
     /// The loosely-timed scheduling step: every fired bucket processes a
@@ -989,7 +1077,7 @@ impl<T> Simulation<T> {
         }
         self.total_ticks += ticked;
         self.total_elided += stalled;
-        self.activity.record_edge(ticked, skipped, stalled);
+        self.activity.record_edge(1, ticked, skipped, stalled);
         self.activity.record_fast(windows, slept);
     }
 
@@ -1261,7 +1349,7 @@ impl<T> Simulation<T> {
             if next > horizon {
                 break;
             }
-            self.step_bounded(Some(horizon));
+            self.step_bounded(Some(horizon), Some(horizon));
         }
         self.finish_call();
     }
@@ -1292,7 +1380,12 @@ impl<T> Simulation<T> {
             }
             match self.next_edge() {
                 Some(next) if next <= horizon => {
-                    self.step_bounded(Some(horizon));
+                    // A quiet instant changes nothing, so a platform that is
+                    // not quiescent now is not at the end of the stretch
+                    // either; one that is (at time zero) stops at the next
+                    // instant, with no stretch to retire.
+                    let quiet_until = (!self.is_quiescent()).then_some(horizon);
+                    self.step_bounded(Some(horizon), quiet_until);
                 }
                 _ => break RunOutcome::HorizonReached { at: self.time },
             }
@@ -1574,6 +1667,45 @@ impl<T: crate::snapshot::SnapshotPayload> Simulation<T> {
             "idle contract violated: `{name}` touched link queues during a tick sparse scheduling would not have dispatched (edge {edge})"
         );
     }
+}
+
+/// One bucket's edges in a quiet stretch, in ps: the scratch entry of
+/// [`Simulation::retire_quiet_stretch`].
+struct StretchEdges {
+    bucket: usize,
+    /// The bucket's next edge; left at its first edge past the stretch.
+    next: u64,
+    period: u64,
+    /// Edges the bucket fires in the stretch.
+    edges: u64,
+}
+
+/// The number of distinct instants before `end` among the edges of
+/// `buckets` — each with its next edge before `end` — and the last of them.
+/// Walks the instants in order, advancing and counting every bucket edge
+/// that fires on one.
+fn distinct_instants(buckets: &mut [StretchEdges], end: u64) -> (u64, u64) {
+    if let [only] = buckets {
+        only.edges = (end - 1 - only.next) / only.period + 1;
+        only.next += only.edges * only.period;
+        return (only.edges, only.next - only.period);
+    }
+    let (mut count, mut last) = (0, 0);
+    let mut at = buckets.iter().map(|s| s.next).min().unwrap_or(end);
+    while at < end {
+        count += 1;
+        last = at;
+        let mut following = u64::MAX;
+        for s in buckets.iter_mut() {
+            if s.next == at {
+                s.next += s.period;
+                s.edges += 1;
+            }
+            following = following.min(s.next);
+        }
+        at = following;
+    }
+    (count, last)
 }
 
 impl<T> Default for Simulation<T> {

@@ -951,3 +951,215 @@ fn the_dense_twin_catches_a_lying_hint_inside_a_window() {
     };
     assert!(run(false).as_bytes() != run(true).as_bytes());
 }
+
+// ---------------------------------------------------------------------
+// Quiet stretches: a bounded run retires every instant on which no bucket
+// has a key due in one step. The reference is a twin driven by `step`,
+// which retires exactly one instant per call.
+// ---------------------------------------------------------------------
+
+/// Where the waiter pair of [`add_late_waiter`] joins the run.
+const ADD_AT: Time = Time::from_ns(100);
+
+/// Adds a waiter named `name` on `clk`, nudged at `nudge_at` and answered at
+/// `resp_at` (one waiter period later each) by a sender of its own on
+/// `sender_clk`, counting its waits from `count_from`.
+fn add_waiter(
+    sim: &mut Simulation<u64>,
+    name: &str,
+    (clk, sender_clk): (ClockDomain, ClockDomain),
+    (nudge_at, resp_at, count_from): (Time, Time, Time),
+) {
+    let resp = sim
+        .links_mut()
+        .add_link(format!("{name}.resp"), 1, clk.period());
+    let nudge = sim
+        .links_mut()
+        .add_link(format!("{name}.nudge"), 1, clk.period());
+    sim.add_component(
+        Box::new(Waiter {
+            name: name.to_owned(),
+            resp,
+            nudge,
+            count_from,
+            counts: Counts::Honestly,
+            waiting: true,
+            waits: None,
+            dispatched: Arc::default(),
+        }),
+        clk,
+    );
+    let sender = Sender {
+        sends: vec![(nudge, nudge_at, Time::ZERO), (resp, resp_at, Time::ZERO)],
+        sent: 0,
+        dispatched: Arc::default(),
+    };
+    sim.add_component(Box::new(sender), sender_clk);
+}
+
+/// Clocks of 2 500, 4 000, 5 000 and 7 518 ps (400, 250, 200 and 133 MHz),
+/// the last one 1 ns out of phase. Two waiters — stalled members with a
+/// counted hint — on the 400 and 133 MHz clocks, their senders on 250 MHz,
+/// and a member asleep for good on 200 MHz.
+fn quiet_platform() -> Simulation<u64> {
+    let mut sim: Simulation<u64> = Simulation::with_seed(4);
+    let [c400, c250, c200, c133] = [400, 250, 200, 133].map(ClockDomain::from_mhz);
+    let shifted = c133.with_phase(Time::from_ns(1));
+    let ns = Time::from_ns;
+    add_waiter(&mut sim, "w0", (c400, c250), (ns(150), ns(900), ns(30)));
+    add_waiter(&mut sim, "w1", (shifted, c250), (ns(250), ns(400), ns(0)));
+    let sleeper = Sender {
+        sends: Vec::new(),
+        sent: 0,
+        dispatched: Arc::default(),
+    };
+    sim.add_component(Box::new(sleeper), c200);
+    sim
+}
+
+/// A third waiter on a bucket of its own (250 MHz, 1.5 ns out of phase),
+/// added at [`ADD_AT`].
+fn add_late_waiter(sim: &mut Simulation<u64>) {
+    let clk = ClockDomain::from_mhz(250).with_phase(Time::from_ps(1_500));
+    let ns = Time::from_ns;
+    add_waiter(sim, "w2", (clk, clk), (ns(350), ns(600), ns(120)));
+}
+
+/// Steps `sim` one instant at a time through `horizon` — stopping at
+/// quiescence too when `quiescent` — the way the bounded runs would.
+fn step_through(sim: &mut Simulation<u64>, horizon: Time, quiescent: bool) {
+    while sim.next_edge().is_some_and(|next| next <= horizon)
+        && !(quiescent && sim.time() > Time::ZERO && sim.is_quiescent())
+    {
+        sim.step();
+    }
+}
+
+/// The same run, retired in stretches and one instant at a time.
+fn assert_twins(jumped: &Simulation<u64>, stepped: &Simulation<u64>, label: &str) {
+    assert_eq!(jumped.time(), stepped.time(), "{label}: time");
+    assert_eq!(
+        jumped.next_edge(),
+        stepped.next_edge(),
+        "{label}: next edge"
+    );
+    assert_eq!(
+        jumped.edges_processed(),
+        stepped.edges_processed(),
+        "{label}: edges"
+    );
+    assert_eq!(
+        [jumped.ticks_executed(), jumped.ticks_elided()],
+        [stepped.ticks_executed(), stepped.ticks_elided()],
+        "{label}: charged and elided"
+    );
+    assert_eq!(
+        component_tick_counts(jumped),
+        component_tick_counts(stepped),
+        "{label}: per-component ticks"
+    );
+    let dispatches = |sim: &Simulation<u64>| {
+        sim.component_ids()
+            .map(|id| sim.component_dispatches(id))
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(
+        dispatches(jumped),
+        dispatches(stepped),
+        "{label}: per-component dispatches"
+    );
+    assert_eq!(
+        jumped.activity.total(),
+        stepped.activity.total(),
+        "{label}: activity"
+    );
+    assert!(
+        jumped.checkpoint().as_bytes() == stepped.checkpoint().as_bytes(),
+        "{label}: checkpoints differ"
+    );
+    assert_accounts_add_up(jumped);
+}
+
+/// The quiet platform run to [`ADD_AT`] — by a bounded run and by steps —
+/// with the late waiter added to both.
+fn twins_past_the_add() -> (Simulation<u64>, Simulation<u64>) {
+    let (mut jumped, mut stepped) = (quiet_platform(), quiet_platform());
+    jumped.run_until(ADD_AT);
+    step_through(&mut stepped, ADD_AT, false);
+    assert_twins(&jumped, &stepped, "at the add");
+    add_late_waiter(&mut jumped);
+    add_late_waiter(&mut stepped);
+    (jumped, stepped)
+}
+
+/// Runs the twins past the add to quiescence, the jumping one a batch at a
+/// time (what `run_to_quiescence` does between its checks), the other in
+/// steps, and compares them after every batch. Returns every stretch a
+/// batch retired in one step, if more than one instant long: the instant
+/// before it, its first and last instants, and the first instant after it —
+/// where a key can be due.
+fn stretches() -> Vec<[Time; 4]> {
+    let (mut jumped, mut stepped) = twins_past_the_add();
+    let mut stretches = Vec::new();
+    let mut instants = 0;
+    let mut batches = 0;
+    while !(jumped.time() > Time::ZERO && jumped.is_quiescent()) {
+        assert!(jumped.time() < HORIZON, "never drained");
+        let (before, edges) = (jumped.time(), jumped.edges_processed());
+        let first = jumped.step_cycle(Some(HORIZON)).expect("an edge");
+        jumped.finish_call();
+        batches += 1;
+        instants += jumped.edges_processed() - edges;
+        if jumped.edges_processed() - edges > 1 {
+            let due = jumped.next_edge().expect("an edge");
+            stretches.push([before, first, jumped.time(), due]);
+        }
+        step_through(&mut stepped, jumped.time(), false);
+        assert_twins(&jumped, &stepped, &format!("batch at {first}"));
+    }
+    // The waits are long quiet stretches: most instants went in a jump.
+    assert!(
+        batches * 4 < instants,
+        "{batches} batches for {instants} instants"
+    );
+    stretches
+}
+
+#[test]
+fn a_quiet_stretch_is_retired_in_one_step_exactly() {
+    let stretches = stretches();
+    assert!(stretches.len() >= 3, "{stretches:?}");
+    // A stretch runs up to the next instant a key is due, not past it.
+    for [before, first, last, due] in &stretches {
+        assert!(before < first && first < last && last < due);
+    }
+}
+
+#[test]
+fn a_horizon_anywhere_around_a_stretch_ends_the_run_where_steps_do() {
+    for [before, first, last, due] in stretches() {
+        let inside = Time::from_ps((first.as_ps() + last.as_ps()) / 2);
+        for (what, horizon) in [
+            ("before the stretch", before),
+            ("inside it", inside),
+            ("on its last instant", last),
+            ("on the first due instant", due),
+        ] {
+            for quiescent in [false, true] {
+                let label = format!("{what} ({horizon}), quiescent {quiescent}");
+                let (mut jumped, mut stepped) = twins_past_the_add();
+                if quiescent {
+                    jumped.run_to_quiescence(horizon);
+                } else {
+                    jumped.run_until(horizon);
+                }
+                step_through(&mut stepped, horizon, quiescent);
+                assert_twins(&jumped, &stepped, &label);
+                // And on from there, to the end of the run.
+                jumped.run_to_quiescence_strict(HORIZON).unwrap();
+                step_through(&mut stepped, HORIZON, true);
+                assert_twins(&jumped, &stepped, &format!("{label}, run out"));
+            }
+        }
+    }
+}

@@ -16,8 +16,13 @@
 //! A blob is a flat byte stream:
 //!
 //! ```text
-//! magic "MPSN" | version u16 | payload ... | fnv1a-64 checksum
+//! magic "MPSN" | version u16 | payload ... | checksum u64
 //! ```
+//!
+//! The checksum covers header and payload. Since format v3 it runs over
+//! little-endian 8-byte words in four independent lanes, every step
+//! bijective in the word it takes, so any single flipped byte is always
+//! detected.
 //!
 //! Every primitive in the payload is preceded by a one-byte type tag so that
 //! writer/reader desynchronisation is detected at the first misaligned field
@@ -46,7 +51,11 @@ pub const SNAPSHOT_MAGIC: [u8; 4] = *b"MPSN";
 /// v2 (sparse-ticking): executed-tick counts left the blob (they are
 /// schedule-derived), bucket sections gained an edge index and component
 /// sections an edge base, so sparse and dense runs checkpoint identically.
-pub const SNAPSHOT_VERSION: u16 = 2;
+///
+/// v3: the trailing checksum runs over 8-byte words in independent lanes
+/// instead of byte-serial FNV-1a; the payload encoding is unchanged. A v2
+/// blob is refused with [`SnapshotError::BadVersion`].
+pub const SNAPSHOT_VERSION: u16 = 3;
 
 const TAG_U8: u8 = 0x01;
 const TAG_U16: u8 = 0x02;
@@ -70,13 +79,72 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
     hash
 }
 
-/// FNV-1a-64 over a byte slice — the same hash the snapshot checksum uses.
+/// FNV-1a-64 over a byte slice — the same hash the structural fingerprint
+/// uses.
 ///
 /// Exposed so layers above the kernel (e.g. the serving cache's disk-spill
 /// file naming) can derive stable, collision-resistant-enough identifiers
 /// without inventing a second hash function.
 pub fn fnv1a_64(bytes: &[u8]) -> u64 {
     fnv1a64(bytes)
+}
+
+const LANE_P1: u64 = 0x9e37_79b1_85eb_ca87;
+const LANE_P2: u64 = 0xc2b2_ae3d_27d4_eb4f;
+const LANE_P3: u64 = 0x1656_67b1_9e37_79f9;
+
+/// One lane step: bijective in `word` for any `acc`, and in `acc` for any
+/// `word` (an add, a rotation and multiplications by odd constants).
+#[inline]
+fn lane(acc: u64, word: u64) -> u64 {
+    acc.wrapping_add(word.wrapping_mul(LANE_P2))
+        .rotate_left(31)
+        .wrapping_mul(LANE_P1)
+}
+
+/// The blob checksum (format v3): the bytes as little-endian 8-byte words,
+/// dealt round-robin to four independent lanes per 32-byte stripe; the
+/// lanes and the length folded together; the words past the last whole
+/// stripe (the final one zero-padded) stepped into the fold; then a final
+/// avalanche.
+///
+/// Every step is bijective in the state it is handed, so a change confined
+/// to one word — any single flipped byte among them — changes its lane,
+/// the fold and the result: such a change is always detected, not just with
+/// high probability. Word-wide independent lanes also keep the loop off
+/// the one-byte-at-a-time dependency chain of FNV-1a.
+fn checksum(bytes: &[u8]) -> u64 {
+    let mut lanes = [
+        LANE_P1.wrapping_add(LANE_P2),
+        LANE_P2,
+        0,
+        LANE_P1.wrapping_neg(),
+    ];
+    let mut stripes = bytes.chunks_exact(32);
+    for stripe in &mut stripes {
+        for (acc, word) in lanes.iter_mut().zip(stripe.chunks_exact(8)) {
+            *acc = lane(
+                *acc,
+                u64::from_le_bytes(word.try_into().expect("8-byte word")),
+            );
+        }
+    }
+    let mut h = lanes[0]
+        .rotate_left(1)
+        .wrapping_add(lanes[1].rotate_left(7))
+        .wrapping_add(lanes[2].rotate_left(12))
+        .wrapping_add(lanes[3].rotate_left(18))
+        .wrapping_add(bytes.len() as u64);
+    for word in stripes.remainder().chunks(8) {
+        let mut padded = [0u8; 8];
+        padded[..word.len()].copy_from_slice(word);
+        h = lane(h, u64::from_le_bytes(padded));
+    }
+    h ^= h >> 33;
+    h = h.wrapping_mul(LANE_P2);
+    h ^= h >> 29;
+    h = h.wrapping_mul(LANE_P3);
+    h ^ (h >> 32)
 }
 
 /// Incremental FNV-1a-64, used for the structural fingerprint that guards
@@ -335,8 +403,8 @@ impl StateWriter {
 
     /// Seals the payload with the trailing checksum and returns the blob.
     pub fn finish(mut self) -> SnapshotBlob {
-        let checksum = fnv1a64(&self.buf);
-        self.buf.extend_from_slice(&checksum.to_le_bytes());
+        let sum = checksum(&self.buf);
+        self.buf.extend_from_slice(&sum.to_le_bytes());
         SnapshotBlob {
             bytes: Arc::new(self.buf),
         }
@@ -378,7 +446,7 @@ impl<'a> StateReader<'a> {
         }
         let end = bytes.len() - 8;
         let stored = u64::from_le_bytes(bytes[end..].try_into().expect("checksum slice"));
-        if fnv1a64(&bytes[..end]) != stored {
+        if checksum(&bytes[..end]) != stored {
             return Err(SnapshotError::BadChecksum);
         }
         Ok(StateReader {

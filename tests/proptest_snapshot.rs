@@ -17,7 +17,7 @@
 //! rendered report. A trailing property checks that corrupted blobs are
 //! rejected rather than silently half-applied.
 
-use mpsoc_kernel::{FaultSchedule, SimError, SnapshotBlob, Time};
+use mpsoc_kernel::{FaultSchedule, SimError, SnapshotBlob, SnapshotError, Time};
 use mpsoc_memory::LmiConfig;
 use mpsoc_platform::{build_platform, MemorySystem, Platform, PlatformSpec, Topology, Workload};
 use mpsoc_protocol::ProtocolKind;
@@ -154,4 +154,46 @@ proptest! {
             "expected a snapshot error, got {err}"
         );
     }
+}
+
+/// A mid-run checkpoint of a real platform.
+fn platform_blob() -> SnapshotBlob {
+    let mut donor = build_platform(&spec_from(0, 0, 0, 0, 7)).expect("builds");
+    donor.sim_mut().run_until(Time::from_us(1));
+    donor.checkpoint()
+}
+
+/// The checksum is exact for a single flipped byte, not probable: every
+/// byte past the header, flipped, is a checksum mismatch.
+#[test]
+fn every_flipped_byte_of_a_platform_checkpoint_is_a_bad_checksum() {
+    let blob = platform_blob();
+    let mut bytes = blob.as_bytes().to_vec();
+    for i in 0..bytes.len() {
+        let flip = 1u8 << (i % 8);
+        bytes[i] ^= flip;
+        let got = SnapshotBlob::from_bytes(bytes.clone()).fingerprint();
+        let want = match i {
+            0..=3 => SnapshotError::BadMagic,
+            4 | 5 => SnapshotError::BadVersion {
+                found: u16::from_le_bytes([bytes[4], bytes[5]]),
+            },
+            _ => SnapshotError::BadChecksum,
+        };
+        assert_eq!(got, Err(want), "byte {i} of {}", bytes.len());
+        bytes[i] ^= flip;
+    }
+    assert_eq!(blob.as_bytes(), &bytes[..]);
+}
+
+/// A blob of the previous format — a v2 spill or frontier file — is
+/// refused by its version, before its checksum is looked at.
+#[test]
+fn a_v2_blob_is_refused_by_version() {
+    let mut bytes = platform_blob().as_bytes().to_vec();
+    bytes[4..6].copy_from_slice(&2u16.to_le_bytes());
+    assert_eq!(
+        SnapshotBlob::from_bytes(bytes).fingerprint(),
+        Err(SnapshotError::BadVersion { found: 2 })
+    );
 }
