@@ -22,15 +22,14 @@
 //!
 //! The boundary is defined by the base run's *total* injection count, which
 //! only a run to quiescence measures — but the builder knows the total in
-//! advance ([`Platform::expected_transactions`]). A cycle-accurate
-//! [`warm_state`] therefore checkpoints the probe itself at the chunk
-//! boundary where the predicted threshold is crossed and lets the same
-//! platform run on for `base_cycles`, instead of simulating the prefix a
-//! second time. The prediction is verified on every call: the boundary is
-//! still derived from the samples and the drained total, and a capture
-//! taken at any other instant is discarded and the prefix replayed. The
-//! loosely-timed gear keeps its probe-then-replay two passes; see
-//! [`warm_state`] for why.
+//! advance ([`Platform::expected_transactions`]). [`warm_state`] therefore
+//! checkpoints the probe itself at the chunk boundary where the predicted
+//! threshold is crossed and lets the same platform run on for
+//! `base_cycles`, instead of simulating the prefix a second time — in every
+//! gear. The prediction is verified on every call: the boundary is still
+//! derived from the samples and the drained total, and a capture taken at
+//! any other instant is discarded and the probe's chunk schedule replayed
+//! to the boundary, which reproduces the capture byte for byte.
 //!
 //! # Determinism contract
 //!
@@ -220,16 +219,23 @@ impl SweepRequest {
     /// the warm checkpoint, in a stable textual form. Requests with equal
     /// keys share a warm blob; the sweep-axis value and the tail knob
     /// `wait_states` are deliberately excluded.
+    ///
+    /// The gear ends the key: `/g0` for a cycle-accurate warm-up, `/q{N}`
+    /// for `Fast { quantum: N }` — never the `/g{N}` under which an older
+    /// fast-gear warm-up procedure spilled its (different) states.
     pub fn warm_key(&self) -> String {
+        let gear = match self.warm_fidelity() {
+            Fidelity::Cycle => "g0".to_owned(),
+            Fidelity::Fast { quantum } => format!("q{quantum}"),
+        };
         format!(
-            "{}/{}/{}/s{}/x{:#x}/b{}/g{}",
+            "{}/{}/{}/s{}/x{:#x}/b{}/{gear}",
             protocol_wire_name(self.protocol),
             topology_wire_name(self.topology),
             workload_wire_name(self.workload),
             self.scale,
             self.seed,
             self.base_wait_states,
-            self.fast_gear.unwrap_or(0),
         )
     }
 
@@ -422,25 +428,22 @@ impl WarmState {
 /// Produces the warm state of a request: the probe's profile and the
 /// checkpoint at its warm boundary.
 ///
-/// A cycle-accurate warm-up is **one simulation**. The run's total
+/// A warm-up is **one simulation**, in every gear. The run's total
 /// injection count is known before it starts
 /// ([`Platform::expected_transactions`]), so the probe recognises the warm
 /// boundary as it crosses it, checkpoints there and runs on to quiescence
 /// for `base_cycles`. The boundary is still derived afterwards from the
 /// samples and the drained total; the captured blob is used only if it was
-/// taken at exactly that instant, and otherwise a fresh platform is re-run
-/// to the derived boundary and checkpointed — the prediction saves time
-/// when right and changes nothing when wrong.
+/// taken at exactly that instant, and otherwise a fresh platform replays
+/// the probe's [`CHUNK`] schedule to the boundary and rebuilds it byte for
+/// byte — the prediction saves time when right and changes nothing when
+/// wrong.
 ///
-/// A loosely-timed warm gear ([`SweepRequest::fast_gear`]) keeps two
-/// passes on purpose: its prefix is a *straight* `run_until(warm_until)`
-/// whose fast-forward windows are not clipped at the probe's chunk
-/// boundaries, so a blob captured inside the chunked probe would be a
-/// different (equally approximate) state and would change served values.
-/// The prefix is shifted back to [`Fidelity::Cycle`] *before* the
-/// checkpoint, so the blob is an ordinary cycle-gear checkpoint (identical
-/// structural fingerprint) and every served tail continues from a state
-/// cycle-accurate arbitration could have produced.
+/// In a loosely-timed warm gear ([`SweepRequest::fast_gear`]) the prefix
+/// is the probe's: its fast-forward windows are clipped at every [`CHUNK`]
+/// boundary, where every component is synchronised. The blob carries no
+/// gear, so it is an ordinary checkpoint (identical structural
+/// fingerprint) and every served tail runs cycle-accurately from it.
 ///
 /// Deterministic: the same request always produces a byte-identical blob.
 ///
@@ -458,19 +461,19 @@ pub(crate) fn warm_state_of(spec: &PlatformSpec, gear: Fidelity) -> SimResult<Wa
     warm_state_predicting(spec, gear, Some(|expected| expected)).map(|(state, _)| state)
 }
 
-/// [`warm_state_of`] without the one-pass capture: probe, then a fresh
-/// platform replayed to the boundary, in every gear. The same state, byte
-/// for byte; the EXT-FAST study times this so that its cycle-gear row pays
-/// the same two passes as its fast-gear rows.
+/// [`warm_state_of`] without the one-pass capture: probe, then
+/// [`replay_to_boundary`], in every gear. The same state, byte for byte;
+/// the EXT-FAST study times this so that every gear pays the same two
+/// passes.
 pub(crate) fn warm_state_two_pass(spec: &PlatformSpec, gear: Fidelity) -> SimResult<WarmState> {
     warm_state_predicting(spec, gear, None).map(|(state, _)| state)
 }
 
-/// The body of [`warm_state_of`] and [`warm_state_two_pass`]. A
-/// cycle-accurate probe given a `predict` captures at the boundary it
-/// predicts from the builder's injection total (tests mispredict on purpose
-/// to drive the verification branch); without one, or in a fast gear, the
-/// prefix is replayed. Also reports whether the blob came from the capture.
+/// The body of [`warm_state_of`] and [`warm_state_two_pass`]. A probe
+/// given a `predict` captures at the boundary it predicts from the
+/// builder's injection total (tests mispredict on purpose to drive the
+/// verification branch); without one the prefix is replayed. Also reports
+/// whether the blob came from the capture.
 fn warm_state_predicting(
     spec: &PlatformSpec,
     gear: Fidelity,
@@ -479,9 +482,7 @@ fn warm_state_predicting(
     let mut platform = build_platform(spec)?;
     let fingerprint = platform.structural_fingerprint();
     platform.sim_mut().set_fidelity(gear);
-    let predicted_total = predict
-        .filter(|_| gear == Fidelity::Cycle)
-        .map(|predict| predict(platform.expected_transactions()));
+    let predicted_total = predict.map(|predict| predict(platform.expected_transactions()));
     let (profile, captured) = warm_pass(platform, predicted_total)?;
     let one_pass = captured.is_some();
     let blob = match captured {
@@ -498,28 +499,25 @@ fn warm_state_predicting(
     ))
 }
 
-/// Runs a fresh platform of `spec` straight to `warm_until` in `gear` and
-/// checkpoints it there: the second pass of a loosely-timed warm-up, and
-/// the fallback of a cycle-accurate one whose capture missed the boundary.
+/// Replays the probe's [`CHUNK`] schedule on a fresh platform of `spec`, in
+/// `gear`, up to `warm_until` (a chunk boundary) and checkpoints it there:
+/// the second pass of [`warm_state_two_pass`] and the fallback of a
+/// capture that missed the boundary. Every chunk is the probe's own
+/// bounded run, so the blob is the one the probe passes through at
+/// `warm_until`, byte for byte, in every gear; in the cycle gear it is also
+/// a straight `run_until(warm_until)`'s.
 fn replay_to_boundary(
     spec: &PlatformSpec,
     gear: Fidelity,
     warm_until: Time,
 ) -> SimResult<SnapshotBlob> {
     let mut platform = build_platform(spec)?;
-    if gear != Fidelity::Cycle {
-        // Deterministic gear-shift: the boundary is a chunk boundary, so
-        // after the fast run every clock domain's next edge is strictly
-        // past it in either gear. Land on it in the fast gear, then settle
-        // cycle-accurately: the run-ahead the fast gear's occupancy slack
-        // leaves behind (wires filled beyond strict capacity) drains back
-        // to a state cycle-accurate arbitration could have produced, so
-        // the tails forked from the checkpoint inherit no illegal backlog.
-        platform.sim_mut().set_fidelity(gear);
-        platform.sim_mut().run_until(warm_until);
-        platform.sim_mut().set_fidelity(Fidelity::Cycle);
+    platform.sim_mut().set_fidelity(gear);
+    let mut horizon = Time::ZERO;
+    while horizon < warm_until {
+        horizon += CHUNK;
+        platform.sim_mut().run_to_quiescence(horizon);
     }
-    platform.sim_mut().run_until(warm_until);
     Ok(platform.checkpoint())
 }
 
@@ -636,28 +634,37 @@ mod tests {
         }
     }
 
-    /// The two-pass construction [`warm_state`] used before the one-pass
-    /// capture — probe, fresh platform, straight run to the boundary,
-    /// fast-gear settle, checkpoint — kept as the reference the capture is
-    /// proven against.
-    fn two_pass_warm_state(req: &SweepRequest) -> WarmState {
+    /// The reference the capture is proven against: a probe without a
+    /// prediction for the profile, then a fresh platform in the request's
+    /// gear run chunk by chunk to the boundary and checkpointed. In the
+    /// cycle gear that blob is also a straight run's.
+    fn chunk_replayed_warm_state(req: &SweepRequest) -> WarmState {
         let spec = req.base_spec();
         let gear = req.warm_fidelity();
         let mut probe = build_platform(&spec).expect("builds");
         probe.sim_mut().set_fidelity(gear);
         let (profile, _) = warm_pass(probe, None).expect("probe");
         let mut platform = build_platform(&spec).expect("builds");
-        if gear != Fidelity::Cycle {
-            platform.sim_mut().set_fidelity(gear);
-            platform.sim_mut().run_until(profile.warm_until);
-            platform.sim_mut().set_fidelity(Fidelity::Cycle);
+        platform.sim_mut().set_fidelity(gear);
+        let mut horizon = Time::ZERO;
+        while horizon < profile.warm_until {
+            horizon += CHUNK;
+            platform.sim_mut().run_until(horizon);
         }
-        platform.sim_mut().run_until(profile.warm_until);
-        let fingerprint = platform.structural_fingerprint();
+        let blob = platform.checkpoint();
+        if gear == Fidelity::Cycle {
+            let mut straight = build_platform(&spec).expect("builds");
+            straight.sim_mut().run_until(profile.warm_until);
+            assert!(
+                straight.checkpoint().as_bytes() == blob.as_bytes(),
+                "{}: a chunked cycle-gear run must be a straight one",
+                req.warm_key()
+            );
+        }
         WarmState {
             profile,
-            blob: platform.checkpoint(),
-            fingerprint,
+            blob,
+            fingerprint: platform.structural_fingerprint(),
         }
     }
 
@@ -715,36 +722,38 @@ mod tests {
         parallel_map(reqs, jobs, |req| {
             let key = req.warm_key();
             let (state, one_pass) = predicting(&req, |expected| expected);
-            assert_eq!(
-                one_pass,
-                req.fast_gear.is_none(),
-                "{key}: the cycle gear must capture in one pass and the fast gear must not"
-            );
-            assert_same_state(&state, &two_pass_warm_state(&req), &key);
+            assert!(one_pass, "{key}: every gear must capture in one pass");
+            assert_same_state(&state, &chunk_replayed_warm_state(&req), &key);
         });
     }
 
     #[test]
     fn a_mispredicted_capture_costs_time_never_correctness() {
-        for topology in [Topology::Collapsed, Topology::Distributed] {
-            let req = SweepRequest {
-                topology,
-                ..quick_request()
-            };
-            let want = two_pass_warm_state(&req);
-            // Twice the real total: the capture threshold is never reached.
-            let (never, one_pass) = predicting(&req, |expected| expected * 2);
-            assert!(!one_pass);
-            assert_same_state(&never, &want, "prediction x2");
-            // Half of it: a blob is captured well before the boundary and
-            // must be thrown away.
-            let (early, one_pass) = predicting(&req, |expected| expected / 2);
-            assert!(!one_pass);
-            assert_same_state(&early, &want, "prediction /2");
-            // No prediction at all is the two-pass route by name.
-            let two_pass =
-                warm_state_two_pass(&req.base_spec(), Fidelity::Cycle).expect("warm state");
-            assert_same_state(&two_pass, &want, "two passes");
+        for fast_gear in [None, Some(64)] {
+            for topology in [Topology::Collapsed, Topology::Distributed] {
+                let req = SweepRequest {
+                    topology,
+                    fast_gear,
+                    ..quick_request()
+                };
+                let key = req.warm_key();
+                let (want, one_pass) = predicting(&req, |expected| expected);
+                assert!(one_pass, "{key}");
+                // Twice the real total: the capture threshold is never
+                // reached.
+                let (never, one_pass) = predicting(&req, |expected| expected * 2);
+                assert!(!one_pass, "{key}");
+                assert_same_state(&never, &want, &format!("{key} prediction x2"));
+                // Half of it: a blob is captured well before the boundary
+                // and must be thrown away.
+                let (early, one_pass) = predicting(&req, |expected| expected / 2);
+                assert!(!one_pass, "{key}");
+                assert_same_state(&early, &want, &format!("{key} prediction /2"));
+                // No prediction at all is the two-pass route by name.
+                let two_pass =
+                    warm_state_two_pass(&req.base_spec(), req.warm_fidelity()).expect("warm state");
+                assert_same_state(&two_pass, &want, &format!("{key} two passes"));
+            }
         }
     }
 

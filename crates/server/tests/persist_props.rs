@@ -62,6 +62,50 @@ proptest! {
     }
 }
 
+/// A fast-gear warm-up is the chunked probe's own checkpoint, so its key
+/// ends `/q{quantum}`: a spill written under the older `/g{quantum}` form
+/// (a different warm-up procedure) is never served to a fast request, not
+/// even from a colliding file name. Cycle-gear keys kept their form, and
+/// their spills still load.
+#[test]
+fn old_fast_gear_spills_are_never_served_and_cycle_spills_still_load() {
+    let cycle = SweepRequest {
+        scale: 1,
+        ..SweepRequest::default()
+    };
+    let cycle_key = "stbus-t3/distributed/bursty-posted/s1/x0xdab/b1/g0";
+    assert_eq!(cycle.warm_key(), cycle_key);
+    let fast = SweepRequest {
+        fast_gear: Some(64),
+        ..cycle.clone()
+    };
+    let old_fast_key = "stbus-t3/distributed/bursty-posted/s1/x0xdab/b1/g64";
+    let key = fast.warm_key();
+    assert_ne!(key, old_fast_key);
+    let warm = service::warm_state(&fast).expect("warm state");
+
+    let dir = spill_dir("old-fast-key");
+    let _ = std::fs::remove_dir_all(&dir);
+    let disk = DiskCache::open(&dir).expect("opens");
+    // The old file is not where the new key looks: a quiet miss.
+    disk.store(old_fast_key, &warm);
+    assert_ne!(disk.path_for(old_fast_key), disk.path_for(&key));
+    assert!(disk.load(&key, warm.fingerprint).is_none());
+    assert_eq!(disk.stats().rejected, 0);
+    // Under the new key's file name its stored key refuses it.
+    std::fs::copy(disk.path_for(old_fast_key), disk.path_for(&key)).expect("copies");
+    assert!(disk.load(&key, warm.fingerprint).is_none());
+    assert_eq!(disk.stats().rejected, 1);
+
+    let cycle_warm = service::warm_state(&cycle).expect("warm state");
+    disk.store(cycle_key, &cycle_warm);
+    let loaded = disk
+        .load(&cycle.warm_key(), cycle_warm.fingerprint)
+        .expect("a cycle-gear spill still loads");
+    assert_eq!(loaded.blob.as_bytes(), cycle_warm.blob.as_bytes());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn damaged_spills_are_rejected_without_poisoning_the_memory_cache() {
     let req = SweepRequest {

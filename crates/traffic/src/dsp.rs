@@ -80,9 +80,12 @@ impl Default for DspConfig {
 /// tracking tags and dirty bits (no data).
 #[derive(Debug)]
 struct CacheModel {
-    /// `sets[index]` holds up to `ways` entries, most recently used last:
-    /// `(tag, dirty)`.
-    sets: Vec<Vec<(u64, bool)>>,
+    /// `sets × ways` entries `(tag, dirty)`: set `s` holds its
+    /// `fill[s]` valid entries at the front of
+    /// `entries[s * ways..(s + 1) * ways]`, most recently used last.
+    entries: Vec<(u64, bool)>,
+    /// Valid entries per set.
+    fill: Vec<usize>,
     ways: usize,
     line_bytes: u64,
     hits: u64,
@@ -92,9 +95,10 @@ struct CacheModel {
 impl CacheModel {
     fn new(lines: usize, ways: usize, line_bytes: u32) -> Self {
         let ways = ways.max(1).min(lines.max(1));
-        let sets = lines.max(1) / ways;
+        let sets = (lines.max(1) / ways).max(1);
         CacheModel {
-            sets: vec![Vec::with_capacity(ways); sets.max(1)],
+            entries: vec![(0, false); sets * ways],
+            fill: vec![0; sets],
             ways,
             line_bytes: line_bytes as u64,
             hits: 0,
@@ -105,24 +109,28 @@ impl CacheModel {
     /// Performs an access; returns `(miss, evicted_dirty_line_addr)`.
     fn access(&mut self, addr: u64, is_store: bool) -> (bool, Option<u64>) {
         let line = addr / self.line_bytes;
-        let n_sets = self.sets.len() as u64;
+        let n_sets = self.fill.len() as u64;
         let index = (line % n_sets) as usize;
         let tag = line / n_sets;
-        let set = &mut self.sets[index];
-        if let Some(pos) = set.iter().position(|(t, _)| *t == tag) {
+        let ways = self.ways;
+        let len = self.fill[index];
+        let set = &mut self.entries[index * ways..(index + 1) * ways];
+        if let Some(pos) = set[..len].iter().position(|(t, _)| *t == tag) {
             self.hits += 1;
-            let (t, dirty) = set.remove(pos);
-            set.push((t, dirty | is_store));
+            set[pos..len].rotate_left(1);
+            set[len - 1].1 |= is_store;
             return (false, None);
         }
         self.misses += 1;
-        let evicted = if set.len() >= self.ways {
-            let (old_tag, dirty) = set.remove(0); // LRU victim
-            dirty.then(|| (old_tag * n_sets + index as u64) * self.line_bytes)
-        } else {
-            None
-        };
-        set.push((tag, is_store));
+        if len < ways {
+            set[len] = (tag, is_store);
+            self.fill[index] += 1;
+            return (true, None);
+        }
+        let (old_tag, dirty) = set[0]; // LRU victim
+        set.rotate_left(1);
+        set[ways - 1] = (tag, is_store);
+        let evicted = dirty.then(|| (old_tag * n_sets + index as u64) * self.line_bytes);
         (true, evicted)
     }
 }
@@ -252,10 +260,10 @@ impl DspCore {
 
 impl CacheModel {
     fn save_state(&self, w: &mut mpsoc_kernel::StateWriter) {
-        w.write_usize(self.sets.len());
-        for set in &self.sets {
-            w.write_usize(set.len());
-            for (tag, dirty) in set {
+        w.write_usize(self.fill.len());
+        for (set, &len) in self.entries.chunks_exact(self.ways).zip(&self.fill) {
+            w.write_usize(len);
+            for (tag, dirty) in &set[..len] {
                 w.write_u64(*tag);
                 w.write_bool(*dirty);
             }
@@ -265,11 +273,20 @@ impl CacheModel {
     }
 
     fn restore_state(&mut self, r: &mut mpsoc_kernel::StateReader<'_>) {
-        let n = r.read_usize().min(self.sets.len());
-        for set in self.sets.iter_mut().take(n) {
-            *set = (0..r.read_usize())
-                .map(|_| (r.read_u64(), r.read_bool()))
-                .collect();
+        let ways = self.ways;
+        let n = r.read_usize().min(self.fill.len());
+        for (set, fill) in self
+            .entries
+            .chunks_exact_mut(ways)
+            .zip(&mut self.fill)
+            .take(n)
+        {
+            // A blob of this geometry never holds more than `ways` per set.
+            let len = r.read_usize().min(ways);
+            for slot in &mut set[..len] {
+                *slot = (r.read_u64(), r.read_bool());
+            }
+            *fill = len;
         }
         self.hits = r.read_u64();
         self.misses = r.read_u64();
@@ -672,6 +689,26 @@ mod tests {
             four_way <= direct,
             "associativity must not increase refills: {four_way} vs {direct}"
         );
+    }
+
+    #[test]
+    fn a_warm_core_saves_restores_and_saves_the_same_bytes() {
+        for ways in [1, 4] {
+            let cfg = DspConfig {
+                dcache_ways: ways,
+                icache_ways: ways,
+                ..small_config()
+            };
+            let (mut warm, _) = rig(cfg.clone(), 2);
+            warm.run_until(Time::from_us(5));
+            let blob = warm.checkpoint();
+            let (mut fresh, _) = rig(cfg, 2);
+            fresh.restore(&blob).expect("restores");
+            assert!(
+                fresh.checkpoint().as_bytes() == blob.as_bytes(),
+                "{ways}-way: restore must rebuild the saved cache exactly"
+            );
+        }
     }
 
     #[test]
