@@ -25,6 +25,9 @@
 //! from the kernel's activity counters). `--bench-out` records the
 //! measurements in a machine-readable ledger (the committed one is
 //! `BENCH_kernel.json` at the repo root); without it a run writes no file.
+//! The ledger's `"experiments"` section is the whole suite's, so only a
+//! full-suite run writes it; `--exp <id> --bench-out` is refused for every
+//! id but `dse`, which records its own section.
 //!
 //! `--fast-warm` runs the EXT-FAST study instead of the experiments: the
 //! fig4 warm phase once per fast-forward quantum, each finished by
@@ -207,6 +210,14 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
             "--dse-checkpoint-every/--dse-stop-after/--dse-resume need --dse-checkpoint".into(),
         );
     }
+    if let (Some(_), Some(id), false) = (&args.bench_out, args.exp.as_deref(), args.fast_warm) {
+        if id != "dse" {
+            return Err(format!(
+                "--bench-out records nothing for `--exp {id}`: the \"experiments\" section \
+                 is written by a full-suite run only"
+            ));
+        }
+    }
     if args.rewind_to_ns.is_some() && args.exp.is_none() {
         return Err("time travel needs --exp <id> to pick the platform".into());
     }
@@ -246,7 +257,7 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
 }
 
 /// The `"experiments"` section of `BENCH_kernel.json`.
-#[derive(Serialize)]
+#[derive(Serialize, Default)]
 struct ExperimentsSection {
     scale: u64,
     seed: u64,
@@ -388,13 +399,32 @@ fn main() -> ExitCode {
     let Some(path) = &args.bench_out else {
         return ExitCode::SUCCESS;
     };
-    let mut sections = vec![("experiments", section.to_json())];
-    sections.extend(dse_run.map(|run| ("dse", run.to_json())));
+    let sections = ledger_sections(&args, &section, dse_run.as_ref());
+    if sections.is_empty() {
+        println!("perf ledger left as it was: an interrupted search records nothing");
+        return ExitCode::SUCCESS;
+    }
     if record(path, &sections) {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
     }
+}
+
+/// The ledger sections a run of `args` writes: `"experiments"` from a
+/// full-suite run only (one experiment's figures would replace the whole
+/// suite's table), `"dse"` from a completed search.
+fn ledger_sections(
+    args: &Args,
+    experiments: &ExperimentsSection,
+    dse_run: Option<&mpsoc_bench::DseRun>,
+) -> Vec<(&'static str, String)> {
+    let mut sections = Vec::new();
+    if args.exp.is_none() {
+        sections.push(("experiments", experiments.to_json()));
+    }
+    sections.extend(dse_run.map(|run| ("dse", run.to_json())));
+    sections
 }
 
 /// Writes `sections` into the ledger at `path` and says where they went,
@@ -550,6 +580,48 @@ mod tests {
             let why = parse(line).err().expect("refused");
             assert!(why.starts_with("--dse-* flags only apply"), "{line}: {why}");
         }
+    }
+
+    #[test]
+    fn only_a_full_suite_run_writes_the_experiments_section() {
+        let why = parse("--exp fig3 --scale 1 --bench-out f.json")
+            .err()
+            .expect("refused");
+        assert!(
+            why.starts_with("--bench-out records nothing for `--exp fig3`"),
+            "{why}"
+        );
+        let search = mpsoc_bench::DseRun {
+            scale: 1,
+            seed: 1,
+            jobs: 1,
+            host_cores: 1,
+            candidates: 12,
+            front_size: 4,
+            families: 3,
+            sim_ticks: 1,
+            wall_seconds: 1.0,
+            fanout_speedup: 1.0,
+            rungs: Vec::new(),
+        };
+        let written = |line: &str, dse_run| {
+            let args = parse(line).expect("valid");
+            ledger_sections(&args, &ExperimentsSection::default(), dse_run)
+                .into_iter()
+                .map(|(name, _)| name)
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(written("--bench-out f.json", None), ["experiments"]);
+        assert_eq!(
+            written("--bench-out f.json", Some(&search)),
+            ["experiments", "dse"]
+        );
+        assert_eq!(
+            written("--exp dse --bench-out f.json", Some(&search)),
+            ["dse"]
+        );
+        assert!(written("--exp dse --bench-out f.json", None).is_empty());
+        assert!(parse("--fast-warm --bench-out f.json").is_ok());
     }
 
     #[test]

@@ -188,7 +188,7 @@ pub fn extract_section(doc: &str, name: &str) -> Option<String> {
 /// is the ledger being checked.
 const REPRO: &str = "repro --scale 1 --bench-out <path>";
 const REPRO_FAST_WARM: &str = "repro --fast-warm --bench-out <path>";
-const REPRO_DSE: &str = "repro --exp dse --bench-out <path>";
+const REPRO_DSE: &str = "repro --exp dse --scale 1 --jobs 2 --bench-out <path>";
 const HOTPATH: &str = "cargo bench -p mpsoc-bench --bench kernel_hotpath -- --committed";
 const LOADGEN: &str = "loadgen --bench-out <path>";
 const LOADGEN_RESTART: &str = "loadgen --restart-leg --bench-out <path>";
@@ -542,7 +542,8 @@ pub const FLOORS: &[Floor] = &[
     // The candidate evaluations are independent simulations, so fanning
     // them out has to buy real wall time or `parallel_map` has regressed —
     // when the recording run fanned out at all, on a host with a second
-    // core to fan out onto.
+    // core to fan out onto. Three scale-1 recordings at `--jobs 2` on a
+    // 2-core host read 1.39, 1.41 and 1.59.
     Floor {
         label: "dse fanout speedup",
         section: "dse",

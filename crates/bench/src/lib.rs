@@ -119,7 +119,7 @@ pub const EXPERIMENT_REGISTRY: &[ExperimentDesc] = &[
         id: "noc",
         description: "shared STBus vs crossbar vs 3x4 mesh NoC under saturated traffic",
         own_gear: false,
-        runner: |run| Ok(experiments::noc_outlook(run)?.to_string()),
+        runner: |run| Ok(mpsoc_dse::noc_outlook(run)?.to_string()),
     },
     ExperimentDesc {
         id: "tlm",
@@ -268,7 +268,6 @@ pub fn run_dse(run: Run, options: &DseOptions) -> SimResult<(String, Option<DseR
         seed,
         jobs: run.jobs.max(1),
         exec: run.exec,
-        workload: mpsoc_dse::DseWorkload::Saturated,
         checkpoint_path: options.checkpoint_path.clone(),
         checkpoint_every: options.checkpoint_every,
         stop_after: options.stop_after,

@@ -15,7 +15,9 @@
 use crate::Run;
 use mpsoc_kernel::{SimError, SimResult, SnapshotBlob, SnapshotError, Time};
 use mpsoc_memory::LmiConfig;
-use mpsoc_platform::{build_platform, Fidelity, MemorySystem, PlatformSpec, Topology, Workload};
+use mpsoc_platform::{
+    build_platform, Interconnect, MemorySystem, PlatformSpec, Topology, Workload,
+};
 use mpsoc_protocol::ProtocolKind;
 use std::fmt;
 
@@ -69,7 +71,7 @@ pub fn representative_spec(id: &str, run: Run) -> Option<PlatformSpec> {
             ..base
         },
         "tlm" => PlatformSpec {
-            fidelity: Fidelity::TransactionLevel,
+            interconnect: Interconnect::TransactionLevel,
             ..base
         },
         "dual-channel" => PlatformSpec {

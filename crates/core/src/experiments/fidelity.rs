@@ -13,7 +13,7 @@
 //! where guideline 1 says it should: under many-to-many contention.
 
 use super::Run;
-use crate::platforms::{build_platform, Fidelity, PlatformSpec};
+use crate::platforms::{build_platform, Interconnect, PlatformSpec};
 use mpsoc_kernel::SimResult;
 use std::fmt;
 
@@ -69,15 +69,15 @@ pub fn fidelity_study(run: Run) -> SimResult<FidelityStudy> {
     let mut rows = Vec::new();
     let mut cycles = [0u64; 2];
     let mut wall = [0u128; 2];
-    for (i, (label, fidelity)) in [
-        ("cycle-accurate", Fidelity::CycleAccurate),
-        ("transaction-level", Fidelity::TransactionLevel),
+    for (i, (label, interconnect)) in [
+        ("cycle-accurate", Interconnect::CycleAccurate),
+        ("transaction-level", Interconnect::TransactionLevel),
     ]
     .into_iter()
     .enumerate()
     {
         let spec = PlatformSpec {
-            fidelity,
+            interconnect,
             ..run.platform_spec()
         };
         let mut platform = build_platform(&spec)?;

@@ -25,7 +25,6 @@ mod fig6;
 mod gear;
 mod many_to_many;
 mod many_to_one;
-mod noc_outlook;
 mod parallel;
 mod robustness;
 
@@ -42,7 +41,6 @@ pub use fig6::{fig6, Fig6, Fig6Phase};
 pub use gear::{fast_forward_study, FastForwardRow, FastForwardStudy, FAST_FORWARD_QUANTA};
 pub use many_to_many::{many_to_many, ManyToMany, ManyToManyRow};
 pub use many_to_one::{many_to_one, ManyToOne, ManyToOneRow};
-pub use noc_outlook::{noc_outlook, NocOutlook, NocOutlookRow};
 pub use parallel::parallel_map;
 pub use robustness::{robustness, Robustness, RobustnessRow};
 

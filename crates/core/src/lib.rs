@@ -55,7 +55,7 @@ pub mod service;
 
 pub use builder::{BusHandle, BusSpec, PlatformBuilder, TargetIface};
 pub use platforms::{
-    build_platform, build_platform_with_ips, build_single_layer, CustomIp, Fidelity, MemorySystem,
-    Platform, PlatformSpec, SingleLayerSpec, Topology, Workload,
+    build_platform, build_platform_with_ips, build_single_layer, CustomIp, Interconnect,
+    MemorySystem, Platform, PlatformSpec, SingleLayerSpec, Topology, Workload,
 };
 pub use report::{BusUtilization, LmiInterfaceReport, RunReport};

@@ -74,10 +74,11 @@ pub enum MemorySystem {
     DualLmi(LmiConfig),
 }
 
-/// Modelling fidelity of the interconnect layers — the platform is
-/// *multi-abstraction*, like the paper's.
+/// How the interconnect layers are modelled — the platform is
+/// *multi-abstraction*, like the paper's. Structure, unlike the kernel gear
+/// of [`PlatformSpec::exec`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Fidelity {
+pub enum Interconnect {
     /// Cycle-accurate bus models (arbitration, channel occupancy,
     /// back-pressure). The default, used by every paper experiment.
     #[default]
@@ -132,8 +133,8 @@ pub struct PlatformSpec {
     pub max_outstanding: usize,
     /// Arbitration policy for every node.
     pub arbitration: ArbitrationPolicy,
-    /// Interconnect modelling fidelity.
-    pub fidelity: Fidelity,
+    /// How the interconnect layers are modelled.
+    pub interconnect: Interconnect,
     /// How the built simulation executes (schedule and kernel gear).
     /// Strategy, not structure: it never changes the platform's
     /// [`structural_fingerprint`](Platform::structural_fingerprint).
@@ -154,7 +155,7 @@ impl Default for PlatformSpec {
             memory_bridge: None,
             max_outstanding: 4,
             arbitration: ArbitrationPolicy::RoundRobin,
-            fidelity: Fidelity::CycleAccurate,
+            interconnect: Interconnect::CycleAccurate,
             exec: ExecMode::default(),
         }
     }
@@ -454,7 +455,7 @@ impl std::fmt::Debug for Platform {
 }
 
 fn bus_spec(spec: &PlatformSpec, width: DataWidth) -> BusSpec {
-    if spec.fidelity == Fidelity::TransactionLevel {
+    if spec.interconnect == Interconnect::TransactionLevel {
         return BusSpec::Tlm(TlmBusConfig::default(), width);
     }
     match spec.protocol {

@@ -1,12 +1,14 @@
 //! Candidate → platform construction.
 //!
 //! Every candidate is instantiated against the same 8-initiator /
-//! 4-memory workload shell used by the EXT-NOC experiment, so that
-//! scores are comparable across fabric families. The bus families are
-//! wired through [`PlatformBuilder`] (this search is deliberately a
-//! stress-test of that API); the mesh is wired through the builder's
-//! raw-simulation escape hatch because the mesh attaches through
-//! network interfaces, not bus ports.
+//! 4-memory shell under the saturated many-to-many traffic of §4.1.1, so
+//! that scores are comparable across fabric families; the EXT-NOC
+//! experiment ([`noc_outlook`](fn@crate::noc_outlook)) builds its three
+//! fabrics here too. The bus families are wired through
+//! [`PlatformBuilder`] (this search is deliberately a stress-test of that
+//! API); the mesh is wired through the builder's raw-simulation escape
+//! hatch because the mesh attaches through network interfaces, not bus
+//! ports.
 
 use crate::space::{Candidate, FabricFamily, INITIATORS, TARGETS};
 use mpsoc_bridge::BridgeConfig;
@@ -16,10 +18,7 @@ use mpsoc_noc::{Mesh, NocConfig};
 use mpsoc_platform::{BusHandle, BusSpec, Platform, PlatformBuilder};
 use mpsoc_protocol::{AddressRange, DataWidth, InitiatorId, Packet, ProtocolKind};
 use mpsoc_stbus::{ChannelTopology, StbusNodeConfig};
-use mpsoc_traffic::{
-    AddressPattern, AgentConfig, IpTrafficGenerator, IptgConfig, TraceDrivenGenerator, TraceEntry,
-    TrafficSegment,
-};
+use mpsoc_traffic::{AddressPattern, AgentConfig, IpTrafficGenerator, IptgConfig, TrafficSegment};
 
 /// Base address of the memory map (mirrors the platform convention).
 pub const MEM_BASE: u64 = 0x8000_0000;
@@ -29,31 +28,8 @@ pub const REGION: u64 = 16 << 20;
 const BUS_MHZ: u64 = 250;
 const LMI_MHZ: u64 = 200;
 
-/// The traffic bound to every candidate during evaluation.
-#[derive(Debug, Clone)]
-pub enum DseWorkload {
-    /// The saturated many-to-many random workload of EXT-NOC
-    /// (`60 * scale` transactions per initiator).
-    Saturated,
-    /// Explicit per-initiator IPTG configurations, applied round-robin;
-    /// the initiator id is overridden for platform uniqueness.
-    Iptg(Vec<IptgConfig>),
-    /// Trace-driven replay: per-initiator entry streams, applied
-    /// round-robin.
-    Trace(Vec<Vec<TraceEntry>>),
-}
-
-impl DseWorkload {
-    /// Stable label for tables and ledger rows.
-    pub fn label(&self) -> &'static str {
-        match self {
-            DseWorkload::Saturated => "saturated",
-            DseWorkload::Iptg(_) => "iptg",
-            DseWorkload::Trace(_) => "trace",
-        }
-    }
-}
-
+/// The traffic of generator `i`: random reads and posted writes over the
+/// region of memory `i % TARGETS`, `60 * scale` transactions.
 fn saturated_cfg(i: usize, scale: u64, seed: u64) -> IptgConfig {
     let t = i % TARGETS;
     let base = MEM_BASE + t as u64 * REGION;
@@ -78,20 +54,6 @@ fn saturated_cfg(i: usize, scale: u64, seed: u64) -> IptgConfig {
             }],
             start_after: None,
         }],
-    }
-}
-
-/// Resolves the IPTG configuration of generator `i`, or `None` when the
-/// workload is trace-driven.
-fn iptg_cfg(workload: &DseWorkload, i: usize, scale: u64, seed: u64) -> Option<IptgConfig> {
-    match workload {
-        DseWorkload::Saturated => Some(saturated_cfg(i, scale, seed)),
-        DseWorkload::Iptg(cfgs) => {
-            let mut cfg = cfgs[i % cfgs.len()].clone();
-            cfg.initiator = InitiatorId::new(i as u16);
-            Some(cfg)
-        }
-        DseWorkload::Trace(_) => None,
     }
 }
 
@@ -150,62 +112,34 @@ fn add_generator(
     b: &mut PlatformBuilder,
     bus: BusHandle,
     c: &Candidate,
-    workload: &DseWorkload,
     i: usize,
     scale: u64,
     seed: u64,
 ) -> SimResult<()> {
-    let name = format!("g{i}");
-    match iptg_cfg(workload, i, scale, seed) {
-        Some(cfg) => b.add_iptg(bus, &name, cfg, c.issue_fifo),
-        None => {
-            let DseWorkload::Trace(traces) = workload else {
-                unreachable!("iptg_cfg is None only for traces")
-            };
-            let clk = b.bus_clock(bus);
-            let (req, resp) = b.initiator_port(bus, &name, c.issue_fifo);
-            b.add_component(
-                Box::new(TraceDrivenGenerator::new(
-                    name,
-                    InitiatorId::new(i as u16),
-                    DataWidth::BITS64,
-                    clk,
-                    req,
-                    resp,
-                    traces[i % traces.len()].clone(),
-                    4,
-                )),
-                clk,
-            );
-            Ok(())
-        }
-    }
+    let cfg = saturated_cfg(i, scale, seed);
+    b.add_iptg(bus, &format!("g{i}"), cfg, c.issue_fifo)
 }
 
-fn build_shared(
+/// One STBus node of `topology` carrying every initiator and memory: the
+/// shared-bus family, and EXT-NOC's shared-bus and crossbar rows.
+pub(crate) fn build_shared(
     c: &Candidate,
-    workload: &DseWorkload,
+    topology: ChannelTopology,
     scale: u64,
     seed: u64,
     exec: ExecMode,
 ) -> SimResult<Platform> {
     let clk = ClockDomain::from_mhz(BUS_MHZ);
     let mut b = PlatformBuilder::new(seed, exec);
-    let bus = b.add_bus("fabric", stbus_spec(ChannelTopology::SharedBus), clk);
+    let bus = b.add_bus("fabric", stbus_spec(topology), clk);
     add_memories(&mut b, bus, c)?;
     for i in 0..INITIATORS {
-        add_generator(&mut b, bus, c, workload, i, scale, seed)?;
+        add_generator(&mut b, bus, c, i, scale, seed)?;
     }
     Ok(b.finish(clk))
 }
 
-fn build_partial_xbar(
-    c: &Candidate,
-    workload: &DseWorkload,
-    scale: u64,
-    seed: u64,
-    exec: ExecMode,
-) -> SimResult<Platform> {
+fn build_partial_xbar(c: &Candidate, scale: u64, seed: u64, exec: ExecMode) -> SimResult<Platform> {
     let clk = ClockDomain::from_mhz(BUS_MHZ);
     let mut b = PlatformBuilder::new(seed, exec);
     let xbar = b.add_bus("xbar", stbus_spec(ChannelTopology::FullCrossbar), clk);
@@ -225,15 +159,16 @@ fn build_partial_xbar(
         b.add_bridge(&format!("br{cluster}"), bridge, cbus, xbar, &[whole])?;
         for g in 0..INITIATORS / 2 {
             let i = cluster * (INITIATORS / 2) + g;
-            add_generator(&mut b, cbus, c, workload, i, scale, seed)?;
+            add_generator(&mut b, cbus, c, i, scale, seed)?;
         }
     }
     Ok(b.finish(clk))
 }
 
-fn build_mesh(
+/// The 4×3 mesh NoC, its router port FIFOs `target_fifo` deep: the mesh
+/// family, and EXT-NOC's mesh row.
+pub(crate) fn build_mesh(
     c: &Candidate,
-    workload: &DseWorkload,
     scale: u64,
     seed: u64,
     exec: ExecMode,
@@ -303,35 +238,12 @@ fn build_mesh(
         let (req, resp) = mesh
             .try_attach_initiator(sim.links_mut(), *x, *y)
             .map_err(invalid)?;
-        let name = format!("g{i}");
-        match iptg_cfg(workload, i, scale, seed) {
-            Some(cfg) => {
-                let gen = IpTrafficGenerator::new(name, cfg, req, resp).map_err(|e| {
-                    mpsoc_kernel::SimError::InvalidConfig {
-                        reason: e.to_string(),
-                    }
+        let gen =
+            IpTrafficGenerator::new(format!("g{i}"), saturated_cfg(i, scale, seed), req, resp)
+                .map_err(|e| mpsoc_kernel::SimError::InvalidConfig {
+                    reason: e.to_string(),
                 })?;
-                sim.add_component(Box::new(gen), clk);
-            }
-            None => {
-                let DseWorkload::Trace(traces) = workload else {
-                    unreachable!("iptg_cfg is None only for traces")
-                };
-                sim.add_component(
-                    Box::new(TraceDrivenGenerator::new(
-                        name,
-                        InitiatorId::new(i as u16),
-                        DataWidth::BITS64,
-                        clk,
-                        req,
-                        resp,
-                        traces[i % traces.len()].clone(),
-                        4,
-                    )),
-                    clk,
-                );
-            }
-        }
+        sim.add_component(Box::new(gen), clk);
     }
     for router in mesh.build(sim.links_mut()) {
         sim.add_component(router, clk);
@@ -339,10 +251,10 @@ fn build_mesh(
     Ok(b.finish(clk))
 }
 
-/// Instantiates `candidate` against `workload` as a runnable platform.
+/// Instantiates `candidate` as a runnable platform.
 ///
 /// The simulation seed, the generator streams and all structure are pure
-/// functions of `(candidate, workload, scale, seed)`, so two builds of
+/// functions of `(candidate, scale, seed)`, so two builds of
 /// the same tuple are byte-identical (checked by the platform's
 /// structural fingerprint during search).
 ///
@@ -355,17 +267,17 @@ fn build_mesh(
 /// surfacing, not skipping.
 pub fn build_candidate(
     candidate: &Candidate,
-    workload: &DseWorkload,
     scale: u64,
     seed: u64,
     exec: ExecMode,
 ) -> SimResult<Platform> {
-    let build = match candidate.family {
-        FabricFamily::SharedStbus => build_shared,
-        FabricFamily::PartialCrossbar => build_partial_xbar,
-        FabricFamily::NocMesh => build_mesh,
-    };
-    build(candidate, workload, scale, seed, exec)
+    match candidate.family {
+        FabricFamily::SharedStbus => {
+            build_shared(candidate, ChannelTopology::SharedBus, scale, seed, exec)
+        }
+        FabricFamily::PartialCrossbar => build_partial_xbar(candidate, scale, seed, exec),
+        FabricFamily::NocMesh => build_mesh(candidate, scale, seed, exec),
+    }
 }
 
 #[cfg(test)]
@@ -373,14 +285,12 @@ mod tests {
     use super::*;
     use crate::space::sample_generation;
     use mpsoc_kernel::Time;
-    use mpsoc_protocol::Opcode;
 
     #[test]
     fn every_sampled_candidate_builds_and_runs() {
         for c in sample_generation(24, 0x5eed) {
-            let mut p =
-                build_candidate(&c, &DseWorkload::Saturated, 1, 0x0dab, ExecMode::default())
-                    .unwrap_or_else(|e| panic!("{c} failed to build: {e}"));
+            let mut p = build_candidate(&c, 1, 0x0dab, ExecMode::default())
+                .unwrap_or_else(|e| panic!("{c} failed to build: {e}"));
             p.sim_mut().run_until(Time::from_us(2));
             assert!(p.sim().ticks_executed() > 0, "{c} never ticked");
         }
@@ -389,42 +299,13 @@ mod tests {
     #[test]
     fn builds_are_structurally_reproducible() {
         for c in sample_generation(6, 9) {
-            let a = build_candidate(&c, &DseWorkload::Saturated, 1, 1, ExecMode::default())
-                .expect("builds");
-            let b = build_candidate(&c, &DseWorkload::Saturated, 1, 1, ExecMode::default())
-                .expect("builds");
+            let a = build_candidate(&c, 1, 1, ExecMode::default()).expect("builds");
+            let b = build_candidate(&c, 1, 1, ExecMode::default()).expect("builds");
             assert_eq!(
                 a.structural_fingerprint(),
                 b.structural_fingerprint(),
                 "{c} not reproducible"
             );
-        }
-    }
-
-    #[test]
-    fn trace_workload_builds_on_every_family() {
-        let trace: Vec<TraceEntry> = (0..40)
-            .map(|k| TraceEntry {
-                delay_cycles: k % 3,
-                opcode: if k % 4 == 0 {
-                    Opcode::Write
-                } else {
-                    Opcode::Read
-                },
-                addr: MEM_BASE + (k * 64) % (TARGETS as u64 * REGION),
-                beats: 4,
-                posted: k % 4 == 0,
-            })
-            .collect();
-        let workload = DseWorkload::Trace(vec![trace]);
-        for c in sample_generation(6, 2) {
-            let mut p = build_candidate(&c, &workload, 1, 3, ExecMode::default())
-                .unwrap_or_else(|e| panic!("{c} failed to build: {e}"));
-            p.sim_mut().run_until(Time::from_us(2));
-            let injected: u64 = (0..INITIATORS)
-                .map(|i| p.sim().stats().counter_by_name(&format!("g{i}.injected")))
-                .sum();
-            assert!(injected > 0, "{c} replayed nothing");
         }
     }
 }

@@ -15,6 +15,10 @@ use mpsoc_kernel::{SnapshotBlob, SnapshotError, StateReader, StateWriter};
 /// Frontier encoding version (bumped on layout changes).
 pub const FRONTIER_VERSION: u32 = 1;
 
+/// The workload label every frontier carries: the search scores every
+/// candidate under the one saturated many-to-many workload.
+pub(crate) const WORKLOAD: &str = "saturated";
+
 /// Accounting for one completed rung.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RungStats {
@@ -50,7 +54,7 @@ pub struct Frontier {
     pub seed: u64,
     /// Workload scale (must match on resume).
     pub scale: u64,
-    /// Workload label (must match on resume).
+    /// Workload label (`"saturated"`; must match on resume).
     pub workload: String,
     /// Next rung index to execute.
     pub next_rung: u32,
@@ -271,7 +275,7 @@ mod tests {
         Frontier {
             seed: 0x0dab,
             scale: 2,
-            workload: "saturated".into(),
+            workload: WORKLOAD.into(),
             next_rung: 1,
             rungs: vec![RungStats {
                 budget_ps: 4_000_000,

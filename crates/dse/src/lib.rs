@@ -2,13 +2,17 @@
 //!
 //! Automated design-space exploration over MPSoC communication
 //! architectures — the search loop the paper's authors wished they had.
-//! Given a workload (saturated synthetic traffic, explicit IPTG
-//! configurations or a trace replay), the explorer races a seeded
+//! Under one workload — the saturated many-to-many traffic of eight
+//! initiators over four memories — the explorer races a seeded
 //! generation of candidate platforms — shared STBus vs partial crossbar
 //! vs NoC mesh, bridge blockingness, buffer depths, wait states, LMI
 //! settings — through a successive-halving budget ladder and reports
 //! the Pareto front over throughput, mean latency and a static cost
 //! model (links + buffer bits).
+//!
+//! The same candidate builder wires the EXT-NOC experiment
+//! ([`noc_outlook()`]): a shared STBus node, an STBus full crossbar and a
+//! 4×3 mesh NoC under that workload.
 //!
 //! The search leans on the rest of the workspace for speed: rung 0 runs
 //! in the loosely-timed fast-forward gear, promotions resume from warm
@@ -31,17 +35,20 @@
 
 mod build;
 mod frontier;
+mod noc_outlook;
 mod pareto;
 mod search;
 mod space;
 
-pub use build::{build_candidate, DseWorkload};
+pub use build::build_candidate;
 pub use frontier::{Frontier, FrontierEntry, RungStats, FRONTIER_VERSION};
+pub use noc_outlook::{noc_outlook, NocOutlook, NocOutlookRow};
 pub use pareto::{pareto_front, pareto_ranks, Score};
 pub use search::{finalist_count, population_size};
 pub use space::{sample_generation, Candidate, FabricFamily};
 
-use mpsoc_kernel::{ExecMode, SimError, SimResult, Time};
+use frontier::WORKLOAD;
+use mpsoc_kernel::{ExecMode, SimError, SimResult};
 use std::fmt;
 use std::path::PathBuf;
 
@@ -51,7 +58,7 @@ pub struct DseConfig {
     /// Workload scale: grows both the generation size and the budgets.
     pub scale: u64,
     /// Search seed; every observable output is a pure function of
-    /// `(scale, seed, workload)`.
+    /// `(scale, seed)`.
     pub seed: u64,
     /// Evaluation fan-out for `parallel_map` (1 = inline).
     pub jobs: usize,
@@ -59,8 +66,6 @@ pub struct DseConfig {
     /// shifts the gear itself, per rung (fast from reset, cycle-accurate
     /// after a promotion), so `exec.fidelity` is not consulted.
     pub exec: ExecMode,
-    /// The traffic every candidate is scored against.
-    pub workload: DseWorkload,
     /// Where to write frontier checkpoints (and where `resume` reads
     /// from when set).
     pub checkpoint_path: Option<PathBuf>,
@@ -81,7 +86,6 @@ impl Default for DseConfig {
             seed: 0x0dab,
             jobs: 1,
             exec: ExecMode::default(),
-            workload: DseWorkload::Saturated,
             checkpoint_path: None,
             checkpoint_every: None,
             stop_after: None,
@@ -106,8 +110,6 @@ pub struct DseResult {
     pub scale: u64,
     /// Search seed.
     pub seed: u64,
-    /// Workload label.
-    pub workload: String,
     /// Candidates in the generation.
     pub candidates: usize,
     /// Per-rung accounting (budget, population, survivors, sim ticks).
@@ -134,8 +136,8 @@ impl fmt::Display for DseResult {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "EXP-DSE design-space exploration  workload {}  candidates {}  seed {:#x}",
-            self.workload, self.candidates, self.seed
+            "EXP-DSE design-space exploration  workload {WORKLOAD}  candidates {}  seed {:#x}",
+            self.candidates, self.seed
         )?;
         for (k, r) in self.rungs.iter().enumerate() {
             let budget = if r.budget_ps == 0 {
@@ -226,7 +228,6 @@ fn result_from(frontier: &Frontier, stopped: bool) -> DseResult {
     DseResult {
         scale: frontier.scale,
         seed: frontier.seed,
-        workload: frontier.workload.clone(),
         candidates: frontier.entries.len(),
         rungs: frontier.rungs.clone(),
         front,
@@ -243,7 +244,7 @@ fn result_from(frontier: &Frontier, stopped: bool) -> DseResult {
 /// Fails if a candidate platform cannot be built or restored, if a
 /// checkpoint cannot be written, or if `resume` is set and the
 /// checkpoint is missing, corrupt, or was recorded for a different
-/// `(scale, seed, workload)`.
+/// scale, seed or workload.
 pub fn explore(config: &DseConfig) -> SimResult<DseResult> {
     let invalid = |reason: String| SimError::InvalidConfig { reason };
     let mut frontier = if config.resume {
@@ -255,7 +256,7 @@ pub fn explore(config: &DseConfig) -> SimResult<DseResult> {
             .map_err(|e| invalid(format!("loading DSE checkpoint {}: {e}", path.display())))?;
         if frontier.seed != config.seed
             || frontier.scale != config.scale
-            || frontier.workload != config.workload.label()
+            || frontier.workload != WORKLOAD
         {
             return Err(invalid(format!(
                 "checkpoint was recorded for scale {} seed {:#x} workload {}, \
@@ -265,19 +266,18 @@ pub fn explore(config: &DseConfig) -> SimResult<DseResult> {
                 frontier.workload,
                 config.scale,
                 config.seed,
-                config.workload.label()
+                WORKLOAD
             )));
         }
         frontier
     } else {
-        search::seed_frontier(config.scale, config.seed, &config.workload)
+        search::seed_frontier(config.scale, config.seed)
     };
     let params = search::SearchParams {
         scale: config.scale,
         seed: config.seed,
         jobs: config.jobs.max(1),
         exec: config.exec,
-        workload: &config.workload,
         checkpoint_path: config.checkpoint_path.as_deref(),
         checkpoint_every: config.checkpoint_every,
         stop_after: config.stop_after,
@@ -285,10 +285,6 @@ pub fn explore(config: &DseConfig) -> SimResult<DseResult> {
     let stopped = search::run_search(&mut frontier, &params)?;
     Ok(result_from(&frontier, stopped))
 }
-
-/// The simulated horizon used by quickstart-style sanity checks: long
-/// enough for every reasonable finalist, short enough to fail fast.
-pub const SANITY_HORIZON: Time = Time::from_ms(60);
 
 #[cfg(test)]
 mod tests {

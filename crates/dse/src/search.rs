@@ -10,13 +10,13 @@
 //! budget rungs.
 //!
 //! Everything observable (scores, cuts, rung accounting, the final
-//! front) is a pure function of `(seed, scale, workload)`: evaluations
+//! front) is a pure function of `(seed, scale)`: evaluations
 //! fan out through `parallel_map`, which preserves input order, and all
 //! frontier mutation happens after collection, so any `--jobs` value
 //! produces byte-identical results.
 
-use crate::build::{build_candidate, DseWorkload};
-use crate::frontier::{Frontier, FrontierEntry, RungStats};
+use crate::build::build_candidate;
+use crate::frontier::{Frontier, FrontierEntry, RungStats, WORKLOAD};
 use crate::pareto::{promotion_order, Score};
 use crate::space::{sample_generation, Candidate, INITIATORS};
 use mpsoc_kernel::{ExecMode, Fidelity, RunOutcome, SimResult, Simulation, SnapshotBlob, Time};
@@ -47,13 +47,12 @@ fn rung_budget(scale: u64, rung: u32, is_final: bool) -> Option<Time> {
     (!is_final).then(|| Time::from_ns((BASE_BUDGET_NS * scale.max(1)) << rung))
 }
 
-/// Everything `explore` needs beyond the workload itself.
+/// Everything `explore` hands the ladder.
 pub(crate) struct SearchParams<'a> {
     pub scale: u64,
     pub seed: u64,
     pub jobs: usize,
     pub exec: ExecMode,
-    pub workload: &'a DseWorkload,
     /// Save the frontier to this path every `checkpoint_every` rungs.
     pub checkpoint_path: Option<&'a Path>,
     pub checkpoint_every: Option<u32>,
@@ -119,13 +118,12 @@ fn score_of(sim: &Simulation<Packet>, elapsed: Time, cost: u64) -> Score {
 fn eval_one(
     candidate: &Candidate,
     warm: Option<&SnapshotBlob>,
-    workload: &DseWorkload,
     scale: u64,
     seed: u64,
     exec: ExecMode,
     budget: Option<Time>,
 ) -> SimResult<EvalOutput> {
-    let mut platform = build_candidate(candidate, workload, scale, seed, exec)?;
+    let mut platform = build_candidate(candidate, scale, seed, exec)?;
     let sim = platform.sim_mut();
     match warm {
         Some(blob) => {
@@ -157,8 +155,8 @@ fn eval_one(
     Ok(EvalOutput { score, warm, ticks })
 }
 
-/// Seeds a fresh frontier for `(scale, seed, workload)`.
-pub(crate) fn seed_frontier(scale: u64, seed: u64, workload: &DseWorkload) -> Frontier {
+/// Seeds a fresh frontier for `(scale, seed)`.
+pub(crate) fn seed_frontier(scale: u64, seed: u64) -> Frontier {
     let entries = sample_generation(population_size(scale), seed)
         .into_iter()
         .map(|candidate| FrontierEntry {
@@ -171,7 +169,7 @@ pub(crate) fn seed_frontier(scale: u64, seed: u64, workload: &DseWorkload) -> Fr
     Frontier {
         seed,
         scale,
-        workload: workload.label().to_owned(),
+        workload: WORKLOAD.to_owned(),
         next_rung: 0,
         rungs: Vec::new(),
         entries,
@@ -217,7 +215,6 @@ pub(crate) fn run_search(frontier: &mut Frontier, params: &SearchParams<'_>) -> 
             let out = eval_one(
                 &candidate,
                 warm.as_ref(),
-                params.workload,
                 params.scale,
                 params.seed,
                 params.exec,
@@ -315,14 +312,12 @@ mod tests {
 
     #[test]
     fn ladder_shrinks_to_finalists_and_quiesces() {
-        let workload = DseWorkload::Saturated;
-        let mut frontier = seed_frontier(1, 0x0dab, &workload);
+        let mut frontier = seed_frontier(1, 0x0dab);
         let params = SearchParams {
             scale: 1,
             seed: 0x0dab,
             jobs: 1,
             exec: ExecMode::default(),
-            workload: &workload,
             checkpoint_path: None,
             checkpoint_every: None,
             stop_after: None,

@@ -18,7 +18,7 @@
 //! report and the same checkpoint as the sparse run, at any quantum — and a
 //! downshift to `Cycle` mid-run must leave both on the same road.
 
-use mpsoc_dse::{build_candidate, sample_generation, DseWorkload};
+use mpsoc_dse::{build_candidate, sample_generation};
 use mpsoc_kernel::{ExecMode, Fidelity, Time};
 use mpsoc_memory::LmiConfig;
 use mpsoc_platform::{build_platform, MemorySystem, Platform, PlatformSpec, Topology, Workload};
@@ -95,16 +95,7 @@ fn assert_twins_downshift_alike(build: impl Fn() -> Platform, quantum: u64, cut:
 fn dense_twins_of_dse_candidates_agree() {
     let (cut, end) = (Time::from_us(12), Time::from_us(16));
     for candidate in sample_generation(6, 0x5eed) {
-        let build = || {
-            build_candidate(
-                &candidate,
-                &DseWorkload::Saturated,
-                1,
-                0x0dab,
-                ExecMode::default(),
-            )
-            .expect("builds")
-        };
+        let build = || build_candidate(&candidate, 1, 0x0dab, ExecMode::default()).expect("builds");
         for quantum in QUANTA {
             assert_twins_downshift_alike(build, quantum, cut, end);
         }
