@@ -28,7 +28,9 @@
 #     (BENCHMARK.json), which alternates paired runs on one host.
 #
 # Stage contents:
-#   lint   rustfmt --check, clippy -D warnings, rustdoc -D warnings
+#   lint   rustfmt --check, clippy -D warnings, rustdoc -D warnings; then
+#          rustfmt --check and clippy -D warnings inside benchmark/ (a
+#          package of its own, outside the workspace)
 #   test   release build of the workspace, the full test suite (the tests
 #          above among them), one small end-to-end reproduction through the
 #          repro binary, the CLI-wiring smoke (a full `repro --dense` run
@@ -55,6 +57,10 @@ stage_lint() {
 
     echo "== rustdoc (workspace, no deps) =="
     RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
+
+    echo "== benchmark harness: rustfmt (--check), clippy (all targets, -D warnings) =="
+    (cd benchmark && cargo fmt -- --check)
+    (cd benchmark && cargo clippy --offline --all-targets -- -D warnings)
 }
 
 stage_test() {

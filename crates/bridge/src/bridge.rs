@@ -563,10 +563,6 @@ impl Component<Packet> for BridgeTargetSide {
         }
     }
 
-    fn fast_forward_safe(&self) -> bool {
-        true
-    }
-
     fn fast_forward(&mut self, ctx: &mut mpsoc_kernel::FastCtx<'_, Packet>) {
         while let Some(mut tc) = ctx.next_edge() {
             self.tick(&mut tc);
@@ -640,10 +636,6 @@ impl Component<Packet> for BridgeInitiatorSide {
         // tick if its own destination can take it.
         hint.gate_input(0, Gate::space(self.req_out));
         hint.gate_input(1, Gate::space(self.resp_fifo));
-    }
-
-    fn fast_forward_safe(&self) -> bool {
-        true
     }
 
     fn fast_forward(&mut self, ctx: &mut mpsoc_kernel::FastCtx<'_, Packet>) {

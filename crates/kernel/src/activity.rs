@@ -64,8 +64,8 @@ pub struct ActivitySnapshot {
     /// component per scheduling batch that was not skipped whole).
     pub ff_windows: u64,
     /// Component cycles covered by fast-forward windows but *not* charged:
-    /// slept over by `FastCtx::sleep_until` or the fallback's runnability
-    /// seeks. The loosely-timed gear's saving, in ticks.
+    /// slept over by a hook's `FastCtx::sleep_until`. The loosely-timed
+    /// gear's saving, in ticks.
     pub ff_elided: u64,
 }
 

@@ -432,45 +432,14 @@ pub trait Component<T>: crate::snapshot::Snapshot + Send {
         let _ = hint;
     }
 
-    /// Whether the executor may hand this component whole fast-forward
-    /// windows in `Fast { quantum }` gear (see
-    /// [`Simulation::set_fidelity`](crate::Simulation::set_fidelity)).
-    ///
-    /// The default is `false`: non-opted components are advanced by a
-    /// conservative kernel-side fallback that replays every edge of the
-    /// window through [`tick`](Component::tick) with exact per-edge
-    /// contexts (honouring the sparse wake conditions), so fast gear is
-    /// always sound by construction — opting in only buys speed.
-    ///
-    /// # Contract
-    ///
-    /// An opted-in component's [`fast_forward`](Component::fast_forward)
-    /// must advance the component through the window such that a one-edge
-    /// window (quantum 1) is byte-identical to a single
-    /// [`tick`](Component::tick) — the trait's default body and any
-    /// implementation built from [`FastCtx::next_edge`],
-    /// [`FastCtx::sleep_until`] with contractual
-    /// ([`next_activity`](Component::next_activity)-grade, never-late)
-    /// deadlines and [`FastCtx::stall`](crate::FastCtx::stall) satisfy this
-    /// automatically. The answer is read once at
-    /// registration and must not change afterwards.
-    ///
-    /// [`FastCtx::next_edge`]: crate::FastCtx::next_edge
-    /// [`FastCtx::sleep_until`]: crate::FastCtx::sleep_until
-    fn fast_forward_safe(&self) -> bool {
-        false
-    }
-
     /// Advances the component through one fast-forward window (loosely-timed
-    /// gear). Called instead of per-edge [`tick`](Component::tick)s when the
-    /// component opts in via
-    /// [`fast_forward_safe`](Component::fast_forward_safe).
-    ///
-    /// The default body replays every edge of the window exactly; override
-    /// it to skip certified no-op stretches with
-    /// [`FastCtx::sleep_until`](crate::FastCtx::sleep_until) (busy-until
+    /// gear) in place of per-edge [`tick`](Component::tick)s. The default
+    /// body ticks every edge of the window, so a component without a hook is
+    /// never wrong, merely not faster; a hook skips certified no-op stretches
+    /// with [`FastCtx::sleep_until`](crate::FastCtx::sleep_until) (busy-until
     /// instants, think timers, service completion times) — the source of the
-    /// loosely-timed speedup.
+    /// loosely-timed speedup — and must equal one `tick` in a one-edge window
+    /// (quantum 1), where both of `FastCtx`'s sleeps are no-ops.
     ///
     /// # Two sleeps
     ///

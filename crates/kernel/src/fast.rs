@@ -33,8 +33,8 @@ use crate::time::{Cycles, Time};
 ///
 /// Obtained only from the executor, which passes it to
 /// [`Component::fast_forward`](crate::Component::fast_forward). The window
-/// covers `window_len()` consecutive edges of the component's clock domain;
-/// the cursor starts before the first edge and is advanced by
+/// covers up to a quantum of consecutive edges of the component's clock
+/// domain; the cursor starts before the first edge and is advanced by
 /// [`next_edge`](Self::next_edge) (one edge at a time),
 /// [`sleep_until`](Self::sleep_until) (skipping certified no-op edges) and
 /// [`stall`](Self::stall) (charging them).
@@ -107,20 +107,9 @@ impl<'a, T> FastCtx<'a, T> {
         }
     }
 
-    /// Number of edges this window covers (≤ the configured quantum: windows
-    /// are clamped at quantum-aligned boundaries and at the run horizon).
-    pub fn window_len(&self) -> u64 {
-        self.len
-    }
-
-    /// Edges of the window not yet yielded or slept over.
-    pub fn remaining(&self) -> u64 {
-        self.len.saturating_sub(self.k)
-    }
-
     /// Time of the most recently yielded edge (the window start before the
     /// first [`next_edge`](Self::next_edge)).
-    pub fn now(&self) -> Time {
+    fn now(&self) -> Time {
         Time::from_ps(self.start_ps + self.k.saturating_sub(1) * self.period_ps)
     }
 
@@ -130,8 +119,7 @@ impl<'a, T> FastCtx<'a, T> {
         self.links.can_push(id)
     }
 
-    /// Whether `link` has a payload deliverable at the current edge
-    /// ([`now`](Self::now)).
+    /// Whether `link` has a payload deliverable at the last yielded edge.
     pub fn has_deliverable(&self, id: LinkId) -> bool {
         self.links.has_deliverable(id, self.now())
     }
@@ -283,30 +271,6 @@ impl<'a, T> FastCtx<'a, T> {
     /// Edges of this window retired by [`stall`](Self::stall).
     pub(crate) fn stalled(&self) -> u64 {
         self.stalled
-    }
-
-    /// Earliest queued delivery across the watched links (any instant), or
-    /// `u64::MAX`. Kernel-side helper for the conservative fallback loop.
-    pub(crate) fn earliest_watched_head(&self) -> u64 {
-        match self.watched {
-            Some(watched) => self.links.earliest_head(watched),
-            None => u64::MAX,
-        }
-    }
-
-    /// Advances the cursor to the first edge at or after `due_ps` (keeping
-    /// it put if the due instant has already passed); returns whether such
-    /// an edge exists in the window. `u64::MAX` ends the window.
-    pub(crate) fn seek(&mut self, due_ps: u64) -> bool {
-        if due_ps == u64::MAX {
-            self.k = self.len;
-            return false;
-        }
-        let next_ps = self.start_ps + self.k * self.period_ps;
-        if due_ps > next_ps {
-            self.k = (due_ps - self.start_ps).div_ceil(self.period_ps);
-        }
-        self.k < self.len
     }
 }
 

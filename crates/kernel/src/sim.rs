@@ -183,8 +183,6 @@ struct Slot<T> {
     /// is the component's own-domain cycle count (what a dense schedule's
     /// executed-tick count would be).
     edge_base: u64,
-    /// Cached [`Component::fast_forward_safe`] (read once at registration).
-    ff_ok: bool,
 }
 
 /// What the sparse schedule knows of a component that opted into it.
@@ -423,7 +421,6 @@ impl<T> Simulation<T> {
             self.busy += 1;
         }
         let watched = component.watched_links();
-        let ff_ok = component.fast_forward_safe();
         // Join the bucket with the same domain and the same pending edge;
         // otherwise open a new one (with its own next-edge entry).
         let bucket;
@@ -471,7 +468,6 @@ impl<T> Simulation<T> {
             }),
             bucket,
             edge_base,
-            ff_ok,
         });
         self.merge_cache.clear();
         self.select();
@@ -1036,8 +1032,7 @@ impl<T> Simulation<T> {
     /// order, and counts the batch: charged ticks and the part of them
     /// [`FastCtx::stall`] retired without a dispatch, window-cycles skipped
     /// whole by the sparse wake check, windows processed, and in-window
-    /// cycles slept over uncharged (fast-forward sleeps and the fallback's
-    /// runnability seeks).
+    /// cycles the hooks slept over uncharged ([`FastCtx::sleep_until`]).
     ///
     /// The fast gear reads deadlines and wakes, not wake keys. A member a
     /// cycle-gear edge left stalled is charged, so it is never skipped
@@ -1082,12 +1077,9 @@ impl<T> Simulation<T> {
     }
 
     /// Runs one component's fast-forward window of `n` edges starting at
-    /// `start`. Opted-in components get the whole window through their
-    /// [`Component::fast_forward`] hook; everything else is advanced by the
-    /// conservative kernel fallback — an exact per-edge replay of
-    /// [`Component::tick`] honouring the sparse wake conditions within the
-    /// window. Returns the tick bodies run and the edges a hook's
-    /// [`FastCtx::stall`] charged without running them.
+    /// `start` through its [`Component::fast_forward`] hook (whose default
+    /// body ticks every edge of the window). Returns the tick bodies run and
+    /// the edges the hook's [`FastCtx::stall`] charged without running them.
     fn fast_slot(&mut self, index: usize, start: Time, n: u64) -> (u64, u64) {
         self.rouse(index);
         let cycle = self.cycle_of(index);
@@ -1106,13 +1098,10 @@ impl<T> Simulation<T> {
         } = self;
         faults.set_origin(index as u32);
         let slot = &mut slots[index];
-        let ff_ok = slot.ff_ok;
-        let initial_timer = slot.sparse.as_ref().map_or(0, |s| s.timer);
         let watched = slot.sparse.as_ref().map(|s| s.watched.as_slice());
         // `--dense` means every charged tick is dispatched, in a window as
         // on an edge: without a hint to read, `FastCtx::stall` is a no-op.
         let hint = (!dense).then_some(window_hint);
-        let comp = &mut slot.component;
         let mut ctx = FastCtx::new(
             start,
             period,
@@ -1125,31 +1114,7 @@ impl<T> Simulation<T> {
             rng,
             faults,
         );
-        if ff_ok {
-            comp.fast_forward(&mut ctx);
-        } else if watched.is_none() || dense {
-            // Dense semantics: every edge of the window ticks.
-            while let Some(mut tc) = ctx.next_edge() {
-                comp.tick(&mut tc);
-            }
-        } else {
-            // Sparse semantics, window-local: seek to the next edge where
-            // the component's deadline is due or a watched payload is
-            // pending, exactly as the cycle-accurate sparse schedule would
-            // decide given the window-frozen link state. The first
-            // evaluation uses the slot's cached timer (which starts at 0 to
-            // force a component's very first tick).
-            let mut timer = initial_timer;
-            loop {
-                let due = timer.min(ctx.earliest_watched_head());
-                if !ctx.seek(due) {
-                    break;
-                }
-                let Some(mut tc) = ctx.next_edge() else { break };
-                comp.tick(&mut tc);
-                timer = comp.next_activity().map_or(u64::MAX, Time::as_ps);
-            }
-        }
+        slot.component.fast_forward(&mut ctx);
         let (executed, stalled) = (ctx.executed(), ctx.stalled());
         if executed > 0 {
             // A window runs its component alone, against link state the
@@ -2321,9 +2286,6 @@ mod tests {
                 hint.gate_deadline(crate::Gate::space(self.out));
             }
         }
-        fn fast_forward_safe(&self) -> bool {
-            true
-        }
         fn fast_forward(&mut self, ctx: &mut crate::FastCtx<'_, u64>) {
             poll_or_stall(self, ctx);
         }
@@ -2375,9 +2337,6 @@ mod tests {
             if self.hints {
                 hint.gate_input(0, crate::Gate::until(self.busy_until));
             }
-        }
-        fn fast_forward_safe(&self) -> bool {
-            true
         }
         fn fast_forward(&mut self, ctx: &mut crate::FastCtx<'_, u64>) {
             poll_or_stall(self, ctx);
@@ -2667,7 +2626,7 @@ mod tests {
         assert_eq!(sim.component_ticks(id), 4);
     }
 
-    /// Fast-forward opt-in echo: pops one payload per cycle and answers on
+    /// Fast-forward hook echo: pops one payload per cycle and answers on
     /// its output; sleeps windows via its think deadline when drained.
     struct FfEcho {
         input: LinkId,
@@ -2696,9 +2655,6 @@ mod tests {
         }
         fn watched_links(&self) -> Option<Vec<LinkId>> {
             Some(vec![self.input])
-        }
-        fn fast_forward_safe(&self) -> bool {
-            true
         }
         fn fast_forward(&mut self, ctx: &mut crate::FastCtx<'_, u64>) {
             while let Some(mut tc) = ctx.next_edge() {
@@ -2767,11 +2723,12 @@ mod tests {
 
     #[test]
     fn fast_gear_drains_the_pipeline_and_elides_ticks() {
-        let before = crate::activity::snapshot();
         let mut fast = gear_pipeline_sim(Fidelity::fast());
         fast.run_to_quiescence_strict(Time::from_us(10))
             .expect("fast gear must preserve drainage");
-        let delta = crate::activity::snapshot().since(before);
+        // The simulation's own counts: the process-wide ones are fed by
+        // every test that simulates concurrently.
+        let own = fast.activity.total();
         let mut cycle = gear_pipeline_sim(Fidelity::Cycle);
         cycle.run_to_quiescence_strict(Time::from_us(10)).unwrap();
         // Same payloads in the same order; delivery instants may be
@@ -2779,11 +2736,8 @@ mod tests {
         let got: Vec<u64> = received_log(&mut fast).iter().map(|(_, v)| *v).collect();
         let want: Vec<u64> = received_log(&mut cycle).iter().map(|(_, v)| *v).collect();
         assert_eq!(got, want);
-        assert!(delta.ff_windows > 0, "windows must have been processed");
-        assert!(
-            delta.ff_elided > 0,
-            "sleeps and seeks must elide in-window cycles"
-        );
+        assert!(own.ff_windows > 0, "windows must have been processed");
+        assert!(own.ff_elided > 0, "sleeps must elide in-window cycles");
     }
 
     #[test]

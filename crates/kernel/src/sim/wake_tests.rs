@@ -94,9 +94,6 @@ impl Component<u64> for Waiter {
             hint.count_elided(waits, self.count_from);
         }
     }
-    fn fast_forward_safe(&self) -> bool {
-        true
-    }
     fn fast_forward(&mut self, ctx: &mut crate::FastCtx<'_, u64>) {
         poll_or_stall(self, ctx);
     }
@@ -776,15 +773,16 @@ fn a_window_credits_from_the_declared_instant() {
         assert_eq!(waits(&sparse, 0), expect, "sparse, from {from_ns} ns");
         assert_same_state(&sparse, &dense);
         // One body per window for the waiter, every other edge of its four
-        // windows charged to it all the same; the responder ran its first
-        // tick and one per push.
+        // windows charged to it all the same. The responder has no hook, so
+        // the default body ticks all 24 edges of its first three windows;
+        // the fourth is skipped whole, nothing being left to send.
         assert_eq!(sparse.component_dispatches(ComponentId(0)), 4);
         assert_eq!(sparse.component_ticks(ComponentId(0)), 32);
         assert_eq!(
             sparse.component_ticks(ComponentId(0)),
             dense.component_ticks(ComponentId(0))
         );
-        assert_eq!(dispatched.load(Ordering::Relaxed), 4 + 3);
+        assert_eq!(dispatched.load(Ordering::Relaxed), 4 + 24);
         assert_eq!(sparse.ticks_elided(), 28);
         assert_accounts_add_up(&sparse);
     }
@@ -933,9 +931,6 @@ fn the_dense_twin_catches_a_lying_hint_inside_a_window() {
         }
         fn stall_hint(&self, hint: &mut StallHint) {
             hint.gate_deadline(crate::Gate::CLOSED);
-        }
-        fn fast_forward_safe(&self) -> bool {
-            true
         }
         fn fast_forward(&mut self, ctx: &mut crate::FastCtx<'_, u64>) {
             poll_or_stall(self, ctx);

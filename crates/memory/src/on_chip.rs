@@ -226,10 +226,6 @@ impl Component<Packet> for OnChipMemory {
         }
     }
 
-    fn fast_forward_safe(&self) -> bool {
-        true
-    }
-
     fn fast_forward(&mut self, ctx: &mut mpsoc_kernel::FastCtx<'_, Packet>) {
         while let Some(mut tc) = ctx.next_edge() {
             let now = tc.time;

@@ -240,10 +240,6 @@ impl Component<Packet> for Router {
     // busy or full output keeps its payload queued, which keeps the wake
     // due). `next_activity` stays `None`.
 
-    fn fast_forward_safe(&self) -> bool {
-        true
-    }
-
     fn fast_forward(&mut self, ctx: &mut mpsoc_kernel::FastCtx<'_, Packet>) {
         while let Some(mut tc) = ctx.next_edge() {
             let now = tc.time;

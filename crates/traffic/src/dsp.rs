@@ -489,10 +489,6 @@ impl Component<Packet> for DspCore {
         }
     }
 
-    fn fast_forward_safe(&self) -> bool {
-        true
-    }
-
     fn fast_forward(&mut self, ctx: &mut mpsoc_kernel::FastCtx<'_, Packet>) {
         while let Some(mut tc) = ctx.next_edge() {
             self.tick(&mut tc);

@@ -348,6 +348,8 @@ impl IpTrafficGenerator {
     /// Mirrors every issued transaction into `recorder`, so the session can
     /// later be replayed bit-exactly with a
     /// [`TraceDrivenGenerator`](crate::TraceDrivenGenerator).
+    /// The recorder captures in whatever gear the run uses; replayable order
+    /// is the cycle gear's (a fast-gear window issues ahead of neighbours).
     pub fn with_issue_recorder(mut self, recorder: IssueRecorder) -> Self {
         self.issue_recorder = Some(recorder);
         self
@@ -721,12 +723,6 @@ impl Component<Packet> for IpTrafficGenerator {
         // says: they arrive on the watched link, which is not gated.
         let due = self.earliest_deadline(true).unwrap_or(Time::MAX);
         hint.gate_deadline(Gate::until(due).with_space(self.req_out));
-    }
-
-    fn fast_forward_safe(&self) -> bool {
-        // A capture recorder must see issues in global tick order, which
-        // window batching reorders.
-        self.issue_recorder.is_none()
     }
 
     fn fast_forward(&mut self, ctx: &mut mpsoc_kernel::FastCtx<'_, Packet>) {

@@ -3,8 +3,11 @@
 //! One differential test over the printed tables of `fig3` (the most
 //! sleeping slots), `many-to-one` (the fewest: its charged ticks are mostly
 //! elided under back-pressure), `robustness` (fault-armed: every component
-//! draws from its own probe stream) and `fig4` (a checkpoint restore in the middle of every cell: the mode
-//! must survive it) at scale 1. It replaces the `ci.sh` gates that ran `repro` twice and
+//! draws from its own probe stream) and `fig4` (a checkpoint restore in the
+//! middle of every cell: the mode must survive it) at scale 1, and over the
+//! cycle counts of EXT-TLM (`tlm`: its bus has no fast-forward hook, so the
+//! default body ticks every edge of its windows; its printed table adds host
+//! time). It replaces the `ci.sh` gates that ran `repro` twice and
 //! diffed the output — an [`ExecMode`] is a value now, so a test thread can
 //! hold one:
 //!
@@ -63,8 +66,9 @@ const ROWS: [(&str, ExecMode, ExecMode); 4] = [
     ),
 ];
 
-/// The four tables as `repro --scale 1` prints them, under `exec`.
-fn tables(exec: ExecMode) -> [(&'static str, String); 4] {
+/// The five tables as `repro --scale 1` prints them, under `exec` (EXT-TLM
+/// without its host-time columns).
+fn tables(exec: ExecMode) -> [(&'static str, String); 5] {
     let run = Run {
         exec,
         ..Run::new(1, experiments::DEFAULT_SEED)
@@ -80,6 +84,18 @@ fn tables(exec: ExecMode) -> [(&'static str, String); 4] {
             experiments::robustness(run).expect("runs").to_string(),
         ),
         ("fig4", experiments::fig4(run).expect("runs").to_string()),
+        (
+            "tlm",
+            format!(
+                "{:?}\n",
+                experiments::fidelity_study(run)
+                    .expect("runs")
+                    .rows
+                    .iter()
+                    .map(|r| r.exec_cycles)
+                    .collect::<Vec<_>>()
+            ),
+        ),
     ]
 }
 
