@@ -347,6 +347,7 @@ impl mpsoc_kernel::Snapshot for AhbBus {
         self.busy_until = r.read_time();
         self.charged_until = r.read_time();
         self.last_winner = r.read_usize();
+        self.counters = Counters::default();
     }
 }
 

@@ -537,6 +537,7 @@ impl mpsoc_kernel::Snapshot for AxiInterconnect {
         }
         self.req_heads.clear();
         self.resp_heads.clear();
+        self.counters = Counters::default();
     }
 }
 

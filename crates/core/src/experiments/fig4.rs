@@ -104,9 +104,9 @@ pub(super) fn serve_sweep(run: Run, warm: &[WarmState]) -> SimResult<Fig4> {
     let rows = parallel_map(SWEEP.to_vec(), run.jobs, |ws| -> SimResult<Fig4Point> {
         let mut cycles = [0u64; 2];
         for (i, topology) in TOPOLOGIES.into_iter().enumerate() {
-            let platform = build_platform(&point_spec(run, topology))?;
+            let mut platform = build_platform(&point_spec(run, topology))?;
             let cell = point_request(run, topology, ws);
-            cycles[i] = service::serve_point_on(platform, &cell, &warm[i])?;
+            cycles[i] = service::serve_point_on(&mut platform, &cell, &warm[i])?;
         }
         Ok(Fig4Point {
             wait_states: ws,
@@ -232,7 +232,7 @@ mod tests {
             let warm = service::warm_state_of(&spec, exec.fidelity).expect("warms");
             let base = point_request(run, topology, service::BASE_WAIT_STATES);
             let served =
-                service::serve_point_on(build_platform(&spec).expect("builds"), &base, &warm)
+                service::serve_point_on(&mut build_platform(&spec).expect("builds"), &base, &warm)
                     .expect("serves");
             let row = &fig.points[0];
             assert_eq!([row.collapsed_cycles, row.distributed_cycles][i], served);

@@ -36,10 +36,31 @@ where
     O: Send,
     F: Fn(I) -> O + Sync,
 {
+    parallel_map_with(inputs, jobs, |(): &mut (), input| f(input))
+}
+
+/// [`parallel_map`] with a state per worker: every worker starts from
+/// `S::default()`, hands it to `f` with each input it claims, and drops it
+/// on its own thread when no input is left — what a worker carries from
+/// one input to its next (a platform to restore into, say) never outlives
+/// the call nor crosses to another thread. Outputs are in input order; for
+/// an `f` whose output does not depend on the state, they are
+/// [`parallel_map`]'s.
+pub fn parallel_map_with<I, O, S, F>(inputs: Vec<I>, jobs: usize, f: F) -> Vec<O>
+where
+    I: Send,
+    O: Send,
+    S: Default,
+    F: Fn(&mut S, I) -> O + Sync,
+{
     let n = inputs.len();
     let jobs = jobs.clamp(1, n.max(1));
     if jobs == 1 {
-        return inputs.into_iter().map(f).collect();
+        let mut state = S::default();
+        return inputs
+            .into_iter()
+            .map(|input| f(&mut state, input))
+            .collect();
     }
 
     // Work items and result slots live behind per-slot mutexes so the whole
@@ -49,18 +70,21 @@ where
     let slots: Vec<Mutex<Option<O>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
 
-    let work = || loop {
-        let idx = next.fetch_add(1, Ordering::Relaxed);
-        if idx >= n {
-            break;
+    let work = || {
+        let mut state = S::default();
+        loop {
+            let idx = next.fetch_add(1, Ordering::Relaxed);
+            if idx >= n {
+                break;
+            }
+            let input = tasks[idx]
+                .lock()
+                .expect("task mutex poisoned")
+                .take()
+                .expect("each index is dispensed once");
+            let output = f(&mut state, input);
+            *slots[idx].lock().expect("slot mutex poisoned") = Some(output);
         }
-        let input = tasks[idx]
-            .lock()
-            .expect("task mutex poisoned")
-            .take()
-            .expect("each index is dispensed once");
-        let output = f(input);
-        *slots[idx].lock().expect("slot mutex poisoned") = Some(output);
     };
     // The caller takes a share instead of sleeping through the scope: one
     // thread fewer to start per call, and one fewer whose allocator arena
@@ -108,6 +132,27 @@ mod tests {
     fn more_jobs_than_items() {
         let out = parallel_map(vec![1u8, 2], 16, |x| x);
         assert_eq!(out, vec![1, 2]);
+    }
+
+    #[test]
+    fn a_worker_carries_its_state_from_input_to_input() {
+        // Serially, one worker sees every input: its state is a running sum.
+        let sums = parallel_map_with((1..=5u64).collect(), 1, |sum: &mut u64, x| {
+            *sum += x;
+            *sum
+        });
+        assert_eq!(sums, vec![1, 3, 6, 10, 15]);
+        // Fanned out, every input still lands in its slot, and the workers'
+        // states between them saw each input once.
+        let seen = parallel_map_with((0..64u64).collect(), 4, |count: &mut u64, x| {
+            *count += 1;
+            (x * 2, *count)
+        });
+        assert_eq!(
+            seen.iter().map(|&(x, _)| x).collect::<Vec<_>>(),
+            (0..64u64).map(|x| x * 2).collect::<Vec<_>>()
+        );
+        assert!(seen.iter().all(|&(_, count)| (1..=64).contains(&count)));
     }
 
     #[test]

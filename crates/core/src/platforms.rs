@@ -24,6 +24,7 @@ use crate::report::RunReport;
 use mpsoc_ahb::AhbBusConfig;
 use mpsoc_axi::AxiInterconnectConfig;
 use mpsoc_bridge::BridgeConfig;
+use mpsoc_kernel::stats::CounterId;
 use mpsoc_kernel::vcd::VcdWriter;
 use mpsoc_kernel::{ClockDomain, ExecMode, SimResult, Simulation, Time};
 use mpsoc_memory::{LmiConfig, OnChipMemoryConfig};
@@ -185,6 +186,11 @@ pub struct Platform {
     generator_names: Vec<String>,
     lmi_names: Vec<String>,
     expected_transactions: u64,
+    /// The `{generator}.injected` counters, resolved once at build. Every
+    /// generator registers its counters when it is added, so their ids are
+    /// a prefix of the registry that every checkpoint of this platform's
+    /// spec reproduces: they stay valid across [`Platform::restore`].
+    injected_ids: Vec<CounterId>,
 }
 
 impl Platform {
@@ -196,6 +202,12 @@ impl Platform {
         lmi_names: Vec<String>,
         expected_transactions: u64,
     ) -> Platform {
+        // A generator without the counter (the DSP core) injects nothing
+        // it counts.
+        let injected_ids = generator_names
+            .iter()
+            .filter_map(|name| sim.stats().find_counter(&format!("{name}.injected")))
+            .collect();
         Platform {
             sim,
             reference_clock,
@@ -203,6 +215,7 @@ impl Platform {
             generator_names,
             lmi_names,
             expected_transactions,
+            injected_ids,
         }
     }
 
@@ -225,13 +238,10 @@ impl Platform {
     /// Cheap enough to sample mid-run; stepping experiments use it to
     /// locate traffic-anchored phase boundaries.
     pub fn injected_so_far(&self) -> u64 {
-        self.generator_names
+        let stats = self.sim.stats();
+        self.injected_ids
             .iter()
-            .map(|name| {
-                self.sim
-                    .stats()
-                    .counter_by_name(&format!("{name}.injected"))
-            })
+            .map(|&id| stats.counter_value(id))
             .sum()
     }
 
@@ -376,6 +386,13 @@ impl Platform {
 
     /// Restores state captured by [`Platform::checkpoint`]. The platform
     /// must have been built from the same spec as the checkpointed one.
+    ///
+    /// Restore is a complete reset ([`Simulation::restore`]): a platform
+    /// that has already run — any blob, any wait states — is afterwards
+    /// indistinguishable from a fresh build restored from the same blob, in
+    /// its checkpoint bytes and in every run that follows (report, tick and
+    /// edge counts). A sweep server may therefore fork the next request
+    /// into a platform that served the last one instead of building anew.
     ///
     /// # Errors
     ///

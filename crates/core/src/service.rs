@@ -16,7 +16,10 @@
 //!   ([`crate::experiments::fig4`]) is exactly this sweep for one fixed
 //!   configuration: every cell of its table is [`serve_point_on`] from a
 //!   warm state made by [`warm_state`]'s body, on platforms built from a
-//!   spec that also carries the run's execution mode.
+//!   spec that also carries the run's execution mode;
+//! * [`PlatformPool`] — the platforms that served a tail, kept for the next
+//!   fork of the same warm key: [`Platform::restore`] is a complete reset,
+//!   so a served point restores into one of them instead of building.
 //!
 //! # One simulation per warm-up
 //!
@@ -41,13 +44,15 @@
 //! returns byte-identical results to a cold run — the server asserts this
 //! and CI gates it end to end.
 
-use crate::experiments::parallel_map;
+use crate::experiments::parallel_map_with;
 use crate::platforms::{build_platform, MemorySystem, Platform, PlatformSpec, Topology, Workload};
 use mpsoc_kernel::{
     Fidelity, RunOutcome, SimError, SimResult, SnapshotBlob, SnapshotError, StateReader,
     StateWriter, Time,
 };
 use mpsoc_protocol::ProtocolKind;
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// Wait states of the shared warm-up phase every sweep point starts from.
@@ -536,18 +541,18 @@ fn replay_to_boundary(
 /// platform (never served from a correct cache), on a corrupt blob, or if
 /// the tail stalls.
 pub fn serve_point(req: &SweepRequest, warm: &WarmState) -> SimResult<u64> {
-    serve_point_on(build_platform(&req.base_spec())?, req, warm)
+    serve_point_on(&mut build_platform(&req.base_spec())?, req, warm)
 }
 
-/// [`serve_point`] on a platform the caller has already built — and not yet
-/// run — from `req.base_spec()`, typically to read the fingerprint a cached
-/// warm state must match.
+/// [`serve_point`] on a platform the caller holds, built from
+/// `req.base_spec()` — fresh, or one that has served tails before: restore
+/// is a complete reset, so both give the same answer.
 ///
 /// # Errors
 ///
 /// Same as [`serve_point`].
 pub fn serve_point_on(
-    mut platform: Platform,
+    platform: &mut Platform,
     req: &SweepRequest,
     warm: &WarmState,
 ) -> SimResult<u64> {
@@ -574,39 +579,184 @@ pub fn serve_point_on(
     Ok(platform.exec_cycles_at(exec))
 }
 
+/// Idle platforms kept for reuse, keyed by [`SweepRequest::warm_key`].
+///
+/// A served point takes a kept platform of its key — or builds one when
+/// none is free — restores its warm blob into it, runs the tail and gives
+/// the platform back. [`Platform::restore`] is a complete reset, so the
+/// answer is the one a fresh build gives; what the pool saves is the
+/// build. At most `capacity` platforms are kept; one more evicts the least
+/// recently used.
+///
+/// A platform enters the pool only after a cycle-gear tail ran on it, or
+/// unrun, through [`PlatformPool::offer`]; one whose restore or tail failed
+/// is dropped.
+#[derive(Debug)]
+pub struct PlatformPool {
+    capacity: usize,
+    /// Least recently kept first.
+    idle: Mutex<VecDeque<Idle>>,
+    kept: AtomicU64,
+    built: AtomicU64,
+}
+
+#[derive(Debug)]
+struct Idle {
+    key: String,
+    platform: Platform,
+    /// Whether a tail has run on it; an unrun platform was built for the
+    /// point that takes it.
+    served: bool,
+}
+
+impl PlatformPool {
+    /// An empty pool keeping at most `capacity` idle platforms (0 keeps
+    /// none: every point builds).
+    pub fn new(capacity: usize) -> PlatformPool {
+        PlatformPool {
+            capacity,
+            idle: Mutex::new(VecDeque::with_capacity(capacity)),
+            kept: AtomicU64::new(0),
+            built: AtomicU64::new(0),
+        }
+    }
+
+    /// The structural fingerprint of a kept platform of `key` — what a
+    /// cached warm state of the key must match — or `None` if none is
+    /// kept.
+    pub fn fingerprint(&self, key: &str) -> Option<u64> {
+        let idle = self.idle.lock().expect("platform pool");
+        idle.iter()
+            .rev()
+            .find(|kept| kept.key == key)
+            .map(|kept| kept.platform.structural_fingerprint())
+    }
+
+    /// Keeps `platform`, freshly built for a request of `key` and not yet
+    /// run, for that request's first point, which counts it as a build.
+    pub fn offer(&self, key: String, platform: Platform) {
+        self.keep(key, platform, false);
+    }
+
+    /// Points served on a kept platform so far.
+    pub fn forks_kept(&self) -> u64 {
+        self.kept.load(Ordering::Relaxed)
+    }
+
+    /// Points that built their platform so far.
+    pub fn forks_built(&self) -> u64 {
+        self.built.load(Ordering::Relaxed)
+    }
+
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        self.idle.lock().expect("platform pool").len()
+    }
+
+    fn keep(&self, key: String, platform: Platform, served: bool) {
+        if self.capacity == 0 {
+            return;
+        }
+        let mut idle = self.idle.lock().expect("platform pool");
+        if idle.len() == self.capacity {
+            idle.pop_front();
+        }
+        idle.push_back(Idle {
+            key,
+            platform,
+            served,
+        });
+    }
+
+    /// The most recently kept platform of `req`'s key, or one built for
+    /// it; counts the fork.
+    fn checkout(&self, req: &SweepRequest) -> SimResult<Platform> {
+        let key = req.warm_key();
+        let taken = {
+            let mut idle = self.idle.lock().expect("platform pool");
+            idle.iter()
+                .rposition(|kept| kept.key == key)
+                .and_then(|at| idle.remove(at))
+        };
+        match taken {
+            Some(Idle {
+                platform, served, ..
+            }) => {
+                let count = if served { &self.kept } else { &self.built };
+                count.fetch_add(1, Ordering::Relaxed);
+                Ok(platform)
+            }
+            None => {
+                self.built.fetch_add(1, Ordering::Relaxed);
+                build_platform(&req.base_spec())
+            }
+        }
+    }
+
+    /// Serves one point on a [`checkout`](Self::checkout) and keeps the
+    /// platform if the tail ran.
+    fn serve(&self, req: &SweepRequest, warm: &WarmState) -> SimResult<u64> {
+        let mut platform = self.checkout(req)?;
+        let cycles = serve_point_on(&mut platform, req, warm)?;
+        if platform.sim().fidelity() == Fidelity::Cycle {
+            self.keep(req.warm_key(), platform, true);
+        }
+        Ok(cycles)
+    }
+}
+
 /// Serves many sweep points of one warm key as a single fan-out: every
 /// request forks the same warm blob and the forks run under one
-/// [`parallel_map`] with `jobs` workers.
+/// [`parallel_map_with`] with `jobs` workers.
 ///
 /// This is the multi-cell primitive behind the server's array requests: a
 /// whole `wait_states` axis of one platform costs one warm-up plus one
 /// sweep, instead of N sweeps. Results come back in input order and each
 /// is byte-identical to the [`serve_point`] the request would have run in
-/// isolation — the fan-out changes wall-clock time, never values.
+/// isolation — the fan-out changes wall-clock time, never values. Each
+/// worker runs all its points on one platform, so the call builds at most
+/// `jobs` platforms.
 ///
 /// Per-point errors stay per-point: one stalling tail does not take down
 /// the rest of the batch.
 pub fn serve_points(reqs: Vec<SweepRequest>, warm: &WarmState, jobs: usize) -> Vec<SimResult<u64>> {
-    serve_points_with(None, reqs, warm, jobs)
+    serve_points_with(&PlatformPool::new(0), reqs, warm, jobs)
 }
 
-/// [`serve_points`] for a caller that may already hold one freshly built
-/// platform of the requests' shared base spec: whichever point starts first
-/// runs on `spare`, so a one-point request builds nothing more. Every
-/// request must map to the base spec `spare` was built from.
+/// [`serve_points`] on a caller's [`PlatformPool`]. A single point takes a
+/// kept platform of its key, or builds one, and gives it back to `pool`
+/// once its tail has run, for the caller's next request of the key.
+///
+/// Several points fan out over workers that each take a kept platform of
+/// the key, or build one, for their first point, run every later point on
+/// the same platform, and drop it on their own thread when the call
+/// returns ([`parallel_map_with`]). Kept in `pool` past the call — or
+/// dropped by another thread once the fan-out is over — those platforms
+/// raised `simserved`'s peak RSS on six-point axes at scale 4 by 9-28 %,
+/// about five times their live bytes, while dropped on their own worker
+/// thread they cost nothing measurable (DESIGN.md, "Kept platforms"). The
+/// build they would save is a few percent of a multi-point request,
+/// against a fifth of a single-point hit.
 pub fn serve_points_with(
-    spare: Option<Platform>,
+    pool: &PlatformPool,
     reqs: Vec<SweepRequest>,
     warm: &WarmState,
     jobs: usize,
 ) -> Vec<SimResult<u64>> {
-    let spare = Mutex::new(spare);
-    parallel_map(reqs, jobs, |req| {
-        let built = spare.lock().expect("spare platform").take();
-        match built {
-            Some(platform) => serve_point_on(platform, &req, warm),
-            None => serve_point(&req, warm),
-        }
+    if let [req] = &reqs[..] {
+        return vec![pool.serve(req, warm)];
+    }
+    parallel_map_with(reqs, jobs, |mine: &mut Option<Platform>, req| {
+        let mut platform = match mine.take() {
+            Some(platform) => {
+                pool.kept.fetch_add(1, Ordering::Relaxed);
+                platform
+            }
+            None => pool.checkout(&req)?,
+        };
+        let cycles = serve_point_on(&mut platform, &req, warm)?;
+        *mine = Some(platform);
+        Ok(cycles)
     })
 }
 
@@ -625,6 +775,7 @@ pub fn cold_point(req: &SweepRequest) -> SimResult<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::parallel_map;
 
     fn quick_request() -> SweepRequest {
         SweepRequest {
@@ -882,16 +1033,83 @@ mod tests {
             .map(|r| r.expect("serves"))
             .collect();
         assert_eq!(batched, isolated);
-        // Running one of the points on a platform built beforehand changes
-        // nothing either, serially or fanned out.
+        // Points served on kept platforms — one a single point left in the
+        // pool, and ones a worker carries from its last point at other wait
+        // states — change nothing either, serially or fanned out.
         for jobs in [1, 2] {
-            let spare = build_platform(&quick_request().base_spec()).expect("builds");
-            let with_spare: Vec<u64> = serve_points_with(Some(spare), cells.clone(), &warm, jobs)
-                .into_iter()
-                .map(|r| r.expect("serves"))
-                .collect();
-            assert_eq!(with_spare, isolated);
+            let pool = PlatformPool::new(4);
+            for round in 0..cells.len() {
+                let single = serve_points_with(&pool, vec![cells[round].clone()], &warm, jobs);
+                assert_eq!(single.len(), 1);
+                assert_eq!(single[0].as_ref().ok(), Some(&isolated[round]));
+                assert_eq!(pool.len(), 1, "a single point keeps its platform");
+                let mut axis = cells.clone();
+                axis.rotate_left(round);
+                let mut want = isolated.clone();
+                want.rotate_left(round);
+                let served: Vec<u64> = serve_points_with(&pool, axis, &warm, jobs)
+                    .into_iter()
+                    .map(|r| r.expect("serves"))
+                    .collect();
+                assert_eq!(served, want, "jobs {jobs}, round {round}");
+                assert_eq!(pool.len(), 0, "an axis takes the kept platform along");
+            }
+            assert_eq!(pool.forks_kept() + pool.forks_built(), 12);
+            assert!(
+                pool.forks_built() <= 3 * jobs as u64,
+                "a single point and each further worker build, nothing else: {}",
+                pool.forks_built()
+            );
         }
+    }
+
+    #[test]
+    fn the_pool_keeps_the_most_recent_platforms_of_each_key() {
+        let req = quick_request();
+        let other = SweepRequest {
+            topology: Topology::Collapsed,
+            ..quick_request()
+        };
+        let pool = PlatformPool::new(2);
+        let key = req.warm_key();
+        assert_eq!(pool.fingerprint(&key), None);
+        // An unrun platform offered for a request is kept, answers for the
+        // key's fingerprint, and the point that takes it counts as a build.
+        let built = build_platform(&req.base_spec()).expect("builds");
+        let fingerprint = built.structural_fingerprint();
+        pool.offer(key.clone(), built);
+        let warm = warm_state(&req).expect("warm state");
+        assert_eq!(fingerprint, warm.fingerprint);
+        assert_eq!(pool.fingerprint(&key), Some(fingerprint));
+        assert_eq!(pool.len(), 1);
+        let want = serve_point(&req, &warm).expect("serves");
+        assert_eq!(pool.serve(&req, &warm).expect("serves"), want);
+        assert_eq!((pool.forks_kept(), pool.forks_built()), (0, 1));
+        assert_eq!(pool.serve(&req, &warm).expect("serves"), want);
+        assert_eq!((pool.forks_kept(), pool.forks_built()), (1, 1));
+        // Two other keys evict the least recently kept platform.
+        let third = SweepRequest {
+            seed: 1,
+            ..quick_request()
+        };
+        for req in [&other, &third] {
+            let warm = warm_state(req).expect("warm state");
+            assert_eq!(pool.serve(req, &warm), serve_point(req, &warm));
+        }
+        assert_eq!(pool.len(), 2);
+        assert_eq!((pool.forks_kept(), pool.forks_built()), (1, 3));
+        assert_eq!(pool.serve(&req, &warm).expect("serves"), want);
+        assert_eq!((pool.forks_kept(), pool.forks_built()), (1, 4));
+        // A tail that fails drops its platform.
+        let other_warm = warm_state(&other).expect("warm state");
+        let refused = pool.serve(&req, &other_warm);
+        assert!(refused.is_err());
+        assert_eq!(pool.len(), 1);
+        assert_eq!((pool.forks_kept(), pool.forks_built()), (2, 4));
+        // A pool of capacity 0 keeps nothing.
+        let none = PlatformPool::new(0);
+        assert_eq!(none.serve(&req, &warm).expect("serves"), want);
+        assert_eq!(none.len(), 0);
     }
 
     #[test]

@@ -338,6 +338,17 @@ impl<T> LinkPool<T> {
         self.keys.bucket_due[b] = 0;
     }
 
+    /// Puts every enrolled slot's wake key and every bucket bound back to
+    /// due, and forgets every wake-on-space waiter: the wake state
+    /// registration leaves, which a snapshot restore rebuilds from.
+    pub(crate) fn reset_wake_keys(&mut self) {
+        self.keys.due.fill(0);
+        self.keys.bucket_due.fill(0);
+        for waiting in &mut self.waiters {
+            waiting.clear();
+        }
+    }
+
     /// Registers the enrolled `slot` as a wake-on-delivery watcher of `id`
     /// (sparse ticking). Any payload already queued on the link lowers the
     /// slot's wake immediately.

@@ -342,6 +342,11 @@ pub struct Simulation<T> {
     /// bound it needs is captured at enable time.
     audit: Option<fn(&mut Simulation<T>, usize, Time)>,
     links: LinkPool<T>,
+    /// Memo of [`structural_fingerprint`](Self::structural_fingerprint),
+    /// dropped whenever a component or a link may have been added
+    /// ([`add_component`](Self::add_component),
+    /// [`links_mut`](Self::links_mut)).
+    fingerprint: std::sync::OnceLock<u64>,
     stats: StatsRegistry,
     rng: SplitMix64,
     faults: FaultEngine,
@@ -375,6 +380,7 @@ impl<T> Simulation<T> {
             fidelity: Fidelity::Cycle,
             audit: None,
             links: LinkPool::new(),
+            fingerprint: std::sync::OnceLock::new(),
             stats: StatsRegistry::new(),
             rng: SplitMix64::new(seed),
             faults: FaultEngine::new(),
@@ -470,6 +476,7 @@ impl<T> Simulation<T> {
             edge_base,
         });
         self.merge_cache.clear();
+        self.fingerprint = std::sync::OnceLock::new();
         self.select();
         id
     }
@@ -561,8 +568,11 @@ impl<T> Simulation<T> {
         &self.links
     }
 
-    /// Mutable access to the link pool (wiring phase).
+    /// Mutable access to the link pool (wiring phase). A link added through
+    /// it changes the [`structural_fingerprint`](Simulation::structural_fingerprint),
+    /// so the call drops the memo.
     pub fn links_mut(&mut self) -> &mut LinkPool<T> {
+        self.fingerprint = std::sync::OnceLock::new();
         &mut self.links
     }
 
@@ -1400,7 +1410,15 @@ impl<T: crate::snapshot::SnapshotPayload> Simulation<T> {
     /// clock-domain buckets and link wiring. Restore refuses blobs whose
     /// fingerprint differs, since component `restore` implementations
     /// assume the saving and restoring platforms are built identically.
+    ///
+    /// Computed once per structure: the value is memoized until the next
+    /// [`add_component`](Self::add_component) or
+    /// [`links_mut`](Self::links_mut).
     pub fn structural_fingerprint(&self) -> u64 {
+        *self.fingerprint.get_or_init(|| self.hash_structure())
+    }
+
+    fn hash_structure(&self) -> u64 {
         let mut h = crate::snapshot::Fnv64::new();
         h.write_u64(self.slots.len() as u64);
         for slot in &self.slots {
@@ -1471,10 +1489,27 @@ impl<T: crate::snapshot::SnapshotPayload> Simulation<T> {
     /// the same clocks, same links — i.e. a platform rebuilt from the same
     /// specification. Dynamic state (time, queues, stats, RNG position,
     /// component internals) is overwritten wholesale; derived scheduler
-    /// state (the pending edge, the wake keys, the busy and queued counters) is recomputed.
+    /// state (the pending edge, the wake keys and their bucket bounds, the
+    /// wake-on-space waiters, the stall hints and their credit, the busy
+    /// and queued counters) is rebuilt the way registration builds it.
     ///
     /// Because the kernel is deterministic, a restored simulation replays
     /// the exact tick sequence the original would have produced.
+    ///
+    /// # Restore is a complete reset
+    ///
+    /// The target may have run before — on any blob, at any parameters.
+    /// After `restore(blob)` it is indistinguishable from a fresh build
+    /// restored from the same blob: the same checkpoint bytes at once, and
+    /// the same run afterwards — report, checkpoint bytes,
+    /// [`ticks_executed`](Self::ticks_executed),
+    /// [`ticks_elided`](Self::ticks_elided),
+    /// [`edges_processed`](Self::edges_processed) and per-component ticks
+    /// and dispatches. Every [`Snapshot::restore`](crate::Snapshot::restore)
+    /// therefore resets each field its `save` does not write (id caches,
+    /// notes for stall hints) to what construction leaves there. The
+    /// execution mode ([`set_exec`](Self::set_exec)) is not state and is
+    /// kept. `tests/proptest_snapshot.rs` holds the contract.
     ///
     /// # Errors
     ///
@@ -1538,21 +1573,26 @@ impl<T: crate::snapshot::SnapshotPayload> Simulation<T> {
         }
         r.finish()?;
         // Rebuild derived scheduler state: the pending edge, the busy count
-        // and every slot's wake conditions, all verdicts gone (hints are
-        // re-read like deadlines; the blob holds no pending credit, so they
-        // speak from the next edge on). Executed-tick counters are not part
-        // of the blob (they differ between sparse and dense runs); they
-        // restart from zero.
+        // and every slot's wake conditions, starting from what registration
+        // leaves — every key and bucket bound due, no waiter, no standing
+        // hint or credit — so a used simulation restores like a fresh one
+        // (hints are re-read like deadlines; the blob holds no pending
+        // credit, so they speak from the next edge on). Executed-tick
+        // counters are not part of the blob (they differ between sparse and
+        // dense runs); they restart from zero.
         self.select();
         self.busy = self.slots.iter().filter(|s| !s.idle).count();
         self.total_ticks = 0;
         self.total_elided = 0;
+        self.links.reset_wake_keys();
+        self.crediting.clear();
         for i in 0..self.slots.len() {
             let slot = &mut self.slots[i];
             slot.ticks = 0;
             slot.dispatches = 0;
             if let Some(sparse) = &mut slot.sparse {
                 sparse.stalled_since = None;
+                sparse.stall = StallHint::default();
             }
             self.refresh_wake(i, true, 0);
         }

@@ -673,11 +673,18 @@ pub fn load_blob(path: &Path) -> io::Result<SnapshotBlob> {
 /// `restore`. Structural configuration that is reconstructed by rebuilding
 /// the platform (names, wiring, clock domains) should *not* be serialized —
 /// only state that evolves during simulation.
+///
+/// `restore` is a complete reset (see [`Simulation::restore`](crate::Simulation::restore)):
+/// the object may have run before, so every field `save` does not write —
+/// a cached metric id, a note kept for a stall hint — goes back to what
+/// construction leaves there.
 pub trait Snapshot {
     /// Serializes dynamic state into the writer.
     fn save(&self, _w: &mut StateWriter) {}
 
-    /// Restores dynamic state from the reader, mirroring `save` exactly.
+    /// Restores dynamic state from the reader, mirroring `save` exactly,
+    /// and resets every field `save` does not write to its constructed
+    /// value.
     fn restore(&mut self, _r: &mut StateReader<'_>) {}
 }
 

@@ -353,6 +353,12 @@ impl StatsRegistry {
         self.counters[id.0].1
     }
 
+    /// The id of an existing counter (`None` if never created) — a lookup
+    /// that, unlike [`counter`](Self::counter), creates nothing.
+    pub fn find_counter(&self, name: &str) -> Option<CounterId> {
+        self.counter_names.get(name).copied()
+    }
+
     /// Looks up a counter's value by name (0 if never created).
     pub fn counter_by_name(&self, name: &str) -> u64 {
         self.counter_names

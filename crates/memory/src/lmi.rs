@@ -9,7 +9,7 @@
 //! platform configuration).
 
 use crate::sdram::{SdramDevice, SdramGeometry, SdramTiming};
-use mpsoc_kernel::stats::ResidencyId;
+use mpsoc_kernel::stats::{CounterId, ResidencyId, StatsAccess};
 use mpsoc_kernel::{
     ClockDomain, Component, FaultKind, Gate, LinkId, StallHint, TickContext, Time, TraceKind,
 };
@@ -124,8 +124,9 @@ pub struct LmiController {
     engine_busy_until: Time,
     sdram: SdramDevice,
     next_refresh_cycle: u64,
-    iface_residency: Option<ResidencyId>,
-    empty_residency: Option<ResidencyId>,
+    /// The ids of the controller's metrics, resolved on its first tick.
+    /// Not state: a restore clears them, as construction does.
+    ids: Option<MetricIds>,
     /// Degraded mode: after repeated injected engine stalls the controller
     /// sheds its optimizations (no lookahead, no merging) to keep servicing
     /// requests predictably, at reduced bandwidth. Cleared after a run of
@@ -136,7 +137,6 @@ pub struct LmiController {
     recent_stalls: u32,
     /// Consecutive clean (un-stalled) engine starts, for recovery.
     clean_accesses: u32,
-    mode_residency: Option<ResidencyId>,
     /// Whether the bus-interface residencies have reached their rest state
     /// (`no_request` / `empty`). The tick that drains the last transaction
     /// leaves them one cycle stale — e.g. a posted write that is stored
@@ -149,6 +149,66 @@ pub struct LmiController {
     /// changes nothing there. Derived, never serialized — unknown after a
     /// restore, which only leaves the controller polling until it ticks.
     shown: Option<Shown>,
+}
+
+/// The controller's residencies, in registration order.
+const RESIDENCIES: [(&str, &[&str]); 3] = [
+    ("iface", &["no_request", "storing", "full"]),
+    ("empty", &["empty", "nonempty"]),
+    ("mode", &["normal", "degraded"]),
+];
+
+/// The controller's counters, in registration order.
+const COUNTERS: [&str; 8] = [
+    "fault_storms",
+    "refreshes",
+    "fault_stalls",
+    "degraded_entries",
+    "row_hits",
+    "row_misses",
+    "merged_txns",
+    "accesses",
+];
+
+/// The ids of every metric the controller writes. All of them are
+/// registered by `register_metrics`, so resolving them is a lookup by
+/// name, never a registration: names, creation order and the counter dump
+/// are those of the registration.
+#[derive(Debug, Clone, Copy)]
+struct MetricIds {
+    iface: ResidencyId,
+    empty: ResidencyId,
+    mode: ResidencyId,
+    fault_storms: CounterId,
+    refreshes: CounterId,
+    fault_stalls: CounterId,
+    degraded_entries: CounterId,
+    row_hits: CounterId,
+    row_misses: CounterId,
+    merged_txns: CounterId,
+    accesses: CounterId,
+}
+
+impl MetricIds {
+    fn resolve(name: &str, stats: &mut StatsAccess<'_>) -> MetricIds {
+        let [iface, empty, mode] = RESIDENCIES
+            .map(|(metric, states)| stats.residency(&format!("{name}.{metric}"), states));
+        let [fault_storms, refreshes, fault_stalls, degraded_entries, row_hits, row_misses, merged_txns, accesses] =
+            COUNTERS.map(|metric| stats.counter(&format!("{name}.{metric}")));
+        MetricIds {
+            iface,
+            empty,
+            mode,
+            fault_storms,
+            refreshes,
+            fault_stalls,
+            degraded_entries,
+            row_hits,
+            row_misses,
+            merged_txns,
+            accesses,
+        }
+    }
 }
 
 /// The residency states a tick asserted.
@@ -187,12 +247,10 @@ impl LmiController {
             engine_busy_until: Time::ZERO,
             sdram,
             next_refresh_cycle,
-            iface_residency: None,
-            empty_residency: None,
+            ids: None,
             degraded: false,
             recent_stalls: 0,
             clean_accesses: 0,
-            mode_residency: None,
             settled: false,
             shown: None,
         }
@@ -301,8 +359,6 @@ impl mpsoc_kernel::Snapshot for LmiController {
         w.write_u32(self.recent_stalls);
         w.write_u32(self.clean_accesses);
         w.write_bool(self.settled);
-        // The residency-id caches are name-resolved against the stats
-        // registry, not simulation state.
     }
 
     fn restore(&mut self, r: &mut mpsoc_kernel::StateReader<'_>) {
@@ -322,6 +378,7 @@ impl mpsoc_kernel::Snapshot for LmiController {
         self.clean_accesses = r.read_u32();
         self.settled = r.read_bool();
         self.shown = None;
+        self.ids = None;
     }
 }
 
@@ -331,22 +388,10 @@ impl Component<Packet> for LmiController {
     }
 
     fn register_metrics(&self, stats: &mut mpsoc_kernel::StatsRegistry) {
-        stats.residency(
-            &format!("{}.iface", self.name),
-            &["no_request", "storing", "full"],
-        );
-        stats.residency(&format!("{}.empty", self.name), &["empty", "nonempty"]);
-        stats.residency(&format!("{}.mode", self.name), &["normal", "degraded"]);
-        for metric in [
-            "fault_storms",
-            "refreshes",
-            "fault_stalls",
-            "degraded_entries",
-            "row_hits",
-            "row_misses",
-            "merged_txns",
-            "accesses",
-        ] {
+        for (metric, states) in RESIDENCIES {
+            stats.residency(&format!("{}.{metric}", self.name), states);
+        }
+        for metric in COUNTERS {
             stats.counter(&format!("{}.{metric}", self.name));
         }
     }
@@ -354,22 +399,12 @@ impl Component<Packet> for LmiController {
     fn tick(&mut self, ctx: &mut TickContext<'_, Packet>) {
         let now = ctx.time;
         let now_cycle = ctx.cycle.count();
-        let iface = *self.iface_residency.get_or_insert_with(|| {
-            ctx.stats.residency(
-                &format!("{}.iface", self.name),
-                &["no_request", "storing", "full"],
-            )
-        });
-        let empty = *self.empty_residency.get_or_insert_with(|| {
-            ctx.stats
-                .residency(&format!("{}.empty", self.name), &["empty", "nonempty"])
-        });
-        let mode = *self.mode_residency.get_or_insert_with(|| {
-            ctx.stats
-                .residency(&format!("{}.mode", self.name), &["normal", "degraded"])
-        });
+        let ids = *self
+            .ids
+            .get_or_insert_with(|| MetricIds::resolve(&self.name, &mut ctx.stats));
         let degraded_shown = self.degraded;
-        ctx.stats.set_state(mode, usize::from(degraded_shown), now);
+        ctx.stats
+            .set_state(ids.mode, usize::from(degraded_shown), now);
 
         // 1. Drain scheduled responses to the bus interface, oldest-ready
         //    first, as the output FIFO has room.
@@ -404,7 +439,7 @@ impl Component<Packet> for LmiController {
             state = LmiInterfaceState::Storing;
         }
         ctx.stats.set_state(
-            iface,
+            ids.iface,
             match state {
                 LmiInterfaceState::NoRequest => 0,
                 LmiInterfaceState::Storing => 1,
@@ -413,7 +448,7 @@ impl Component<Packet> for LmiController {
             now,
         );
         ctx.stats
-            .set_state(empty, usize::from(!self.in_fifo.is_empty()), now);
+            .set_state(ids.empty, usize::from(!self.in_fifo.is_empty()), now);
         self.shown = Some(Shown {
             iface: state,
             nonempty: !self.in_fifo.is_empty(),
@@ -440,16 +475,14 @@ impl Component<Packet> for LmiController {
                 }
                 burst += extra;
                 ctx.faults.record_recovered(1);
-                let storms = ctx.stats.counter(&format!("{}.fault_storms", self.name));
-                ctx.stats.inc(storms, 1);
+                ctx.stats.inc(ids.fault_storms, 1);
             }
             ctx.stats.emit_trace(now, &self.name, TraceKind::State, || {
                 format!("auto-refresh x{burst} until cycle {done}")
             });
             self.engine_busy_until = self.cycle_to_time(done);
             self.next_refresh_cycle += self.config.timing.t_refi;
-            let refreshes = ctx.stats.counter(&format!("{}.refreshes", self.name));
-            ctx.stats.inc(refreshes, burst);
+            ctx.stats.inc(ids.refreshes, burst);
             return;
         }
 
@@ -469,14 +502,10 @@ impl Component<Packet> for LmiController {
                 self.recent_stalls += 1;
                 self.clean_accesses = 0;
                 ctx.faults.record_recovered(1);
-                let stalls = ctx.stats.counter(&format!("{}.fault_stalls", self.name));
-                ctx.stats.inc(stalls, 1);
+                ctx.stats.inc(ids.fault_stalls, 1);
                 if !self.degraded && self.recent_stalls >= DEGRADED_ENTRY_STALLS {
                     self.degraded = true;
-                    let entries = ctx
-                        .stats
-                        .counter(&format!("{}.degraded_entries", self.name));
-                    ctx.stats.inc(entries, 1);
+                    ctx.stats.inc(ids.degraded_entries, 1);
                     ctx.stats.emit_trace(now, &self.name, TraceKind::State, || {
                         format!("degraded mode entered after {} stalls", self.recent_stalls)
                     });
@@ -513,22 +542,16 @@ impl Component<Packet> for LmiController {
             });
             self.engine_busy_until = self.cycle_to_time(plan.done);
 
-            let hit_counter = ctx.stats.counter(&format!(
-                "{}.{}",
-                self.name,
-                if plan.row_hit {
-                    "row_hits"
-                } else {
-                    "row_misses"
-                }
-            ));
-            ctx.stats.inc(hit_counter, 1);
+            let row = if plan.row_hit {
+                ids.row_hits
+            } else {
+                ids.row_misses
+            };
+            ctx.stats.inc(row, 1);
             if batch.len() > 1 {
-                let merged = ctx.stats.counter(&format!("{}.merged_txns", self.name));
-                ctx.stats.inc(merged, batch.len() as u64 - 1);
+                ctx.stats.inc(ids.merged_txns, batch.len() as u64 - 1);
             }
-            let accesses = ctx.stats.counter(&format!("{}.accesses", self.name));
-            ctx.stats.inc(accesses, 1);
+            ctx.stats.inc(ids.accesses, 1);
 
             // Schedule the per-transaction responses as their data streams.
             let mut data_cursor = plan.first_data;

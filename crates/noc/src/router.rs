@@ -144,6 +144,7 @@ impl mpsoc_kernel::Snapshot for Router {
         for t in self.busy.iter_mut() {
             *t = r.read_time();
         }
+        self.forwarded_ctr = None;
     }
 }
 

@@ -32,8 +32,11 @@
 //! # Serving path
 //!
 //! A `simulate` request probes the [`WarmCache`] under the structural
-//! fingerprint of the platform it would build. On a hit it forks the blob
-//! and serves its point(s) directly. On a miss it goes through the cache's
+//! fingerprint of the platform it forks into, which a kept platform of its
+//! warm key supplies (the [`PlatformPool`]; without one, a platform is
+//! built, and on a hit kept for the request's first point). On a hit it
+//! forks the blob and serves its point(s) directly. On a miss it goes
+//! through the cache's
 //! [`get_or_compute`](WarmCache::get_or_compute): the first request for a
 //! warm key computes — loading the spilled checkpoint from the
 //! [`DiskCache`] if one survives from an earlier process, else running the
@@ -42,8 +45,19 @@
 //! serves its own points on its own handler, so N concurrent misses of one
 //! key cost one warm-up and their tails run side by side.
 //!
+//! A point takes a kept platform of its key from the pool — or builds one
+//! if none is free — restores the warm blob into it and runs its tail; a
+//! single point gives the platform back, so a hit on a recently served key
+//! builds nothing, and the workers of a multi-point axis carry theirs from
+//! point to point and drop them when the axis is done
+//! ([`service::serve_points_with`] says why). The pool holds as many
+//! platforms as the handler pool has workers and evicts the least recently
+//! used; `stats` reports `forks_kept` and `forks_built`, the points served
+//! on a kept platform and the points that built one.
+//!
 //! Cache hits and disk loads are byte-identical to cold runs: the warm
-//! state is a pure function of the request key, restore is bit-exact, and
+//! state is a pure function of the request key, restore is bit-exact and a
+//! complete reset (a kept platform answers like a fresh build), and
 //! spill files are doubly checksummed and fingerprint-checked (fail
 //! closed). CI drives this end to end with the `loadgen` binary and diffs
 //! served tables against `repro`'s — including across a server restart.
@@ -52,7 +66,7 @@ use crate::cache::{CacheStats, Lookup, WarmCache};
 use crate::persist::DiskCache;
 use crate::protocol::{self, CacheOutcome, Command, PointResult, Simulate};
 use mpsoc_platform::build_platform;
-use mpsoc_platform::service::{self, SweepRequest, WarmState};
+use mpsoc_platform::service::{self, PlatformPool, SweepRequest, WarmState};
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -126,6 +140,9 @@ impl Limits {
 struct Shared {
     cache: WarmCache<WarmState>,
     disk: Option<DiskCache>,
+    /// The platforms that served a tail, kept for the next fork of their
+    /// key; as many as the handler pool has workers.
+    pool: PlatformPool,
     /// The bound address, which [`Shared::stop`] connects to.
     addr: SocketAddr,
     running: AtomicBool,
@@ -159,7 +176,8 @@ impl Shared {
             "{{\"id\":0,\"status\":\"ok\",\"stats\":{{\"requests\":{},\"points\":{},\"errors\":{},\
              \"warm_ups\":{},\"hits\":{},\"misses\":{},\"evictions\":{},\"stale_rejected\":{},\
              \"hit_rate\":{:.6},\"entries\":{},\"capacity\":{},\
-             \"spill_loads\":{},\"spill_stores\":{},\"spill_rejected\":{}}}}}",
+             \"spill_loads\":{},\"spill_stores\":{},\"spill_rejected\":{},\
+             \"forks_kept\":{},\"forks_built\":{}}}}}",
             self.requests.load(Ordering::Relaxed),
             self.points.load(Ordering::Relaxed),
             self.errors.load(Ordering::Relaxed),
@@ -174,6 +192,8 @@ impl Shared {
             d.loads,
             d.stores,
             d.rejected,
+            self.pool.forks_kept(),
+            self.pool.forks_built(),
         )
     }
 }
@@ -200,13 +220,15 @@ impl Server {
             Some(dir) => Some(DiskCache::open(dir)?),
             None => None,
         };
+        let handlers = effective_handlers(config.handlers);
         Ok(Server {
             listener,
-            handlers: effective_handlers(config.handlers),
+            handlers,
             limits: Limits::DEFAULT,
             shared: Arc::new(Shared {
                 cache: WarmCache::new(config.cache_capacity),
                 disk,
+                pool: PlatformPool::new(handlers),
                 addr,
                 running: AtomicBool::new(true),
                 requests: AtomicU64::new(0),
@@ -502,27 +524,37 @@ fn dispatch(line: &str, shared: &Shared) -> (String, bool) {
 fn serve_simulate(shared: &Shared, sim: &Simulate) -> Result<String, String> {
     let started = Instant::now();
     let points = sim.points();
-    // The fingerprint the cached blob must match: the one of the platform
-    // this request builds. Building is wiring-only (no simulation).
-    let platform = build_platform(&sim.req.base_spec()).map_err(|e| e.to_string())?;
-    let expected = platform.structural_fingerprint();
     let key = sim.req.warm_key();
+    // The fingerprint the cached blob must match: the one of the platforms
+    // this request forks into. A kept platform of the key answers; without
+    // one, a platform is built (wiring only, no simulation).
+    let (expected, built) = match shared.pool.fingerprint(&key) {
+        Some(fingerprint) => (fingerprint, None),
+        None => {
+            let platform = build_platform(&sim.req.base_spec()).map_err(|e| e.to_string())?;
+            (platform.structural_fingerprint(), Some(platform))
+        }
+    };
 
-    let (warm, outcome, spare) = match shared.cache.peek(&key, expected) {
+    let (warm, outcome) = match shared.cache.peek(&key, expected) {
         // Fast path: the warm state is already resident, and the request's
-        // first point runs on the platform just built.
-        Some(warm) => (warm, CacheOutcome::Hit, Some(platform)),
+        // first point runs on the platform just built, if one was.
+        Some(warm) => {
+            if let Some(platform) = built {
+                shared.pool.offer(key, platform);
+            }
+            (warm, CacheOutcome::Hit)
+        }
         None => {
             // A miss now waits for a warm-up, its own or another request's;
             // a built platform held through that would only raise the
             // memory peak.
-            drop(platform);
-            let (warm, outcome) = warm_up(shared, &sim.req, &key, expected)?;
-            (warm, outcome, None)
+            drop(built);
+            warm_up(shared, &sim.req, &key, expected)?
         }
     };
     let cells: Vec<u32> = points.iter().map(|p| p.wait_states).collect();
-    let tails = service::serve_points_with(spare, points, &warm, shared.fan_out_jobs(sim));
+    let tails = service::serve_points_with(&shared.pool, points, &warm, shared.fan_out_jobs(sim));
     let mut out = Vec::with_capacity(tails.len());
     for (ws, tail) in cells.into_iter().zip(tails) {
         out.push(PointResult {

@@ -204,6 +204,93 @@ fn concurrent_distinct_cells_share_one_warm_up() {
     handle.join().expect("server exits cleanly");
 }
 
+/// Every `(wait_states, exec_cycles)` cell of a simulate response.
+fn served_cells(line: &str) -> Vec<(u32, u64)> {
+    line.split("{\"wait_states\":")
+        .skip(1)
+        .map(|cell| {
+            let cell = &cell[..cell.find('}').unwrap_or(cell.len())];
+            (
+                field_u64(&format!("\"wait_states\":{cell}"), "wait_states") as u32,
+                field_u64(cell, "exec_cycles"),
+            )
+        })
+        .collect()
+}
+
+/// Kept platforms answer like fresh builds. One warm key is served at
+/// interleaved wait states over more connections than the platform pool
+/// holds (one platform per handler), single points and two-point axes
+/// mixed: a single point gives its platform back for whichever connection
+/// asks next, at other wait states, and an axis takes kept platforms
+/// along. Every cell must equal its cold run, and some of them must have
+/// run on a kept platform.
+#[test]
+fn kept_platforms_answer_interleaved_wait_states_like_cold_runs() {
+    const CELLS: [u32; 4] = [1, 8, 3, 16];
+    let (addr, handle) = start_server_with(ServerConfig {
+        cache_capacity: 4,
+        handlers: 2,
+        ..ServerConfig::default()
+    });
+    let addr = Arc::new(addr);
+    let lanes: Vec<_> = (0..4usize)
+        .map(|lane| {
+            let addr = Arc::clone(&addr);
+            std::thread::spawn(move || {
+                let mut client = Client::connect(&addr).expect("connects");
+                let mut cells = Vec::new();
+                for round in 0..6 {
+                    let ws = CELLS[(lane + round) % CELLS.len()];
+                    let axis = if round % 2 == 0 {
+                        ws.to_string()
+                    } else {
+                        format!("[{ws},{}]", CELLS[(lane + round + 1) % CELLS.len()])
+                    };
+                    let line = client
+                        .roundtrip(&format!(
+                            "{{\"id\":{round},\"topology\":\"collapsed\",\"scale\":1,\
+                             \"wait_states\":{axis},\"jobs\":2}}"
+                        ))
+                        .expect("responds");
+                    assert!(line.contains("\"status\":\"ok\""), "{line}");
+                    cells.extend(served_cells(&line));
+                }
+                cells
+            })
+        })
+        .collect();
+    let served: Vec<(u32, u64)> = lanes
+        .into_iter()
+        .flat_map(|lane| lane.join().expect("lane"))
+        .collect();
+    assert_eq!(served.len(), 4 * (3 + 3 * 2));
+
+    for ws in CELLS {
+        let reference = service::cold_point(&SweepRequest {
+            topology: Topology::Collapsed,
+            scale: 1,
+            wait_states: ws,
+            ..SweepRequest::default()
+        })
+        .expect("cold run");
+        for &(_, cycles) in served.iter().filter(|(cell, _)| *cell == ws) {
+            assert_eq!(cycles, reference, "cell ws={ws} must match its cold run");
+        }
+    }
+    let mut client = Client::connect(&addr).expect("connects");
+    let stats = client.roundtrip("{\"cmd\":\"stats\"}").expect("responds");
+    assert!(field_u64(&stats, "forks_kept") > 0, "{stats}");
+    assert_eq!(
+        field_u64(&stats, "forks_kept") + field_u64(&stats, "forks_built"),
+        field_u64(&stats, "points"),
+        "{stats}"
+    );
+    assert_eq!(field_u64(&stats, "warm_ups"), 1, "{stats}");
+    shutdown(&addr);
+    handle.join().expect("server exits cleanly");
+}
+
 #[test]
 fn restarted_server_answers_first_request_from_the_disk_spill() {
     let dir = std::env::temp_dir().join(format!("mpsn-restart-e2e-{}", std::process::id()));

@@ -729,8 +729,6 @@ impl mpsoc_kernel::Snapshot for StbusNode {
             w.write_usize(*port);
             persist::save_response(resp, w);
         }
-        // NodeCounters caches are name-resolved ids; the restored registry
-        // resolves the same names to the same ids, so they are not state.
     }
 
     fn restore(&mut self, r: &mut mpsoc_kernel::StateReader<'_>) {
@@ -776,6 +774,7 @@ impl mpsoc_kernel::Snapshot for StbusNode {
             .map(|_| (r.read_usize(), persist::load_response(r)))
             .collect();
         self.heads.clear();
+        self.counters = NodeCounters::default();
     }
 }
 

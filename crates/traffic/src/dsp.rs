@@ -339,6 +339,8 @@ impl mpsoc_kernel::Snapshot for DspCore {
             self.outstanding_posted.insert(r.read_u64(), ());
         }
         self.done_recorded = r.read_bool();
+        self.instr_ctr = None;
+        self.stall_ctr = None;
     }
 }
 

@@ -572,6 +572,9 @@ impl mpsoc_kernel::Snapshot for IpTrafficGenerator {
         self.rr = r.read_usize();
         self.done_recorded = r.read_bool();
         self.unfinished = self.agents.iter().filter(|a| !a.finished()).count();
+        self.injected_ctr = None;
+        self.completed_ctr = None;
+        self.latency_hist = None;
     }
 }
 

@@ -295,6 +295,8 @@ impl mpsoc_kernel::Snapshot for TraceDrivenGenerator {
         self.outstanding = r.read_usize();
         self.next_issue_at = r.read_time();
         self.seq = r.read_u64();
+        self.injected_ctr = None;
+        self.completed_ctr = None;
     }
 }
 

@@ -16,9 +16,14 @@
 //! the RNG cursor, the fault engine, stats and link queues), and the same
 //! rendered report. A trailing property checks that corrupted blobs are
 //! rejected rather than silently half-applied.
+//!
+//! Restore is also a complete reset: restoring into a platform that has
+//! already run must equal restoring into a fresh build, at once and in the
+//! run that follows.
 
-use mpsoc_kernel::{FaultSchedule, SimError, SnapshotBlob, SnapshotError, Time};
+use mpsoc_kernel::{fnv1a_64, FaultSchedule, SimError, SnapshotBlob, SnapshotError, Time};
 use mpsoc_memory::LmiConfig;
+use mpsoc_platform::experiments::parallel_map;
 use mpsoc_platform::{build_platform, MemorySystem, Platform, PlatformSpec, Topology, Workload};
 use mpsoc_protocol::ProtocolKind;
 use proptest::prelude::*;
@@ -196,4 +201,133 @@ fn a_v2_blob_is_refused_by_version() {
         SnapshotBlob::from_bytes(bytes).fingerprint(),
         Err(SnapshotError::BadVersion { found: 2 })
     );
+}
+
+/// Everything a run leaves to compare: the rendered report, the final
+/// checkpoint (its length and hash, which keeps a failure readable), the
+/// kernel's tick and edge counts, and every component's charged ticks and
+/// dispatches.
+#[derive(Debug, PartialEq)]
+struct Outcome {
+    end: Time,
+    report: String,
+    checkpoint: (usize, u64),
+    ticks_executed: u64,
+    ticks_elided: u64,
+    edges: u64,
+    per_component: Vec<(u64, u64)>,
+}
+
+/// Restores `blob` into `platform`, sets the tail's wait states where the
+/// platform has an on-chip memory, and runs it out. Returns the checkpoint
+/// bytes right after the restore and the run's outcome.
+fn fork(platform: &mut Platform, blob: &SnapshotBlob, wait_states: u32) -> (Vec<u8>, Outcome) {
+    platform.restore(blob).expect("restores");
+    let restored = platform.checkpoint().as_bytes().to_vec();
+    platform.set_memory_wait_states(wait_states);
+    let end = platform
+        .sim_mut()
+        .run_to_quiescence_strict(HORIZON)
+        .expect("tail drains");
+    let sim = platform.sim();
+    let outcome = Outcome {
+        end,
+        report: platform.report_at(end).to_string(),
+        checkpoint: {
+            let blob = platform.checkpoint();
+            (blob.as_bytes().len(), fnv1a_64(blob.as_bytes()))
+        },
+        ticks_executed: sim.ticks_executed(),
+        ticks_elided: sim.ticks_elided(),
+        edges: sim.edges_processed(),
+        per_component: sim
+            .component_ids()
+            .map(|id| (sim.component_ticks(id), sim.component_dispatches(id)))
+            .collect(),
+    };
+    (restored, outcome)
+}
+
+/// Restore is a complete reset: for every protocol × topology × {on-chip
+/// bursty, LMI two-phase, on-chip standard}, one platform serves the tails
+/// of checkpoints taken at 0, 300, 1 000 and 3 000 ns one after the other —
+/// its first use a whole run at other wait states, every later one the
+/// previous tail at other wait states than the next — and each fork must
+/// equal the same fork into a fresh build, in the checkpoint bytes at once
+/// and in everything the tail leaves.
+#[test]
+fn restoring_into_a_used_platform_equals_restoring_into_a_fresh_one() {
+    const CUTS_NS: [u64; 4] = [0, 300, 1_000, 3_000];
+    const TAIL_WAIT_STATES: [u32; 4] = [4, 1, 9, 2];
+    let mut shapes = Vec::new();
+    for protocol in [
+        ProtocolKind::StbusT1,
+        ProtocolKind::StbusT2,
+        ProtocolKind::StbusT3,
+        ProtocolKind::Ahb,
+        ProtocolKind::Axi,
+    ] {
+        for topology in [
+            Topology::SingleLayer,
+            Topology::Collapsed,
+            Topology::Distributed,
+        ] {
+            for (memory, workload) in [
+                (
+                    MemorySystem::OnChip { wait_states: 1 },
+                    Workload::BurstyPosted,
+                ),
+                (MemorySystem::Lmi(LmiConfig::default()), Workload::TwoPhase),
+                (MemorySystem::OnChip { wait_states: 1 }, Workload::Standard),
+            ] {
+                shapes.push(PlatformSpec {
+                    protocol,
+                    topology,
+                    memory,
+                    workload,
+                    scale: 1,
+                    seed: 0x0dab,
+                    ..PlatformSpec::default()
+                });
+            }
+        }
+    }
+    assert_eq!(shapes.len(), 45);
+    let jobs = std::thread::available_parallelism().map_or(1, |n| n.get());
+    parallel_map(shapes, jobs, |spec| {
+        let shape = format!(
+            "{:?}/{:?}/{:?}",
+            spec.protocol, spec.topology, spec.workload
+        );
+        let lmi = matches!(spec.memory, MemorySystem::Lmi(_));
+        let mut donor = build_platform(&spec).expect("builds");
+        let blobs: Vec<SnapshotBlob> = CUTS_NS
+            .iter()
+            .map(|&ns| {
+                donor.sim_mut().run_until(Time::from_ns(ns));
+                donor.checkpoint()
+            })
+            .collect();
+
+        let mut used = build_platform(&spec).expect("builds");
+        used.set_memory_wait_states(16);
+        used.sim_mut()
+            .run_to_quiescence_strict(HORIZON)
+            .expect("first use drains");
+        for ((blob, ns), ws) in blobs.iter().zip(CUTS_NS).zip(TAIL_WAIT_STATES) {
+            let (fresh_restored, fresh) =
+                fork(&mut build_platform(&spec).expect("builds"), blob, ws);
+            let (used_restored, reused) = fork(&mut used, blob, ws);
+            assert!(
+                used_restored == fresh_restored,
+                "{shape} cut at {ns} ns: checkpoint bytes right after the restore differ"
+            );
+            assert_eq!(
+                reused,
+                fresh,
+                "{shape} cut at {ns} ns, tail at {ws} wait states{}",
+                if lmi { " (LMI: no wait states)" } else { "" }
+            );
+        }
+    });
 }
