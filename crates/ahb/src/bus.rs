@@ -1,6 +1,5 @@
 //! The AHB shared-bus component.
 
-use mpsoc_kernel::stats::CounterId;
 use mpsoc_kernel::{ClockDomain, Component, Gate, LinkId, StallHint, TickContext, Time, TraceKind};
 use mpsoc_protocol::{
     AddressMap, AddressMapError, AddressRange, ArbitrationPolicy, Contender, DataWidth, Packet,
@@ -57,11 +56,13 @@ struct Active {
     forward_response: bool,
 }
 
-#[derive(Debug, Default)]
-struct Counters {
-    granted: Option<CounterId>,
-    busy_ps: Option<CounterId>,
-    idle_waits: Option<CounterId>,
+mpsoc_kernel::metric_ids! {
+    /// The bus's counters, kept from `register_metrics`.
+    struct Counters {
+        busy_ps: counter,
+        granted: counter,
+        idle_waits: counter,
+    }
 }
 
 /// A cycle-accurate AMBA AHB shared bus.
@@ -215,13 +216,11 @@ impl AhbBus {
             .emit_trace(now, &self.name, TraceKind::Deliver, || {
                 format!("txn {} -> port {}", active.txn_id, active.initiator_port)
             });
-        let busy = *self
-            .counters
-            .busy_ps
-            .get_or_insert_with(|| ctx.stats.counter(&format!("{}.busy_ps", self.name)));
         let charge_from = active.granted_at.max(self.charged_until);
-        ctx.stats
-            .inc(busy, self.busy_until.saturating_sub(charge_from).as_ps());
+        ctx.stats.inc(
+            self.counters.busy_ps,
+            self.busy_until.saturating_sub(charge_from).as_ps(),
+        );
         self.charged_until = self.charged_until.max(self.busy_until);
     }
 
@@ -304,18 +303,10 @@ impl AhbBus {
             forward_response,
         });
         self.busy_until = self.busy_until.max(arrival);
-        // A held bus names this counter in its stall hint.
-        self.counters
-            .idle_waits
-            .get_or_insert_with(|| ctx.stats.counter(&format!("{}.idle_waits", self.name)));
         ctx.stats.emit_trace(now, &self.name, TraceKind::Grant, || {
             format!("txn {txn_id} port {} -> target {target}", winner.port)
         });
-        let granted = *self
-            .counters
-            .granted
-            .get_or_insert_with(|| ctx.stats.counter(&format!("{}.granted", self.name)));
-        ctx.stats.inc(granted, 1);
+        ctx.stats.inc(self.counters.granted, 1);
     }
 }
 
@@ -347,7 +338,6 @@ impl mpsoc_kernel::Snapshot for AhbBus {
         self.busy_until = r.read_time();
         self.charged_until = r.read_time();
         self.last_winner = r.read_usize();
-        self.counters = Counters::default();
     }
 }
 
@@ -356,10 +346,8 @@ impl Component<Packet> for AhbBus {
         &self.name
     }
 
-    fn register_metrics(&self, stats: &mut mpsoc_kernel::StatsRegistry) {
-        for metric in ["busy_ps", "granted", "idle_waits"] {
-            stats.counter(&format!("{}.{metric}", self.name));
-        }
+    fn register_metrics(&mut self, stats: &mut mpsoc_kernel::StatsRegistry) {
+        self.counters = Counters::register(&self.name, stats);
     }
 
     fn tick(&mut self, ctx: &mut TickContext<'_, Packet>) {
@@ -367,11 +355,7 @@ impl Component<Packet> for AhbBus {
         if self.active.is_some() && ctx.time >= self.busy_until {
             // Bus held, waiting on the target: idle wait cycles (the paper's
             // "memory wait states translate into idle cycles for AMBA AHB").
-            let idle = *self
-                .counters
-                .idle_waits
-                .get_or_insert_with(|| ctx.stats.counter(&format!("{}.idle_waits", self.name)));
-            ctx.stats.inc(idle, 1);
+            ctx.stats.inc(self.counters.idle_waits, 1);
         }
         self.arbitrate(ctx);
     }
@@ -418,13 +402,9 @@ impl Component<Packet> for AhbBus {
                 }
                 hint.gate_input(ports + active.target_port, completion);
                 // Until then every cycle past the data phase counts one
-                // idle wait and does nothing else. (A bus restored while
-                // held resolves the counter on its next tick and polls
-                // till then.)
-                if let Some(idle) = self.counters.idle_waits {
-                    hint.gate_deadline(Gate::CLOSED);
-                    hint.count_elided(idle, self.busy_until);
-                }
+                // idle wait and does nothing else.
+                hint.gate_deadline(Gate::CLOSED);
+                hint.count_elided(self.counters.idle_waits, self.busy_until);
             }
             None => {
                 // Free bus: the next grant comes no earlier than the early

@@ -1,6 +1,5 @@
 //! The AXI interconnect component.
 
-use mpsoc_kernel::stats::CounterId;
 use mpsoc_kernel::{ClockDomain, Component, Gate, LinkId, StallHint, TickContext, Time, TraceKind};
 use mpsoc_protocol::{
     AddressMap, AddressMapError, AddressRange, ArbitrationPolicy, Contender, DataWidth, Opcode,
@@ -48,13 +47,15 @@ struct TargetPort {
     resp_in: LinkId,
 }
 
-#[derive(Debug, Default)]
-struct Counters {
-    reads_granted: Option<CounterId>,
-    writes_granted: Option<CounterId>,
-    delivered: Option<CounterId>,
-    r_busy_ps: Option<CounterId>,
-    w_busy_ps: Option<CounterId>,
+mpsoc_kernel::metric_ids! {
+    /// The interconnect's counters, kept from `register_metrics`.
+    struct Counters {
+        r_busy_ps: counter,
+        delivered: counter,
+        reads_granted: counter,
+        writes_granted: counter,
+        w_busy_ps: counter,
+    }
 }
 
 /// A cycle-accurate AMBA AXI interconnect with five independent channels.
@@ -254,11 +255,8 @@ impl AxiInterconnect {
             if is_read {
                 self.r_busy = now + period * cycles;
                 r_done = true;
-                let busy = *self
-                    .counters
-                    .r_busy_ps
-                    .get_or_insert_with(|| ctx.stats.counter(&format!("{}.r_busy_ps", self.name)));
-                ctx.stats.inc(busy, (period * cycles).as_ps());
+                ctx.stats
+                    .inc(self.counters.r_busy_ps, (period * cycles).as_ps());
             } else {
                 self.b_busy = now + period * cycles;
                 b_done = true;
@@ -292,11 +290,7 @@ impl AxiInterconnect {
                         if is_read { "R" } else { "B" }
                     )
                 });
-            let delivered = *self
-                .counters
-                .delivered
-                .get_or_insert_with(|| ctx.stats.counter(&format!("{}.delivered", self.name)));
-            ctx.stats.inc(delivered, 1);
+            ctx.stats.inc(self.counters.delivered, 1);
             self.resp_rr = (t + 1) % n_targets;
         }
     }
@@ -361,10 +355,7 @@ impl AxiInterconnect {
                 // target on the next cycle.
                 self.ar_busy = now + period;
                 self.last_ar_winner = winner.port;
-                let c = *self.counters.reads_granted.get_or_insert_with(|| {
-                    ctx.stats.counter(&format!("{}.reads_granted", self.name))
-                });
-                ctx.stats.inc(c, 1);
+                ctx.stats.inc(self.counters.reads_granted, 1);
             }
             Opcode::Write => {
                 // AW + W: the address goes out now, data occupies W for the
@@ -372,15 +363,9 @@ impl AxiInterconnect {
                 self.aw_busy = now + period;
                 self.w_busy = now + period * txn.beats as u64;
                 self.last_aw_winner = winner.port;
-                let c = *self.counters.writes_granted.get_or_insert_with(|| {
-                    ctx.stats.counter(&format!("{}.writes_granted", self.name))
-                });
-                ctx.stats.inc(c, 1);
-                let busy = *self
-                    .counters
-                    .w_busy_ps
-                    .get_or_insert_with(|| ctx.stats.counter(&format!("{}.w_busy_ps", self.name)));
-                ctx.stats.inc(busy, (period * txn.beats as u64).as_ps());
+                ctx.stats.inc(self.counters.writes_granted, 1);
+                ctx.stats
+                    .inc(self.counters.w_busy_ps, (period * txn.beats as u64).as_ps());
             }
         }
         let extra = match txn.opcode {
@@ -537,7 +522,6 @@ impl mpsoc_kernel::Snapshot for AxiInterconnect {
         }
         self.req_heads.clear();
         self.resp_heads.clear();
-        self.counters = Counters::default();
     }
 }
 
@@ -546,16 +530,8 @@ impl Component<Packet> for AxiInterconnect {
         &self.name
     }
 
-    fn register_metrics(&self, stats: &mut mpsoc_kernel::StatsRegistry) {
-        for metric in [
-            "r_busy_ps",
-            "delivered",
-            "reads_granted",
-            "writes_granted",
-            "w_busy_ps",
-        ] {
-            stats.counter(&format!("{}.{metric}", self.name));
-        }
+    fn register_metrics(&mut self, stats: &mut mpsoc_kernel::StatsRegistry) {
+        self.counters = Counters::register(&self.name, stats);
     }
 
     fn tick(&mut self, ctx: &mut TickContext<'_, Packet>) {

@@ -196,6 +196,7 @@ impl Bridge {
                 dst_period: dst_clock.period(),
                 retries: VecDeque::new(),
                 dead_letters: VecDeque::new(),
+                counters: FaultCounters::default(),
             },
             initiator_side: BridgeInitiatorSide {
                 name: format!("{name}.initiator_side"),
@@ -236,6 +237,17 @@ pub struct BridgeTargetSide {
     /// Error completions for abandoned transactions, waiting for space on
     /// the source-bus response channel.
     dead_letters: VecDeque<Response>,
+    counters: FaultCounters,
+}
+
+mpsoc_kernel::metric_ids! {
+    /// The crossing's fault counters, kept from `register_metrics`.
+    struct FaultCounters {
+        fault_glitches: counter,
+        fault_recovered: counter,
+        fault_lost: counter,
+        fault_retries: counter,
+    }
 }
 
 /// A transfer the crossing lost or corrupted, queued for retransmission.
@@ -293,16 +305,14 @@ impl BridgeTargetSide {
             // takes extra synchroniser cycles. Delivered late = recovered.
             let glitch = self.dst_period * ctx.faults.schedule().glitch_cycles;
             ctx.faults.record_recovered(entry.faults + 1);
-            let c = ctx.stats.counter(&format!("{}.fault_glitches", self.name));
-            ctx.stats.inc(c, 1);
+            ctx.stats.inc(self.counters.fault_glitches, 1);
             ctx.links
                 .push_after(self.req_fifo, now, glitch, Packet::Request(entry.txn))
                 .expect("can_push checked");
         } else {
             if entry.faults > 0 {
                 ctx.faults.record_recovered(entry.faults);
-                let c = ctx.stats.counter(&format!("{}.fault_recovered", self.name));
-                ctx.stats.inc(c, entry.faults);
+                ctx.stats.inc(self.counters.fault_recovered, entry.faults);
             }
             ctx.links
                 .push(self.req_fifo, now, Packet::Request(entry.txn))
@@ -326,8 +336,7 @@ impl BridgeTargetSide {
             return;
         }
         ctx.faults.record_lost(entry.faults);
-        let c = ctx.stats.counter(&format!("{}.fault_lost", self.name));
-        ctx.stats.inc(c, 1);
+        ctx.stats.inc(self.counters.fault_lost, 1);
         self.consume_ack.remove(&entry.txn.id);
         let mut txn = entry.txn;
         if let Some(width) = self.in_flight.remove(&txn.id) {
@@ -409,15 +418,8 @@ impl Component<Packet> for BridgeTargetSide {
         &self.name
     }
 
-    fn register_metrics(&self, stats: &mut mpsoc_kernel::StatsRegistry) {
-        for metric in [
-            "fault_glitches",
-            "fault_recovered",
-            "fault_lost",
-            "fault_retries",
-        ] {
-            stats.counter(&format!("{}.{metric}", self.name));
-        }
+    fn register_metrics(&mut self, stats: &mut mpsoc_kernel::StatsRegistry) {
+        self.counters = FaultCounters::register(&self.name, stats);
     }
 
     fn tick(&mut self, ctx: &mut TickContext<'_, Packet>) {
@@ -459,8 +461,7 @@ impl Component<Packet> for BridgeTargetSide {
                 let mut entry = self.retries.remove(pos).expect("position found");
                 entry.attempt += 1;
                 ctx.faults.record_retry(1);
-                let c = ctx.stats.counter(&format!("{}.fault_retries", self.name));
-                ctx.stats.inc(c, 1);
+                ctx.stats.inc(self.counters.fault_retries, 1);
                 ctx.stats
                     .emit_trace(now, &self.name, TraceKind::Forward, || {
                         format!("{} retransmission #{}", entry.txn, entry.attempt)

@@ -187,9 +187,10 @@ pub struct Platform {
     lmi_names: Vec<String>,
     expected_transactions: u64,
     /// The `{generator}.injected` counters, resolved once at build. Every
-    /// generator registers its counters when it is added, so their ids are
-    /// a prefix of the registry that every checkpoint of this platform's
-    /// spec reproduces: they stay valid across [`Platform::restore`].
+    /// generator registers its counters when it is added, so their ids lie
+    /// in the registry prefix that the structural fingerprint covers: a
+    /// blob [`Platform::restore`] accepts has the same metrics at the same
+    /// ids, and they stay valid.
     injected_ids: Vec<CounterId>,
 }
 

@@ -465,24 +465,34 @@ pub trait Component<T>: crate::snapshot::Snapshot + Send {
         }
     }
 
-    /// Pre-registers every metric name the component may create during
-    /// ticking. Called once at registration, before the first edge.
+    /// Creates every metric the component writes, and keeps the ids. Called
+    /// once at registration, before the first edge.
+    ///
+    /// Metric ids are structure, like link ids: the component stores what
+    /// this call returns ([`metric_ids!`](crate::metric_ids) declares the
+    /// usual struct of them) and updates through it on every
+    /// [`tick`](Component::tick), [`fast_forward`](Component::fast_forward)
+    /// and [`stall_hint`](Component::stall_hint) path — a tick's
+    /// [`StatsAccess`] can neither create a metric nor look one up by name.
+    /// The ids stay valid across a
+    /// [`Simulation::restore`](crate::Simulation::restore): the structural
+    /// fingerprint covers what registration created, so a blob whose
+    /// registry was built by other code is refused. Until this call a
+    /// component holds the ids' [`Default`]s, which name no metric and
+    /// panic on use.
     ///
     /// The order in which metrics are created is observable: metric ids
     /// index report rows and checkpoint bytes. Registering here fixes that
-    /// order at build time, in component registration order, instead of
-    /// leaving it to whichever tick first meets a name. The default is a
-    /// no-op — lazy registration on first use is deterministic too, but the
-    /// platforms' report rows and checkpoints are built on the registered
-    /// order, so a component that registers today must keep doing so.
+    /// order at build time, in component registration order.
     ///
     /// # Contract
     ///
-    /// Implementations must register names in a fixed deterministic order.
-    /// Pre-registered metrics appear in reports even when never incremented
-    /// (as zero rows), so register exactly the names
-    /// [`tick`](Component::tick) can create.
-    fn register_metrics(&self, stats: &mut StatsRegistry) {
+    /// Implementations must register names in a fixed deterministic order,
+    /// and keep it: a reordering moves report rows and changes every
+    /// checkpoint's fingerprint. Registered metrics appear in reports even
+    /// when never incremented (as zero rows), so register exactly the
+    /// metrics the component writes.
+    fn register_metrics(&mut self, stats: &mut StatsRegistry) {
         let _ = stats;
     }
 

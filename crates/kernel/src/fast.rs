@@ -25,7 +25,7 @@ use crate::component::{Component, StallHint, TickContext};
 use crate::fault::FaultEngine;
 use crate::link::{LinkId, LinkPool};
 use crate::rng::SplitMix64;
-use crate::stats::StatsRegistry;
+use crate::stats::{StatsAccess, StatsRegistry};
 use crate::time::{Cycles, Time};
 
 /// A component's cursor over one fast-forward window (see the module
@@ -257,10 +257,11 @@ impl<'a, T> FastCtx<'a, T> {
         self.k = wake;
     }
 
-    /// Mutable access to the stats registry, for bulk-crediting counters
-    /// over edges elided by [`sleep_until`](Self::sleep_until).
-    pub fn stats_mut(&mut self) -> &mut StatsRegistry {
-        &mut *self.stats
+    /// Update access to the stats registry, for bulk-crediting counters
+    /// over edges elided by [`sleep_until`](Self::sleep_until) — through
+    /// the ids the component registered, like a tick's.
+    pub fn stats_mut(&mut self) -> StatsAccess<'_> {
+        StatsAccess::new(&mut *self.stats)
     }
 
     /// Tick bodies the component actually ran in this window.

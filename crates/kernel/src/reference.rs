@@ -68,7 +68,7 @@ impl<T> NaiveSimulation<T> {
     /// Registers a component on a clock domain.
     pub fn add_component(
         &mut self,
-        component: Box<dyn Component<T>>,
+        mut component: Box<dyn Component<T>>,
         clock: ClockDomain,
     ) -> ComponentId {
         let id = ComponentId(u32::try_from(self.slots.len()).expect("too many components"));

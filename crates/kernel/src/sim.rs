@@ -86,7 +86,7 @@ use crate::fast::FastCtx;
 use crate::fault::{FaultCounts, FaultEngine, FaultSchedule};
 use crate::link::{LinkId, LinkPool};
 use crate::rng::SplitMix64;
-use crate::stats::StatsRegistry;
+use crate::stats::{MetricExtent, StatsRegistry};
 use crate::time::{Cycles, Time};
 
 /// Execution fidelity of a [`Simulation`]: the gear it runs in.
@@ -348,6 +348,10 @@ pub struct Simulation<T> {
     /// [`links_mut`](Self::links_mut)).
     fingerprint: std::sync::OnceLock<u64>,
     stats: StatsRegistry,
+    /// The metrics that existed when the last
+    /// [`add_component`](Self::add_component) returned: the registry
+    /// prefix whose ids components keep, and the fingerprint covers.
+    registered: MetricExtent,
     rng: SplitMix64,
     faults: FaultEngine,
 }
@@ -382,6 +386,7 @@ impl<T> Simulation<T> {
             links: LinkPool::new(),
             fingerprint: std::sync::OnceLock::new(),
             stats: StatsRegistry::new(),
+            registered: MetricExtent::default(),
             rng: SplitMix64::new(seed),
             faults: FaultEngine::new(),
         }
@@ -413,14 +418,16 @@ impl<T> Simulation<T> {
     /// clock's phase offset (time zero for unshifted clocks).
     pub fn add_component(
         &mut self,
-        component: Box<dyn Component<T>>,
+        mut component: Box<dyn Component<T>>,
         clock: ClockDomain,
     ) -> ComponentId {
         let index = u32::try_from(self.slots.len()).expect("too many components");
         let id = ComponentId(index);
         // Metrics are created in component registration order, before the
-        // first edge: report rows and checkpoint bytes follow that order.
+        // first edge: report rows and checkpoint bytes follow that order,
+        // and the component keeps the ids.
         component.register_metrics(&mut self.stats);
+        self.registered = self.stats.extent();
         let next_tick = clock.next_edge_at_or_after(self.time);
         let idle = component.is_idle();
         if !idle {
@@ -464,8 +471,8 @@ impl<T> Simulation<T> {
                 Box::new(Sparse {
                     watched,
                     // Force the first tick regardless of hints: it covers
-                    // lazy per-component setup (stat registration, channel
-                    // sizing) and establishes the initial wake/timer state.
+                    // lazy per-component setup (channel sizing) and
+                    // establishes the initial wake/timer state.
                     timer: 0,
                     stall: StallHint::default(),
                     stalled_since: None,
@@ -1407,9 +1414,15 @@ impl<T> Simulation<T> {
 
 impl<T: crate::snapshot::SnapshotPayload> Simulation<T> {
     /// Hash of everything a snapshot does *not* carry: component roster,
-    /// clock-domain buckets and link wiring. Restore refuses blobs whose
-    /// fingerprint differs, since component `restore` implementations
-    /// assume the saving and restoring platforms are built identically.
+    /// clock-domain buckets, link wiring, and the metrics registration
+    /// created — kind, name and residency states of every metric that
+    /// existed when the last [`add_component`](Self::add_component)
+    /// returned, in creation order (nothing created later). Restore refuses
+    /// blobs whose fingerprint differs, since component `restore`
+    /// implementations assume the saving and restoring platforms are built
+    /// identically, and components keep the metric ids
+    /// [`Component::register_metrics`] returned: restored from a registry
+    /// built by other code, they would count the wrong rows.
     ///
     /// Computed once per structure: the value is memoized until the next
     /// [`add_component`](Self::add_component) or
@@ -1439,6 +1452,7 @@ impl<T: crate::snapshot::SnapshotPayload> Simulation<T> {
             h.write_u64(link.capacity() as u64);
             h.write_u64(link.latency().as_ps());
         }
+        self.stats.hash_structure(self.registered, &mut h);
         h.finish()
     }
 
@@ -1506,8 +1520,10 @@ impl<T: crate::snapshot::SnapshotPayload> Simulation<T> {
     /// [`ticks_elided`](Self::ticks_elided),
     /// [`edges_processed`](Self::edges_processed) and per-component ticks
     /// and dispatches. Every [`Snapshot::restore`](crate::Snapshot::restore)
-    /// therefore resets each field its `save` does not write (id caches,
-    /// notes for stall hints) to what construction leaves there. The
+    /// therefore resets each field its `save` does not write (notes for
+    /// stall hints) to what construction leaves there; metric ids are
+    /// structure, kept from registration and covered by the fingerprint,
+    /// so there is nothing of theirs to reset. The
     /// execution mode ([`set_exec`](Self::set_exec)) is not state and is
     /// kept. `tests/proptest_snapshot.rs` holds the contract.
     ///
@@ -2054,6 +2070,64 @@ mod tests {
         );
         let err = other.restore(&blob).expect_err("must reject");
         assert!(matches!(err, SimError::Snapshot { .. }), "{err}");
+    }
+
+    /// Registers the metrics it is given, then does nothing.
+    struct Registrant {
+        counters: &'static [&'static str],
+        states: &'static [&'static str],
+    }
+    impl crate::snapshot::Snapshot for Registrant {}
+    impl Component<u64> for Registrant {
+        fn name(&self) -> &str {
+            "registrant"
+        }
+        fn tick(&mut self, _ctx: &mut TickContext<'_, u64>) {}
+        fn register_metrics(&mut self, stats: &mut StatsRegistry) {
+            for name in self.counters {
+                stats.counter(name);
+            }
+            stats.residency("registrant.state", self.states);
+        }
+    }
+
+    #[test]
+    fn the_fingerprint_covers_the_registered_metrics() {
+        let build = |counters, states| {
+            let mut sim: Simulation<u64> = Simulation::new();
+            let clk = ClockDomain::from_mhz(100);
+            sim.links_mut().add_link("wire", 1, clk.period());
+            sim.add_component(Box::new(Registrant { counters, states }), clk);
+            sim
+        };
+        let base = build(&["r.granted", "r.busy_ps"], &["idle", "busy"]);
+        // Same names, clocks and links; only what registration created
+        // differs: the counters' order, a residency's state list.
+        for mut other in [
+            build(&["r.busy_ps", "r.granted"], &["idle", "busy"]),
+            build(&["r.granted", "r.busy_ps"], &["idle", "full"]),
+            build(&["r.granted"], &["idle", "busy"]),
+        ] {
+            assert_ne!(
+                base.structural_fingerprint(),
+                other.structural_fingerprint()
+            );
+            let err = other.restore(&base.checkpoint()).expect_err("must reject");
+            assert!(
+                matches!(
+                    err,
+                    SimError::Snapshot {
+                        source: crate::snapshot::SnapshotError::StructureMismatch { .. }
+                    }
+                ),
+                "{err}"
+            );
+        }
+        // A metric created after the last registration is not structure.
+        let mut late = build(&["r.granted", "r.busy_ps"], &["idle", "busy"]);
+        late.stats_mut().counter("late");
+        assert_eq!(base.structural_fingerprint(), late.structural_fingerprint());
+        late.restore(&base.checkpoint()).expect("same structure");
     }
 
     #[test]

@@ -36,7 +36,8 @@ struct Waiter {
     count_from: Time,
     counts: Counts,
     waiting: bool,
-    waits: Option<CounterId>,
+    waits: CounterId,
+    other: CounterId,
     /// Tick bodies actually run (observation channel, not state).
     dispatched: Arc<AtomicU64>,
 }
@@ -54,15 +55,13 @@ impl Component<u64> for Waiter {
     fn name(&self) -> &str {
         &self.name
     }
-    fn register_metrics(&self, stats: &mut StatsRegistry) {
-        stats.counter(&format!("{}.waits", self.name));
-        stats.counter(&format!("{}.other", self.name));
+    fn register_metrics(&mut self, stats: &mut StatsRegistry) {
+        self.waits = stats.counter(&format!("{}.waits", self.name));
+        self.other = stats.counter(&format!("{}.other", self.name));
     }
     fn tick(&mut self, ctx: &mut TickContext<'_, u64>) {
         self.dispatched.fetch_add(1, Ordering::Relaxed);
-        let waits = *self
-            .waits
-            .get_or_insert_with(|| ctx.stats.counter(&format!("{}.waits", self.name)));
+        let waits = self.waits;
         ctx.links.pop(self.nudge, ctx.time);
         if ctx.links.pop(self.resp, ctx.time).is_some() {
             self.waiting = false;
@@ -73,8 +72,7 @@ impl Component<u64> for Waiter {
                 Counts::Twice => ctx.stats.inc(waits, 2),
                 Counts::AndASecondCounter => {
                     ctx.stats.inc(waits, 1);
-                    let other = ctx.stats.counter(&format!("{}.other", self.name));
-                    ctx.stats.inc(other, 1);
+                    ctx.stats.inc(self.other, 1);
                 }
             }
         }
@@ -89,9 +87,9 @@ impl Component<u64> for Waiter {
         self.waiting.then_some(Time::ZERO)
     }
     fn stall_hint(&self, hint: &mut StallHint) {
-        if let (true, Some(waits)) = (self.waiting, self.waits) {
+        if self.waiting {
             hint.gate_deadline(crate::Gate::CLOSED);
-            hint.count_elided(waits, self.count_from);
+            hint.count_elided(self.waits, self.count_from);
         }
     }
     fn fast_forward(&mut self, ctx: &mut crate::FastCtx<'_, u64>) {
@@ -168,7 +166,8 @@ fn waiters(n: usize, count_from: Time, counts: Counts) -> (Simulation<u64>, Arc<
                 count_from,
                 counts,
                 waiting: true,
-                waits: None,
+                waits: CounterId::default(),
+                other: CounterId::default(),
                 dispatched: Arc::clone(&dispatched),
             }),
             clk,
@@ -979,7 +978,8 @@ fn add_waiter(
             count_from,
             counts: Counts::Honestly,
             waiting: true,
-            waits: None,
+            waits: CounterId::default(),
+            other: CounterId::default(),
             dispatched: Arc::default(),
         }),
         clk,

@@ -676,8 +676,10 @@ pub fn load_blob(path: &Path) -> io::Result<SnapshotBlob> {
 ///
 /// `restore` is a complete reset (see [`Simulation::restore`](crate::Simulation::restore)):
 /// the object may have run before, so every field `save` does not write —
-/// a cached metric id, a note kept for a stall hint — goes back to what
-/// construction leaves there.
+/// a note kept for a stall hint — goes back to what construction leaves
+/// there. Metric ids are not such a field: they are structure, kept from
+/// [`Component::register_metrics`](crate::Component::register_metrics)
+/// and covered by the structural fingerprint, so `restore` leaves them.
 pub trait Snapshot {
     /// Serializes dynamic state into the writer.
     fn save(&self, _w: &mut StateWriter) {}

@@ -13,16 +13,98 @@ use std::collections::HashMap;
 use std::fmt;
 
 /// Handle to a monotonically increasing counter.
+///
+/// Ids are structure, like link ids: a component gets them when it
+/// registers its metrics and keeps them. The [`Default`] id names no
+/// metric — an update through it panics on the registry's bounds check —
+/// so a component that stores ids before registration fails loudly, never
+/// on somebody else's counter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CounterId(usize);
 
-/// Handle to a latency/value histogram.
+/// Handle to a latency/value histogram (see [`CounterId`] for [`Default`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct HistogramId(usize);
 
-/// Handle to a time-weighted state-residency timer.
+/// Handle to a time-weighted state-residency timer (see [`CounterId`] for
+/// [`Default`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ResidencyId(usize);
+
+macro_rules! unregistered_default {
+    ($($id:ident),*) => {$(
+        impl Default for $id {
+            /// An id that names no metric.
+            fn default() -> Self {
+                $id(usize::MAX)
+            }
+        }
+    )*};
+}
+unregistered_default!(CounterId, HistogramId, ResidencyId);
+
+/// Declares a component's metric ids as a struct whose field names are the
+/// metric names. `register(prefix, stats)` creates `{prefix}.{field}` for
+/// every field, in declaration order — counters, histograms and
+/// residencies, each kind in its own row order — and the struct's
+/// [`Default`] names no metric (see [`CounterId`]). The usual body of
+/// [`Component::register_metrics`](crate::Component::register_metrics) is
+/// then `self.ids = Ids::register(&self.name, stats)`.
+///
+/// # Examples
+///
+/// ```
+/// use mpsoc_kernel::{metric_ids, StatsRegistry, Time};
+///
+/// metric_ids! {
+///     /// A bus's metrics.
+///     struct BusMetrics {
+///         granted: counter,
+///         latency_ns: histogram,
+///         state: residency["idle", "busy"],
+///     }
+/// }
+///
+/// let mut stats = StatsRegistry::new();
+/// let ids = BusMetrics::register("bus", &mut stats);
+/// stats.inc(ids.granted, 2);
+/// stats.record(ids.latency_ns, 40);
+/// stats.set_state(ids.state, 1, Time::from_ns(5));
+/// assert_eq!(stats.counter_by_name("bus.granted"), 2);
+/// assert_eq!(stats.histogram_by_name("bus.latency_ns").unwrap().count(), 1);
+/// assert_eq!(stats.residency_by_name("bus.state").unwrap().current(), 1);
+/// ```
+#[macro_export]
+macro_rules! metric_ids {
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $name:ident {
+            $($field:ident: $kind:ident $([$($state:literal),+ $(,)?])?),+ $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Default, Clone, Copy)]
+        $vis struct $name {
+            $($field: $crate::metric_ids!(@id $kind)),+
+        }
+
+        impl $name {
+            /// Creates every metric, named `{prefix}.{field}`, in
+            /// declaration order.
+            $vis fn register(prefix: &str, stats: &mut $crate::StatsRegistry) -> Self {
+                $name {
+                    $($field: stats.$kind(
+                        &format!("{}.{}", prefix, stringify!($field))
+                        $(, &[$($state),+])?
+                    )),+
+                }
+            }
+        }
+    };
+    (@id counter) => { $crate::stats::CounterId };
+    (@id histogram) => { $crate::stats::HistogramId };
+    (@id residency) => { $crate::stats::ResidencyId };
+}
 
 /// A histogram over `u64` samples with power-of-two buckets.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -174,6 +256,14 @@ impl StateResidency {
     }
 }
 
+/// How many counters, histograms and residencies a registry holds.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct MetricExtent {
+    counters: usize,
+    histograms: usize,
+    residencies: usize,
+}
+
 /// Named snapshot of every metric, produced by [`StatsRegistry::report`].
 #[derive(Debug, Clone, Default)]
 pub struct StatsReport {
@@ -220,10 +310,10 @@ impl fmt::Display for StatsReport {
 
 /// Central, string-keyed metric registry shared by all components.
 ///
-/// Metrics are registered lazily by name: the first call with a given name
-/// creates the metric, later calls return the same handle. This lets deeply
-/// nested component models record metrics without threading ids through
-/// construction.
+/// Metrics are created by name: the first call with a given name creates
+/// the metric, later calls return the same handle. Components create theirs
+/// once, in [`Component::register_metrics`](crate::Component::register_metrics),
+/// and keep the ids; a tick only updates through them ([`StatsAccess`]).
 ///
 /// # Examples
 ///
@@ -253,9 +343,11 @@ pub struct StatsRegistry {
 }
 
 /// Per-tick handle to the metric registry (the `stats` field of
-/// [`TickContext`](crate::TickContext)): registration, updates and counter
-/// reads, without the harness's side of the registry (reports, tracing
-/// switches).
+/// [`TickContext`](crate::TickContext)): updates and reads through the ids a
+/// component registered, without the harness's side of the registry
+/// (reports, tracing switches). It can neither create a metric nor look one
+/// up by name: every metric exists from
+/// [`Component::register_metrics`](crate::Component::register_metrics) on.
 #[derive(Debug)]
 pub struct StatsAccess<'a> {
     registry: &'a mut StatsRegistry,
@@ -266,39 +358,14 @@ impl<'a> StatsAccess<'a> {
         StatsAccess { registry }
     }
 
-    /// See [`StatsRegistry::counter`].
-    pub fn counter(&mut self, name: &str) -> CounterId {
-        self.registry.counter(name)
-    }
-
     /// See [`StatsRegistry::inc`].
     pub fn inc(&mut self, id: CounterId, by: u64) {
         self.registry.inc(id, by)
     }
 
-    /// See [`StatsRegistry::counter_value`].
-    pub fn counter_value(&self, id: CounterId) -> u64 {
-        self.registry.counter_value(id)
-    }
-
-    /// See [`StatsRegistry::counter_by_name`].
-    pub fn counter_by_name(&self, name: &str) -> u64 {
-        self.registry.counter_by_name(name)
-    }
-
-    /// See [`StatsRegistry::histogram`].
-    pub fn histogram(&mut self, name: &str) -> HistogramId {
-        self.registry.histogram(name)
-    }
-
     /// See [`StatsRegistry::record`].
     pub fn record(&mut self, id: HistogramId, value: u64) {
         self.registry.record(id, value)
-    }
-
-    /// See [`StatsRegistry::residency`].
-    pub fn residency(&mut self, name: &str, states: &[&str]) -> ResidencyId {
-        self.registry.residency(name, states)
     }
 
     /// See [`StatsRegistry::set_state`].
@@ -463,6 +530,38 @@ impl StatsRegistry {
         }
     }
 
+    /// How many metrics of each kind exist: the extent of the prefix that
+    /// [`hash_structure`](Self::hash_structure) covers.
+    pub(crate) fn extent(&self) -> MetricExtent {
+        MetricExtent {
+            counters: self.counters.len(),
+            histograms: self.histograms.len(),
+            residencies: self.residencies.len(),
+        }
+    }
+
+    /// Hashes kind, name and (for residencies) state list of every metric
+    /// within `extent`, in creation order — the registry's part of a
+    /// simulation's structural fingerprint.
+    pub(crate) fn hash_structure(&self, extent: MetricExtent, h: &mut crate::snapshot::Fnv64) {
+        h.write_u64(extent.counters as u64);
+        for (name, _) in self.counters.iter().take(extent.counters) {
+            h.write_str(name);
+        }
+        h.write_u64(extent.histograms as u64);
+        for (name, _) in self.histograms.iter().take(extent.histograms) {
+            h.write_str(name);
+        }
+        h.write_u64(extent.residencies as u64);
+        for (name, res) in self.residencies.iter().take(extent.residencies) {
+            h.write_str(name);
+            h.write_u64(res.states.len() as u64);
+            for state in &res.states {
+                h.write_str(state);
+            }
+        }
+    }
+
     /// Names of all counters, in creation order.
     pub fn counter_names(&self) -> impl Iterator<Item = &str> {
         self.counters.iter().map(|(n, _)| n.as_str())
@@ -531,8 +630,9 @@ impl StatsRegistry {
     }
 
     /// Rebuilds the registry (metrics *and* name-to-id maps) from a
-    /// checkpoint. Ids are Vec indices in creation order, so handles cached
-    /// by components before the checkpoint resolve to the same metrics
+    /// checkpoint. Ids are Vec indices in creation order, and the structural
+    /// fingerprint the restore has checked covers the registered metrics, so
+    /// the ids components kept from registration name the same metrics
     /// after restore.
     pub(crate) fn restore_state(&mut self, r: &mut crate::snapshot::StateReader<'_>) {
         self.counter_names.clear();
@@ -593,6 +693,41 @@ mod tests {
         assert_eq!(s.counter_value(a), 5);
         assert_eq!(s.counter_by_name("x"), 5);
         assert_eq!(s.counter_by_name("missing"), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "index out of bounds")]
+    fn a_default_id_names_no_metric() {
+        let mut s = StatsRegistry::new();
+        s.counter("x");
+        s.inc(CounterId::default(), 1);
+    }
+
+    crate::metric_ids! {
+        struct Ids {
+            granted: counter,
+            lat: histogram,
+            busy_ps: counter,
+            state: residency["idle", "busy"],
+        }
+    }
+
+    #[test]
+    fn metric_ids_register_in_declaration_order() {
+        let mut s = StatsRegistry::new();
+        let unregistered = Ids::default();
+        assert_eq!(unregistered.busy_ps, CounterId::default());
+        let ids = Ids::register("bus", &mut s);
+        assert_eq!((ids.granted, ids.busy_ps), (CounterId(0), CounterId(1)));
+        let names: Vec<_> = s.counter_names().collect();
+        assert_eq!(names, ["bus.granted", "bus.busy_ps"]);
+        assert_eq!(ids.lat, s.histogram("bus.lat"));
+        s.set_state(ids.state, 1, Time::from_ns(1));
+        let state = s.residency_by_name("bus.state").expect("registered");
+        assert_eq!(
+            (state.state_names(), state.current()),
+            (&["idle".to_owned(), "busy".to_owned()][..], 1)
+        );
     }
 
     #[test]

@@ -9,7 +9,6 @@
 //! platform configuration).
 
 use crate::sdram::{SdramDevice, SdramGeometry, SdramTiming};
-use mpsoc_kernel::stats::{CounterId, ResidencyId, StatsAccess};
 use mpsoc_kernel::{
     ClockDomain, Component, FaultKind, Gate, LinkId, StallHint, TickContext, Time, TraceKind,
 };
@@ -124,9 +123,8 @@ pub struct LmiController {
     engine_busy_until: Time,
     sdram: SdramDevice,
     next_refresh_cycle: u64,
-    /// The ids of the controller's metrics, resolved on its first tick.
-    /// Not state: a restore clears them, as construction does.
-    ids: Option<MetricIds>,
+    /// The ids of the controller's metrics, kept from `register_metrics`.
+    ids: MetricIds,
     /// Degraded mode: after repeated injected engine stalls the controller
     /// sheds its optimizations (no lookahead, no merging) to keep servicing
     /// requests predictably, at reduced bandwidth. Cleared after a run of
@@ -151,63 +149,20 @@ pub struct LmiController {
     shown: Option<Shown>,
 }
 
-/// The controller's residencies, in registration order.
-const RESIDENCIES: [(&str, &[&str]); 3] = [
-    ("iface", &["no_request", "storing", "full"]),
-    ("empty", &["empty", "nonempty"]),
-    ("mode", &["normal", "degraded"]),
-];
-
-/// The controller's counters, in registration order.
-const COUNTERS: [&str; 8] = [
-    "fault_storms",
-    "refreshes",
-    "fault_stalls",
-    "degraded_entries",
-    "row_hits",
-    "row_misses",
-    "merged_txns",
-    "accesses",
-];
-
-/// The ids of every metric the controller writes. All of them are
-/// registered by `register_metrics`, so resolving them is a lookup by
-/// name, never a registration: names, creation order and the counter dump
-/// are those of the registration.
-#[derive(Debug, Clone, Copy)]
-struct MetricIds {
-    iface: ResidencyId,
-    empty: ResidencyId,
-    mode: ResidencyId,
-    fault_storms: CounterId,
-    refreshes: CounterId,
-    fault_stalls: CounterId,
-    degraded_entries: CounterId,
-    row_hits: CounterId,
-    row_misses: CounterId,
-    merged_txns: CounterId,
-    accesses: CounterId,
-}
-
-impl MetricIds {
-    fn resolve(name: &str, stats: &mut StatsAccess<'_>) -> MetricIds {
-        let [iface, empty, mode] = RESIDENCIES
-            .map(|(metric, states)| stats.residency(&format!("{name}.{metric}"), states));
-        let [fault_storms, refreshes, fault_stalls, degraded_entries, row_hits, row_misses, merged_txns, accesses] =
-            COUNTERS.map(|metric| stats.counter(&format!("{name}.{metric}")));
-        MetricIds {
-            iface,
-            empty,
-            mode,
-            fault_storms,
-            refreshes,
-            fault_stalls,
-            degraded_entries,
-            row_hits,
-            row_misses,
-            merged_txns,
-            accesses,
-        }
+mpsoc_kernel::metric_ids! {
+    /// The ids of every metric the controller writes, in registration order.
+    struct MetricIds {
+        iface: residency["no_request", "storing", "full"],
+        empty: residency["empty", "nonempty"],
+        mode: residency["normal", "degraded"],
+        fault_storms: counter,
+        refreshes: counter,
+        fault_stalls: counter,
+        degraded_entries: counter,
+        row_hits: counter,
+        row_misses: counter,
+        merged_txns: counter,
+        accesses: counter,
     }
 }
 
@@ -247,7 +202,7 @@ impl LmiController {
             engine_busy_until: Time::ZERO,
             sdram,
             next_refresh_cycle,
-            ids: None,
+            ids: MetricIds::default(),
             degraded: false,
             recent_stalls: 0,
             clean_accesses: 0,
@@ -378,7 +333,6 @@ impl mpsoc_kernel::Snapshot for LmiController {
         self.clean_accesses = r.read_u32();
         self.settled = r.read_bool();
         self.shown = None;
-        self.ids = None;
     }
 }
 
@@ -387,21 +341,14 @@ impl Component<Packet> for LmiController {
         &self.name
     }
 
-    fn register_metrics(&self, stats: &mut mpsoc_kernel::StatsRegistry) {
-        for (metric, states) in RESIDENCIES {
-            stats.residency(&format!("{}.{metric}", self.name), states);
-        }
-        for metric in COUNTERS {
-            stats.counter(&format!("{}.{metric}", self.name));
-        }
+    fn register_metrics(&mut self, stats: &mut mpsoc_kernel::StatsRegistry) {
+        self.ids = MetricIds::register(&self.name, stats);
     }
 
     fn tick(&mut self, ctx: &mut TickContext<'_, Packet>) {
         let now = ctx.time;
         let now_cycle = ctx.cycle.count();
-        let ids = *self
-            .ids
-            .get_or_insert_with(|| MetricIds::resolve(&self.name, &mut ctx.stats));
+        let ids = self.ids;
         let degraded_shown = self.degraded;
         ctx.stats
             .set_state(ids.mode, usize::from(degraded_shown), now);

@@ -1,6 +1,5 @@
 //! The mesh router.
 
-use mpsoc_kernel::stats::CounterId;
 use mpsoc_kernel::{ClockDomain, Component, LinkId, TickContext, Time};
 use mpsoc_protocol::{AddressMap, DataWidth, Packet, TransactionId};
 use std::collections::HashMap;
@@ -38,6 +37,13 @@ pub(crate) enum Dir {
 
 pub(crate) const ALL_DIRS: [Dir; 5] = [Dir::Local, Dir::North, Dir::East, Dir::South, Dir::West];
 
+mpsoc_kernel::metric_ids! {
+    /// The router's counters, kept from `register_metrics`.
+    struct Counters {
+        forwarded: counter,
+    }
+}
+
 /// A mesh router with dimension-ordered (XY) routing.
 ///
 /// Requests are routed by address towards the node hosting the target;
@@ -62,7 +68,7 @@ pub struct Router {
     breadcrumbs: HashMap<TransactionId, Dir>,
     /// Per-output channel occupancy.
     busy: [Time; 5],
-    forwarded_ctr: Option<CounterId>,
+    counters: Counters,
 }
 
 impl Router {
@@ -86,7 +92,7 @@ impl Router {
             routes,
             breadcrumbs: HashMap::new(),
             busy: [Time::ZERO; 5],
-            forwarded_ctr: None,
+            counters: Counters::default(),
         }
     }
 
@@ -144,7 +150,6 @@ impl mpsoc_kernel::Snapshot for Router {
         for t in self.busy.iter_mut() {
             *t = r.read_time();
         }
-        self.forwarded_ctr = None;
     }
 }
 
@@ -153,8 +158,8 @@ impl Component<Packet> for Router {
         &self.name
     }
 
-    fn register_metrics(&self, stats: &mut mpsoc_kernel::StatsRegistry) {
-        stats.counter(&format!("{}.forwarded", self.name));
+    fn register_metrics(&mut self, stats: &mut mpsoc_kernel::StatsRegistry) {
+        self.counters = Counters::register(&self.name, stats);
     }
 
     fn tick(&mut self, ctx: &mut TickContext<'_, Packet>) {
@@ -222,10 +227,7 @@ impl Component<Packet> for Router {
             ctx.links
                 .push_after(output, now, extra, packet)
                 .expect("can_push checked");
-            let forwarded = *self
-                .forwarded_ctr
-                .get_or_insert_with(|| ctx.stats.counter(&format!("{}.forwarded", self.name)));
-            ctx.stats.inc(forwarded, 1);
+            ctx.stats.inc(self.counters.forwarded, 1);
         }
     }
 

@@ -9,9 +9,9 @@
 //! line, writes the response itself with a single `write_all`, and only
 //! then signals the reader (returning its line buffer), so a connection
 //! never has more than one line in flight and responses stay in request
-//! order. Simulation work is bounded by the pool (sized to the host's
-//! cores), not by connection count; an idle connection costs one parked
-//! thread with a small stack.
+//! order. Simulation work is bounded by the pool (twice the host's cores,
+//! clamped to 4 ..= 32, unless the config names a size), not by connection
+//! count; an idle connection costs one parked thread with a small stack.
 //!
 //! `dispatch` deliberately runs on a pool worker, never on the reader: a
 //! thread woken by its socket peer is placed by the scheduler where the
@@ -161,10 +161,11 @@ impl Shared {
         let _ = TcpStream::connect(self.addr);
     }
 
-    /// Fan-out workers for a request's points. Oversubscribing past the
-    /// host's cores is a measured pathology (see BENCH fig4_scaling
-    /// history), so wire-requested job counts are clamped; results are
-    /// identical for any value by the kernel's determinism guarantee.
+    /// Fan-out workers for a request's points: the wire-requested job
+    /// count clamped to 1 ..= the host's cores, since workers past the
+    /// cores only time-slice against each other and the other handlers.
+    /// Results are identical for any value by the kernel's determinism
+    /// guarantee.
     fn fan_out_jobs(&self, sim: &Simulate) -> usize {
         sim.jobs.clamp(1, self.host_cores)
     }

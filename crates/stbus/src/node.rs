@@ -1,6 +1,5 @@
 //! The STBus node component.
 
-use mpsoc_kernel::stats::CounterId;
 use mpsoc_kernel::{
     ClockDomain, Component, FaultKind, Gate, LinkId, StallHint, TickContext, Time, TraceKind,
 };
@@ -85,13 +84,18 @@ struct ReplayEntry {
     faults: u64,
 }
 
-#[derive(Debug, Default)]
-struct NodeCounters {
-    granted: Option<CounterId>,
-    delivered: Option<CounterId>,
-    req_busy_ps: Option<CounterId>,
-    resp_busy_ps: Option<CounterId>,
-    resp_data_ps: Option<CounterId>,
+mpsoc_kernel::metric_ids! {
+    /// The node's counters, kept from `register_metrics`.
+    struct NodeCounters {
+        delivered: counter,
+        resp_busy_ps: counter,
+        resp_data_ps: counter,
+        fault_drops: counter,
+        granted: counter,
+        req_busy_ps: counter,
+        fault_retries: counter,
+        fault_lost: counter,
+    }
 }
 
 /// A cycle-accurate STBus interconnect node.
@@ -356,21 +360,11 @@ impl StbusNode {
                     Packet::Response(resp),
                 )
                 .expect("can_push checked");
-            let delivered = *self
-                .counters
-                .delivered
-                .get_or_insert_with(|| ctx.stats.counter(&format!("{}.delivered", self.name)));
-            ctx.stats.inc(delivered, 1);
-            let busy = *self
-                .counters
-                .resp_busy_ps
-                .get_or_insert_with(|| ctx.stats.counter(&format!("{}.resp_busy_ps", self.name)));
-            ctx.stats.inc(busy, (period * cycles).as_ps());
-            let data = *self
-                .counters
-                .resp_data_ps
-                .get_or_insert_with(|| ctx.stats.counter(&format!("{}.resp_data_ps", self.name)));
-            ctx.stats.inc(data, (period * data_cycles).as_ps());
+            ctx.stats.inc(self.counters.delivered, 1);
+            ctx.stats
+                .inc(self.counters.resp_busy_ps, (period * cycles).as_ps());
+            ctx.stats
+                .inc(self.counters.resp_data_ps, (period * data_cycles).as_ps());
             self.resp_rr = (t + 1) % n_targets;
             if matches!(self.config.topology, ChannelTopology::SharedBus) {
                 // Shared response channel: one delivery per cycle.
@@ -492,8 +486,7 @@ impl StbusNode {
                 // The node keeps a replay copy and re-issues it after the
                 // detection timeout.
                 let timeout = ctx.faults.schedule().timeout_cycles;
-                let c = ctx.stats.counter(&format!("{}.fault_drops", self.name));
-                ctx.stats.inc(c, 1);
+                ctx.stats.inc(self.counters.fault_drops, 1);
                 self.replays.push(ReplayEntry {
                     txn,
                     target,
@@ -516,16 +509,9 @@ impl StbusNode {
             ctx.stats.emit_trace(now, &self.name, TraceKind::Grant, || {
                 format!("port {} -> target {target}", winner.port)
             });
-            let granted = *self
-                .counters
-                .granted
-                .get_or_insert_with(|| ctx.stats.counter(&format!("{}.granted", self.name)));
-            ctx.stats.inc(granted, 1);
-            let busy = *self
-                .counters
-                .req_busy_ps
-                .get_or_insert_with(|| ctx.stats.counter(&format!("{}.req_busy_ps", self.name)));
-            ctx.stats.inc(busy, (period * cycles).as_ps());
+            ctx.stats.inc(self.counters.granted, 1);
+            ctx.stats
+                .inc(self.counters.req_busy_ps, (period * cycles).as_ps());
         }
         self.contenders = contenders;
     }
@@ -575,8 +561,7 @@ impl StbusNode {
         let mut entry = self.replays.remove(pos);
         entry.attempt += 1;
         ctx.faults.record_retry(1);
-        let retries = ctx.stats.counter(&format!("{}.fault_retries", self.name));
-        ctx.stats.inc(retries, 1);
+        ctx.stats.inc(self.counters.fault_retries, 1);
         let cycles = entry.txn.request_cycles();
         let chan = self.req_channel(entry.target);
         self.req_busy[chan] = now + period * cycles;
@@ -622,8 +607,7 @@ impl StbusNode {
     fn abandon(&mut self, entry: ReplayEntry, ctx: &mut TickContext<'_, Packet>) {
         let now = ctx.time;
         ctx.faults.record_lost(entry.faults);
-        let c = ctx.stats.counter(&format!("{}.fault_lost", self.name));
-        ctx.stats.inc(c, 1);
+        ctx.stats.inc(self.counters.fault_lost, 1);
         ctx.stats.emit_trace(now, &self.name, TraceKind::State, || {
             format!("{} abandoned after {} attempts", entry.txn, entry.attempt)
         });
@@ -774,7 +758,6 @@ impl mpsoc_kernel::Snapshot for StbusNode {
             .map(|_| (r.read_usize(), persist::load_response(r)))
             .collect();
         self.heads.clear();
-        self.counters = NodeCounters::default();
     }
 }
 
@@ -783,19 +766,8 @@ impl Component<Packet> for StbusNode {
         &self.name
     }
 
-    fn register_metrics(&self, stats: &mut mpsoc_kernel::StatsRegistry) {
-        for metric in [
-            "delivered",
-            "resp_busy_ps",
-            "resp_data_ps",
-            "fault_drops",
-            "granted",
-            "req_busy_ps",
-            "fault_retries",
-            "fault_lost",
-        ] {
-            stats.counter(&format!("{}.{metric}", self.name));
-        }
+    fn register_metrics(&mut self, stats: &mut mpsoc_kernel::StatsRegistry) {
+        self.counters = NodeCounters::register(&self.name, stats);
     }
 
     fn tick(&mut self, ctx: &mut TickContext<'_, Packet>) {

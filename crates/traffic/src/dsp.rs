@@ -1,6 +1,5 @@
 //! The ST220-style DSP core model.
 
-use mpsoc_kernel::stats::CounterId;
 use mpsoc_kernel::{Component, Gate, LinkId, SplitMix64, StallHint, TickContext, Time};
 use mpsoc_protocol::{DataWidth, InitiatorId, Packet, Transaction};
 use std::collections::HashMap;
@@ -166,9 +165,19 @@ pub struct DspCore {
     rng: SplitMix64,
     pending_writeback: Option<u64>,
     outstanding_posted: HashMap<u64, ()>,
-    instr_ctr: Option<CounterId>,
-    stall_ctr: Option<CounterId>,
+    counters: Counters,
     done_recorded: bool,
+}
+
+mpsoc_kernel::metric_ids! {
+    /// The core's counters, kept from `register_metrics`.
+    struct Counters {
+        stall_cycles: counter,
+        instructions: counter,
+        done_at_ns: counter,
+        icache_misses: counter,
+        dcache_misses: counter,
+    }
 }
 
 impl DspCore {
@@ -199,8 +208,7 @@ impl DspCore {
             rng,
             pending_writeback: None,
             outstanding_posted: HashMap::new(),
-            instr_ctr: None,
-            stall_ctr: None,
+            counters: Counters::default(),
             done_recorded: false,
         }
     }
@@ -339,8 +347,6 @@ impl mpsoc_kernel::Snapshot for DspCore {
             self.outstanding_posted.insert(r.read_u64(), ());
         }
         self.done_recorded = r.read_bool();
-        self.instr_ctr = None;
-        self.stall_ctr = None;
     }
 }
 
@@ -349,25 +355,11 @@ impl Component<Packet> for DspCore {
         &self.name
     }
 
-    fn register_metrics(&self, stats: &mut mpsoc_kernel::StatsRegistry) {
-        for metric in [
-            "stall_cycles",
-            "instructions",
-            "done_at_ns",
-            "icache_misses",
-            "dcache_misses",
-        ] {
-            stats.counter(&format!("{}.{metric}", self.name));
-        }
+    fn register_metrics(&mut self, stats: &mut mpsoc_kernel::StatsRegistry) {
+        self.counters = Counters::register(&self.name, stats);
     }
 
     fn tick(&mut self, ctx: &mut TickContext<'_, Packet>) {
-        // The stall hint names the counter, so it is resolved before the
-        // core can stall (pre-registered: a lookup, not a registration).
-        let stalls = *self
-            .stall_ctr
-            .get_or_insert_with(|| ctx.stats.counter(&format!("{}.stall_cycles", self.name)));
-
         // Collect responses.
         if let Some(pkt) = ctx.links.pop(self.resp_in, ctx.time) {
             let resp = pkt.expect_response();
@@ -392,7 +384,7 @@ impl Component<Packet> for DspCore {
 
         match self.state {
             CoreState::Finished => {}
-            CoreState::Stalled(_) => ctx.stats.inc(stalls, 1),
+            CoreState::Stalled(_) => ctx.stats.inc(self.counters.stall_cycles, 1),
             CoreState::Running => {
                 // Instruction fetch.
                 let iaddr = self.config.code_base + (self.pc % self.config.code_len);
@@ -434,20 +426,16 @@ impl Component<Packet> for DspCore {
                     }
                 }
                 self.executed += 1;
-                let instrs = *self.instr_ctr.get_or_insert_with(|| {
-                    ctx.stats.counter(&format!("{}.instructions", self.name))
-                });
-                ctx.stats.inc(instrs, 1);
+                ctx.stats.inc(self.counters.instructions, 1);
                 if self.executed >= self.config.instructions {
                     self.state = CoreState::Finished;
                     if !self.done_recorded {
                         self.done_recorded = true;
-                        let done = ctx.stats.counter(&format!("{}.done_at_ns", self.name));
-                        ctx.stats.inc(done, ctx.time.as_ns());
-                        let im = ctx.stats.counter(&format!("{}.icache_misses", self.name));
-                        ctx.stats.inc(im, self.icache.misses);
-                        let dm = ctx.stats.counter(&format!("{}.dcache_misses", self.name));
-                        ctx.stats.inc(dm, self.dcache.misses);
+                        ctx.stats.inc(self.counters.done_at_ns, ctx.time.as_ns());
+                        ctx.stats
+                            .inc(self.counters.icache_misses, self.icache.misses);
+                        ctx.stats
+                            .inc(self.counters.dcache_misses, self.dcache.misses);
                     }
                 }
             }
@@ -481,13 +469,10 @@ impl Component<Packet> for DspCore {
         // Stalled on a refill with nothing to flush: until something lands
         // on `resp_in` — the refill, or the acknowledgement of an earlier
         // write-back — every cycle counts one stall and does nothing else.
-        // (A blocked write-back flush returns before the count, and a core
-        // restored mid-stall has yet to resolve the counter: both poll.)
-        if let (CoreState::Stalled(_), None, Some(stalls)) =
-            (&self.state, self.pending_writeback, self.stall_ctr)
-        {
+        // (A blocked write-back flush returns before the count: it polls.)
+        if let (CoreState::Stalled(_), None) = (&self.state, self.pending_writeback) {
             hint.gate_deadline(Gate::CLOSED);
-            hint.count_elided(stalls, Time::ZERO);
+            hint.count_elided(self.counters.stall_cycles, Time::ZERO);
         }
     }
 
@@ -512,11 +497,7 @@ impl Component<Packet> for DspCore {
                     let credit = self.pending_writeback.is_none();
                     let elided = ctx.sleep_until(None);
                     if credit && elided > 0 {
-                        let name = &self.name;
-                        let stalls = *self.stall_ctr.get_or_insert_with(|| {
-                            ctx.stats_mut().counter(&format!("{name}.stall_cycles"))
-                        });
-                        ctx.stats_mut().inc(stalls, elided);
+                        ctx.stats_mut().inc(self.counters.stall_cycles, elided);
                     }
                 }
                 CoreState::Finished => {
@@ -597,6 +578,34 @@ mod tests {
             .expect("drains");
         let stalls = sim.stats().counter_by_name("dsp.stall_cycles");
         assert!(stalls > 1_000, "expected heavy stalling, got {stalls}");
+    }
+
+    #[test]
+    fn a_core_restored_mid_stall_elides_its_first_edge() {
+        // Twenty wait states: the first fetch misses, and the refill is
+        // still far from deliverable a few stall cycles in.
+        let (mut sim, _) = rig(small_config(), 20);
+        let dsp = sim.component_ids().next().expect("the core");
+        while sim.stats().counter_by_name("dsp.stall_cycles") < 3 {
+            sim.step();
+        }
+        let stalls = sim.stats().counter_by_name("dsp.stall_cycles");
+        let blob = sim.checkpoint();
+        let (mut fresh, _) = rig(small_config(), 20);
+        fresh.restore(&blob).expect("same build");
+        sim.step();
+        fresh.step();
+        // The hint names the counter from the restore on: the first edge is
+        // charged, elided and credited, never dispatched.
+        assert_eq!(
+            (fresh.component_ticks(dsp), fresh.component_dispatches(dsp)),
+            (1, 0)
+        );
+        assert_eq!(
+            fresh.stats().counter_by_name("dsp.stall_cycles"),
+            stalls + 1
+        );
+        assert_eq!(fresh.checkpoint().as_bytes(), sim.checkpoint().as_bytes());
     }
 
     #[test]

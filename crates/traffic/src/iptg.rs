@@ -1,7 +1,6 @@
 //! The IP traffic generator (IPTG).
 
 use crate::trace::IssueRecorder;
-use mpsoc_kernel::stats::{CounterId, HistogramId};
 use mpsoc_kernel::{Component, Gate, LinkId, SplitMix64, StallHint, TickContext, Time};
 use mpsoc_protocol::{DataWidth, InitiatorId, MessageId, Packet, Transaction};
 use std::collections::HashMap;
@@ -223,6 +222,17 @@ impl Agent {
     }
 }
 
+mpsoc_kernel::metric_ids! {
+    /// The generator's metrics, kept from `register_metrics`.
+    struct Metrics {
+        completed: counter,
+        error_responses: counter,
+        done_at_ns: counter,
+        injected: counter,
+        latency_ns: histogram,
+    }
+}
+
 /// The IPTG component: one bus initiator interface multiplexing the traffic
 /// of several agents.
 ///
@@ -265,9 +275,7 @@ pub struct IpTrafficGenerator {
     seq: u64,
     msg_seq: u64,
     rr: usize,
-    injected_ctr: Option<CounterId>,
-    completed_ctr: Option<CounterId>,
-    latency_hist: Option<HistogramId>,
+    metrics: Metrics,
     done_recorded: bool,
     issue_recorder: Option<IssueRecorder>,
 }
@@ -337,9 +345,7 @@ impl IpTrafficGenerator {
             seq: 0,
             msg_seq: 0,
             rr: 0,
-            injected_ctr: None,
-            completed_ctr: None,
-            latency_hist: None,
+            metrics: Metrics::default(),
             done_recorded: false,
             issue_recorder: None,
         })
@@ -572,9 +578,6 @@ impl mpsoc_kernel::Snapshot for IpTrafficGenerator {
         self.rr = r.read_usize();
         self.done_recorded = r.read_bool();
         self.unfinished = self.agents.iter().filter(|a| !a.finished()).count();
-        self.injected_ctr = None;
-        self.completed_ctr = None;
-        self.latency_hist = None;
     }
 }
 
@@ -583,11 +586,8 @@ impl Component<Packet> for IpTrafficGenerator {
         &self.name
     }
 
-    fn register_metrics(&self, stats: &mut mpsoc_kernel::StatsRegistry) {
-        for metric in ["completed", "error_responses", "done_at_ns", "injected"] {
-            stats.counter(&format!("{}.{metric}", self.name));
-        }
-        stats.histogram(&format!("{}.latency_ns", self.name));
+    fn register_metrics(&mut self, stats: &mut mpsoc_kernel::StatsRegistry) {
+        self.metrics = Metrics::register(&self.name, stats);
     }
 
     fn tick(&mut self, ctx: &mut TickContext<'_, Packet>) {
@@ -605,28 +605,22 @@ impl Component<Packet> for IpTrafficGenerator {
             if agent.finished() {
                 self.unfinished -= 1;
             }
-            let completed = *self
-                .completed_ctr
-                .get_or_insert_with(|| ctx.stats.counter(&format!("{}.completed", self.name)));
-            ctx.stats.inc(completed, 1);
+            ctx.stats.inc(self.metrics.completed, 1);
             if resp.error {
                 // An error completion: the fabric abandoned this transaction
                 // after exhausting its retry budget. The agent moves on, but
                 // the loss is observable per generator.
-                let errors = ctx.stats.counter(&format!("{}.error_responses", self.name));
-                ctx.stats.inc(errors, 1);
+                ctx.stats.inc(self.metrics.error_responses, 1);
             }
-            let hist = *self
-                .latency_hist
-                .get_or_insert_with(|| ctx.stats.histogram(&format!("{}.latency_ns", self.name)));
-            ctx.stats
-                .record(hist, (now.saturating_sub(resp.txn.created_at)).as_ns());
+            ctx.stats.record(
+                self.metrics.latency_ns,
+                (now.saturating_sub(resp.txn.created_at)).as_ns(),
+            );
         }
 
         if !self.done_recorded && self.is_idle() {
             self.done_recorded = true;
-            let done = ctx.stats.counter(&format!("{}.done_at_ns", self.name));
-            ctx.stats.inc(done, ctx.time.as_ns());
+            ctx.stats.inc(self.metrics.done_at_ns, ctx.time.as_ns());
         }
         if !ctx.links.can_push(self.req_out) {
             return;
@@ -686,10 +680,7 @@ impl Component<Packet> for IpTrafficGenerator {
         ctx.links
             .push(self.req_out, now, Packet::Request(txn))
             .expect("can_push checked");
-        let injected = *self
-            .injected_ctr
-            .get_or_insert_with(|| ctx.stats.counter(&format!("{}.injected", self.name)));
-        ctx.stats.inc(injected, 1);
+        ctx.stats.inc(self.metrics.injected, 1);
         self.after_issue(i, now, period);
     }
 

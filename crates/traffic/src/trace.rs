@@ -16,7 +16,6 @@
 //! `+N` is the delay in generator cycles since the *previous* entry became
 //! issuable.
 
-use mpsoc_kernel::stats::CounterId;
 use mpsoc_kernel::{ClockDomain, Component, LinkId, TickContext, Time};
 use mpsoc_protocol::{DataWidth, InitiatorId, Opcode, Packet, Transaction};
 use std::collections::VecDeque;
@@ -203,6 +202,14 @@ impl IssueRecorder {
     }
 }
 
+mpsoc_kernel::metric_ids! {
+    /// The generator's counters, kept from `register_metrics`.
+    struct Counters {
+        completed: counter,
+        injected: counter,
+    }
+}
+
 /// A generator that replays a [`TraceEntry`] sequence with exact timing.
 ///
 /// Delays are honoured relative to the previous issue; back-pressure or the
@@ -222,8 +229,7 @@ pub struct TraceDrivenGenerator {
     outstanding: usize,
     next_issue_at: Time,
     seq: u64,
-    injected_ctr: Option<CounterId>,
-    completed_ctr: Option<CounterId>,
+    counters: Counters,
 }
 
 impl TraceDrivenGenerator {
@@ -252,8 +258,7 @@ impl TraceDrivenGenerator {
             outstanding: 0,
             next_issue_at: clock.period() * first_delay,
             seq: 0,
-            injected_ctr: None,
-            completed_ctr: None,
+            counters: Counters::default(),
         }
     }
 
@@ -295,8 +300,6 @@ impl mpsoc_kernel::Snapshot for TraceDrivenGenerator {
         self.outstanding = r.read_usize();
         self.next_issue_at = r.read_time();
         self.seq = r.read_u64();
-        self.injected_ctr = None;
-        self.completed_ctr = None;
     }
 }
 
@@ -305,19 +308,14 @@ impl Component<Packet> for TraceDrivenGenerator {
         &self.name
     }
 
-    fn register_metrics(&self, stats: &mut mpsoc_kernel::StatsRegistry) {
-        for metric in ["completed", "injected"] {
-            stats.counter(&format!("{}.{metric}", self.name));
-        }
+    fn register_metrics(&mut self, stats: &mut mpsoc_kernel::StatsRegistry) {
+        self.counters = Counters::register(&self.name, stats);
     }
 
     fn tick(&mut self, ctx: &mut TickContext<'_, Packet>) {
         if ctx.links.pop(self.resp_in, ctx.time).is_some() {
             self.outstanding -= 1;
-            let completed = *self
-                .completed_ctr
-                .get_or_insert_with(|| ctx.stats.counter(&format!("{}.completed", self.name)));
-            ctx.stats.inc(completed, 1);
+            ctx.stats.inc(self.counters.completed, 1);
         }
         let Some(entry) = self.trace.front().copied() else {
             return;
@@ -348,10 +346,7 @@ impl Component<Packet> for TraceDrivenGenerator {
         ctx.links
             .push(self.req_out, ctx.time, Packet::Request(txn))
             .expect("can_push checked");
-        let injected = *self
-            .injected_ctr
-            .get_or_insert_with(|| ctx.stats.counter(&format!("{}.injected", self.name)));
-        ctx.stats.inc(injected, 1);
+        ctx.stats.inc(self.counters.injected, 1);
         if let Some(next) = self.trace.front() {
             self.next_issue_at = ctx.time + self.clock.period() * next.delay_cycles;
         }

@@ -534,7 +534,7 @@ struct Hop {
     rx: LinkId,
     tx: LinkId,
     forwarded: u64,
-    counter: Option<CounterId>,
+    counter: CounterId,
 }
 
 impl mpsoc_kernel::Snapshot for Hop {
@@ -550,20 +550,14 @@ impl Component<u64> for Hop {
     fn name(&self) -> &str {
         &self.name
     }
+    fn register_metrics(&mut self, stats: &mut StatsRegistry) {
+        self.counter = stats.counter(&format!("{}.forwarded", self.name));
+    }
     fn tick(&mut self, ctx: &mut TickContext<'_, u64>) {
-        let counter = match self.counter {
-            Some(c) => c,
-            None => {
-                // Registered lazily, on the hop's first tick.
-                let c = ctx.stats.counter(&format!("{}.forwarded", self.name));
-                self.counter = Some(c);
-                c
-            }
-        };
         if ctx.links.can_push(self.tx) {
             if let Some(v) = ctx.links.pop(self.rx, ctx.time) {
                 ctx.links.push(self.tx, ctx.time, v + 1).unwrap();
-                ctx.stats.inc(counter, 1);
+                ctx.stats.inc(self.counter, 1);
                 let name = &self.name;
                 ctx.stats
                     .emit_trace(ctx.time, name, TraceKind::Forward, || format!("fwd {v}"));
@@ -577,14 +571,21 @@ impl Component<u64> for Hop {
 }
 
 /// A fault-probing hop: probes the injector for every popped payload,
-/// dropping hits (recorded lost) and forwarding the rest. Its metrics are
-/// pre-registered through [`Component::register_metrics`].
+/// dropping hits (recorded lost) and forwarding the rest.
 struct FaultyHop {
     name: String,
     rx: LinkId,
     tx: LinkId,
     forwarded: u64,
     dropped: u64,
+    counters: HopCounters,
+}
+
+mpsoc_kernel::metric_ids! {
+    struct HopCounters {
+        forwarded: counter,
+        dropped: counter,
+    }
 }
 
 impl mpsoc_kernel::Snapshot for FaultyHop {
@@ -602,22 +603,19 @@ impl Component<u64> for FaultyHop {
     fn name(&self) -> &str {
         &self.name
     }
-    fn register_metrics(&self, stats: &mut StatsRegistry) {
-        stats.counter(&format!("{}.forwarded", self.name));
-        stats.counter(&format!("{}.dropped", self.name));
+    fn register_metrics(&mut self, stats: &mut StatsRegistry) {
+        self.counters = HopCounters::register(&self.name, stats);
     }
     fn tick(&mut self, ctx: &mut TickContext<'_, u64>) {
         if ctx.links.can_push(self.tx) {
             if let Some(v) = ctx.links.pop(self.rx, ctx.time) {
                 if ctx.faults.probe(FaultKind::LinkDrop) {
                     ctx.faults.record_lost(1);
-                    let c = ctx.stats.counter(&format!("{}.dropped", self.name));
-                    ctx.stats.inc(c, 1);
+                    ctx.stats.inc(self.counters.dropped, 1);
                     self.dropped += 1;
                 } else {
                     ctx.links.push(self.tx, ctx.time, v + 1).unwrap();
-                    let c = ctx.stats.counter(&format!("{}.forwarded", self.name));
-                    ctx.stats.inc(c, 1);
+                    ctx.stats.inc(self.counters.forwarded, 1);
                     self.forwarded += 1;
                 }
             }
@@ -660,6 +658,7 @@ macro_rules! build_faulty_chains {
                     tx: b,
                     forwarded: 0,
                     dropped: 0,
+                    counters: HopCounters::default(),
                 }),
                 hop_clk,
             );
@@ -670,6 +669,7 @@ macro_rules! build_faulty_chains {
                     tx: c,
                     forwarded: 0,
                     dropped: 0,
+                    counters: HopCounters::default(),
                 }),
                 hop_clk,
             );
@@ -714,7 +714,7 @@ macro_rules! build_hop_chains {
                     rx: a,
                     tx: b,
                     forwarded: 0,
-                    counter: None,
+                    counter: CounterId::default(),
                 }),
                 hop_clk,
             );
@@ -724,7 +724,7 @@ macro_rules! build_hop_chains {
                     rx: b,
                     tx: c,
                     forwarded: 0,
-                    counter: None,
+                    counter: CounterId::default(),
                 }),
                 hop_clk,
             );
