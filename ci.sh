@@ -41,8 +41,9 @@
 #          the harness compiles against — see benchmark/README.md) plus the
 #          harness's own tests (the quick workloads against
 #          benchmark/expected.json)
-#   bench  repro --fast-warm: the q=1 identity and the warm-phase speedup
-#            floor, a miss re-measured twice before it fails;
+#   bench  repro --fast-warm: the q=1 identity, the warm-phase speedup
+#            floor and the default quantum's max-error ceiling (1 714 permille,
+#            deterministic), a miss re-measured twice before it fails;
 #          kernel_hotpath: the sparse floor, with sparse and dense asserted to
 #            process the same edges and deliver the same payloads
 set -euo pipefail
@@ -100,7 +101,7 @@ stage_test() {
 }
 
 stage_bench() {
-    echo "== fast-forward floor: live --fast-warm speedup and q=1 identity =="
+    echo "== fast-forward floors: live --fast-warm speedup, max error and q=1 identity =="
     cargo run --release -p mpsoc-bench --bin repro -- --fast-warm
 
     echo "== kernel_hotpath: bucketed vs naive, sparse floor =="

@@ -135,6 +135,23 @@ impl AhbBus {
         }
     }
 
+    /// Restore's check hook: the held transaction and the last winner name
+    /// ports this bus has.
+    fn after_restore(&mut self, r: &mut mpsoc_kernel::StateReader<'_>) {
+        let (ports, targets) = (self.initiators.len(), self.targets.len());
+        let fits = self.last_winner < ports.max(1)
+            && self
+                .active
+                .as_ref()
+                .is_none_or(|a| a.initiator_port < ports && a.target_port < targets);
+        if !fits {
+            r.refuse(format!(
+                "{}: state does not fit {ports} ports and {targets} targets",
+                self.name
+            ));
+        }
+    }
+
     /// Attaches an initiator port; returns its index.
     pub fn add_initiator(&mut self, req_in: LinkId, resp_out: LinkId) -> usize {
         self.initiators.push(InitiatorPort { req_in, resp_out });
@@ -310,35 +327,12 @@ impl AhbBus {
     }
 }
 
-impl mpsoc_kernel::Snapshot for AhbBus {
-    fn save(&self, w: &mut mpsoc_kernel::StateWriter) {
-        use mpsoc_protocol::persist;
-        w.write_bool(self.active.is_some());
-        if let Some(active) = &self.active {
-            persist::save_txn_id(active.txn_id, w);
-            w.write_usize(active.initiator_port);
-            w.write_usize(active.target_port);
-            w.write_time(active.granted_at);
-            w.write_bool(active.forward_response);
-        }
-        w.write_time(self.busy_until);
-        w.write_time(self.charged_until);
-        w.write_usize(self.last_winner);
-    }
+mpsoc_kernel::snapshot_state! {
+    impl Snapshot for AhbBus { active, busy_until, charged_until, last_winner } then after_restore
+}
 
-    fn restore(&mut self, r: &mut mpsoc_kernel::StateReader<'_>) {
-        use mpsoc_protocol::persist;
-        self.active = r.read_bool().then(|| Active {
-            txn_id: persist::load_txn_id(r),
-            initiator_port: r.read_usize(),
-            target_port: r.read_usize(),
-            granted_at: r.read_time(),
-            forward_response: r.read_bool(),
-        });
-        self.busy_until = r.read_time();
-        self.charged_until = r.read_time();
-        self.last_winner = r.read_usize();
-    }
+mpsoc_kernel::snapshot_state! {
+    impl Persist for Active { txn_id, initiator_port, target_port, granted_at, forward_response }
 }
 
 impl Component<Packet> for AhbBus {

@@ -38,7 +38,6 @@ impl Default for AxiInterconnectConfig {
 struct InitiatorPort {
     req_in: LinkId,
     resp_out: LinkId,
-    outstanding: usize,
 }
 
 #[derive(Debug)]
@@ -89,6 +88,8 @@ pub struct AxiInterconnect {
     initiators: Vec<InitiatorPort>,
     targets: Vec<TargetPort>,
     map: AddressMap<usize>,
+    /// Response-expecting transactions in flight per initiator port.
+    outstanding: Vec<usize>,
     ar_busy: Time,
     aw_busy: Time,
     w_busy: Time,
@@ -145,6 +146,7 @@ impl AxiInterconnect {
             initiators: Vec::new(),
             targets: Vec::new(),
             map: AddressMap::new(),
+            outstanding: Vec::new(),
             ar_busy: Time::ZERO,
             aw_busy: Time::ZERO,
             w_busy: Time::ZERO,
@@ -162,13 +164,30 @@ impl AxiInterconnect {
         }
     }
 
+    /// Restore's check hook: one outstanding count per port, and every
+    /// decoded port index exists. The head notes are derived: a restore
+    /// forgets them, which only leaves gates open.
+    fn after_restore(&mut self, r: &mut mpsoc_kernel::StateReader<'_>) {
+        self.req_heads.clear();
+        self.resp_heads.clear();
+        let (ports, targets) = (self.initiators.len(), self.targets.len());
+        let fits = self.outstanding.len() == ports
+            && self.last_ar_winner < ports.max(1)
+            && self.last_aw_winner < ports.max(1)
+            && self.resp_rr < targets.max(1)
+            && self.in_flight.values().all(|&port| port < ports);
+        if !fits {
+            r.refuse(format!(
+                "{}: state does not fit {ports} ports and {targets} targets",
+                self.name
+            ));
+        }
+    }
+
     /// Attaches an initiator port; returns its index.
     pub fn add_initiator(&mut self, req_in: LinkId, resp_out: LinkId) -> usize {
-        self.initiators.push(InitiatorPort {
-            req_in,
-            resp_out,
-            outstanding: 0,
-        });
+        self.initiators.push(InitiatorPort { req_in, resp_out });
+        self.outstanding.push(0);
         self.initiators.len() - 1
     }
 
@@ -272,9 +291,8 @@ impl AxiInterconnect {
                     self.expected_by_source.remove(&resp.txn.initiator);
                 }
             }
-            let port = &mut self.initiators[init_port];
-            port.outstanding = port.outstanding.saturating_sub(1);
-            let resp_out = port.resp_out;
+            self.outstanding[init_port] = self.outstanding[init_port].saturating_sub(1);
+            let resp_out = self.initiators[init_port].resp_out;
             ctx.links
                 .push_after(
                     resp_out,
@@ -321,7 +339,7 @@ impl AxiInterconnect {
             if !ctx.links.can_push(self.targets[target].req_out) {
                 continue;
             }
-            if needs_slot && port.outstanding >= max_outstanding {
+            if needs_slot && self.outstanding[p] >= max_outstanding {
                 continue;
             }
             found.push(Contender {
@@ -373,8 +391,7 @@ impl AxiInterconnect {
             Opcode::Write => period * (txn.beats as u64 - 1),
         };
         if !txn.completes_on_acceptance() {
-            let port = &mut self.initiators[winner.port];
-            port.outstanding += 1;
+            self.outstanding[winner.port] += 1;
             self.expected_by_source
                 .entry(txn.initiator)
                 .or_default()
@@ -451,78 +468,11 @@ impl AxiInterconnect {
     }
 }
 
-impl mpsoc_kernel::Snapshot for AxiInterconnect {
-    fn save(&self, w: &mut mpsoc_kernel::StateWriter) {
-        use mpsoc_protocol::persist;
-        w.write_usize(self.initiators.len());
-        for port in &self.initiators {
-            w.write_usize(port.outstanding);
-        }
-        for t in [
-            self.ar_busy,
-            self.aw_busy,
-            self.w_busy,
-            self.r_busy,
-            self.b_busy,
-        ] {
-            w.write_time(t);
-        }
-        w.write_usize(self.last_ar_winner);
-        w.write_usize(self.last_aw_winner);
-        w.write_usize(self.resp_rr);
-        let mut in_flight: Vec<_> = self.in_flight.iter().collect();
-        in_flight.sort();
-        w.write_usize(in_flight.len());
-        for (id, port) in in_flight {
-            persist::save_txn_id(*id, w);
-            w.write_usize(*port);
-        }
-        let mut by_source: Vec<_> = self.expected_by_source.iter().collect();
-        by_source.sort_by_key(|(src, _)| src.raw());
-        w.write_usize(by_source.len());
-        for (src, queue) in by_source {
-            w.write_u16(src.raw());
-            w.write_usize(queue.len());
-            for id in queue {
-                persist::save_txn_id(*id, w);
-            }
-        }
-    }
-
-    fn restore(&mut self, r: &mut mpsoc_kernel::StateReader<'_>) {
-        use mpsoc_protocol::persist;
-        let ports = r.read_usize();
-        for i in 0..ports {
-            let outstanding = r.read_usize();
-            if let Some(port) = self.initiators.get_mut(i) {
-                port.outstanding = outstanding;
-            }
-        }
-        self.ar_busy = r.read_time();
-        self.aw_busy = r.read_time();
-        self.w_busy = r.read_time();
-        self.r_busy = r.read_time();
-        self.b_busy = r.read_time();
-        self.last_ar_winner = r.read_usize();
-        self.last_aw_winner = r.read_usize();
-        self.resp_rr = r.read_usize();
-        self.in_flight.clear();
-        for _ in 0..r.read_usize() {
-            let id = persist::load_txn_id(r);
-            let port = r.read_usize();
-            self.in_flight.insert(id, port);
-        }
-        self.expected_by_source.clear();
-        for _ in 0..r.read_usize() {
-            let src = mpsoc_protocol::InitiatorId::new(r.read_u16());
-            let queue = (0..r.read_usize())
-                .map(|_| persist::load_txn_id(r))
-                .collect();
-            self.expected_by_source.insert(src, queue);
-        }
-        self.req_heads.clear();
-        self.resp_heads.clear();
-    }
+mpsoc_kernel::snapshot_state! {
+    impl Snapshot for AxiInterconnect {
+        outstanding, ar_busy, aw_busy, w_busy, r_busy, b_busy, last_ar_winner, last_aw_winner,
+        resp_rr, in_flight, expected_by_source,
+    } then after_restore
 }
 
 impl Component<Packet> for AxiInterconnect {
@@ -565,16 +515,14 @@ impl Component<Packet> for AxiInterconnect {
         // response wires.
         let write_free = self.aw_busy.max(self.w_busy);
         let max_outstanding = self.config.max_outstanding.max(1);
-        for (p, port) in self.initiators.iter().enumerate() {
+        for (p, &outstanding) in self.outstanding.iter().enumerate() {
             let gate = match self.req_heads.get(p).copied().flatten() {
                 // The head this interconnect left queued: granted no earlier
                 // than its address channel frees and its target's wire has
                 // room, and not at all while the port is at its outstanding
                 // cap (a slot frees on a response delivery, which re-reads
                 // this hint).
-                Some(head) if head.needs_slot && port.outstanding >= max_outstanding => {
-                    Gate::CLOSED
-                }
+                Some(head) if head.needs_slot && outstanding >= max_outstanding => Gate::CLOSED,
                 Some(head) => Gate::until(match head.opcode {
                     Opcode::Read => self.ar_busy,
                     Opcode::Write => write_free,

@@ -144,13 +144,8 @@ struct IdleInitiator {
     sent: Arc<AtomicU64>,
 }
 
-impl mpsoc_kernel::Snapshot for IdleInitiator {
-    fn save(&self, w: &mut mpsoc_kernel::StateWriter) {
-        w.write_time(self.next_at);
-    }
-    fn restore(&mut self, r: &mut mpsoc_kernel::StateReader<'_>) {
-        self.next_at = r.read_time();
-    }
+mpsoc_kernel::snapshot_state! {
+    impl Snapshot for IdleInitiator { next_at }
 }
 
 impl Component<u64> for IdleInitiator {

@@ -466,9 +466,9 @@ fn fast_warm(args: &Args) -> ExitCode {
         }
         retries += 1;
         eprintln!(
-            "fast-forward speedup {:.2}x missed its floor; re-measuring ({retries} of \
-             {CHECK_RETRIES})",
-            run.speedup
+            "fast-forward (speedup {:.2}x, max err {}\u{2030}) missed a floor; re-measuring \
+             ({retries} of {CHECK_RETRIES})",
+            run.speedup, run.max_err_permille
         );
     };
     println!("{}", run.table);

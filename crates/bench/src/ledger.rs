@@ -466,6 +466,20 @@ pub const FLOORS: &[Floor] = &[
         armed_when: None,
         regenerate: REPRO_FAST_WARM,
     },
+    // The gear's accuracy, next to its speed: the worst fig4 cell of the
+    // default-quantum sweep, in permille against the cycle gear. The value
+    // is deterministic (a pure function of scale, seed and quantum), so the
+    // ceiling is the committed recording, 1 714: a change that loosens the
+    // gear misses it at once, and one that tightens it lowers it.
+    Floor {
+        label: "fast-forward max error",
+        section: "fast_forward",
+        value: ValuePath::Field("max_err_permille"),
+        comparator: Comparator::AtMost(1714.0),
+        cores: Cores::Always,
+        armed_when: None,
+        regenerate: REPRO_FAST_WARM,
+    },
     // A duplicate-heavy mix that never hits means the checkpoint cache is
     // not being reused. `hit_rate` is hits / requests, so "some hit" is
     // "above zero": correctness of the cache, not a core-count property.
@@ -782,7 +796,8 @@ mod tests {
 
     /// A ledger in the writer's layout carrying the floor-relevant figures
     /// of the ledger committed when the table replaced the hand-written
-    /// checks; frozen here so re-recording the real one cannot move the
+    /// checks (plus the fast gear's `max_err_permille`, which got its row
+    /// later); frozen here so re-recording the real one cannot move the
     /// parity expectations below.
     const FIXTURE: &str = concat!(
         "{\n\"schema\": \"mpsoc-bench/kernel-v10\",\n",
@@ -790,7 +805,8 @@ mod tests {
         "{\"id\":\"fig3\",\"wall_seconds\":0.02,\"ticks\":20,\"skipped\":60,\"ff_elided\":7},",
         "{\"id\":\"fig4\",\"ticks\":8}]},\n",
         "\"sparse\": {\"speedup\":7.13},\n",
-        "\"fast_forward\": {\"quantum\":64,\"speedup\":3.46,\"q1_identical\":true},\n",
+        "\"fast_forward\": {\"quantum\":64,\"speedup\":3.46,\"q1_identical\":true,",
+        "\"max_err_permille\":1714},\n",
         "\"server\": {\"requests_per_sec\":1243.49,\"hit_rate\":0.958333,",
         "\"p50_hit_micros\":1922,\"hit_speedup\":6.30,\"warm_ups\":2,\"distinct_keys\":2,",
         "\"cold_start_first_micros\":7964,\"host_cores\":2,",
@@ -844,6 +860,10 @@ mod tests {
         assert_eq!(
             not_met(&FIXTURE.replace("\"q1_identical\":true", "\"q1_identical\":false")),
             [("fast-forward q=1 identical", Missed)]
+        );
+        assert_eq!(
+            not_met(&FIXTURE.replace("\"max_err_permille\":1714", "\"max_err_permille\":1715")),
+            [("fast-forward max error", Missed)]
         );
     }
 
@@ -957,14 +977,18 @@ mod tests {
 
     #[test]
     fn a_live_section_is_judged_by_its_own_rows_only() {
-        let live = check_section("fast_forward", r#"{"speedup":1.2,"q1_identical":true}"#)
-            .expect("one JSON value");
+        let live = check_section(
+            "fast_forward",
+            r#"{"speedup":1.2,"q1_identical":true,"max_err_permille":900}"#,
+        )
+        .expect("one JSON value");
         let verdicts: Vec<_> = live.iter().map(|c| (c.label, c.verdict)).collect();
         assert_eq!(
             verdicts,
             [
                 ("fast-forward q=1 identical", Met),
-                ("fast-forward speedup", Missed)
+                ("fast-forward speedup", Missed),
+                ("fast-forward max error", Met)
             ]
         );
         let err = check_section("sparse", r#"{"speedup":"#).expect_err("torn");

@@ -351,66 +351,12 @@ impl BridgeTargetSide {
     }
 }
 
-impl mpsoc_kernel::Snapshot for BridgeTargetSide {
-    fn save(&self, w: &mut mpsoc_kernel::StateWriter) {
-        use mpsoc_protocol::persist;
-        let mut in_flight: Vec<_> = self.in_flight.iter().collect();
-        in_flight.sort_by_key(|(id, _)| **id);
-        w.write_usize(in_flight.len());
-        for (id, width) in in_flight {
-            persist::save_txn_id(*id, w);
-            persist::save_width(*width, w);
-        }
-        let mut acks: Vec<_> = self.consume_ack.iter().copied().collect();
-        acks.sort();
-        w.write_usize(acks.len());
-        for id in acks {
-            persist::save_txn_id(id, w);
-        }
-        w.write_bool(self.src_width.is_some());
-        if let Some(width) = self.src_width {
-            persist::save_width(width, w);
-        }
-        w.write_usize(self.retries.len());
-        for entry in &self.retries {
-            persist::save_txn(&entry.txn, w);
-            w.write_bool(entry.expects_response);
-            w.write_u32(entry.attempt);
-            w.write_time(entry.deadline);
-            w.write_u64(entry.faults);
-        }
-        w.write_usize(self.dead_letters.len());
-        for resp in &self.dead_letters {
-            persist::save_response(resp, w);
-        }
-    }
+mpsoc_kernel::snapshot_state! {
+    impl Snapshot for BridgeTargetSide { in_flight, consume_ack, src_width, retries, dead_letters }
+}
 
-    fn restore(&mut self, r: &mut mpsoc_kernel::StateReader<'_>) {
-        use mpsoc_protocol::persist;
-        self.in_flight.clear();
-        for _ in 0..r.read_usize() {
-            let id = persist::load_txn_id(r);
-            let width = persist::load_width(r);
-            self.in_flight.insert(id, width);
-        }
-        self.consume_ack.clear();
-        for _ in 0..r.read_usize() {
-            self.consume_ack.insert(persist::load_txn_id(r));
-        }
-        self.src_width = r.read_bool().then(|| persist::load_width(r));
-        self.retries = (0..r.read_usize())
-            .map(|_| RetryEntry {
-                txn: persist::load_txn(r),
-                expects_response: r.read_bool(),
-                attempt: r.read_u32(),
-                deadline: r.read_time(),
-                faults: r.read_u64(),
-            })
-            .collect();
-        self.dead_letters = (0..r.read_usize())
-            .map(|_| persist::load_response(r))
-            .collect();
-    }
+mpsoc_kernel::snapshot_state! {
+    impl Persist for RetryEntry { txn, expects_response, attempt, deadline, faults }
 }
 
 impl Component<Packet> for BridgeTargetSide {

@@ -47,7 +47,7 @@
 use crate::experiments::parallel_map_with;
 use crate::platforms::{build_platform, MemorySystem, Platform, PlatformSpec, Topology, Workload};
 use mpsoc_kernel::{
-    Fidelity, RunOutcome, SimError, SimResult, SnapshotBlob, SnapshotError, StateReader,
+    Fidelity, Persist, RunOutcome, SimError, SimResult, SnapshotBlob, SnapshotError, StateReader,
     StateWriter, Time,
 };
 use mpsoc_protocol::ProtocolKind;
@@ -371,7 +371,7 @@ impl WarmState {
         w.write_str(warm_key);
         w.write_u64(self.fingerprint);
         w.write_u64(self.profile.base_cycles);
-        w.write_time(self.profile.warm_until);
+        self.profile.warm_until.save(&mut w);
         w.write_bytes(self.blob.as_bytes());
         w.finish()
     }
@@ -398,7 +398,7 @@ impl WarmState {
         let stored_key = r.read_str();
         let fingerprint = r.read_u64();
         let base_cycles = r.read_u64();
-        let warm_until = r.read_time();
+        let warm_until = Time::load(&mut r);
         let blob = SnapshotBlob::from_bytes(r.read_bytes());
         r.finish()?;
         if stored_key != warm_key {

@@ -10,7 +10,7 @@
 
 use crate::pareto::Score;
 use crate::space::{Candidate, FabricFamily};
-use mpsoc_kernel::{SnapshotBlob, SnapshotError, StateReader, StateWriter};
+use mpsoc_kernel::{Persist, SnapshotBlob, SnapshotError, StateReader, StateWriter};
 
 /// Frontier encoding version (bumped on layout changes).
 pub const FRONTIER_VERSION: u32 = 1;
@@ -64,41 +64,79 @@ pub struct Frontier {
     pub entries: Vec<FrontierEntry>,
 }
 
-fn write_blob(w: &mut StateWriter, blob: &SnapshotBlob) {
-    let bytes = blob.as_bytes();
-    w.write_usize(bytes.len());
-    for chunk in bytes.chunks(8) {
-        let mut word = [0u8; 8];
-        word[..chunk.len()].copy_from_slice(chunk);
-        w.write_u64(u64::from_le_bytes(word));
+mpsoc_kernel::snapshot_state! {
+    impl Persist for RungStats { budget_ps, population, survivors, sim_ticks }
+}
+
+mpsoc_kernel::snapshot_state! {
+    impl Persist for Score { throughput, latency_ns, p95_ns, completed, cost }
+}
+
+/// As its [`tag`](FabricFamily::tag); an unknown tag refuses the blob.
+impl Persist for FabricFamily {
+    const MIN_BYTES: usize = 2;
+
+    fn save(&self, w: &mut StateWriter) {
+        w.write_u8(self.tag());
+    }
+
+    fn load(r: &mut StateReader<'_>) -> Self {
+        let tag = r.read_u8();
+        match FabricFamily::from_tag(tag) {
+            Some(family) => family,
+            None => r.unknown_tag(tag, FabricFamily::SharedStbus),
+        }
     }
 }
 
-fn read_blob(r: &mut StateReader<'_>) -> SnapshotBlob {
-    let len = r.read_usize();
-    let mut bytes = Vec::with_capacity(len);
-    for _ in 0..len.div_ceil(8) {
-        bytes.extend_from_slice(&r.read_u64().to_le_bytes());
+mpsoc_kernel::snapshot_state! {
+    impl Persist for Candidate {
+        index, family, split_bridge, issue_fifo, target_fifo, wait_states, lmi, lmi_lookahead,
+        lmi_merging,
     }
-    bytes.truncate(len);
-    SnapshotBlob::from_bytes(bytes)
 }
 
-fn write_score(w: &mut StateWriter, score: &Score) {
-    w.write_u64(score.throughput.to_bits());
-    w.write_u64(score.latency_ns.to_bits());
-    w.write_u64(score.p95_ns);
-    w.write_u64(score.completed);
-    w.write_u64(score.cost);
-}
+/// The candidate, `alive` and the score as fields; the warm checkpoint as
+/// a presence flag, its byte length, then its bytes packed little-endian
+/// into `u64` words (the last one zero-padded).
+impl Persist for FrontierEntry {
+    fn save(&self, w: &mut StateWriter) {
+        self.candidate.save(w);
+        self.alive.save(w);
+        self.score.save(w);
+        w.write_bool(self.warm.is_some());
+        if let Some(blob) = &self.warm {
+            let bytes = blob.as_bytes();
+            w.write_usize(bytes.len());
+            for chunk in bytes.chunks(8) {
+                let mut word = [0u8; 8];
+                word[..chunk.len()].copy_from_slice(chunk);
+                w.write_u64(u64::from_le_bytes(word));
+            }
+        }
+    }
 
-fn read_score(r: &mut StateReader<'_>) -> Score {
-    Score {
-        throughput: f64::from_bits(r.read_u64()),
-        latency_ns: f64::from_bits(r.read_u64()),
-        p95_ns: r.read_u64(),
-        completed: r.read_u64(),
-        cost: r.read_u64(),
+    fn load(r: &mut StateReader<'_>) -> Self {
+        let candidate = Persist::load(r);
+        let alive = Persist::load(r);
+        let score = Persist::load(r);
+        let warm = r.read_bool().then(|| {
+            // Every byte takes more than one byte of the stream (a tagged
+            // word per eight), so the remaining bytes bound the length.
+            let len = r.read_len(1);
+            let mut bytes = Vec::with_capacity(len.next_multiple_of(8));
+            for _ in 0..len.div_ceil(8) {
+                bytes.extend_from_slice(&r.read_u64().to_le_bytes());
+            }
+            bytes.truncate(len);
+            SnapshotBlob::from_bytes(bytes)
+        });
+        FrontierEntry {
+            candidate,
+            alive,
+            score,
+            warm,
+        }
     }
 }
 
@@ -113,42 +151,9 @@ impl Frontier {
         w.write_str(&self.workload);
         w.write_u32(self.next_rung);
         w.section("rungs");
-        w.write_usize(self.rungs.len());
-        for r in &self.rungs {
-            w.write_u64(r.budget_ps);
-            w.write_u32(r.population);
-            w.write_u32(r.survivors);
-            w.write_u64(r.sim_ticks);
-        }
+        self.rungs.save(&mut w);
         w.section("entries");
-        w.write_usize(self.entries.len());
-        for e in &self.entries {
-            let c = &e.candidate;
-            w.write_u32(c.index);
-            w.write_u8(c.family.tag());
-            w.write_bool(c.split_bridge);
-            w.write_usize(c.issue_fifo);
-            w.write_usize(c.target_fifo);
-            w.write_u32(c.wait_states);
-            w.write_bool(c.lmi);
-            w.write_usize(c.lmi_lookahead);
-            w.write_bool(c.lmi_merging);
-            w.write_bool(e.alive);
-            match &e.score {
-                Some(s) => {
-                    w.write_bool(true);
-                    write_score(&mut w, s);
-                }
-                None => w.write_bool(false),
-            }
-            match &e.warm {
-                Some(blob) => {
-                    w.write_bool(true);
-                    write_blob(&mut w, blob);
-                }
-                None => w.write_bool(false),
-            }
-        }
+        self.entries.save(&mut w);
         w.finish()
     }
 
@@ -156,8 +161,9 @@ impl Frontier {
     ///
     /// # Errors
     ///
-    /// Fails on a corrupted blob, a wrong encoding version or trailing
-    /// bytes.
+    /// Fails on a corrupted blob, a wrong encoding version, trailing
+    /// bytes, or a re-sealed blob whose lengths or tags cannot be what the
+    /// encoder wrote.
     pub fn from_blob(blob: &SnapshotBlob) -> Result<Frontier, SnapshotError> {
         let mut r = StateReader::new(blob)?;
         r.expect_section("dse-frontier");
@@ -173,51 +179,9 @@ impl Frontier {
         let workload = r.read_str();
         let next_rung = r.read_u32();
         r.expect_section("rungs");
-        let n_rungs = r.read_usize().min(1 << 16);
-        let mut rungs = Vec::with_capacity(n_rungs);
-        for _ in 0..n_rungs {
-            rungs.push(RungStats {
-                budget_ps: r.read_u64(),
-                population: r.read_u32(),
-                survivors: r.read_u32(),
-                sim_ticks: r.read_u64(),
-            });
-        }
+        let rungs = Persist::load(&mut r);
         r.expect_section("entries");
-        let n_entries = r.read_usize().min(1 << 20);
-        let mut entries = Vec::with_capacity(n_entries);
-        for _ in 0..n_entries {
-            let index = r.read_u32();
-            let family = FabricFamily::from_tag(r.read_u8()).unwrap_or(FabricFamily::SharedStbus);
-            let candidate = Candidate {
-                index,
-                family,
-                split_bridge: r.read_bool(),
-                issue_fifo: r.read_usize(),
-                target_fifo: r.read_usize(),
-                wait_states: r.read_u32(),
-                lmi: r.read_bool(),
-                lmi_lookahead: r.read_usize(),
-                lmi_merging: r.read_bool(),
-            };
-            let alive = r.read_bool();
-            let score = if r.read_bool() {
-                Some(read_score(&mut r))
-            } else {
-                None
-            };
-            let warm = if r.read_bool() {
-                Some(read_blob(&mut r))
-            } else {
-                None
-            };
-            entries.push(FrontierEntry {
-                candidate,
-                alive,
-                score,
-                warm,
-            });
-        }
+        let entries = Persist::load(&mut r);
         r.finish()?;
         Ok(Frontier {
             seed,
@@ -318,6 +282,104 @@ mod tests {
         }
         // Re-encoding is byte-stable.
         assert_eq!(g.to_blob().as_bytes(), blob.as_bytes());
+    }
+
+    /// Which field [`by_hand`] forges.
+    #[derive(Clone, Copy, PartialEq)]
+    enum Forge {
+        Nothing,
+        RungCount,
+        EntryCount,
+        WarmLength,
+        FamilyTag,
+    }
+
+    /// The frontier encoding written out field by field, as a reference
+    /// for the derived codec, with one field optionally forged and the
+    /// whole re-sealed the way anyone able to write the file could.
+    fn by_hand(f: &Frontier, forge: Forge) -> SnapshotBlob {
+        let forged = |w: &mut StateWriter, what: Forge, len: usize| {
+            w.write_usize(if forge == what { usize::MAX } else { len });
+        };
+        let mut w = StateWriter::new();
+        w.section("dse-frontier");
+        w.write_u32(FRONTIER_VERSION);
+        w.write_u64(f.seed);
+        w.write_u64(f.scale);
+        w.write_str(&f.workload);
+        w.write_u32(f.next_rung);
+        w.section("rungs");
+        forged(&mut w, Forge::RungCount, f.rungs.len());
+        for r in &f.rungs {
+            w.write_u64(r.budget_ps);
+            w.write_u32(r.population);
+            w.write_u32(r.survivors);
+            w.write_u64(r.sim_ticks);
+        }
+        w.section("entries");
+        forged(&mut w, Forge::EntryCount, f.entries.len());
+        for e in &f.entries {
+            let c = &e.candidate;
+            w.write_u32(c.index);
+            w.write_u8(if forge == Forge::FamilyTag {
+                7
+            } else {
+                c.family.tag()
+            });
+            w.write_bool(c.split_bridge);
+            w.write_usize(c.issue_fifo);
+            w.write_usize(c.target_fifo);
+            w.write_u32(c.wait_states);
+            w.write_bool(c.lmi);
+            w.write_usize(c.lmi_lookahead);
+            w.write_bool(c.lmi_merging);
+            w.write_bool(e.alive);
+            w.write_bool(e.score.is_some());
+            if let Some(s) = &e.score {
+                w.write_u64(s.throughput.to_bits());
+                w.write_u64(s.latency_ns.to_bits());
+                w.write_u64(s.p95_ns);
+                w.write_u64(s.completed);
+                w.write_u64(s.cost);
+            }
+            w.write_bool(e.warm.is_some());
+            if let Some(blob) = &e.warm {
+                forged(&mut w, Forge::WarmLength, blob.len());
+                for chunk in blob.as_bytes().chunks(8) {
+                    let mut word = [0u8; 8];
+                    word[..chunk.len()].copy_from_slice(chunk);
+                    w.write_u64(u64::from_le_bytes(word));
+                }
+            }
+        }
+        w.finish()
+    }
+
+    #[test]
+    fn the_derived_codec_writes_the_field_by_field_bytes() {
+        let f = sample_frontier();
+        assert_eq!(
+            f.to_blob().as_bytes(),
+            by_hand(&f, Forge::Nothing).as_bytes()
+        );
+    }
+
+    /// A re-sealed frontier passes the checksum, so the decoder itself
+    /// must refuse a length no blob of its size can hold (it would
+    /// otherwise size an allocation or a loop by it) and a family tag no
+    /// family has.
+    #[test]
+    fn a_resealed_frontier_with_a_forged_length_or_tag_is_refused() {
+        let f = sample_frontier();
+        for forge in [
+            Forge::RungCount,
+            Forge::EntryCount,
+            Forge::WarmLength,
+            Forge::FamilyTag,
+        ] {
+            let err = Frontier::from_blob(&by_hand(&f, forge)).expect_err("forged field");
+            assert!(matches!(err, SnapshotError::Corrupt { .. }), "{err}");
+        }
     }
 
     #[test]

@@ -389,57 +389,26 @@ impl FaultEngine {
     fn probes_of(&self, origin: u32) -> u64 {
         self.probes.get(origin as usize).copied().unwrap_or(0)
     }
+}
 
-    /// Serializes the complete engine state (armed flag, schedule, per-origin
-    /// stream positions, accounting) for a simulation checkpoint. The
-    /// transient probe origin is scheduling state, not simulation state.
-    pub(crate) fn save_state(&self, w: &mut crate::snapshot::StateWriter) {
-        w.write_bool(self.armed);
-        w.write_u64(self.schedule.seed);
-        for rate in self.schedule.rate_per_million {
-            w.write_u32(rate);
-        }
-        w.write_u64(self.schedule.stall_cycles);
-        w.write_u32(self.schedule.storm_refreshes);
-        w.write_u64(self.schedule.glitch_cycles);
-        w.write_u64(self.schedule.timeout_cycles);
-        w.write_u32(self.schedule.retry_budget);
-        w.write_usize(self.probes.len());
-        for &position in &self.probes {
-            w.write_u64(position);
-        }
-        for injected in self.counts.injected_by_kind {
-            w.write_u64(injected);
-        }
-        w.write_u64(self.counts.recovered);
-        w.write_u64(self.counts.lost);
-        w.write_u64(self.counts.retries);
+crate::snapshot_state! {
+    impl Persist for FaultSchedule {
+        seed, rate_per_million, stall_cycles, storm_refreshes, glitch_cycles, timeout_cycles,
+        retry_budget,
     }
+}
 
-    /// Restores engine state saved by [`save_state`](Self::save_state).
-    ///
-    /// Deliberately *not* implemented via [`arm`](Self::arm), which resets
-    /// the probe cursors and accounting: a restored engine must resume
-    /// mid-stream.
-    pub(crate) fn restore_state(&mut self, r: &mut crate::snapshot::StateReader<'_>) {
-        self.armed = r.read_bool();
-        self.schedule.seed = r.read_u64();
-        for rate in self.schedule.rate_per_million.iter_mut() {
-            *rate = r.read_u32();
-        }
-        self.schedule.stall_cycles = r.read_u64();
-        self.schedule.storm_refreshes = r.read_u32();
-        self.schedule.glitch_cycles = r.read_u64();
-        self.schedule.timeout_cycles = r.read_u64();
-        self.schedule.retry_budget = r.read_u32();
-        self.probes = (0..r.read_usize()).map(|_| r.read_u64()).collect();
-        for injected in self.counts.injected_by_kind.iter_mut() {
-            *injected = r.read_u64();
-        }
-        self.counts.recovered = r.read_u64();
-        self.counts.lost = r.read_u64();
-        self.counts.retries = r.read_u64();
-    }
+crate::snapshot_state! {
+    impl Persist for FaultCounts { injected_by_kind, recovered, lost, retries }
+}
+
+// The complete engine state for a checkpoint: armed flag, schedule,
+// per-origin stream positions and accounting. Restoring does not go through
+// `arm`, which resets the probe cursors and accounting: a restored engine
+// resumes mid-stream. The transient probe origin is scheduling state, not
+// simulation state.
+crate::snapshot_state! {
+    impl Snapshot for FaultEngine { armed, schedule, probes, counts }
 }
 
 #[cfg(test)]
@@ -594,10 +563,13 @@ mod tests {
         }
         engine.record_recovered(1);
         let mut w = crate::snapshot::StateWriter::new();
-        engine.save_state(&mut w);
+        crate::Snapshot::save(&engine, &mut w);
         let blob = w.finish();
         let mut restored = FaultEngine::new();
-        restored.restore_state(&mut crate::snapshot::StateReader::new(&blob).unwrap());
+        crate::Snapshot::restore(
+            &mut restored,
+            &mut crate::snapshot::StateReader::new(&blob).unwrap(),
+        );
         assert_eq!(restored.probes_of(0), engine.probes_of(0));
         assert_eq!(restored.probes_of(1), engine.probes_of(1));
         assert_eq!(restored.probes_of(3), engine.probes_of(3));

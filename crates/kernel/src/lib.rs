@@ -25,10 +25,11 @@
 //! ## Example
 //!
 //! ```
-//! use mpsoc_kernel::{Simulation, Component, Snapshot, TickContext, ClockDomain, Time};
+//! use mpsoc_kernel::{Simulation, Component, TickContext, ClockDomain, Time};
 //!
 //! struct Counter { ticks: u64 }
-//! impl Snapshot for Counter {} // stateless default is fine for examples
+//! // The dynamic state, declared once: checkpoint and restore follow.
+//! mpsoc_kernel::snapshot_state! { impl Snapshot for Counter { ticks } }
 //! impl Component<()> for Counter {
 //!     fn name(&self) -> &str { "counter" }
 //!     fn tick(&mut self, _ctx: &mut TickContext<'_, ()>) { self.ticks += 1; }
@@ -73,8 +74,8 @@ pub use link::{Link, LinkAccess, LinkId, LinkPool};
 pub use rng::SplitMix64;
 pub use sim::{ExecMode, Fidelity, RunOutcome, Simulation};
 pub use snapshot::{
-    fnv1a_64, load_blob, spill_blob, Snapshot, SnapshotBlob, SnapshotError, SnapshotPayload,
-    StateReader, StateWriter,
+    fnv1a_64, load_blob, spill_blob, Persist, Snapshot, SnapshotBlob, SnapshotError, StateReader,
+    StateWriter,
 };
 pub use stats::{StatsAccess, StatsRegistry};
 pub use time::{Cycles, Time};

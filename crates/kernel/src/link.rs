@@ -7,6 +7,7 @@
 //! back-pressure.
 
 use crate::error::{SimError, SimResult};
+use crate::snapshot::{Persist, StateReader, StateWriter};
 use crate::time::Time;
 use std::collections::VecDeque;
 use std::fmt;
@@ -541,45 +542,47 @@ impl<T> LinkPool<T> {
     }
 }
 
-impl<T: crate::snapshot::SnapshotPayload> LinkPool<T> {
+crate::snapshot_state! {
+    impl Persist for LinkStats { pushes, pops, max_occupancy, occupancy_integral }
+}
+
+impl<T: Persist> LinkPool<T> {
     /// Serializes every link's queue contents and statistics for a
     /// simulation checkpoint. Structural attributes (name, capacity,
     /// latency) are not written — the restore target is rebuilt with the
     /// same wiring and only validated against them.
-    pub(crate) fn save_state(&self, w: &mut crate::snapshot::StateWriter) {
+    pub(crate) fn save_state(&self, w: &mut StateWriter) {
         w.write_usize(self.links.len());
         for link in &self.links {
-            w.write_usize(link.queue.len());
-            for (deliver, payload) in &link.queue {
-                w.write_time(*deliver);
-                payload.save_payload(w);
-            }
-            w.write_u64(link.stats.pushes);
-            w.write_u64(link.stats.pops);
-            w.write_usize(link.stats.max_occupancy);
-            w.write_u128(link.stats.occupancy_integral);
-            w.write_time(link.last_change);
+            link.queue.save(w);
+            link.stats.save(w);
+            link.last_change.save(w);
         }
     }
 
     /// Restores link state saved by [`save_state`](Self::save_state) and
-    /// recomputes the maintained `queued` counter.
-    pub(crate) fn restore_state(&mut self, r: &mut crate::snapshot::StateReader<'_>) {
+    /// recomputes the maintained `queued` counter. A link count other than
+    /// the pool's refuses the blob. A queue's depth is bounded by the bytes
+    /// left, not by its link's capacity: a blob taken in the fast gear
+    /// legally holds up to `capacity + quantum − 1` (the gear's
+    /// [`slack`](Self::set_slack)), and the quantum is strategy, not state.
+    pub(crate) fn restore_state(&mut self, r: &mut StateReader<'_>) {
         let n = r.read_usize();
-        debug_assert_eq!(n, self.links.len(), "link count validated by fingerprint");
-        for link in self.links.iter_mut().take(n) {
+        if n != self.links.len() {
+            r.refuse(format!(
+                "blob has {n} links, target has {}",
+                self.links.len()
+            ));
+            return;
+        }
+        for link in &mut self.links {
+            let depth = r.read_len(<(Time, T)>::MIN_BYTES);
             link.queue.clear();
-            let depth = r.read_usize();
             for _ in 0..depth {
-                let deliver = r.read_time();
-                let payload = T::restore_payload(r);
-                link.queue.push_back((deliver, payload));
+                link.queue.push_back(Persist::load(r));
             }
-            link.stats.pushes = r.read_u64();
-            link.stats.pops = r.read_u64();
-            link.stats.max_occupancy = r.read_usize();
-            link.stats.occupancy_integral = r.read_u128();
-            link.last_change = r.read_time();
+            link.stats = Persist::load(r);
+            link.last_change = Persist::load(r);
         }
         self.queued = self.scan_queued();
     }

@@ -338,7 +338,7 @@ pub struct Simulation<T> {
     fidelity: Fidelity,
     /// When set (see [`Simulation::enable_skip_audit`]), would-be-skipped
     /// ticks are executed anyway and byte-compared against the idle
-    /// contract. Stored as a function pointer so the `SnapshotPayload`
+    /// contract. Stored as a function pointer so the `Persist`
     /// bound it needs is captured at enable time.
     audit: Option<fn(&mut Simulation<T>, usize, Time)>,
     links: LinkPool<T>,
@@ -1412,7 +1412,7 @@ impl<T> Simulation<T> {
     }
 }
 
-impl<T: crate::snapshot::SnapshotPayload> Simulation<T> {
+impl<T: crate::snapshot::Persist> Simulation<T> {
     /// Hash of everything a snapshot does *not* carry: component roster,
     /// clock-domain buckets, link wiring, and the metrics registration
     /// created — kind, name and residency states of every metric that
@@ -1466,15 +1466,16 @@ impl<T: crate::snapshot::SnapshotPayload> Simulation<T> {
     /// schedule-derived value (wakes, wake keys, timers), so sparse and dense
     /// runs of the same workload checkpoint to byte-identical blobs.
     pub fn checkpoint(&self) -> crate::snapshot::SnapshotBlob {
+        use crate::snapshot::{Persist, Snapshot};
         let mut w = crate::snapshot::StateWriter::new();
         w.section("meta");
         w.write_u64(self.structural_fingerprint());
-        w.write_time(self.time);
+        self.time.save(&mut w);
         w.write_u64(self.edges);
         w.section("rng");
-        w.write_u64(self.rng.state());
+        self.rng.save(&mut w);
         w.section("faults");
-        self.faults.save_state(&mut w);
+        self.faults.save(&mut w);
         w.section("stats");
         self.stats.save_state(&mut w);
         w.section("links");
@@ -1482,7 +1483,7 @@ impl<T: crate::snapshot::SnapshotPayload> Simulation<T> {
         w.section("buckets");
         w.write_usize(self.buckets.len());
         for (bucket, next_edge) in self.buckets.iter().zip(&self.next_edges) {
-            w.write_time(*next_edge);
+            next_edge.save(&mut w);
             w.write_u64(bucket.edge_index);
         }
         w.section("components");
@@ -1534,7 +1535,7 @@ impl<T: crate::snapshot::SnapshotPayload> Simulation<T> {
     /// different simulation. On error the simulation state is unspecified
     /// and the caller should rebuild it.
     pub fn restore(&mut self, blob: &crate::snapshot::SnapshotBlob) -> SimResult<()> {
-        use crate::snapshot::{SnapshotError, StateReader};
+        use crate::snapshot::{Persist, Snapshot, SnapshotError, StateReader};
         let mut r = StateReader::new(blob)?;
         r.expect_section("meta");
         let fingerprint = r.read_u64();
@@ -1545,19 +1546,22 @@ impl<T: crate::snapshot::SnapshotPayload> Simulation<T> {
             }
             .into());
         }
-        self.time = r.read_time();
+        self.time = Persist::load(&mut r);
         self.edges = r.read_u64();
         r.expect_section("rng");
-        self.rng = SplitMix64::new(r.read_u64());
+        self.rng = Persist::load(&mut r);
         r.expect_section("faults");
-        self.faults.restore_state(&mut r);
+        self.faults.restore(&mut r);
         r.expect_section("stats");
-        self.stats.restore_state(&mut r);
+        self.stats.restore_state(&mut r, self.registered);
         r.expect_section("links");
         self.links.restore_state(&mut r);
         r.expect_section("buckets");
         let bucket_count = r.read_usize();
         if bucket_count != self.buckets.len() {
+            // A reader refused earlier reads every count as 0: its own
+            // error is the one to report.
+            r.check()?;
             return Err(SnapshotError::StructureMismatch {
                 detail: format!(
                     "blob has {bucket_count} buckets, target has {}",
@@ -1567,13 +1571,14 @@ impl<T: crate::snapshot::SnapshotPayload> Simulation<T> {
             .into());
         }
         for (bucket, next_edge) in self.buckets.iter_mut().zip(&mut self.next_edges) {
-            *next_edge = r.read_time();
+            *next_edge = Persist::load(&mut r);
             bucket.edge_index = r.read_u64();
             bucket.stalled = 0;
         }
         r.expect_section("components");
         let slot_count = r.read_usize();
         if slot_count != self.slots.len() {
+            r.check()?;
             return Err(SnapshotError::StructureMismatch {
                 detail: format!(
                     "blob has {slot_count} components, target has {}",
@@ -1646,7 +1651,7 @@ impl<T: crate::snapshot::SnapshotPayload> Simulation<T> {
         let before_comp = bytes(|w| self.slots[index].component.save(w));
         let before_rng = self.rng.state();
         let before_stats = bytes(|w| self.stats.save_state(w));
-        let before_faults = bytes(|w| self.faults.save_state(w));
+        let before_faults = bytes(|w| crate::Snapshot::save(&self.faults, w));
         let before_links = bytes(|w| self.links.save_state(w));
         self.tick_slot(index, edge);
         let name = self.slots[index].component.name().to_owned();
@@ -1679,7 +1684,7 @@ impl<T: crate::snapshot::SnapshotPayload> Simulation<T> {
         }
         assert_eq!(
             before_faults,
-            bytes(|w| self.faults.save_state(w)),
+            bytes(|w| crate::Snapshot::save(&self.faults, w)),
             "idle contract violated: `{name}` advanced the fault engine during a tick sparse scheduling would not have dispatched (edge {edge})"
         );
         assert_eq!(
@@ -1762,13 +1767,8 @@ mod tests {
         budget: u64,
         sent: u64,
     }
-    impl crate::snapshot::Snapshot for Producer {
-        fn save(&self, w: &mut crate::snapshot::StateWriter) {
-            w.write_u64(self.sent);
-        }
-        fn restore(&mut self, r: &mut crate::snapshot::StateReader<'_>) {
-            self.sent = r.read_u64();
-        }
+    crate::snapshot_state! {
+        impl Snapshot for Producer { sent }
     }
     impl Component<u64> for Producer {
         fn name(&self) -> &str {
@@ -1790,16 +1790,8 @@ mod tests {
         input: LinkId,
         received: Vec<u64>,
     }
-    impl crate::snapshot::Snapshot for Consumer {
-        fn save(&self, w: &mut crate::snapshot::StateWriter) {
-            w.write_usize(self.received.len());
-            for v in &self.received {
-                w.write_u64(*v);
-            }
-        }
-        fn restore(&mut self, r: &mut crate::snapshot::StateReader<'_>) {
-            self.received = (0..r.read_usize()).map(|_| r.read_u64()).collect();
-        }
+    crate::snapshot_state! {
+        impl Snapshot for Consumer { received }
     }
     impl Component<u64> for Consumer {
         fn name(&self) -> &str {
@@ -2151,15 +2143,8 @@ mod tests {
         gap: Time,
         next_at: Time,
     }
-    impl crate::snapshot::Snapshot for SparseProducer {
-        fn save(&self, w: &mut crate::snapshot::StateWriter) {
-            w.write_u64(self.sent);
-            w.write_time(self.next_at);
-        }
-        fn restore(&mut self, r: &mut crate::snapshot::StateReader<'_>) {
-            self.sent = r.read_u64();
-            self.next_at = r.read_time();
-        }
+    crate::snapshot_state! {
+        impl Snapshot for SparseProducer { sent, next_at }
     }
     impl Component<u64> for SparseProducer {
         fn name(&self) -> &str {
@@ -2188,19 +2173,8 @@ mod tests {
         input: LinkId,
         received: Vec<(u64, u64)>,
     }
-    impl crate::snapshot::Snapshot for SparseConsumer {
-        fn save(&self, w: &mut crate::snapshot::StateWriter) {
-            w.write_usize(self.received.len());
-            for (t, v) in &self.received {
-                w.write_u64(*t);
-                w.write_u64(*v);
-            }
-        }
-        fn restore(&mut self, r: &mut crate::snapshot::StateReader<'_>) {
-            self.received = (0..r.read_usize())
-                .map(|_| (r.read_u64(), r.read_u64()))
-                .collect();
-        }
+    crate::snapshot_state! {
+        impl Snapshot for SparseConsumer { received }
     }
     impl Component<u64> for SparseConsumer {
         fn name(&self) -> &str {
@@ -2367,13 +2341,8 @@ mod tests {
         /// Tick bodies actually run (observation channel, not state).
         dispatched: Arc<AtomicU64>,
     }
-    impl crate::snapshot::Snapshot for EagerProducer {
-        fn save(&self, w: &mut crate::snapshot::StateWriter) {
-            w.write_u64(self.sent);
-        }
-        fn restore(&mut self, r: &mut crate::snapshot::StateReader<'_>) {
-            self.sent = r.read_u64();
-        }
+    crate::snapshot_state! {
+        impl Snapshot for EagerProducer { sent }
     }
     impl Component<u64> for EagerProducer {
         fn name(&self) -> &str {
@@ -2415,21 +2384,8 @@ mod tests {
         hints: bool,
         dispatched: Arc<AtomicU64>,
     }
-    impl crate::snapshot::Snapshot for SingleSlot {
-        fn save(&self, w: &mut crate::snapshot::StateWriter) {
-            w.write_time(self.busy_until);
-            w.write_usize(self.served.len());
-            for (t, v) in &self.served {
-                w.write_u64(*t);
-                w.write_u64(*v);
-            }
-        }
-        fn restore(&mut self, r: &mut crate::snapshot::StateReader<'_>) {
-            self.busy_until = r.read_time();
-            self.served = (0..r.read_usize())
-                .map(|_| (r.read_u64(), r.read_u64()))
-                .collect();
-        }
+    crate::snapshot_state! {
+        impl Snapshot for SingleSlot { busy_until, served }
     }
     impl Component<u64> for SingleSlot {
         fn name(&self) -> &str {
@@ -2604,10 +2560,8 @@ mod tests {
         struct Liar {
             n: u64,
         }
-        impl crate::snapshot::Snapshot for Liar {
-            fn save(&self, w: &mut crate::snapshot::StateWriter) {
-                w.write_u64(self.n);
-            }
+        crate::snapshot_state! {
+            impl Snapshot for Liar { n }
         }
         impl Component<u64> for Liar {
             fn name(&self) -> &str {
@@ -2747,13 +2701,8 @@ mod tests {
         out: LinkId,
         echoed: u64,
     }
-    impl crate::snapshot::Snapshot for FfEcho {
-        fn save(&self, w: &mut crate::snapshot::StateWriter) {
-            w.write_u64(self.echoed);
-        }
-        fn restore(&mut self, r: &mut crate::snapshot::StateReader<'_>) {
-            self.echoed = r.read_u64();
-        }
+    crate::snapshot_state! {
+        impl Snapshot for FfEcho { echoed }
     }
     impl Component<u64> for FfEcho {
         fn name(&self) -> &str {

@@ -42,13 +42,8 @@ struct Waiter {
     dispatched: Arc<AtomicU64>,
 }
 
-impl crate::snapshot::Snapshot for Waiter {
-    fn save(&self, w: &mut crate::snapshot::StateWriter) {
-        w.write_bool(self.waiting);
-    }
-    fn restore(&mut self, r: &mut crate::snapshot::StateReader<'_>) {
-        self.waiting = r.read_bool();
-    }
+crate::snapshot_state! {
+    impl Snapshot for Waiter { waiting }
 }
 
 impl Component<u64> for Waiter {
@@ -105,13 +100,8 @@ struct Sender {
     dispatched: Arc<AtomicU64>,
 }
 
-impl crate::snapshot::Snapshot for Sender {
-    fn save(&self, w: &mut crate::snapshot::StateWriter) {
-        w.write_usize(self.sent);
-    }
-    fn restore(&mut self, r: &mut crate::snapshot::StateReader<'_>) {
-        self.sent = r.read_usize();
-    }
+crate::snapshot_state! {
+    impl Snapshot for Sender { sent }
 }
 
 impl Component<u64> for Sender {
@@ -544,14 +534,8 @@ struct LateOpener {
     dispatched: Arc<AtomicU64>,
 }
 
-impl crate::snapshot::Snapshot for LateOpener {
-    fn save(&self, w: &mut crate::snapshot::StateWriter) {
-        w.write_usize(self.served.len());
-        for (t, v) in &self.served {
-            w.write_u64(*t);
-            w.write_u64(*v);
-        }
-    }
+crate::snapshot_state! {
+    impl Snapshot for LateOpener { served }
 }
 
 impl Component<u64> for LateOpener {
@@ -641,14 +625,8 @@ struct Held {
     granted: Vec<u64>,
 }
 
-impl crate::snapshot::Snapshot for Held {
-    fn save(&self, w: &mut crate::snapshot::StateWriter) {
-        w.write_bool(self.released);
-        w.write_usize(self.granted.len());
-        for t in &self.granted {
-            w.write_u64(*t);
-        }
-    }
+crate::snapshot_state! {
+    impl Snapshot for Held { released, granted }
 }
 
 impl Component<u64> for Held {
@@ -910,10 +888,8 @@ fn the_dense_twin_catches_a_lying_hint_inside_a_window() {
     struct Liar {
         n: u64,
     }
-    impl crate::snapshot::Snapshot for Liar {
-        fn save(&self, w: &mut crate::snapshot::StateWriter) {
-            w.write_u64(self.n);
-        }
+    crate::snapshot_state! {
+        impl Snapshot for Liar { n }
     }
     impl Component<u64> for Liar {
         fn name(&self) -> &str {

@@ -37,9 +37,30 @@
 //! reads return defaults, and [`StateReader::finish`] reports the failure.
 //! This keeps component `restore` implementations free of `Result`
 //! plumbing while still guaranteeing corrupt blobs are rejected.
+//!
+//! The checksum catches accidents, not intent: anyone who can write a spill
+//! file can also re-seal one. So decoding fails closed past the checksum as
+//! well. Every count goes through [`StateReader::read_len`], which refuses
+//! a count the remaining bytes cannot hold; every index through
+//! [`StateReader::read_index`] or a range check against structure; and an
+//! unknown enum tag through [`StateReader::unknown_tag`]. Each poisons the
+//! reader, so a re-sealed blob is an error, never a hang, a panic or a
+//! silently defaulted field.
+//!
+//! # One codec
+//!
+//! A value crosses the boundary through [`Persist`], implemented once per
+//! type: the primitives, [`Time`](crate::Time), `Option`, sequences, fixed
+//! arrays, tuples and maps (written in key order). A stateful object — a
+//! component, a device inside one — implements [`Snapshot`] by declaring
+//! its dynamic fields once with [`snapshot_state!`](crate::snapshot_state),
+//! which generates `save` and a `restore` that assigns every declared
+//! field and then runs the object's check hook.
 
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::error::Error;
 use std::fmt;
+use std::hash::Hash;
 use std::io;
 use std::path::Path;
 use std::sync::Arc;
@@ -388,19 +409,6 @@ impl StateWriter {
         self.buf.extend_from_slice(bytes);
     }
 
-    /// Writes a simulation [`Time`](crate::Time) as its picosecond count.
-    pub fn write_time(&mut self, t: crate::Time) {
-        self.write_u64(t.as_ps());
-    }
-
-    /// Writes an `Option<u64>` as a presence flag plus value.
-    pub fn write_opt_u64(&mut self, v: Option<u64>) {
-        self.write_bool(v.is_some());
-        if let Some(v) = v {
-            self.write_u64(v);
-        }
-    }
-
     /// Seals the payload with the trailing checksum and returns the blob.
     pub fn finish(mut self) -> SnapshotBlob {
         let sum = checksum(&self.buf);
@@ -458,11 +466,12 @@ impl<'a> StateReader<'a> {
     }
 
     fn poison(&mut self, detail: String) {
+        self.poison_at(self.pos, detail);
+    }
+
+    fn poison_at(&mut self, at: usize, detail: String) {
         if self.poisoned.is_none() {
-            self.poisoned = Some(SnapshotError::Corrupt {
-                at: self.pos,
-                detail,
-            });
+            self.poisoned = Some(SnapshotError::Corrupt { at, detail });
         }
     }
 
@@ -593,17 +602,59 @@ impl<'a> StateReader<'a> {
         self.take(len).map_or_else(Vec::new, <[u8]>::to_vec)
     }
 
-    /// Reads a simulation [`Time`](crate::Time).
-    pub fn read_time(&mut self) -> crate::Time {
-        crate::Time::from_ps(self.read_u64())
+    /// Reads a sequence length written as a `usize`, bounded by the bytes
+    /// left: a sequence of `n` items, each at least `min_item_bytes` long,
+    /// fits only if `n * min_item_bytes` bytes remain. A longer count
+    /// poisons the reader and reads as 0, so no decode loop runs, and no
+    /// allocation is sized, past what the blob can actually hold.
+    pub fn read_len(&mut self, min_item_bytes: usize) -> usize {
+        let at = self.pos;
+        let n = self.read_u64();
+        let room = (self.end - self.pos) / min_item_bytes.max(1);
+        if n > room as u64 {
+            self.poison_at(
+                at,
+                format!("length {n} exceeds the {room} items the remaining bytes can hold"),
+            );
+            return 0;
+        }
+        n as usize
     }
 
-    /// Reads an `Option<u64>` written by [`StateWriter::write_opt_u64`].
-    pub fn read_opt_u64(&mut self) -> Option<u64> {
-        if self.read_bool() {
-            Some(self.read_u64())
-        } else {
-            None
+    /// Reads an index written as a `usize` into something of `len` items;
+    /// an index out of range poisons the reader and reads as 0.
+    pub fn read_index(&mut self, len: usize) -> usize {
+        let at = self.pos;
+        let index = self.read_usize();
+        if index >= len {
+            self.poison_at(at, format!("index {index} out of range for {len} items"));
+            return 0;
+        }
+        index
+    }
+
+    /// Refuses the blob: poisons the reader with `detail` unless it is
+    /// poisoned already. The check hook of
+    /// [`snapshot_state!`](crate::snapshot_state) calls this when decoded
+    /// state does not fit the object's structure.
+    pub fn refuse(&mut self, detail: impl fmt::Display) {
+        self.poison(detail.to_string());
+    }
+
+    /// Refuses an enum tag no variant has, and hands back `placeholder` so
+    /// the decode can finish its expression; the poisoned reader fails the
+    /// restore, so the placeholder is never observed.
+    pub fn unknown_tag<T>(&mut self, tag: u8, placeholder: T) -> T {
+        self.poison(format!("unknown enum tag {tag}"));
+        placeholder
+    }
+
+    /// The first error the reader has met, if any: lets a decoder that
+    /// stops early report what went wrong before its own structural check.
+    pub(crate) fn check(&self) -> Result<(), SnapshotError> {
+        match &self.poisoned {
+            Some(err) => Err(err.clone()),
+            None => Ok(()),
         }
     }
 
@@ -668,64 +719,371 @@ pub fn load_blob(path: &Path) -> io::Result<SnapshotBlob> {
 /// State capture/restore hooks for stateful simulation objects.
 ///
 /// Every [`Component`](crate::Component) implements this (stateless
-/// components inherit the no-op defaults). `save` and `restore` must be
-/// exact mirrors: every field written by `save` is read back, in order, by
-/// `restore`. Structural configuration that is reconstructed by rebuilding
-/// the platform (names, wiring, clock domains) should *not* be serialized —
-/// only state that evolves during simulation.
+/// components inherit the no-op defaults). Structural configuration that is
+/// reconstructed by rebuilding the platform (names, wiring, clock domains)
+/// is *not* serialized — only state that evolves during simulation.
+///
+/// Declare that state with [`snapshot_state!`](crate::snapshot_state)
+/// rather than writing `save` and `restore` by hand: the macro writes
+/// each declared field through [`Persist`] and reads it back in the same
+/// order, so the two cannot drift apart, and a restore assigns every
+/// declared field. What is not declared — notes kept for a stall hint,
+/// counts derived from the declared state — is rebuilt by the object's
+/// check hook, which also range-checks decoded indices against structure
+/// and refuses the blob ([`StateReader::refuse`]) when one does not fit.
 ///
 /// `restore` is a complete reset (see [`Simulation::restore`](crate::Simulation::restore)):
-/// the object may have run before, so every field `save` does not write —
-/// a note kept for a stall hint — goes back to what construction leaves
-/// there. Metric ids are not such a field: they are structure, kept from
-/// [`Component::register_metrics`](crate::Component::register_metrics)
-/// and covered by the structural fingerprint, so `restore` leaves them.
+/// the object may have run before, and afterwards it must be
+/// indistinguishable from a fresh build restored from the same blob.
+/// Metric ids are structure, kept from
+/// [`Component::register_metrics`](crate::Component::register_metrics) and
+/// covered by the structural fingerprint, so `restore` leaves them.
 pub trait Snapshot {
     /// Serializes dynamic state into the writer.
     fn save(&self, _w: &mut StateWriter) {}
 
-    /// Restores dynamic state from the reader, mirroring `save` exactly,
-    /// and resets every field `save` does not write to its constructed
-    /// value.
+    /// Restores dynamic state from the reader.
     fn restore(&mut self, _r: &mut StateReader<'_>) {}
 }
 
-/// Serialization hooks for link payload types.
+/// The one codec for values that cross the snapshot boundary: link
+/// payloads, component fields, the DSE frontier.
 ///
-/// The kernel serializes link queues generically; payload types provide
-/// their own byte encoding via this trait.
-pub trait SnapshotPayload: Sized {
-    /// Serializes one payload value.
-    fn save_payload(&self, w: &mut StateWriter);
+/// `save` writes the value; `load` reads back what `save` wrote. The
+/// encodings compose: an `Option` is a presence `bool` then the value, a
+/// sequence (`Vec`, `VecDeque`) is a `usize` length then its items, a map or
+/// set is a sequence of its entries in ascending key order, a fixed array
+/// and a tuple are their items with no length. A decode fails closed: a
+/// length is bounded by [`StateReader::read_len`], map keys out of order
+/// (duplicates included) poison the reader, and a type with its own
+/// invariants (a tag, a range) refuses a value that breaks them.
+///
+/// A struct whose encoding is its field list derives the impl with
+/// [`snapshot_state!`](crate::snapshot_state)`{ impl Persist for .. }`;
+/// anything else (an enum, a packed representation) implements it by hand
+/// on the same reader.
+pub trait Persist: Sized {
+    /// The fewest stream bytes one encoded value takes, tags included: the
+    /// unit a decoded count of these values is bounded in.
+    const MIN_BYTES: usize = 1;
 
-    /// Decodes one payload value written by `save_payload`.
-    fn restore_payload(r: &mut StateReader<'_>) -> Self;
+    /// Serializes the value.
+    fn save(&self, w: &mut StateWriter);
+
+    /// Decodes a value written by [`save`](Self::save).
+    fn load(r: &mut StateReader<'_>) -> Self;
 }
 
-impl SnapshotPayload for () {
-    fn save_payload(&self, _w: &mut StateWriter) {}
+macro_rules! persist_primitive {
+    ($($ty:ty: $bytes:literal, $write:ident, $read:ident;)+) => {
+        $(impl Persist for $ty {
+            const MIN_BYTES: usize = $bytes;
 
-    fn restore_payload(_r: &mut StateReader<'_>) -> Self {}
+            fn save(&self, w: &mut StateWriter) {
+                w.$write(*self);
+            }
+
+            fn load(r: &mut StateReader<'_>) -> Self {
+                r.$read()
+            }
+        })+
+    };
 }
 
-impl SnapshotPayload for u8 {
-    fn save_payload(&self, w: &mut StateWriter) {
-        w.write_u8(*self);
+persist_primitive! {
+    u8: 2, write_u8, read_u8;
+    u16: 3, write_u16, read_u16;
+    u32: 5, write_u32, read_u32;
+    u64: 9, write_u64, read_u64;
+    u128: 17, write_u128, read_u128;
+    usize: 9, write_usize, read_usize;
+    bool: 2, write_bool, read_bool;
+}
+
+impl Persist for () {
+    const MIN_BYTES: usize = 0;
+
+    fn save(&self, _w: &mut StateWriter) {}
+
+    fn load(_r: &mut StateReader<'_>) -> Self {}
+}
+
+/// As its IEEE-754 bit pattern, so every value round-trips exactly.
+impl Persist for f64 {
+    const MIN_BYTES: usize = 9;
+
+    fn save(&self, w: &mut StateWriter) {
+        w.write_u64(self.to_bits());
     }
 
-    fn restore_payload(r: &mut StateReader<'_>) -> Self {
-        r.read_u8()
+    fn load(r: &mut StateReader<'_>) -> Self {
+        f64::from_bits(r.read_u64())
     }
 }
 
-impl SnapshotPayload for u64 {
-    fn save_payload(&self, w: &mut StateWriter) {
-        w.write_u64(*self);
+impl Persist for String {
+    const MIN_BYTES: usize = 5;
+
+    fn save(&self, w: &mut StateWriter) {
+        w.write_str(self);
     }
 
-    fn restore_payload(r: &mut StateReader<'_>) -> Self {
-        r.read_u64()
+    fn load(r: &mut StateReader<'_>) -> Self {
+        r.read_str()
     }
+}
+
+/// As its picosecond count.
+impl Persist for crate::Time {
+    const MIN_BYTES: usize = 9;
+
+    fn save(&self, w: &mut StateWriter) {
+        w.write_u64(self.as_ps());
+    }
+
+    fn load(r: &mut StateReader<'_>) -> Self {
+        crate::Time::from_ps(r.read_u64())
+    }
+}
+
+/// As its stream position.
+impl Persist for crate::SplitMix64 {
+    const MIN_BYTES: usize = 9;
+
+    fn save(&self, w: &mut StateWriter) {
+        w.write_u64(self.state());
+    }
+
+    fn load(r: &mut StateReader<'_>) -> Self {
+        crate::SplitMix64::new(r.read_u64())
+    }
+}
+
+impl<T: Persist> Persist for Option<T> {
+    const MIN_BYTES: usize = 2;
+
+    fn save(&self, w: &mut StateWriter) {
+        w.write_bool(self.is_some());
+        if let Some(v) = self {
+            v.save(w);
+        }
+    }
+
+    fn load(r: &mut StateReader<'_>) -> Self {
+        r.read_bool().then(|| T::load(r))
+    }
+}
+
+impl<T: Persist> Persist for Vec<T> {
+    const MIN_BYTES: usize = 9;
+
+    fn save(&self, w: &mut StateWriter) {
+        w.write_usize(self.len());
+        for item in self {
+            item.save(w);
+        }
+    }
+
+    fn load(r: &mut StateReader<'_>) -> Self {
+        let n = r.read_len(T::MIN_BYTES);
+        let mut items = Vec::with_capacity(n);
+        for _ in 0..n {
+            items.push(T::load(r));
+        }
+        items
+    }
+}
+
+impl<T: Persist> Persist for VecDeque<T> {
+    const MIN_BYTES: usize = 9;
+
+    fn save(&self, w: &mut StateWriter) {
+        w.write_usize(self.len());
+        for item in self {
+            item.save(w);
+        }
+    }
+
+    fn load(r: &mut StateReader<'_>) -> Self {
+        let n = r.read_len(T::MIN_BYTES);
+        let mut items = VecDeque::with_capacity(n);
+        for _ in 0..n {
+            items.push_back(T::load(r));
+        }
+        items
+    }
+}
+
+/// Its items, with no length: the length is part of the type.
+impl<T: Persist, const N: usize> Persist for [T; N] {
+    const MIN_BYTES: usize = N * T::MIN_BYTES;
+
+    fn save(&self, w: &mut StateWriter) {
+        for item in self {
+            item.save(w);
+        }
+    }
+
+    fn load(r: &mut StateReader<'_>) -> Self {
+        std::array::from_fn(|_| T::load(r))
+    }
+}
+
+impl<A: Persist, B: Persist> Persist for (A, B) {
+    const MIN_BYTES: usize = A::MIN_BYTES + B::MIN_BYTES;
+
+    fn save(&self, w: &mut StateWriter) {
+        self.0.save(w);
+        self.1.save(w);
+    }
+
+    fn load(r: &mut StateReader<'_>) -> Self {
+        let a = A::load(r);
+        (a, B::load(r))
+    }
+}
+
+/// Refuses `key` unless it follows the previous key of its map strictly:
+/// an encoded map is in ascending key order, so a repeated or reordered key
+/// is a forged blob, not a map.
+fn check_ascending<K: Ord + Clone>(r: &mut StateReader<'_>, last: &mut Option<K>, key: &K) {
+    if last.as_ref().is_some_and(|last| last >= key) {
+        r.refuse("map keys out of order");
+    }
+    *last = Some(key.clone());
+}
+
+/// Its `(key, value)` entries in ascending key order.
+impl<K: Persist + Ord + Hash + Clone, V: Persist> Persist for HashMap<K, V> {
+    const MIN_BYTES: usize = 9;
+
+    fn save(&self, w: &mut StateWriter) {
+        let mut entries: Vec<_> = self.iter().collect();
+        entries.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        w.write_usize(entries.len());
+        for (key, value) in entries {
+            key.save(w);
+            value.save(w);
+        }
+    }
+
+    fn load(r: &mut StateReader<'_>) -> Self {
+        let n = r.read_len(K::MIN_BYTES + V::MIN_BYTES);
+        let mut map = HashMap::with_capacity(n);
+        let mut last = None;
+        for _ in 0..n {
+            let key = K::load(r);
+            check_ascending(r, &mut last, &key);
+            map.insert(key, V::load(r));
+        }
+        map
+    }
+}
+
+/// Its keys in ascending order.
+impl<K: Persist + Ord + Hash + Clone> Persist for HashSet<K> {
+    const MIN_BYTES: usize = 9;
+
+    fn save(&self, w: &mut StateWriter) {
+        let mut keys: Vec<_> = self.iter().collect();
+        keys.sort_unstable();
+        w.write_usize(keys.len());
+        for key in keys {
+            key.save(w);
+        }
+    }
+
+    fn load(r: &mut StateReader<'_>) -> Self {
+        let n = r.read_len(K::MIN_BYTES);
+        let mut set = HashSet::with_capacity(n);
+        let mut last = None;
+        for _ in 0..n {
+            let key = K::load(r);
+            check_ascending(r, &mut last, &key);
+            set.insert(key);
+        }
+        set
+    }
+}
+
+/// Declares the dynamic state of a type once and derives its snapshot
+/// codec from the declaration.
+///
+/// Two forms. For a stateful object — a component, or a device inside one
+/// — list its dynamic fields in write order, optionally followed by
+/// `then` and the name of an inherent check hook
+/// `fn(&mut self, &mut StateReader<'_>)`:
+///
+/// ```ignore
+/// mpsoc_kernel::snapshot_state! {
+///     impl Snapshot for StbusNode {
+///         outstanding, req_busy, resp_busy, sticky, in_flight,
+///     } then rederive
+/// }
+/// ```
+///
+/// This generates [`Snapshot`]: `save` writes every field through
+/// [`Persist`]; `restore` assigns every field from the reader, then calls
+/// the hook, which rebuilds what is derived from the fields and
+/// range-checks decoded indices against structure
+/// ([`StateReader::refuse`] when one does not fit). A field may be a path
+/// (`config.wait_states`), and a field marked `#[snapshot]` is an object
+/// restored in place through its own [`Snapshot`] impl (a cache whose
+/// geometry is structure).
+///
+/// For a plain value whose encoding is its field list, name every field:
+///
+/// ```ignore
+/// mpsoc_kernel::snapshot_state! {
+///     impl Persist for ReplayEntry { txn, target, attempt, deadline, faults }
+/// }
+/// ```
+///
+/// which generates [`Persist`], loading the struct literal in the listed
+/// order.
+#[macro_export]
+macro_rules! snapshot_state {
+    (
+        impl Snapshot for $ty:ty {
+            $($(#[$kind:ident])? $($field:ident).+),+ $(,)?
+        } $(then $hook:ident)?
+    ) => {
+        impl $crate::Snapshot for $ty {
+            fn save(&self, w: &mut $crate::StateWriter) {
+                $($crate::snapshot_state!(@save [$($kind)?] self.$($field).+, w);)+
+            }
+
+            fn restore(&mut self, r: &mut $crate::StateReader<'_>) {
+                $($crate::snapshot_state!(@restore [$($kind)?] self.$($field).+, r);)+
+                $(self.$hook(r);)?
+            }
+        }
+    };
+    (
+        impl Persist for $ty:ident { $($field:ident),+ $(,)? }
+    ) => {
+        impl $crate::Persist for $ty {
+            fn save(&self, w: &mut $crate::StateWriter) {
+                $($crate::Persist::save(&self.$field, w);)+
+            }
+
+            fn load(r: &mut $crate::StateReader<'_>) -> Self {
+                $ty { $($field: $crate::Persist::load(r)),+ }
+            }
+        }
+    };
+    (@save [] $place:expr, $w:ident) => {
+        $crate::Persist::save(&$place, $w)
+    };
+    (@save [snapshot] $place:expr, $w:ident) => {
+        $crate::Snapshot::save(&$place, $w)
+    };
+    (@restore [] $place:expr, $r:ident) => {
+        $place = $crate::Persist::load($r)
+    };
+    (@restore [snapshot] $place:expr, $r:ident) => {
+        $crate::Snapshot::restore(&mut $place, $r)
+    };
 }
 
 #[cfg(test)]
@@ -745,9 +1103,9 @@ mod tests {
         w.write_bool(true);
         w.write_bool(false);
         w.write_str("hello snapshot");
-        w.write_time(Time::from_ns(125));
-        w.write_opt_u64(Some(42));
-        w.write_opt_u64(None);
+        Time::from_ns(125).save(&mut w);
+        Some(42u64).save(&mut w);
+        None::<u64>.save(&mut w);
         let blob = w.finish();
 
         let mut r = StateReader::new(&blob).expect("open");
@@ -760,10 +1118,206 @@ mod tests {
         assert!(r.read_bool());
         assert!(!r.read_bool());
         assert_eq!(r.read_str(), "hello snapshot");
-        assert_eq!(r.read_time(), Time::from_ns(125));
-        assert_eq!(r.read_opt_u64(), Some(42));
-        assert_eq!(r.read_opt_u64(), None);
+        assert_eq!(Time::load(&mut r), Time::from_ns(125));
+        assert_eq!(Option::<u64>::load(&mut r), Some(42));
+        assert_eq!(Option::<u64>::load(&mut r), None);
         r.finish().expect("clean finish");
+    }
+
+    /// The generic encodings are the ones the hand-written codecs used: an
+    /// option is a flag then the value, a sequence a `usize` length then
+    /// its items, a map its entries in key order, an array and a tuple
+    /// their items alone.
+    #[test]
+    fn composite_encodings_are_flags_lengths_and_items() {
+        let by_hand = {
+            let mut w = StateWriter::new();
+            w.write_bool(true);
+            w.write_u32(7);
+            w.write_usize(2);
+            w.write_u64(1);
+            w.write_u64(2);
+            w.write_usize(2);
+            w.write_u16(3);
+            w.write_bool(false);
+            w.write_u16(9);
+            w.write_bool(true);
+            w.write_u8(4);
+            w.write_u8(5);
+            w.finish()
+        };
+        let mut w = StateWriter::new();
+        Some(7u32).save(&mut w);
+        vec![1u64, 2].save(&mut w);
+        HashMap::from([(9u16, true), (3u16, false)]).save(&mut w);
+        (4u8, 5u8).save(&mut w);
+        let derived = w.finish();
+        assert_eq!(derived.as_bytes(), by_hand.as_bytes());
+
+        let mut r = StateReader::new(&derived).expect("open");
+        assert_eq!(Option::<u32>::load(&mut r), Some(7));
+        assert_eq!(VecDeque::<u64>::load(&mut r), VecDeque::from([1, 2]));
+        assert_eq!(
+            HashMap::<u16, bool>::load(&mut r),
+            HashMap::from([(3, false), (9, true)])
+        );
+        assert_eq!(<[u8; 2]>::load(&mut r), [4, 5]);
+        r.finish().expect("clean finish");
+    }
+
+    fn reader_on(write: impl FnOnce(&mut StateWriter)) -> SnapshotBlob {
+        let mut w = StateWriter::new();
+        write(&mut w);
+        w.finish()
+    }
+
+    #[test]
+    fn a_length_the_remaining_bytes_cannot_hold_poisons() {
+        for forged in [u64::MAX, 3] {
+            let blob = reader_on(|w| {
+                w.write_u64(forged);
+                w.write_u64(1);
+                w.write_u64(2);
+            });
+            let mut r = StateReader::new(&blob).expect("open");
+            assert!(Vec::<u64>::load(&mut r).is_empty());
+            let err = r.finish().expect_err("forged length");
+            assert!(
+                matches!(&err, SnapshotError::Corrupt { at: 6, detail } if detail.contains("length")),
+                "{err}"
+            );
+        }
+        let blob = reader_on(|w| vec![1u64, 2].save(w));
+        let mut r = StateReader::new(&blob).expect("open");
+        assert_eq!(Vec::<u64>::load(&mut r), [1, 2]);
+        r.finish().expect("an honest length fits");
+    }
+
+    #[test]
+    fn an_out_of_range_index_or_unknown_tag_poisons() {
+        let blob = reader_on(|w| {
+            w.write_usize(2);
+            w.write_usize(3);
+        });
+        let mut r = StateReader::new(&blob).expect("open");
+        assert_eq!(r.read_index(3), 2);
+        assert_eq!(r.read_index(3), 0);
+        assert!(r.finish().is_err());
+
+        let blob = reader_on(|w| w.write_u8(9));
+        let mut r = StateReader::new(&blob).expect("open");
+        let tag = r.read_u8();
+        assert_eq!(r.unknown_tag(tag, "placeholder"), "placeholder");
+        assert!(r.finish().is_err());
+    }
+
+    #[test]
+    fn map_keys_out_of_order_or_repeated_poison() {
+        for keys in [[2u64, 1], [5, 5]] {
+            let blob = reader_on(|w| {
+                w.write_usize(2);
+                for key in keys {
+                    w.write_u64(key);
+                    w.write_bool(true);
+                }
+            });
+            let mut r = StateReader::new(&blob).expect("open");
+            HashMap::<u64, bool>::load(&mut r);
+            assert!(r.finish().is_err(), "keys {keys:?}");
+            let blob = reader_on(|w| {
+                w.write_usize(2);
+                for key in keys {
+                    w.write_u64(key);
+                }
+            });
+            let mut r = StateReader::new(&blob).expect("open");
+            HashSet::<u64>::load(&mut r);
+            assert!(r.finish().is_err(), "set keys {keys:?}");
+        }
+    }
+
+    #[derive(Debug, PartialEq)]
+    struct Entry {
+        at: Time,
+        tries: u32,
+        tags: Vec<u8>,
+    }
+
+    crate::snapshot_state! {
+        impl Persist for Entry { at, tries, tags }
+    }
+
+    #[derive(Debug, Default)]
+    struct Device {
+        ports: usize,
+        held: Vec<Option<u64>>,
+        count: u64,
+        derived: u64,
+    }
+
+    impl Device {
+        fn rederive(&mut self, r: &mut StateReader<'_>) {
+            if self.held.len() != self.ports {
+                r.refuse("one entry per port");
+            }
+            self.derived = self.count * 2;
+        }
+    }
+
+    crate::snapshot_state! {
+        impl Snapshot for Device { held, count } then rederive
+    }
+
+    #[test]
+    fn the_declaration_writes_fields_in_order_and_restores_through_the_hook() {
+        let entry = Entry {
+            at: Time::from_ns(3),
+            tries: 2,
+            tags: vec![1, 2],
+        };
+        let device = Device {
+            ports: 2,
+            held: vec![Some(4), None],
+            count: 5,
+            derived: 0,
+        };
+        let blob = reader_on(|w| {
+            entry.save(w);
+            Snapshot::save(&device, w);
+        });
+        let by_hand = reader_on(|w| {
+            w.write_u64(3_000);
+            w.write_u32(2);
+            w.write_usize(2);
+            w.write_u8(1);
+            w.write_u8(2);
+            w.write_usize(2);
+            w.write_bool(true);
+            w.write_u64(4);
+            w.write_bool(false);
+            w.write_u64(5);
+        });
+        assert_eq!(blob.as_bytes(), by_hand.as_bytes());
+
+        let mut r = StateReader::new(&blob).expect("open");
+        assert_eq!(Entry::load(&mut r), entry);
+        let mut restored = Device {
+            ports: 2,
+            ..Device::default()
+        };
+        restored.restore(&mut r);
+        r.finish().expect("fits");
+        assert_eq!(restored.held, device.held);
+        assert_eq!((restored.count, restored.derived), (5, 10));
+
+        let mut r = StateReader::new(&blob).expect("open");
+        Entry::load(&mut r);
+        let mut narrower = Device {
+            ports: 3,
+            ..Device::default()
+        };
+        narrower.restore(&mut r);
+        assert!(r.finish().is_err(), "the hook refuses a misfit");
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! timers provide exactly that; counters and histograms cover throughput and
 //! latency reporting.
 
+use crate::snapshot::{Persist, StateReader, StateWriter};
 use crate::time::Time;
 use crate::trace::{TraceBuffer, TraceKind};
 use std::collections::HashMap;
@@ -597,83 +598,111 @@ impl StatsRegistry {
     /// diagnostic ring whose contents never feed back into simulation
     /// behaviour, and a restored run may want tracing armed differently
     /// (the whole point of time-travel debugging).
-    pub(crate) fn save_state(&self, w: &mut crate::snapshot::StateWriter) {
-        w.write_usize(self.counters.len());
-        for (name, value) in &self.counters {
-            w.write_str(name);
-            w.write_u64(*value);
-        }
-        w.write_usize(self.histograms.len());
-        for (name, h) in &self.histograms {
-            w.write_str(name);
-            for b in h.buckets {
-                w.write_u64(b);
-            }
-            w.write_u64(h.count);
-            w.write_u128(h.sum);
-            w.write_u64(h.min);
-            w.write_u64(h.max);
-        }
-        w.write_usize(self.residencies.len());
-        for (name, res) in &self.residencies {
-            w.write_str(name);
-            w.write_usize(res.states.len());
-            for state in &res.states {
-                w.write_str(state);
-            }
-            for acc in &res.acc {
-                w.write_time(*acc);
-            }
-            w.write_usize(res.current);
-            w.write_time(res.since);
-        }
+    pub(crate) fn save_state(&self, w: &mut StateWriter) {
+        self.counters.save(w);
+        self.histograms.save(w);
+        self.residencies.save(w);
     }
 
-    /// Rebuilds the registry (metrics *and* name-to-id maps) from a
-    /// checkpoint. Ids are Vec indices in creation order, and the structural
-    /// fingerprint the restore has checked covers the registered metrics, so
-    /// the ids components kept from registration name the same metrics
-    /// after restore.
-    pub(crate) fn restore_state(&mut self, r: &mut crate::snapshot::StateReader<'_>) {
-        self.counter_names.clear();
-        self.counters.clear();
-        let n = r.read_usize();
-        for i in 0..n {
-            let name = r.read_str();
-            let value = r.read_u64();
-            self.counter_names.insert(name.clone(), CounterId(i));
-            self.counters.push((name, value));
+    /// Restores every metric's value from a checkpoint. The metrics within
+    /// `registered` are structure — the ids components kept from
+    /// registration index them, and the structural fingerprint covers
+    /// them — so the blob must list exactly those first, with the same
+    /// names (and residency states), or the reader is refused. Metrics
+    /// created after registration are dropped and replaced by the blob's.
+    pub(crate) fn restore_state(&mut self, r: &mut StateReader<'_>, registered: MetricExtent) {
+        restore_metrics(
+            r,
+            &mut self.counters,
+            &mut self.counter_names,
+            registered.counters,
+            CounterId,
+            |_, _| true,
+        );
+        restore_metrics(
+            r,
+            &mut self.histograms,
+            &mut self.histogram_names,
+            registered.histograms,
+            HistogramId,
+            |_, _| true,
+        );
+        restore_metrics(
+            r,
+            &mut self.residencies,
+            &mut self.residency_names,
+            registered.residencies,
+            ResidencyId,
+            |kept, decoded| kept.states == decoded.states,
+        );
+    }
+}
+
+/// Its state names, one accumulated time per state (the names give the
+/// count), the current state and since when.
+impl Persist for StateResidency {
+    fn save(&self, w: &mut StateWriter) {
+        self.states.save(w);
+        for acc in &self.acc {
+            acc.save(w);
         }
-        self.histogram_names.clear();
-        self.histograms.clear();
-        let n = r.read_usize();
-        for i in 0..n {
-            let name = r.read_str();
-            let mut h = Histogram::new();
-            for b in h.buckets.iter_mut() {
-                *b = r.read_u64();
-            }
-            h.count = r.read_u64();
-            h.sum = r.read_u128();
-            h.min = r.read_u64();
-            h.max = r.read_u64();
-            self.histogram_names.insert(name.clone(), HistogramId(i));
-            self.histograms.push((name, h));
+        self.current.save(w);
+        self.since.save(w);
+    }
+
+    fn load(r: &mut StateReader<'_>) -> Self {
+        let mut res = StateResidency::new(Persist::load(r));
+        for acc in res.acc.iter_mut() {
+            *acc = Persist::load(r);
         }
-        self.residency_names.clear();
-        self.residencies.clear();
-        let n = r.read_usize();
-        for i in 0..n {
-            let name = r.read_str();
-            let states = (0..r.read_usize()).map(|_| r.read_str()).collect();
-            let mut res = StateResidency::new(states);
-            for acc in res.acc.iter_mut() {
-                *acc = r.read_time();
+        // A timer without states still sits in state 0.
+        res.current = r.read_index(res.states.len().max(1));
+        res.since = Persist::load(r);
+        res
+    }
+}
+
+crate::snapshot_state! {
+    impl Persist for Histogram { buckets, count, sum, min, max }
+}
+
+/// Restores one kind of metric: `(name, value)` entries, the first
+/// `registered` of which must name the metrics already there (and agree
+/// with them by `same`); the rest replace whatever was created after
+/// registration.
+fn restore_metrics<V: Persist, Id>(
+    r: &mut StateReader<'_>,
+    metrics: &mut Vec<(String, V)>,
+    names: &mut HashMap<String, Id>,
+    registered: usize,
+    id: impl Fn(usize) -> Id,
+    same: impl Fn(&V, &V) -> bool,
+) {
+    let n = r.read_len(<(String, ()) as Persist>::MIN_BYTES);
+    if n < registered {
+        r.refuse(format!(
+            "blob has {n} metrics of a kind, {registered} are registered"
+        ));
+        return;
+    }
+    for (name, _) in metrics.drain(registered..) {
+        names.remove(&name);
+    }
+    for i in 0..n {
+        let name = String::load(r);
+        let value = V::load(r);
+        if let Some((kept, slot)) = metrics.get_mut(i) {
+            if *kept != name || !same(slot, &value) {
+                r.refuse(format!("metric {i} is {name:?}, registered as {kept:?}"));
+                return;
             }
-            res.current = r.read_usize();
-            res.since = r.read_time();
-            self.residency_names.insert(name.clone(), ResidencyId(i));
-            self.residencies.push((name, res));
+            *slot = value;
+        } else if names.contains_key(&name) {
+            r.refuse(format!("metric {name:?} appears twice"));
+            return;
+        } else {
+            names.insert(name.clone(), id(i));
+            metrics.push((name, value));
         }
     }
 }

@@ -211,6 +211,12 @@ impl LmiController {
         }
     }
 
+    /// Restore's hook: what the interface last showed is a note for the
+    /// stall hint, derived and forgotten on restore.
+    fn after_restore(&mut self, _r: &mut mpsoc_kernel::StateReader<'_>) {
+        self.shown = None;
+    }
+
     /// Whether the controller is currently in degraded mode (optimizations
     /// shed after repeated injected stalls).
     pub fn is_degraded(&self) -> bool {
@@ -295,45 +301,15 @@ impl LmiController {
     }
 }
 
-impl mpsoc_kernel::Snapshot for LmiController {
-    fn save(&self, w: &mut mpsoc_kernel::StateWriter) {
-        use mpsoc_protocol::persist;
-        w.write_usize(self.in_fifo.len());
-        for txn in &self.in_fifo {
-            persist::save_txn(txn, w);
-        }
-        w.write_usize(self.pending.len());
-        for p in &self.pending {
-            w.write_time(p.ready);
-            persist::save_response(&p.response, w);
-        }
-        w.write_time(self.engine_busy_until);
-        self.sdram.save_state(w);
-        w.write_u64(self.next_refresh_cycle);
-        w.write_bool(self.degraded);
-        w.write_u32(self.recent_stalls);
-        w.write_u32(self.clean_accesses);
-        w.write_bool(self.settled);
-    }
+mpsoc_kernel::snapshot_state! {
+    impl Snapshot for LmiController {
+        in_fifo, pending, engine_busy_until, #[snapshot] sdram, next_refresh_cycle, degraded,
+        recent_stalls, clean_accesses, settled,
+    } then after_restore
+}
 
-    fn restore(&mut self, r: &mut mpsoc_kernel::StateReader<'_>) {
-        use mpsoc_protocol::persist;
-        self.in_fifo = (0..r.read_usize()).map(|_| persist::load_txn(r)).collect();
-        self.pending = (0..r.read_usize())
-            .map(|_| PendingResponse {
-                ready: r.read_time(),
-                response: persist::load_response(r),
-            })
-            .collect();
-        self.engine_busy_until = r.read_time();
-        self.sdram.restore_state(r);
-        self.next_refresh_cycle = r.read_u64();
-        self.degraded = r.read_bool();
-        self.recent_stalls = r.read_u32();
-        self.clean_accesses = r.read_u32();
-        self.settled = r.read_bool();
-        self.shown = None;
-    }
+mpsoc_kernel::snapshot_state! {
+    impl Persist for PendingResponse { ready, response }
 }
 
 impl Component<Packet> for LmiController {

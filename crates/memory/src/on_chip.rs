@@ -115,31 +115,14 @@ impl OnChipMemory {
     }
 }
 
-impl mpsoc_kernel::Snapshot for OnChipMemory {
-    fn save(&self, w: &mut mpsoc_kernel::StateWriter) {
-        // wait_states is part of the snapshot because set_wait_states makes
-        // it mutable at runtime.
-        w.write_u32(self.config.wait_states);
-        w.write_bool(self.in_service.is_some());
-        if let Some(svc) = &self.in_service {
-            mpsoc_protocol::persist::save_opt_response(&svc.response, w);
-            w.write_time(svc.first_ready);
-            w.write_time(svc.done);
-        }
-        w.write_u64(self.served_reads);
-        w.write_u64(self.served_writes);
-    }
+// `config.wait_states` is part of the snapshot because `set_wait_states`
+// makes it mutable at runtime.
+mpsoc_kernel::snapshot_state! {
+    impl Snapshot for OnChipMemory { config.wait_states, in_service, served_reads, served_writes }
+}
 
-    fn restore(&mut self, r: &mut mpsoc_kernel::StateReader<'_>) {
-        self.config.wait_states = r.read_u32();
-        self.in_service = r.read_bool().then(|| InService {
-            response: mpsoc_protocol::persist::load_opt_response(r),
-            first_ready: r.read_time(),
-            done: r.read_time(),
-        });
-        self.served_reads = r.read_u64();
-        self.served_writes = r.read_u64();
-    }
+mpsoc_kernel::snapshot_state! {
+    impl Persist for InService { response, first_ready, done }
 }
 
 impl Component<Packet> for OnChipMemory {

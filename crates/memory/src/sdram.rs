@@ -195,6 +195,10 @@ struct BankState {
     ready_at: u64,
 }
 
+mpsoc_kernel::snapshot_state! {
+    impl Persist for BankState { open_row, activated_at, ready_at }
+}
+
 /// A multi-bank SDRAM device with open-row tracking and timing enforcement.
 ///
 /// # Examples
@@ -219,6 +223,12 @@ pub struct SdramDevice {
     row_hits: u64,
     row_misses: u64,
     refreshes: u64,
+}
+
+// The dynamic state (bank/row tracking and counters); timing and geometry
+// are configuration and stay with the builder.
+mpsoc_kernel::snapshot_state! {
+    impl Snapshot for SdramDevice { banks, row_hits, row_misses, refreshes } then after_restore
 }
 
 impl SdramDevice {
@@ -321,32 +331,15 @@ impl SdramDevice {
         }
     }
 
-    /// Writes the device's dynamic state (bank/row tracking and counters);
-    /// timing and geometry are configuration and stay with the builder.
-    pub(crate) fn save_state(&self, w: &mut mpsoc_kernel::StateWriter) {
-        w.write_usize(self.banks.len());
-        for bank in &self.banks {
-            w.write_opt_u64(bank.open_row);
-            w.write_opt_u64(bank.activated_at);
-            w.write_u64(bank.ready_at);
+    /// Restore's check hook: one bank state per bank of the geometry.
+    fn after_restore(&mut self, r: &mut mpsoc_kernel::StateReader<'_>) {
+        let banks = self.geometry.banks();
+        if self.banks.len() != banks {
+            r.refuse(format!(
+                "{} bank states for {banks} banks",
+                self.banks.len()
+            ));
         }
-        w.write_u64(self.row_hits);
-        w.write_u64(self.row_misses);
-        w.write_u64(self.refreshes);
-    }
-
-    /// Restores state written by [`save_state`](Self::save_state).
-    pub(crate) fn restore_state(&mut self, r: &mut mpsoc_kernel::StateReader<'_>) {
-        self.banks = (0..r.read_usize())
-            .map(|_| BankState {
-                open_row: r.read_opt_u64(),
-                activated_at: r.read_opt_u64(),
-                ready_at: r.read_u64(),
-            })
-            .collect();
-        self.row_hits = r.read_u64();
-        self.row_misses = r.read_u64();
-        self.refreshes = r.read_u64();
     }
 
     /// Performs an AUTO-REFRESH starting no earlier than `now`: all banks

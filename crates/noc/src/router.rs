@@ -37,6 +37,23 @@ pub(crate) enum Dir {
 
 pub(crate) const ALL_DIRS: [Dir; 5] = [Dir::Local, Dir::North, Dir::East, Dir::South, Dir::West];
 
+/// As its `u8` discriminant; a tag past [`ALL_DIRS`] refuses the blob.
+impl mpsoc_kernel::Persist for Dir {
+    const MIN_BYTES: usize = 2;
+
+    fn save(&self, w: &mut mpsoc_kernel::StateWriter) {
+        w.write_u8(*self as u8);
+    }
+
+    fn load(r: &mut mpsoc_kernel::StateReader<'_>) -> Self {
+        let tag = r.read_u8();
+        match ALL_DIRS.get(usize::from(tag)) {
+            Some(&dir) => dir,
+            None => r.unknown_tag(tag, Dir::Local),
+        }
+    }
+}
+
 mpsoc_kernel::metric_ids! {
     /// The router's counters, kept from `register_metrics`.
     struct Counters {
@@ -124,33 +141,8 @@ impl Router {
     }
 }
 
-impl mpsoc_kernel::Snapshot for Router {
-    fn save(&self, w: &mut mpsoc_kernel::StateWriter) {
-        use mpsoc_protocol::persist;
-        let mut crumbs: Vec<_> = self.breadcrumbs.iter().collect();
-        crumbs.sort_by_key(|(id, _)| **id);
-        w.write_usize(crumbs.len());
-        for (id, dir) in crumbs {
-            persist::save_txn_id(*id, w);
-            w.write_u8(*dir as u8);
-        }
-        for t in self.busy {
-            w.write_time(t);
-        }
-    }
-
-    fn restore(&mut self, r: &mut mpsoc_kernel::StateReader<'_>) {
-        use mpsoc_protocol::persist;
-        self.breadcrumbs.clear();
-        for _ in 0..r.read_usize() {
-            let id = persist::load_txn_id(r);
-            let dir = ALL_DIRS[(r.read_u8() as usize).min(4)];
-            self.breadcrumbs.insert(id, dir);
-        }
-        for t in self.busy.iter_mut() {
-            *t = r.read_time();
-        }
-    }
+mpsoc_kernel::snapshot_state! {
+    impl Snapshot for Router { breadcrumbs, busy }
 }
 
 impl Component<Packet> for Router {

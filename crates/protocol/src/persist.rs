@@ -1,149 +1,124 @@
-//! Snapshot serialization helpers for protocol vocabulary types.
+//! The snapshot codec ([`Persist`]) for protocol vocabulary types.
 //!
 //! Every component crate that carries [`Transaction`]s or [`Response`]s in
-//! its private state (FIFOs, in-flight tables, retry queues) uses these
-//! helpers in its [`Snapshot`](mpsoc_kernel::Snapshot) implementation, and
-//! the kernel serializes link queues through the
-//! [`SnapshotPayload`] impl for [`Packet`].
+//! its private state (FIFOs, in-flight tables, retry queues) declares those
+//! fields with [`snapshot_state!`](mpsoc_kernel::snapshot_state), and the
+//! kernel serializes link queues through the impl for [`Packet`].
 //!
-//! Only identifier-bearing fields need care: ids are reconstructed from
-//! their raw packed representations, which round-trip exactly.
+//! Identifiers are written as their raw packed representations, which
+//! round-trip exactly. A decoded value a type cannot hold — a data width
+//! that is not a power of two up to 64 bytes — refuses the blob.
 
 use crate::ids::{InitiatorId, MessageId, TransactionId};
 use crate::packet::{Packet, Response};
 use crate::transaction::{Opcode, Transaction};
 use crate::width::DataWidth;
-use mpsoc_kernel::{SnapshotPayload, StateReader, StateWriter};
+use mpsoc_kernel::{Persist, StateReader, StateWriter};
 
-/// Writes a [`TransactionId`].
-pub fn save_txn_id(id: TransactionId, w: &mut StateWriter) {
-    w.write_u64(id.raw());
-}
+impl Persist for TransactionId {
+    const MIN_BYTES: usize = 9;
 
-/// Reads a [`TransactionId`].
-pub fn load_txn_id(r: &mut StateReader<'_>) -> TransactionId {
-    let raw = r.read_u64();
-    TransactionId::new(InitiatorId::new((raw >> 48) as u16), raw & 0xffff_ffff_ffff)
-}
+    fn save(&self, w: &mut StateWriter) {
+        w.write_u64(self.raw());
+    }
 
-/// Writes a [`DataWidth`] as its byte count.
-pub fn save_width(width: DataWidth, w: &mut StateWriter) {
-    w.write_u32(width.bytes());
-}
-
-/// Reads a [`DataWidth`] written by [`save_width`].
-pub fn load_width(r: &mut StateReader<'_>) -> DataWidth {
-    // A poisoned reader yields 0, which from_bytes rejects; substitute a
-    // valid width so decoding continues to the reader's own error.
-    match r.read_u32() {
-        b if b.is_power_of_two() && b <= 64 => DataWidth::from_bytes(b),
-        _ => DataWidth::BITS32,
+    fn load(r: &mut StateReader<'_>) -> Self {
+        let raw = r.read_u64();
+        TransactionId::new(InitiatorId::new((raw >> 48) as u16), raw & 0xffff_ffff_ffff)
     }
 }
 
-/// Writes a complete [`Transaction`].
-pub fn save_txn(txn: &Transaction, w: &mut StateWriter) {
-    save_txn_id(txn.id, w);
-    w.write_u16(txn.initiator.raw());
-    w.write_bool(txn.opcode.is_write());
-    w.write_u64(txn.addr);
-    w.write_u32(txn.beats);
-    save_width(txn.width, w);
-    w.write_u8(txn.priority);
-    w.write_bool(txn.posted);
-    w.write_u64(txn.message.raw());
-    w.write_bool(txn.last_in_message);
-    w.write_time(txn.created_at);
-}
+impl Persist for InitiatorId {
+    const MIN_BYTES: usize = 3;
 
-/// Reads a [`Transaction`] written by [`save_txn`].
-pub fn load_txn(r: &mut StateReader<'_>) -> Transaction {
-    let id = load_txn_id(r);
-    let initiator = InitiatorId::new(r.read_u16());
-    let opcode = if r.read_bool() {
-        Opcode::Write
-    } else {
-        Opcode::Read
-    };
-    Transaction {
-        id,
-        initiator,
-        opcode,
-        addr: r.read_u64(),
-        beats: r.read_u32(),
-        width: load_width(r),
-        priority: r.read_u8(),
-        posted: r.read_bool(),
-        message: MessageId::new(r.read_u64()),
-        last_in_message: r.read_bool(),
-        created_at: r.read_time(),
+    fn save(&self, w: &mut StateWriter) {
+        w.write_u16(self.raw());
+    }
+
+    fn load(r: &mut StateReader<'_>) -> Self {
+        InitiatorId::new(r.read_u16())
     }
 }
 
-/// Writes a complete [`Response`].
-pub fn save_response(resp: &Response, w: &mut StateWriter) {
-    save_txn(&resp.txn, w);
-    w.write_u32(resp.gap_per_beat);
-    w.write_time(resp.serviced_at);
-    w.write_bool(resp.error);
-}
+impl Persist for MessageId {
+    const MIN_BYTES: usize = 9;
 
-/// Reads a [`Response`] written by [`save_response`].
-pub fn load_response(r: &mut StateReader<'_>) -> Response {
-    let txn = load_txn(r);
-    Response {
-        txn,
-        gap_per_beat: r.read_u32(),
-        serviced_at: r.read_time(),
-        error: r.read_bool(),
+    fn save(&self, w: &mut StateWriter) {
+        w.write_u64(self.raw());
+    }
+
+    fn load(r: &mut StateReader<'_>) -> Self {
+        MessageId::new(r.read_u64())
     }
 }
 
-/// Writes an `Option<Transaction>` as a presence flag plus value.
-pub fn save_opt_txn(txn: &Option<Transaction>, w: &mut StateWriter) {
-    w.write_bool(txn.is_some());
-    if let Some(t) = txn {
-        save_txn(t, w);
+/// As `is_write`.
+impl Persist for Opcode {
+    const MIN_BYTES: usize = 2;
+
+    fn save(&self, w: &mut StateWriter) {
+        w.write_bool(self.is_write());
+    }
+
+    fn load(r: &mut StateReader<'_>) -> Self {
+        if r.read_bool() {
+            Opcode::Write
+        } else {
+            Opcode::Read
+        }
     }
 }
 
-/// Reads an `Option<Transaction>` written by [`save_opt_txn`].
-pub fn load_opt_txn(r: &mut StateReader<'_>) -> Option<Transaction> {
-    r.read_bool().then(|| load_txn(r))
-}
+/// As its byte count.
+impl Persist for DataWidth {
+    const MIN_BYTES: usize = 5;
 
-/// Writes an `Option<Response>` as a presence flag plus value.
-pub fn save_opt_response(resp: &Option<Response>, w: &mut StateWriter) {
-    w.write_bool(resp.is_some());
-    if let Some(x) = resp {
-        save_response(x, w);
+    fn save(&self, w: &mut StateWriter) {
+        w.write_u32(self.bytes());
+    }
+
+    fn load(r: &mut StateReader<'_>) -> Self {
+        let bytes = r.read_u32();
+        if bytes.is_power_of_two() && bytes <= 64 {
+            DataWidth::from_bytes(bytes)
+        } else {
+            r.refuse(format!("data width of {bytes} bytes"));
+            DataWidth::BITS32
+        }
     }
 }
 
-/// Reads an `Option<Response>` written by [`save_opt_response`].
-pub fn load_opt_response(r: &mut StateReader<'_>) -> Option<Response> {
-    r.read_bool().then(|| load_response(r))
+mpsoc_kernel::snapshot_state! {
+    impl Persist for Transaction {
+        id, initiator, opcode, addr, beats, width, priority, posted, message, last_in_message,
+        created_at,
+    }
 }
 
-impl SnapshotPayload for Packet {
-    fn save_payload(&self, w: &mut StateWriter) {
+mpsoc_kernel::snapshot_state! {
+    impl Persist for Response { txn, gap_per_beat, serviced_at, error }
+}
+
+/// A `bool` (`true` for a response), then the request or the response.
+impl Persist for Packet {
+    fn save(&self, w: &mut StateWriter) {
         match self {
             Packet::Request(txn) => {
                 w.write_bool(false);
-                save_txn(txn, w);
+                txn.save(w);
             }
             Packet::Response(resp) => {
                 w.write_bool(true);
-                save_response(resp, w);
+                resp.save(w);
             }
         }
     }
 
-    fn restore_payload(r: &mut StateReader<'_>) -> Self {
+    fn load(r: &mut StateReader<'_>) -> Self {
         if r.read_bool() {
-            Packet::Response(load_response(r))
+            Packet::Response(Persist::load(r))
         } else {
-            Packet::Request(load_txn(r))
+            Packet::Request(Persist::load(r))
         }
     }
 }
@@ -165,47 +140,62 @@ mod tests {
             .build()
     }
 
+    /// The derived encoding is the field list the hand-written one was.
     #[test]
-    fn txn_round_trips_exactly() {
+    fn txn_round_trips_exactly_in_its_field_order() {
         let txn = sample_txn();
         let mut w = StateWriter::new();
-        save_txn(&txn, &mut w);
+        txn.save(&mut w);
         let blob = w.finish();
+        let by_hand = {
+            let mut w = StateWriter::new();
+            w.write_u64(txn.id.raw());
+            w.write_u16(9);
+            w.write_bool(true);
+            w.write_u64(0xdead_0000);
+            w.write_u32(7);
+            w.write_u32(8);
+            w.write_u8(3);
+            w.write_bool(true);
+            w.write_u64(55);
+            w.write_bool(false);
+            w.write_u64(120_000);
+            w.finish()
+        };
+        assert_eq!(blob.as_bytes(), by_hand.as_bytes());
         let mut r = StateReader::new(&blob).unwrap();
-        assert_eq!(load_txn(&mut r), txn);
+        assert_eq!(Transaction::load(&mut r), txn);
         r.finish().unwrap();
     }
 
     #[test]
-    fn packet_variants_round_trip() {
+    fn packet_variants_and_options_round_trip() {
         let req = Packet::Request(sample_txn());
         let resp = Packet::Response(Response::new(sample_txn(), Time::from_ns(300)).with_gap(2));
         let err = Packet::Response(Response::error(sample_txn(), Time::from_ns(5)));
         let mut w = StateWriter::new();
         for p in [&req, &resp, &err] {
-            p.save_payload(&mut w);
+            p.save(&mut w);
         }
+        Some(sample_txn()).save(&mut w);
+        None::<Response>.save(&mut w);
         let blob = w.finish();
         let mut r = StateReader::new(&blob).unwrap();
-        assert_eq!(Packet::restore_payload(&mut r), req);
-        assert_eq!(Packet::restore_payload(&mut r), resp);
-        assert_eq!(Packet::restore_payload(&mut r), err);
+        assert_eq!(Packet::load(&mut r), req);
+        assert_eq!(Packet::load(&mut r), resp);
+        assert_eq!(Packet::load(&mut r), err);
+        assert_eq!(Option::<Transaction>::load(&mut r), Some(sample_txn()));
+        assert_eq!(Option::<Response>::load(&mut r), None);
         r.finish().unwrap();
     }
 
     #[test]
-    fn options_round_trip() {
+    fn a_width_no_bus_has_refuses_the_blob() {
         let mut w = StateWriter::new();
-        save_opt_txn(&Some(sample_txn()), &mut w);
-        save_opt_txn(&None, &mut w);
-        save_opt_response(&Some(Response::new(sample_txn(), Time::ZERO)), &mut w);
-        save_opt_response(&None, &mut w);
+        w.write_u32(24);
         let blob = w.finish();
         let mut r = StateReader::new(&blob).unwrap();
-        assert_eq!(load_opt_txn(&mut r), Some(sample_txn()));
-        assert_eq!(load_opt_txn(&mut r), None);
-        assert!(load_opt_response(&mut r).is_some());
-        assert_eq!(load_opt_response(&mut r), None);
-        r.finish().unwrap();
+        DataWidth::load(&mut r);
+        assert!(r.finish().is_err());
     }
 }

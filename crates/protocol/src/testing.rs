@@ -76,33 +76,10 @@ impl ScriptedInitiator {
     }
 }
 
-impl mpsoc_kernel::Snapshot for ScriptedInitiator {
-    fn save(&self, w: &mut mpsoc_kernel::StateWriter) {
-        w.write_usize(self.script.len());
-        for txn in &self.script {
-            crate::persist::save_txn(txn, w);
-        }
-        w.write_usize(self.outstanding);
-        w.write_usize(self.completions.len());
-        for (at, txn) in &self.completions {
-            w.write_time(*at);
-            crate::persist::save_txn(txn, w);
-        }
-        w.write_u64(self.injected);
-        // shared_log is a test-side observation channel, not simulation
-        // state; it stays whatever the restoring harness wired up.
-    }
-
-    fn restore(&mut self, r: &mut mpsoc_kernel::StateReader<'_>) {
-        self.script = (0..r.read_usize())
-            .map(|_| crate::persist::load_txn(r))
-            .collect();
-        self.outstanding = r.read_usize();
-        self.completions = (0..r.read_usize())
-            .map(|_| (r.read_time(), crate::persist::load_txn(r)))
-            .collect();
-        self.injected = r.read_u64();
-    }
+// `shared_log` is a test-side observation channel, not simulation state;
+// it stays whatever the restoring harness wired up.
+mpsoc_kernel::snapshot_state! {
+    impl Snapshot for ScriptedInitiator { script, outstanding, completions, injected }
 }
 
 impl Component<Packet> for ScriptedInitiator {
@@ -194,24 +171,8 @@ impl FixedLatencyTarget {
     }
 }
 
-impl mpsoc_kernel::Snapshot for FixedLatencyTarget {
-    fn save(&self, w: &mut mpsoc_kernel::StateWriter) {
-        w.write_time(self.busy_until);
-        w.write_bool(self.pending.is_some());
-        if let Some((ready, resp)) = &self.pending {
-            w.write_time(*ready);
-            crate::persist::save_response(resp, w);
-        }
-        w.write_u64(self.served);
-    }
-
-    fn restore(&mut self, r: &mut mpsoc_kernel::StateReader<'_>) {
-        self.busy_until = r.read_time();
-        self.pending = r
-            .read_bool()
-            .then(|| (r.read_time(), crate::persist::load_response(r)));
-        self.served = r.read_u64();
-    }
+mpsoc_kernel::snapshot_state! {
+    impl Snapshot for FixedLatencyTarget { busy_until, pending, served }
 }
 
 impl Component<Packet> for FixedLatencyTarget {

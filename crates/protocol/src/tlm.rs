@@ -101,6 +101,15 @@ impl TlmBus {
         }
     }
 
+    /// Restore's check hook: every in-flight transaction entered through a
+    /// port this bus has.
+    fn after_restore(&mut self, r: &mut mpsoc_kernel::StateReader<'_>) {
+        let ports = self.initiators.len();
+        if self.in_flight.values().any(|&port| port >= ports) {
+            r.refuse(format!("in-flight transaction on a port beyond {ports}"));
+        }
+    }
+
     /// Attaches an initiator port; returns its index.
     pub fn add_initiator(&mut self, req_in: LinkId, resp_out: LinkId) -> usize {
         self.initiators.push(InitiatorPort { req_in, resp_out });
@@ -131,25 +140,8 @@ impl TlmBus {
     }
 }
 
-impl mpsoc_kernel::Snapshot for TlmBus {
-    fn save(&self, w: &mut mpsoc_kernel::StateWriter) {
-        let mut in_flight: Vec<_> = self.in_flight.iter().collect();
-        in_flight.sort();
-        w.write_usize(in_flight.len());
-        for (id, port) in in_flight {
-            crate::persist::save_txn_id(*id, w);
-            w.write_usize(*port);
-        }
-    }
-
-    fn restore(&mut self, r: &mut mpsoc_kernel::StateReader<'_>) {
-        self.in_flight.clear();
-        for _ in 0..r.read_usize() {
-            let id = crate::persist::load_txn_id(r);
-            let port = r.read_usize();
-            self.in_flight.insert(id, port);
-        }
-    }
+mpsoc_kernel::snapshot_state! {
+    impl Snapshot for TlmBus { in_flight } then after_restore
 }
 
 impl Component<Packet> for TlmBus {

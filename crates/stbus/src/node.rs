@@ -59,7 +59,6 @@ impl Default for StbusNodeConfig {
 struct InitiatorPort {
     req_in: LinkId,
     resp_out: LinkId,
-    outstanding: usize,
 }
 
 #[derive(Debug)]
@@ -135,6 +134,8 @@ pub struct StbusNode {
     initiators: Vec<InitiatorPort>,
     targets: Vec<TargetPort>,
     map: AddressMap<usize>,
+    /// Response-expecting transactions in flight per initiator port.
+    outstanding: Vec<usize>,
     /// `busy-until` per request channel (1 entry shared, per-target
     /// crossbar).
     req_busy: Vec<Time>,
@@ -198,6 +199,7 @@ impl StbusNode {
             initiators: Vec::new(),
             targets: Vec::new(),
             map: AddressMap::new(),
+            outstanding: Vec::new(),
             req_busy: Vec::new(),
             resp_busy: Vec::new(),
             sticky: None,
@@ -215,11 +217,8 @@ impl StbusNode {
 
     /// Attaches an initiator port; returns its index.
     pub fn add_initiator(&mut self, req_in: LinkId, resp_out: LinkId) -> usize {
-        self.initiators.push(InitiatorPort {
-            req_in,
-            resp_out,
-            outstanding: 0,
-        });
+        self.initiators.push(InitiatorPort { req_in, resp_out });
+        self.outstanding.push(0);
         self.initiators.len() - 1
     }
 
@@ -276,15 +275,47 @@ impl StbusNode {
         }
     }
 
-    fn ensure_channels(&mut self) {
-        let (nreq, nresp) = match self.config.topology {
+    /// How many request and response channels the topology has.
+    fn channel_counts(&self) -> (usize, usize) {
+        match self.config.topology {
             ChannelTopology::SharedBus => (1, 1),
             ChannelTopology::FullCrossbar => {
                 (self.targets.len().max(1), self.initiators.len().max(1))
             }
-        };
+        }
+    }
+
+    fn ensure_channels(&mut self) {
+        let (nreq, nresp) = self.channel_counts();
         self.req_busy.resize(nreq, Time::ZERO);
         self.resp_busy.resize(nresp, Time::ZERO);
+    }
+
+    /// Restore's check hook: the per-port and per-channel state has this
+    /// node's shape, and every decoded port and target index exists. The
+    /// head notes are derived: a restore forgets them, which only leaves
+    /// gates open.
+    fn after_restore(&mut self, r: &mut mpsoc_kernel::StateReader<'_>) {
+        self.heads.clear();
+        let (ports, targets) = (self.initiators.len(), self.targets.len());
+        // Channel vectors are sized lazily on the first tick.
+        let channels = |busy: &Vec<Time>, n: usize| busy.is_empty() || busy.len() == n;
+        let (nreq, nresp) = self.channel_counts();
+        let fits = self.outstanding.len() == ports
+            && channels(&self.req_busy, nreq)
+            && channels(&self.resp_busy, nresp)
+            && self.sticky.is_none_or(|(port, _)| port < ports)
+            && self.last_winner < ports.max(1)
+            && self.resp_rr < targets.max(1)
+            && self.in_flight.values().all(|&port| port < ports)
+            && self.replays.iter().all(|e| e.target < targets)
+            && self.dead_letters.iter().all(|(port, _)| *port < ports);
+        if !fits {
+            r.refuse(format!(
+                "{}: state does not fit {ports} ports and {targets} targets",
+                self.name
+            ));
+        }
     }
 
     fn deliver_responses(&mut self, ctx: &mut TickContext<'_, Packet>) {
@@ -343,9 +374,8 @@ impl StbusNode {
                     self.expected_by_source.remove(&resp.txn.initiator);
                 }
             }
-            let port = &mut self.initiators[init_port];
-            port.outstanding = port.outstanding.saturating_sub(1);
-            let resp_out = port.resp_out;
+            self.outstanding[init_port] = self.outstanding[init_port].saturating_sub(1);
+            let resp_out = self.initiators[init_port].resp_out;
             ctx.stats
                 .emit_trace(now, &self.name, TraceKind::Deliver, || {
                     format!("{} -> port {}", resp.txn, init_port)
@@ -400,7 +430,7 @@ impl StbusNode {
             if !ctx.links.can_push(self.targets[target].req_out) {
                 continue;
             }
-            if needs_slot && port.outstanding >= max_outstanding {
+            if needs_slot && self.outstanding[p] >= max_outstanding {
                 continue;
             }
             // While a source has a transaction in fault recovery, its newer
@@ -471,8 +501,7 @@ impl StbusNode {
                 None
             };
             if !txn.completes_on_acceptance() {
-                let port = &mut self.initiators[winner.port];
-                port.outstanding += 1;
+                self.outstanding[winner.port] += 1;
                 self.expected_by_source
                     .entry(txn.initiator)
                     .or_default()
@@ -626,7 +655,7 @@ impl StbusNode {
                 self.expected_by_source.remove(&entry.txn.initiator);
             }
         }
-        self.initiators[port].outstanding = self.initiators[port].outstanding.saturating_sub(1);
+        self.outstanding[port] = self.outstanding[port].saturating_sub(1);
         self.dead_letters
             .push_back((port, Response::error(entry.txn, now)));
     }
@@ -659,106 +688,15 @@ impl StbusNode {
     }
 }
 
-impl mpsoc_kernel::Snapshot for StbusNode {
-    fn save(&self, w: &mut mpsoc_kernel::StateWriter) {
-        use mpsoc_protocol::persist;
-        w.write_usize(self.initiators.len());
-        for port in &self.initiators {
-            w.write_usize(port.outstanding);
-        }
-        // Channel busy vectors are sized lazily on the first tick, so their
-        // length is part of the dynamic state.
-        w.write_usize(self.req_busy.len());
-        for t in &self.req_busy {
-            w.write_time(*t);
-        }
-        w.write_usize(self.resp_busy.len());
-        for t in &self.resp_busy {
-            w.write_time(*t);
-        }
-        w.write_bool(self.sticky.is_some());
-        if let Some((port, msg)) = self.sticky {
-            w.write_usize(port);
-            w.write_u64(msg.raw());
-        }
-        w.write_usize(self.last_winner);
-        w.write_usize(self.resp_rr);
-        let mut in_flight: Vec<_> = self.in_flight.iter().collect();
-        in_flight.sort();
-        w.write_usize(in_flight.len());
-        for (id, port) in in_flight {
-            persist::save_txn_id(*id, w);
-            w.write_usize(*port);
-        }
-        let mut by_source: Vec<_> = self.expected_by_source.iter().collect();
-        by_source.sort_by_key(|(src, _)| src.raw());
-        w.write_usize(by_source.len());
-        for (src, queue) in by_source {
-            w.write_u16(src.raw());
-            w.write_usize(queue.len());
-            for id in queue {
-                persist::save_txn_id(*id, w);
-            }
-        }
-        w.write_usize(self.replays.len());
-        for entry in &self.replays {
-            persist::save_txn(&entry.txn, w);
-            w.write_usize(entry.target);
-            w.write_u32(entry.attempt);
-            w.write_time(entry.deadline);
-            w.write_u64(entry.faults);
-        }
-        w.write_usize(self.dead_letters.len());
-        for (port, resp) in &self.dead_letters {
-            w.write_usize(*port);
-            persist::save_response(resp, w);
-        }
-    }
+mpsoc_kernel::snapshot_state! {
+    impl Snapshot for StbusNode {
+        outstanding, req_busy, resp_busy, sticky, last_winner, resp_rr, in_flight,
+        expected_by_source, replays, dead_letters,
+    } then after_restore
+}
 
-    fn restore(&mut self, r: &mut mpsoc_kernel::StateReader<'_>) {
-        use mpsoc_protocol::persist;
-        let ports = r.read_usize();
-        for i in 0..ports {
-            let outstanding = r.read_usize();
-            if let Some(port) = self.initiators.get_mut(i) {
-                port.outstanding = outstanding;
-            }
-        }
-        self.req_busy = (0..r.read_usize()).map(|_| r.read_time()).collect();
-        self.resp_busy = (0..r.read_usize()).map(|_| r.read_time()).collect();
-        self.sticky = r
-            .read_bool()
-            .then(|| (r.read_usize(), mpsoc_protocol::MessageId::new(r.read_u64())));
-        self.last_winner = r.read_usize();
-        self.resp_rr = r.read_usize();
-        self.in_flight.clear();
-        for _ in 0..r.read_usize() {
-            let id = persist::load_txn_id(r);
-            let port = r.read_usize();
-            self.in_flight.insert(id, port);
-        }
-        self.expected_by_source.clear();
-        for _ in 0..r.read_usize() {
-            let src = mpsoc_protocol::InitiatorId::new(r.read_u16());
-            let queue = (0..r.read_usize())
-                .map(|_| persist::load_txn_id(r))
-                .collect();
-            self.expected_by_source.insert(src, queue);
-        }
-        self.replays = (0..r.read_usize())
-            .map(|_| ReplayEntry {
-                txn: persist::load_txn(r),
-                target: r.read_usize(),
-                attempt: r.read_u32(),
-                deadline: r.read_time(),
-                faults: r.read_u64(),
-            })
-            .collect();
-        self.dead_letters = (0..r.read_usize())
-            .map(|_| (r.read_usize(), persist::load_response(r)))
-            .collect();
-        self.heads.clear();
-    }
+mpsoc_kernel::snapshot_state! {
+    impl Persist for ReplayEntry { txn, target, attempt, deadline, faults }
 }
 
 impl Component<Packet> for StbusNode {
@@ -825,15 +763,13 @@ impl Component<Packet> for StbusNode {
         // busy-until instants are named here. In `watched_links` order:
         // initiator request wires, then target response wires.
         let max_outstanding = self.effective_outstanding();
-        for (p, port) in self.initiators.iter().enumerate() {
+        for (p, &outstanding) in self.outstanding.iter().enumerate() {
             let gate = match self.heads.get(p).copied().flatten() {
                 // The head this node left queued: granted no earlier than
                 // its channel frees and its target's wire has room, and not
                 // at all while the port is at its outstanding cap (a slot
                 // frees on a response delivery, which re-reads this hint).
-                Some(head) if head.needs_slot && port.outstanding >= max_outstanding => {
-                    Gate::CLOSED
-                }
+                Some(head) if head.needs_slot && outstanding >= max_outstanding => Gate::CLOSED,
                 Some(head) => Gate::until(self.req_busy[self.req_channel(head.target)])
                     .with_space(self.targets[head.target].req_out),
                 // A head not seen yet: no grant before any channel frees.

@@ -1,6 +1,9 @@
 //! The ST220-style DSP core model.
 
-use mpsoc_kernel::{Component, Gate, LinkId, SplitMix64, StallHint, TickContext, Time};
+use mpsoc_kernel::{
+    Component, Gate, LinkId, Persist, SplitMix64, StallHint, StateReader, StateWriter, TickContext,
+    Time,
+};
 use mpsoc_protocol::{DataWidth, InitiatorId, Packet, Transaction};
 use std::collections::HashMap;
 
@@ -266,87 +269,76 @@ impl DspCore {
     }
 }
 
-impl CacheModel {
-    fn save_state(&self, w: &mut mpsoc_kernel::StateWriter) {
+/// The sets, each a `usize` fill then its `(tag, dirty)` entries, then the
+/// hit and miss counts. The geometry is structure: a set count other than
+/// this cache's, or a set fuller than its ways, refuses the blob.
+impl mpsoc_kernel::Snapshot for CacheModel {
+    fn save(&self, w: &mut StateWriter) {
         w.write_usize(self.fill.len());
         for (set, &len) in self.entries.chunks_exact(self.ways).zip(&self.fill) {
             w.write_usize(len);
-            for (tag, dirty) in &set[..len] {
-                w.write_u64(*tag);
-                w.write_bool(*dirty);
+            for entry in &set[..len] {
+                entry.save(w);
             }
         }
-        w.write_u64(self.hits);
-        w.write_u64(self.misses);
+        self.hits.save(w);
+        self.misses.save(w);
     }
 
-    fn restore_state(&mut self, r: &mut mpsoc_kernel::StateReader<'_>) {
+    fn restore(&mut self, r: &mut StateReader<'_>) {
         let ways = self.ways;
-        let n = r.read_usize().min(self.fill.len());
-        for (set, fill) in self
-            .entries
-            .chunks_exact_mut(ways)
-            .zip(&mut self.fill)
-            .take(n)
-        {
-            // A blob of this geometry never holds more than `ways` per set.
-            let len = r.read_usize().min(ways);
+        let sets = r.read_usize();
+        if sets != self.fill.len() {
+            r.refuse(format!(
+                "{sets} cache sets, the geometry has {}",
+                self.fill.len()
+            ));
+            return;
+        }
+        for (set, fill) in self.entries.chunks_exact_mut(ways).zip(&mut self.fill) {
+            let len = r.read_len(<(u64, bool)>::MIN_BYTES);
+            if len > ways {
+                r.refuse(format!("{len} lines in a {ways}-way set"));
+                return;
+            }
             for slot in &mut set[..len] {
-                *slot = (r.read_u64(), r.read_bool());
+                *slot = Persist::load(r);
             }
             *fill = len;
         }
-        self.hits = r.read_u64();
-        self.misses = r.read_u64();
+        self.hits = Persist::load(r);
+        self.misses = Persist::load(r);
     }
 }
 
-impl mpsoc_kernel::Snapshot for DspCore {
-    fn save(&self, w: &mut mpsoc_kernel::StateWriter) {
-        self.icache.save_state(w);
-        self.dcache.save_state(w);
-        match self.state {
+/// A `u8` tag (running, stalled, finished), the stalled sequence number
+/// after tag 1.
+impl Persist for CoreState {
+    fn save(&self, w: &mut StateWriter) {
+        match self {
             CoreState::Running => w.write_u8(0),
             CoreState::Stalled(seq) => {
                 w.write_u8(1);
-                w.write_u64(seq);
+                w.write_u64(*seq);
             }
             CoreState::Finished => w.write_u8(2),
         }
-        w.write_u64(self.executed);
-        w.write_u64(self.pc);
-        w.write_u64(self.last_data_addr);
-        w.write_u64(self.seq);
-        w.write_u64(self.rng.state());
-        w.write_opt_u64(self.pending_writeback);
-        let mut posted: Vec<u64> = self.outstanding_posted.keys().copied().collect();
-        posted.sort_unstable();
-        w.write_usize(posted.len());
-        for seq in posted {
-            w.write_u64(seq);
-        }
-        w.write_bool(self.done_recorded);
     }
 
-    fn restore(&mut self, r: &mut mpsoc_kernel::StateReader<'_>) {
-        self.icache.restore_state(r);
-        self.dcache.restore_state(r);
-        self.state = match r.read_u8() {
+    fn load(r: &mut StateReader<'_>) -> Self {
+        match r.read_u8() {
             0 => CoreState::Running,
             1 => CoreState::Stalled(r.read_u64()),
-            _ => CoreState::Finished,
-        };
-        self.executed = r.read_u64();
-        self.pc = r.read_u64();
-        self.last_data_addr = r.read_u64();
-        self.seq = r.read_u64();
-        self.rng = SplitMix64::new(r.read_u64());
-        self.pending_writeback = r.read_opt_u64();
-        self.outstanding_posted.clear();
-        for _ in 0..r.read_usize() {
-            self.outstanding_posted.insert(r.read_u64(), ());
+            2 => CoreState::Finished,
+            tag => r.unknown_tag(tag, CoreState::Finished),
         }
-        self.done_recorded = r.read_bool();
+    }
+}
+
+mpsoc_kernel::snapshot_state! {
+    impl Snapshot for DspCore {
+        #[snapshot] icache, #[snapshot] dcache, state, executed, pc, last_data_addr, seq, rng,
+        pending_writeback, outstanding_posted, done_recorded,
     }
 }
 

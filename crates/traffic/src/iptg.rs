@@ -1,7 +1,10 @@
 //! The IP traffic generator (IPTG).
 
 use crate::trace::IssueRecorder;
-use mpsoc_kernel::{Component, Gate, LinkId, SplitMix64, StallHint, TickContext, Time};
+use mpsoc_kernel::{
+    Component, Gate, LinkId, Persist, SplitMix64, StallHint, StateReader, StateWriter, TickContext,
+    Time,
+};
 use mpsoc_protocol::{DataWidth, InitiatorId, MessageId, Packet, Transaction};
 use std::collections::HashMap;
 use std::fmt;
@@ -190,11 +193,17 @@ enum AgentState {
     Done,
 }
 
+/// What an agent is: structure, fixed at construction.
 #[derive(Debug)]
 struct Agent {
     config: AgentConfig,
     /// `config.total_transactions()`, summed once.
     budget: u64,
+}
+
+/// Where an agent is: its dynamic state.
+#[derive(Debug)]
+struct AgentRun {
     state: AgentState,
     segment: usize,
     issued_in_segment: u64,
@@ -207,18 +216,54 @@ struct Agent {
     rng: SplitMix64,
 }
 
-impl Agent {
-    fn done_fraction(&self) -> f64 {
-        if self.budget == 0 {
+impl AgentRun {
+    fn done_fraction(&self, budget: u64) -> f64 {
+        if budget == 0 {
             1.0
         } else {
-            self.completed as f64 / self.budget as f64
+            self.completed as f64 / budget as f64
         }
     }
 
     /// Budget exhausted and every response back: nothing left to do.
     fn finished(&self) -> bool {
         self.state == AgentState::Done && self.outstanding == 0
+    }
+}
+
+/// A `u8` tag (pending, thinking, bursting, done), the think deadline after
+/// tag 1 and the burst remainder after tag 2.
+impl Persist for AgentState {
+    fn save(&self, w: &mut StateWriter) {
+        match *self {
+            AgentState::Pending => w.write_u8(0),
+            AgentState::Thinking(until) => {
+                w.write_u8(1);
+                until.save(w);
+            }
+            AgentState::Bursting(left) => {
+                w.write_u8(2);
+                w.write_u32(left);
+            }
+            AgentState::Done => w.write_u8(3),
+        }
+    }
+
+    fn load(r: &mut StateReader<'_>) -> Self {
+        match r.read_u8() {
+            0 => AgentState::Pending,
+            1 => AgentState::Thinking(Persist::load(r)),
+            2 => AgentState::Bursting(r.read_u32()),
+            3 => AgentState::Done,
+            tag => r.unknown_tag(tag, AgentState::Done),
+        }
+    }
+}
+
+mpsoc_kernel::snapshot_state! {
+    impl Persist for AgentRun {
+        state, segment, issued_in_segment, issued_total, completed, outstanding, cursor,
+        msg_remaining, current_msg, rng,
     }
 }
 
@@ -268,7 +313,9 @@ pub struct IpTrafficGenerator {
     req_out: LinkId,
     resp_in: LinkId,
     agents: Vec<Agent>,
-    /// Agents not yet [`finished`](Agent::finished). Derived from `agents`
+    /// One run per agent, in the same order.
+    runs: Vec<AgentRun>,
+    /// Runs not yet [`finished`](AgentRun::finished). Derived from `runs`
     /// (recounted on restore), kept so `is_idle` is not a scan per tick.
     unfinished: usize,
     txn_agent: HashMap<u64, usize>,
@@ -307,30 +354,32 @@ impl IpTrafficGenerator {
     ) -> Result<Self, InvalidIptgConfig> {
         config.validate().map_err(InvalidIptgConfig)?;
         let mut seed_rng = SplitMix64::new(config.seed);
-        let agents: Vec<Agent> = config
+        let runs: Vec<AgentRun> = config
             .agents
-            .into_iter()
-            .map(|a| {
-                let rng = seed_rng.fork();
-                let state = if a.start_after.is_some() {
+            .iter()
+            .map(|a| AgentRun {
+                state: if a.start_after.is_some() {
                     AgentState::Pending
                 } else {
                     AgentState::Thinking(Time::ZERO)
-                };
-                Agent {
-                    budget: a.total_transactions(),
-                    config: a,
-                    state,
-                    segment: 0,
-                    issued_in_segment: 0,
-                    issued_total: 0,
-                    completed: 0,
-                    outstanding: 0,
-                    cursor: 0,
-                    msg_remaining: 0,
-                    current_msg: None,
-                    rng,
-                }
+                },
+                segment: 0,
+                issued_in_segment: 0,
+                issued_total: 0,
+                completed: 0,
+                outstanding: 0,
+                cursor: 0,
+                msg_remaining: 0,
+                current_msg: None,
+                rng: seed_rng.fork(),
+            })
+            .collect();
+        let agents: Vec<Agent> = config
+            .agents
+            .into_iter()
+            .map(|a| Agent {
+                budget: a.total_transactions(),
+                config: a,
             })
             .collect();
         Ok(IpTrafficGenerator {
@@ -341,6 +390,7 @@ impl IpTrafficGenerator {
             resp_in,
             unfinished: agents.len(),
             agents,
+            runs,
             txn_agent: HashMap::new(),
             seq: 0,
             msg_seq: 0,
@@ -368,12 +418,31 @@ impl IpTrafficGenerator {
 
     /// Transactions injected so far.
     pub fn injected(&self) -> u64 {
-        self.agents.iter().map(|a| a.issued_total).sum()
+        self.runs.iter().map(|a| a.issued_total).sum()
     }
 
     /// Transactions completed so far.
     pub fn completed(&self) -> u64 {
-        self.agents.iter().map(|a| a.completed).sum()
+        self.runs.iter().map(|a| a.completed).sum()
+    }
+
+    /// Restore's check hook: one run per agent, each inside its agent's
+    /// segments, and every in-flight transaction and the round-robin
+    /// pointer naming an agent this generator has. `unfinished` is derived
+    /// from the runs and recounted.
+    fn after_restore(&mut self, r: &mut StateReader<'_>) {
+        let agents = self.agents.len();
+        let fits = self.runs.len() == agents
+            && self.agents.iter().zip(&self.runs).all(|(agent, run)| {
+                let segments = agent.config.segments.len();
+                run.segment < segments || (run.segment == segments && run.state == AgentState::Done)
+            })
+            && self.txn_agent.values().all(|&i| i < agents)
+            && self.rr <= agents;
+        if !fits {
+            r.refuse(format!("{}: state does not fit {agents} agents", self.name));
+        }
+        self.unfinished = self.runs.iter().filter(|a| !a.finished()).count();
     }
 
     /// Advances agent states that depend on time or dependencies; returns
@@ -383,7 +452,7 @@ impl IpTrafficGenerator {
         for k in 0..n {
             let i = (self.rr + k) % n;
             loop {
-                match self.agents[i].state {
+                match self.runs[i].state {
                     AgentState::Done => break,
                     AgentState::Pending => {
                         // Completion counts do not move inside this
@@ -392,30 +461,29 @@ impl IpTrafficGenerator {
                         if !self.dependency_met(i) {
                             break;
                         }
-                        self.agents[i].state = AgentState::Thinking(now);
+                        self.runs[i].state = AgentState::Thinking(now);
                     }
                     AgentState::Thinking(until) => {
                         if now < until {
                             break;
                         }
-                        let agent = &mut self.agents[i];
+                        let (agent, run) = (&self.agents[i], &mut self.runs[i]);
                         // A blocking agent models a dependent processing
                         // stage: it will not open a new burst while
                         // responses are still outstanding.
-                        if agent.config.blocking && agent.outstanding > 0 {
+                        if agent.config.blocking && run.outstanding > 0 {
                             break;
                         }
                         // Start a burst.
-                        let seg = agent.config.segments[agent.segment];
-                        let remaining = seg.transactions - agent.issued_in_segment;
+                        let seg = agent.config.segments[run.segment];
+                        let remaining = seg.transactions - run.issued_in_segment;
                         let (lo, hi) = seg.burst_len;
-                        let len = agent.rng.range(lo as u64, hi as u64 + 1) as u32;
+                        let len = run.rng.range(lo as u64, hi as u64 + 1) as u32;
                         let len = (len as u64).min(remaining) as u32;
-                        agent.state = AgentState::Bursting(len.max(1));
+                        run.state = AgentState::Bursting(len.max(1));
                     }
                     AgentState::Bursting(_) => {
-                        let agent = &self.agents[i];
-                        if agent.outstanding >= agent.config.max_outstanding {
+                        if self.runs[i].outstanding >= self.agents[i].config.max_outstanding {
                             break;
                         }
                         return Some(i);
@@ -433,7 +501,7 @@ impl IpTrafficGenerator {
             .config
             .start_after
             .expect("pending implies dep");
-        self.agents[dep].done_fraction() >= frac
+        self.runs[dep].done_fraction(self.agents[dep].budget) >= frac
     }
 
     /// Earliest instant at which some agent may act without a new response.
@@ -442,8 +510,8 @@ impl IpTrafficGenerator {
     fn earliest_deadline(&self, skip_response_blocked: bool) -> Option<Time> {
         let mut earliest: Option<Time> = None;
         let mut merge = |t: Time| earliest = Some(earliest.map_or(t, |e| e.min(t)));
-        for (i, agent) in self.agents.iter().enumerate() {
-            match agent.state {
+        for (i, (agent, run)) in self.agents.iter().zip(&self.runs).enumerate() {
+            match run.state {
                 AgentState::Done => {}
                 AgentState::Pending => {
                     // Completion fractions only advance when this generator
@@ -457,12 +525,12 @@ impl IpTrafficGenerator {
                     }
                 }
                 AgentState::Thinking(until) => {
-                    if !(skip_response_blocked && agent.config.blocking && agent.outstanding > 0) {
+                    if !(skip_response_blocked && agent.config.blocking && run.outstanding > 0) {
                         merge(until);
                     }
                 }
                 AgentState::Bursting(_) => {
-                    if agent.outstanding < agent.config.max_outstanding {
+                    if run.outstanding < agent.config.max_outstanding {
                         merge(Time::ZERO);
                     }
                     // At the outstanding cap the agent resumes on a
@@ -474,111 +542,45 @@ impl IpTrafficGenerator {
     }
 
     fn after_issue(&mut self, i: usize, now: Time, clock_period: Time) {
-        let agent = &mut self.agents[i];
-        agent.issued_in_segment += 1;
-        agent.issued_total += 1;
-        let AgentState::Bursting(left) = agent.state else {
+        let (agent, run) = (&self.agents[i], &mut self.runs[i]);
+        run.issued_in_segment += 1;
+        run.issued_total += 1;
+        let AgentState::Bursting(left) = run.state else {
             unreachable!("issuer must be bursting");
         };
-        let seg = agent.config.segments[agent.segment];
-        let segment_done = agent.issued_in_segment >= seg.transactions;
+        let seg = agent.config.segments[run.segment];
+        let segment_done = run.issued_in_segment >= seg.transactions;
         if segment_done {
-            agent.segment += 1;
-            agent.issued_in_segment = 0;
+            run.segment += 1;
+            run.issued_in_segment = 0;
         }
-        if agent.segment >= agent.config.segments.len() {
-            agent.state = AgentState::Done;
-            if agent.finished() {
+        if run.segment >= agent.config.segments.len() {
+            run.state = AgentState::Done;
+            if run.finished() {
                 self.unfinished -= 1;
             }
             return;
         }
         if left <= 1 || segment_done {
             // Burst over: think.
-            let seg = agent.config.segments[agent.segment];
+            let seg = agent.config.segments[run.segment];
             let (lo, hi) = seg.think_cycles;
-            let think = agent.rng.range(lo, hi + 1);
-            agent.state = AgentState::Thinking(now + clock_period * think);
-            agent.current_msg = None;
-            agent.msg_remaining = 0;
+            let think = run.rng.range(lo, hi + 1);
+            run.state = AgentState::Thinking(now + clock_period * think);
+            run.current_msg = None;
+            run.msg_remaining = 0;
         } else {
-            agent.state = AgentState::Bursting(left - 1);
+            run.state = AgentState::Bursting(left - 1);
         }
     }
 }
 
-impl mpsoc_kernel::Snapshot for IpTrafficGenerator {
-    fn save(&self, w: &mut mpsoc_kernel::StateWriter) {
-        w.write_usize(self.agents.len());
-        for agent in &self.agents {
-            match agent.state {
-                AgentState::Pending => w.write_u8(0),
-                AgentState::Thinking(until) => {
-                    w.write_u8(1);
-                    w.write_time(until);
-                }
-                AgentState::Bursting(left) => {
-                    w.write_u8(2);
-                    w.write_u32(left);
-                }
-                AgentState::Done => w.write_u8(3),
-            }
-            w.write_usize(agent.segment);
-            w.write_u64(agent.issued_in_segment);
-            w.write_u64(agent.issued_total);
-            w.write_u64(agent.completed);
-            w.write_usize(agent.outstanding);
-            w.write_u64(agent.cursor);
-            w.write_u32(agent.msg_remaining);
-            w.write_opt_u64(agent.current_msg.map(|m| m.raw()));
-            w.write_u64(agent.rng.state());
-        }
-        let mut in_flight: Vec<_> = self.txn_agent.iter().collect();
-        in_flight.sort();
-        w.write_usize(in_flight.len());
-        for (raw, agent_idx) in in_flight {
-            w.write_u64(*raw);
-            w.write_usize(*agent_idx);
-        }
-        w.write_u64(self.seq);
-        w.write_u64(self.msg_seq);
-        w.write_usize(self.rr);
-        w.write_bool(self.done_recorded);
-        // The issue recorder is a test-side observation channel; it stays
-        // whatever the restoring harness wired up.
-    }
-
-    fn restore(&mut self, r: &mut mpsoc_kernel::StateReader<'_>) {
-        let n = r.read_usize().min(self.agents.len());
-        for agent in self.agents.iter_mut().take(n) {
-            agent.state = match r.read_u8() {
-                0 => AgentState::Pending,
-                1 => AgentState::Thinking(r.read_time()),
-                2 => AgentState::Bursting(r.read_u32()),
-                _ => AgentState::Done,
-            };
-            agent.segment = r.read_usize();
-            agent.issued_in_segment = r.read_u64();
-            agent.issued_total = r.read_u64();
-            agent.completed = r.read_u64();
-            agent.outstanding = r.read_usize();
-            agent.cursor = r.read_u64();
-            agent.msg_remaining = r.read_u32();
-            agent.current_msg = r.read_opt_u64().map(MessageId::new);
-            agent.rng = SplitMix64::new(r.read_u64());
-        }
-        self.txn_agent.clear();
-        for _ in 0..r.read_usize() {
-            let raw = r.read_u64();
-            let agent_idx = r.read_usize();
-            self.txn_agent.insert(raw, agent_idx);
-        }
-        self.seq = r.read_u64();
-        self.msg_seq = r.read_u64();
-        self.rr = r.read_usize();
-        self.done_recorded = r.read_bool();
-        self.unfinished = self.agents.iter().filter(|a| !a.finished()).count();
-    }
+// The issue recorder is a test-side observation channel; it stays whatever
+// the restoring harness wired up.
+mpsoc_kernel::snapshot_state! {
+    impl Snapshot for IpTrafficGenerator {
+        runs, txn_agent, seq, msg_seq, rr, done_recorded,
+    } then after_restore
 }
 
 impl Component<Packet> for IpTrafficGenerator {
@@ -599,10 +601,10 @@ impl Component<Packet> for IpTrafficGenerator {
                 .txn_agent
                 .remove(&resp.txn.id.raw())
                 .expect("response for a transaction this generator issued");
-            let agent = &mut self.agents[agent_idx];
-            agent.outstanding -= 1;
-            agent.completed += 1;
-            if agent.finished() {
+            let run = &mut self.runs[agent_idx];
+            run.outstanding -= 1;
+            run.completed += 1;
+            if run.finished() {
                 self.unfinished -= 1;
             }
             ctx.stats.inc(self.metrics.completed, 1);
@@ -633,26 +635,25 @@ impl Component<Packet> for IpTrafficGenerator {
         };
         self.rr = i + 1;
         // Build the transaction.
-        let agent = &mut self.agents[i];
+        let (agent, run) = (&self.agents[i], &mut self.runs[i]);
         let align = self.width.bytes() as u64;
-        let beats_idx = agent.rng.range(0, agent.config.beats_choices.len() as u64) as usize;
+        let beats_idx = run.rng.range(0, agent.config.beats_choices.len() as u64) as usize;
         let beats = agent.config.beats_choices[beats_idx];
-        let addr =
-            agent
-                .config
-                .pattern
-                .next(&mut agent.cursor, align * beats as u64, &mut agent.rng);
-        let is_read = agent.rng.chance(agent.config.read_fraction);
-        if agent.msg_remaining == 0 {
+        let addr = agent
+            .config
+            .pattern
+            .next(&mut run.cursor, align * beats as u64, &mut run.rng);
+        let is_read = run.rng.chance(agent.config.read_fraction);
+        if run.msg_remaining == 0 {
             self.msg_seq += 1;
-            agent.current_msg = Some(MessageId::new(
+            run.current_msg = Some(MessageId::new(
                 ((self.initiator.raw() as u64) << 40) | self.msg_seq,
             ));
-            agent.msg_remaining = agent.config.message_len.max(1);
+            run.msg_remaining = agent.config.message_len.max(1);
         }
-        agent.msg_remaining -= 1;
-        let message = agent.current_msg.expect("set above");
-        let last_in_message = agent.msg_remaining == 0;
+        run.msg_remaining -= 1;
+        let message = run.current_msg.expect("set above");
+        let last_in_message = run.msg_remaining == 0;
         self.seq += 1;
         let mut builder = Transaction::builder(self.initiator, self.seq);
         builder = if is_read {
@@ -669,10 +670,10 @@ impl Component<Packet> for IpTrafficGenerator {
             .created_at(now)
             .build();
         if !txn.completes_on_acceptance() {
-            agent.outstanding += 1;
+            run.outstanding += 1;
             self.txn_agent.insert(txn.id.raw(), i);
         } else {
-            agent.completed += 1;
+            run.completed += 1;
         }
         if let Some(recorder) = &self.issue_recorder {
             recorder.record(now, txn.opcode, txn.addr, txn.beats, txn.posted);
@@ -687,7 +688,7 @@ impl Component<Packet> for IpTrafficGenerator {
     fn is_idle(&self) -> bool {
         debug_assert_eq!(
             self.unfinished,
-            self.agents.iter().filter(|a| !a.finished()).count()
+            self.runs.iter().filter(|a| !a.finished()).count()
         );
         self.unfinished == 0
     }

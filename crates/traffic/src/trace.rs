@@ -268,39 +268,12 @@ impl TraceDrivenGenerator {
     }
 }
 
-impl mpsoc_kernel::Snapshot for TraceDrivenGenerator {
-    fn save(&self, w: &mut mpsoc_kernel::StateWriter) {
-        w.write_usize(self.trace.len());
-        for entry in &self.trace {
-            w.write_u64(entry.delay_cycles);
-            w.write_bool(entry.opcode == Opcode::Write);
-            w.write_u64(entry.addr);
-            w.write_u32(entry.beats);
-            w.write_bool(entry.posted);
-        }
-        w.write_usize(self.outstanding);
-        w.write_time(self.next_issue_at);
-        w.write_u64(self.seq);
-    }
+mpsoc_kernel::snapshot_state! {
+    impl Snapshot for TraceDrivenGenerator { trace, outstanding, next_issue_at, seq }
+}
 
-    fn restore(&mut self, r: &mut mpsoc_kernel::StateReader<'_>) {
-        self.trace = (0..r.read_usize())
-            .map(|_| TraceEntry {
-                delay_cycles: r.read_u64(),
-                opcode: if r.read_bool() {
-                    Opcode::Write
-                } else {
-                    Opcode::Read
-                },
-                addr: r.read_u64(),
-                beats: r.read_u32(),
-                posted: r.read_bool(),
-            })
-            .collect();
-        self.outstanding = r.read_usize();
-        self.next_issue_at = r.read_time();
-        self.seq = r.read_u64();
-    }
+mpsoc_kernel::snapshot_state! {
+    impl Persist for TraceEntry { delay_cycles, opcode, addr, beats, posted }
 }
 
 impl Component<Packet> for TraceDrivenGenerator {

@@ -20,8 +20,15 @@
 //! Restore is also a complete reset: restoring into a platform that has
 //! already run must equal restoring into a fresh build, at once and in the
 //! run that follows.
+//!
+//! And restore fails closed past the checksum: a blob re-sealed after any
+//! one integer of it was set to its maximum is refused, or decodes to
+//! exactly what it says — never a hang, a panic, or a silently clamped or
+//! defaulted field.
 
-use mpsoc_kernel::{fnv1a_64, FaultSchedule, SimError, SnapshotBlob, SnapshotError, Time};
+use mpsoc_kernel::{
+    fnv1a_64, FaultSchedule, SimError, SnapshotBlob, SnapshotError, StateWriter, Time,
+};
 use mpsoc_memory::LmiConfig;
 use mpsoc_platform::experiments::parallel_map;
 use mpsoc_platform::{build_platform, MemorySystem, Platform, PlatformSpec, Topology, Workload};
@@ -330,4 +337,208 @@ fn restoring_into_a_used_platform_equals_restoring_into_a_fresh_one() {
             );
         }
     });
+}
+
+/// One tagged item of a snapshot payload, as the kernel's writer emits it.
+#[derive(Debug, Clone, PartialEq)]
+enum Item {
+    Section(String),
+    U8(u8),
+    U16(u16),
+    U32(u32),
+    U64(u64),
+    U128(u128),
+    Bool(bool),
+    Str(String),
+    Bytes(Vec<u8>),
+}
+
+/// Splits a sealed blob's payload (past the 6-byte header, short of the
+/// 8-byte checksum) into its tagged items.
+fn parse_items(blob: &SnapshotBlob) -> Vec<Item> {
+    fn take<'a>(rest: &mut &'a [u8], n: usize) -> &'a [u8] {
+        let (head, tail) = rest.split_at(n);
+        *rest = tail;
+        head
+    }
+    fn word<const N: usize>(rest: &mut &[u8]) -> [u8; N] {
+        take(rest, N).try_into().expect("N bytes")
+    }
+    let bytes = blob.as_bytes();
+    let mut rest = &bytes[6..bytes.len() - 8];
+    let mut items = Vec::new();
+    while !rest.is_empty() {
+        let tag = take(&mut rest, 1)[0];
+        items.push(match tag {
+            0x01 => Item::U8(take(&mut rest, 1)[0]),
+            0x02 => Item::U16(u16::from_le_bytes(word(&mut rest))),
+            0x03 => Item::U32(u32::from_le_bytes(word(&mut rest))),
+            0x04 => Item::U64(u64::from_le_bytes(word(&mut rest))),
+            0x05 => Item::U128(u128::from_le_bytes(word(&mut rest))),
+            0x06 => Item::Bool(take(&mut rest, 1)[0] != 0),
+            0x07..=0x09 => {
+                let len = u32::from_le_bytes(word(&mut rest)) as usize;
+                let raw = take(&mut rest, len).to_vec();
+                match tag {
+                    0x07 => Item::Str(String::from_utf8(raw).expect("utf-8")),
+                    0x08 => Item::Section(String::from_utf8(raw).expect("utf-8")),
+                    _ => Item::Bytes(raw),
+                }
+            }
+            other => panic!("unknown stream tag {other:#04x}"),
+        });
+    }
+    items
+}
+
+/// Writes `items` back through the public writer, whose `finish` seals
+/// them: a re-sealed blob, as anyone able to write a spill file can make.
+fn reseal(items: &[Item]) -> SnapshotBlob {
+    let mut w = StateWriter::new();
+    for item in items {
+        match item {
+            Item::Section(name) => w.section(name),
+            Item::U8(v) => w.write_u8(*v),
+            Item::U16(v) => w.write_u16(*v),
+            Item::U32(v) => w.write_u32(*v),
+            Item::U64(v) => w.write_u64(*v),
+            Item::U128(v) => w.write_u128(*v),
+            Item::Bool(v) => w.write_bool(*v),
+            Item::Str(v) => w.write_str(v),
+            Item::Bytes(v) => w.write_bytes(v),
+        }
+    }
+    w.finish()
+}
+
+/// The item with its integer at the type's maximum, or `None` for an item
+/// that holds no integer.
+fn maxed(item: &Item) -> Option<Item> {
+    Some(match item {
+        Item::U8(_) => Item::U8(u8::MAX),
+        Item::U16(_) => Item::U16(u16::MAX),
+        Item::U32(_) => Item::U32(u32::MAX),
+        Item::U64(_) => Item::U64(u64::MAX),
+        Item::U128(_) => Item::U128(u128::MAX),
+        _ => return None,
+    })
+}
+
+/// How restoring one forged blob went.
+#[derive(Debug, PartialEq)]
+enum Verdict {
+    /// The restore returned an error.
+    Refused,
+    /// The restore succeeded; whether the platform's checkpoint right
+    /// after it is the forged blob, byte for byte.
+    Restored { exact: bool },
+    /// The restore panicked, with this message.
+    Panicked(String),
+}
+
+/// A restore slower than this (debug build, loaded host) counts as a hang.
+const RESTORE_BOUND: std::time::Duration = std::time::Duration::from_secs(20);
+
+/// A re-sealed blob whose lengths, tags or indices cannot be what the
+/// encoder wrote is refused; one whose integer merely holds another value
+/// restores to exactly that value. For an AXI, an STBus and an AHB platform
+/// — each with the DSP, LMI and bridges — checkpointed mid-run, every
+/// integer in turn is set to its maximum and the blob re-sealed; each
+/// restore must return within [`RESTORE_BOUND`] without panicking, and
+/// either refuse the blob or take it verbatim (its checkpoint right after
+/// is the forged blob). A length, tag or index that decoded would have to
+/// re-encode as the maximum, which no bounded decode can hold, so each of
+/// those is refused. Forged values are not run afterwards: `Time`
+/// arithmetic is unchecked by design.
+#[test]
+fn resealed_blobs_with_a_maxed_integer_are_refused_or_taken_verbatim() {
+    let shapes: Vec<PlatformSpec> = [ProtocolKind::Axi, ProtocolKind::StbusT3, ProtocolKind::Ahb]
+        .into_iter()
+        .map(|protocol| PlatformSpec {
+            protocol,
+            topology: Topology::Distributed,
+            memory: MemorySystem::Lmi(LmiConfig::default()),
+            workload: Workload::Standard,
+            scale: 1,
+            seed: 0x0dab,
+            with_dsp: true,
+            ..PlatformSpec::default()
+        })
+        .collect();
+    let runs: Vec<_> = shapes
+        .into_iter()
+        .map(|spec| {
+            let label = format!("{:?}", spec.protocol);
+            let mut donor = build_platform(&spec).expect("builds");
+            donor.sim_mut().run_until(Time::from_ns(1_500));
+            let items = parse_items(&donor.checkpoint());
+            assert_eq!(
+                reseal(&items).as_bytes(),
+                donor.checkpoint().as_bytes(),
+                "{label}: the parser splits the stream losslessly"
+            );
+            let (tx, rx) = std::sync::mpsc::channel();
+            let worker = {
+                let items = items.clone();
+                std::thread::spawn(move || {
+                    let mut target = build_platform(&spec).expect("builds");
+                    for (i, item) in items.iter().enumerate() {
+                        let Some(forged_item) = maxed(item) else {
+                            continue;
+                        };
+                        let mut forged = items.clone();
+                        forged[i] = forged_item;
+                        let blob = reseal(&forged);
+                        let outcome =
+                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                                target.restore(&blob).map(|()| target.checkpoint())
+                            }));
+                        let verdict = match outcome {
+                            Ok(Err(_)) => Verdict::Refused,
+                            Ok(Ok(taken)) => Verdict::Restored {
+                                exact: taken.as_bytes() == blob.as_bytes(),
+                            },
+                            Err(panic) => Verdict::Panicked(
+                                panic
+                                    .downcast_ref::<String>()
+                                    .cloned()
+                                    .or_else(|| panic.downcast_ref::<&str>().map(|s| s.to_string()))
+                                    .unwrap_or_default(),
+                            ),
+                        };
+                        let stop = matches!(verdict, Verdict::Panicked(_));
+                        if verdict != (Verdict::Restored { exact: true }) {
+                            // A refused restore leaves the platform unspecified.
+                            target = build_platform(&spec).expect("builds");
+                        }
+                        if tx.send((i, verdict)).is_err() || stop {
+                            return;
+                        }
+                    }
+                })
+            };
+            (label, items, rx, worker)
+        })
+        .collect();
+    for (label, items, rx, worker) in runs {
+        let (mut refused, mut restored) = (0, 0);
+        loop {
+            match rx.recv_timeout(RESTORE_BOUND) {
+                Ok((i, verdict)) => match verdict {
+                    Verdict::Refused => refused += 1,
+                    Verdict::Restored { exact: true } => restored += 1,
+                    other => panic!("{label}: item {i} ({:?}) maxed: {other:?}", items[i]),
+                },
+                Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => break,
+                Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
+                    panic!("{label}: a restore took longer than {RESTORE_BOUND:?}")
+                }
+            }
+        }
+        worker.join().expect("the worker reports every mutation");
+        assert!(
+            refused > 0 && restored > 0,
+            "{label}: {refused} refused, {restored} restored"
+        );
+    }
 }

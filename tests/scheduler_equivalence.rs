@@ -323,15 +323,8 @@ struct PacedProducer {
     next_at: Time,
 }
 
-impl mpsoc_kernel::Snapshot for PacedProducer {
-    fn save(&self, w: &mut mpsoc_kernel::StateWriter) {
-        w.write_u64(self.sent);
-        w.write_time(self.next_at);
-    }
-    fn restore(&mut self, r: &mut mpsoc_kernel::StateReader<'_>) {
-        self.sent = r.read_u64();
-        self.next_at = r.read_time();
-    }
+mpsoc_kernel::snapshot_state! {
+    impl Snapshot for PacedProducer { sent, next_at }
 }
 
 impl Component<u64> for PacedProducer {
@@ -365,13 +358,8 @@ struct WatchingConsumer {
     log: ObsLog,
 }
 
-impl mpsoc_kernel::Snapshot for WatchingConsumer {
-    fn save(&self, w: &mut mpsoc_kernel::StateWriter) {
-        w.write_u64(self.received);
-    }
-    fn restore(&mut self, r: &mut mpsoc_kernel::StateReader<'_>) {
-        self.received = r.read_u64();
-    }
+mpsoc_kernel::snapshot_state! {
+    impl Snapshot for WatchingConsumer { received }
 }
 
 impl Component<u64> for WatchingConsumer {
@@ -537,13 +525,8 @@ struct Hop {
     counter: CounterId,
 }
 
-impl mpsoc_kernel::Snapshot for Hop {
-    fn save(&self, w: &mut mpsoc_kernel::StateWriter) {
-        w.write_u64(self.forwarded);
-    }
-    fn restore(&mut self, r: &mut mpsoc_kernel::StateReader<'_>) {
-        self.forwarded = r.read_u64();
-    }
+mpsoc_kernel::snapshot_state! {
+    impl Snapshot for Hop { forwarded }
 }
 
 impl Component<u64> for Hop {
@@ -588,15 +571,8 @@ mpsoc_kernel::metric_ids! {
     }
 }
 
-impl mpsoc_kernel::Snapshot for FaultyHop {
-    fn save(&self, w: &mut mpsoc_kernel::StateWriter) {
-        w.write_u64(self.forwarded);
-        w.write_u64(self.dropped);
-    }
-    fn restore(&mut self, r: &mut mpsoc_kernel::StateReader<'_>) {
-        self.forwarded = r.read_u64();
-        self.dropped = r.read_u64();
-    }
+mpsoc_kernel::snapshot_state! {
+    impl Snapshot for FaultyHop { forwarded, dropped }
 }
 
 impl Component<u64> for FaultyHop {
