@@ -14,6 +14,11 @@
 //! platform — and the bench judges what it has just measured against the
 //! `sparse` row of the ledger's floor table, exiting 1 on a miss.
 //!
+//! A third case runs a quiet platform on the paper's four clocks, whose
+//! long waits form quiet stretches, at two wait lengths: a bounded run
+//! retires each stretch in one step, so its edges/s grow with the wait,
+//! and it must process exactly the instants single steps do.
+//!
 //! Run with:
 //!
 //! ```bash
@@ -134,12 +139,13 @@ const THINK_CYCLES: u64 = 200;
 const IDLE_HORIZON_NS: u64 = 40_000;
 
 /// A request generator stalled on memory: pushes one payload, then sleeps
-/// [`THINK_CYCLES`] of its own clock, advertising the wake instant through
+/// `think` cycles of its own clock, advertising the wake instant through
 /// `next_activity`. A full link leaves the deadline in the past, so it
 /// retries every edge exactly like the dense schedule would.
 struct IdleInitiator {
     out: LinkId,
     period: Time,
+    think: u64,
     next_at: Time,
     sent: Arc<AtomicU64>,
 }
@@ -156,7 +162,7 @@ impl Component<u64> for IdleInitiator {
         if ctx.time >= self.next_at && ctx.links.can_push(self.out) {
             ctx.links.push(self.out, ctx.time, 1).unwrap();
             self.sent.fetch_add(1, Ordering::Relaxed);
-            self.next_at = ctx.time + self.period * THINK_CYCLES;
+            self.next_at = ctx.time + self.period * self.think;
         }
     }
     fn watched_links(&self) -> Option<Vec<LinkId>> {
@@ -219,6 +225,7 @@ fn bench_idle_heavy(dense: bool) -> IdleRun {
             Box::new(IdleInitiator {
                 out: link,
                 period: clk.period(),
+                think: THINK_CYCLES,
                 next_at: Time::ZERO,
                 sent: Arc::clone(&sent),
             }),
@@ -245,6 +252,111 @@ fn bench_idle_heavy(dense: bool) -> IdleRun {
         skipped: delta.skipped,
         served: served.load(Ordering::Relaxed),
         wall,
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Quiet multi-clock case: the paper's STBus (250 MHz), LMI (200 MHz),
+// bridge (133 MHz) and DSP (400 MHz) clocks, a few initiators each waiting
+// long on memory. Nearly every instant is quiet, so a bounded run retires
+// the platform in stretches; single steps retire it one instant at a time
+// and must land on the same instants, counts and checkpoint.
+// ---------------------------------------------------------------------------
+
+/// The quiet platform's clocks (MHz).
+const QUIET_MHZ: [u64; 4] = [250, 200, 133, 400];
+/// Initiators per clock in the quiet case.
+const QUIET_PER_CLOCK: usize = 2;
+/// The wait lengths (cycles) the quiet case runs at.
+const QUIET_THINKS: [u64; 2] = [200, 2_000];
+/// Simulated horizon for the quiet case.
+const QUIET_HORIZON_NS: u64 = 400_000;
+
+/// The quiet platform: initiators on every clock waiting `think` cycles
+/// between requests, served by one memory port on the LMI clock.
+fn quiet_platform(think: u64) -> (Simulation<u64>, Arc<AtomicU64>) {
+    let clocks = QUIET_MHZ.map(ClockDomain::from_mhz);
+    let (sent, served) = (Arc::new(AtomicU64::new(0)), Arc::new(AtomicU64::new(0)));
+    let mut sim: Simulation<u64> = Simulation::new();
+    let mut inputs = Vec::new();
+    for i in 0..QUIET_MHZ.len() * QUIET_PER_CLOCK {
+        let clk = clocks[i % clocks.len()];
+        let link = sim.links_mut().add_link(format!("req{i}"), 2, clk.period());
+        inputs.push(link);
+        sim.add_component(
+            Box::new(IdleInitiator {
+                out: link,
+                period: clk.period(),
+                think,
+                next_at: clk.period() * i as u64,
+                sent: Arc::clone(&sent),
+            }),
+            clk,
+        );
+    }
+    sim.add_component(
+        Box::new(MemoryPort {
+            inputs,
+            served: Arc::clone(&served),
+        }),
+        clocks[1],
+    );
+    (sim, served)
+}
+
+/// One quiet run to the horizon, by a bounded run or by single steps:
+/// edges, wall seconds, payloads served and the final checkpoint.
+fn quiet_run(think: u64, stepped: bool) -> (u64, f64, u64, Vec<u8>) {
+    let horizon = Time::from_ns(QUIET_HORIZON_NS);
+    let (mut sim, served) = quiet_platform(think);
+    let started = Instant::now();
+    if stepped {
+        while sim.next_edge().is_some_and(|next| next <= horizon) {
+            sim.step();
+        }
+    } else {
+        sim.run_until(horizon);
+    }
+    let wall = started.elapsed().as_secs_f64().max(1e-9);
+    let checkpoint = sim.checkpoint().as_bytes().to_vec();
+    (
+        sim.edges_processed(),
+        wall,
+        served.load(Ordering::Relaxed),
+        checkpoint,
+    )
+}
+
+/// Runs the quiet case at every wait length, holding bounded runs to single
+/// steps, and prints both rates.
+fn bench_quiet() {
+    println!(
+        "\nquiet: {} initiators on {QUIET_MHZ:?} MHz, horizon {QUIET_HORIZON_NS} ns, best of {SAMPLES}",
+        QUIET_MHZ.len() * QUIET_PER_CLOCK
+    );
+    for think in QUIET_THINKS {
+        let best = |stepped: bool| {
+            (0..SAMPLES)
+                .map(|_| quiet_run(think, stepped))
+                .min_by(|a, b| a.1.total_cmp(&b.1))
+                .expect("sampled")
+        };
+        let (edges, wall, served, checkpoint) = best(false);
+        let (step_edges, step_wall, step_served, step_checkpoint) = best(true);
+        assert_eq!(
+            (edges, served),
+            (step_edges, step_served),
+            "think {think}: bounded runs and single steps must process the same instants"
+        );
+        assert!(
+            checkpoint == step_checkpoint,
+            "think {think}: bounded runs and single steps must end in the same state"
+        );
+        println!(
+            "  think {think:>5}: {edges} edges, {served} served, bounded {:.3}M edges/s, steps {:.3}M edges/s",
+            edges as f64 / wall / 1e6,
+            step_edges as f64 / step_wall / 1e6
+        );
     }
 }
 
@@ -374,6 +486,8 @@ fn main() {
         sparse_rate / 1e6
     );
     println!("  speedup  : {sparse_speedup:.2}x");
+
+    bench_quiet();
 
     let sparse_section = SparseSection {
         initiators: INITIATORS as u64,

@@ -18,7 +18,8 @@
 //! private block and adds it to the globals when the public
 //! call that ran them (`step`, `run_until`, `run_to_quiescence`) returns,
 //! so a snapshot sees every call that has returned and nothing of one still
-//! running. Bumping the shared atomics on every edge cost a single run 12 %
+//! running. Cycle-gear instants reach the block in closed form when the
+//! call returns (or before a fast-gear batch), not one by one. Bumping the shared atomics on every edge cost a single run 12 %
 //! and, with the cache line bouncing between two cores, two concurrent runs
 //! in one process 50 % each. The block also keeps the simulation's own
 //! lifetime totals, which is what a test asserting "this simulation did
@@ -115,12 +116,17 @@ pub(crate) struct Pending {
 }
 
 impl Pending {
-    /// Counts `edges` processed edge instants that together charged `ticks`
-    /// component ticks — of which `elided` were retired without dispatch —
-    /// and skipped `skipped` sleeping ones.
+    /// Counts `edges` processed edges: cycle-gear instants, counted where
+    /// the simulation settles its edge count, or one fast-gear batch.
     #[inline]
-    pub(crate) fn record_edge(&mut self, edges: u64, ticks: u64, skipped: u64, elided: u64) {
+    pub(crate) fn record_edges(&mut self, edges: u64) {
         self.total.edges += edges;
+    }
+
+    /// Counts `ticks` charged component ticks — of which `elided` were
+    /// retired without dispatch — and `skipped` sleeping ones.
+    #[inline]
+    pub(crate) fn record_ticks(&mut self, ticks: u64, skipped: u64, elided: u64) {
         self.total.ticks += ticks;
         self.total.skipped += skipped;
         self.total.elided += elided;
@@ -181,7 +187,8 @@ mod tests {
     fn pending_counts_reach_the_globals_on_flush_once() {
         let before = snapshot();
         let mut pending = Pending::default();
-        pending.record_edge(1, 3, 1, 2);
+        pending.record_edges(1);
+        pending.record_ticks(3, 1, 2);
         pending.record_fast(2, 7);
         pending.flush();
         pending.flush();

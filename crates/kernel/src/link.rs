@@ -298,9 +298,13 @@ impl<T> LinkPool<T> {
         // with multi-cycle transfer occupancies (e.g. the independent AXI
         // write-data and read-address channels feeding one target) may
         // legally complete a later push earlier; the wire presents payloads
-        // in arrival order.
-        let pos = link.queue.partition_point(|(t, _)| *t <= deliver);
-        link.queue.insert(pos, (deliver, payload));
+        // in arrival order. Most pushes land at the tail: append those.
+        if link.queue.back().is_none_or(|(t, _)| *t <= deliver) {
+            link.queue.push_back((deliver, payload));
+        } else {
+            let pos = link.queue.partition_point(|(t, _)| *t <= deliver);
+            link.queue.insert(pos, (deliver, payload));
+        }
         link.stats.pushes += 1;
         link.stats.max_occupancy = link.stats.max_occupancy.max(link.queue.len());
         self.queued += 1;
@@ -464,7 +468,8 @@ impl<T> LinkPool<T> {
 
     /// Earliest queued delivery (ps) across `watched` links that lands
     /// *strictly after* `t_ps`, or `u64::MAX` if none. Queues are ordered by
-    /// delivery time, so each link is a binary search. This is the
+    /// delivery time, so each link is answered by its head or its tail, or
+    /// else a binary search. This is the
     /// "new-input" wake used by [`FastCtx::sleep_until`](crate::FastCtx):
     /// payloads already deliverable at `t_ps` were visible to the component
     /// when it chose to sleep and must not rouse it again.
@@ -472,10 +477,16 @@ impl<T> LinkPool<T> {
         let mut wake = u64::MAX;
         for id in watched {
             let queue = &self.links[id.index()].queue;
-            let pos = queue.partition_point(|(at, _)| at.as_ps() <= t_ps);
-            if let Some((at, _)) = queue.get(pos) {
-                wake = wake.min(at.as_ps());
-            }
+            let at = match (queue.front(), queue.back()) {
+                (Some((head, _)), _) if head.as_ps() > t_ps => head.as_ps(),
+                (_, Some((tail, _))) if tail.as_ps() > t_ps => {
+                    let pos = queue.partition_point(|(at, _)| at.as_ps() <= t_ps);
+                    queue[pos].0.as_ps()
+                }
+                // Empty, or everything queued is deliverable by `t_ps`.
+                _ => continue,
+            };
+            wake = wake.min(at);
         }
         wake
     }

@@ -74,10 +74,13 @@
 //! instant before the earliest of the horizon and each bucket's first edge
 //! at or after its bound. Nothing in the stretch can lower a bound, since
 //! only a dispatched tick makes link traffic. Edge indices, next edges and
-//! the charged, elided and skipped totals advance by arithmetic; the edge
-//! count gains the distinct instants of the stretch (coincident edges of
-//! different buckets are one instant). [`Simulation::step`] never does
-//! this: it retires exactly one instant.
+//! the charged, elided and skipped totals advance by per-bucket arithmetic,
+//! so the step costs the same whatever the stretch's length. The edge count
+//! — distinct instants, coincident edges of different buckets being one —
+//! is not kept per stretch: it is counted in closed form from the buckets'
+//! next edges where it is read, and folded in when a public call returns
+//! (see `sim/instants.rs`). [`Simulation::step`] never retires a stretch:
+//! it retires exactly one instant.
 
 use crate::clock::ClockDomain;
 use crate::component::{Component, ComponentId, StallHint, TickContext};
@@ -88,6 +91,8 @@ use crate::link::{LinkId, LinkPool};
 use crate::rng::SplitMix64;
 use crate::stats::{MetricExtent, StatsRegistry};
 use crate::time::{Cycles, Time};
+
+mod instants;
 
 /// Execution fidelity of a [`Simulation`]: the gear it runs in.
 ///
@@ -305,13 +310,18 @@ pub struct Simulation<T> {
     /// Invalidated on component registration. Linear scan — coincident-edge
     /// patterns are few per platform.
     merge_cache: Vec<(Vec<u32>, Vec<u32>)>,
-    /// Scratch for [`retire_quiet_stretch`](Self::retire_quiet_stretch):
-    /// the edges of every bucket firing in the stretch.
-    stretch: Vec<StretchEdges>,
     /// Number of components whose cached idle flag is `false`.
     busy: usize,
-    /// Edges processed so far.
-    edges: u64,
+    /// Edges processed up to the last [`fold`](Self::fold): distinct
+    /// cycle-gear instants plus the fast gear's batch edges. The cycle-gear
+    /// instants since are counted when the count is read
+    /// ([`edges_processed`](Self::edges_processed),
+    /// [`checkpoint`](Self::checkpoint)) and folded in when a public call
+    /// returns, before a fast-gear batch, and on registration.
+    edges_settled: u64,
+    /// The cycle-gear instants retired since the last fold: walked ones
+    /// counted as they go, quiet stretches in closed form.
+    instants: instants::Instants,
     /// Component ticks executed so far (across all components; not
     /// serialized, resets to 0 on restore).
     total_ticks: u64,
@@ -372,9 +382,9 @@ impl<T> Simulation<T> {
             pending: None,
             fired: Vec::new(),
             merge_cache: Vec::new(),
-            stretch: Vec::new(),
             busy: 0,
-            edges: 0,
+            edges_settled: 0,
+            instants: instants::Instants::default(),
             total_ticks: 0,
             total_elided: 0,
             crediting: Vec::new(),
@@ -434,6 +444,7 @@ impl<T> Simulation<T> {
             self.busy += 1;
         }
         let watched = component.watched_links();
+        self.fold();
         // Join the bucket with the same domain and the same pending edge;
         // otherwise open a new one (with its own next-edge entry).
         let bucket;
@@ -457,6 +468,7 @@ impl<T> Simulation<T> {
                 fast_win: 0,
             });
             self.next_edges.push(next_tick);
+            self.instants.add_bucket(clock);
         }
         self.links.enrol(index, bucket);
         for &l in watched.iter().flatten() {
@@ -546,9 +558,21 @@ impl<T> Simulation<T> {
         self.cycle_of(id.index())
     }
 
-    /// Total edges processed so far (each [`Simulation::step`] is one edge).
+    /// Total edges processed so far: every distinct instant the cycle gear
+    /// retired (each [`Simulation::step`] is one), plus the edges of each
+    /// fast-gear batch's longest window.
     pub fn edges_processed(&self) -> u64 {
-        self.edges
+        self.edges_settled
+            .wrapping_add(self.instants.count(&self.next_edges))
+    }
+
+    /// Folds the cycle-gear instants retired since the last fold into the
+    /// edge count and the activity counters.
+    fn fold(&mut self) {
+        let instants = self.instants.count(&self.next_edges);
+        self.edges_settled = self.edges_settled.wrapping_add(instants);
+        self.activity.record_edges(instants);
+        self.instants.settle();
     }
 
     /// Total component ticks charged across all components since
@@ -766,6 +790,7 @@ impl<T> Simulation<T> {
     /// credit, so the registry reads exact between calls, and reports the
     /// call's edges to the process-wide activity counters.
     fn finish_call(&mut self) {
+        self.fold();
         for k in 0..self.crediting.len() {
             self.credit(self.crediting[k] as usize);
         }
@@ -929,11 +954,10 @@ impl<T> Simulation<T> {
             self.next_edges[b] = edge + bucket.clock.period();
         }
         let ticked = dispatched + elided;
-        self.edges += 1;
+        self.instants.walked();
         self.total_ticks += ticked;
         self.total_elided += elided;
-        self.activity
-            .record_edge(1, ticked, members - ticked, elided);
+        self.activity.record_ticks(ticked, members - ticked, elided);
         self.select();
         Some(edge)
     }
@@ -946,9 +970,10 @@ impl<T> Simulation<T> {
     /// and only a dispatched tick lowers a bound. Such an instant is what
     /// [`step_cycle`](Self::step_cycle) would make of it — every stalled
     /// member charged one elided tick, every other member skipped — so the
-    /// stretch is counted by arithmetic: a merge over the `stretch` scratch
-    /// counts each bucket's edges and the distinct instants among them
-    /// (coincident edges of different buckets are one instant).
+    /// stretch is arithmetic per bucket: a bucket whose next edge is before
+    /// `T` fires `(T − 1 − next) / period + 1` edges in it. The distinct
+    /// instants among them are counted where the edge count is read — or
+    /// here, by a merge, for a bucket set past the closed form's cap.
     // Out of line: inlined into `step_cycle` it cost the every-edge path of
     // dense components 7 % (`kernel_hotpath`'s `bucketed` case).
     #[inline(never)]
@@ -968,31 +993,25 @@ impl<T> Simulation<T> {
                 end = end.min(first);
             }
         }
-        self.stretch.clear();
-        for (b, next) in self.next_edges.iter().enumerate() {
-            if next.as_ps() < end {
-                self.stretch.push(StretchEdges {
-                    bucket: b,
-                    next: next.as_ps(),
-                    period: self.buckets[b].clock.period().as_ps(),
-                    edges: 0,
-                });
+        self.instants.retire_stretch(&self.next_edges, end);
+        let (mut elided, mut skipped, mut last) = (0u64, 0u64, 0u64);
+        for (bucket, next) in self.buckets.iter_mut().zip(&mut self.next_edges) {
+            let at = next.as_ps();
+            if at >= end {
+                continue;
             }
-        }
-        let (instants, last) = distinct_instants(&mut self.stretch, end);
-        let (mut elided, mut skipped) = (0u64, 0u64);
-        for s in &self.stretch {
-            let bucket = &mut self.buckets[s.bucket];
-            bucket.edge_index += s.edges;
-            self.next_edges[s.bucket] = Time::from_ps(s.next);
-            elided += bucket.stalled * s.edges;
-            skipped += (bucket.members.len() as u64 - bucket.stalled) * s.edges;
+            let period = bucket.clock.period().as_ps();
+            let edges = (end - 1 - at) / period + 1;
+            bucket.edge_index += edges;
+            *next = Time::from_ps(at + edges * period);
+            last = last.max(next.as_ps() - period);
+            elided += bucket.stalled * edges;
+            skipped += (bucket.members.len() as u64 - bucket.stalled) * edges;
         }
         self.time = Time::from_ps(last);
-        self.edges += instants;
         self.total_ticks += elided;
         self.total_elided += elided;
-        self.activity.record_edge(instants, elided, skipped, elided);
+        self.activity.record_ticks(elided, skipped, elided);
         self.select();
     }
 
@@ -1008,6 +1027,9 @@ impl<T> Simulation<T> {
     /// bounded-run horizon a deterministic gear-shift point.
     fn step_fast(&mut self, limit: Option<Time>, quantum: u64) -> Option<Time> {
         let edge = self.pending?;
+        // A batch's edges are not instants of the buckets' progressions:
+        // the instants before it are counted first.
+        self.fold();
         self.time = edge;
         let mut batch_edges = 0u64;
         let mut last_ps = edge.as_ps();
@@ -1040,7 +1062,7 @@ impl<T> Simulation<T> {
         // temporal decoupling. `time` reports the last edge processed so
         // quiescence observed mid-batch is stamped where it was drained.
         self.time = Time::from_ps(last_ps);
-        self.edges += batch_edges;
+        self.edges_settled = self.edges_settled.wrapping_add(batch_edges);
         self.select();
         Some(edge)
     }
@@ -1089,7 +1111,8 @@ impl<T> Simulation<T> {
         }
         self.total_ticks += ticked;
         self.total_elided += stalled;
-        self.activity.record_edge(1, ticked, skipped, stalled);
+        self.activity.record_edges(1);
+        self.activity.record_ticks(ticked, skipped, stalled);
         self.activity.record_fast(windows, slept);
     }
 
@@ -1471,7 +1494,7 @@ impl<T: crate::snapshot::Persist> Simulation<T> {
         w.section("meta");
         w.write_u64(self.structural_fingerprint());
         self.time.save(&mut w);
-        w.write_u64(self.edges);
+        w.write_u64(self.edges_processed());
         w.section("rng");
         self.rng.save(&mut w);
         w.section("faults");
@@ -1531,9 +1554,11 @@ impl<T: crate::snapshot::Persist> Simulation<T> {
     /// # Errors
     ///
     /// Returns [`SimError::Snapshot`] if the blob fails validation
-    /// (magic/version/checksum/field tags) or was taken from a structurally
-    /// different simulation. On error the simulation state is unspecified
-    /// and the caller should rebuild it.
+    /// (magic/version/checksum/field tags), was taken from a structurally
+    /// different simulation, or holds a schedule no run reaches: a bucket's
+    /// next edge off its clock's lattice, or a `time` past every next edge.
+    /// On error the simulation state is unspecified and the caller should
+    /// rebuild it.
     pub fn restore(&mut self, blob: &crate::snapshot::SnapshotBlob) -> SimResult<()> {
         use crate::snapshot::{Persist, Snapshot, SnapshotError, StateReader};
         let mut r = StateReader::new(blob)?;
@@ -1547,7 +1572,7 @@ impl<T: crate::snapshot::Persist> Simulation<T> {
             .into());
         }
         self.time = Persist::load(&mut r);
-        self.edges = r.read_u64();
+        self.edges_settled = r.read_u64();
         r.expect_section("rng");
         self.rng = Persist::load(&mut r);
         r.expect_section("faults");
@@ -1574,7 +1599,26 @@ impl<T: crate::snapshot::Persist> Simulation<T> {
             *next_edge = Persist::load(&mut r);
             bucket.edge_index = r.read_u64();
             bucket.stalled = 0;
+            // Every edge of a clock is on its lattice: the closed-form edge
+            // count and the stretch arithmetic rely on it.
+            let (period, phase) = (bucket.clock.period(), bucket.clock.phase());
+            let lead = next_edge.as_ps().checked_sub(phase.as_ps());
+            if lead.is_none_or(|lead| lead % period.as_ps() != 0) {
+                r.refuse(format_args!(
+                    "next edge {next_edge} is off the {} clock (phase {phase})",
+                    bucket.clock
+                ));
+            }
         }
+        // The cycle gear leaves every next edge past `time`, a fast-gear
+        // window some of them, but never none.
+        if let Some(latest) = self.next_edges.iter().max().filter(|&&l| self.time > l) {
+            r.refuse(format_args!(
+                "time {} lies past every next edge (the latest is {latest})",
+                self.time
+            ));
+        }
+        self.instants.settle();
         r.expect_section("components");
         let slot_count = r.read_usize();
         if slot_count != self.slots.len() {
@@ -1695,45 +1739,6 @@ impl<T: crate::snapshot::Persist> Simulation<T> {
     }
 }
 
-/// One bucket's edges in a quiet stretch, in ps: the scratch entry of
-/// [`Simulation::retire_quiet_stretch`].
-struct StretchEdges {
-    bucket: usize,
-    /// The bucket's next edge; left at its first edge past the stretch.
-    next: u64,
-    period: u64,
-    /// Edges the bucket fires in the stretch.
-    edges: u64,
-}
-
-/// The number of distinct instants before `end` among the edges of
-/// `buckets` — each with its next edge before `end` — and the last of them.
-/// Walks the instants in order, advancing and counting every bucket edge
-/// that fires on one.
-fn distinct_instants(buckets: &mut [StretchEdges], end: u64) -> (u64, u64) {
-    if let [only] = buckets {
-        only.edges = (end - 1 - only.next) / only.period + 1;
-        only.next += only.edges * only.period;
-        return (only.edges, only.next - only.period);
-    }
-    let (mut count, mut last) = (0, 0);
-    let mut at = buckets.iter().map(|s| s.next).min().unwrap_or(end);
-    while at < end {
-        count += 1;
-        last = at;
-        let mut following = u64::MAX;
-        for s in buckets.iter_mut() {
-            if s.next == at {
-                s.next += s.period;
-                s.edges += 1;
-            }
-            following = following.min(s.next);
-        }
-        at = following;
-    }
-    (count, last)
-}
-
 impl<T> Default for Simulation<T> {
     fn default() -> Self {
         Simulation::new()
@@ -1751,6 +1756,8 @@ impl<T> std::fmt::Debug for Simulation<T> {
     }
 }
 
+#[cfg(test)]
+mod twin_tests;
 #[cfg(test)]
 mod wake_tests;
 

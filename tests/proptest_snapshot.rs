@@ -542,3 +542,79 @@ fn resealed_blobs_with_a_maxed_integer_are_refused_or_taken_verbatim() {
         );
     }
 }
+
+/// A forged clock is refused, and promptly: a re-sealed STBus/LMI
+/// checkpoint whose `time` lies past every bucket's next edge, or whose
+/// bucket has its next edge off its clock's lattice. Either used to restore
+/// and then run without end: the first from an instant no run reaches, the
+/// second on edges the closed-form edge count assumes never happen.
+#[test]
+fn resealed_blobs_with_a_forged_clock_are_refused() {
+    let spec = PlatformSpec {
+        protocol: ProtocolKind::StbusT3,
+        topology: Topology::Distributed,
+        memory: MemorySystem::Lmi(LmiConfig::default()),
+        workload: Workload::Standard,
+        scale: 1,
+        seed: 0x0dab,
+        with_dsp: true,
+        ..PlatformSpec::default()
+    };
+    let mut donor = build_platform(&spec).expect("builds");
+    donor.sim_mut().run_until(Time::from_ns(1_500));
+    let items = parse_items(&donor.checkpoint());
+    let section = |name: &str| {
+        items
+            .iter()
+            .position(|item| *item == Item::Section(name.to_owned()))
+            .expect("the section is in the stream")
+    };
+    // meta: fingerprint, time, edges; buckets: count, then per bucket its
+    // next edge and edge index.
+    let time_at = section("meta") + 2;
+    let time = donor.sim().time().as_ps();
+    assert_eq!(items[time_at], Item::U64(time));
+    let buckets_at = section("buckets") + 1;
+    let next_edges: Vec<(usize, u64)> = (0..donor.sim().domain_count())
+        .map(|b| {
+            let at = buckets_at + 1 + 2 * b;
+            match items[at] {
+                Item::U64(next) => (at, next),
+                ref other => panic!("bucket {b}: next edge is {other:?}"),
+            }
+        })
+        .collect();
+    let latest = next_edges
+        .iter()
+        .map(|&(_, next)| next)
+        .max()
+        .expect("buckets");
+    let mut forgeries = vec![
+        ("time u64::MAX - 1000".to_owned(), time_at, u64::MAX - 1000),
+        (
+            "time just past the latest next edge".to_owned(),
+            time_at,
+            latest + 1,
+        ),
+    ];
+    for (b, &(at, next)) in next_edges.iter().enumerate() {
+        forgeries.push((format!("bucket {b}: next edge 1 ps late"), at, next + 1));
+    }
+    let mut target = build_platform(&spec).expect("builds");
+    for (what, at, value) in forgeries {
+        let mut forged = items.clone();
+        forged[at] = Item::U64(value);
+        let started = std::time::Instant::now();
+        let outcome = target.restore(&reseal(&forged));
+        assert!(
+            matches!(outcome, Err(SimError::Snapshot { .. })),
+            "{what}: restored {outcome:?}"
+        );
+        assert!(started.elapsed() < RESTORE_BOUND, "{what}: took too long");
+        target = build_platform(&spec).expect("builds");
+    }
+    // The genuine blob still restores.
+    let blob = reseal(&items);
+    target.restore(&blob).expect("the genuine blob restores");
+    assert_eq!(target.checkpoint().as_bytes(), blob.as_bytes());
+}
