@@ -76,11 +76,9 @@ fn clock_set() -> Vec<ClockDomain> {
 
 /// One measured run; returns (edges processed, wall seconds).
 fn measure<F: FnOnce()>(run: F) -> (u64, f64) {
-    let before = activity::snapshot();
     let started = Instant::now();
-    run();
+    let ((), delta) = activity::measure(run);
     let wall = started.elapsed().as_secs_f64().max(1e-9);
-    let delta = activity::snapshot().since(before);
     (delta.edges, wall)
 }
 
@@ -241,11 +239,10 @@ fn bench_idle_heavy(dense: bool) -> IdleRun {
             clocks[0],
         );
     }
-    let before = activity::snapshot();
     let started = Instant::now();
     sim.run_until(Time::from_ns(IDLE_HORIZON_NS));
     let wall = started.elapsed().as_secs_f64().max(1e-9);
-    let delta = activity::snapshot().since(before);
+    let delta = sim.activity();
     IdleRun {
         edges: delta.edges,
         ticks: delta.ticks,

@@ -22,7 +22,7 @@
 //! independent simulation instances *inside* the sweep-shaped experiments
 //! out to worker threads; every simulation ticks its edges serially. Each
 //! experiment is followed by a host-side throughput line (scheduler edges/sec and simulated component-cycles/sec,
-//! from the kernel's activity counters). `--bench-out` records the
+//! from the kernel activity measured around it). `--bench-out` records the
 //! measurements in a machine-readable ledger (the committed one is
 //! `BENCH_kernel.json` at the repo root); without it a run writes no file.
 //! The ledger's `"experiments"` section is the whole suite's, so only a

@@ -330,11 +330,10 @@ pub fn run_dse(run: Run, options: &DseOptions) -> SimResult<(String, Option<DseR
 
 /// One experiment execution with its host-side throughput measurements.
 ///
-/// Produced by [`measure_experiment`]; the counters come from the kernel's
-/// process-wide [`activity`] snapshots taken around the run, so they are
-/// exact as long as no *other* experiment runs concurrently (the `repro`
-/// binary runs experiments one at a time; within-experiment worker threads
-/// all bill to the experiment that spawned them).
+/// Produced by [`measure_experiment`]; the counters are the kernel
+/// [`activity`] measured around the run: every simulation the run drove,
+/// on its own thread or on the worker threads it fanned out to, and
+/// nothing that ran beside it.
 #[derive(Debug, Clone, Serialize)]
 pub struct ExperimentRun {
     /// Experiment id (one of [`EXPERIMENT_REGISTRY`]).
@@ -435,11 +434,10 @@ pub fn measure_experiment(id: &str, run: Run) -> SimResult<ExperimentRun> {
 ///
 /// Whatever `runner` fails with.
 pub fn measure(id: &str, runner: impl FnOnce() -> SimResult<String>) -> SimResult<ExperimentRun> {
-    let before = activity::snapshot();
     let started = Instant::now();
-    let table = runner()?;
+    let (table, delta) = activity::measure(runner);
     let wall_seconds = started.elapsed().as_secs_f64().max(1e-9);
-    let delta = activity::snapshot().since(before);
+    let table = table?;
     Ok(ExperimentRun {
         id: id.to_string(),
         table,
@@ -525,9 +523,8 @@ impl FastForwardRun {
 /// table differs from the cycle-gear one in any byte, which would mean the
 /// degenerate gear is not an identity.
 pub fn measure_fast_forward(run: Run) -> SimResult<FastForwardRun> {
-    let before = activity::snapshot();
-    let study = experiments::fast_forward_study(run)?;
-    let delta = activity::snapshot().since(before);
+    let (study, delta) = activity::measure(|| experiments::fast_forward_study(run));
+    let study = study?;
     let q1 = study.q1_row();
     if !q1.identical {
         return Err(SimError::InvalidConfig {

@@ -10,6 +10,8 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
+use mpsoc_kernel::{activity, Activity};
+
 /// Applies `f` to every input on up to `jobs` threads — the caller's own
 /// and `jobs - 1` spawned ones — and returns the outputs **in input order**.
 ///
@@ -21,6 +23,10 @@ use std::sync::Mutex;
 ///
 /// With `jobs <= 1` (or a single input) no threads are spawned at all and
 /// the map runs inline on the caller's thread.
+///
+/// The kernel [`activity`] of the spawned workers' simulations counts in
+/// the caller's [`activity::measure`]ment, as the caller's own share does:
+/// a measurement around the map reads the same at any `jobs`.
 ///
 /// # Examples
 ///
@@ -88,13 +94,20 @@ where
     };
     // The caller takes a share instead of sleeping through the scope: one
     // thread fewer to start per call, and one fewer whose allocator arena
-    // a whole simulation's memory ends up parked in.
-    std::thread::scope(|scope| {
-        for _ in 1..jobs {
-            scope.spawn(work);
-        }
+    // a whole simulation's memory ends up parked in. Its share reports to
+    // its own activity measurement; each spawned worker's is measured on
+    // that worker and reported here.
+    let spawned: Activity = std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..jobs)
+            .map(|_| scope.spawn(move || activity::measure(work).1))
+            .collect();
         work();
+        helpers
+            .into_iter()
+            .map(|helper| helper.join().expect("a worker panicked"))
+            .sum()
     });
+    activity::report(spawned);
 
     slots
         .into_iter()
@@ -153,6 +166,37 @@ mod tests {
             (0..64u64).map(|x| x * 2).collect::<Vec<_>>()
         );
         assert!(seen.iter().all(|&(_, count)| (1..=64).contains(&count)));
+    }
+
+    /// Runs three components on three clocks up to `ns`; returns the
+    /// simulation's activity.
+    fn spin_until(ns: u64) -> Activity {
+        use mpsoc_kernel::{ClockDomain, Component, Simulation, Snapshot, TickContext, Time};
+        struct Spin;
+        impl Snapshot for Spin {}
+        impl Component<()> for Spin {
+            fn name(&self) -> &str {
+                "spin"
+            }
+            fn tick(&mut self, _ctx: &mut TickContext<'_, ()>) {}
+        }
+        let mut sim: Simulation<()> = Simulation::new();
+        for mhz in [100, 133, 250] {
+            sim.add_component(Box::new(Spin), ClockDomain::from_mhz(mhz));
+        }
+        sim.run_until(Time::from_ns(ns));
+        sim.activity()
+    }
+
+    #[test]
+    fn a_measurement_around_the_map_counts_every_worker() {
+        let inputs: Vec<u64> = (1..=24).map(|i| i * 37).collect();
+        let at = |jobs| activity::measure(|| parallel_map(inputs.clone(), jobs, spin_until));
+        let (each, serial) = at(1);
+        assert_eq!(serial, each.iter().copied().sum());
+        for jobs in [2, 4] {
+            assert_eq!(at(jobs), (each.clone(), serial), "jobs {jobs}");
+        }
     }
 
     #[test]

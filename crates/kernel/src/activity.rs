@@ -1,59 +1,66 @@
-//! Process-wide kernel activity counters.
+//! Kernel activity: the work a simulation did, and the work a caller
+//! measures.
 //!
-//! Every [`Simulation::step`](crate::Simulation::step) (and its
-//! [`reference`](crate::reference) counterpart) records the edge, the number
-//! of component ticks it charged (and how many of those it elided, see
-//! [`Component::stall_hint`](crate::Component::stall_hint)) and the number
-//! it skipped (sparse ticking) into relaxed atomics. Harness code (the `repro` binary, microbenches)
-//! snapshots them around a workload to report host-side throughput —
-//! `edges/sec` and simulated ticks/sec — and the ticked/skipped split,
-//! without threading handles through every experiment's plumbing.
+//! Every [`Simulation`](crate::Simulation) keeps one [`Activity`] — the
+//! edges it processed, the component ticks it charged (and how many of those
+//! it elided, see [`Component::stall_hint`](crate::Component::stall_hint)),
+//! the ones it skipped (sparse ticking) and its fast-gear windows — counted
+//! since it was built or last restored and read with
+//! [`Simulation::activity`](crate::Simulation::activity). Harness code (the
+//! `repro` binary, microbenches) that wants the activity of a whole workload
+//! without threading handles through every experiment's plumbing wraps it
+//! in [`measure`].
 //!
-//! The counters are global and monotonically increasing; meaningful rates
-//! come from **differences between snapshots**, which are valid even when
-//! several simulations run concurrently on different threads (the deltas
-//! then aggregate all of them).
+//! A measurement sees every simulation call — `step`, `run_until`,
+//! `run_to_quiescence` and their [`reference`](crate::reference)
+//! counterparts — that returned **on its thread** while it ran: each such
+//! call [`report`]s what it added when it returns. Nothing is process-wide,
+//! so simulations running beside a measurement on other threads never leak
+//! into it. Work a measured thread hands to other threads counts only if
+//! the code that spawned them reports it back; the crate that fans
+//! simulations out over worker threads runs each worker inside `measure`
+//! and reports the sum on the caller's thread. Measurements nest: a call
+//! counts in every measurement around it.
 //!
-//! A simulation counts its edges — cycle-gear and fast-gear alike — in a
-//! private block and adds it to the globals when the public
-//! call that ran them (`step`, `run_until`, `run_to_quiescence`) returns,
-//! so a snapshot sees every call that has returned and nothing of one still
-//! running. Cycle-gear instants reach the block in closed form when the
-//! call returns (or before a fast-gear batch), not one by one. Bumping the shared atomics on every edge cost a single run 12 %
-//! and, with the cache line bouncing between two cores, two concurrent runs
-//! in one process 50 % each. The block also keeps the simulation's own
-//! lifetime totals, which is what a test asserting "this simulation did
-//! *not* do X" must read: a zero delta on the globals is only true while no
-//! sibling thread is simulating.
+//! Outside any measurement a report costs one thread-local read. A
+//! simulation counts its edges in a block of its own and reports only when
+//! the public call returns; cycle-gear instants reach the block in closed
+//! form when the call returns (or before a fast-gear batch), not one by one.
 //!
 //! # Examples
 //!
 //! ```
-//! use mpsoc_kernel::activity;
+//! use mpsoc_kernel::{activity, ClockDomain, Component, Simulation, Snapshot, TickContext, Time};
 //!
-//! let before = activity::snapshot();
-//! // ... run simulations ...
-//! let delta = activity::snapshot().since(before);
-//! println!("{} edges, {} ticks, {} skipped", delta.edges, delta.ticks, delta.skipped);
+//! struct Spin;
+//! impl Snapshot for Spin {}
+//! impl Component<()> for Spin {
+//!     fn name(&self) -> &str {
+//!         "spin"
+//!     }
+//!     fn tick(&mut self, _ctx: &mut TickContext<'_, ()>) {}
+//! }
+//!
+//! let mut sim: Simulation<()> = Simulation::new();
+//! sim.add_component(Box::new(Spin), ClockDomain::from_mhz(100));
+//! let ((), measured) = activity::measure(|| sim.run_until(Time::from_ns(95)));
+//! assert_eq!(measured, sim.activity());
+//! assert_eq!((measured.edges, measured.ticks), (10, 10));
 //! ```
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
+use std::iter::Sum;
+use std::ops::Add;
 
-static EDGES: AtomicU64 = AtomicU64::new(0);
-static TICKS: AtomicU64 = AtomicU64::new(0);
-static SKIPPED: AtomicU64 = AtomicU64::new(0);
-static ELIDED: AtomicU64 = AtomicU64::new(0);
-static FF_WINDOWS: AtomicU64 = AtomicU64::new(0);
-static FF_ELIDED: AtomicU64 = AtomicU64::new(0);
-
-/// A point-in-time reading of the global activity counters.
+/// Counts of kernel work: one simulation's, or a measurement's sum.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct ActivitySnapshot {
-    /// Total edges processed by all simulations in this process so far.
+pub struct Activity {
+    /// Edges processed: distinct cycle-gear instants plus the edges of each
+    /// fast-gear batch's longest window.
     pub edges: u64,
-    /// Total component ticks executed by all simulations so far.
+    /// Component ticks charged: dispatched plus `elided`.
     pub ticks: u64,
-    /// Total component ticks *skipped* by the sparse active-set schedule
+    /// Component ticks *skipped* by the sparse active-set schedule
     /// (components asleep on an edge their clock domain fired).
     pub skipped: u64,
     /// The part of `ticks` retired without running the component: charged
@@ -70,54 +77,78 @@ pub struct ActivitySnapshot {
     pub ff_elided: u64,
 }
 
-impl ActivitySnapshot {
-    /// The activity that happened between `earlier` and `self`.
-    pub fn since(self, earlier: ActivitySnapshot) -> ActivitySnapshot {
-        ActivitySnapshot {
-            edges: self.edges.wrapping_sub(earlier.edges),
-            ticks: self.ticks.wrapping_sub(earlier.ticks),
-            skipped: self.skipped.wrapping_sub(earlier.skipped),
-            elided: self.elided.wrapping_sub(earlier.elided),
-            ff_windows: self.ff_windows.wrapping_sub(earlier.ff_windows),
-            ff_elided: self.ff_elided.wrapping_sub(earlier.ff_elided),
+impl Activity {
+    /// Applies `op` field by field.
+    fn zip(self, other: Activity, op: fn(u64, u64) -> u64) -> Activity {
+        Activity {
+            edges: op(self.edges, other.edges),
+            ticks: op(self.ticks, other.ticks),
+            skipped: op(self.skipped, other.skipped),
+            elided: op(self.elided, other.elided),
+            ff_windows: op(self.ff_windows, other.ff_windows),
+            ff_elided: op(self.ff_elided, other.ff_elided),
         }
     }
-}
 
-/// Reads the current counter values.
-pub fn snapshot() -> ActivitySnapshot {
-    ActivitySnapshot {
-        edges: EDGES.load(Ordering::Relaxed),
-        ticks: TICKS.load(Ordering::Relaxed),
-        skipped: SKIPPED.load(Ordering::Relaxed),
-        elided: ELIDED.load(Ordering::Relaxed),
-        ff_windows: FF_WINDOWS.load(Ordering::Relaxed),
-        ff_elided: FF_ELIDED.load(Ordering::Relaxed),
+    /// The activity that happened between `earlier` and `self`.
+    pub fn since(self, earlier: Activity) -> Activity {
+        self.zip(earlier, u64::wrapping_sub)
     }
 }
 
-/// Records one processed edge that executed `ticks` component ticks and
-/// skipped `skipped` sleeping ones.
-#[inline]
-pub(crate) fn record_edge(ticks: u64, skipped: u64) {
-    EDGES.fetch_add(1, Ordering::Relaxed);
-    TICKS.fetch_add(ticks, Ordering::Relaxed);
-    if skipped != 0 {
-        SKIPPED.fetch_add(skipped, Ordering::Relaxed);
+impl Add for Activity {
+    type Output = Activity;
+
+    fn add(self, other: Activity) -> Activity {
+        self.zip(other, u64::wrapping_add)
     }
 }
 
-/// One simulation's activity: everything it has counted since it was
-/// built, and how much of that has reached the process-wide counters.
+impl Sum for Activity {
+    fn sum<I: Iterator<Item = Activity>>(iter: I) -> Activity {
+        iter.fold(Activity::default(), Add::add)
+    }
+}
+
+thread_local! {
+    /// The activity reported on this thread since the innermost running
+    /// [`measure`] began; `None` outside every measurement.
+    static MEASURED: Cell<Option<Activity>> = const { Cell::new(None) };
+}
+
+/// Runs `f` and returns, beside its result, the activity of every
+/// simulation call that returned on this thread while it ran. The result
+/// also counts in every measurement around this one. If `f` unwinds, the
+/// measurements around this one lose what they had counted.
+pub fn measure<R>(f: impl FnOnce() -> R) -> (R, Activity) {
+    let outer = MEASURED.replace(Some(Activity::default()));
+    let result = f();
+    let measured = MEASURED.replace(outer).unwrap_or_default();
+    report(measured);
+    (result, measured)
+}
+
+/// Adds `activity` to the measurement running on this thread, if there is
+/// one. Simulations report each public call; code that runs simulations
+/// on threads of its own reports what it measured there.
+pub fn report(activity: Activity) {
+    if let Some(sum) = MEASURED.get() {
+        MEASURED.set(Some(sum + activity));
+    }
+}
+
+/// One simulation's activity since it was built or last restored, and the
+/// part of it already reported.
 #[derive(Debug, Default)]
 pub(crate) struct Pending {
-    total: ActivitySnapshot,
-    reported: ActivitySnapshot,
+    total: Activity,
+    reported: Activity,
 }
 
 impl Pending {
     /// Counts `edges` processed edges: cycle-gear instants, counted where
-    /// the simulation settles its edge count, or one fast-gear batch.
+    /// the simulation settles its edge count, or the edges of one fast-gear
+    /// batch.
     #[inline]
     pub(crate) fn record_edges(&mut self, edges: u64) {
         self.total.edges += edges;
@@ -141,29 +172,15 @@ impl Pending {
         self.total.ff_elided += elided;
     }
 
-    /// This simulation's own counts since it was built, flushed or not.
-    #[cfg(test)]
-    pub(crate) fn total(&self) -> ActivitySnapshot {
+    /// Everything counted, reported or not.
+    pub(crate) fn total(&self) -> Activity {
         self.total
     }
 
-    /// Adds everything counted since the last flush to the process-wide
-    /// counters.
+    /// Reports everything counted since the last flush.
     pub(crate) fn flush(&mut self) {
-        let pending = self.total.since(self.reported);
+        report(self.total.since(self.reported));
         self.reported = self.total;
-        for (counter, count) in [
-            (&EDGES, pending.edges),
-            (&TICKS, pending.ticks),
-            (&SKIPPED, pending.skipped),
-            (&ELIDED, pending.elided),
-            (&FF_WINDOWS, pending.ff_windows),
-            (&FF_ELIDED, pending.ff_elided),
-        ] {
-            if count != 0 {
-                counter.fetch_add(count, Ordering::Relaxed);
-            }
-        }
     }
 }
 
@@ -171,33 +188,66 @@ impl Pending {
 mod tests {
     use super::*;
 
-    #[test]
-    fn deltas_accumulate() {
-        let before = snapshot();
-        record_edge(3, 1);
-        record_edge(2, 0);
-        let delta = snapshot().since(before);
-        // Other tests may run concurrently, so >=, not ==.
-        assert!(delta.edges >= 2);
-        assert!(delta.ticks >= 5);
-        assert!(delta.skipped >= 1);
+    fn edges(edges: u64) -> Activity {
+        Activity {
+            edges,
+            ..Activity::default()
+        }
     }
 
     #[test]
-    fn pending_counts_reach_the_globals_on_flush_once() {
-        let before = snapshot();
+    fn a_measurement_sums_the_reports_made_while_it_runs() {
+        report(edges(100));
+        let ((), measured) = measure(|| {
+            report(edges(3));
+            report(Activity {
+                ticks: 5,
+                ff_elided: 7,
+                ..edges(2)
+            });
+        });
+        report(edges(100));
+        assert_eq!(
+            measured,
+            Activity {
+                ticks: 5,
+                ff_elided: 7,
+                ..edges(5)
+            }
+        );
+    }
+
+    #[test]
+    fn a_nested_measurement_counts_in_both() {
+        let (inner, outer) = measure(|| {
+            report(edges(1));
+            let ((), inner) = measure(|| report(edges(10)));
+            report(edges(100));
+            inner
+        });
+        assert_eq!((inner, outer), (edges(10), edges(111)));
+    }
+
+    #[test]
+    fn pending_counts_are_reported_on_flush_once() {
         let mut pending = Pending::default();
         pending.record_edges(1);
         pending.record_ticks(3, 1, 2);
         pending.record_fast(2, 7);
-        pending.flush();
-        pending.flush();
-        let delta = snapshot().since(before);
-        assert!(delta.edges >= 1 && delta.ticks >= 3 && delta.skipped >= 1);
-        assert!(delta.elided >= 2);
-        assert!(delta.ff_windows >= 2 && delta.ff_elided >= 7);
-        // The simulation's own totals survive the flush and are exact.
-        let own = pending.total();
-        assert_eq!((own.edges, own.ticks, own.ff_windows), (1, 3, 2));
+        let ((), measured) = measure(|| {
+            pending.flush();
+            pending.flush();
+        });
+        let want = Activity {
+            edges: 1,
+            ticks: 3,
+            skipped: 1,
+            elided: 2,
+            ff_windows: 2,
+            ff_elided: 7,
+        };
+        assert_eq!(measured, want);
+        // The simulation's own totals survive the flush.
+        assert_eq!(pending.total(), want);
     }
 }

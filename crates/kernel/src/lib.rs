@@ -64,7 +64,7 @@ mod time;
 pub mod trace;
 pub mod vcd;
 
-pub use activity::ActivitySnapshot;
+pub use activity::Activity;
 pub use clock::ClockDomain;
 pub use component::{Component, ComponentId, Gate, StallHint, TickContext};
 pub use error::{SimError, SimResult};

@@ -147,7 +147,11 @@ impl<T> NaiveSimulation<T> {
                 ticked += 1;
             }
         }
-        crate::activity::record_edge(ticked, 0);
+        crate::activity::report(crate::Activity {
+            edges: 1,
+            ticks: ticked,
+            ..crate::Activity::default()
+        });
         Some(edge)
     }
 

@@ -312,22 +312,13 @@ pub struct Simulation<T> {
     merge_cache: Vec<(Vec<u32>, Vec<u32>)>,
     /// Number of components whose cached idle flag is `false`.
     busy: usize,
-    /// Edges processed up to the last [`fold`](Self::fold): distinct
-    /// cycle-gear instants plus the fast gear's batch edges. The cycle-gear
-    /// instants since are counted when the count is read
-    /// ([`edges_processed`](Self::edges_processed),
-    /// [`checkpoint`](Self::checkpoint)) and folded in when a public call
-    /// returns, before a fast-gear batch, and on registration.
-    edges_settled: u64,
+    /// Edges processed before the last [`restore`](Self::restore): the
+    /// blob's count, 0 for a fresh build. The edges since are
+    /// [`activity`](Self::activity)'s.
+    edges_restored: u64,
     /// The cycle-gear instants retired since the last fold: walked ones
     /// counted as they go, quiet stretches in closed form.
     instants: instants::Instants,
-    /// Component ticks executed so far (across all components; not
-    /// serialized, resets to 0 on restore).
-    total_ticks: u64,
-    /// The part of `total_ticks` retired without calling the component (see
-    /// [`Simulation::ticks_elided`]).
-    total_elided: u64,
     /// Slots whose standing hint declares a counter
     /// ([`StallHint::count_elided`]): the ones a returning public call has
     /// to credit. A handful at most.
@@ -337,9 +328,13 @@ pub struct Simulation<T> {
     /// vouch for a wire as of an instant the batch has not reached — so it
     /// never becomes a slot's standing hint.
     window_hint: StallHint,
-    /// Edge counts not yet added to the process-wide
-    /// [`activity`](crate::activity) counters; flushed when a public run
-    /// call returns.
+    /// What this simulation has done since it was built or last restored
+    /// (not serialized), reported when a public run call returns. The
+    /// cycle-gear instants since the last [`fold`](Self::fold) are not in
+    /// it yet: they are counted when the edge count is read
+    /// ([`edges_processed`](Self::edges_processed),
+    /// [`checkpoint`](Self::checkpoint)) and folded in when a public call
+    /// returns, before a fast-gear batch, and on registration.
     activity: crate::activity::Pending,
     /// `true` disables sparse ticking for this simulation.
     dense: bool,
@@ -383,10 +378,8 @@ impl<T> Simulation<T> {
             fired: Vec::new(),
             merge_cache: Vec::new(),
             busy: 0,
-            edges_settled: 0,
+            edges_restored: 0,
             instants: instants::Instants::default(),
-            total_ticks: 0,
-            total_elided: 0,
             crediting: Vec::new(),
             window_hint: StallHint::default(),
             activity: crate::activity::Pending::default(),
@@ -562,17 +555,28 @@ impl<T> Simulation<T> {
     /// retired (each [`Simulation::step`] is one), plus the edges of each
     /// fast-gear batch's longest window.
     pub fn edges_processed(&self) -> u64 {
-        self.edges_settled
+        self.edges_restored
+            .wrapping_add(self.activity.total().edges)
             .wrapping_add(self.instants.count(&self.next_edges))
     }
 
     /// Folds the cycle-gear instants retired since the last fold into the
-    /// edge count and the activity counters.
+    /// activity.
     fn fold(&mut self) {
         let instants = self.instants.count(&self.next_edges);
-        self.edges_settled = self.edges_settled.wrapping_add(instants);
         self.activity.record_edges(instants);
         self.instants.settle();
+    }
+
+    /// What this simulation has done since construction (or since the last
+    /// [`restore`](Simulation::restore)): edges processed, component ticks
+    /// charged, elided and skipped, fast-gear windows and the cycles they
+    /// slept over. Each public run call also
+    /// [reports](crate::activity::report) what it added when it returns, to
+    /// the [`activity::measure`](crate::activity::measure)ment running on
+    /// its thread.
+    pub fn activity(&self) -> crate::Activity {
+        self.activity.total()
     }
 
     /// Total component ticks charged across all components since
@@ -580,7 +584,7 @@ impl<T> Simulation<T> {
     /// dispatched ticks plus [elided](Simulation::ticks_elided) ones, so the
     /// count does not depend on which components publish stall hints.
     pub fn ticks_executed(&self) -> u64 {
-        self.total_ticks
+        self.activity.total().ticks
     }
 
     /// The part of [`ticks_executed`](Simulation::ticks_executed) that was
@@ -591,7 +595,7 @@ impl<T> Simulation<T> {
     /// fast-gear window retired through [`FastCtx::stall`]. Always 0 on the
     /// dense schedule and under the skip audit, which dispatch everything.
     pub fn ticks_elided(&self) -> u64 {
-        self.total_elided
+        self.activity.total().elided
     }
 
     /// The shared link pool (for wiring before the run and inspection after).
@@ -788,7 +792,7 @@ impl<T> Simulation<T> {
 
     /// What every public run call does before it returns: pays all standing
     /// credit, so the registry reads exact between calls, and reports the
-    /// call's edges to the process-wide activity counters.
+    /// call's activity.
     fn finish_call(&mut self) {
         self.fold();
         for k in 0..self.crediting.len() {
@@ -955,8 +959,6 @@ impl<T> Simulation<T> {
         }
         let ticked = dispatched + elided;
         self.instants.walked();
-        self.total_ticks += ticked;
-        self.total_elided += elided;
         self.activity.record_ticks(ticked, members - ticked, elided);
         self.select();
         Some(edge)
@@ -1009,8 +1011,6 @@ impl<T> Simulation<T> {
             skipped += (bucket.members.len() as u64 - bucket.stalled) * edges;
         }
         self.time = Time::from_ps(last);
-        self.total_ticks += elided;
-        self.total_elided += elided;
         self.activity.record_ticks(elided, skipped, elided);
         self.select();
     }
@@ -1062,7 +1062,7 @@ impl<T> Simulation<T> {
         // temporal decoupling. `time` reports the last edge processed so
         // quiescence observed mid-batch is stamped where it was drained.
         self.time = Time::from_ps(last_ps);
-        self.edges_settled = self.edges_settled.wrapping_add(batch_edges);
+        self.activity.record_edges(batch_edges);
         self.select();
         Some(edge)
     }
@@ -1109,9 +1109,6 @@ impl<T> Simulation<T> {
             slept += n - dispatched - retired;
             stalled += retired;
         }
-        self.total_ticks += ticked;
-        self.total_elided += stalled;
-        self.activity.record_edges(1);
         self.activity.record_ticks(ticked, skipped, stalled);
         self.activity.record_fast(windows, slept);
     }
@@ -1540,8 +1537,9 @@ impl<T: crate::snapshot::Persist> Simulation<T> {
     /// After `restore(blob)` it is indistinguishable from a fresh build
     /// restored from the same blob: the same checkpoint bytes at once, and
     /// the same run afterwards — report, checkpoint bytes,
-    /// [`ticks_executed`](Self::ticks_executed),
-    /// [`ticks_elided`](Self::ticks_elided),
+    /// [`activity`](Self::activity) (with it
+    /// [`ticks_executed`](Self::ticks_executed) and
+    /// [`ticks_elided`](Self::ticks_elided)),
     /// [`edges_processed`](Self::edges_processed) and per-component ticks
     /// and dispatches. Every [`Snapshot::restore`](crate::Snapshot::restore)
     /// therefore resets each field its `save` does not write (notes for
@@ -1572,7 +1570,7 @@ impl<T: crate::snapshot::Persist> Simulation<T> {
             .into());
         }
         self.time = Persist::load(&mut r);
-        self.edges_settled = r.read_u64();
+        self.edges_restored = r.read_u64();
         r.expect_section("rng");
         self.rng = Persist::load(&mut r);
         r.expect_section("faults");
@@ -1642,13 +1640,12 @@ impl<T: crate::snapshot::Persist> Simulation<T> {
         // leaves — every key and bucket bound due, no waiter, no standing
         // hint or credit — so a used simulation restores like a fresh one
         // (hints are re-read like deadlines; the blob holds no pending
-        // credit, so they speak from the next edge on). Executed-tick
-        // counters are not part of the blob (they differ between sparse and
-        // dense runs); they restart from zero.
+        // credit, so they speak from the next edge on). The activity is not
+        // part of the blob (ticks differ between sparse and dense runs); it
+        // restarts from zero.
         self.select();
         self.busy = self.slots.iter().filter(|s| !s.idle).count();
-        self.total_ticks = 0;
-        self.total_elided = 0;
+        self.activity = crate::activity::Pending::default();
         self.links.reset_wake_keys();
         self.crediting.clear();
         for i in 0..self.slots.len() {
@@ -2796,9 +2793,7 @@ mod tests {
         let mut fast = gear_pipeline_sim(Fidelity::fast());
         fast.run_to_quiescence_strict(Time::from_us(10))
             .expect("fast gear must preserve drainage");
-        // The simulation's own counts: the process-wide ones are fed by
-        // every test that simulates concurrently.
-        let own = fast.activity.total();
+        let own = fast.activity();
         let mut cycle = gear_pipeline_sim(Fidelity::Cycle);
         cycle.run_to_quiescence_strict(Time::from_us(10)).unwrap();
         // Same payloads in the same order; delivery instants may be
@@ -2811,6 +2806,67 @@ mod tests {
     }
 
     #[test]
+    fn activity_counts_every_edge_in_every_gear_and_restarts_on_restore() {
+        let gears = [
+            ("cycle", Fidelity::Cycle, false),
+            ("dense", Fidelity::Cycle, true),
+            ("fast q1", Fidelity::Fast { quantum: 1 }, false),
+            ("fast q16", Fidelity::Fast { quantum: 16 }, false),
+        ];
+        for (label, fidelity, dense) in gears {
+            let build = || {
+                let mut sim = gear_pipeline_sim(fidelity);
+                sim.set_dense(dense);
+                sim
+            };
+            let mut sim = build();
+            sim.run_until(Time::from_ns(400));
+            assert_eq!(sim.activity().edges, sim.edges_processed(), "{label}");
+            let blob = sim.checkpoint();
+            let at_blob = sim.edges_processed();
+            sim.run_to_quiescence_strict(Time::from_us(10)).unwrap();
+            let mut restored = build();
+            restored.restore(&blob).unwrap();
+            assert_eq!(restored.activity(), crate::Activity::default(), "{label}");
+            restored
+                .run_to_quiescence_strict(Time::from_us(10))
+                .unwrap();
+            assert_eq!(
+                restored.activity().edges,
+                restored.edges_processed() - at_blob,
+                "{label}: restored"
+            );
+            assert_eq!(restored.edges_processed(), sim.edges_processed(), "{label}");
+        }
+    }
+
+    #[test]
+    fn concurrent_measurements_each_see_their_own_simulation() {
+        // Two gears, so the two simulations' counts differ.
+        let barrier = std::sync::Barrier::new(2);
+        let [cycle, fast] = [Fidelity::Cycle, Fidelity::Fast { quantum: 16 }].map(|fidelity| {
+            let barrier = &barrier;
+            move || {
+                let mut sim = gear_pipeline_sim(fidelity);
+                barrier.wait();
+                let (_, measured) = crate::activity::measure(|| {
+                    for horizon in 1..=20 {
+                        sim.run_until(Time::from_ns(horizon * 100));
+                    }
+                });
+                (measured, sim.activity())
+            }
+        });
+        let (cycle, fast) = std::thread::scope(|scope| {
+            let fast = scope.spawn(fast);
+            (cycle(), fast.join().unwrap())
+        });
+        assert_eq!(cycle.0, cycle.1);
+        assert_eq!(fast.0, fast.1);
+        assert_ne!(cycle.0, fast.0);
+    }
+
+    #[test]
     fn fast_windows_clamp_at_the_horizon() {
         let mut fast = gear_pipeline_sim(Fidelity::Fast { quantum: 64 });
         let mut cycle = gear_pipeline_sim(Fidelity::Cycle);
@@ -2820,8 +2876,9 @@ mod tests {
         assert!(fast.time() <= horizon, "no edge past the horizon");
         // The *schedule* (which is state-independent) must land exactly
         // where the cycle gear leaves it: same pending edge per domain,
-        // same last processed edge. (`edges_processed` counts scheduling
-        // batches covering windows, so it is smaller at quantum > 1.)
+        // same last processed edge. (`edges_processed` counts each
+        // batch's longest window, not the distinct instants inside the
+        // windows, so it is smaller at quantum > 1.)
         assert_eq!(fast.next_edge(), cycle.next_edge());
         assert_eq!(fast.time(), cycle.time());
         assert!(fast.edges_processed() <= cycle.edges_processed());

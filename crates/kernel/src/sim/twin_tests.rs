@@ -166,7 +166,7 @@ fn check_twins(
             sim.time(),
             sim.next_edge(),
             sim.edges_processed(),
-            sim.activity.total(),
+            sim.activity(),
             component_tick_counts(sim),
         )
     };

@@ -1039,11 +1039,7 @@ fn assert_twins(jumped: &Simulation<u64>, stepped: &Simulation<u64>, label: &str
         dispatches(stepped),
         "{label}: per-component dispatches"
     );
-    assert_eq!(
-        jumped.activity.total(),
-        stepped.activity.total(),
-        "{label}: activity"
-    );
+    assert_eq!(jumped.activity(), stepped.activity(), "{label}: activity");
     assert!(
         jumped.checkpoint().as_bytes() == stepped.checkpoint().as_bytes(),
         "{label}: checkpoints differ"

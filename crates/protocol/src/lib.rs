@@ -19,8 +19,6 @@
 //! * [`DataWidth`] — bus width algebra (beat counts across conversions).
 //! * [`ProtocolKind`] — per-protocol capability matrix (split transactions,
 //!   posted writes, out-of-order responses, outstanding limits).
-//! * [`TransactionTracker`] — bookkeeping used by platforms and tests to
-//!   assert transaction conservation and collect latency statistics.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -33,7 +31,6 @@ pub mod persist;
 mod protocol_kind;
 pub mod testing;
 mod tlm;
-mod tracker;
 mod transaction;
 mod width;
 
@@ -43,6 +40,5 @@ pub use ids::{InitiatorId, MessageId, TransactionId};
 pub use packet::{Packet, Response};
 pub use protocol_kind::ProtocolKind;
 pub use tlm::{TlmBus, TlmBusConfig};
-pub use tracker::{TrackerError, TransactionTracker};
 pub use transaction::{Opcode, Transaction, TransactionBuilder};
 pub use width::DataWidth;
