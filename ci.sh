@@ -32,8 +32,10 @@
 #          rustfmt --check and clippy -D warnings inside benchmark/ (a
 #          package of its own, outside the workspace)
 #   test   release build of the workspace, the full test suite (the tests
-#          above among them), one small end-to-end reproduction through the
-#          repro binary, the CLI-wiring smoke (a full `repro --dense` run
+#          above among them), the whole scale-1 suite through the repro
+#          binary with its `total:` edge / tick / skipped counts pinned (a
+#          change that moves them updates the pin on purpose), the CLI-wiring
+#          smoke (a full `repro --dense` run
 #          must report 0 skipped ticks), the example walkthroughs
 #          (quickstart, trace replay), and the benchmark harness in quick
 #          mode (every workload's output checks, simserved's --port-file /
@@ -73,8 +75,18 @@ stage_test() {
     echo "== tier-1: tests (workspace) =="
     cargo test --workspace -q
 
-    echo "== smoke: repro --exp robustness --scale 1 =="
-    cargo run --release -p mpsoc-bench --bin repro -- --exp robustness --scale 1
+    echo "== smoke: repro --scale 1, its total: counts pinned =="
+    # Every experiment, robustness included, in about half a second. The
+    # counts are a pure function of the code: a change that moves an edge,
+    # tick or skipped count must move this pin with it.
+    local pinned='total: 2713856 edges, 4881957 sim cycles (14320258 skipped) in '
+    local out
+    out=$(cargo run --release -p mpsoc-bench --bin repro -- --scale 1)
+    echo "$out"
+    if ! grep -qF "$pinned" <<<"$out"; then
+        echo "repro --scale 1: no line starting '$pinned'" >&2
+        exit 1
+    fi
 
     echo "== CLI wiring: repro --dense reaches every simulation (0 skipped) =="
     # The one thing the in-process mode tests cannot see: that the flags

@@ -252,7 +252,9 @@ impl PlatformBuilder {
         Ok(TargetIface { req, resp })
     }
 
-    /// Attaches an on-chip memory with a single-slot (blocking) interface.
+    /// Attaches an on-chip memory on the bus's clock, its request (prefetch)
+    /// and response wires `fifo` deep each; depth 1 is a single-slot
+    /// (blocking) interface.
     ///
     /// # Errors
     ///
@@ -262,10 +264,11 @@ impl PlatformBuilder {
         bus: BusHandle,
         name: &str,
         config: OnChipMemoryConfig,
+        fifo: usize,
         range: AddressRange,
     ) -> SimResult<()> {
         let clock = self.buses[bus.0].clock;
-        let iface = self.target_port(bus, name, 1, 1, &[range])?;
+        let iface = self.target_port(bus, name, fifo, fifo, &[range])?;
         self.sim.add_component(
             Box::new(OnChipMemory::new(
                 name, config, clock, iface.req, iface.resp,
@@ -542,6 +545,7 @@ mod tests {
             bus,
             "m0",
             OnChipMemoryConfig::default(),
+            1,
             AddressRange::new(0, 0x1000),
         )
         .expect("first range fits");
@@ -550,6 +554,7 @@ mod tests {
                 bus,
                 "m1",
                 OnChipMemoryConfig::default(),
+                1,
                 AddressRange::new(0x800, 0x2000),
             )
             .expect_err("overlap must fail");
@@ -585,6 +590,7 @@ mod tests {
             bus,
             "mem",
             OnChipMemoryConfig::default(),
+            1,
             AddressRange::new(0, 1 << 20),
         )
         .expect("wires");

@@ -635,6 +635,7 @@ fn build_platform_inner(spec: &PlatformSpec, custom: Option<&[CustomIp]>) -> Sim
                 OnChipMemoryConfig {
                     wait_states: *wait_states,
                 },
+                1,
                 mem_range,
             )?;
         }
@@ -842,27 +843,10 @@ pub fn build_single_layer(spec: &SingleLayerSpec) -> SimResult<Platform> {
     for t in 0..spec.targets {
         let base = MEM_BASE + t as u64 * region;
         let range = AddressRange::new(base, base + region);
-        let name = format!("mem{t}");
-        let clock = b.bus_clock(bus);
-        let iface = b.target_port(
-            bus,
-            &name,
-            spec.prefetch_fifo,
-            spec.prefetch_fifo.max(1),
-            &[range],
-        )?;
-        b.add_component(
-            Box::new(mpsoc_memory::OnChipMemory::new(
-                name,
-                OnChipMemoryConfig {
-                    wait_states: spec.wait_states,
-                },
-                clock,
-                iface.req,
-                iface.resp,
-            )),
-            clock,
-        );
+        let config = OnChipMemoryConfig {
+            wait_states: spec.wait_states,
+        };
+        b.add_on_chip_memory(bus, &format!("mem{t}"), config, spec.prefetch_fifo, range)?;
     }
 
     for i in 0..spec.initiators {

@@ -80,28 +80,16 @@ fn lmi_config(c: &Candidate) -> LmiConfig {
 
 /// Attaches the four memories of the candidate to `bus`.
 fn add_memories(b: &mut PlatformBuilder, bus: BusHandle, c: &Candidate) -> SimResult<()> {
-    let bus_clk = b.bus_clock(bus);
     let lmi_clk = ClockDomain::from_mhz(LMI_MHZ);
     for t in 0..TARGETS {
         let name = format!("m{t}");
         if c.lmi {
             b.add_lmi(bus, &name, lmi_config(c), lmi_clk, mem_range(t))?;
         } else {
-            // target_port (rather than add_on_chip_memory) so the
-            // prefetch/response FIFO depth is a live knob.
-            let iface = b.target_port(bus, &name, c.target_fifo, c.target_fifo, &[mem_range(t)])?;
-            b.add_component(
-                Box::new(OnChipMemory::new(
-                    name,
-                    OnChipMemoryConfig {
-                        wait_states: c.wait_states,
-                    },
-                    bus_clk,
-                    iface.req,
-                    iface.resp,
-                )),
-                bus_clk,
-            );
+            let config = OnChipMemoryConfig {
+                wait_states: c.wait_states,
+            };
+            b.add_on_chip_memory(bus, &name, config, c.target_fifo, mem_range(t))?;
         }
     }
     Ok(())

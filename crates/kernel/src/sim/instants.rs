@@ -115,10 +115,10 @@ impl Instants {
         self.terms.get_or_init(|| terms_of(&self.clocks)).as_deref()
     }
 
-    /// One instant walked.
+    /// `n` instants walked.
     #[inline]
-    pub(super) fn walked(&mut self) {
-        self.retired += 1;
+    pub(super) fn walked(&mut self, n: u64) {
+        self.retired += n;
     }
 
     /// A quiet stretch ending at `end` (ps, exclusive) is about to be
@@ -388,7 +388,7 @@ mod tests {
         let clocks = [ClockDomain::from_mhz(250), ClockDomain::from_mhz(200)];
         let (mut instants, next) = instants_of(&clocks, Time::ZERO);
         for _ in 0..3 {
-            instants.walked();
+            instants.walked(1);
         }
         assert_eq!(instants.count(&times(&next)), 3);
         let (after, expected) = fire(&mut instants, &next, &[5, 4]);
@@ -423,7 +423,7 @@ mod tests {
                         *next += period(b);
                     }
                 }
-                instants.walked();
+                instants.walked(1);
             }
             let end = next.iter().min().expect("buckets") + 20_000;
             instants.retire_stretch(&times(&next), end);
@@ -447,7 +447,7 @@ mod tests {
     fn walked_instants_alone_build_no_terms() {
         let clocks = [ClockDomain::from_mhz(250), ClockDomain::from_mhz(200)];
         let (mut instants, next) = instants_of(&clocks, Time::ZERO);
-        instants.walked();
+        instants.walked(1);
         assert_eq!(instants.count(&times(&next)), 1);
         assert!(instants.terms.get().is_none());
     }

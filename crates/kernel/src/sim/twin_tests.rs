@@ -205,7 +205,7 @@ fn run_twins(shape: &Shape, chunks: &[u64]) -> Result<(), TestCaseError> {
     while !(jumped.time() > Time::ZERO && jumped.is_quiescent()) {
         prop_assert!(jumped.time() < HORIZON, "never drained");
         let edges = jumped.edges_processed();
-        let first = jumped.step_cycle(Some(HORIZON)).expect("an edge");
+        let first = jumped.step_bounded(None, Some(HORIZON)).expect("an edge");
         jumped.finish_call();
         batches += 1;
         stretches += u32::from(jumped.edges_processed() - edges > 1);

@@ -1073,7 +1073,7 @@ fn stretches() -> Vec<[Time; 4]> {
     while !(jumped.time() > Time::ZERO && jumped.is_quiescent()) {
         assert!(jumped.time() < HORIZON, "never drained");
         let (before, edges) = (jumped.time(), jumped.edges_processed());
-        let first = jumped.step_cycle(Some(HORIZON)).expect("an edge");
+        let first = jumped.step_bounded(None, Some(HORIZON)).expect("an edge");
         jumped.finish_call();
         batches += 1;
         instants += jumped.edges_processed() - edges;
