@@ -2,8 +2,7 @@
 
 use mpsoc_kernel::{ClockDomain, Component, Gate, LinkId, StallHint, TickContext, Time, TraceKind};
 use mpsoc_protocol::{
-    AddressMap, AddressMapError, AddressRange, ArbitrationPolicy, Contender, DataWidth, Packet,
-    TransactionId,
+    ArbitrationPolicy, Contender, DataWidth, Interconnect, Packet, Ports, TransactionId,
 };
 
 /// How many cycles before the current transaction completes the arbiter may
@@ -29,18 +28,6 @@ impl Default for AhbBusConfig {
             arbitration: ArbitrationPolicy::FixedPriority,
         }
     }
-}
-
-#[derive(Debug)]
-struct InitiatorPort {
-    req_in: LinkId,
-    resp_out: LinkId,
-}
-
-#[derive(Debug)]
-struct TargetPort {
-    req_out: LinkId,
-    resp_in: LinkId,
 }
 
 #[derive(Debug)]
@@ -79,7 +66,7 @@ mpsoc_kernel::metric_ids! {
 ///
 /// ```
 /// use mpsoc_kernel::{Simulation, ClockDomain};
-/// use mpsoc_protocol::{AddressRange, Packet};
+/// use mpsoc_protocol::{AddressRange, Interconnect, Packet};
 /// use mpsoc_ahb::{AhbBus, AhbBusConfig};
 ///
 /// let mut sim: Simulation<Packet> = Simulation::new();
@@ -101,9 +88,7 @@ pub struct AhbBus {
     name: String,
     config: AhbBusConfig,
     clock: ClockDomain,
-    initiators: Vec<InitiatorPort>,
-    targets: Vec<TargetPort>,
-    map: AddressMap<usize>,
+    ports: Ports,
     active: Option<Active>,
     busy_until: Time,
     /// High-water mark of busy time already charged to the utilisation
@@ -123,9 +108,7 @@ impl AhbBus {
             name: name.into(),
             config,
             clock,
-            initiators: Vec::new(),
-            targets: Vec::new(),
-            map: AddressMap::new(),
+            ports: Ports::default(),
             active: None,
             busy_until: Time::ZERO,
             charged_until: Time::ZERO,
@@ -138,7 +121,7 @@ impl AhbBus {
     /// Restore's check hook: the held transaction and the last winner name
     /// ports this bus has.
     fn after_restore(&mut self, r: &mut mpsoc_kernel::StateReader<'_>) {
-        let (ports, targets) = (self.initiators.len(), self.targets.len());
+        let (ports, targets) = (self.ports.initiators().len(), self.ports.targets().len());
         let fits = self.last_winner < ports.max(1)
             && self
                 .active
@@ -152,52 +135,13 @@ impl AhbBus {
         }
     }
 
-    /// Attaches an initiator port; returns its index.
-    pub fn add_initiator(&mut self, req_in: LinkId, resp_out: LinkId) -> usize {
-        self.initiators.push(InitiatorPort { req_in, resp_out });
-        self.initiators.len() - 1
-    }
-
-    /// Attaches a target port; returns its index.
-    pub fn add_target(&mut self, req_out: LinkId, resp_in: LinkId) -> usize {
-        self.targets.push(TargetPort { req_out, resp_in });
-        self.targets.len() - 1
-    }
-
-    /// Routes an address range to a target port.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the range overlaps an existing route.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `target` is not a valid target-port index.
-    pub fn add_route(&mut self, range: AddressRange, target: usize) -> Result<(), AddressMapError> {
-        assert!(
-            target < self.targets.len(),
-            "route to unknown target port {target}"
-        );
-        self.map.add(range, target)
-    }
-
-    /// Number of initiator ports.
-    pub fn initiator_count(&self) -> usize {
-        self.initiators.len()
-    }
-
-    /// Number of target ports.
-    pub fn target_count(&self) -> usize {
-        self.targets.len()
-    }
-
     fn complete_active(&mut self, ctx: &mut TickContext<'_, Packet>) {
         let now = ctx.time;
         if now < self.busy_until {
             return;
         }
         let Some(active) = &self.active else { return };
-        let resp_in = self.targets[active.target_port].resp_in;
+        let resp_in = self.ports.target(active.target_port).resp_in;
         let Some(Packet::Response(resp)) = ctx.links.peek(resp_in, now) else {
             return;
         };
@@ -209,7 +153,7 @@ impl AhbBus {
         if active.forward_response
             && !ctx
                 .links
-                .can_push(self.initiators[active.initiator_port].resp_out)
+                .can_push(self.ports.initiator(active.initiator_port).resp_out)
         {
             return;
         }
@@ -222,7 +166,7 @@ impl AhbBus {
         if active.forward_response {
             ctx.links
                 .push_after(
-                    self.initiators[active.initiator_port].resp_out,
+                    self.ports.initiator(active.initiator_port).resp_out,
                     now,
                     period * cycles.saturating_sub(1),
                     Packet::Response(resp),
@@ -255,15 +199,13 @@ impl AhbBus {
         }
         let mut contenders = std::mem::take(&mut self.contenders);
         contenders.clear();
-        for (p, port) in self.initiators.iter().enumerate() {
+        for (p, port) in self.ports.initiators().iter().enumerate() {
             let Some(Packet::Request(txn)) = ctx.links.peek(port.req_in, now) else {
                 continue;
             };
-            let (addr, priority, created_at) = (txn.addr, txn.priority, txn.created_at);
-            let Some(target) = self.map.route(addr) else {
-                panic!("{}: no route for address {addr:#x}", self.name);
-            };
-            if !ctx.links.can_push(self.targets[target].req_out) {
+            let (priority, created_at) = (txn.priority, txn.created_at);
+            let target = self.ports.expect_route(txn.addr, &self.name);
+            if !ctx.links.can_push(self.ports.target(target).req_out) {
                 continue;
             }
             contenders.push(Contender {
@@ -272,17 +214,18 @@ impl AhbBus {
                 created_at,
             });
         }
-        let winner =
-            self.config
-                .arbitration
-                .pick(&contenders, self.last_winner, self.initiators.len());
+        let winner = self.config.arbitration.pick(
+            &contenders,
+            self.last_winner,
+            self.ports.initiators().len(),
+        );
         self.contenders = contenders;
         let Some(winner) = winner else {
             return;
         };
         let pkt = ctx
             .links
-            .pop(self.initiators[winner.port].req_in, now)
+            .pop(self.ports.initiator(winner.port).req_in, now)
             .expect("contender head present");
         let mut txn = pkt.expect_request();
         debug_assert_eq!(
@@ -290,7 +233,7 @@ impl AhbBus {
             "{}: transaction width mismatch (missing converter?)",
             self.name
         );
-        let target = self.map.route(txn.addr).expect("routed above");
+        let target = self.ports.expect_route(txn.addr, &self.name);
         // AHB writes are non-posted on the wire: the bus always collects the
         // target's acknowledgement, but only forwards it if the master
         // expects one.
@@ -306,7 +249,7 @@ impl AhbBus {
         let txn_id = txn.id;
         ctx.links
             .push_after(
-                self.targets[target].req_out,
+                self.ports.target(target).req_out,
                 now,
                 extra,
                 Packet::Request(txn),
@@ -324,6 +267,12 @@ impl AhbBus {
             format!("txn {txn_id} port {} -> target {target}", winner.port)
         });
         ctx.stats.inc(self.counters.granted, 1);
+    }
+}
+
+impl Interconnect for AhbBus {
+    fn ports_mut(&mut self) -> &mut Ports {
+        &mut self.ports
     }
 }
 
@@ -359,13 +308,7 @@ impl Component<Packet> for AhbBus {
     }
 
     fn watched_links(&self) -> Option<Vec<LinkId>> {
-        Some(
-            self.initiators
-                .iter()
-                .map(|p| p.req_in)
-                .chain(self.targets.iter().map(|t| t.resp_in))
-                .collect(),
-        )
+        Some(self.ports.watched_links())
     }
 
     fn next_activity(&self) -> Option<Time> {
@@ -382,7 +325,7 @@ impl Component<Packet> for AhbBus {
     fn stall_hint(&self, hint: &mut StallHint) {
         // In `watched_links` order: initiator request wires, then target
         // response wires.
-        let ports = self.initiators.len();
+        let ports = self.ports.initiators().len();
         match &self.active {
             Some(active) => {
                 // Bus held: no arbitration, and the only response looked at
@@ -392,7 +335,7 @@ impl Component<Packet> for AhbBus {
                 let mut completion = Gate::until(self.busy_until);
                 if active.forward_response {
                     completion =
-                        completion.with_space(self.initiators[active.initiator_port].resp_out);
+                        completion.with_space(self.ports.initiator(active.initiator_port).resp_out);
                 }
                 hint.gate_input(ports + active.target_port, completion);
                 // Until then every cycle past the data phase counts one
@@ -408,12 +351,12 @@ impl Component<Packet> for AhbBus {
                     .busy_until
                     .saturating_sub(self.clock.period() * EARLY_GRANT_CYCLES);
                 let mut request = Gate::until(early);
-                if let [only] = self.targets.as_slice() {
+                if let [only] = self.ports.targets() {
                     request = request.with_space(only.req_out);
                 }
                 hint.gate_inputs(request);
                 // No response is expected; one that shows up is looked at.
-                for t in 0..self.targets.len() {
+                for t in 0..self.ports.targets().len() {
                     hint.gate_input(ports + t, Gate::OPEN);
                 }
             }
@@ -446,7 +389,7 @@ mod tests {
     use super::*;
     use mpsoc_kernel::Simulation;
     use mpsoc_protocol::testing::{FixedLatencyTarget, ScriptedInitiator};
-    use mpsoc_protocol::{InitiatorId, Transaction};
+    use mpsoc_protocol::{AddressRange, InitiatorId, Transaction};
 
     const CLK_MHZ: u64 = 200;
 

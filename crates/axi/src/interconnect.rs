@@ -2,10 +2,8 @@
 
 use mpsoc_kernel::{ClockDomain, Component, Gate, LinkId, StallHint, TickContext, Time, TraceKind};
 use mpsoc_protocol::{
-    AddressMap, AddressMapError, AddressRange, ArbitrationPolicy, Contender, DataWidth, Opcode,
-    Packet, TransactionId,
+    ArbitrationPolicy, Contender, DataWidth, Interconnect, Opcode, Packet, Ports, SplitLedger,
 };
-use std::collections::{HashMap, VecDeque};
 
 /// Configuration of an [`AxiInterconnect`].
 #[derive(Debug, Clone, Copy)]
@@ -34,18 +32,6 @@ impl Default for AxiInterconnectConfig {
     }
 }
 
-#[derive(Debug)]
-struct InitiatorPort {
-    req_in: LinkId,
-    resp_out: LinkId,
-}
-
-#[derive(Debug)]
-struct TargetPort {
-    req_out: LinkId,
-    resp_in: LinkId,
-}
-
 mpsoc_kernel::metric_ids! {
     /// The interconnect's counters, kept from `register_metrics`.
     struct Counters {
@@ -63,7 +49,7 @@ mpsoc_kernel::metric_ids! {
 ///
 /// ```
 /// use mpsoc_kernel::{Simulation, ClockDomain};
-/// use mpsoc_protocol::{AddressRange, Packet};
+/// use mpsoc_protocol::{AddressRange, Interconnect, Packet};
 /// use mpsoc_axi::{AxiInterconnect, AxiInterconnectConfig};
 ///
 /// let mut sim: Simulation<Packet> = Simulation::new();
@@ -85,11 +71,10 @@ pub struct AxiInterconnect {
     name: String,
     config: AxiInterconnectConfig,
     clock: ClockDomain,
-    initiators: Vec<InitiatorPort>,
-    targets: Vec<TargetPort>,
-    map: AddressMap<usize>,
-    /// Response-expecting transactions in flight per initiator port.
-    outstanding: Vec<usize>,
+    ports: Ports,
+    /// Split-transaction bookkeeping; its source order is what the
+    /// single-ID in-order mode delivers by.
+    txns: SplitLedger,
     ar_busy: Time,
     aw_busy: Time,
     w_busy: Time,
@@ -98,11 +83,6 @@ pub struct AxiInterconnect {
     last_ar_winner: usize,
     last_aw_winner: usize,
     resp_rr: usize,
-    in_flight: HashMap<TransactionId, usize>,
-    /// Issue order per original initiator id (single-ID in-order mode);
-    /// ordering per physical port would deadlock behind bridges that
-    /// multiplex several sources.
-    expected_by_source: HashMap<mpsoc_protocol::InitiatorId, VecDeque<TransactionId>>,
     counters: Counters,
     /// Scratch for [`arbitrate_requests`](Self::arbitrate_requests): the
     /// contenders of the channel being arbitrated. Cleared per use, never
@@ -143,10 +123,8 @@ impl AxiInterconnect {
             name: name.into(),
             config,
             clock,
-            initiators: Vec::new(),
-            targets: Vec::new(),
-            map: AddressMap::new(),
-            outstanding: Vec::new(),
+            ports: Ports::default(),
+            txns: SplitLedger::default(),
             ar_busy: Time::ZERO,
             aw_busy: Time::ZERO,
             w_busy: Time::ZERO,
@@ -155,8 +133,6 @@ impl AxiInterconnect {
             last_ar_winner: 0,
             last_aw_winner: 0,
             resp_rr: 0,
-            in_flight: HashMap::new(),
-            expected_by_source: HashMap::new(),
             counters: Counters::default(),
             contenders: Vec::new(),
             req_heads: Vec::new(),
@@ -170,12 +146,11 @@ impl AxiInterconnect {
     fn after_restore(&mut self, r: &mut mpsoc_kernel::StateReader<'_>) {
         self.req_heads.clear();
         self.resp_heads.clear();
-        let (ports, targets) = (self.initiators.len(), self.targets.len());
-        let fits = self.outstanding.len() == ports
+        let (ports, targets) = (self.ports.initiators().len(), self.ports.targets().len());
+        let fits = self.txns.fits(ports)
             && self.last_ar_winner < ports.max(1)
             && self.last_aw_winner < ports.max(1)
-            && self.resp_rr < targets.max(1)
-            && self.in_flight.values().all(|&port| port < ports);
+            && self.resp_rr < targets.max(1);
         if !fits {
             r.refuse(format!(
                 "{}: state does not fit {ports} ports and {targets} targets",
@@ -184,52 +159,12 @@ impl AxiInterconnect {
         }
     }
 
-    /// Attaches an initiator port; returns its index.
-    pub fn add_initiator(&mut self, req_in: LinkId, resp_out: LinkId) -> usize {
-        self.initiators.push(InitiatorPort { req_in, resp_out });
-        self.outstanding.push(0);
-        self.initiators.len() - 1
-    }
-
-    /// Attaches a target port; returns its index.
-    pub fn add_target(&mut self, req_out: LinkId, resp_in: LinkId) -> usize {
-        self.targets.push(TargetPort { req_out, resp_in });
-        self.targets.len() - 1
-    }
-
-    /// Routes an address range to a target port.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the range overlaps an existing route.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `target` is not a valid target-port index.
-    pub fn add_route(&mut self, range: AddressRange, target: usize) -> Result<(), AddressMapError> {
-        assert!(
-            target < self.targets.len(),
-            "route to unknown target port {target}"
-        );
-        self.map.add(range, target)
-    }
-
-    /// Number of initiator ports.
-    pub fn initiator_count(&self) -> usize {
-        self.initiators.len()
-    }
-
-    /// Number of target ports.
-    pub fn target_count(&self) -> usize {
-        self.targets.len()
-    }
-
     /// Delivers at most one response on the R channel (reads) and one on
     /// the B channel (write acks) per cycle.
     fn deliver_responses(&mut self, ctx: &mut TickContext<'_, Packet>) {
         let now = ctx.time;
         let period = self.clock.period();
-        let n_targets = self.targets.len();
+        let n_targets = self.ports.targets().len();
         if n_targets == 0 {
             return;
         }
@@ -240,35 +175,28 @@ impl AxiInterconnect {
                 break;
             }
             let t = (self.resp_rr + k) % n_targets;
-            let Some(Packet::Response(resp)) = ctx.links.peek(self.targets[t].resp_in, now) else {
+            let resp_in = self.ports.target(t).resp_in;
+            let Some(Packet::Response(resp)) = ctx.links.peek(resp_in, now) else {
                 continue;
             };
             let is_read = resp.txn.opcode == Opcode::Read;
             if (is_read && r_done) || (!is_read && b_done) {
                 continue;
             }
-            let Some(&init_port) = self.in_flight.get(&resp.txn.id) else {
+            let Some(init_port) = self.txns.port_of(resp.txn.id) else {
                 panic!(
                     "{}: response for unknown transaction {}",
                     self.name, resp.txn.id
                 );
             };
-            if self.config.in_order
-                && self
-                    .expected_by_source
-                    .get(&resp.txn.initiator)
-                    .and_then(|q| q.front())
-                    .is_some_and(|&head| head != resp.txn.id)
-            {
+            if self.config.in_order && self.txns.behind_head(&resp.txn) {
                 continue;
             }
-            if !ctx.links.can_push(self.initiators[init_port].resp_out) {
+            let resp_out = self.ports.initiator(init_port).resp_out;
+            if !ctx.links.can_push(resp_out) {
                 continue;
             }
-            let pkt = ctx
-                .links
-                .pop(self.targets[t].resp_in, now)
-                .expect("peeked above");
+            let pkt = ctx.links.pop(resp_in, now).expect("peeked above");
             let resp = pkt.expect_response();
             let cycles = resp.channel_cycles();
             if is_read {
@@ -280,19 +208,7 @@ impl AxiInterconnect {
                 self.b_busy = now + period * cycles;
                 b_done = true;
             }
-            self.in_flight.remove(&resp.txn.id);
-            if let Some(q) = self.expected_by_source.get_mut(&resp.txn.initiator) {
-                if self.config.in_order {
-                    q.pop_front();
-                } else {
-                    q.retain(|&id| id != resp.txn.id);
-                }
-                if q.is_empty() {
-                    self.expected_by_source.remove(&resp.txn.initiator);
-                }
-            }
-            self.outstanding[init_port] = self.outstanding[init_port].saturating_sub(1);
-            let resp_out = self.initiators[init_port].resp_out;
+            self.txns.retire(&resp.txn, self.config.in_order);
             ctx.links
                 .push_after(
                     resp_out,
@@ -324,22 +240,20 @@ impl AxiInterconnect {
         let now = ctx.time;
         let max_outstanding = self.config.max_outstanding.max(1);
         found.clear();
-        for (p, port) in self.initiators.iter().enumerate() {
+        for (p, port) in self.ports.initiators().iter().enumerate() {
             let Some(Packet::Request(txn)) = ctx.links.peek(port.req_in, now) else {
                 continue;
             };
             if txn.opcode != want {
                 continue;
             }
-            let (addr, priority, created_at) = (txn.addr, txn.priority, txn.created_at);
+            let (priority, created_at) = (txn.priority, txn.created_at);
             let needs_slot = !txn.completes_on_acceptance();
-            let Some(target) = self.map.route(addr) else {
-                panic!("{}: no route for address {addr:#x}", self.name);
-            };
-            if !ctx.links.can_push(self.targets[target].req_out) {
+            let target = self.ports.expect_route(txn.addr, &self.name);
+            if !ctx.links.can_push(self.ports.target(target).req_out) {
                 continue;
             }
-            if needs_slot && self.outstanding[p] >= max_outstanding {
+            if needs_slot && self.txns.outstanding[p] >= max_outstanding {
                 continue;
             }
             found.push(Contender {
@@ -355,7 +269,7 @@ impl AxiInterconnect {
         let period = self.clock.period();
         let pkt = ctx
             .links
-            .pop(self.initiators[winner.port].req_in, now)
+            .pop(self.ports.initiator(winner.port).req_in, now)
             .expect("contender head present");
         let txn = pkt.expect_request();
         debug_assert_eq!(
@@ -363,7 +277,7 @@ impl AxiInterconnect {
             "{}: transaction width mismatch (missing converter?)",
             self.name
         );
-        let target = self.map.route(txn.addr).expect("routed in contenders");
+        let target = self.ports.expect_route(txn.addr, &self.name);
         ctx.stats.emit_trace(now, &self.name, TraceKind::Grant, || {
             format!("{txn} port {} -> target {target}", winner.port)
         });
@@ -390,17 +304,10 @@ impl AxiInterconnect {
             Opcode::Read => Time::ZERO,
             Opcode::Write => period * (txn.beats as u64 - 1),
         };
-        if !txn.completes_on_acceptance() {
-            self.outstanding[winner.port] += 1;
-            self.expected_by_source
-                .entry(txn.initiator)
-                .or_default()
-                .push_back(txn.id);
-            self.in_flight.insert(txn.id, winner.port);
-        }
+        self.txns.issue(winner.port, &txn);
         ctx.links
             .push_after(
-                self.targets[target].req_out,
+                self.ports.target(target).req_out,
                 now,
                 extra,
                 Packet::Request(txn),
@@ -417,7 +324,7 @@ impl AxiInterconnect {
             if let Some(w) = self.config.arbitration.pick(
                 &contenders,
                 self.last_ar_winner,
-                self.initiators.len(),
+                self.ports.initiators().len(),
             ) {
                 self.grant(ctx, w);
             }
@@ -428,7 +335,7 @@ impl AxiInterconnect {
             if let Some(w) = self.config.arbitration.pick(
                 &contenders,
                 self.last_aw_winner,
-                self.initiators.len(),
+                self.ports.initiators().len(),
             ) {
                 self.grant(ctx, w);
             }
@@ -441,22 +348,24 @@ impl AxiInterconnect {
     fn note_heads(&mut self, ctx: &mut TickContext<'_, Packet>) {
         let now = ctx.time;
         self.req_heads.clear();
-        for port in &self.initiators {
+        for port in self.ports.initiators() {
             let note = match ctx.links.peek(port.req_in, now) {
-                Some(Packet::Request(txn)) => self.map.route(txn.addr).map(|target| RequestNote {
-                    opcode: txn.opcode,
-                    target,
-                    needs_slot: !txn.completes_on_acceptance(),
-                }),
+                Some(Packet::Request(txn)) => {
+                    self.ports.route(txn.addr).map(|target| RequestNote {
+                        opcode: txn.opcode,
+                        target,
+                        needs_slot: !txn.completes_on_acceptance(),
+                    })
+                }
                 _ => None,
             };
             self.req_heads.push(note);
         }
         self.resp_heads.clear();
-        for target in &self.targets {
+        for target in self.ports.targets() {
             let note = match ctx.links.peek(target.resp_in, now) {
                 Some(Packet::Response(resp)) => {
-                    self.in_flight.get(&resp.txn.id).map(|&port| ResponseNote {
+                    self.txns.port_of(resp.txn.id).map(|port| ResponseNote {
                         opcode: resp.txn.opcode,
                         port,
                     })
@@ -468,10 +377,20 @@ impl AxiInterconnect {
     }
 }
 
+impl Interconnect for AxiInterconnect {
+    fn ports_mut(&mut self) -> &mut Ports {
+        &mut self.ports
+    }
+
+    fn ledger_mut(&mut self) -> Option<&mut SplitLedger> {
+        Some(&mut self.txns)
+    }
+}
+
 mpsoc_kernel::snapshot_state! {
     impl Snapshot for AxiInterconnect {
-        outstanding, ar_busy, aw_busy, w_busy, r_busy, b_busy, last_ar_winner, last_aw_winner,
-        resp_rr, in_flight, expected_by_source,
+        txns.outstanding, ar_busy, aw_busy, w_busy, r_busy, b_busy, last_ar_winner,
+        last_aw_winner, resp_rr, txns.in_flight, txns.expected_by_source,
     } then after_restore
 }
 
@@ -491,17 +410,11 @@ impl Component<Packet> for AxiInterconnect {
     }
 
     fn is_idle(&self) -> bool {
-        self.in_flight.is_empty()
+        self.txns.is_empty()
     }
 
     fn watched_links(&self) -> Option<Vec<LinkId>> {
-        Some(
-            self.initiators
-                .iter()
-                .map(|p| p.req_in)
-                .chain(self.targets.iter().map(|t| t.resp_in))
-                .collect(),
-        )
+        Some(self.ports.watched_links())
     }
     // Purely reactive: every grant and delivery requires a deliverable
     // packet on a watched link. Channel-busy windows need no timer — a
@@ -515,7 +428,7 @@ impl Component<Packet> for AxiInterconnect {
         // response wires.
         let write_free = self.aw_busy.max(self.w_busy);
         let max_outstanding = self.config.max_outstanding.max(1);
-        for (p, &outstanding) in self.outstanding.iter().enumerate() {
+        for (p, &outstanding) in self.txns.outstanding.iter().enumerate() {
             let gate = match self.req_heads.get(p).copied().flatten() {
                 // The head this interconnect left queued: granted no earlier
                 // than its address channel frees and its target's wire has
@@ -527,15 +440,15 @@ impl Component<Packet> for AxiInterconnect {
                     Opcode::Read => self.ar_busy,
                     Opcode::Write => write_free,
                 })
-                .with_space(self.targets[head.target].req_out),
+                .with_space(self.ports.target(head.target).req_out),
                 // A head not seen yet: held until the earlier of AR and
                 // AW/W frees.
                 None => Gate::until(self.ar_busy.min(write_free)),
             };
             hint.gate_input(p, gate);
         }
-        let ports = self.initiators.len();
-        for t in 0..self.targets.len() {
+        let ports = self.ports.initiators().len();
+        for t in 0..self.ports.targets().len() {
             let gate = match self.resp_heads.get(t).copied().flatten() {
                 // The head left queued: delivered no earlier than its
                 // channel frees and its master's wire has room.
@@ -543,7 +456,7 @@ impl Component<Packet> for AxiInterconnect {
                     Opcode::Read => self.r_busy,
                     Opcode::Write => self.b_busy,
                 })
-                .with_space(self.initiators[head.port].resp_out),
+                .with_space(self.ports.initiator(head.port).resp_out),
                 // A head not seen yet: held until the earlier of R and B
                 // frees.
                 None => Gate::until(self.r_busy.min(self.b_busy)),
@@ -581,7 +494,7 @@ mod tests {
     use super::*;
     use mpsoc_kernel::Simulation;
     use mpsoc_protocol::testing::{FixedLatencyTarget, ScriptedInitiator};
-    use mpsoc_protocol::{InitiatorId, Transaction};
+    use mpsoc_protocol::{AddressRange, InitiatorId, Transaction};
 
     const CLK_MHZ: u64 = 250;
 

@@ -66,6 +66,7 @@ use mpsoc_bench::{
     run_dse, timetravel, DseOptions, ExperimentRun, Run, EXPERIMENT_REGISTRY,
 };
 use mpsoc_kernel::Fidelity;
+use mpsoc_platform::experiments::host_cores;
 use serde::Serialize;
 use std::process::ExitCode;
 
@@ -312,7 +313,7 @@ fn main() -> ExitCode {
     // and the automatic scaling recorders clamp instead.
     let Run { jobs, exec, .. } = args.run;
     let cores = host_cores();
-    if (jobs as u64) > cores {
+    if jobs > cores {
         eprintln!(
             "warning: --jobs {jobs} exceeds this host's {cores} core(s); timings will \
              measure oversubscription, not scaling"
@@ -384,7 +385,7 @@ fn main() -> ExitCode {
         scale: args.run.scale,
         seed: args.run.seed,
         jobs: jobs as u64,
-        host_cores: host_cores(),
+        host_cores: host_cores() as u64,
         dense: exec.dense,
         total_wall_seconds: runs.iter().map(|r| r.wall_seconds).sum(),
         total_edges: runs.iter().map(|r| r.edges).sum(),
@@ -510,11 +511,6 @@ fn si_u64(n: u64) -> String {
     } else {
         n.to_string()
     }
-}
-
-/// The number of hardware threads available to this process.
-fn host_cores() -> u64 {
-    std::thread::available_parallelism().map_or(1, |n| n.get() as u64)
 }
 
 /// Re-measurements granted to a live fast-forward speedup that lands below

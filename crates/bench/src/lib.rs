@@ -307,7 +307,7 @@ pub fn run_dse(run: Run, options: &DseOptions) -> SimResult<(String, Option<DseR
         scale,
         seed,
         jobs: config.jobs as u64,
-        host_cores: std::thread::available_parallelism().map_or(1, |n| n.get() as u64),
+        host_cores: experiments::host_cores() as u64,
         candidates: result.candidates as u64,
         front_size: result.front.len() as u64,
         families: result.families_on_front as u64,

@@ -6,7 +6,7 @@ use mpsoc_bridge::{Bridge, BridgeConfig};
 use mpsoc_kernel::{ClockDomain, Component, ExecMode, LinkId, SimError, SimResult, Simulation};
 use mpsoc_memory::{LmiConfig, LmiController, OnChipMemory, OnChipMemoryConfig};
 use mpsoc_protocol::{
-    AddressRange, DataWidth, InitiatorId, Packet, ProtocolKind, TlmBus, TlmBusConfig,
+    AddressRange, DataWidth, InitiatorId, Interconnect, Packet, ProtocolKind, TlmBus, TlmBusConfig,
 };
 use mpsoc_stbus::{StbusNode, StbusNodeConfig};
 use mpsoc_traffic::{DspConfig, DspCore, IpTrafficGenerator, IptgConfig};
@@ -49,71 +49,14 @@ impl BusSpec {
     }
 }
 
-enum BusUnderConstruction {
-    Stbus(StbusNode),
-    Ahb(AhbBus),
-    Axi(AxiInterconnect),
-    Tlm(TlmBus),
-}
-
-impl BusUnderConstruction {
-    fn add_initiator(&mut self, req: LinkId, resp: LinkId) -> usize {
-        match self {
-            BusUnderConstruction::Stbus(b) => b.add_initiator(req, resp),
-            BusUnderConstruction::Ahb(b) => b.add_initiator(req, resp),
-            BusUnderConstruction::Axi(b) => b.add_initiator(req, resp),
-            BusUnderConstruction::Tlm(b) => b.add_initiator(req, resp),
-        }
-    }
-
-    fn add_target(&mut self, req: LinkId, resp: LinkId) -> usize {
-        match self {
-            BusUnderConstruction::Stbus(b) => b.add_target(req, resp),
-            BusUnderConstruction::Ahb(b) => b.add_target(req, resp),
-            BusUnderConstruction::Axi(b) => b.add_target(req, resp),
-            BusUnderConstruction::Tlm(b) => b.add_target(req, resp),
-        }
-    }
-
-    fn add_route(&mut self, range: AddressRange, target: usize) -> SimResult<()> {
-        let result = match self {
-            BusUnderConstruction::Stbus(b) => b.add_route(range, target),
-            BusUnderConstruction::Ahb(b) => b.add_route(range, target),
-            BusUnderConstruction::Axi(b) => b.add_route(range, target),
-            BusUnderConstruction::Tlm(b) => b.add_route(range, target),
-        };
-        result.map_err(|e| SimError::InvalidConfig {
-            reason: e.to_string(),
-        })
-    }
-
-    fn into_component(self) -> Box<dyn Component<Packet>> {
-        match self {
-            BusUnderConstruction::Stbus(b) => Box::new(b),
-            BusUnderConstruction::Ahb(b) => Box::new(b),
-            BusUnderConstruction::Axi(b) => Box::new(b),
-            BusUnderConstruction::Tlm(b) => Box::new(b),
-        }
-    }
-}
-
 /// Handle to a bus registered with the builder.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BusHandle(usize);
 
-/// The link pair through which a target is attached to a bus, returned so
-/// callers can attach custom target components.
-#[derive(Debug, Clone, Copy)]
-pub struct TargetIface {
-    /// Requests flowing towards the target.
-    pub req: LinkId,
-    /// Responses flowing back.
-    pub resp: LinkId,
-}
-
 struct BusSlot {
-    bus: BusUnderConstruction,
+    bus: Box<dyn Interconnect>,
     clock: ClockDomain,
+    width: DataWidth,
     name: String,
 }
 
@@ -133,7 +76,6 @@ struct BusSlot {
 pub struct PlatformBuilder {
     sim: Simulation<Packet>,
     buses: Vec<BusSlot>,
-    bus_widths: Vec<DataWidth>,
     next_initiator: u16,
     generator_names: Vec<String>,
     lmi_names: Vec<String>,
@@ -150,7 +92,6 @@ impl PlatformBuilder {
         PlatformBuilder {
             sim,
             buses: Vec::new(),
-            bus_widths: Vec::new(),
             next_initiator: 0,
             generator_names: Vec::new(),
             lmi_names: Vec::new(),
@@ -173,26 +114,39 @@ impl PlatformBuilder {
         clock: ClockDomain,
     ) -> BusHandle {
         let name = name.into();
-        let bus = match spec {
-            BusSpec::Stbus(cfg) => {
-                BusUnderConstruction::Stbus(StbusNode::new(name.clone(), cfg, clock))
-            }
-            BusSpec::Ahb(cfg) => BusUnderConstruction::Ahb(AhbBus::new(name.clone(), cfg, clock)),
-            BusSpec::Axi(cfg) => {
-                BusUnderConstruction::Axi(AxiInterconnect::new(name.clone(), cfg, clock))
-            }
-            BusSpec::Tlm(cfg, _) => {
-                BusUnderConstruction::Tlm(TlmBus::new(name.clone(), cfg, clock))
-            }
+        let bus: Box<dyn Interconnect> = match spec {
+            BusSpec::Stbus(cfg) => Box::new(StbusNode::new(name.clone(), cfg, clock)),
+            BusSpec::Ahb(cfg) => Box::new(AhbBus::new(name.clone(), cfg, clock)),
+            BusSpec::Axi(cfg) => Box::new(AxiInterconnect::new(name.clone(), cfg, clock)),
+            BusSpec::Tlm(cfg, _) => Box::new(TlmBus::new(name.clone(), cfg, clock)),
         };
-        self.bus_widths.push(spec.width());
-        self.buses.push(BusSlot { bus, clock, name });
+        self.buses.push(BusSlot {
+            bus,
+            clock,
+            width: spec.width(),
+            name,
+        });
         BusHandle(self.buses.len() - 1)
     }
 
     /// The clock of a bus.
     pub fn bus_clock(&self, bus: BusHandle) -> ClockDomain {
         self.buses[bus.0].clock
+    }
+
+    /// Creates the `{name}.req` / `{name}.resp` links on `clock`, `(req,
+    /// resp)` deep.
+    fn wire_pair(
+        &mut self,
+        name: &str,
+        (req, resp): (usize, usize),
+        clock: ClockDomain,
+    ) -> (LinkId, LinkId) {
+        let links = self.sim.links_mut();
+        (
+            links.add_link(format!("{name}.req"), req, clock.period()),
+            links.add_link(format!("{name}.resp"), resp, clock.period()),
+        )
     }
 
     /// Creates the link pair for attaching an initiator to `bus` and
@@ -204,22 +158,15 @@ impl PlatformBuilder {
         name: &str,
         issue_fifo: usize,
     ) -> (LinkId, LinkId) {
-        let clock = self.buses[bus.0].clock;
-        let req =
-            self.sim
-                .links_mut()
-                .add_link(format!("{name}.req"), issue_fifo.max(1), clock.period());
-        let resp = self.sim.links_mut().add_link(
-            format!("{name}.resp"),
-            issue_fifo.max(1),
-            clock.period(),
-        );
+        let depth = issue_fifo.max(1);
+        let (req, resp) = self.wire_pair(name, (depth, depth), self.buses[bus.0].clock);
         self.buses[bus.0].bus.add_initiator(req, resp);
         (req, resp)
     }
 
     /// Creates the link pair for attaching a target to `bus`, registers the
-    /// port and routes `ranges` to it.
+    /// port and routes `ranges` to it. Returns `(req, resp)` for the target
+    /// component to use.
     ///
     /// `prefetch_fifo` is the target-side request FIFO depth; `resp_fifo`
     /// the response-side depth.
@@ -234,22 +181,18 @@ impl PlatformBuilder {
         prefetch_fifo: usize,
         resp_fifo: usize,
         ranges: &[AddressRange],
-    ) -> SimResult<TargetIface> {
-        let clock = self.buses[bus.0].clock;
-        let req = self.sim.links_mut().add_link(
-            format!("{name}.req"),
-            prefetch_fifo.max(1),
-            clock.period(),
-        );
-        let resp =
-            self.sim
-                .links_mut()
-                .add_link(format!("{name}.resp"), resp_fifo.max(1), clock.period());
-        let idx = self.buses[bus.0].bus.add_target(req, resp);
+    ) -> SimResult<(LinkId, LinkId)> {
+        let depths = (prefetch_fifo.max(1), resp_fifo.max(1));
+        let (req, resp) = self.wire_pair(name, depths, self.buses[bus.0].clock);
+        let slot = &mut self.buses[bus.0].bus;
+        let idx = slot.add_target(req, resp);
         for range in ranges {
-            self.buses[bus.0].bus.add_route(*range, idx)?;
+            slot.add_route(*range, idx)
+                .map_err(|e| SimError::InvalidConfig {
+                    reason: e.to_string(),
+                })?;
         }
-        Ok(TargetIface { req, resp })
+        Ok((req, resp))
     }
 
     /// Attaches an on-chip memory on the bus's clock, its request (prefetch)
@@ -268,11 +211,9 @@ impl PlatformBuilder {
         range: AddressRange,
     ) -> SimResult<()> {
         let clock = self.buses[bus.0].clock;
-        let iface = self.target_port(bus, name, fifo, fifo, &[range])?;
+        let (req, resp) = self.target_port(bus, name, fifo, fifo, &[range])?;
         self.sim.add_component(
-            Box::new(OnChipMemory::new(
-                name, config, clock, iface.req, iface.resp,
-            )),
+            Box::new(OnChipMemory::new(name, config, clock, req, resp)),
             clock,
         );
         Ok(())
@@ -296,11 +237,9 @@ impl PlatformBuilder {
         range: AddressRange,
     ) -> SimResult<()> {
         let out_fifo = config.output_fifo_depth;
-        let iface = self.target_port(bus, name, 1, out_fifo, &[range])?;
+        let (req, resp) = self.target_port(bus, name, 1, out_fifo, &[range])?;
         self.sim.add_component(
-            Box::new(LmiController::new(
-                name, config, clock, iface.req, iface.resp,
-            )),
+            Box::new(LmiController::new(name, config, clock, req, resp)),
             clock,
         );
         self.lmi_names.push(name.to_owned());
@@ -327,14 +266,7 @@ impl PlatformBuilder {
     ) -> SimResult<()> {
         let bus_clock = self.buses[bus.0].clock;
         let out_fifo = config.output_fifo_depth;
-        let lmi_req = self
-            .sim
-            .links_mut()
-            .add_link(format!("{name}.req"), 1, lmi_clock.period());
-        let lmi_resp =
-            self.sim
-                .links_mut()
-                .add_link(format!("{name}.resp"), out_fifo, lmi_clock.period());
+        let (lmi_req, lmi_resp) = self.wire_pair(name, (1, out_fifo), lmi_clock);
         self.sim.add_component(
             Box::new(LmiController::new(
                 name, config, lmi_clock, lmi_req, lmi_resp,
@@ -342,19 +274,13 @@ impl PlatformBuilder {
             lmi_clock,
         );
         let a = self.target_port(bus, &format!("{name}.conv.a"), 2, 2, &[range])?;
-        let halves = Bridge::build(
-            format!("{name}.conv"),
+        self.add_bridge_halves(
+            &format!("{name}.conv"),
             bridge,
-            self.sim.links_mut(),
-            bus_clock,
-            lmi_clock,
-            (a.req, a.resp),
+            (bus_clock, lmi_clock),
+            a,
             (lmi_req, lmi_resp),
         );
-        self.sim
-            .add_component(Box::new(halves.target_side), bus_clock);
-        self.sim
-            .add_component(Box::new(halves.initiator_side), lmi_clock);
         self.lmi_names.push(name.to_owned());
         Ok(())
     }
@@ -396,40 +322,23 @@ impl PlatformBuilder {
         converter: BridgeConfig,
     ) {
         let bus_clock = self.buses[bus.0].clock;
-        let bus_width = self.bus_width_of(bus);
+        let bus_width = self.buses[bus.0].width;
         // DSP-side links (its private layer).
-        let d_req = self
-            .sim
-            .links_mut()
-            .add_link(format!("{name}.req"), 2, dsp_clock.period());
-        let d_resp = self
-            .sim
-            .links_mut()
-            .add_link(format!("{name}.resp"), 2, dsp_clock.period());
+        let (d_req, d_resp) = self.wire_pair(name, (2, 2), dsp_clock);
         // Bus-side initiator port.
-        let (b_req, b_resp) = self.initiator_port(bus, &format!("{name}.conv"), 2);
-        let halves = Bridge::build(
-            format!("{name}.conv"),
+        let b = self.initiator_port(bus, &format!("{name}.conv"), 2);
+        self.add_bridge_halves(
+            &format!("{name}.conv"),
             converter.with_out_width(bus_width),
-            self.sim.links_mut(),
-            dsp_clock,
-            bus_clock,
+            (dsp_clock, bus_clock),
             (d_req, d_resp),
-            (b_req, b_resp),
+            b,
         );
-        self.sim
-            .add_component(Box::new(halves.target_side), dsp_clock);
-        self.sim
-            .add_component(Box::new(halves.initiator_side), bus_clock);
         self.sim.add_component(
             Box::new(DspCore::new(name, config, d_req, d_resp)),
             dsp_clock,
         );
         self.generator_names.push(name.to_owned());
-    }
-
-    fn bus_width_of(&self, bus: BusHandle) -> DataWidth {
-        self.bus_widths[bus.0]
     }
 
     /// Connects `from` to `to` through a bridge: the bridge appears as a
@@ -448,33 +357,47 @@ impl PlatformBuilder {
     ) -> SimResult<()> {
         let src_clock = self.buses[from.0].clock;
         let dst_clock = self.buses[to.0].clock;
-        let dst_width = self.bus_width_of(to);
-        let src_width = self.bus_width_of(from);
+        let dst_width = self.buses[to.0].width;
+        let src_width = self.buses[from.0].width;
         // The bridge's source-side interface FIFOs scale with its internal
         // buffering: a split-capable GenConv offers deep distributed
         // buffering, a lightweight bridge only a couple of slots.
         let a_depth = config.req_fifo_depth.max(2);
         let a = self.target_port(from, &format!("{name}.a"), a_depth, a_depth, ranges)?;
-        let (b_req, b_resp) = self.initiator_port(to, &format!("{name}.b"), 2);
+        let b = self.initiator_port(to, &format!("{name}.b"), 2);
         let config = if src_width != dst_width {
             config.with_out_width(dst_width)
         } else {
             config
         };
+        self.add_bridge_halves(name, config, (src_clock, dst_clock), a, b);
+        Ok(())
+    }
+
+    /// Builds a bridge between a source-side `(req, resp)` pair and a
+    /// destination-side one, and registers its target half on the source
+    /// clock, then its initiator half on the destination clock.
+    fn add_bridge_halves(
+        &mut self,
+        name: &str,
+        config: BridgeConfig,
+        (src_clock, dst_clock): (ClockDomain, ClockDomain),
+        src: (LinkId, LinkId),
+        dst: (LinkId, LinkId),
+    ) {
         let halves = Bridge::build(
             name,
             config,
             self.sim.links_mut(),
             src_clock,
             dst_clock,
-            (a.req, a.resp),
-            (b_req, b_resp),
+            src,
+            dst,
         );
         self.sim
             .add_component(Box::new(halves.target_side), src_clock);
         self.sim
             .add_component(Box::new(halves.initiator_side), dst_clock);
-        Ok(())
     }
 
     /// Adds an arbitrary component (custom initiators/targets).
@@ -491,8 +414,7 @@ impl PlatformBuilder {
     pub fn finish(mut self, reference_clock: ClockDomain) -> crate::platforms::Platform {
         let bus_names: Vec<String> = self.buses.iter().map(|s| s.name.clone()).collect();
         for slot in self.buses.drain(..) {
-            let clock = slot.clock;
-            self.sim.add_component(slot.bus.into_component(), clock);
+            self.sim.add_component(slot.bus, slot.clock);
         }
         crate::platforms::Platform::from_parts(
             self.sim,

@@ -108,20 +108,18 @@ fn measure(protocol: ProtocolKind, run: Run) -> SimResult<Fig6Platform> {
     // Phase 1 of the two-phase profile has 90·scale transactions per
     // generator, phase 2 has 20·scale; six generators total.
     let phase1_budget = 6 * 90 * run.scale;
-    let gen_names: Vec<String> = (0..6).map(|i| format!("stream{i}")).collect();
+    let injected_ids: Vec<_> = (0..6)
+        .filter_map(|i| {
+            let stats = platform.sim().stats();
+            stats.find_counter(&format!("stream{i}.injected"))
+        })
+        .collect();
 
     // Step until the aggregate injection count crosses the phase boundary.
     let horizon = Time::from_ms(60);
     loop {
-        let injected: u64 = gen_names
-            .iter()
-            .map(|n| {
-                platform
-                    .sim()
-                    .stats()
-                    .counter_by_name(&format!("{n}.injected"))
-            })
-            .sum();
+        let stats = platform.sim().stats();
+        let injected: u64 = injected_ids.iter().map(|&id| stats.counter_value(id)).sum();
         if injected >= phase1_budget {
             break;
         }

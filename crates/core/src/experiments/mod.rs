@@ -41,7 +41,7 @@ pub use fig6::{fig6, Fig6, Fig6Phase};
 pub use gear::{fast_forward_study, FastForwardRow, FastForwardStudy, FAST_FORWARD_QUANTA};
 pub use many_to_many::{many_to_many, ManyToMany, ManyToManyRow};
 pub use many_to_one::{many_to_one, ManyToOne, ManyToOneRow};
-pub use parallel::{parallel_map, parallel_map_with};
+pub use parallel::{host_cores, parallel_map, parallel_map_with};
 pub use robustness::{robustness, Robustness, RobustnessRow};
 
 /// Default workload multiplier for experiment runs.

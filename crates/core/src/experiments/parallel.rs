@@ -12,6 +12,12 @@ use std::sync::Mutex;
 
 use mpsoc_kernel::{activity, Activity};
 
+/// The host's core count as the standard library sees it (1 when unknown):
+/// the `jobs` a fan-out across the whole host asks for.
+pub fn host_cores() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
 /// Applies `f` to every input on up to `jobs` threads — the caller's own
 /// and `jobs - 1` spawned ones — and returns the outputs **in input order**.
 ///

@@ -53,7 +53,7 @@ mod platforms;
 mod report;
 pub mod service;
 
-pub use builder::{BusHandle, BusSpec, PlatformBuilder, TargetIface};
+pub use builder::{BusHandle, BusSpec, PlatformBuilder};
 pub use platforms::{
     build_platform, build_platform_with_ips, build_single_layer, CustomIp, Interconnect,
     MemorySystem, Platform, PlatformSpec, SingleLayerSpec, Topology, Workload,

@@ -869,8 +869,7 @@ mod tests {
             }
         }
         assert_eq!(reqs.len(), 288);
-        let jobs = std::thread::available_parallelism().map_or(1, |n| n.get());
-        parallel_map(reqs, jobs, |req| {
+        parallel_map(reqs, crate::experiments::host_cores(), |req| {
             let key = req.warm_key();
             let (state, one_pass) = predicting(&req, |expected| expected);
             assert!(one_pass, "{key}: every gear must capture in one pass");

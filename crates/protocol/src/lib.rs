@@ -16,6 +16,9 @@
 //! * [`Packet`] — the payload type carried on kernel links: a request or a
 //!   response.
 //! * [`AddressMap`] — validated, non-overlapping address decoding.
+//! * [`Ports`], [`Interconnect`] and [`SplitLedger`] — the port and route
+//!   table every bus is wired through, and the bookkeeping of split
+//!   transactions.
 //! * [`DataWidth`] — bus width algebra (beat counts across conversions).
 //! * [`ProtocolKind`] — per-protocol capability matrix (split transactions,
 //!   posted writes, out-of-order responses, outstanding limits).
@@ -28,6 +31,7 @@ mod arbitration;
 mod ids;
 mod packet;
 pub mod persist;
+mod ports;
 mod protocol_kind;
 pub mod testing;
 mod tlm;
@@ -38,6 +42,7 @@ pub use address::{AddressMap, AddressMapError, AddressRange};
 pub use arbitration::{ArbitrationPolicy, Contender};
 pub use ids::{InitiatorId, MessageId, TransactionId};
 pub use packet::{Packet, Response};
+pub use ports::{InitiatorPort, Interconnect, Ports, SplitLedger, TargetPort};
 pub use protocol_kind::ProtocolKind;
 pub use tlm::{TlmBus, TlmBusConfig};
 pub use transaction::{Opcode, Transaction, TransactionBuilder};

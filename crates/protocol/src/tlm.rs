@@ -15,8 +15,8 @@
 //! construction.
 
 use crate::packet::Packet;
-use crate::{AddressMap, AddressMapError, AddressRange, TransactionId};
-use mpsoc_kernel::{ClockDomain, Component, LinkId, TickContext};
+use crate::{Interconnect, Ports, TransactionId};
+use mpsoc_kernel::{ClockDomain, Component, TickContext};
 use std::collections::HashMap;
 
 /// Configuration of a [`TlmBus`].
@@ -39,18 +39,6 @@ impl Default for TlmBusConfig {
     }
 }
 
-#[derive(Debug)]
-struct InitiatorPort {
-    req_in: LinkId,
-    resp_out: LinkId,
-}
-
-#[derive(Debug)]
-struct TargetPort {
-    req_out: LinkId,
-    resp_in: LinkId,
-}
-
 /// A transaction-level interconnect with fixed latency and no contention
 /// modelling.
 ///
@@ -61,7 +49,7 @@ struct TargetPort {
 ///
 /// ```
 /// use mpsoc_kernel::{Simulation, ClockDomain};
-/// use mpsoc_protocol::{AddressRange, Packet, TlmBus, TlmBusConfig};
+/// use mpsoc_protocol::{AddressRange, Interconnect, Packet, TlmBus, TlmBusConfig};
 ///
 /// let mut sim: Simulation<Packet> = Simulation::new();
 /// let clk = ClockDomain::from_mhz(250);
@@ -81,9 +69,7 @@ pub struct TlmBus {
     name: String,
     config: TlmBusConfig,
     clock: ClockDomain,
-    initiators: Vec<InitiatorPort>,
-    targets: Vec<TargetPort>,
-    map: AddressMap<usize>,
+    ports: Ports,
     in_flight: HashMap<TransactionId, usize>,
 }
 
@@ -94,9 +80,7 @@ impl TlmBus {
             name: name.into(),
             config,
             clock,
-            initiators: Vec::new(),
-            targets: Vec::new(),
-            map: AddressMap::new(),
+            ports: Ports::default(),
             in_flight: HashMap::new(),
         }
     }
@@ -104,39 +88,16 @@ impl TlmBus {
     /// Restore's check hook: every in-flight transaction entered through a
     /// port this bus has.
     fn after_restore(&mut self, r: &mut mpsoc_kernel::StateReader<'_>) {
-        let ports = self.initiators.len();
+        let ports = self.ports.initiators().len();
         if self.in_flight.values().any(|&port| port >= ports) {
             r.refuse(format!("in-flight transaction on a port beyond {ports}"));
         }
     }
+}
 
-    /// Attaches an initiator port; returns its index.
-    pub fn add_initiator(&mut self, req_in: LinkId, resp_out: LinkId) -> usize {
-        self.initiators.push(InitiatorPort { req_in, resp_out });
-        self.initiators.len() - 1
-    }
-
-    /// Attaches a target port; returns its index.
-    pub fn add_target(&mut self, req_out: LinkId, resp_in: LinkId) -> usize {
-        self.targets.push(TargetPort { req_out, resp_in });
-        self.targets.len() - 1
-    }
-
-    /// Routes an address range to a target port.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the range overlaps an existing route.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `target` is not a valid target-port index.
-    pub fn add_route(&mut self, range: AddressRange, target: usize) -> Result<(), AddressMapError> {
-        assert!(
-            target < self.targets.len(),
-            "route to unknown target port {target}"
-        );
-        self.map.add(range, target)
+impl Interconnect for TlmBus {
+    fn ports_mut(&mut self) -> &mut Ports {
+        &mut self.ports
     }
 }
 
@@ -154,10 +115,9 @@ impl Component<Packet> for TlmBus {
         let extra = self.clock.period() * self.config.latency_cycles.saturating_sub(1);
         // Responses: every target port, up to the bandwidth budget.
         let mut budget = self.config.packets_per_cycle;
-        for t in 0..self.targets.len() {
+        for target in self.ports.targets() {
             while budget > 0 {
-                let Some(Packet::Response(resp)) = ctx.links.peek(self.targets[t].resp_in, now)
-                else {
+                let Some(Packet::Response(resp)) = ctx.links.peek(target.resp_in, now) else {
                     break;
                 };
                 let Some(&port) = self.in_flight.get(&resp.txn.id) else {
@@ -166,44 +126,42 @@ impl Component<Packet> for TlmBus {
                         self.name, resp.txn.id
                     );
                 };
-                if !ctx.links.can_push(self.initiators[port].resp_out) {
+                let resp_out = self.ports.initiator(port).resp_out;
+                if !ctx.links.can_push(resp_out) {
                     break;
                 }
-                let pkt = ctx.links.pop(self.targets[t].resp_in, now).expect("peeked");
+                let pkt = ctx.links.pop(target.resp_in, now).expect("peeked");
                 if let Packet::Response(r) = &pkt {
                     self.in_flight.remove(&r.txn.id);
                 }
                 ctx.links
-                    .push_after(self.initiators[port].resp_out, now, extra, pkt)
+                    .push_after(resp_out, now, extra, pkt)
                     .expect("can_push checked");
                 budget -= 1;
             }
         }
         // Requests: every initiator port, up to the bandwidth budget.
         let mut budget = self.config.packets_per_cycle;
-        for i in 0..self.initiators.len() {
+        for (i, port) in self.ports.initiators().iter().enumerate() {
             while budget > 0 {
-                let Some(Packet::Request(txn)) = ctx.links.peek(self.initiators[i].req_in, now)
-                else {
+                let Some(Packet::Request(txn)) = ctx.links.peek(port.req_in, now) else {
                     break;
                 };
-                let Some(target) = self.map.route(txn.addr) else {
-                    panic!("{}: no route for address {:#x}", self.name, txn.addr);
-                };
-                if !ctx.links.can_push(self.targets[target].req_out) {
+                let req_out = self
+                    .ports
+                    .target(self.ports.expect_route(txn.addr, &self.name))
+                    .req_out;
+                if !ctx.links.can_push(req_out) {
                     break;
                 }
-                let pkt = ctx
-                    .links
-                    .pop(self.initiators[i].req_in, now)
-                    .expect("peeked");
+                let pkt = ctx.links.pop(port.req_in, now).expect("peeked");
                 if let Packet::Request(t) = &pkt {
                     if !t.completes_on_acceptance() {
                         self.in_flight.insert(t.id, i);
                     }
                 }
                 ctx.links
-                    .push_after(self.targets[target].req_out, now, extra, pkt)
+                    .push_after(req_out, now, extra, pkt)
                     .expect("can_push checked");
                 budget -= 1;
             }
@@ -219,7 +177,7 @@ impl Component<Packet> for TlmBus {
 mod tests {
     use super::*;
     use crate::testing::{FixedLatencyTarget, ScriptedInitiator};
-    use crate::{DataWidth, InitiatorId, Transaction};
+    use crate::{AddressRange, DataWidth, InitiatorId, Transaction};
     use mpsoc_kernel::{Simulation, Time};
 
     fn reads(init: u16, n: u64) -> Vec<Transaction> {

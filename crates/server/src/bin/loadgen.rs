@@ -28,6 +28,7 @@
 //! rewriting the section.
 
 use mpsoc_bench::ledger;
+use mpsoc_platform::experiments::host_cores;
 use mpsoc_server::json::{self, Json};
 use mpsoc_server::loadgen::{
     distinct_warm_keys, fig4_mix, run, Client, Pacing, RunConfig, RunReport,
@@ -121,12 +122,6 @@ fn parse_u64(s: &str) -> Option<u64> {
     } else {
         s.parse().ok()
     }
-}
-
-fn host_cores() -> u64 {
-    std::thread::available_parallelism()
-        .map(|n| n.get() as u64)
-        .unwrap_or(1)
 }
 
 /// Asks the server for its lifetime warm-up count (`{"cmd":"stats"}`).

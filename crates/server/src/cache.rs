@@ -65,6 +65,27 @@ struct Inner<T> {
     stats: CacheStats,
 }
 
+impl<T> Inner<T> {
+    /// The one hit check: a `key` entry carrying `fingerprint` is a hit
+    /// (counted, stamped); a stale one stays put and its index is returned.
+    fn probe(&mut self, key: &str, fingerprint: u64) -> Result<Arc<T>, Option<usize>> {
+        self.tick += 1;
+        let at = self.entries.iter().position(|e| e.key == key).ok_or(None)?;
+        if self.entries[at].fingerprint != fingerprint {
+            return Err(Some(at));
+        }
+        self.stats.hits += 1;
+        self.entries[at].last_used = self.tick;
+        Ok(Arc::clone(&self.entries[at].value))
+    }
+
+    /// Evicts the stale entry at `at`.
+    fn reject_stale(&mut self, at: usize) {
+        self.entries.remove(at);
+        self.stats.stale_rejected += 1;
+    }
+}
+
 /// A bounded, fingerprint-checked LRU cache of warm states.
 pub struct WarmCache<T> {
     capacity: usize,
@@ -141,16 +162,7 @@ impl<T> WarmCache<T> {
     /// once.
     pub fn peek(&self, key: &str, fingerprint: u64) -> Option<Arc<T>> {
         let mut inner = self.inner.lock().expect("cache lock");
-        inner.tick += 1;
-        let tick = inner.tick;
-        if let Some(at) = inner.entries.iter().position(|e| e.key == key) {
-            if inner.entries[at].fingerprint == fingerprint {
-                inner.stats.hits += 1;
-                inner.entries[at].last_used = tick;
-                return Some(Arc::clone(&inner.entries[at].value));
-            }
-        }
-        None
+        inner.probe(key, fingerprint).ok()
     }
 
     /// Looks `key` up, requiring the entry to carry `fingerprint`.
@@ -159,30 +171,23 @@ impl<T> WarmCache<T> {
     /// as [`Lookup::Stale`] (the caller must treat it as a miss).
     pub fn lookup(&self, key: &str, fingerprint: u64) -> (Option<Arc<T>>, Lookup) {
         let mut inner = self.inner.lock().expect("cache lock");
-        inner.tick += 1;
-        let tick = inner.tick;
-        if let Some(at) = inner.entries.iter().position(|e| e.key == key) {
-            if inner.entries[at].fingerprint == fingerprint {
-                inner.stats.hits += 1;
-                inner.entries[at].last_used = tick;
-                return (Some(Arc::clone(&inner.entries[at].value)), Lookup::Hit);
+        let outcome = match inner.probe(key, fingerprint) {
+            Ok(value) => return (Some(value), Lookup::Hit),
+            Err(Some(at)) => {
+                inner.reject_stale(at);
+                Lookup::Stale
             }
-            inner.entries.remove(at);
-            inner.stats.stale_rejected += 1;
-            inner.stats.misses += 1;
-            return (None, Lookup::Stale);
-        }
+            Err(None) => Lookup::Miss,
+        };
         inner.stats.misses += 1;
-        (None, Lookup::Miss)
+        (None, outcome)
     }
 
     /// Inserts (or replaces) `key`, evicting the least recently used entry
     /// if the cache is full.
     pub fn insert(&self, key: &str, fingerprint: u64, value: Arc<T>) {
         let mut inner = self.inner.lock().expect("cache lock");
-        inner.tick += 1;
-        let tick = inner.tick;
-        Self::insert_locked(&mut inner, self.capacity, key, fingerprint, value, tick);
+        Self::insert_locked(&mut inner, self.capacity, key, fingerprint, value);
     }
 
     fn insert_locked(
@@ -191,8 +196,9 @@ impl<T> WarmCache<T> {
         key: &str,
         fingerprint: u64,
         value: Arc<T>,
-        tick: u64,
     ) {
+        inner.tick += 1;
+        let tick = inner.tick;
         if let Some(at) = inner.entries.iter().position(|e| e.key == key) {
             inner.entries[at] = Entry {
                 key: key.to_string(),
@@ -240,16 +246,10 @@ impl<T> WarmCache<T> {
     ) -> Result<(Arc<T>, Lookup), E> {
         let mut inner = self.inner.lock().expect("cache lock");
         loop {
-            inner.tick += 1;
-            let tick = inner.tick;
-            if let Some(at) = inner.entries.iter().position(|e| e.key == key) {
-                if inner.entries[at].fingerprint == fingerprint {
-                    inner.stats.hits += 1;
-                    inner.entries[at].last_used = tick;
-                    return Ok((Arc::clone(&inner.entries[at].value), Lookup::Hit));
-                }
-                inner.entries.remove(at);
-                inner.stats.stale_rejected += 1;
+            match inner.probe(key, fingerprint) {
+                Ok(value) => return Ok((value, Lookup::Hit)),
+                Err(Some(at)) => inner.reject_stale(at),
+                Err(None) => {}
             }
             if inner.in_flight.contains(key) {
                 inner = self.landed.wait(inner).expect("cache lock");
@@ -265,8 +265,6 @@ impl<T> WarmCache<T> {
         inner.in_flight.remove(key);
         let result = match computed {
             Ok(value) => {
-                inner.tick += 1;
-                let tick = inner.tick;
                 let value = Arc::new(value);
                 Self::insert_locked(
                     &mut inner,
@@ -274,7 +272,6 @@ impl<T> WarmCache<T> {
                     key,
                     fingerprint,
                     Arc::clone(&value),
-                    tick,
                 );
                 Ok((value, Lookup::Miss))
             }

@@ -52,4 +52,4 @@ pub mod server;
 pub use cache::{CacheStats, Lookup, WarmCache};
 pub use mpsoc_bench::json;
 pub use persist::{DiskCache, DiskStats};
-pub use server::{host_cores, Server, ServerConfig};
+pub use server::{Server, ServerConfig};

@@ -66,6 +66,7 @@ use crate::cache::{CacheStats, Lookup, WarmCache};
 use crate::persist::DiskCache;
 use crate::protocol::{self, CacheOutcome, Command, PointResult, Simulate};
 use mpsoc_platform::build_platform;
+use mpsoc_platform::experiments::host_cores;
 use mpsoc_platform::service::{self, PlatformPool, SweepRequest, WarmState};
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
@@ -96,11 +97,6 @@ impl Default for ServerConfig {
             handlers: 0,
         }
     }
-}
-
-/// The host's core count as the kernel sees it (1 when unknown).
-pub fn host_cores() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 fn effective_handlers(configured: usize) -> usize {

@@ -4,10 +4,10 @@ use mpsoc_kernel::{
     ClockDomain, Component, FaultKind, Gate, LinkId, StallHint, TickContext, Time, TraceKind,
 };
 use mpsoc_protocol::{
-    AddressMap, AddressMapError, AddressRange, ArbitrationPolicy, Contender, DataWidth, Packet,
-    ProtocolKind, Response, Transaction, TransactionId,
+    ArbitrationPolicy, Contender, DataWidth, Interconnect, Packet, Ports, ProtocolKind, Response,
+    SplitLedger, Transaction,
 };
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Physical channel organisation of a node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -55,18 +55,6 @@ impl Default for StbusNodeConfig {
     }
 }
 
-#[derive(Debug)]
-struct InitiatorPort {
-    req_in: LinkId,
-    resp_out: LinkId,
-}
-
-#[derive(Debug)]
-struct TargetPort {
-    req_out: LinkId,
-    resp_in: LinkId,
-}
-
 /// A request the target channel lost to an injected fault, held by the node
 /// for re-issue: *posted-write replay* for acceptance-completing writes,
 /// *outstanding-transaction timeout* for response-expecting transactions.
@@ -109,7 +97,7 @@ mpsoc_kernel::metric_ids! {
 ///
 /// ```
 /// use mpsoc_kernel::{Simulation, ClockDomain};
-/// use mpsoc_protocol::{AddressRange, Packet};
+/// use mpsoc_protocol::{AddressRange, Interconnect, Packet};
 /// use mpsoc_stbus::{StbusNode, StbusNodeConfig};
 ///
 /// let mut sim: Simulation<Packet> = Simulation::new();
@@ -131,11 +119,11 @@ pub struct StbusNode {
     name: String,
     config: StbusNodeConfig,
     clock: ClockDomain,
-    initiators: Vec<InitiatorPort>,
-    targets: Vec<TargetPort>,
-    map: AddressMap<usize>,
-    /// Response-expecting transactions in flight per initiator port.
-    outstanding: Vec<usize>,
+    ports: Ports,
+    /// Split-transaction bookkeeping. STBus Types 1 and 2 deliver responses
+    /// in order per source, which is also the ordering the LMI controller
+    /// guarantees.
+    txns: SplitLedger,
     /// `busy-until` per request channel (1 entry shared, per-target
     /// crossbar).
     req_busy: Vec<Time>,
@@ -146,13 +134,6 @@ pub struct StbusNode {
     sticky: Option<(usize, mpsoc_protocol::MessageId)>,
     last_winner: usize,
     resp_rr: usize,
-    /// Where each in-flight transaction entered, for response routing.
-    in_flight: HashMap<TransactionId, usize>,
-    /// Issue order per *source label* (original initiator id): STBus
-    /// Types 1 and 2 deliver responses in order per source, which is also
-    /// the ordering the LMI controller guarantees. Ordering per physical
-    /// port would deadlock behind bridges that multiplex several sources.
-    expected_by_source: HashMap<mpsoc_protocol::InitiatorId, VecDeque<TransactionId>>,
     counters: NodeCounters,
     /// Requests lost on a target channel, awaiting re-issue. Empty in every
     /// fault-free run.
@@ -196,63 +177,19 @@ impl StbusNode {
             name: name.into(),
             config,
             clock,
-            initiators: Vec::new(),
-            targets: Vec::new(),
-            map: AddressMap::new(),
-            outstanding: Vec::new(),
+            ports: Ports::default(),
+            txns: SplitLedger::default(),
             req_busy: Vec::new(),
             resp_busy: Vec::new(),
             sticky: None,
             last_winner: 0,
             resp_rr: 0,
-            in_flight: HashMap::new(),
-            expected_by_source: HashMap::new(),
             counters: NodeCounters::default(),
             replays: Vec::new(),
             dead_letters: VecDeque::new(),
             contenders: Vec::new(),
             heads: Vec::new(),
         }
-    }
-
-    /// Attaches an initiator port; returns its index.
-    pub fn add_initiator(&mut self, req_in: LinkId, resp_out: LinkId) -> usize {
-        self.initiators.push(InitiatorPort { req_in, resp_out });
-        self.outstanding.push(0);
-        self.initiators.len() - 1
-    }
-
-    /// Attaches a target port; returns its index.
-    pub fn add_target(&mut self, req_out: LinkId, resp_in: LinkId) -> usize {
-        self.targets.push(TargetPort { req_out, resp_in });
-        self.targets.len() - 1
-    }
-
-    /// Routes an address range to a target port.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the range overlaps an existing route.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `target` is not a valid target-port index.
-    pub fn add_route(&mut self, range: AddressRange, target: usize) -> Result<(), AddressMapError> {
-        assert!(
-            target < self.targets.len(),
-            "route to unknown target port {target}"
-        );
-        self.map.add(range, target)
-    }
-
-    /// Number of initiator ports.
-    pub fn initiator_count(&self) -> usize {
-        self.initiators.len()
-    }
-
-    /// Number of target ports.
-    pub fn target_count(&self) -> usize {
-        self.targets.len()
     }
 
     fn effective_outstanding(&self) -> usize {
@@ -279,9 +216,10 @@ impl StbusNode {
     fn channel_counts(&self) -> (usize, usize) {
         match self.config.topology {
             ChannelTopology::SharedBus => (1, 1),
-            ChannelTopology::FullCrossbar => {
-                (self.targets.len().max(1), self.initiators.len().max(1))
-            }
+            ChannelTopology::FullCrossbar => (
+                self.ports.targets().len().max(1),
+                self.ports.initiators().len().max(1),
+            ),
         }
     }
 
@@ -297,17 +235,16 @@ impl StbusNode {
     /// gates open.
     fn after_restore(&mut self, r: &mut mpsoc_kernel::StateReader<'_>) {
         self.heads.clear();
-        let (ports, targets) = (self.initiators.len(), self.targets.len());
+        let (ports, targets) = (self.ports.initiators().len(), self.ports.targets().len());
         // Channel vectors are sized lazily on the first tick.
         let channels = |busy: &Vec<Time>, n: usize| busy.is_empty() || busy.len() == n;
         let (nreq, nresp) = self.channel_counts();
-        let fits = self.outstanding.len() == ports
+        let fits = self.txns.fits(ports)
             && channels(&self.req_busy, nreq)
             && channels(&self.resp_busy, nresp)
             && self.sticky.is_none_or(|(port, _)| port < ports)
             && self.last_winner < ports.max(1)
             && self.resp_rr < targets.max(1)
-            && self.in_flight.values().all(|&port| port < ports)
             && self.replays.iter().all(|e| e.target < targets)
             && self.dead_letters.iter().all(|(port, _)| *port < ports);
         if !fits {
@@ -321,17 +258,18 @@ impl StbusNode {
     fn deliver_responses(&mut self, ctx: &mut TickContext<'_, Packet>) {
         let now = ctx.time;
         let period = self.clock.period();
-        let n_targets = self.targets.len();
+        let n_targets = self.ports.targets().len();
         if n_targets == 0 {
             return;
         }
         let in_order = !self.config.protocol.supports_out_of_order();
         for k in 0..n_targets {
             let t = (self.resp_rr + k) % n_targets;
-            let Some(Packet::Response(resp)) = ctx.links.peek(self.targets[t].resp_in, now) else {
+            let resp_in = self.ports.target(t).resp_in;
+            let Some(Packet::Response(resp)) = ctx.links.peek(resp_in, now) else {
                 continue;
             };
-            let Some(&init_port) = self.in_flight.get(&resp.txn.id) else {
+            let Some(init_port) = self.txns.port_of(resp.txn.id) else {
                 // A response for a transaction this node never forwarded is
                 // a wiring bug.
                 panic!(
@@ -343,39 +281,19 @@ impl StbusNode {
             if self.resp_busy[chan] > now {
                 continue;
             }
-            if in_order
-                && self
-                    .expected_by_source
-                    .get(&resp.txn.initiator)
-                    .and_then(|q| q.front())
-                    .is_some_and(|&head| head != resp.txn.id)
-            {
+            if in_order && self.txns.behind_head(&resp.txn) {
                 continue;
             }
-            if !ctx.links.can_push(self.initiators[init_port].resp_out) {
+            let resp_out = self.ports.initiator(init_port).resp_out;
+            if !ctx.links.can_push(resp_out) {
                 continue;
             }
-            let pkt = ctx
-                .links
-                .pop(self.targets[t].resp_in, now)
-                .expect("peeked above");
+            let pkt = ctx.links.pop(resp_in, now).expect("peeked above");
             let resp = pkt.expect_response();
             let cycles = resp.channel_cycles();
             let data_cycles = resp.txn.response_cycles();
             self.resp_busy[chan] = now + period * cycles;
-            self.in_flight.remove(&resp.txn.id);
-            if let Some(q) = self.expected_by_source.get_mut(&resp.txn.initiator) {
-                if in_order {
-                    q.pop_front();
-                } else {
-                    q.retain(|&id| id != resp.txn.id);
-                }
-                if q.is_empty() {
-                    self.expected_by_source.remove(&resp.txn.initiator);
-                }
-            }
-            self.outstanding[init_port] = self.outstanding[init_port].saturating_sub(1);
-            let resp_out = self.initiators[init_port].resp_out;
+            self.txns.retire(&resp.txn, in_order);
             ctx.stats
                 .emit_trace(now, &self.name, TraceKind::Deliver, || {
                     format!("{} -> port {}", resp.txn, init_port)
@@ -414,23 +332,21 @@ impl StbusNode {
         let now = ctx.time;
         let max_outstanding = self.effective_outstanding();
         found.clear();
-        for (p, port) in self.initiators.iter().enumerate() {
+        for (p, port) in self.ports.initiators().iter().enumerate() {
             let Some(Packet::Request(txn)) = ctx.links.peek(port.req_in, now) else {
                 continue;
             };
-            let (addr, priority, created_at) = (txn.addr, txn.priority, txn.created_at);
+            let (priority, created_at) = (txn.priority, txn.created_at);
             let needs_slot = !txn.completes_on_acceptance();
             let initiator = txn.initiator;
-            let Some(target) = self.map.route(addr) else {
-                panic!("{}: no route for address {addr:#x}", self.name);
-            };
+            let target = self.ports.expect_route(txn.addr, &self.name);
             if self.req_channel(target) != channel {
                 continue;
             }
-            if !ctx.links.can_push(self.targets[target].req_out) {
+            if !ctx.links.can_push(self.ports.target(target).req_out) {
                 continue;
             }
-            if needs_slot && self.outstanding[p] >= max_outstanding {
+            if needs_slot && self.txns.outstanding[p] >= max_outstanding {
                 continue;
             }
             // While a source has a transaction in fault recovery, its newer
@@ -468,7 +384,7 @@ impl StbusNode {
                         c.port == p
                             && ctx
                                 .links
-                                .peek(self.initiators[p].req_in, now)
+                                .peek(self.ports.initiator(p).req_in, now)
                                 .and_then(Packet::as_request)
                                 .is_some_and(|t| t.message == msg)
                     })
@@ -477,13 +393,13 @@ impl StbusNode {
                     self.config.arbitration.pick(
                         &contenders,
                         self.last_winner,
-                        self.initiators.len(),
+                        self.ports.initiators().len(),
                     )
                 });
             let Some(winner) = winner else { continue };
             let pkt = ctx
                 .links
-                .pop(self.initiators[winner.port].req_in, now)
+                .pop(self.ports.initiator(winner.port).req_in, now)
                 .expect("contender head present");
             let txn = pkt.expect_request();
             debug_assert_eq!(
@@ -491,7 +407,7 @@ impl StbusNode {
                 "{}: transaction width mismatch (missing converter?)",
                 self.name
             );
-            let target = self.map.route(txn.addr).expect("routed in contenders");
+            let target = self.ports.expect_route(txn.addr, &self.name);
             let cycles = txn.request_cycles();
             self.req_busy[chan] = now + period * cycles;
             self.last_winner = winner.port;
@@ -500,15 +416,8 @@ impl StbusNode {
             } else {
                 None
             };
-            if !txn.completes_on_acceptance() {
-                self.outstanding[winner.port] += 1;
-                self.expected_by_source
-                    .entry(txn.initiator)
-                    .or_default()
-                    .push_back(txn.id);
-                self.in_flight.insert(txn.id, winner.port);
-            }
-            let req_out = self.targets[target].req_out;
+            self.txns.issue(winner.port, &txn);
+            let req_out = self.ports.target(target).req_out;
             if ctx.faults.probe(FaultKind::LinkDrop) {
                 // The request is lost on the target channel (it still
                 // occupied the request channel for its transfer cycles).
@@ -550,9 +459,9 @@ impl StbusNode {
     fn note_heads(&mut self, ctx: &mut TickContext<'_, Packet>) {
         let now = ctx.time;
         self.heads.clear();
-        for port in &self.initiators {
+        for port in self.ports.initiators() {
             let note = match ctx.links.peek(port.req_in, now) {
-                Some(Packet::Request(txn)) => self.map.route(txn.addr).map(|target| HeadNote {
+                Some(Packet::Request(txn)) => self.ports.route(txn.addr).map(|target| HeadNote {
                     target,
                     needs_slot: !txn.completes_on_acceptance(),
                 }),
@@ -584,7 +493,7 @@ impl StbusNode {
         let due = self.replays.iter().position(|e| {
             e.deadline <= now
                 && self.req_busy[self.req_channel(e.target)] <= now
-                && ctx.links.can_push(self.targets[e.target].req_out)
+                && ctx.links.can_push(self.ports.target(e.target).req_out)
         });
         let Some(pos) = due else { return };
         let mut entry = self.replays.remove(pos);
@@ -606,15 +515,9 @@ impl StbusNode {
             }
             return;
         }
-        // Re-issued successfully. The target now sees this transaction
-        // *after* everything granted before the fault, so the per-source
-        // expected order moves it to the back.
-        if !entry.txn.completes_on_acceptance() {
-            if let Some(q) = self.expected_by_source.get_mut(&entry.txn.initiator) {
-                q.retain(|&id| id != entry.txn.id);
-                q.push_back(entry.txn.id);
-            }
-        }
+        // Re-issued successfully: the target now sees this transaction
+        // *after* everything granted before the fault.
+        self.txns.reissue(&entry.txn);
         ctx.faults.record_recovered(entry.faults);
         ctx.stats
             .emit_trace(now, &self.name, TraceKind::Forward, || {
@@ -622,7 +525,7 @@ impl StbusNode {
             });
         ctx.links
             .push_after(
-                self.targets[entry.target].req_out,
+                self.ports.target(entry.target).req_out,
                 now,
                 period * cycles.saturating_sub(1),
                 Packet::Request(entry.txn),
@@ -646,16 +549,9 @@ impl StbusNode {
             return;
         }
         let port = self
-            .in_flight
-            .remove(&entry.txn.id)
+            .txns
+            .retire(&entry.txn, false)
             .expect("abandoned transaction was in flight");
-        if let Some(q) = self.expected_by_source.get_mut(&entry.txn.initiator) {
-            q.retain(|&id| id != entry.txn.id);
-            if q.is_empty() {
-                self.expected_by_source.remove(&entry.txn.initiator);
-            }
-        }
-        self.outstanding[port] = self.outstanding[port].saturating_sub(1);
         self.dead_letters
             .push_back((port, Response::error(entry.txn, now)));
     }
@@ -669,9 +565,12 @@ impl StbusNode {
         let now = ctx.time;
         let period = self.clock.period();
         let due = self.dead_letters.iter().position(|(port, resp)| {
-            !self.expected_by_source.contains_key(&resp.txn.initiator)
+            !self
+                .txns
+                .expected_by_source
+                .contains_key(&resp.txn.initiator)
                 && self.resp_busy[self.resp_channel(*port)] <= now
-                && ctx.links.can_push(self.initiators[*port].resp_out)
+                && ctx.links.can_push(self.ports.initiator(*port).resp_out)
         });
         let Some(pos) = due else { return };
         let (port, resp) = self.dead_letters.remove(pos).expect("position found");
@@ -683,15 +582,29 @@ impl StbusNode {
                 format!("{} error completion -> port {port}", resp.txn)
             });
         ctx.links
-            .push(self.initiators[port].resp_out, now, Packet::Response(resp))
+            .push(
+                self.ports.initiator(port).resp_out,
+                now,
+                Packet::Response(resp),
+            )
             .expect("can_push checked");
+    }
+}
+
+impl Interconnect for StbusNode {
+    fn ports_mut(&mut self) -> &mut Ports {
+        &mut self.ports
+    }
+
+    fn ledger_mut(&mut self) -> Option<&mut SplitLedger> {
+        Some(&mut self.txns)
     }
 }
 
 mpsoc_kernel::snapshot_state! {
     impl Snapshot for StbusNode {
-        outstanding, req_busy, resp_busy, sticky, last_winner, resp_rr, in_flight,
-        expected_by_source, replays, dead_letters,
+        txns.outstanding, req_busy, resp_busy, sticky, last_winner, resp_rr, txns.in_flight,
+        txns.expected_by_source, replays, dead_letters,
     } then after_restore
 }
 
@@ -721,17 +634,11 @@ impl Component<Packet> for StbusNode {
     }
 
     fn is_idle(&self) -> bool {
-        self.in_flight.is_empty() && self.replays.is_empty() && self.dead_letters.is_empty()
+        self.txns.is_empty() && self.replays.is_empty() && self.dead_letters.is_empty()
     }
 
     fn watched_links(&self) -> Option<Vec<LinkId>> {
-        Some(
-            self.initiators
-                .iter()
-                .map(|p| p.req_in)
-                .chain(self.targets.iter().map(|t| t.resp_in))
-                .collect(),
-        )
+        Some(self.ports.watched_links())
     }
 
     fn next_activity(&self) -> Option<Time> {
@@ -763,7 +670,7 @@ impl Component<Packet> for StbusNode {
         // busy-until instants are named here. In `watched_links` order:
         // initiator request wires, then target response wires.
         let max_outstanding = self.effective_outstanding();
-        for (p, &outstanding) in self.outstanding.iter().enumerate() {
+        for (p, &outstanding) in self.txns.outstanding.iter().enumerate() {
             let gate = match self.heads.get(p).copied().flatten() {
                 // The head this node left queued: granted no earlier than
                 // its channel frees and its target's wire has room, and not
@@ -771,7 +678,7 @@ impl Component<Packet> for StbusNode {
                 // frees on a response delivery, which re-reads this hint).
                 Some(head) if head.needs_slot && outstanding >= max_outstanding => Gate::CLOSED,
                 Some(head) => Gate::until(self.req_busy[self.req_channel(head.target)])
-                    .with_space(self.targets[head.target].req_out),
+                    .with_space(self.ports.target(head.target).req_out),
                 // A head not seen yet: no grant before any channel frees.
                 None => Gate::until(req_free),
             };
@@ -779,8 +686,8 @@ impl Component<Packet> for StbusNode {
         }
         // Which response channel a head needs depends on the transaction it
         // answers: no delivery before the earliest one frees.
-        let ports = self.initiators.len();
-        for t in 0..self.targets.len() {
+        let ports = self.ports.initiators().len();
+        for t in 0..self.ports.targets().len() {
             hint.gate_input(ports + t, Gate::until(resp_free));
         }
     }
@@ -819,7 +726,7 @@ mod tests {
     use super::*;
     use mpsoc_kernel::Simulation;
     use mpsoc_protocol::testing::{FixedLatencyTarget, ScriptedInitiator};
-    use mpsoc_protocol::{InitiatorId, MessageId, Transaction};
+    use mpsoc_protocol::{AddressRange, InitiatorId, MessageId, Transaction};
 
     const CLK_MHZ: u64 = 250;
 

@@ -5,7 +5,9 @@
 use mpsoc_kernel::{ClockDomain, Simulation, Time};
 use mpsoc_memory::{LmiConfig, LmiController, OnChipMemory, OnChipMemoryConfig};
 use mpsoc_protocol::testing::{FixedLatencyTarget, ScriptedInitiator};
-use mpsoc_protocol::{AddressRange, DataWidth, InitiatorId, Packet, ProtocolKind, Transaction};
+use mpsoc_protocol::{
+    AddressRange, DataWidth, InitiatorId, Interconnect, Packet, ProtocolKind, Transaction,
+};
 use mpsoc_stbus::{StbusNode, StbusNodeConfig};
 
 fn reads(initiator: u16, n: u64, addr: u64, beats: u32) -> Vec<Transaction> {

@@ -4,7 +4,7 @@
 
 use mpsoc_kernel::{ClockDomain, SimError, Simulation, Time};
 use mpsoc_protocol::testing::ScriptedInitiator;
-use mpsoc_protocol::{AddressRange, DataWidth, InitiatorId, Packet, Transaction};
+use mpsoc_protocol::{AddressRange, DataWidth, InitiatorId, Interconnect, Packet, Transaction};
 use mpsoc_stbus::{StbusNode, StbusNodeConfig};
 
 fn read(seq: u64, addr: u64) -> Transaction {

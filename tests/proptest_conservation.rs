@@ -6,7 +6,9 @@ use mpsoc_bridge::{Bridge, BridgeConfig};
 use mpsoc_kernel::{ClockDomain, Simulation, Time};
 use mpsoc_memory::{LmiConfig, LmiController, OnChipMemory, OnChipMemoryConfig};
 use mpsoc_protocol::testing::ScriptedInitiator;
-use mpsoc_protocol::{AddressRange, DataWidth, InitiatorId, Packet, ProtocolKind, Transaction};
+use mpsoc_protocol::{
+    AddressRange, DataWidth, InitiatorId, Interconnect, Packet, ProtocolKind, Transaction,
+};
 use mpsoc_stbus::{StbusNode, StbusNodeConfig};
 use proptest::prelude::*;
 

@@ -10,6 +10,7 @@
 
 use mpsoc_kernel::reference::NaiveSimulation;
 use mpsoc_kernel::{ClockDomain, Component, LinkId, RunOutcome, Simulation, TickContext, Time};
+use mpsoc_protocol::Interconnect;
 use proptest::prelude::*;
 use std::sync::{Arc, Mutex};
 
@@ -1031,14 +1032,9 @@ macro_rules! wire_saturated {
             .map(|i| wire(format!("ip{i}"), 2))
             .collect();
 
-        // The three buses share the port API but no trait.
-        enum Bus {
-            Stbus(mpsoc_stbus::StbusNode),
-            Ahb(mpsoc_ahb::AhbBus),
-            Axi(mpsoc_axi::AxiInterconnect),
-        }
-        let mut bus = match protocol {
-            ProtocolKind::Ahb => Bus::Ahb(mpsoc_ahb::AhbBus::new(
+        // The three buses share the port API through one trait.
+        let mut bus: Box<dyn Interconnect> = match protocol {
+            ProtocolKind::Ahb => Box::new(mpsoc_ahb::AhbBus::new(
                 "bus",
                 mpsoc_ahb::AhbBusConfig {
                     width,
@@ -1046,12 +1042,12 @@ macro_rules! wire_saturated {
                 },
                 clk,
             )),
-            ProtocolKind::Axi => Bus::Axi(mpsoc_axi::AxiInterconnect::new(
+            ProtocolKind::Axi => Box::new(mpsoc_axi::AxiInterconnect::new(
                 "bus",
                 mpsoc_axi::AxiInterconnectConfig::default(),
                 clk,
             )),
-            stbus => Bus::Stbus(mpsoc_stbus::StbusNode::new(
+            stbus => Box::new(mpsoc_stbus::StbusNode::new(
                 "bus",
                 mpsoc_stbus::StbusNodeConfig {
                     protocol: stbus,
@@ -1061,29 +1057,13 @@ macro_rules! wire_saturated {
             )),
         };
         for &(req, resp) in &ip_wires {
-            match &mut bus {
-                Bus::Stbus(b) => b.add_initiator(req, resp),
-                Bus::Ahb(b) => b.add_initiator(req, resp),
-                Bus::Axi(b) => b.add_initiator(req, resp),
-            };
+            bus.add_initiator(req, resp);
         }
         for (t, &(req, resp)) in mem_wires.iter().enumerate() {
             let base = 0x8000_0000 + t as u64 * region;
             let range = AddressRange::new(base, base + region);
-            match &mut bus {
-                Bus::Stbus(b) => {
-                    let port = b.add_target(req, resp);
-                    b.add_route(range, port).expect("disjoint routes");
-                }
-                Bus::Ahb(b) => {
-                    let port = b.add_target(req, resp);
-                    b.add_route(range, port).expect("disjoint routes");
-                }
-                Bus::Axi(b) => {
-                    let port = b.add_target(req, resp);
-                    b.add_route(range, port).expect("disjoint routes");
-                }
-            }
+            let port = bus.add_target(req, resp);
+            bus.add_route(range, port).expect("disjoint routes");
             $sim.add_component(
                 Box::new(mpsoc_memory::OnChipMemory::new(
                     format!("mem{t}"),
@@ -1118,11 +1098,6 @@ macro_rules! wire_saturated {
                 .expect("valid IPTG config");
             $sim.add_component(Box::new(gen), clk);
         }
-        let bus: Box<dyn Component<mpsoc_protocol::Packet>> = match bus {
-            Bus::Stbus(b) => Box::new(b),
-            Bus::Ahb(b) => Box::new(b),
-            Bus::Axi(b) => Box::new(b),
-        };
         $sim.add_component(bus, clk);
     }};
 }
